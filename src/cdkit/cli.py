@@ -24,6 +24,7 @@ data, 3 when the solver or a numeric routine fails, 4 for I/O failures.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -231,7 +232,9 @@ def _solver_config(spec, heuristic_m):
     )
 
 
+@functools.cache
 def _build_stamp():
+    # one stamp per process: the modules it describes are loaded only once
     here = os.path.dirname(os.path.abspath(__file__))
     try:
         out = subprocess.run(

@@ -1,8 +1,8 @@
 """Cone handles: membership tests, linear minimization over the unit-ball
 slice of a cone, and dual-cone distance oracles.
 
-Each cone carries a norm pair (primal norm for the ball slice, dual norm for
-measuring gradients and certificates): l2/l2 for the orthant and second-order
+Each cone is measured in a norm pair (primal norm for the ball slice, dual
+norm for gradients and certificates): l2/l2 for the orthant and second-order
 cone, nuclear/operator for the semidefinite cone. For every cone here the
 linear-minimization value satisfies -<g, lmo(g)> = dist_dual(g, K*), which is
 what makes the certificate computable for free.
@@ -107,7 +107,6 @@ class Cone:
     """Abstract cone handle."""
 
     kind = "abstract"
-    norm_pair = ("l2", "l2")
 
     def lmo(self, g):
         raise NotImplementedError
@@ -188,7 +187,6 @@ class PsdCone(Cone):
     """
 
     kind = "psd_dense"
-    norm_pair = ("nuclear", "operator")
 
     def __init__(self, n):
         self.n = int(n)
@@ -212,49 +210,6 @@ class PsdCone(Cone):
         x = np.zeros((self.n, self.n))
         x[0, 0] = 1.0
         return x
-
-
-class PsdOperatorCone(Cone):
-    """PSD cone accessed through matrix-vector products only.
-
-    The LMO and dual-distance oracles accept either a symmetric matrix or a
-    callable v -> A v and run a seeded Lanczos iteration; meant for the
-    matrix-free semidefinite path where the gradient operator is never
-    materialized.
-    """
-
-    kind = "psd_operator"
-    norm_pair = ("nuclear", "operator")
-
-    def __init__(self, n, lanczos=None):
-        self.n = int(n)
-        self.lanczos = lanczos
-
-    def _min_eig(self, op):
-        from .sdp import min_eig_lanczos  # local import: sdp depends on cones
-
-        if callable(op):
-            apply = op
-        else:
-            mat = np.asarray(op, dtype=float)
-            apply = lambda v: mat @ v  # noqa: E731
-        return min_eig_lanczos(apply, self.n, self.lanczos)
-
-    def lmo(self, op):
-        lam, q = self._min_eig(op)
-        if lam < 0.0:
-            return np.outer(q, q)
-        return np.zeros((self.n, self.n))
-
-    def dual_distance(self, op):
-        lam, _ = self._min_eig(op)
-        return max(0.0, -lam)
-
-    def contains(self, x, tol=1e-8):
-        return PsdCone(self.n).contains(x, tol=tol)
-
-    def default_init(self):
-        return PsdCone(self.n).default_init()
 
 
 def dual_distance(cone, g):
@@ -310,7 +265,7 @@ def brute_lmo(cone, g, grid_n=10000):
         pts = _sphere_grid_orthant(g.size, grid_n)
     elif cone.kind == "second_order":
         pts = _sphere_grid_soc(g.size, grid_n)
-    elif cone.kind in ("psd_dense", "psd_operator"):
+    elif cone.kind == "psd_dense":
         # Unit-nuclear-norm extreme points of the PSD cone are q q^T for
         # unit q, and the sign of q does not matter, so a hemisphere grid
         # of q vectors covers the slice.

@@ -42,9 +42,6 @@ class ConicProgram:
         Optional exact 1D restriction: (base, direction) -> (a, b, c) with
         f(base + t * direction) = a t^2 + b t + c. When present, ray and line
         searches are solved in closed form instead of by bracketing.
-    norm_pair : str
-        Identifier of the norm pair the objective is measured in ("l2" for
-        vector problems).
     smoothness_hint : float or None
         A known Lipschitz constant of the gradient, used by verification
         helpers; never required by the solver itself.
@@ -58,7 +55,6 @@ class ConicProgram:
     gradient_oracle: Callable
     cone: Cone | None = None
     restriction_oracle: Callable | None = None
-    norm_pair: str = "l2"
     smoothness_hint: float | None = None
 
     def __post_init__(self):
@@ -163,17 +159,6 @@ class SolveTrace:
 
     def cs_residuals(self):
         return np.array([r.cs_residual for r in self.records])
-
-    def etas(self):
-        return np.array([r.eta for r in self.records])
-
-    def thetas(self):
-        return np.array([r.theta for r in self.records])
-
-    def lambda_mins(self):
-        return np.array(
-            [np.nan if r.lambda_min is None else r.lambda_min for r in self.records]
-        )
 
     def write_csv(self, path):
         with open(path, "w") as fh:
@@ -312,37 +297,44 @@ def minimize_convex_1d(phi, rel_tol=SEARCH_REL_TOL, max_evals=SEARCH_MAX_EVALS):
     return t_best, f_best
 
 
-def ray_minimize(problem, x):
-    """argmin over eta >= 0 of f(eta * x).
-
-    Uses the exact quadratic restriction when the program provides one and a
-    bracketed golden-section search otherwise. At x = 0 every eta gives the
-    same point and the no-op convention eta = 1 applies; the same convention
-    covers a constant restriction.
-    """
-    x = np.asarray(x, dtype=float)
-    if float(np.linalg.norm(x.ravel())) == 0.0:
-        return 1.0
-    if problem.restriction_oracle is not None:
-        a, b, _ = problem.restriction(np.zeros_like(x), x)
-        eta = _quad_argmin_nonneg(a, b)
-        return 1.0 if eta is None else eta
-    eta, _ = minimize_convex_1d(lambda t: problem.value(t * x))
-    return eta
-
-
-def line_search_step(problem, base, direction):
-    """argmin over theta >= 0 of f(base + theta * direction).
-
-    A direction with nonnegative directional derivative yields theta = 0, so
-    f(base + theta * direction) <= f(base) always holds on return.
-    """
+def _search(problem, base, direction, linear, flat_value):
+    # argmin over t >= 0 of f(base + t * direction) + linear * t; flat_value
+    # is the convention for a constant restriction
     if problem.restriction_oracle is not None:
         a, b, _ = problem.restriction(base, direction)
-        theta = _quad_argmin_nonneg(a, b)
-        return 0.0 if theta is None else theta
-    theta, _ = minimize_convex_1d(lambda t: problem.value(base + t * direction))
-    return theta
+        t = _quad_argmin_nonneg(a, b + linear)
+        return flat_value if t is None else t
+    t, _ = minimize_convex_1d(lambda s: problem.value(base + s * direction) + linear * s)
+    return t
+
+
+def ray_minimize(problem, x, base=None, linear=0.0):
+    """argmin over eta >= 0 of f(base + eta * x) + linear * eta.
+
+    base defaults to 0, which makes this the exact minimization along the ray
+    through x. Uses the exact quadratic restriction when the program provides
+    one and a bracketed golden-section search otherwise. At x = 0 with no
+    linear term every eta gives the same value and the no-op convention
+    eta = 1 applies; the same convention covers a constant restriction.
+    """
+    x = np.asarray(x, dtype=float)
+    if linear == 0.0 and float(np.linalg.norm(x.ravel())) == 0.0:
+        return 1.0
+    return _search(problem, np.zeros_like(x) if base is None else base, x, linear, 1.0)
+
+
+def line_search_step(problem, base, direction, linear=0.0):
+    """argmin over theta >= 0 of f(base + theta * direction) + linear * theta.
+
+    A direction with nonnegative directional derivative yields theta = 0, so
+    the searched value never rises above its value at theta = 0.
+    """
+    return _search(problem, base, direction, linear, 0.0)
+
+
+def theta_heuristic(k, m):
+    """Pre-scheduled step length 2 m / (k + 2), no search involved."""
+    return 2.0 * m / (k + 2.0)
 
 
 def kkt_residuals(problem, x):
@@ -375,9 +367,101 @@ def _check_config(config, allow_greedy):
     if config.trace_every < 1:
         raise ValueError("trace_every must be a positive integer")
     if config.greedy_period and not allow_greedy:
-        raise ValueError("greedy steps apply to the semidefinite path only")
+        raise ValueError("greedy steps apply to sdp_solve only")
     if config.greedy_period < 0:
         raise ValueError("greedy_period must be nonnegative")
+
+
+def _descend(problem, config, it, callback, allow_greedy=False, frank_wolfe=False):
+    """The visit loop shared by solve, sdp_solve and fw_solve.
+
+    `it` carries one solver's iterate and per-visit math:
+      evaluate(k) -> (f, gradient) at the visited point, after any ray
+        rescale; also sets it.eta, it.cs and it.lam for the trace record;
+      certify(k, gradient) -> the visit's certificate (runs the LMO);
+      step(k, theta) moves by theta, or by a searched length when theta is
+        None, and returns the length used;
+      callback_args(k, theta, record) -> the callback's arguments.
+    Momentum solvers stop once the certificate reaches sqrt(tol_eps) and
+    take line-searched or scheduled steps. With frank_wolfe the certificate
+    is a linearization gap, which already has objective units and stops at
+    tol_eps, and every step is the iterate's own segment search, not counted
+    as a theta search.
+
+    Returns (status, trace, certificate of the last visit, stats).
+    """
+    _check_config(config, allow_greedy)
+    stop_at = config.tol_eps if frank_wolfe else math.sqrt(config.tol_eps)
+    trace = SolveTrace()
+    counts0 = problem.eval_counts()
+    n_theta_searches = 0
+    t_start = time.perf_counter()
+
+    for k in range(config.max_iters + 1):
+        fval, grad = it.evaluate(k)
+        if not math.isfinite(fval) or not np.all(np.isfinite(grad)):
+            raise NonFiniteValue(f"non-finite objective data at iteration {k}")
+        cert = it.certify(k, grad)
+        stop = cert <= stop_at
+        last = k == config.max_iters
+        theta = 0.0
+        if not (stop or last):
+            if frank_wolfe or config.step_rule == "line_search":
+                theta = it.step(k, None)
+                n_theta_searches += not frank_wolfe
+            else:
+                theta = it.step(k, theta_heuristic(k, config.heuristic_m))
+        wall_ms = (time.perf_counter() - t_start) * 1e3
+        record = TraceRecord(k, fval, cert, it.cs, it.eta, theta, wall_ms, it.lam)
+        if k % config.trace_every == 0 or stop or last:
+            trace.append(record)
+        if callback is not None:
+            callback(*it.callback_args(k, theta, record))
+        if stop or last:
+            break
+
+    counts1 = problem.eval_counts()
+    stats = {key: counts1[key] - counts0[key] for key in counts1}
+    stats["n_theta_searches"] = n_theta_searches
+    return "converged" if stop else "max_iters", trace, cert, stats
+
+
+class _VectorIterate:
+    """Per-visit math of momentum conic descent on a vector ConicProgram."""
+
+    lam = None
+
+    def __init__(self, problem, config, x):
+        self.problem = problem
+        self.mode = config.momentum_mode
+        self.x_next = x
+        self.g = np.zeros_like(x)
+
+    def evaluate(self, k):
+        self.x = self.x_next
+        self.eta = ray_minimize(self.problem, self.x)
+        self.xe = self.eta * self.x
+        fval = self.problem.value(self.xe)
+        grad = self.problem.gradient(self.xe)
+        self.cs = float(np.vdot(self.xe, grad))
+        return fval, grad
+
+    def certify(self, k, grad):
+        self.delta = delta_schedule(k, self.mode)
+        self.g = momentum_update(self.g, grad, self.delta)
+        self.v = self.problem.cone.lmo(self.g)
+        return dual_certificate(self.g, self.v)
+
+    def step(self, k, theta):
+        if theta is None:
+            theta = line_search_step(self.problem, self.xe, self.v)
+        # taken at the next visit: the callback still sees x_k
+        self.x_next = self.xe + theta * self.v
+        return theta
+
+    def callback_args(self, k, theta, record):
+        state = IterateState(k, self.x, self.g, self.eta, theta, self.v, self.delta)
+        return state, record
 
 
 def solve(problem, config=None, x0=None, callback=None):
@@ -403,59 +487,11 @@ def solve(problem, config=None, x0=None, callback=None):
         config = SolverConfig()
     if problem.cone is None:
         raise UnsupportedCone("solve() needs a ConicProgram with a cone handle")
-    _check_config(config, allow_greedy=False)
-    cone = problem.cone
-
-    x = cone.default_init() if x0 is None else np.array(x0, dtype=float)
-    g = np.zeros_like(x)
-    sqrt_eps = math.sqrt(config.tol_eps)
-    trace = SolveTrace()
-    n_theta_searches = 0
-    counts0 = problem.eval_counts()
-    status = "max_iters"
-    cert = math.inf
-    xe = x
-    t_start = time.perf_counter()
-
-    for k in range(config.max_iters + 1):
-        eta = ray_minimize(problem, x)
-        xe = eta * x
-        fval = problem.value(xe)
-        grad = problem.gradient(xe)
-        if not math.isfinite(fval) or not np.all(np.isfinite(grad)):
-            raise NonFiniteValue(f"non-finite objective data at iteration {k}")
-        delta = delta_schedule(k, config.momentum_mode)
-        g = momentum_update(g, grad, delta)
-        v = cone.lmo(g)
-        cert = dual_certificate(g, v)
-        cs = float(np.vdot(xe, grad))
-        stop = cert <= sqrt_eps
-        last = k == config.max_iters
-        theta = 0.0
-        if not (stop or last):
-            if config.step_rule == "line_search":
-                theta = line_search_step(problem, xe, v)
-                n_theta_searches += 1
-            else:
-                theta = 2.0 * config.heuristic_m / (k + 2.0)
-        wall_ms = (time.perf_counter() - t_start) * 1e3
-        record = TraceRecord(k, fval, cert, cs, eta, theta, wall_ms)
-        if k % config.trace_every == 0 or stop or last:
-            trace.append(record)
-        if callback is not None:
-            callback(IterateState(k, x, g, eta, theta, v, delta), record)
-        if stop:
-            status = "converged"
-            break
-        if last:
-            break
-        x = xe + theta * v
-
-    counts1 = problem.eval_counts()
-    stats = {key: counts1[key] - counts0[key] for key in counts1}
-    stats["n_theta_searches"] = n_theta_searches
+    x = problem.cone.default_init() if x0 is None else np.array(x0, dtype=float)
+    it = _VectorIterate(problem, config, x)
+    status, trace, cert, stats = _descend(problem, config, it, callback)
     return SolveResult(
-        final_point=xe,
+        final_point=it.xe,
         status=status,
         trace=trace,
         certified_dual_cert=cert,

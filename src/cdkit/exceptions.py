@@ -29,10 +29,6 @@ class UnsupportedCone(SolverError):
     """No oracle of the requested kind exists for this cone."""
 
 
-class InnerSolverStall(SolverError):
-    """An inner descent solver could not make progress from its start point."""
-
-
 class RankTooLarge(ValueError):
     """Requested reconstruction rank is incompatible with the sketch width."""
 

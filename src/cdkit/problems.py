@@ -145,9 +145,6 @@ def build_trace_toy(n=2, target=1.0):
         raise ValueError("target trace must be positive")
     z = np.array([float(target)])
 
-    def matvec_i(i, u):
-        return np.array(u, dtype=float)
-
     def gram(q):
         q = np.asarray(q, dtype=float)
         return np.array([float(np.vdot(q, q))])
@@ -165,7 +162,6 @@ def build_trace_toy(n=2, target=1.0):
         n=n,
         d=1,
         z=z,
-        matvec_i=matvec_i,
         gram=gram,
         adjoint_matvec=adjoint_matvec,
         apply_dense=apply_dense,
@@ -233,13 +229,6 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None,
         b = add_noise_snr(b, noise_snr, rng)
     d = row_idx.size
 
-    def matvec_i(k, u):
-        u = np.asarray(u, dtype=float)
-        w = np.zeros(u.shape[0])
-        w[row_idx[k]] += 0.5 * u[col_idx[k]]
-        w[col_idx[k]] += 0.5 * u[row_idx[k]]
-        return w
-
     def gram(q):
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
@@ -270,7 +259,6 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None,
         n=n,
         d=d,
         z=b.copy(),
-        matvec_i=matvec_i,
         gram=gram,
         adjoint_matvec=adjoint_matvec,
         apply_dense=apply_dense,
@@ -345,13 +333,6 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, gamma=5e-5,
     d = m * n
     coeff = 1.0 / d
 
-    def matvec_i(k, u):
-        j, i = divmod(int(k), n)
-        e = np.zeros(n)
-        e[i] = 1.0
-        a = signs[j] * idct(e, norm="ortho")
-        return a * float(a @ np.asarray(u, dtype=float))
-
     def gram(q):
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
@@ -398,7 +379,6 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, gamma=5e-5,
         n=n,
         d=d,
         z=b.copy(),
-        matvec_i=matvec_i,
         gram=gram,
         adjoint_matvec=adjoint_matvec,
         apply_dense=apply_dense,

@@ -14,7 +14,6 @@ vector, solved matrix-free by Lanczos iteration.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,14 +23,16 @@ import scipy.linalg
 from .core import (
     SolveTrace,
     SolverConfig,
-    TraceRecord,
-    _check_config,
+    _descend,
     _quad_argmin_nonneg,
     delta_schedule,
+    line_search_step,
     minimize_convex_1d,
     momentum_update,
+    ray_minimize,
+    theta_heuristic,  # noqa: F401  (kept importable as cdkit.sdp.theta_heuristic)
 )
-from .exceptions import EigFailure, NonFiniteValue, RankTooLarge
+from .exceptions import EigFailure, RankTooLarge
 
 
 @dataclass
@@ -41,7 +42,6 @@ class MeasurementOperator:
     Encodes the map X -> (tr(G_1 X), ..., tr(G_d X)) together with the shift
     z, so iterates live in measurement space as y = apply(X) - z.
 
-    matvec_i(i, u) applies the i-th measurement matrix to a vector.
     gram(q) returns the measurement image of q q^T for a vector q of shape
     (n,), or of U U^T when given a matrix of shape (n, r).
     adjoint_matvec(p, u) applies sum_i p_i G_i to u; u may be (n,) or (n, r).
@@ -52,7 +52,6 @@ class MeasurementOperator:
     n: int
     d: int
     z: np.ndarray
-    matvec_i: Callable
     gram: Callable
     adjoint_matvec: Callable
     apply_dense: Callable | None = None
@@ -347,11 +346,6 @@ def greedy_step(fv, op, gamma, state, rng, config=None, record_factors=False):
     return info
 
 
-def theta_heuristic(k, m):
-    """Pre-scheduled step length 2 m / (k + 2), no search involved."""
-    return 2.0 * m / (k + 2.0)
-
-
 # ---------------------------------------------------------------------------
 # solver loops
 
@@ -368,28 +362,120 @@ class SdpResult:
     stats: dict = field(default_factory=dict)
 
 
-def _ray_minimize_sdp(fv, gamma, y, z, tr):
-    # argmin over eta >= 0 of fv(eta (y + z) - z) + gamma eta tr; at X = 0
-    # every eta is the same point, convention eta = 1
-    direction = y + z
-    if float(np.linalg.norm(direction)) == 0.0 and tr == 0.0:
-        return 1.0
-    if fv.restriction_oracle is not None:
-        a, b, _ = fv.restriction(-z, direction)
-        eta = _quad_argmin_nonneg(a, b + gamma * tr)
-        return 1.0 if eta is None else eta
-    eta, _ = minimize_convex_1d(lambda s: fv.value(s * direction - z) + gamma * s * tr)
-    return eta
+class _MeasurementIterate:
+    """Iterate of the semidefinite solvers: the state (y, tr, sketch) of X.
+
+    The visited point starts at X = 0. Subclasses supply the per-visit math
+    for _descend; this base holds what sdp_solve and fw_solve share.
+    """
+
+    eta = 1.0
+    greedy = None
+
+    def __init__(self, fv, op, gamma, config, sketch_size):
+        if fv.dim != op.d:
+            raise ValueError("objective dimension does not match the measurement count")
+        self.fv, self.op, self.gamma = fv, op, gamma
+        self.z = np.asarray(op.z, dtype=float)
+        self.lanczos_cfg = LanczosConfig(seed=config.rng_seed)
+        sketch = None
+        if sketch_size is not None:
+            sketch = SketchState.create(op.n, sketch_size, seed=config.rng_seed + 1)
+        self.state = SdpState(y=-self.z.astype(float), tr=0.0, sketch=sketch)
+        self.greedy_events = []
+
+    def evaluate(self, k):
+        s = self.state
+        fval = self.fv.value(s.y) + self.gamma * s.tr
+        p = self.fv.gradient(s.y)
+        self.cs = float(np.vdot(s.y + self.z, p)) + self.gamma * s.tr
+        return fval, p
+
+    def callback_args(self, k, theta, record):
+        s = self.state
+        info = {
+            "k": k,
+            "eta": self.eta,
+            "theta": theta,
+            "q": self.q,
+            "lambda": self.lam,
+            "greedy": self.greedy,
+            "y": s.y,
+            "tr": s.tr,
+            "sketch": s.sketch,
+            "record": record,
+        }
+        return (info,)
+
+    def result(self, status, trace, cert, stats):
+        stats["greedy_events"] = self.greedy_events
+        stats["n_greedy_commits"] = sum(1 for e in self.greedy_events if e["committed"])
+        return SdpResult(
+            final_y=self.state.y,
+            final_tr=self.state.tr,
+            sketch=self.state.sketch,
+            status=status,
+            trace=trace,
+            certified_dual_cert=cert,
+            final_lambda=self.lam,
+            stats=stats,
+        )
 
 
-def _theta_minimize_sdp(fv, gamma, y, g_atom):
-    # argmin over theta >= 0 along the unit-trace atom image
-    if fv.restriction_oracle is not None:
-        a, b, _ = fv.restriction(y, g_atom)
-        theta = _quad_argmin_nonneg(a, b + gamma)
-        return 0.0 if theta is None else theta
-    theta, _ = minimize_convex_1d(lambda s: fv.value(y + s * g_atom) + gamma * s)
-    return theta
+class _SdpIterate(_MeasurementIterate):
+    """Momentum conic descent with optional greedy refits, in measurement space."""
+
+    def __init__(self, fv, op, gamma, config, sketch_size, record_factors):
+        super().__init__(fv, op, gamma, config, sketch_size)
+        self.mode = config.momentum_mode
+        self.greedy_period = config.greedy_period
+        self.rng = np.random.default_rng(config.rng_seed)
+        self.greedy_cfg = GreedyConfig()
+        self.record_factors = record_factors
+        self.g_avg = np.zeros(op.d)
+
+    def evaluate(self, k):
+        s, z = self.state, self.z
+        self.eta = ray_minimize(self.fv, s.y + z, -z, self.gamma * s.tr)
+        if self.eta != 1.0:
+            s.y = self.eta * (s.y + z) - z
+            s.tr *= self.eta
+            if s.sketch is not None:
+                s.sketch.scale(self.eta)
+        self.greedy = None
+        return super().evaluate(k)
+
+    def certify(self, k, p):
+        self.g_avg = momentum_update(self.g_avg, p, delta_schedule(k, self.mode))
+        self.lam, self.q = min_eig_lanczos(
+            lambda u: self.op.adjoint_matvec(self.g_avg, u) + self.gamma * u,
+            self.op.n,
+            self.lanczos_cfg,
+        )
+        return max(0.0, -self.lam)
+
+    def step(self, k, theta):
+        s = self.state
+        g_atom = self.op.gram(self.q)
+        if theta is None:
+            theta = line_search_step(self.fv, s.y, g_atom, self.gamma)
+        s.y = s.y + theta * g_atom
+        s.tr += theta
+        if s.sketch is not None:
+            s.sketch.add_rank_one(theta, self.q)
+        if self.greedy_period and (k + 1) % self.greedy_period == 0:
+            self.greedy = greedy_step(
+                self.fv, self.op, self.gamma, s, self.rng, self.greedy_cfg,
+                self.record_factors,
+            )
+            self.greedy["k"] = k
+            self.greedy_events.append(self.greedy)
+        return theta
+
+    def callback_args(self, k, theta, record):
+        (info,) = super().callback_args(k, theta, record)
+        info["g_avg"] = self.g_avg
+        return (info,)
 
 
 def sdp_solve(
@@ -398,9 +484,6 @@ def sdp_solve(
     gamma=0.0,
     config=None,
     sketch_size=None,
-    sketch_seed=None,
-    greedy_config=None,
-    lanczos=None,
     callback=None,
     record_factors=False,
 ):
@@ -418,113 +501,8 @@ def sdp_solve(
     """
     if config is None:
         config = SolverConfig()
-    _check_config(config, allow_greedy=True)
-    if fv.dim != op.d:
-        raise ValueError("objective dimension does not match the measurement count")
-    lanczos_cfg = lanczos if lanczos is not None else LanczosConfig(seed=config.rng_seed)
-    rng = np.random.default_rng(config.rng_seed)
-    greedy_cfg = greedy_config if greedy_config is not None else GreedyConfig()
-    z = np.asarray(op.z, dtype=float)
-
-    y = -z.astype(float)
-    tr = 0.0
-    sketch = None
-    if sketch_size is not None:
-        seed = sketch_seed if sketch_seed is not None else config.rng_seed + 1
-        sketch = SketchState.create(op.n, sketch_size, seed=seed)
-    g_avg = np.zeros(op.d)
-    sqrt_eps = math.sqrt(config.tol_eps)
-    trace = SolveTrace()
-    counts0 = fv.eval_counts()
-    n_theta_searches = 0
-    greedy_events = []
-    status = "max_iters"
-    cert = math.inf
-    lam = math.inf
-    t_start = time.perf_counter()
-
-    for k in range(config.max_iters + 1):
-        eta = _ray_minimize_sdp(fv, gamma, y, z, tr)
-        if eta != 1.0:
-            y = eta * (y + z) - z
-            tr *= eta
-            if sketch is not None:
-                sketch.scale(eta)
-        fval = fv.value(y) + gamma * tr
-        p = fv.gradient(y)
-        if not math.isfinite(fval) or not np.all(np.isfinite(p)):
-            raise NonFiniteValue(f"non-finite objective data at iteration {k}")
-        cs = float(np.vdot(y + z, p)) + gamma * tr
-        delta = delta_schedule(k, config.momentum_mode)
-        g_avg = momentum_update(g_avg, p, delta)
-        lam, q = min_eig_lanczos(
-            lambda u: op.adjoint_matvec(g_avg, u) + gamma * u, op.n, lanczos_cfg
-        )
-        cert = max(0.0, -lam)
-        stop = cert <= sqrt_eps
-        last = k == config.max_iters
-        theta = 0.0
-        greedy_info = None
-        if not (stop or last):
-            g_atom = op.gram(q)
-            if config.step_rule == "line_search":
-                theta = _theta_minimize_sdp(fv, gamma, y, g_atom)
-                n_theta_searches += 1
-            else:
-                theta = theta_heuristic(k, config.heuristic_m)
-            y = y + theta * g_atom
-            tr += theta
-            if sketch is not None:
-                sketch.add_rank_one(theta, q)
-            if config.greedy_period and (k + 1) % config.greedy_period == 0:
-                state = SdpState(y, tr, sketch)
-                greedy_info = greedy_step(
-                    fv, op, gamma, state, rng, greedy_cfg, record_factors
-                )
-                greedy_info["k"] = k
-                greedy_events.append(greedy_info)
-                y, tr = state.y, state.tr
-        wall_ms = (time.perf_counter() - t_start) * 1e3
-        record = TraceRecord(k, fval, cert, cs, eta, theta, wall_ms, lambda_min=lam)
-        if k % config.trace_every == 0 or stop or last:
-            trace.append(record)
-        if callback is not None:
-            callback(
-                {
-                    "k": k,
-                    "eta": eta,
-                    "theta": theta,
-                    "q": q,
-                    "lambda": lam,
-                    "g_avg": g_avg,
-                    "greedy": greedy_info,
-                    "y": y,
-                    "tr": tr,
-                    "sketch": sketch,
-                    "record": record,
-                }
-            )
-        if stop:
-            status = "converged"
-            break
-        if last:
-            break
-
-    counts1 = fv.eval_counts()
-    stats = {key: counts1[key] - counts0[key] for key in counts1}
-    stats["n_theta_searches"] = n_theta_searches
-    stats["greedy_events"] = greedy_events
-    stats["n_greedy_commits"] = sum(1 for e in greedy_events if e["committed"])
-    return SdpResult(
-        final_y=y,
-        final_tr=tr,
-        sketch=sketch,
-        status=status,
-        trace=trace,
-        certified_dual_cert=cert,
-        final_lambda=lam,
-        stats=stats,
-    )
+    it = _SdpIterate(fv, op, gamma, config, sketch_size, record_factors)
+    return it.result(*_descend(fv, config, it, callback, allow_greedy=True))
 
 
 def _quad_argmin_segment(a, b):
@@ -532,6 +510,45 @@ def _quad_argmin_segment(a, b):
     if a <= 0.0:
         return 0.0 if a + b >= 0.0 else 1.0
     return min(1.0, max(0.0, -b / (2.0 * a)))
+
+
+def _fw_atom(op, gamma, tau, state, p, lanczos_cfg):
+    # extreme point of {X psd, tr X <= tau} against the gradient p, as
+    # (lambda, q or None, image of the atom, its trace), and the gap
+    lam, q = min_eig_lanczos(
+        lambda u: op.adjoint_matvec(p, u) + gamma * u, op.n, lanczos_cfg
+    )
+    z = np.asarray(op.z, dtype=float)
+    if lam < 0.0:
+        atom = (lam, q, tau * op.gram(q) - z, tau)
+    else:
+        atom = (lam, None, -z, 0.0)
+    gap = float(np.vdot(p, state.y - atom[2])) + gamma * (state.tr - atom[3])
+    return atom, gap
+
+
+def _fw_segment(fv, gamma, state, atom):
+    # step length in [0, 1] from the iterate toward the atom
+    _, _, y_atom, tr_atom = atom
+    direction = y_atom - state.y
+    if fv.restriction_oracle is not None:
+        a, b, _ = fv.restriction(state.y, direction)
+        return _quad_argmin_segment(a, b + gamma * (tr_atom - state.tr))
+    theta, _ = minimize_convex_1d(
+        lambda s: fv.value(state.y + min(s, 1.0) * direction)
+        + gamma * ((1.0 - min(s, 1.0)) * state.tr + min(s, 1.0) * tr_atom)
+    )
+    return min(theta, 1.0)
+
+
+def _fw_move(tau, state, atom, theta):
+    _, q, y_atom, tr_atom = atom
+    state.y = state.y + theta * (y_atom - state.y)
+    state.tr = (1.0 - theta) * state.tr + theta * tr_atom
+    if state.sketch is not None:
+        state.sketch.scale(1.0 - theta)
+        if q is not None:
+            state.sketch.add_rank_one(theta * tau, q)
 
 
 def fw_baseline_step(fv, op, gamma, tau, state, lanczos_cfg=None):
@@ -543,50 +560,39 @@ def fw_baseline_step(fv, op, gamma, tau, state, lanczos_cfg=None):
     the iterate and the atom and updates state in place. Returns an info
     dict with the gap, eigenvalue, step, and atom.
     """
-    z = np.asarray(op.z, dtype=float)
     p = fv.gradient(state.y)
-    lam, q = min_eig_lanczos(
-        lambda u: op.adjoint_matvec(p, u) + gamma * u, op.n, lanczos_cfg
-    )
-    if lam < 0.0:
-        y_atom = tau * op.gram(q) - z
-        tr_atom = tau
-        atom_q = q
-    else:
-        y_atom = -z
-        tr_atom = 0.0
-        atom_q = None
-    gap = float(np.vdot(p, state.y - y_atom)) + gamma * (state.tr - tr_atom)
-    direction = y_atom - state.y
-    if fv.restriction_oracle is not None:
-        a, b, _ = fv.restriction(state.y, direction)
-        theta = _quad_argmin_segment(a, b + gamma * (tr_atom - state.tr))
-    else:
-        theta, _ = minimize_convex_1d(
-            lambda s: fv.value(state.y + min(s, 1.0) * direction)
-            + gamma * ((1.0 - min(s, 1.0)) * state.tr + min(s, 1.0) * tr_atom)
+    atom, gap = _fw_atom(op, gamma, tau, state, p, lanczos_cfg)
+    theta = _fw_segment(fv, gamma, state, atom)
+    _fw_move(tau, state, atom, theta)
+    return {"lambda": atom[0], "gap": gap, "theta": theta, "q": atom[1]}
+
+
+class _FwIterate(_MeasurementIterate):
+    """Frank-Wolfe on {X psd, tr X <= tau}: no ray rescale, no momentum."""
+
+    def __init__(self, fv, op, gamma, config, sketch_size, tau):
+        super().__init__(fv, op, gamma, config, sketch_size)
+        self.tau = tau
+
+    def certify(self, k, p):
+        self.atom, gap = _fw_atom(
+            self.op, self.gamma, self.tau, self.state, p, self.lanczos_cfg
         )
-        theta = min(theta, 1.0)
-    state.y = state.y + theta * direction
-    state.tr = (1.0 - theta) * state.tr + theta * tr_atom
-    if state.sketch is not None:
-        state.sketch.scale(1.0 - theta)
-        if atom_q is not None:
-            state.sketch.add_rank_one(theta * tau, atom_q)
-    return {"lambda": lam, "gap": gap, "theta": theta, "q": atom_q}
+        self.lam, self.q = self.atom[:2]
+        return gap
+
+    def step(self, k, theta):
+        theta = _fw_segment(self.fv, self.gamma, self.state, self.atom)
+        _fw_move(self.tau, self.state, self.atom, theta)
+        return theta
+
+    def callback_args(self, k, theta, record):
+        (info,) = super().callback_args(k, theta, record)
+        info["tau"] = self.tau
+        return (info,)
 
 
-def fw_solve(
-    fv,
-    op,
-    tau,
-    gamma=0.0,
-    config=None,
-    sketch_size=None,
-    sketch_seed=None,
-    lanczos=None,
-    callback=None,
-):
+def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=None):
     """Baseline solver on the trace-bounded set {X psd, tr X <= tau}.
 
     No ray rescaling and no momentum; the recorded dual_cert column holds the
@@ -598,99 +604,7 @@ def fw_solve(
     """
     if config is None:
         config = SolverConfig()
-    if config.max_iters < 1:
-        raise ValueError("max_iters must be positive")
     if tau <= 0.0:
         raise ValueError("trace bound tau must be positive")
-    lanczos_cfg = lanczos if lanczos is not None else LanczosConfig(seed=config.rng_seed)
-    z = np.asarray(op.z, dtype=float)
-    sketch = None
-    if sketch_size is not None:
-        seed = sketch_seed if sketch_seed is not None else config.rng_seed + 1
-        sketch = SketchState.create(op.n, sketch_size, seed=seed)
-    state = SdpState(y=-z.astype(float), tr=0.0, sketch=sketch)
-    trace = SolveTrace()
-    counts0 = fv.eval_counts()
-    status = "max_iters"
-    gap = math.inf
-    lam = math.inf
-    t_start = time.perf_counter()
-
-    for k in range(config.max_iters + 1):
-        fval = fv.value(state.y) + gamma * state.tr
-        p = fv.gradient(state.y)
-        if not math.isfinite(fval) or not np.all(np.isfinite(p)):
-            raise NonFiniteValue(f"non-finite objective data at iteration {k}")
-        cs = float(np.vdot(state.y + z, p)) + gamma * state.tr
-        lam, q = min_eig_lanczos(
-            lambda u: op.adjoint_matvec(p, u) + gamma * u, op.n, lanczos_cfg
-        )
-        if lam < 0.0:
-            y_atom = tau * op.gram(q) - z
-            tr_atom = tau
-            atom_q = q
-        else:
-            y_atom = -z
-            tr_atom = 0.0
-            atom_q = None
-        gap = float(np.vdot(p, state.y - y_atom)) + gamma * (state.tr - tr_atom)
-        stop = gap <= config.tol_eps
-        last = k == config.max_iters
-        theta = 0.0
-        if not (stop or last):
-            direction = y_atom - state.y
-            if fv.restriction_oracle is not None:
-                a, b, _ = fv.restriction(state.y, direction)
-                theta = _quad_argmin_segment(a, b + gamma * (tr_atom - state.tr))
-            else:
-                theta_raw, _ = minimize_convex_1d(
-                    lambda s: fv.value(state.y + min(s, 1.0) * direction)
-                )
-                theta = min(theta_raw, 1.0)
-            state.y = state.y + theta * direction
-            state.tr = (1.0 - theta) * state.tr + theta * tr_atom
-            if state.sketch is not None:
-                state.sketch.scale(1.0 - theta)
-                if atom_q is not None:
-                    state.sketch.add_rank_one(theta * tau, atom_q)
-        wall_ms = (time.perf_counter() - t_start) * 1e3
-        record = TraceRecord(k, fval, gap, cs, 1.0, theta, wall_ms, lambda_min=lam)
-        if k % config.trace_every == 0 or stop or last:
-            trace.append(record)
-        if callback is not None:
-            callback(
-                {
-                    "k": k,
-                    "eta": 1.0,
-                    "theta": theta,
-                    "q": atom_q,
-                    "tau": tau,
-                    "lambda": lam,
-                    "greedy": None,
-                    "y": state.y,
-                    "tr": state.tr,
-                    "sketch": state.sketch,
-                    "record": record,
-                }
-            )
-        if stop:
-            status = "converged"
-            break
-        if last:
-            break
-
-    counts1 = fv.eval_counts()
-    stats = {key: counts1[key] - counts0[key] for key in counts1}
-    stats["n_theta_searches"] = 0
-    stats["greedy_events"] = []
-    stats["n_greedy_commits"] = 0
-    return SdpResult(
-        final_y=state.y,
-        final_tr=state.tr,
-        sketch=state.sketch,
-        status=status,
-        trace=trace,
-        certified_dual_cert=gap,
-        final_lambda=lam,
-        stats=stats,
-    )
+    it = _FwIterate(fv, op, gamma, config, sketch_size, tau)
+    return it.result(*_descend(fv, config, it, callback, frank_wolfe=True))

@@ -13,6 +13,7 @@ from cdkit import (
     NonFiniteValue,
     NonnegativeOrthant,
     SolverConfig,
+    fw_solve,
     solve,
 )
 from cdkit.core import (
@@ -28,7 +29,7 @@ from cdkit.core import (
     trace_csv_header,
     trace_csv_row,
 )
-from cdkit.problems import build_orthant_quadratic
+from cdkit.problems import build_orthant_quadratic, build_trace_toy
 
 
 def quad_program(dim, quad, lin, cone=None):
@@ -279,6 +280,12 @@ def test_config_validation_errors():
         solve(built.program, SolverConfig(greedy_period=5))
     with pytest.raises(ValueError):
         solve(built.program, SolverConfig(max_iters=-1))
+    toy = build_trace_toy()
+    for config in (SolverConfig(trace_every=0), SolverConfig(tol_eps=-1.0)):
+        with pytest.raises(ValueError):
+            fw_solve(toy.fv, toy.op, tau=1.0, config=config)
+    with pytest.raises(ValueError):
+        fw_solve(quad_program(2, np.eye(2), np.zeros(2)), toy.op, tau=1.0)
 
 
 def test_trace_csv_roundtrip(tmp_path):
