@@ -130,7 +130,6 @@ class TraceToy:
     op: MeasurementOperator
     target: float
     f_star: float
-    nuclear_radius: float
 
 
 def build_trace_toy(n=2, target=1.0):
@@ -168,9 +167,7 @@ def build_trace_toy(n=2, target=1.0):
         adjoint_dense=adjoint_dense,
     )
     fv = _scaled_sq_norm_program(1, 0.5)
-    return TraceToy(
-        fv=fv, op=op, target=float(target), f_star=0.0, nuclear_radius=float(target)
-    )
+    return TraceToy(fv=fv, op=op, target=float(target), f_star=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +183,6 @@ class MatrixCompletion:
     b: np.ndarray
     row_idx: np.ndarray
     col_idx: np.ndarray
-    nuclear_radius: float
 
 
 def _matcomp_mask(n, block, density, rng):
@@ -229,18 +225,22 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None,
         b = add_noise_snr(b, noise_snr, rng)
     d = row_idx.size
 
+    # take() gathers through the int32 indices in about half the time of
+    # fancy indexing at d = 200k. The indices stay int32: intp copies would
+    # add 1.6 MB per bundle there.
     def gram(q):
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
-            return q[row_idx] * q[col_idx]
-        return (q[row_idx] * q[col_idx]).sum(axis=1)
+            return q.take(row_idx) * q.take(col_idx)
+        return (q.take(row_idx, axis=0) * q.take(col_idx, axis=0)).sum(axis=1)
 
     def adjoint_matvec(p, u):
         u = np.asarray(u, dtype=float)
         p = np.asarray(p, dtype=float)
         if u.ndim == 1:
-            w = np.bincount(row_idx, weights=0.5 * p * u[col_idx], minlength=n)
-            w += np.bincount(col_idx, weights=0.5 * p * u[row_idx], minlength=n)
+            hp = 0.5 * p
+            w = np.bincount(row_idx, weights=hp * u.take(col_idx), minlength=n)
+            w += np.bincount(col_idx, weights=hp * u.take(row_idx), minlength=n)
             return w
         return np.stack(
             [adjoint_matvec(p, u[:, c]) for c in range(u.shape[1])], axis=1
@@ -273,7 +273,6 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None,
         b=b,
         row_idx=row_idx,
         col_idx=col_idx,
-        nuclear_radius=float(np.vdot(v_true, v_true)),
     )
 
 
@@ -300,7 +299,6 @@ class PhaseRetrieval:
     b: np.ndarray
     signs: np.ndarray
     m_estimate: float
-    nuclear_radius: float
 
 
 def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, gamma=5e-5,
@@ -333,28 +331,26 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, gamma=5e-5,
     d = m * n
     coeff = 1.0 / d
 
+    # Both kernels transform every mask and column in one call over a 3-D
+    # block and sum over its leading axis, which numpy adds in loop order,
+    # so they equal the one-mask (or one-column) loops bit for bit. numpy
+    # sums a trailing axis of 8 or more pairwise, which would not.
     def gram(q):
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
             a = dct_measurement_apply(signs, q)
             return (a * a).ravel()
-        out = np.zeros(d)
-        for c in range(q.shape[1]):
-            a = dct_measurement_apply(signs, q[:, c])
-            out += (a * a).ravel()
-        return out
+        a = dct(signs * q.T[:, None, :], axis=2, norm="ortho")
+        return (a * a).sum(axis=0).ravel()
 
     def adjoint_matvec(p, u):
         u = np.asarray(u, dtype=float)
         single = u.ndim == 1
         cols = u[:, None] if single else u
         pb = np.asarray(p, dtype=float).reshape(m, n)
-        out = np.zeros_like(cols)
-        for j in range(m):
-            su = signs[j][:, None] * cols
-            t = dct(su, axis=0, norm="ortho")
-            t *= pb[j][:, None]
-            out += signs[j][:, None] * idct(t, axis=0, norm="ortho")
+        t = dct(signs[:, :, None] * cols[None], axis=1, norm="ortho")
+        t *= pb[:, :, None]
+        out = (signs[:, :, None] * idct(t, axis=1, norm="ortho")).sum(axis=0)
         return out[:, 0] if single else out
 
     def apply_dense(x_mat):
@@ -393,7 +389,6 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, gamma=5e-5,
         b=b,
         signs=signs,
         m_estimate=float(b.sum() / m),
-        nuclear_radius=float(np.vdot(x_true, x_true)),
     )
 
 

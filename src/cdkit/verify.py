@@ -40,10 +40,6 @@ class PhiTracker:
     def value_at(self, x):
         return self.alpha + float(np.vdot(self.linear, np.asarray(x, float)))
 
-    def lower_bound(self, v, radius):
-        """Model value at radius * v; a valid bound needs radius >= ||x*||."""
-        return self.alpha + radius * float(np.vdot(self.linear, np.asarray(v, float)))
-
 
 def phi_lower_bound(tracker, cone, radius):
     """Best lower bound the tracker certifies over the radius-ball slice.

@@ -3,6 +3,9 @@ identities, noise injection, and instance file formats."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import dct, idct
 
 from cdkit import DegenerateSignal
 from cdkit.problems import (
@@ -97,6 +100,9 @@ def test_matcomp_mask_statistics():
             assert (a, b) in pairs
     # expected count 55 + (5050 - 55) * 0.1 = 554.5, sd about 21.2; 4 sigma band
     assert 469 <= len(i) <= 640
+    # int32, not intp: at n = 2000 (d about 200k) intp indices add 1.6 MB
+    # to every bundle, which shows in the benchmark's peak_rss_mb
+    assert i.dtype == j.dtype == np.int32
 
 
 def test_matcomp_noiseless_measurements_match_truth():
@@ -118,6 +124,104 @@ def test_matcomp_adjoint_is_mask_transpose():
         dense[b, a] += p[k] / 2.0
     # symmetrized mask operator: G^*(p) u must equal the dense action
     np.testing.assert_allclose(mc.op.adjoint_matvec(p, u), dense @ u, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# measurement kernels against one-at-a-time reference loops
+
+
+def _matcomp_gram_loop(mc, q):
+    if q.ndim == 1:
+        return q[mc.row_idx] * q[mc.col_idx]
+    return (q[mc.row_idx] * q[mc.col_idx]).sum(axis=1)
+
+
+def _matcomp_adjoint_loop(mc, p, u):
+    if u.ndim == 2:
+        return np.stack(
+            [_matcomp_adjoint_loop(mc, p, u[:, c]) for c in range(u.shape[1])], axis=1
+        )
+    n = u.size
+    w = np.bincount(mc.row_idx, weights=0.5 * p * u[mc.col_idx], minlength=n)
+    w += np.bincount(mc.col_idx, weights=0.5 * p * u[mc.row_idx], minlength=n)
+    return w
+
+
+def _phase_gram_loop(ph, q):
+    cols = q[:, None] if q.ndim == 1 else q
+    out = np.zeros(ph.op.d)
+    for c in range(cols.shape[1]):
+        a = dct_measurement_apply(ph.signs, cols[:, c])
+        out += (a * a).ravel()
+    return out
+
+
+def _phase_adjoint_loop(ph, p, u):
+    cols = u[:, None] if u.ndim == 1 else u
+    signs = ph.signs
+    pb = p.reshape(signs.shape)
+    out = np.zeros_like(cols)
+    for j in range(signs.shape[0]):
+        t = dct(signs[j][:, None] * cols, axis=0, norm="ortho")
+        t *= pb[j][:, None]
+        out += signs[j][:, None] * idct(t, axis=0, norm="ortho")
+    return out[:, 0] if u.ndim == 1 else out
+
+
+@pytest.mark.parametrize(
+    "build, gram_loop, adjoint_loop",
+    [
+        (
+            lambda seed: build_matcomp(n=30, rank=2, seed=seed, block=5, density=0.2),
+            _matcomp_gram_loop,
+            _matcomp_adjoint_loop,
+        ),
+        (
+            lambda seed: build_phase_retrieval(n=24, m=5, seed=seed),
+            _phase_gram_loop,
+            _phase_adjoint_loop,
+        ),
+    ],
+    ids=["matcomp", "phase"],
+)
+@pytest.mark.parametrize("cols", [None, 1, 3, 8])
+def test_kernels_match_reference_loops_bitwise(build, gram_loop, adjoint_loop, cols):
+    # the kernels batch or reorder the loops' work but not their arithmetic,
+    # so solves stay bit for bit what the loops gave
+    for seed in range(3):
+        bundle = build(seed)
+        op = bundle.op
+        rng = np.random.default_rng(100 + seed)
+        p = rng.standard_normal(op.d)
+        u = rng.standard_normal(op.n if cols is None else (op.n, cols))
+        np.testing.assert_array_equal(op.gram(u), gram_loop(bundle, u))
+        np.testing.assert_array_equal(op.adjoint_matvec(p, u), adjoint_loop(bundle, p, u))
+
+
+_SMALL_OPERATORS = {
+    "trace": lambda seed: build_trace_toy(n=5, target=1.0 + seed % 3).op,
+    "matcomp": lambda seed: build_matcomp(n=12, rank=2, seed=seed, block=3, density=0.3).op,
+    "phase": lambda seed: build_phase_retrieval(n=10, m=3, seed=seed).op,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_SMALL_OPERATORS)),
+    seed=st.integers(0, 2**31 - 1),
+    rank=st.integers(1, 3),
+)
+def test_adjoint_matvec_is_adjoint_of_gram(kind, seed, rank):
+    op = _SMALL_OPERATORS[kind](seed)
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal(op.d)
+    u = rng.standard_normal((op.n, rank))
+    image = op.adjoint_matvec(p, u)
+    # <p, G(U U^T)> = <G^*(p), U U^T>
+    lhs = float(p @ op.gram(u))
+    rhs = float(np.sum(u * image))
+    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+    np.testing.assert_allclose(image, op.adjoint_dense(p) @ u, rtol=1e-10, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

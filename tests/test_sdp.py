@@ -23,7 +23,7 @@ from cdkit import (
     sketch_reconstruct,
 )
 from cdkit.sdp import _quad_argmin_segment, fw_baseline_step, greedy_step, theta_heuristic
-from cdkit.problems import build_matcomp, build_trace_toy
+from cdkit.problems import build_matcomp, build_phase_retrieval, build_trace_toy
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +312,21 @@ def test_measurement_operator_identities():
         np.testing.assert_allclose(op.apply_dense(np.outer(q, q)), op.gram(q), atol=1e-10)
 
 
-def test_gram_accepts_blocks():
-    mc = build_matcomp(n=20, rank=2, seed=6, block=4, density=0.2)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_matcomp(n=20, rank=2, seed=6, block=4, density=0.2),
+        lambda: build_phase_retrieval(n=20, m=4, seed=6),
+    ],
+    ids=["matcomp", "phase"],
+)
+def test_gram_accepts_blocks(build):
+    op = build().op
     rng = np.random.default_rng(7)
     u = rng.standard_normal((20, 3))
-    block = mc.op.gram(u)
-    cols = sum(mc.op.gram(u[:, j]) for j in range(3))
+    block = op.gram(u)
+    cols = sum(op.gram(u[:, j]) for j in range(3))
     np.testing.assert_allclose(block, cols, atol=1e-12)
+    p = rng.standard_normal(op.d)
+    by_column = np.stack([op.adjoint_matvec(p, u[:, j]) for j in range(3)], axis=1)
+    np.testing.assert_allclose(op.adjoint_matvec(p, u), by_column, atol=1e-12)
