@@ -19,7 +19,8 @@ from, including a --seeds list). Reruns with identical resolved settings
 produce identical outputs except for wall-clock columns and fields.
 
 Exit codes: 0 on success, 2 for unusable arguments or degenerate input
-data, 3 when the solver or a numeric routine fails, 4 for I/O failures.
+data (any ValueError a solve raises, such as a dimension mismatch), 3 when
+the solver or a numeric routine fails, 4 for I/O failures.
 """
 
 import argparse
@@ -441,6 +442,9 @@ def _spec_worker(spec):
         return (spec.prefix, 2, str(exc))
     except (SolverError, np.linalg.LinAlgError) as exc:
         return (spec.prefix, 3, str(exc))
+    except ValueError as exc:
+        # after the clause above: LinAlgError is a ValueError and means 3
+        return (spec.prefix, 2, str(exc))
     except OSError as exc:
         return (spec.prefix, 4, str(exc))
 

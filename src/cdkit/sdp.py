@@ -174,13 +174,34 @@ def min_eig_lanczos(matvec, n, config=None):
 
     Runs Lanczos with full reorthogonalization from a seeded random start and
     verifies the returned pair against an explicit residual. One retry with a
-    reseeded start vector is attempted before giving up.
+    reseeded start vector is attempted before giving up. The bottom Ritz pair
+    of each step comes from the LAPACK bisection and inverse-iteration
+    routines (stebz, stein) called directly, which gives bit for bit what
+    scipy.linalg.eigh_tridiagonal(select="i") returns without its per-call
+    argument checks; a LAPACK failure raises EigFailure and so takes the
+    retry.
     """
     cfg = config if config is not None else LanczosConfig()
     try:
         return _lanczos_once(matvec, n, cfg, cfg.seed)
     except EigFailure:
         return _lanczos_once(matvec, n, cfg, cfg.seed + 1)
+
+
+_STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
+
+
+def _tridiagonal_min_eig(d, e):
+    # eigh_tridiagonal(d, e, select="i", select_range=(0, 0)) without the
+    # wrapper: the same 1x1 quick exit and the same two LAPACK calls
+    if d.size == 1:
+        return float(d[0]), np.ones(1)
+    m, w, iblock, isplit, info = _STEBZ(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        v, info = _STEIN(d, e, w[:m], iblock, isplit)
+        if info == 0:
+            return float(w[0]), v[:, 0]
+    raise EigFailure(f"tridiagonal eigensolver failed (info {info}) at size {d.size}")
 
 
 def _lanczos_once(matvec, n, cfg, seed):
@@ -198,35 +219,37 @@ def _lanczos_once(matvec, n, cfg, seed):
     lam = 0.0
     ritz_vec = None
     j_stop = 0
+    # running max |alpha| and max |beta| for the residual scale
+    alpha_max = beta_max = 0.0
     for j in range(m):
         basis[:, j] = v
         w = np.asarray(matvec(v), dtype=float)
-        if not np.all(np.isfinite(w)):
+        alpha = float(v @ w)
+        # a non-finite entry of w makes v @ w non-finite, so this one scalar
+        # test screens the whole matvec
+        if not math.isfinite(alpha):
             raise EigFailure("operator returned non-finite values")
-        alphas[j] = float(v @ w)
-        w -= alphas[j] * v
+        alphas[j] = alpha
+        alpha_max = max(alpha_max, abs(alpha))
+        w -= alpha * v
         if j > 0:
             w -= betas[j - 1] * basis[:, j - 1]
         # full reorthogonalization, twice, keeps the basis usable long past
         # the point where plain Lanczos loses orthogonality
+        span = basis[:, : j + 1]
         for _ in range(2):
-            w -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
-        beta = float(np.linalg.norm(w))
-        ritz, svec = scipy.linalg.eigh_tridiagonal(
-            alphas[: j + 1], betas[:j], select="i", select_range=(0, 0)
-        )
-        lam = float(ritz[0])
-        ritz_vec = svec[:, 0]
-        scale = max(
-            1.0,
-            float(np.abs(alphas[: j + 1]).max())
-            + (2.0 * float(np.abs(betas[:j]).max()) if j > 0 else 0.0),
-        )
+            w -= span @ (span.T @ w)
+        beta = math.sqrt(w @ w)  # what np.linalg.norm(w) computes
+        if not math.isfinite(beta):
+            raise EigFailure("Lanczos residual overflowed")
+        lam, ritz_vec = _tridiagonal_min_eig(alphas[: j + 1], betas[:j])
+        scale = max(1.0, alpha_max + 2.0 * beta_max)
         resid_est = beta * abs(float(ritz_vec[-1]))
         j_stop = j
         if resid_est <= cfg.residual_tol * scale or beta <= 1e-14 * scale:
             break
         betas[j] = beta
+        beta_max = max(beta_max, beta)
         v = w / beta
     q = basis[:, : j_stop + 1] @ ritz_vec
     q /= np.linalg.norm(q)

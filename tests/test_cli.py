@@ -239,6 +239,22 @@ def test_solver_error_exits_three(tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "fanout", [[], ["--seeds", "0,1", "--jobs", "2"]], ids=["single", "jobs2"]
+)
+def test_value_error_in_solve_exits_two(tmp_path, monkeypatch, capsys, fanout):
+    def bad_input(*args, **kwargs):
+        raise ValueError("synthetic dimension mismatch")
+
+    monkeypatch.setattr(cli, "sdp_solve", bad_input)
+    code = console_main(
+        ["matcomp", "--n", "20", "--rank", "2", "--iters", "5",
+         "--prefix", str(tmp_path / "x")] + fanout
+    )
+    assert code == 2
+    assert "synthetic dimension mismatch" in capsys.readouterr().err
+
+
 def test_io_error_exits_four(tmp_path):
     missing_dir = tmp_path / "nope" / "deeper" / "out"
     code = console_main(["toy", "--iters", "5", "--prefix", str(missing_dir)])

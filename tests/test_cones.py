@@ -1,8 +1,12 @@
 """Cone oracles: closed-form LMOs checked against hand-worked examples and
 a brute-force grid search."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdkit.cones import (
     NonnegativeOrthant,
@@ -110,6 +114,75 @@ def test_psd_cert_matches_dual_distance(n):
         dist = dual_distance(cone, g)
         # operator-norm distance for the nuclear/operator pairing
         assert abs(cert - dist) <= 1e-10 * (1.0 + operator_norm(g))
+
+
+# the same identity as a property, with the zero gradient and every branch of
+# the second-order LMO pinned by examples; 1e-12 is relative to the dual norm
+# of g, so g = 0 must give exactly 0 on both sides
+
+# magnitudes below 1e-100 become 0 so that squared norms never underflow
+_entries = st.floats(-1e3, 1e3).map(lambda x: 0.0 if abs(x) < 1e-100 else x)
+
+
+def _assert_cert_is_dual_distance(cone, g, dual_norm):
+    cert = -np.vdot(g, cone.lmo(g))
+    dist = cone.dual_distance(g)
+    assert abs(cert - dist) <= 1e-12 * dual_norm
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.lists(_entries, min_size=1, max_size=6))
+@example(g=[0.0, 0.0, 0.0])
+@example(g=[1.0, 0.0, 2.0])
+def test_orthant_cert_is_dual_distance_property(g):
+    g = np.array(g)
+    _assert_cert_is_dual_distance(NonnegativeOrthant(g.size), g, np.linalg.norm(g))
+
+
+# t as a multiple of ||x||: below -1 puts -g inside the cone, above 1 puts g
+# inside it, and -1 / 1 are the two boundaries
+_SOC_T = {
+    "minus_g_inside": lambda r: -(1.0 + r),
+    "minus_g_boundary": lambda r: -1.0,
+    "between": lambda r: 2.0 * r - 1.0,
+    "g_boundary": lambda r: 1.0,
+    "g_inside": lambda r: 1.0 + r,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(_entries, min_size=1, max_size=5),
+    branch=st.sampled_from(sorted(_SOC_T)),
+    r=st.floats(0.0, 1.0),
+)
+@example(x=[0.0, 0.0], branch="between", r=0.5)
+@example(x=[3.0, 4.0], branch="minus_g_inside", r=1.0)
+@example(x=[3.0, 4.0], branch="minus_g_boundary", r=0.0)
+@example(x=[3.0, 4.0], branch="between", r=0.75)
+@example(x=[3.0, 4.0], branch="g_boundary", r=0.0)
+@example(x=[3.0, 4.0], branch="g_inside", r=0.5)
+def test_soc_cert_is_dual_distance_property(x, branch, r):
+    x = np.array(x)
+    nx = np.linalg.norm(x)
+    g = np.append(x, _SOC_T[branch](r) * nx)
+    _assert_cert_is_dual_distance(SecondOrderCone(g.size), g, np.linalg.norm(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.integers(1, 4).flatmap(
+        lambda n: st.lists(_entries, min_size=n * n, max_size=n * n)
+    )
+)
+@example(a=[0.0] * 9)
+@example(a=[2.0, 1.0, 1.0, 2.0])
+@example(a=[2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
+def test_psd_cert_is_dual_distance_property(a):
+    n = math.isqrt(len(a))
+    a = np.reshape(a, (n, n))
+    g = 0.5 * (a + a.T)
+    _assert_cert_is_dual_distance(PsdCone(n), g, operator_norm(g))
 
 
 # ---------------------------------------------------------------------------

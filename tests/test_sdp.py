@@ -5,7 +5,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from cdkit import sdp
 from cdkit import (
     EigFailure,
     GreedyConfig,
@@ -22,7 +24,13 @@ from cdkit import (
     sdp_solve,
     sketch_reconstruct,
 )
-from cdkit.sdp import _quad_argmin_segment, fw_baseline_step, greedy_step, theta_heuristic
+from cdkit.sdp import (
+    _quad_argmin_segment,
+    _tridiagonal_min_eig,
+    fw_baseline_step,
+    greedy_step,
+    theta_heuristic,
+)
 from cdkit.problems import build_matcomp, build_phase_retrieval, build_trace_toy
 
 
@@ -54,11 +62,168 @@ def test_lanczos_rejects_nonfinite_operator():
         min_eig_lanczos(lambda v: v * np.nan, 5)
 
 
+def test_lanczos_overflowing_residual_raises_eig_failure():
+    # every matvec is finite, but the residual norm squared overflows; the
+    # tridiagonal step must not see the infinite beta
+    d = 1e200 * np.arange(1.0, 9.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EigFailure, match="overflowed"):
+            min_eig_lanczos(lambda v: d * v, 8)
+
+
 def test_lanczos_diag_with_known_minimum():
     d = np.arange(40, dtype=float) - 5.0
     lam, q = min_eig_lanczos(lambda v: d * v, 40, LanczosConfig(seed=1))
     assert lam == pytest.approx(-5.0, abs=1e-10)
     assert abs(q[0]) == pytest.approx(1.0, abs=1e-6)
+
+
+def _tridiagonal_cases():
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 10, 34, 86, 200):
+        for k in range(5):
+            d = rng.standard_normal(size) * np.exp(rng.standard_normal())
+            yield f"random-{size}-{k}", d, np.abs(rng.standard_normal(size - 1))
+    # clustered diagonal: near-equal eigenvalues stress bisection and
+    # inverse iteration the most
+    d = 1.0 + 1e-10 * rng.standard_normal(40)
+    yield "clustered-40", d, 1e-8 * np.abs(rng.standard_normal(39))
+    yield "clustered-tied-40", np.full(40, 2.0), np.full(39, 1e-12)
+
+
+_TRIDIAGONAL_CASES = list(_tridiagonal_cases())
+
+
+@pytest.mark.parametrize(
+    "d, e", [c[1:] for c in _TRIDIAGONAL_CASES], ids=[c[0] for c in _TRIDIAGONAL_CASES]
+)
+def test_tridiagonal_step_matches_eigh_tridiagonal_bitwise(d, e):
+    ritz, svec = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    lam, vec = _tridiagonal_min_eig(d, e)
+    np.testing.assert_array_equal(lam, ritz[0])
+    np.testing.assert_array_equal(vec, svec[:, 0])
+
+
+def _reference_min_eig_lanczos(matvec, n, cfg):
+    # the Lanczos loop as it was with scipy's eigh_tridiagonal wrapper, kept
+    # to show the direct LAPACK step changes no bit of the answer
+    try:
+        return _reference_lanczos_once(matvec, n, cfg, cfg.seed)
+    except EigFailure:
+        return _reference_lanczos_once(matvec, n, cfg, cfg.seed + 1)
+
+
+def _reference_lanczos_once(matvec, n, cfg, seed):
+    if n == 1:
+        q = np.ones(1)
+        lam = float(np.asarray(matvec(q)).ravel()[0])
+        return lam, q
+    rng = np.random.default_rng(seed)
+    m = min(n, cfg.max_iters)
+    basis = np.zeros((n, m))
+    alphas = np.zeros(m)
+    betas = np.zeros(m)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    ritz_vec = None
+    j_stop = 0
+    for j in range(m):
+        basis[:, j] = v
+        w = np.asarray(matvec(v), dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise EigFailure("operator returned non-finite values")
+        alphas[j] = float(v @ w)
+        w -= alphas[j] * v
+        if j > 0:
+            w -= betas[j - 1] * basis[:, j - 1]
+        for _ in range(2):
+            w -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
+        beta = float(np.linalg.norm(w))
+        ritz, svec = scipy.linalg.eigh_tridiagonal(
+            alphas[: j + 1], betas[:j], select="i", select_range=(0, 0)
+        )
+        lam = float(ritz[0])
+        ritz_vec = svec[:, 0]
+        scale = max(
+            1.0,
+            float(np.abs(alphas[: j + 1]).max())
+            + (2.0 * float(np.abs(betas[:j]).max()) if j > 0 else 0.0),
+        )
+        resid_est = beta * abs(float(ritz_vec[-1]))
+        j_stop = j
+        if resid_est <= cfg.residual_tol * scale or beta <= 1e-14 * scale:
+            break
+        betas[j] = beta
+        v = w / beta
+    q = basis[:, : j_stop + 1] @ ritz_vec
+    q /= np.linalg.norm(q)
+    resid = float(np.linalg.norm(np.asarray(matvec(q), dtype=float) - lam * q))
+    if resid > 10.0 * cfg.residual_tol * scale:
+        raise EigFailure(
+            f"eigenpair residual {resid:.3e} above tolerance after {j_stop + 1} steps"
+        )
+    return lam, q
+
+
+def _outcome(solver, matvec, n, cfg):
+    try:
+        return solver(matvec, n, cfg)
+    except EigFailure as exc:
+        return str(exc), None
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 100])
+def test_lanczos_matches_reference_loop_bitwise(n):
+    for seed in range(4):
+        rng = np.random.default_rng(1000 * n + seed)
+        a = rng.standard_normal((n, n))
+        a = (a + a.T) / 2.0
+        # a 30-step cap leaves most of the n = 50 and 100 cases short of the
+        # tolerance, so both must also fail alike, residual included
+        for cfg in (LanczosConfig(seed=seed), LanczosConfig(max_iters=30, seed=seed)):
+            got = _outcome(min_eig_lanczos, lambda v: a @ v, n, cfg)
+            ref = _outcome(_reference_min_eig_lanczos, lambda v: a @ v, n, cfg)
+            assert got[0] == ref[0]
+            np.testing.assert_array_equal(got[1], ref[1])
+
+
+def test_lapack_failure_takes_the_retry(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((30, 30))
+    a = (a + a.T) / 2.0
+    cfg = LanczosConfig(seed=3)
+    stebz = sdp._STEBZ
+    failures = []
+
+    def fail_once(*args):
+        m, w, iblock, isplit, info = stebz(*args)
+        if not failures:
+            failures.append(args)
+            info = 1
+        return m, w, iblock, isplit, info
+
+    monkeypatch.setattr(sdp, "_STEBZ", fail_once)
+    lam, q = min_eig_lanczos(lambda v: a @ v, 30, cfg)
+    assert len(failures) == 1
+    # the retry is a fresh run from the reseeded start
+    monkeypatch.setattr(sdp, "_STEBZ", stebz)
+    retry_lam, retry_q = sdp._lanczos_once(lambda v: a @ v, 30, cfg, cfg.seed + 1)
+    assert lam == retry_lam
+    np.testing.assert_array_equal(q, retry_q)
+    assert abs(lam - np.linalg.eigvalsh(a)[0]) <= 1e-9 * max(1.0, np.abs(a).sum())
+
+
+def test_lanczos_gives_up_after_two_lapack_failures(monkeypatch):
+    stebz = sdp._STEBZ
+
+    def always_fail(*args):
+        m, w, iblock, isplit, info = stebz(*args)
+        return m, w, iblock, isplit, 1
+
+    monkeypatch.setattr(sdp, "_STEBZ", always_fail)
+    with pytest.raises(EigFailure, match="info 1"):
+        min_eig_lanczos(lambda v: np.arange(6.0) * v, 6)
 
 
 # ---------------------------------------------------------------------------
