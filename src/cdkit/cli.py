@@ -15,8 +15,9 @@ reconstruction read out of the sketch.
 Option precedence, lowest to highest: built-in defaults, then key=value
 lines from --config, then explicit command line flags, then the CDK_SEED
 environment variable (which overrides the seed no matter where it came
-from, including a --seeds list). Reruns with identical resolved settings
-produce identical outputs except for wall-clock columns and fields.
+from, including a --seeds list). A --config key must name one of the
+command's own flags. Reruns with identical resolved settings produce
+identical outputs except for wall-clock columns and fields.
 
 Exit codes: 0 on success, 2 for unusable arguments or degenerate input
 data (any ValueError a solve raises, such as a dimension mismatch), 3 when
@@ -31,6 +32,7 @@ import math
 import os
 import subprocess
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -49,6 +51,15 @@ from .sdp import fw_solve, save_factor, sdp_solve, sketch_reconstruct
 
 _VECTOR_ALGOS = ("cd", "moco", "mocoh")
 _SDP_ALGOS = ("cd", "moco", "mocog", "mocoh", "fw")
+# phase keeps a sketch unless told otherwise: its factor readout needs one
+_PHASE_SKETCH = 8
+# what --dump-to writes for each command: the container kind and the fields
+# of the built bundle it holds, plus the seed
+_DUMPS = {
+    "toy": ("orthant_quadratic", ("quad", "lin", "x_star")),
+    "matcomp": ("matcomp", ("row_idx", "col_idx", "b", "v_true")),
+    "phase": ("phase", ("signs", "b", "x_true")),
+}
 
 
 @dataclasses.dataclass
@@ -83,15 +94,11 @@ class UsageError(Exception):
     """Raised for settings that cannot be run; maps to exit code 2."""
 
 
-_INT_KEYS = {
-    "seed", "iters", "trace_every", "dim", "n", "m", "rank", "block",
-    "sketch", "greedy_every", "recon_rank",
-}
-_FLOAT_KEYS = {"tol", "density", "noise_snr", "gamma", "heuristic_m", "trace_bound"}
-_STR_KEYS = {"algo", "prefix", "image", "dump_to", "seeds"}
-
-
 def _parse_config_file(path):
+    # each value takes its RunSpec field's type; whether the command has the
+    # option is resolve's check
+    kinds = {f.name: f.type for f in dataclasses.fields(RunSpec) if f.name != "command"}
+    kinds["seeds"] = str
     pairs = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -102,21 +109,15 @@ def _parse_config_file(path):
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            val = val.strip()
-            if key in _INT_KEYS:
-                try:
-                    pairs[key] = int(val)
-                except ValueError:
-                    raise UsageError(f"{path}:{lineno}: {key} needs an integer")
-            elif key in _FLOAT_KEYS:
-                try:
-                    pairs[key] = float(val)
-                except ValueError:
-                    raise UsageError(f"{path}:{lineno}: {key} needs a number")
-            elif key in _STR_KEYS:
-                pairs[key] = val
-            else:
+            if key not in kinds:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            # "int | None" converts as int
+            kind = (typing.get_args(kinds[key]) or (kinds[key],))[0]
+            try:
+                pairs[key] = kind(val.strip())
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise UsageError(f"{path}:{lineno}: {key} needs {what}")
     return pairs
 
 
@@ -136,23 +137,22 @@ def resolve(args, env=None):
     Returns (specs, jobs): one spec per requested seed.
     """
     env = os.environ if env is None else env
-    spec = RunSpec(command=args.command)
+    given = vars(args)
     config_pairs = {}
     if args.config is not None:
         config_pairs = _parse_config_file(args.config)
-    cli_pairs = {
-        key: val
-        for key, val in vars(args).items()
-        if key not in ("command", "config", "seeds", "jobs") and val is not None
-    }
+    for key in config_pairs:
+        if key not in given:
+            raise UsageError(f"option {key!r} does not apply to {args.command}")
     seeds = None
     if "seeds" in config_pairs:
         seeds = _parse_seed_list(config_pairs.pop("seeds"))
-    for source in (config_pairs, cli_pairs):
-        for key, val in source.items():
-            if not hasattr(spec, key):
-                raise UsageError(f"option {key!r} does not apply to {args.command}")
-            setattr(spec, key, val)
+    cli_pairs = {
+        key: val
+        for key, val in given.items()
+        if key not in ("command", "config", "seeds", "jobs") and val is not None
+    }
+    spec = RunSpec(command=args.command, **{**config_pairs, **cli_pairs})
     if args.seeds is not None:
         seeds = _parse_seed_list(args.seeds)
     if "CDK_SEED" in env:
@@ -204,7 +204,7 @@ def validate(spec):
     if spec.command == "phase":
         if spec.n < 2 or spec.m < 1:
             raise UsageError("phase needs n >= 2 and m >= 1")
-        sketch = spec.sketch if spec.sketch is not None else 8
+        sketch = spec.sketch if spec.sketch is not None else _PHASE_SKETCH
         if spec.recon_rank < 1 or spec.recon_rank >= sketch - 1:
             raise UsageError("recon-rank must lie in [1, sketch - 2]")
     if spec.sketch is not None and spec.sketch < 2:
@@ -253,6 +253,8 @@ def _build_stamp():
 
 
 def _base_summary(spec, result):
+    # the trace file and the summary keys every command shares
+    result.trace.write_csv(f"{spec.prefix}.trace.csv")
     stats = {
         key: val
         for key, val in result.stats.items()
@@ -277,13 +279,16 @@ def run_experiment(spec):
     Returns the summary dict that was written to <prefix>.summary.json.
     """
     if spec.command == "toy":
-        summary = _run_toy(spec)
-    elif spec.command == "matcomp":
-        summary = _run_matcomp(spec)
-    elif spec.command == "phase":
-        summary = _run_phase(spec)
+        bundle, summary = _run_toy(spec)
+    elif spec.command in ("matcomp", "phase"):
+        bundle, summary = _run_sdp(spec)
     else:
         raise UsageError(f"unknown command {spec.command!r}")
+    if spec.dump_to is not None:
+        kind, names = _DUMPS[spec.command]
+        arrays = {name: getattr(bundle, name) for name in names}
+        arrays["seed"] = np.array(spec.seed)
+        dump_instance(spec.dump_to, kind, arrays)
     with open(f"{spec.prefix}.summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -295,101 +300,53 @@ def _run_toy(spec):
     heuristic_m = spec.heuristic_m
     if spec.algo == "mocoh" and heuristic_m is None:
         heuristic_m = float(np.linalg.norm(bundle.x_star))
-    config = _solver_config(spec, heuristic_m)
-    result = solve(bundle.program, config)
-    result.trace.write_csv(f"{spec.prefix}.trace.csv")
+    result = solve(bundle.program, _solver_config(spec, heuristic_m))
     summary = _base_summary(spec, result)
     summary["f_star_known"] = float(bundle.f_star)
     summary["gap_to_known"] = float(result.trace[-1].f_value - bundle.f_star)
-    if spec.dump_to is not None:
-        dump_instance(
-            spec.dump_to,
-            "orthant_quadratic",
-            {
-                "quad": bundle.quad,
-                "lin": bundle.lin,
-                "x_star": bundle.x_star,
-                "seed": np.array(spec.seed),
-            },
-        )
-    return summary
+    return bundle, summary
 
 
-def _run_matcomp(spec):
-    gamma = spec.gamma if spec.gamma is not None else 0.0
-    bundle = build_matcomp(
-        n=spec.n,
-        rank=spec.rank,
-        seed=spec.seed,
-        block=spec.block,
-        density=spec.density,
-        noise_snr=spec.noise_snr,
-        gamma=gamma,
-    )
-    config = _solver_config(spec, spec.heuristic_m)
-    if spec.algo == "fw":
-        result = fw_solve(
-            bundle.fv,
-            bundle.op,
-            tau=spec.trace_bound,
+def _run_sdp(spec):
+    # matcomp has no scale estimate: validate demands --heuristic-m for mocoh
+    # and --trace-bound for fw there
+    phase = spec.command == "phase"
+    if phase:
+        signal = None if spec.image is None else read_pgm(spec.image).ravel()
+        gamma = spec.gamma if spec.gamma is not None else 5e-5
+        bundle = build_phase_retrieval(
+            n=spec.n,
+            m=spec.m,
+            seed=spec.seed,
+            noise_snr=spec.noise_snr,
             gamma=gamma,
-            config=config,
-            sketch_size=spec.sketch,
+            signal=signal,
         )
+        sketch_size = spec.sketch if spec.sketch is not None else _PHASE_SKETCH
+        m_estimate = bundle.m_estimate
     else:
-        result = sdp_solve(
-            bundle.fv,
-            bundle.op,
+        gamma = spec.gamma if spec.gamma is not None else 0.0
+        bundle = build_matcomp(
+            n=spec.n,
+            rank=spec.rank,
+            seed=spec.seed,
+            block=spec.block,
+            density=spec.density,
+            noise_snr=spec.noise_snr,
             gamma=gamma,
-            config=config,
-            sketch_size=spec.sketch,
         )
-    result.trace.write_csv(f"{spec.prefix}.trace.csv")
-    summary = _base_summary(spec, result)
-    summary["final_trace"] = float(result.final_tr)
-    summary["final_lambda_min"] = float(result.final_lambda)
-    summary["n_observed"] = int(bundle.op.d)
-    if spec.dump_to is not None:
-        dump_instance(
-            spec.dump_to,
-            "matcomp",
-            {
-                "row_idx": bundle.row_idx,
-                "col_idx": bundle.col_idx,
-                "b": bundle.b,
-                "v_true": bundle.v_true,
-                "seed": np.array(spec.seed),
-            },
-        )
-    return summary
-
-
-def _run_phase(spec):
-    signal = None
-    if spec.image is not None:
-        signal = read_pgm(spec.image).ravel()
-    gamma = spec.gamma if spec.gamma is not None else 5e-5
-    bundle = build_phase_retrieval(
-        n=spec.n,
-        m=spec.m,
-        seed=spec.seed,
-        noise_snr=spec.noise_snr,
-        gamma=gamma,
-        signal=signal,
-    )
-    sketch_size = spec.sketch if spec.sketch is not None else 8
+        sketch_size = spec.sketch
+        m_estimate = None
     heuristic_m = spec.heuristic_m
     if spec.algo == "mocoh" and heuristic_m is None:
-        heuristic_m = bundle.m_estimate
-    trace_bound = spec.trace_bound
-    if spec.algo == "fw" and trace_bound is None:
-        trace_bound = 2.0 * bundle.m_estimate
+        heuristic_m = m_estimate
     config = _solver_config(spec, heuristic_m)
     if spec.algo == "fw":
+        tau = spec.trace_bound if spec.trace_bound is not None else 2.0 * m_estimate
         result = fw_solve(
             bundle.fv,
             bundle.op,
-            tau=trace_bound,
+            tau=tau,
             gamma=gamma,
             config=config,
             sketch_size=sketch_size,
@@ -402,30 +359,20 @@ def _run_phase(spec):
             config=config,
             sketch_size=sketch_size,
         )
-    result.trace.write_csv(f"{spec.prefix}.trace.csv")
-    u, lam = sketch_reconstruct(result.sketch, spec.recon_rank)
-    x_hat = u[:, 0] * math.sqrt(max(float(lam[0]), 0.0))
-    rec_err = recovery_error(x_hat, bundle.x_true)
-    factor_path = f"{spec.prefix}.factor.npz"
-    save_factor(factor_path, u, lam)
     summary = _base_summary(spec, result)
     summary["final_trace"] = float(result.final_tr)
     summary["final_lambda_min"] = float(result.final_lambda)
-    summary["m_estimate"] = float(bundle.m_estimate)
-    summary["recovery_error"] = float(rec_err)
+    if not phase:
+        summary["n_observed"] = int(bundle.op.d)
+        return bundle, summary
+    u, lam = sketch_reconstruct(result.sketch, spec.recon_rank)
+    x_hat = u[:, 0] * math.sqrt(max(float(lam[0]), 0.0))
+    factor_path = f"{spec.prefix}.factor.npz"
+    save_factor(factor_path, u, lam)
+    summary["m_estimate"] = float(m_estimate)
+    summary["recovery_error"] = float(recovery_error(x_hat, bundle.x_true))
     summary["factor_file"] = factor_path
-    if spec.dump_to is not None:
-        dump_instance(
-            spec.dump_to,
-            "phase",
-            {
-                "signs": bundle.signs,
-                "b": bundle.b,
-                "x_true": bundle.x_true,
-                "seed": np.array(spec.seed),
-            },
-        )
-    return summary
+    return bundle, summary
 
 
 def _spec_worker(spec):
@@ -473,47 +420,40 @@ def build_parser():
     common.add_argument("--heuristic-m", type=float, default=None,
                         dest="heuristic_m",
                         help="step scale for the mocoh schedule")
+    common.add_argument("--dump-to", default=None, dest="dump_to",
+                        help="also write the instance to this container file")
+
+    sdp_flags = argparse.ArgumentParser(add_help=False)
+    sdp_flags.add_argument("--n", type=int, default=None)
+    sdp_flags.add_argument("--noise-snr", type=float, default=None, dest="noise_snr")
+    sdp_flags.add_argument("--gamma", type=float, default=None,
+                           help="trace penalty weight")
+    sdp_flags.add_argument("--sketch", type=int, default=None,
+                           help="sketch column count (omitted: none on matcomp, "
+                                f"{_PHASE_SKETCH} on phase)")
+    sdp_flags.add_argument("--greedy-every", type=int, default=None,
+                           dest="greedy_every",
+                           help="period of the factored descent step (mocog)")
+    sdp_flags.add_argument("--trace-bound", type=float, default=None,
+                           dest="trace_bound", help="feasible trace bound for fw")
 
     sub = parser.add_subparsers(dest="command", required=True)
     toy = sub.add_parser("toy", parents=[common],
                          help="quadratic over the nonnegative orthant")
     toy.add_argument("--dim", type=int, default=None)
-    toy.add_argument("--dump-to", default=None, dest="dump_to",
-                     help="also write the instance to this container file")
 
-    matcomp = sub.add_parser("matcomp", parents=[common],
+    matcomp = sub.add_parser("matcomp", parents=[common, sdp_flags],
                              help="low-rank symmetric matrix completion")
-    matcomp.add_argument("--n", type=int, default=None)
     matcomp.add_argument("--rank", type=int, default=None)
     matcomp.add_argument("--density", type=float, default=None)
     matcomp.add_argument("--block", type=int, default=None)
-    matcomp.add_argument("--noise-snr", type=float, default=None, dest="noise_snr")
-    matcomp.add_argument("--gamma", type=float, default=None,
-                         help="trace penalty weight")
-    matcomp.add_argument("--sketch", type=int, default=None,
-                         help="sketch column count (omitted: no sketch kept)")
-    matcomp.add_argument("--greedy-every", type=int, default=None,
-                         dest="greedy_every",
-                         help="period of the factored descent step (mocog)")
-    matcomp.add_argument("--trace-bound", type=float, default=None,
-                         dest="trace_bound", help="feasible trace bound for fw")
-    matcomp.add_argument("--dump-to", default=None, dest="dump_to")
 
-    phase = sub.add_parser("phase", parents=[common],
+    phase = sub.add_parser("phase", parents=[common, sdp_flags],
                            help="phase retrieval from signed-DCT magnitudes")
-    phase.add_argument("--n", type=int, default=None)
     phase.add_argument("--m", type=int, default=None)
-    phase.add_argument("--noise-snr", type=float, default=None, dest="noise_snr")
-    phase.add_argument("--gamma", type=float, default=None)
-    phase.add_argument("--sketch", type=int, default=None)
-    phase.add_argument("--greedy-every", type=int, default=None,
-                       dest="greedy_every")
-    phase.add_argument("--trace-bound", type=float, default=None,
-                       dest="trace_bound")
     phase.add_argument("--image", default=None,
                        help="PGM image used as the ground-truth signal")
     phase.add_argument("--recon-rank", type=int, default=None, dest="recon_rank")
-    phase.add_argument("--dump-to", default=None, dest="dump_to")
     return parser
 
 
@@ -529,13 +469,7 @@ def console_main(argv=None):
         print(f"io error: {exc}", file=sys.stderr)
         return 4
 
-    if len(specs) == 1:
-        prefix, code, msg = _spec_worker(specs[0])
-        stream = sys.stdout if code == 0 else sys.stderr
-        print(f"{prefix}: {msg}", file=stream)
-        return code
-
-    if jobs == 1:
+    if jobs == 1 or len(specs) == 1:
         outcomes = [_spec_worker(spec) for spec in specs]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -24,7 +24,6 @@ from .core import (
     SolveTrace,
     SolverConfig,
     _descend,
-    _quad_argmin_nonneg,
     delta_schedule,
     line_search_step,
     minimize_convex_1d,
@@ -265,16 +264,16 @@ def _lanczos_once(matvec, n, cfg, seed):
 # rank-constrained descent on the factored family t^2 X + u u^T
 
 
-@dataclass
-class GreedyConfig:
-    rank: int = 3
-    max_inner: int = 60
-    line_search_evals: int = 40
-    rel_tol: float = 1e-10
-    perturb_scale: float = 1e-3
+# greedy refit: factor rank, inner iterations, evaluations per factor line
+# search, relative stall tolerance, and the scale of the start perturbation
+_GREEDY_RANK = 3
+_GREEDY_MAX_INNER = 60
+_GREEDY_SEARCH_EVALS = 40
+_GREEDY_REL_TOL = 1e-10
+_GREEDY_PERTURB = 1e-3
 
 
-def greedy_step(fv, op, gamma, state, rng, config=None, record_factors=False):
+def greedy_step(fv, op, gamma, state, rng):
     """Descend over matrices s X_cur + u u^T and commit only improvements.
 
     The scalar s >= 0 scales the whole current iterate and u is an n-by-rank
@@ -285,9 +284,10 @@ def greedy_step(fv, op, gamma, state, rng, config=None, record_factors=False):
     closed form) with a line-searched gradient step on u. The start point
     (s, u) = (1, 0) is stationary in u, hence the seeded random perturbation;
     the state is rewritten only when the best point found is strictly below
-    the incumbent value, so the outer objective never increases here.
+    the incumbent value, so the outer objective never increases here. A
+    committed step's info dict carries the scale t_sq and the factor u, so
+    X_new = t_sq X + u u^T can be replayed.
     """
-    cfg = config if config is not None else GreedyConfig()
     z = np.asarray(op.z, dtype=float)
     y0 = state.y
     tr0 = state.tr
@@ -295,9 +295,9 @@ def greedy_step(fv, op, gamma, state, rng, config=None, record_factors=False):
     base = y0 + z
     s = 1.0
     u = (
-        cfg.perturb_scale
+        _GREEDY_PERTURB
         * math.sqrt((1.0 + tr0) / op.n)
-        * rng.standard_normal((op.n, cfg.rank))
+        * rng.standard_normal((op.n, _GREEDY_RANK))
     )
 
     def assemble(sv, gram_u, tr_u):
@@ -309,19 +309,11 @@ def greedy_step(fv, op, gamma, state, rng, config=None, record_factors=False):
     h_cur, y_cur = assemble(s, gram_u, tr_u)
     h_best, s_best, u_best = h_cur, s, u.copy()
     inner_done = 0
-    for inner in range(cfg.max_inner):
+    for inner in range(_GREEDY_MAX_INNER):
         h_prev = h_cur
         # exact scale update: along s the problem is the objective restricted
         # to a ray, plus a linear trace term
-        if fv.restriction_oracle is not None:
-            a, b, _ = fv.restriction(gram_u - z, base)
-            s_new = _quad_argmin_nonneg(a, b + gamma * tr0)
-            if s_new is not None:
-                s = s_new
-        else:
-            s, _ = minimize_convex_1d(
-                lambda c: fv.value(c * base + gram_u - z) + gamma * c * tr0
-            )
+        s = ray_minimize(fv, base, gram_u - z, gamma * tr0)
         h_cur, y_cur = assemble(s, gram_u, tr_u)
         # line-searched gradient step on the factor
         p = fv.gradient(y_cur)
@@ -338,7 +330,7 @@ def greedy_step(fv, op, gamma, state, rng, config=None, record_factors=False):
             return hv
 
         alpha, h_alpha = minimize_convex_1d(
-            along, max_evals=cfg.line_search_evals
+            along, max_evals=_GREEDY_SEARCH_EVALS
         )
         if h_alpha < h_cur:
             u = u - alpha * direction
@@ -348,7 +340,7 @@ def greedy_step(fv, op, gamma, state, rng, config=None, record_factors=False):
         inner_done = inner + 1
         if h_cur < h_best:
             h_best, s_best, u_best = h_cur, s, u.copy()
-        if h_prev - h_cur <= cfg.rel_tol * max(1.0, abs(h_prev)):
+        if h_prev - h_cur <= _GREEDY_REL_TOL * max(1.0, abs(h_prev)):
             break
     info = {
         "committed": False,
@@ -363,9 +355,8 @@ def greedy_step(fv, op, gamma, state, rng, config=None, record_factors=False):
             state.sketch.replace(s_best, u_best)
         info["committed"] = True
         info["f_after"] = h_best
-        if record_factors:
-            info["t_sq"] = s_best
-            info["u"] = u_best.copy()
+        info["t_sq"] = s_best
+        info["u"] = u_best
     return info
 
 
@@ -448,13 +439,11 @@ class _MeasurementIterate:
 class _SdpIterate(_MeasurementIterate):
     """Momentum conic descent with optional greedy refits, in measurement space."""
 
-    def __init__(self, fv, op, gamma, config, sketch_size, record_factors):
+    def __init__(self, fv, op, gamma, config, sketch_size):
         super().__init__(fv, op, gamma, config, sketch_size)
         self.mode = config.momentum_mode
         self.greedy_period = config.greedy_period
         self.rng = np.random.default_rng(config.rng_seed)
-        self.greedy_cfg = GreedyConfig()
-        self.record_factors = record_factors
         self.g_avg = np.zeros(op.d)
 
     def evaluate(self, k):
@@ -487,10 +476,7 @@ class _SdpIterate(_MeasurementIterate):
         if s.sketch is not None:
             s.sketch.add_rank_one(theta, self.q)
         if self.greedy_period and (k + 1) % self.greedy_period == 0:
-            self.greedy = greedy_step(
-                self.fv, self.op, self.gamma, s, self.rng, self.greedy_cfg,
-                self.record_factors,
-            )
+            self.greedy = greedy_step(self.fv, self.op, self.gamma, s, self.rng)
             self.greedy["k"] = k
             self.greedy_events.append(self.greedy)
         return theta
@@ -508,7 +494,6 @@ def sdp_solve(
     config=None,
     sketch_size=None,
     callback=None,
-    record_factors=False,
 ):
     """Momentum conic descent on min f(apply(X) - z) + gamma tr(X), X psd.
 
@@ -524,7 +509,7 @@ def sdp_solve(
     """
     if config is None:
         config = SolverConfig()
-    it = _SdpIterate(fv, op, gamma, config, sketch_size, record_factors)
+    it = _SdpIterate(fv, op, gamma, config, sketch_size)
     return it.result(*_descend(fv, config, it, callback, allow_greedy=True))
 
 
@@ -572,22 +557,6 @@ def _fw_move(tau, state, atom, theta):
         state.sketch.scale(1.0 - theta)
         if q is not None:
             state.sketch.add_rank_one(theta * tau, q)
-
-
-def fw_baseline_step(fv, op, gamma, tau, state, lanczos_cfg=None):
-    """One projection-free step on the trace-bounded spectrahedron.
-
-    The feasible set is {X psd, tr X <= tau}; the extreme atom against the
-    gradient is tau q q^T for the smallest eigenvector q when the smallest
-    eigenvalue is negative, and 0 otherwise. Moves by segment search between
-    the iterate and the atom and updates state in place. Returns an info
-    dict with the gap, eigenvalue, step, and atom.
-    """
-    p = fv.gradient(state.y)
-    atom, gap = _fw_atom(op, gamma, tau, state, p, lanczos_cfg)
-    theta = _fw_segment(fv, gamma, state, atom)
-    _fw_move(tau, state, atom, theta)
-    return {"lambda": atom[0], "gap": gap, "theta": theta, "q": atom[1]}
 
 
 class _FwIterate(_MeasurementIterate):

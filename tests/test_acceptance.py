@@ -278,7 +278,7 @@ def test_criterion_08_sketch_consistency_through_greedy():
         worst[0] = max(worst[0], gap)
 
     cfg = SolverConfig(max_iters=300, greedy_period=20, rng_seed=0)
-    res = sdp_solve(mc.fv, op, config=cfg, sketch_size=6, record_factors=True, callback=cb)
+    res = sdp_solve(mc.fv, op, config=cfg, sketch_size=6, callback=cb)
     assert res.stats["n_greedy_commits"] >= 1
     assert worst[0] <= 1e-8, worst[0]
     print(

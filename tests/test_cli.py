@@ -73,6 +73,19 @@ def test_resolve_unknown_config_key(tmp_path):
         resolve(parse(["toy", "--config", str(cfg)]), env={})
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [("toy", "n = 50"), ("matcomp", "dim = 3")],
+    ids=["toy-n", "matcomp-dim"],
+)
+def test_resolve_config_key_without_command_flag(tmp_path, command, line):
+    # a RunSpec field the command has no flag for is refused, not ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(UsageError, match="does not apply"):
+        resolve(parse([command, "--config", str(cfg)]), env={})
+
+
 def test_resolve_missing_config_file(tmp_path):
     with pytest.raises(OSError):
         resolve(parse(["toy", "--config", str(tmp_path / "absent.cfg")]), env={})
@@ -258,4 +271,28 @@ def test_value_error_in_solve_exits_two(tmp_path, monkeypatch, capsys, fanout):
 def test_io_error_exits_four(tmp_path):
     missing_dir = tmp_path / "nope" / "deeper" / "out"
     code = console_main(["toy", "--iters", "5", "--prefix", str(missing_dir)])
+    assert code == 4
+
+
+def test_solver_error_exits_three_under_jobs(tmp_path, monkeypatch, capsys):
+    from cdkit.exceptions import EigFailure
+
+    def boom(*args, **kwargs):
+        raise EigFailure("synthetic failure")
+
+    monkeypatch.setattr(cli, "sdp_solve", boom)
+    code = console_main(
+        ["matcomp", "--n", "20", "--rank", "2", "--iters", "5",
+         "--prefix", str(tmp_path / "x"), "--seeds", "0,1", "--jobs", "2"]
+    )
+    assert code == 3
+    assert capsys.readouterr().err.count("synthetic failure") == 2
+
+
+def test_io_error_exits_four_under_jobs(tmp_path):
+    missing_dir = tmp_path / "nope" / "deeper" / "out"
+    code = console_main(
+        ["toy", "--iters", "5", "--prefix", str(missing_dir), "--seeds", "0,1",
+         "--jobs", "2"]
+    )
     assert code == 4

@@ -10,7 +10,6 @@ import scipy.linalg
 from cdkit import sdp
 from cdkit import (
     EigFailure,
-    GreedyConfig,
     LanczosConfig,
     RankTooLarge,
     SdpState,
@@ -27,7 +26,6 @@ from cdkit import (
 from cdkit.sdp import (
     _quad_argmin_segment,
     _tridiagonal_min_eig,
-    fw_baseline_step,
     greedy_step,
     theta_heuristic,
 )
@@ -377,7 +375,7 @@ def test_sdp_solve_dense_mirror_consistency():
         worst[0] = max(worst[0], gap)
 
     cfg = SolverConfig(max_iters=40, greedy_period=15, rng_seed=0)
-    sdp_solve(mc.fv, op, config=cfg, sketch_size=6, record_factors=True, callback=cb)
+    sdp_solve(mc.fv, op, config=cfg, sketch_size=6, callback=cb)
     assert worst[0] <= 1e-8
 
 
@@ -400,7 +398,7 @@ def test_greedy_step_standalone_improves_from_partial_iterate():
     res = sdp_solve(mc.fv, mc.op, config=SolverConfig(max_iters=15))
     state = SdpState(res.final_y.copy(), res.final_tr, None)
     f0 = mc.fv.value(state.y)
-    info = greedy_step(mc.fv, mc.op, 0.0, state, np.random.default_rng(0), GreedyConfig())
+    info = greedy_step(mc.fv, mc.op, 0.0, state, np.random.default_rng(0))
     assert info["f_before"] == pytest.approx(f0, rel=1e-12)
     if info["committed"]:
         assert mc.fv.value(state.y) < f0
@@ -419,6 +417,11 @@ def test_fw_trace_toy_small_radius_stalls_at_boundary():
     res = fw_solve(toy.fv, toy.op, tau=0.5, config=SolverConfig(max_iters=100, tol_eps=1e-14))
     assert abs(res.trace.f_values()[-1] - 0.125) <= 1e-9
     assert res.status == "converged"
+    # the first step leaves X = 0 with a positive gap and a positive step,
+    # so the trace it takes toward the atom is positive
+    first = res.trace.records[0]
+    assert first.dual_cert > 0.0
+    assert first.theta > 0.0
 
 
 def test_fw_trace_toy_large_radius_reaches_optimum():
@@ -448,14 +451,6 @@ def test_fw_segment_search_paths_agree_with_trace_penalty():
     assert golden.stats["restriction"] == 0
     f_exact = exact.trace.f_values()[-1]
     assert golden.trace.f_values()[-1] == pytest.approx(f_exact, rel=1e-5)
-
-
-def test_fw_baseline_step_applies_in_place():
-    toy = build_trace_toy()
-    state = SdpState(toy.op.z * 0.0 - toy.op.z, 0.0, None)
-    info = fw_baseline_step(toy.fv, toy.op, 0.0, 2.0, state)
-    assert info["gap"] > 0.0
-    assert state.tr > 0.0
 
 
 # ---------------------------------------------------------------------------
