@@ -35,7 +35,6 @@ def main():
         2, value, grad,
         cone=NonnegativeOrthant(2),
         restriction_oracle=restriction,
-        smoothness_hint=2.0,
     )
     # start away from the optimum; (1, 0) itself would converge at visit 0
     x0 = np.array([0.0, 1.0])

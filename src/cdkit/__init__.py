@@ -15,24 +15,18 @@ from .cones import (
     NonnegativeOrthant,
     PsdCone,
     SecondOrderCone,
-    brute_lmo,
-    dual_distance,
     lmo_orthant,
     lmo_psd_dense,
     lmo_soc,
-    nuclear_norm,
-    operator_norm,
 )
 from .core import (
     ConicProgram,
-    IterateState,
     SolveResult,
     SolveTrace,
     SolverConfig,
     TraceRecord,
     delta_schedule,
     dual_certificate,
-    kkt_residuals,
     line_search_step,
     minimize_convex_1d,
     momentum_update,
@@ -77,13 +71,6 @@ from .sdp import (
     sdp_solve,
     sketch_reconstruct,
 )
-from .verify import (
-    PhiTracker,
-    fd_gradient_check,
-    phi_lower_bound,
-    smoothness_gap_check,
-)
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -91,14 +78,12 @@ __all__ = [
     "ConicProgram",
     "DegenerateSignal",
     "EigFailure",
-    "IterateState",
     "LanczosConfig",
     "LineSearchDivergence",
     "LmoFailure",
     "MeasurementOperator",
     "NonFiniteValue",
     "NonnegativeOrthant",
-    "PhiTracker",
     "PsdCone",
     "RankTooLarge",
     "SdpResult",
@@ -112,7 +97,6 @@ __all__ = [
     "TraceRecord",
     "UnsupportedCone",
     "add_noise_snr",
-    "brute_lmo",
     "build_matcomp",
     "build_orthant_quadratic",
     "build_phase_retrieval",
@@ -120,13 +104,10 @@ __all__ = [
     "dct_measurement_apply",
     "delta_schedule",
     "dual_certificate",
-    "dual_distance",
     "dump_instance",
     "factor_to_dense",
-    "fd_gradient_check",
     "fw_solve",
     "greedy_step",
-    "kkt_residuals",
     "line_search_step",
     "lmo_orthant",
     "lmo_psd_dense",
@@ -136,16 +117,12 @@ __all__ = [
     "min_eig_lanczos",
     "minimize_convex_1d",
     "momentum_update",
-    "nuclear_norm",
-    "operator_norm",
-    "phi_lower_bound",
     "ray_minimize",
     "read_pgm",
     "recovery_error",
     "save_factor",
     "sdp_solve",
     "sketch_reconstruct",
-    "smoothness_gap_check",
     "solve",
     "theta_heuristic",
 ]

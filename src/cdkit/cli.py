@@ -170,6 +170,8 @@ def resolve(args, env=None):
         one = dataclasses.replace(spec, seed=seed)
         if len(seeds) > 1:
             one.prefix = f"{spec.prefix}.s{seed}"
+        # run_experiment validates too; checking here makes a multi-seed run
+        # fail before any of its runs starts
         validate(one)
         specs.append(one)
     return specs, jobs
@@ -217,17 +219,18 @@ def validate(spec):
         raise UsageError("greedy-every must be at least 1")
 
 
-def _solver_config(spec, heuristic_m):
-    mode = "cd" if spec.algo == "cd" else "moco"
-    rule = "heuristic" if spec.algo == "mocoh" else "line_search"
-    period = spec.greedy_every if spec.algo == "mocog" else 0
+def _solver_config(spec, m_estimate):
+    # only mocoh takes the scheduled step, with M from --heuristic-m or else
+    # the command's own estimate; the other algos ignore both
+    heuristic_m = None
+    if spec.algo == "mocoh":
+        heuristic_m = spec.heuristic_m if spec.heuristic_m is not None else m_estimate
     return SolverConfig(
         max_iters=spec.iters,
         tol_eps=spec.tol,
-        momentum_mode=mode,
-        step_rule=rule,
+        momentum_mode="cd" if spec.algo == "cd" else "moco",
         heuristic_m=heuristic_m,
-        greedy_period=period,
+        greedy_period=spec.greedy_every if spec.algo == "mocog" else 0,
         rng_seed=spec.seed,
         trace_every=spec.trace_every,
     )
@@ -277,7 +280,9 @@ def run_experiment(spec):
     """Execute one resolved run and write its output files.
 
     Returns the summary dict that was written to <prefix>.summary.json.
+    Raises UsageError for a spec that validate rejects.
     """
+    validate(spec)
     if spec.command == "toy":
         bundle, summary = _run_toy(spec)
     elif spec.command in ("matcomp", "phase"):
@@ -297,10 +302,8 @@ def run_experiment(spec):
 
 def _run_toy(spec):
     bundle = build_orthant_quadratic(dim=spec.dim, seed=spec.seed)
-    heuristic_m = spec.heuristic_m
-    if spec.algo == "mocoh" and heuristic_m is None:
-        heuristic_m = float(np.linalg.norm(bundle.x_star))
-    result = solve(bundle.program, _solver_config(spec, heuristic_m))
+    m_estimate = float(np.linalg.norm(bundle.x_star))
+    result = solve(bundle.program, _solver_config(spec, m_estimate))
     summary = _base_summary(spec, result)
     summary["f_star_known"] = float(bundle.f_star)
     summary["gap_to_known"] = float(result.trace[-1].f_value - bundle.f_star)
@@ -337,10 +340,7 @@ def _run_sdp(spec):
         )
         sketch_size = spec.sketch
         m_estimate = None
-    heuristic_m = spec.heuristic_m
-    if spec.algo == "mocoh" and heuristic_m is None:
-        heuristic_m = m_estimate
-    config = _solver_config(spec, heuristic_m)
+    config = _solver_config(spec, m_estimate)
     if spec.algo == "fw":
         tau = spec.trace_bound if spec.trace_bound is not None else 2.0 * m_estimate
         result = fw_solve(

@@ -17,19 +17,6 @@ from .exceptions import EigFailure, UnsupportedCone
 _SQRT2 = math.sqrt(2.0)
 
 
-def nuclear_norm(mat):
-    """Sum of absolute eigenvalues of a symmetric matrix."""
-    sym = 0.5 * (mat + mat.T)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(sym))))
-
-
-def operator_norm(mat):
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    sym = 0.5 * (mat + mat.T)
-    evals = np.linalg.eigvalsh(sym)
-    return float(max(abs(evals[0]), abs(evals[-1])))
-
-
 def lmo_orthant(g):
     """Minimize <g, v> over v >= 0, ||v||_2 <= 1.
 
@@ -210,87 +197,3 @@ class PsdCone(Cone):
         x = np.zeros((self.n, self.n))
         x[0, 0] = 1.0
         return x
-
-
-def dual_distance(cone, g):
-    """Distance from g to the dual cone, measured in the cone's dual norm."""
-    return cone.dual_distance(g)
-
-
-def _sphere_grid_orthant(dim, grid_n):
-    if dim == 2:
-        th = np.linspace(0.0, 0.5 * np.pi, grid_n)
-        return np.stack([np.cos(th), np.sin(th)], axis=1)
-    if dim == 3:
-        npts = max(8, int(math.sqrt(grid_n)))
-        th = np.linspace(0.0, 0.5 * np.pi, npts)
-        ph = np.linspace(0.0, 0.5 * np.pi, npts)
-        T, P = np.meshgrid(th, ph, indexing="ij")
-        pts = np.stack(
-            [np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1
-        )
-        return pts.reshape(-1, 3)
-    raise UnsupportedCone("grid oracle covers orthant dimensions 2 and 3 only")
-
-
-def _sphere_grid_soc(dim, grid_n):
-    if dim == 2:
-        al = np.linspace(-0.25 * np.pi, 0.25 * np.pi, grid_n)
-        return np.stack([np.sin(al), np.cos(al)], axis=1)
-    if dim == 3:
-        # Allocate grid points to each angular axis by its range: the polar
-        # angle spans pi/4, the azimuth spans 2 pi.
-        nb = max(8, int(math.sqrt(grid_n / 8.0)))
-        nphi = max(16, grid_n // nb)
-        be = np.linspace(0.0, 0.25 * np.pi, nb)
-        ph = np.linspace(0.0, 2.0 * np.pi, nphi, endpoint=False)
-        B, P = np.meshgrid(be, ph, indexing="ij")
-        pts = np.stack(
-            [np.sin(B) * np.cos(P), np.sin(B) * np.sin(P), np.cos(B)], axis=-1
-        )
-        return pts.reshape(-1, 3)
-    raise UnsupportedCone("grid oracle covers second-order dimensions 2 and 3 only")
-
-
-def brute_lmo(cone, g, grid_n=10000):
-    """Grid-search oracle for the cone-ball linear minimization.
-
-    Exhaustively minimizes <g, v> over a dense grid of the unit-sphere slice
-    of the cone plus the zero point. Only small ambient dimensions are
-    supported; the value is accurate to O(1/grid_n) in the grid spacing and
-    exists purely to cross-check the closed-form oracles.
-    """
-    g = np.asarray(g, dtype=float)
-    if cone.kind == "orthant":
-        pts = _sphere_grid_orthant(g.size, grid_n)
-    elif cone.kind == "second_order":
-        pts = _sphere_grid_soc(g.size, grid_n)
-    elif cone.kind == "psd_dense":
-        # Unit-nuclear-norm extreme points of the PSD cone are q q^T for
-        # unit q, and the sign of q does not matter, so a hemisphere grid
-        # of q vectors covers the slice.
-        if g.shape == (2, 2):
-            th = np.linspace(0.0, np.pi, grid_n)
-            qs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        elif g.shape == (3, 3):
-            npts = max(16, int(math.sqrt(grid_n)))
-            th = np.linspace(0.0, 0.5 * np.pi, npts)
-            ph = np.linspace(0.0, 2.0 * np.pi, 2 * npts, endpoint=False)
-            T, P = np.meshgrid(th, ph, indexing="ij")
-            qs = np.stack(
-                [np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1
-            ).reshape(-1, 3)
-        else:
-            raise UnsupportedCone("grid oracle covers PSD sides 2 and 3 only")
-        vals = np.einsum("ki,ij,kj->k", qs, 0.5 * (g + g.T), qs)
-        i = int(np.argmin(vals))
-        if vals[i] >= 0.0:
-            return np.zeros_like(g)
-        return np.outer(qs[i], qs[i])
-    else:
-        raise UnsupportedCone(f"no grid oracle for cone kind {cone.kind!r}")
-    vals = pts @ g
-    i = int(np.argmin(vals))
-    if vals[i] >= 0.0:
-        return np.zeros_like(g)
-    return pts[i]

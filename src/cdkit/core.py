@@ -42,9 +42,6 @@ class ConicProgram:
         Optional exact 1D restriction: (base, direction) -> (a, b, c) with
         f(base + t * direction) = a t^2 + b t + c. When present, ray and line
         searches are solved in closed form instead of by bracketing.
-    smoothness_hint : float or None
-        A known Lipschitz constant of the gradient, used by verification
-        helpers; never required by the solver itself.
 
     Calls through .value/.gradient/.restriction are counted on the instance
     (see eval_counts) so runs can be compared by oracle effort.
@@ -55,7 +52,6 @@ class ConicProgram:
     gradient_oracle: Callable
     cone: Cone | None = None
     restriction_oracle: Callable | None = None
-    smoothness_hint: float | None = None
 
     def __post_init__(self):
         self._counts = {"value": 0, "gradient": 0, "restriction": 0}
@@ -88,34 +84,20 @@ class SolverConfig:
     """Run parameters shared by the conic and semidefinite solvers.
 
     momentum_mode "moco" averages gradients with weight 2/(k+2); "cd" uses the
-    raw current gradient. step_rule "line_search" searches along the atom;
-    "heuristic" uses theta_k = 2 M / (k + 2) with M = heuristic_m and performs
-    no search (monotone descent is then not guaranteed). greedy_period > 0
-    enables the periodic factored descent step and applies to the
-    semidefinite path only.
+    raw current gradient. With heuristic_m None every step searches along the
+    atom; a positive heuristic_m M takes theta_k = 2 M / (k + 2) instead and
+    performs no search (monotone descent is then not guaranteed).
+    greedy_period > 0 enables the periodic factored descent step and applies
+    to the semidefinite path only.
     """
 
     max_iters: int = 300
     tol_eps: float = 0.0
     momentum_mode: str = "moco"
-    step_rule: str = "line_search"
     heuristic_m: float | None = None
     greedy_period: int = 0
     rng_seed: int = 0
     trace_every: int = 1
-
-
-@dataclass
-class IterateState:
-    """Per-iteration snapshot handed to callbacks."""
-
-    k: int
-    x: np.ndarray
-    g: np.ndarray
-    eta: float
-    theta: float
-    v: np.ndarray
-    delta: float
 
 
 @dataclass
@@ -139,9 +121,6 @@ class SolveTrace:
 
     records: list = field(default_factory=list)
 
-    def append(self, record):
-        self.records.append(record)
-
     def __len__(self):
         return len(self.records)
 
@@ -161,33 +140,17 @@ class SolveTrace:
         return np.array([r.cs_residual for r in self.records])
 
     def write_csv(self, path):
+        # repr() of python floats round-trips exactly, which keeps identical
+        # runs byte-identical (wall_ms is excluded from that guarantee).
+        include_lambda = any(r.lambda_min is not None for r in self.records)
         with open(path, "w") as fh:
-            include_lambda = any(r.lambda_min is not None for r in self.records)
-            fh.write(trace_csv_header(include_lambda) + "\n")
+            fh.write("k,f,dual_cert,cs,eta,theta,wall_ms")
+            fh.write(",lambda_min\n" if include_lambda else "\n")
             for r in self.records:
-                fh.write(trace_csv_row(r, include_lambda) + "\n")
-
-
-def trace_csv_header(include_lambda=False):
-    cols = "k,f,dual_cert,cs,eta,theta,wall_ms"
-    return cols + ",lambda_min" if include_lambda else cols
-
-
-def trace_csv_row(record, include_lambda=False):
-    # repr() of python floats round-trips exactly, which keeps identical runs
-    # byte-identical (wall_ms is excluded from that guarantee).
-    vals = [
-        str(record.k),
-        repr(float(record.f_value)),
-        repr(float(record.dual_cert)),
-        repr(float(record.cs_residual)),
-        repr(float(record.eta)),
-        repr(float(record.theta)),
-        repr(float(record.wall_ms)),
-    ]
-    if include_lambda:
-        vals.append(repr(float(record.lambda_min)))
-    return ",".join(vals)
+                vals = [r.f_value, r.dual_cert, r.cs_residual, r.eta, r.theta, r.wall_ms]
+                if include_lambda:
+                    vals.append(r.lambda_min)
+                fh.write(",".join([str(r.k)] + [repr(float(v)) for v in vals]) + "\n")
 
 
 @dataclass
@@ -337,21 +300,6 @@ def theta_heuristic(k, m):
     return 2.0 * m / (k + 2.0)
 
 
-def kkt_residuals(problem, x):
-    """Complementary-slackness and squared dual-distance residuals at x.
-
-    Returns (<x, grad f(x)>, dist_dual(grad f(x), K*)^2) using the cone's
-    exact dual-distance oracle.
-    """
-    if problem.cone is None:
-        raise UnsupportedCone("kkt_residuals needs a cone handle")
-    x = np.asarray(x, dtype=float)
-    grad = problem.gradient(x)
-    cs = float(np.vdot(x, grad))
-    dist = problem.cone.dual_distance(grad)
-    return cs, dist * dist
-
-
 def _check_config(config, allow_greedy):
     if config.max_iters < 1:
         raise ValueError("max_iters must be positive")
@@ -359,11 +307,9 @@ def _check_config(config, allow_greedy):
         raise ValueError("tol_eps must be nonnegative")
     if config.momentum_mode not in ("cd", "moco"):
         raise ValueError(f"unknown momentum mode {config.momentum_mode!r}")
-    if config.step_rule not in ("line_search", "heuristic"):
-        raise ValueError(f"unknown step rule {config.step_rule!r}")
-    if config.step_rule == "heuristic":
-        if config.heuristic_m is None or config.heuristic_m <= 0.0:
-            raise ValueError("heuristic step rule needs a positive M estimate")
+    # "not > 0" also rejects NaN, which would make every scheduled step NaN
+    if config.heuristic_m is not None and not config.heuristic_m > 0.0:
+        raise ValueError("heuristic_m must be a positive M estimate (or None)")
     if config.trace_every < 1:
         raise ValueError("trace_every must be a positive integer")
     if config.greedy_period and not allow_greedy:
@@ -381,12 +327,13 @@ def _descend(problem, config, it, callback, allow_greedy=False, frank_wolfe=Fals
       certify(k, gradient) -> the visit's certificate (runs the LMO);
       step(k, theta) moves by theta, or by a searched length when theta is
         None, and returns the length used;
-      callback_args(k, theta, record) -> the callback's arguments.
+      payload(record) -> the dict passed to callback: the visit's trace
+        record under "record" plus the iterate's own state.
     Momentum solvers stop once the certificate reaches sqrt(tol_eps) and
-    take line-searched or scheduled steps. With frank_wolfe the certificate
-    is a linearization gap, which already has objective units and stops at
-    tol_eps, and every step is the iterate's own segment search, not counted
-    as a theta search.
+    take line-searched steps, or scheduled ones when heuristic_m is set.
+    With frank_wolfe the certificate is a linearization gap, which already
+    has objective units and stops at tol_eps, and every step is the
+    iterate's own segment search, not counted as a theta search.
 
     Returns (status, trace, certificate of the last visit, stats).
     """
@@ -406,7 +353,7 @@ def _descend(problem, config, it, callback, allow_greedy=False, frank_wolfe=Fals
         last = k == config.max_iters
         theta = 0.0
         if not (stop or last):
-            if frank_wolfe or config.step_rule == "line_search":
+            if frank_wolfe or config.heuristic_m is None:
                 theta = it.step(k, None)
                 n_theta_searches += not frank_wolfe
             else:
@@ -414,9 +361,9 @@ def _descend(problem, config, it, callback, allow_greedy=False, frank_wolfe=Fals
         wall_ms = (time.perf_counter() - t_start) * 1e3
         record = TraceRecord(k, fval, cert, it.cs, it.eta, theta, wall_ms, it.lam)
         if k % config.trace_every == 0 or stop or last:
-            trace.append(record)
+            trace.records.append(record)
         if callback is not None:
-            callback(*it.callback_args(k, theta, record))
+            callback(it.payload(record))
         if stop or last:
             break
 
@@ -435,7 +382,7 @@ class _VectorIterate:
         self.problem = problem
         self.mode = config.momentum_mode
         self.x_next = x
-        self.g = np.zeros_like(x)
+        self.g_avg = np.zeros_like(x)
 
     def evaluate(self, k):
         self.x = self.x_next
@@ -447,10 +394,9 @@ class _VectorIterate:
         return fval, grad
 
     def certify(self, k, grad):
-        self.delta = delta_schedule(k, self.mode)
-        self.g = momentum_update(self.g, grad, self.delta)
-        self.v = self.problem.cone.lmo(self.g)
-        return dual_certificate(self.g, self.v)
+        self.g_avg = momentum_update(self.g_avg, grad, delta_schedule(k, self.mode))
+        self.v = self.problem.cone.lmo(self.g_avg)
+        return dual_certificate(self.g_avg, self.v)
 
     def step(self, k, theta):
         if theta is None:
@@ -459,9 +405,8 @@ class _VectorIterate:
         self.x_next = self.xe + theta * self.v
         return theta
 
-    def callback_args(self, k, theta, record):
-        state = IterateState(k, self.x, self.g, self.eta, theta, self.v, self.delta)
-        return state, record
+    def payload(self, record):
+        return {"record": record, "x": self.x, "g_avg": self.g_avg, "v": self.v}
 
 
 def solve(problem, config=None, x0=None, callback=None):
@@ -475,9 +420,10 @@ def solve(problem, config=None, x0=None, callback=None):
     x0 : array or None
         Start point in the cone; default is the cone's canonical start.
     callback : callable or None
-        Invoked once per iteration as callback(state, record) after the step
-        size is known; state.x is the pre-ray iterate x_k so the analyzed
-        point is state.eta * state.x.
+        Invoked once per iteration as callback(info) after the step size is
+        known: info["record"] is the TraceRecord, info["x"] the pre-ray
+        iterate x_k (the analyzed point is record.eta * x), then "g_avg"
+        (the momentum vector) and "v" (the LMO atom).
 
     Returns a SolveResult whose final_point is the ray-minimized iterate of
     the last visit. Status "converged" means the dual certificate dropped to

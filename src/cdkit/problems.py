@@ -42,7 +42,6 @@ def _scaled_sq_norm_program(dim, coeff):
         value_oracle=value,
         gradient_oracle=gradient,
         restriction_oracle=restriction,
-        smoothness_hint=2.0 * coeff,
     )
 
 
@@ -108,7 +107,6 @@ def build_orthant_quadratic(dim=20, seed=0, support_size=None):
         gradient_oracle=gradient,
         cone=NonnegativeOrthant(dim),
         restriction_oracle=restriction,
-        smoothness_hint=lipschitz,
     )
     return OrthantQuadratic(
         program=program,

@@ -29,7 +29,6 @@ from .core import (
     minimize_convex_1d,
     momentum_update,
     ray_minimize,
-    theta_heuristic,  # noqa: F401  (kept importable as cdkit.sdp.theta_heuristic)
 )
 from .exceptions import EigFailure, RankTooLarge
 
@@ -84,10 +83,6 @@ class SketchState:
         rng = np.random.default_rng(seed)
         omega = rng.standard_normal((n, size))
         return cls(omega=omega, s=np.zeros((n, size)))
-
-    @property
-    def size(self):
-        return self.omega.shape[1]
 
     def scale(self, c):
         self.s *= c
@@ -405,21 +400,24 @@ class _MeasurementIterate:
         self.cs = float(np.vdot(s.y + self.z, p)) + self.gamma * s.tr
         return fval, p
 
-    def callback_args(self, k, theta, record):
+    def lmo(self, p):
+        # smallest eigenpair of the adjoint image of p plus gamma I
+        return min_eig_lanczos(
+            lambda u: self.op.adjoint_matvec(p, u) + self.gamma * u,
+            self.op.n,
+            self.lanczos_cfg,
+        )
+
+    def payload(self, record):
         s = self.state
-        info = {
-            "k": k,
-            "eta": self.eta,
-            "theta": theta,
+        return {
+            "record": record,
             "q": self.q,
-            "lambda": self.lam,
             "greedy": self.greedy,
             "y": s.y,
             "tr": s.tr,
             "sketch": s.sketch,
-            "record": record,
         }
-        return (info,)
 
     def result(self, status, trace, cert, stats):
         stats["greedy_events"] = self.greedy_events
@@ -459,11 +457,7 @@ class _SdpIterate(_MeasurementIterate):
 
     def certify(self, k, p):
         self.g_avg = momentum_update(self.g_avg, p, delta_schedule(k, self.mode))
-        self.lam, self.q = min_eig_lanczos(
-            lambda u: self.op.adjoint_matvec(self.g_avg, u) + self.gamma * u,
-            self.op.n,
-            self.lanczos_cfg,
-        )
+        self.lam, self.q = self.lmo(self.g_avg)
         return max(0.0, -self.lam)
 
     def step(self, k, theta):
@@ -481,10 +475,10 @@ class _SdpIterate(_MeasurementIterate):
             self.greedy_events.append(self.greedy)
         return theta
 
-    def callback_args(self, k, theta, record):
-        (info,) = super().callback_args(k, theta, record)
+    def payload(self, record):
+        info = super().payload(record)
         info["g_avg"] = self.g_avg
-        return (info,)
+        return info
 
 
 def sdp_solve(
@@ -506,6 +500,9 @@ def sdp_solve(
     The returned state is the ray-rescaled iterate of the final visit. When
     sketch_size is set, a rank sketch of X is maintained through every move
     and returned for factorized readout.
+
+    callback(info) runs once per visit, after the step, with "record" (the
+    TraceRecord), "q", "greedy", "y", "tr", "sketch" and "g_avg" in info.
     """
     if config is None:
         config = SolverConfig()
@@ -520,45 +517,6 @@ def _quad_argmin_segment(a, b):
     return min(1.0, max(0.0, -b / (2.0 * a)))
 
 
-def _fw_atom(op, gamma, tau, state, p, lanczos_cfg):
-    # extreme point of {X psd, tr X <= tau} against the gradient p, as
-    # (lambda, q or None, image of the atom, its trace), and the gap
-    lam, q = min_eig_lanczos(
-        lambda u: op.adjoint_matvec(p, u) + gamma * u, op.n, lanczos_cfg
-    )
-    z = np.asarray(op.z, dtype=float)
-    if lam < 0.0:
-        atom = (lam, q, tau * op.gram(q) - z, tau)
-    else:
-        atom = (lam, None, -z, 0.0)
-    gap = float(np.vdot(p, state.y - atom[2])) + gamma * (state.tr - atom[3])
-    return atom, gap
-
-
-def _fw_segment(fv, gamma, state, atom):
-    # step length in [0, 1] from the iterate toward the atom
-    _, _, y_atom, tr_atom = atom
-    direction = y_atom - state.y
-    if fv.restriction_oracle is not None:
-        a, b, _ = fv.restriction(state.y, direction)
-        return _quad_argmin_segment(a, b + gamma * (tr_atom - state.tr))
-    theta, _ = minimize_convex_1d(
-        lambda s: fv.value(state.y + min(s, 1.0) * direction)
-        + gamma * ((1.0 - min(s, 1.0)) * state.tr + min(s, 1.0) * tr_atom)
-    )
-    return min(theta, 1.0)
-
-
-def _fw_move(tau, state, atom, theta):
-    _, q, y_atom, tr_atom = atom
-    state.y = state.y + theta * (y_atom - state.y)
-    state.tr = (1.0 - theta) * state.tr + theta * tr_atom
-    if state.sketch is not None:
-        state.sketch.scale(1.0 - theta)
-        if q is not None:
-            state.sketch.add_rank_one(theta * tau, q)
-
-
 class _FwIterate(_MeasurementIterate):
     """Frank-Wolfe on {X psd, tr X <= tau}: no ray rescale, no momentum."""
 
@@ -567,21 +525,38 @@ class _FwIterate(_MeasurementIterate):
         self.tau = tau
 
     def certify(self, k, p):
-        self.atom, gap = _fw_atom(
-            self.op, self.gamma, self.tau, self.state, p, self.lanczos_cfg
-        )
-        self.lam, self.q = self.atom[:2]
-        return gap
+        # extreme point of the set against the gradient p: tau q q^T when
+        # lambda < 0 (q is None otherwise), kept as its image and trace; the
+        # certificate is the gap <p, X - atom> plus the trace term
+        self.lam, q = self.lmo(p)
+        if self.lam < 0.0:
+            self.q, self.tr_atom = q, self.tau
+            self.y_atom = self.tau * self.op.gram(q) - self.z
+        else:
+            self.q, self.y_atom, self.tr_atom = None, -self.z, 0.0
+        s = self.state
+        return float(np.vdot(p, s.y - self.y_atom)) + self.gamma * (s.tr - self.tr_atom)
 
     def step(self, k, theta):
-        theta = _fw_segment(self.fv, self.gamma, self.state, self.atom)
-        _fw_move(self.tau, self.state, self.atom, theta)
+        # step length in [0, 1] from the iterate toward the atom
+        s, gamma, tr_atom = self.state, self.gamma, self.tr_atom
+        direction = self.y_atom - s.y
+        if self.fv.restriction_oracle is not None:
+            a, b, _ = self.fv.restriction(s.y, direction)
+            theta = _quad_argmin_segment(a, b + gamma * (tr_atom - s.tr))
+        else:
+            theta, _ = minimize_convex_1d(
+                lambda t: self.fv.value(s.y + min(t, 1.0) * direction)
+                + gamma * ((1.0 - min(t, 1.0)) * s.tr + min(t, 1.0) * tr_atom)
+            )
+            theta = min(theta, 1.0)
+        s.y = s.y + theta * direction
+        s.tr = (1.0 - theta) * s.tr + theta * tr_atom
+        if s.sketch is not None:
+            s.sketch.scale(1.0 - theta)
+            if self.q is not None:
+                s.sketch.add_rank_one(theta * self.tau, self.q)
         return theta
-
-    def callback_args(self, k, theta, record):
-        (info,) = super().callback_args(k, theta, record)
-        info["tau"] = self.tau
-        return (info,)
 
 
 def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=None):
@@ -593,6 +568,9 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=Non
     tau below the trace of the true minimizer makes the optimum of this
     problem differ from the unconstrained-cone one; that is the point of the
     comparison, not a defect.
+
+    callback(info) gets sdp_solve's keys but "g_avg"; q is None when the
+    atom is X = 0.
     """
     if config is None:
         config = SolverConfig()

@@ -1,0 +1,210 @@
+"""Independent oracles for the test suite.
+
+None of this is solver code; each helper recomputes a quantity the solver
+reports, by a route the solver does not take:
+
+- a running affine minorant of the objective (PhiTracker) built by the same
+  momentum averaging, whose minimum over a ball is a certified lower bound
+  on the optimal value;
+- finite-difference gradient and smoothness-gap probes of an objective;
+- a brute-force grid LMO for small cones, and dense matrix norms;
+- the complementary-slackness and dual-distance residuals at a point.
+"""
+
+import math
+
+import numpy as np
+
+from cdkit.core import dual_certificate, momentum_update
+from cdkit.exceptions import UnsupportedCone
+
+
+class PhiTracker:
+    """Running affine minorant of the objective.
+
+    update(k, delta, f_at_point, grad_dot_point, point) must be called once
+    per solver visit with the same delta the solver used. The linear
+    coefficient is recomputed with the identical averaging arithmetic, so it
+    matches the solver's momentum vector bitwise when fed the same gradients.
+    """
+
+    def __init__(self, dim):
+        self.alpha = 0.0
+        self.linear = np.zeros(dim)
+        self.n_updates = 0
+
+    def update(self, delta, f_value, grad, point):
+        grad = np.asarray(grad, dtype=float)
+        point = np.asarray(point, dtype=float)
+        # f(x_k) - <grad, x_k> is the intercept of the tangent at x_k; under
+        # exact ray minimization <grad, x_k> = 0 and the intercept is f(x_k).
+        intercept = float(f_value) - float(np.vdot(grad, point))
+        self.alpha = (1.0 - delta) * self.alpha + delta * intercept
+        self.linear = momentum_update(self.linear, grad, delta)
+        self.n_updates += 1
+
+    def value_at(self, x):
+        return self.alpha + float(np.vdot(self.linear, np.asarray(x, float)))
+
+
+def phi_lower_bound(tracker, cone, radius):
+    """Best lower bound the tracker certifies over the radius-ball slice.
+
+    Maximizes the affine model over {r v : v in lmo range} by reusing the
+    cone's LMO on the tracker's own linear part.
+    """
+    v = cone.lmo(tracker.linear)
+    cert = dual_certificate(tracker.linear, v)
+    return tracker.alpha - radius * cert
+
+
+def fd_gradient_check(value, gradient, x, n_dirs=8, h=1e-6, seed=0):
+    """Central-difference directional-derivative check.
+
+    Compares <grad, d> against (f(x + h d) - f(x - h d)) / (2 h) along random
+    unit directions. Returns the maximum relative error with the finite
+    difference magnitude in the denominator, so a gradient off by a factor of
+    two registers near 0.5 regardless of scale.
+    """
+    x = np.asarray(x, dtype=float)
+    rng = np.random.default_rng(seed)
+    g = np.asarray(gradient(x), dtype=float)
+    worst = 0.0
+    for _ in range(n_dirs):
+        d = rng.standard_normal(x.shape)
+        d /= np.linalg.norm(d.ravel())
+        fd = (float(value(x + h * d)) - float(value(x - h * d))) / (2.0 * h)
+        an = float(np.vdot(g, d))
+        err = abs(an - fd) / max(abs(fd), 1e-12)
+        worst = max(worst, err)
+    return worst
+
+
+def smoothness_gap_check(value, gradient, pairs, lipschitz):
+    """Minimum normalized slack of the smoothness gap inequality.
+
+    For each pair (x, y) checks
+        f(y) - f(x) - <grad f(x), y - x> >= ||grad f(y) - grad f(x)||^2 / (2 L)
+    and returns min over pairs of (lhs - rhs) / max(1, |f(x)|, |f(y)|).
+    Nonnegative (up to roundoff) whenever lipschitz really bounds the gradient
+    Lipschitz constant.
+    """
+    worst = np.inf
+    for x, y in pairs:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        fx, fy = float(value(x)), float(value(y))
+        gx = np.asarray(gradient(x), dtype=float)
+        gy = np.asarray(gradient(y), dtype=float)
+        lhs = fy - fx - float(np.vdot(gx, y - x))
+        rhs = float(np.vdot(gy - gx, gy - gx)) / (2.0 * lipschitz)
+        slack = (lhs - rhs) / max(1.0, abs(fx), abs(fy))
+        worst = min(worst, slack)
+    return worst
+
+
+def kkt_residuals(problem, x):
+    """Complementary-slackness and squared dual-distance residuals at x.
+
+    Returns (<x, grad f(x)>, dist_dual(grad f(x), K*)^2) using the cone's
+    exact dual-distance oracle.
+    """
+    if problem.cone is None:
+        raise UnsupportedCone("kkt_residuals needs a cone handle")
+    x = np.asarray(x, dtype=float)
+    grad = problem.gradient(x)
+    cs = float(np.vdot(x, grad))
+    dist = problem.cone.dual_distance(grad)
+    return cs, dist * dist
+
+
+def nuclear_norm(mat):
+    """Sum of absolute eigenvalues of a symmetric matrix."""
+    sym = 0.5 * (mat + mat.T)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(sym))))
+
+
+def operator_norm(mat):
+    """Largest absolute eigenvalue of a symmetric matrix."""
+    sym = 0.5 * (mat + mat.T)
+    evals = np.linalg.eigvalsh(sym)
+    return float(max(abs(evals[0]), abs(evals[-1])))
+
+
+def _sphere_grid_orthant(dim, grid_n):
+    if dim == 2:
+        th = np.linspace(0.0, 0.5 * np.pi, grid_n)
+        return np.stack([np.cos(th), np.sin(th)], axis=1)
+    if dim == 3:
+        npts = max(8, int(math.sqrt(grid_n)))
+        th = np.linspace(0.0, 0.5 * np.pi, npts)
+        ph = np.linspace(0.0, 0.5 * np.pi, npts)
+        T, P = np.meshgrid(th, ph, indexing="ij")
+        pts = np.stack(
+            [np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1
+        )
+        return pts.reshape(-1, 3)
+    raise UnsupportedCone("grid oracle covers orthant dimensions 2 and 3 only")
+
+
+def _sphere_grid_soc(dim, grid_n):
+    if dim == 2:
+        al = np.linspace(-0.25 * np.pi, 0.25 * np.pi, grid_n)
+        return np.stack([np.sin(al), np.cos(al)], axis=1)
+    if dim == 3:
+        # Allocate grid points to each angular axis by its range: the polar
+        # angle spans pi/4, the azimuth spans 2 pi.
+        nb = max(8, int(math.sqrt(grid_n / 8.0)))
+        nphi = max(16, grid_n // nb)
+        be = np.linspace(0.0, 0.25 * np.pi, nb)
+        ph = np.linspace(0.0, 2.0 * np.pi, nphi, endpoint=False)
+        B, P = np.meshgrid(be, ph, indexing="ij")
+        pts = np.stack(
+            [np.sin(B) * np.cos(P), np.sin(B) * np.sin(P), np.cos(B)], axis=-1
+        )
+        return pts.reshape(-1, 3)
+    raise UnsupportedCone("grid oracle covers second-order dimensions 2 and 3 only")
+
+
+def brute_lmo(cone, g, grid_n=10000):
+    """Grid-search oracle for the cone-ball linear minimization.
+
+    Exhaustively minimizes <g, v> over a dense grid of the unit-sphere slice
+    of the cone plus the zero point. Only small ambient dimensions are
+    supported; the value is accurate to O(1/grid_n) in the grid spacing and
+    exists purely to cross-check the closed-form oracles.
+    """
+    g = np.asarray(g, dtype=float)
+    if cone.kind == "orthant":
+        pts = _sphere_grid_orthant(g.size, grid_n)
+    elif cone.kind == "second_order":
+        pts = _sphere_grid_soc(g.size, grid_n)
+    elif cone.kind == "psd_dense":
+        # Unit-nuclear-norm extreme points of the PSD cone are q q^T for
+        # unit q, and the sign of q does not matter, so a hemisphere grid
+        # of q vectors covers the slice.
+        if g.shape == (2, 2):
+            th = np.linspace(0.0, np.pi, grid_n)
+            qs = np.stack([np.cos(th), np.sin(th)], axis=1)
+        elif g.shape == (3, 3):
+            npts = max(16, int(math.sqrt(grid_n)))
+            th = np.linspace(0.0, 0.5 * np.pi, npts)
+            ph = np.linspace(0.0, 2.0 * np.pi, 2 * npts, endpoint=False)
+            T, P = np.meshgrid(th, ph, indexing="ij")
+            qs = np.stack(
+                [np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1
+            ).reshape(-1, 3)
+        else:
+            raise UnsupportedCone("grid oracle covers PSD sides 2 and 3 only")
+        vals = np.einsum("ki,ij,kj->k", qs, 0.5 * (g + g.T), qs)
+        i = int(np.argmin(vals))
+        if vals[i] >= 0.0:
+            return np.zeros_like(g)
+        return np.outer(qs[i], qs[i])
+    else:
+        raise UnsupportedCone(f"no grid oracle for cone kind {cone.kind!r}")
+    vals = pts @ g
+    i = int(np.argmin(vals))
+    if vals[i] >= 0.0:
+        return np.zeros_like(g)
+    return pts[i]

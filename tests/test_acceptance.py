@@ -22,19 +22,17 @@ from cdkit import (
     SolverConfig,
     factor_to_dense,
     fw_solve,
-    operator_norm,
     sdp_solve,
     sketch_reconstruct,
     solve,
 )
-from cdkit.cones import brute_lmo, dual_distance
 from cdkit.problems import (
     build_matcomp,
     build_orthant_quadratic,
     build_phase_retrieval,
     build_trace_toy,
 )
-from cdkit.verify import smoothness_gap_check
+from oracles import brute_lmo, operator_norm, smoothness_gap_check
 
 
 def toy_program():
@@ -55,8 +53,7 @@ def toy_program():
         return a, b, c
 
     return ConicProgram(
-        2, value, grad, cone=NonnegativeOrthant(2), restriction_oracle=restriction,
-        smoothness_hint=2.0,
+        2, value, grad, cone=NonnegativeOrthant(2), restriction_oracle=restriction
     )
 
 
@@ -88,16 +85,17 @@ def rate_bound_sweep():
         scale = 4.0 * lips * lips * radius * radius
         rows = []
 
-        def cb(state, record, rows=rows, prob=prob):
-            xe = state.eta * state.x
+        def cb(info, rows=rows, prob=prob):
+            record = info["record"]
+            xe = record.eta * info["x"]
             grad = prob.gradient_oracle(xe)
             rows.append(
                 (
-                    state.k,
+                    record.k,
                     orthant_dist_sq(grad),
-                    orthant_dist_sq(state.g),
+                    orthant_dist_sq(info["g_avg"]),
                     record.dual_cert,
-                    float(np.linalg.norm(state.g)),
+                    float(np.linalg.norm(info["g_avg"])),
                 )
             )
 
@@ -132,8 +130,9 @@ def test_criterion_02_ray_slackness_everywhere():
     for mode in ("cd", "moco"):
         prob = toy_program()
 
-        def cb(state, record, prob=prob):
-            xe = state.eta * state.x
+        def cb(info, prob=prob):
+            record = info["record"]
+            xe = record.eta * info["x"]
             s = 1.0 + np.linalg.norm(xe) * np.linalg.norm(prob.gradient_oracle(xe))
             obs.append(abs(record.cs_residual) / s)
 
@@ -141,8 +140,9 @@ def test_criterion_02_ray_slackness_everywhere():
     for seed in range(3):
         built = build_orthant_quadratic(dim=20, seed=seed)
 
-        def cb(state, record, prob=built.program):
-            xe = state.eta * state.x
+        def cb(info, prob=built.program):
+            record = info["record"]
+            xe = record.eta * info["x"]
             s = 1.0 + np.linalg.norm(xe) * np.linalg.norm(prob.gradient_oracle(xe))
             obs.append(abs(record.cs_residual) / s)
 
@@ -193,7 +193,7 @@ def test_criterion_05_certificate_identity():
         def cb(info):
             dense = op.adjoint_dense(info["g_avg"]) + gamma * np.eye(op.n)
             lam_dense = float(np.linalg.eigvalsh(dense)[0])
-            cert = max(0.0, -info["lambda"])
+            cert = max(0.0, -info["record"].lambda_min)
             nonlocal worst_sdp
             worst_sdp = max(worst_sdp, abs(cert - max(0.0, -lam_dense)))
         return cb
@@ -265,10 +265,11 @@ def test_criterion_08_sketch_consistency_through_greedy():
     worst = [0.0]
 
     def cb(info):
-        if info["eta"] != 1.0:
-            x[:] *= info["eta"]
-        if info["theta"] != 0.0:
-            x[:] += info["theta"] * np.outer(info["q"], info["q"])
+        record = info["record"]
+        if record.eta != 1.0:
+            x[:] *= record.eta
+        if record.theta != 0.0:
+            x[:] += record.theta * np.outer(info["q"], info["q"])
         gr = info["greedy"]
         if gr is not None and gr["committed"]:
             x[:] *= gr["t_sq"]
@@ -382,9 +383,7 @@ def test_criterion_11_phase_recovery_and_heuristic():
     res_m = sdp_solve(ph.fv, ph.op, gamma=ph.gamma, config=SolverConfig(max_iters=300))
     res_h = sdp_solve(
         ph.fv, ph.op, gamma=ph.gamma,
-        config=SolverConfig(
-            max_iters=300, step_rule="heuristic", heuristic_m=ph.m_estimate
-        ),
+        config=SolverConfig(max_iters=300, heuristic_m=ph.m_estimate),
     )
     assert res_h.stats["n_theta_searches"] == 0
     evals_h = res_h.stats["value"] + res_h.stats["restriction"]

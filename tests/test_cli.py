@@ -238,6 +238,25 @@ def test_usage_error_exits_two(capsys):
     assert "trace-bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(command="matcomp", algo="fw", n=20),
+        dict(command="toy", algo="fw"),
+        dict(command="toy", algo="moco", heuristic_m=-1.0),
+        dict(command="toy", algo="mocoh", heuristic_m=float("nan")),
+    ],
+    ids=["matcomp-fw-without-bound", "toy-fw", "toy-negative-m", "toy-nan-m"],
+)
+def test_run_experiment_validates_its_spec(tmp_path, fields):
+    # the library entry point checks what resolve checks for the command line,
+    # and a NaN M fails the solver's own config check, before any file is written
+    spec = RunSpec(iters=5, prefix=str(tmp_path / "x"), **fields)
+    _, code, msg = cli._spec_worker(spec)
+    assert code == 2, msg
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solver_error_exits_three(tmp_path, monkeypatch):
     from cdkit.exceptions import EigFailure
 

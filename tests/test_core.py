@@ -20,16 +20,14 @@ from cdkit.core import (
     _quad_argmin_nonneg,
     delta_schedule,
     dual_certificate,
-    kkt_residuals,
     line_search_step,
     minimize_convex_1d,
     minimize_convex_interval,
     momentum_update,
     ray_minimize,
-    trace_csv_header,
-    trace_csv_row,
 )
 from cdkit.problems import build_orthant_quadratic, build_trace_toy
+from oracles import kkt_residuals
 
 
 def quad_program(dim, quad, lin, cone=None):
@@ -238,7 +236,7 @@ def test_eval_counting_and_stats():
 def test_heuristic_step_skips_theta_search():
     built = build_orthant_quadratic(dim=10, seed=3)
     m = float(np.linalg.norm(built.x_star))
-    cfg = SolverConfig(max_iters=60, step_rule="heuristic", heuristic_m=m)
+    cfg = SolverConfig(max_iters=60, heuristic_m=m)
     res = solve(built.program, cfg)
     assert res.stats["n_theta_searches"] == 0
     # still makes progress
@@ -249,8 +247,8 @@ def test_callback_sees_every_visit():
     built = build_orthant_quadratic(dim=8, seed=4)
     seen = []
 
-    def cb(state, record):
-        seen.append((state.k, record.f_value))
+    def cb(info):
+        seen.append((info["record"].k, info["record"].f_value))
 
     solve(built.program, SolverConfig(max_iters=25), callback=cb)
     assert [k for k, _ in seen] == list(range(len(seen)))
@@ -275,7 +273,7 @@ def test_config_validation_errors():
     with pytest.raises(ValueError):
         solve(built.program, SolverConfig(momentum_mode="bogus"))
     with pytest.raises(ValueError):
-        solve(built.program, SolverConfig(step_rule="heuristic"))
+        solve(built.program, SolverConfig(heuristic_m=0.0))
     with pytest.raises(ValueError):
         solve(built.program, SolverConfig(greedy_period=5))
     with pytest.raises(ValueError):
@@ -295,7 +293,7 @@ def test_trace_csv_roundtrip(tmp_path):
     res.trace.write_csv(path)
     text = path.read_text()
     lines = text.strip().split("\n")
-    assert lines[0] == trace_csv_header()
+    assert lines[0] == "k,f,dual_cert,cs,eta,theta,wall_ms"
     rows = list(csv.reader(io.StringIO(text)))
     assert len(rows) == len(res.trace.records) + 1
     # repr round trip: floats survive exactly
@@ -306,12 +304,15 @@ def test_trace_csv_roundtrip(tmp_path):
         assert float(row[5]) == rec.theta
 
 
-def test_trace_csv_row_includes_lambda_when_asked():
-    from cdkit.core import TraceRecord
+def test_trace_csv_row_includes_lambda_when_asked(tmp_path):
+    from cdkit.core import SolveTrace, TraceRecord
 
     rec = TraceRecord(0, 1.0, 0.5, 0.0, 1.0, 0.1, 3.0, lambda_min=-0.25)
-    assert trace_csv_header(include_lambda=True).endswith(",lambda_min")
-    assert trace_csv_row(rec, include_lambda=True).endswith(",-0.25")
+    path = tmp_path / "trace.csv"
+    SolveTrace([rec]).write_csv(path)
+    header, row = path.read_text().strip().split("\n")
+    assert header.endswith(",lambda_min")
+    assert row.endswith(",-0.25")
 
 
 def test_kkt_residuals_vanish_at_planted_optimum():

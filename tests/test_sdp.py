@@ -22,14 +22,20 @@ from cdkit import (
     save_factor,
     sdp_solve,
     sketch_reconstruct,
+    solve,
 )
 from cdkit.sdp import (
     _quad_argmin_segment,
     _tridiagonal_min_eig,
     greedy_step,
-    theta_heuristic,
 )
-from cdkit.problems import build_matcomp, build_phase_retrieval, build_trace_toy
+from cdkit.core import theta_heuristic
+from cdkit.problems import (
+    build_matcomp,
+    build_orthant_quadratic,
+    build_phase_retrieval,
+    build_trace_toy,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +370,11 @@ def test_sdp_solve_dense_mirror_consistency():
 
     def cb(info):
         # visit order: ray rescale, then the rank-one step, then greedy
-        if info["eta"] != 1.0:
-            x[:] *= info["eta"]
-        if info["theta"] != 0.0:
-            x[:] += info["theta"] * np.outer(info["q"], info["q"])
+        record = info["record"]
+        if record.eta != 1.0:
+            x[:] *= record.eta
+        if record.theta != 0.0:
+            x[:] += record.theta * np.outer(info["q"], info["q"])
         if info["greedy"] is not None and info["greedy"]["committed"]:
             x[:] *= info["greedy"]["t_sq"]
             x[:] += info["greedy"]["u"] @ info["greedy"]["u"].T
@@ -439,15 +446,38 @@ def test_fw_gap_column_decreases_on_matcomp():
     assert res.stats["n_theta_searches"] == 0
 
 
-def test_fw_segment_search_paths_agree_with_trace_penalty():
-    # the golden-section fallback must minimize the same penalized objective
-    # as the closed-form segment step; dropping the gamma trace term there
-    # ends this run near f = 19.09 instead of 17.81
-    mc = build_matcomp(n=30, rank=2, seed=0, block=5, density=0.15)
-    cfg = SolverConfig(max_iters=40)
-    exact = fw_solve(mc.fv, mc.op, tau=50.0, gamma=0.5, config=cfg)
-    golden_fv = dataclasses.replace(mc.fv, restriction_oracle=None)
-    golden = fw_solve(golden_fv, mc.op, tau=50.0, gamma=0.5, config=cfg)
+def _fw_on_matcomp(fv, op):
+    return fw_solve(fv, op, tau=50.0, gamma=0.5, config=SolverConfig(max_iters=40))
+
+
+def _greedy_on_matcomp(fv, op):
+    cfg = SolverConfig(max_iters=40, greedy_period=10)
+    return sdp_solve(fv, op, gamma=0.5, config=cfg)
+
+
+def _solve_on_orthant(program, _):
+    return solve(program, SolverConfig(max_iters=40))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_fw_on_matcomp, _greedy_on_matcomp, _solve_on_orthant],
+    ids=["fw_solve", "sdp_solve", "solve"],
+)
+def test_golden_section_fallback_agrees_with_restriction(run):
+    # without a restriction oracle every ray, line, segment and greedy scale
+    # search falls back to golden section, which must minimize the same
+    # (trace-penalized) objective as the closed form: final f agrees to a
+    # relative 1e-5. Dropping the gamma trace term in fw's fallback ends its
+    # run near f = 19.09 instead of 17.81.
+    if run is _solve_on_orthant:
+        program, op = build_orthant_quadratic(dim=20, seed=0).program, None
+    else:
+        mc = build_matcomp(n=30, rank=2, seed=0, block=5, density=0.15)
+        program, op = mc.fv, mc.op
+    exact = run(program, op)
+    golden = run(dataclasses.replace(program, restriction_oracle=None), op)
+    assert exact.stats["restriction"] > 0
     assert golden.stats["restriction"] == 0
     f_exact = exact.trace.f_values()[-1]
     assert golden.trace.f_values()[-1] == pytest.approx(f_exact, rel=1e-5)

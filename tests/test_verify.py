@@ -4,9 +4,9 @@ gradient validation, and smoothness gap probing."""
 import numpy as np
 import pytest
 
-from cdkit import ConicProgram, SolverConfig, solve
+from cdkit import ConicProgram, SolverConfig, delta_schedule, solve
 from cdkit.problems import build_orthant_quadratic
-from cdkit.verify import (
+from oracles import (
     PhiTracker,
     fd_gradient_check,
     phi_lower_bound,
@@ -22,11 +22,13 @@ def test_phi_tracker_matches_solver_momentum_bitwise():
     tracker = PhiTracker(12)
     mism = []
 
-    def cb(state, record):
-        xe = state.eta * state.x
-        tracker.update(state.delta, record.f_value, prob.gradient_oracle(xe), xe)
-        if not np.array_equal(tracker.linear, state.g):
-            mism.append(state.k)
+    def cb(info):
+        record = info["record"]
+        xe = record.eta * info["x"]
+        delta = delta_schedule(record.k)
+        tracker.update(delta, record.f_value, prob.gradient_oracle(xe), xe)
+        if not np.array_equal(tracker.linear, info["g_avg"]):
+            mism.append(record.k)
 
     solve(prob, SolverConfig(max_iters=40), callback=cb)
     assert mism == []
@@ -48,9 +50,10 @@ def test_phi_lower_bound_below_true_optimum():
     prob = built.program
     tracker = PhiTracker(15)
 
-    def cb(state, record):
-        xe = state.eta * state.x
-        tracker.update(state.delta, record.f_value, prob.gradient_oracle(xe), xe)
+    def cb(info):
+        record = info["record"]
+        xe = record.eta * info["x"]
+        tracker.update(delta_schedule(record.k), record.f_value, prob.gradient_oracle(xe), xe)
 
     solve(prob, SolverConfig(max_iters=200), callback=cb)
     radius = float(np.linalg.norm(built.x_star))
