@@ -259,13 +259,55 @@ def _lanczos_once(matvec, n, cfg, seed):
 # rank-constrained descent on the factored family t^2 X + u u^T
 
 
-# greedy refit: factor rank, inner iterations, evaluations per factor line
-# search, relative stall tolerance, and the scale of the start perturbation
+# greedy refit: factor rank, inner iterations, evaluations per golden-section
+# factor search (programs without a restriction oracle), relative stall
+# tolerance, and the scale of the start perturbation
 _GREEDY_RANK = 3
 _GREEDY_MAX_INNER = 60
 _GREEDY_SEARCH_EVALS = 40
 _GREEDY_REL_TOL = 1e-10
 _GREEDY_PERTURB = 1e-3
+
+
+def _factor_quartic(fv, op, gamma, y_cur, u, gram_u, d):
+    """Coefficients (c1, c2, c3, c4) of the greedy factor search polynomial.
+
+    Along u - a d at a fixed scale, the image is y_cur - a C + a^2 D with
+    D = gram(d) and, by polarization, C = gram(u + d) - gram(u) - D. For a
+    quadratic f, three restrictions at y_cur (along -C, D and D - C) give
+    h(a) - h(0) = c1 a + c2 a^2 + c3 a^3 + c4 a^4, where h adds the trace
+    penalty gamma |u - a d|^2 to f of the image.
+    """
+    big_d = op.gram(d)
+    big_c = op.gram(u + d) - gram_u - big_d
+    q_c, l_c, _ = fv.restriction(y_cur, -big_c)
+    q_d, l_d, _ = fv.restriction(y_cur, big_d)
+    q_cd, _, _ = fv.restriction(y_cur, big_d - big_c)
+    return (
+        l_c - 2.0 * gamma * float(np.vdot(u, d)),
+        l_d + q_c + gamma * float(np.vdot(d, d)),
+        q_cd - q_c - q_d,
+        q_d,
+    )
+
+
+def _quartic_argmin(c1, c2, c3, c4):
+    """(a, p(a)) minimizing p(a) = c1 a + c2 a^2 + c3 a^3 + c4 a^4 over a >= 0.
+
+    The minimum sits at 0 or at a positive stationary point, so it is the
+    best of 0 and the roots of the cubic p'. Every candidate is a feasible
+    point, so taking the real part of a root with roundoff in its imaginary
+    part costs nothing; without a bounded minimum the best candidate is
+    still a point of descent.
+    """
+    best_a, best_p = 0.0, 0.0
+    for root in np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1]):
+        a = float(root.real)
+        if a > 0.0:
+            p = a * (c1 + a * (c2 + a * (c3 + a * c4)))
+            if p < best_p:
+                best_a, best_p = a, p
+    return best_a, best_p
 
 
 def greedy_step(fv, op, gamma, state, rng):
@@ -276,7 +318,11 @@ def greedy_step(fv, op, gamma, state, rng):
     image, the trace accumulator, and measurement-space primitives. Inner
     iterations alternate an exact update of s (the objective restricted to s
     is a one-dimensional convex problem the restriction oracle solves in
-    closed form) with a line-searched gradient step on u. The start point
+    closed form) with a line-searched gradient step on u. With a restriction
+    oracle the objective along the factor step is a quartic in the step
+    length, minimized exactly over its stationary points; without one a
+    golden-section search stands in, which assumes convexity along the step
+    that the quartic need not have. The start point
     (s, u) = (1, 0) is stationary in u, hence the seeded random perturbation;
     the state is rewritten only when the best point found is strictly below
     the incumbent value, so the outer objective never increases here. A
@@ -318,15 +364,21 @@ def greedy_step(fv, op, gamma, state, rng):
             inner_done = inner + 1
             break
         direction = grad_u / gn
+        if fv.restriction_oracle is not None:
+            alpha, drop = _quartic_argmin(
+                *_factor_quartic(fv, op, gamma, y_cur, u, gram_u, direction)
+            )
+            h_alpha = h_cur + drop
+        else:
 
-        def along(alpha):
-            uv = u - alpha * direction
-            hv, _ = assemble(s, op.gram(uv), float(np.vdot(uv, uv)))
-            return hv
+            def along(alpha):
+                uv = u - alpha * direction
+                hv, _ = assemble(s, op.gram(uv), float(np.vdot(uv, uv)))
+                return hv
 
-        alpha, h_alpha = minimize_convex_1d(
-            along, max_evals=_GREEDY_SEARCH_EVALS
-        )
+            alpha, h_alpha = minimize_convex_1d(
+                along, max_evals=_GREEDY_SEARCH_EVALS
+            )
         if h_alpha < h_cur:
             u = u - alpha * direction
             gram_u = op.gram(u)
