@@ -25,11 +25,13 @@ from cdkit import (
     solve,
 )
 from cdkit.sdp import (
+    _factor_quartic,
     _quad_argmin_segment,
+    _quartic_argmin,
     _tridiagonal_min_eig,
     greedy_step,
 )
-from cdkit.core import theta_heuristic
+from cdkit.core import minimize_convex_1d, theta_heuristic
 from cdkit.problems import (
     build_matcomp,
     build_orthant_quadratic,
@@ -411,6 +413,74 @@ def test_greedy_step_standalone_improves_from_partial_iterate():
         assert mc.fv.value(state.y) < f0
     else:
         assert mc.fv.value(state.y) == pytest.approx(f0, rel=1e-12)
+
+
+_SEARCH_BUILDS = {
+    "matcomp": lambda: build_matcomp(n=20, rank=2, seed=6, block=4, density=0.2),
+    "phase": lambda: build_phase_retrieval(n=20, m=4, seed=6),
+    "trace-toy": build_trace_toy,
+}
+
+
+def _factor_search(fv, op, gamma, u, d):
+    # one greedy factor search at X = u u^T (scale 1, nothing else in X):
+    # the quartic's coefficients and h(a) computed directly through gram
+    gram_u = op.gram(u)
+    y_cur = gram_u - op.z
+
+    def h(a):
+        uv = u - a * d
+        return fv.value(op.gram(uv) - op.z) + gamma * float(np.vdot(uv, uv))
+
+    return _factor_quartic(fv, op, gamma, y_cur, u, gram_u, d), h
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("name", list(_SEARCH_BUILDS))
+def test_factor_quartic_matches_direct_objective(name, gamma):
+    b = _SEARCH_BUILDS[name]()
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        u = rng.standard_normal((b.op.n, 3))
+        d = rng.standard_normal((b.op.n, 3))
+        (c1, c2, c3, c4), h = _factor_search(b.fv, b.op, gamma, u, d)
+        h0 = h(0.0)
+        for a in (0.1, 0.5, 1.0, 2.7):
+            quartic = h0 + a * (c1 + a * (c2 + a * (c3 + a * c4)))
+            assert quartic == pytest.approx(h(a), rel=1e-9)
+
+
+@pytest.mark.parametrize("name", list(_SEARCH_BUILDS))
+def test_quartic_search_no_worse_than_golden_section(name):
+    b = _SEARCH_BUILDS[name]()
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        u = 10.0 ** rng.uniform(-2, 1) * rng.standard_normal((b.op.n, 3))
+        d = rng.standard_normal((b.op.n, 3))
+        coeffs, h = _factor_search(b.fv, b.op, 0.5, u, d)
+        a_quartic, drop = _quartic_argmin(*coeffs)
+        _, h_golden = minimize_convex_1d(h, max_evals=40)
+        assert a_quartic >= 0.0
+        assert h(a_quartic) == pytest.approx(h(0.0) + drop, rel=1e-9)
+        assert h(a_quartic) <= h_golden + 1e-12 * abs(h_golden)
+
+
+def test_quartic_search_finds_minimum_golden_section_misses():
+    # trace toy at X = u u^T with tr = 0.81 below the target 1: stepping
+    # along d first shrinks the trace (h rises until a = 3) and then grows it
+    # back through the target at a = 19/3, where h = 0. h is not convex in a
+    # and h(1) > h(0), so the golden section keeps to [0, 1] and returns 0.
+    toy = build_trace_toy()
+    u = np.array([[0.9], [0.0]])
+    d = np.array([[0.3], [0.0]])
+    coeffs, h = _factor_search(toy.fv, toy.op, 0.0, u, d)
+    assert h(1.0) > h(0.0) > h(19.0 / 3.0)
+    a_golden, h_golden = minimize_convex_1d(h, max_evals=40)
+    assert a_golden == 0.0 and h_golden == h(0.0)
+    a_quartic, drop = _quartic_argmin(*coeffs)
+    assert a_quartic == pytest.approx(19.0 / 3.0, rel=1e-9)
+    assert h(a_quartic) <= 1e-15
+    assert drop == pytest.approx(-h(0.0), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
