@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
 import subprocess
 import sys
@@ -94,10 +95,25 @@ class UsageError(Exception):
     """Raised for settings that cannot be run; maps to exit code 2."""
 
 
+# what a RunSpec field's declared type admits, and how messages name it
+_KINDS = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+}
+
+
+def _field_kind(field_type):
+    # "int | None" takes int values
+    return (typing.get_args(field_type) or (field_type,))[0]
+
+
 def _parse_config_file(path):
     # each value takes its RunSpec field's type; whether the command has the
     # option is resolve's check
-    kinds = {f.name: f.type for f in dataclasses.fields(RunSpec) if f.name != "command"}
+    kinds = {
+        f.name: _field_kind(f.type) for f in dataclasses.fields(RunSpec) if f.name != "command"
+    }
     kinds["seeds"] = str
     pairs = {}
     with open(path) as fh:
@@ -111,13 +127,11 @@ def _parse_config_file(path):
             key = key.strip().replace("-", "_")
             if key not in kinds:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            # "int | None" converts as int
-            kind = (typing.get_args(kinds[key]) or (kinds[key],))[0]
+            kind = kinds[key]
             try:
                 pairs[key] = kind(val.strip())
             except ValueError:
-                what = "an integer" if kind is int else "a number"
-                raise UsageError(f"{path}:{lineno}: {key} needs {what}")
+                raise UsageError(f"{path}:{lineno}: {key} needs {_KINDS[kind][1]}")
     return pairs
 
 
@@ -178,6 +192,16 @@ def resolve(args, env=None):
 
 
 def validate(spec):
+    # a RunSpec built in code is not parsed, so check each field's type
+    # before the range checks compare it; the checks on float fields are
+    # written so that NaN fails them
+    for f in dataclasses.fields(RunSpec):
+        value = getattr(spec, f.name)
+        if value is None and type(None) in typing.get_args(f.type):
+            continue
+        admits, what = _KINDS[_field_kind(f.type)]
+        if not isinstance(value, admits):
+            raise UsageError(f"{f.name} needs {what}, got {value!r}")
     allowed = _VECTOR_ALGOS if spec.command == "toy" else _SDP_ALGOS
     if spec.algo not in allowed:
         raise UsageError(
@@ -186,7 +210,7 @@ def validate(spec):
         )
     if spec.iters < 1:
         raise UsageError("iters must be at least 1")
-    if spec.tol < 0.0:
+    if not spec.tol >= 0.0:
         raise UsageError("tol must be nonnegative")
     if spec.trace_every < 1:
         raise UsageError("trace-every must be at least 1")
@@ -211,10 +235,14 @@ def validate(spec):
             raise UsageError("recon-rank must lie in [1, sketch - 2]")
     if spec.sketch is not None and spec.sketch < 2:
         raise UsageError("sketch must be at least 2")
-    if spec.heuristic_m is not None and spec.heuristic_m <= 0.0:
+    if spec.heuristic_m is not None and not spec.heuristic_m > 0.0:
         raise UsageError("heuristic-m must be positive")
-    if spec.trace_bound is not None and spec.trace_bound <= 0.0:
+    if spec.trace_bound is not None and not spec.trace_bound > 0.0:
         raise UsageError("trace-bound must be positive")
+    if spec.gamma is not None and not spec.gamma >= 0.0:
+        raise UsageError("gamma must be nonnegative")
+    if spec.noise_snr is not None and math.isnan(spec.noise_snr):
+        raise UsageError("noise-snr must be a number of decibels, not NaN")
     if spec.greedy_every < 1:
         raise UsageError("greedy-every must be at least 1")
 

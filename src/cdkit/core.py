@@ -303,11 +303,12 @@ def theta_heuristic(k, m):
 def _check_config(config, allow_greedy):
     if config.max_iters < 1:
         raise ValueError("max_iters must be positive")
-    if config.tol_eps < 0.0:
+    # "not >= 0" and "not > 0" also reject NaN, which would never stop a run
+    # or make every scheduled step NaN
+    if not config.tol_eps >= 0.0:
         raise ValueError("tol_eps must be nonnegative")
     if config.momentum_mode not in ("cd", "moco"):
         raise ValueError(f"unknown momentum mode {config.momentum_mode!r}")
-    # "not > 0" also rejects NaN, which would make every scheduled step NaN
     if config.heuristic_m is not None and not config.heuristic_m > 0.0:
         raise ValueError("heuristic_m must be a positive M estimate (or None)")
     if config.trace_every < 1:

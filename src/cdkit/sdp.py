@@ -436,9 +436,14 @@ class _MeasurementIterate:
     def __init__(self, fv, op, gamma, config, sketch_size):
         if fv.dim != op.d:
             raise ValueError("objective dimension does not match the measurement count")
+        if not gamma >= 0.0:
+            raise ValueError("trace penalty gamma must be nonnegative")
         self.fv, self.op, self.gamma = fv, op, gamma
         self.z = np.asarray(op.z, dtype=float)
-        self.lanczos_cfg = LanczosConfig(seed=config.rng_seed)
+        # every visit's Lanczos run starts from a fresh random vector drawn
+        # from this one stream, so a start that misses the bottom eigenvector
+        # on one visit does not miss it on all of them
+        self.lanczos_rng = np.random.default_rng(config.rng_seed).spawn(1)[0]
         sketch = None
         if sketch_size is not None:
             sketch = SketchState.create(op.n, sketch_size, seed=config.rng_seed + 1)
@@ -457,7 +462,7 @@ class _MeasurementIterate:
         return min_eig_lanczos(
             lambda u: self.op.adjoint_matvec(p, u) + self.gamma * u,
             self.op.n,
-            self.lanczos_cfg,
+            LanczosConfig(seed=int(self.lanczos_rng.integers(2**32))),
         )
 
     def payload(self, record):
@@ -626,7 +631,7 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=Non
     """
     if config is None:
         config = SolverConfig()
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError("trace bound tau must be positive")
     it = _FwIterate(fv, op, gamma, config, sketch_size, tau)
     return it.result(*_descend(fv, config, it, callback, frank_wolfe=True))

@@ -239,6 +239,44 @@ def test_usage_error_exits_two(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["toy", "--tol", "nan"], "tol"),
+        (["matcomp", "--n", "20", "--algo", "fw", "--trace-bound", "nan"], "trace-bound"),
+        (["matcomp", "--n", "20", "--gamma", "nan"], "gamma"),
+        (["phase", "--n", "16", "--m", "4", "--noise-snr", "nan"], "noise-snr"),
+    ],
+    ids=["toy-tol", "matcomp-fw-trace-bound", "matcomp-gamma", "phase-noise-snr"],
+)
+def test_nan_option_exits_two(tmp_path, capsys, argv, option):
+    # NaN compares false both ways, so each range check must be written to
+    # fail it; these used to run (exit 0) or fail in the solver (exit 3)
+    code = console_main(argv + ["--iters", "5", "--prefix", str(tmp_path / "x")])
+    assert code == 2
+    assert option in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(command="toy", iters="5"),
+        dict(command="toy", seed=1.5),
+        dict(command="matcomp", gamma="0.5"),
+        dict(command="phase", prefix=3),
+    ],
+    ids=["str-int", "float-int", "str-float", "int-str"],
+)
+def test_spec_worker_rejects_mistyped_fields(tmp_path, monkeypatch, fields):
+    # a library RunSpec is not parsed, so validate checks each field against
+    # its declared type; the spec worker must answer with exit 2, not raise
+    monkeypatch.chdir(tmp_path)
+    _, code, msg = cli._spec_worker(RunSpec(**fields))
+    assert code == 2, msg
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "fields",
     [
         dict(command="matcomp", algo="fw", n=20),

@@ -3,6 +3,7 @@ the full visit loop on small planted problems."""
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cdkit import (
     NonnegativeOrthant,
     SolverConfig,
     fw_solve,
+    sdp_solve,
     solve,
 )
 from cdkit.core import (
@@ -279,9 +281,17 @@ def test_config_validation_errors():
     with pytest.raises(ValueError):
         solve(built.program, SolverConfig(max_iters=-1))
     toy = build_trace_toy()
-    for config in (SolverConfig(trace_every=0), SolverConfig(tol_eps=-1.0)):
+    for config in (
+        SolverConfig(trace_every=0),
+        SolverConfig(tol_eps=-1.0),
+        SolverConfig(tol_eps=math.nan),
+    ):
         with pytest.raises(ValueError):
             fw_solve(toy.fv, toy.op, tau=1.0, config=config)
+    with pytest.raises(ValueError):
+        fw_solve(toy.fv, toy.op, tau=math.nan)
+    with pytest.raises(ValueError):
+        sdp_solve(toy.fv, toy.op, gamma=math.nan)
     with pytest.raises(ValueError):
         fw_solve(quad_program(2, np.eye(2), np.zeros(2)), toy.op, tau=1.0)
 

@@ -6,6 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdkit import sdp
 from cdkit import (
@@ -220,6 +222,29 @@ def test_lapack_failure_takes_the_retry(monkeypatch):
     assert abs(lam - np.linalg.eigvalsh(a)[0]) <= 1e-9 * max(1.0, np.abs(a).sum())
 
 
+def test_each_visit_starts_lanczos_afresh(monkeypatch):
+    # a start vector that misses the bottom eigenvector must not be reused on
+    # every visit, and the draws must still repeat given the config seed
+    seeds = []
+
+    def recording(matvec, n, config):
+        seeds.append(config.seed)
+        return min_eig_lanczos(matvec, n, config)
+
+    monkeypatch.setattr(sdp, "min_eig_lanczos", recording)
+    mc = build_matcomp(n=20, rank=2, seed=0, block=4, density=0.2)
+    runs = []
+    for rng_seed in (0, 0, 1):
+        seeds.clear()
+        res = sdp_solve(mc.fv, mc.op, config=SolverConfig(max_iters=20, rng_seed=rng_seed))
+        runs.append((list(seeds), res.trace.f_values()))
+    assert len(runs[0][0]) == 21
+    assert len(set(runs[0][0])) == 21
+    assert runs[0][0] == runs[1][0]
+    np.testing.assert_array_equal(runs[0][1], runs[1][1])
+    assert not set(runs[0][0]) & set(runs[2][0])
+
+
 def test_lanczos_gives_up_after_two_lapack_failures(monkeypatch):
     stebz = sdp._STEBZ
 
@@ -264,6 +289,35 @@ def test_sketch_replace_resets_to_scaled_plus_factor():
     sk.replace(0.5, u)
     want = 0.5 * s_prev + u @ (u.T @ sk.omega)
     np.testing.assert_allclose(sk.s, want, atol=1e-12)
+
+
+_SKETCH_MOVES = st.tuples(
+    st.sampled_from(["scale", "add_rank_one", "replace"]),
+    st.floats(0.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moves=st.lists(_SKETCH_MOVES, min_size=1, max_size=10), seed=st.integers(0, 99))
+def test_sketch_is_linear_in_the_dense_mirror(moves, seed):
+    # every update keeps S = X @ omega for a dense X moved the same way
+    n = 7
+    sk = SketchState.create(n, 4, seed=seed)
+    x = np.zeros((n, n))
+    for kind, c, vec_seed in moves:
+        vec = np.random.default_rng(vec_seed).standard_normal((n, 2))
+        if kind == "scale":
+            sk.scale(c)
+            x *= c
+        elif kind == "add_rank_one":
+            sk.add_rank_one(c, vec[:, 0])
+            x += c * np.outer(vec[:, 0], vec[:, 0])
+        else:
+            sk.replace(c, vec)
+            x = c * x + vec @ vec.T
+        scale = 1.0 + float(np.abs(x).max())
+        np.testing.assert_allclose(sk.s, x @ sk.omega, rtol=0, atol=1e-12 * n * scale)
 
 
 def test_sketch_size_floor():
