@@ -163,12 +163,17 @@ class LanczosConfig:
     seed: int = 0
 
 
-def min_eig_lanczos(matvec, n, config=None):
+def min_eig_lanczos(matvec, n, config=None, start=None):
     """Smallest eigenpair (lam, q) of a symmetric operator given as a matvec.
 
     Runs Lanczos with full reorthogonalization from a seeded random start and
-    verifies the returned pair against an explicit residual. One retry with a
-    reseeded start vector is attempted before giving up. The bottom Ritz pair
+    verifies the returned pair against an explicit residual. A unit warm
+    start, typically the eigenvector of a nearby operator, may be given; the
+    run then starts from it plus 0.1 times the unit random vector. The random
+    part keeps a component along every eigenvector, so a warm start
+    orthogonal to the bottom eigenvector still finds it. One retry from a
+    reseeded cold random start is attempted before giving up, so a warm
+    start that fails falls back to the cold path. The bottom Ritz pair
     of each step comes from the LAPACK bisection and inverse-iteration
     routines (stebz, stein) called directly, which gives bit for bit what
     scipy.linalg.eigh_tridiagonal(select="i") returns without its per-call
@@ -177,12 +182,15 @@ def min_eig_lanczos(matvec, n, config=None):
     """
     cfg = config if config is not None else LanczosConfig()
     try:
-        return _lanczos_once(matvec, n, cfg, cfg.seed)
+        return _lanczos_once(matvec, n, cfg, cfg.seed, start)
     except EigFailure:
         return _lanczos_once(matvec, n, cfg, cfg.seed + 1)
 
 
 _STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
+
+# weight of the unit random vector mixed into a warm Lanczos start
+_WARM_START_MIX = 0.1
 
 
 def _tridiagonal_min_eig(d, e):
@@ -198,7 +206,7 @@ def _tridiagonal_min_eig(d, e):
     raise EigFailure(f"tridiagonal eigensolver failed (info {info}) at size {d.size}")
 
 
-def _lanczos_once(matvec, n, cfg, seed):
+def _lanczos_once(matvec, n, cfg, seed, start=None):
     if n == 1:
         q = np.ones(1)
         lam = float(np.asarray(matvec(q)).ravel()[0])
@@ -210,6 +218,9 @@ def _lanczos_once(matvec, n, cfg, seed):
     betas = np.zeros(m)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    if start is not None:
+        v = np.asarray(start, dtype=float) + _WARM_START_MIX * v
+        v /= np.linalg.norm(v)
     lam = 0.0
     ritz_vec = None
     j_stop = 0
@@ -440,10 +451,12 @@ class _MeasurementIterate:
             raise ValueError("trace penalty gamma must be nonnegative")
         self.fv, self.op, self.gamma = fv, op, gamma
         self.z = np.asarray(op.z, dtype=float)
-        # every visit's Lanczos run starts from a fresh random vector drawn
-        # from this one stream, so a start that misses the bottom eigenvector
-        # on one visit does not miss it on all of them
+        # every visit's Lanczos run starts from the previous visit's
+        # eigenvector plus a fresh random vector drawn from this one stream:
+        # the momentum vector moves little between visits, and a start that
+        # misses the bottom eigenvector on one visit does not miss it on all
         self.lanczos_rng = np.random.default_rng(config.rng_seed).spawn(1)[0]
+        self.lanczos_start = None
         sketch = None
         if sketch_size is not None:
             sketch = SketchState.create(op.n, sketch_size, seed=config.rng_seed + 1)
@@ -459,11 +472,14 @@ class _MeasurementIterate:
 
     def lmo(self, p):
         # smallest eigenpair of the adjoint image of p plus gamma I
-        return min_eig_lanczos(
+        lam, q = min_eig_lanczos(
             lambda u: self.op.adjoint_matvec(p, u) + self.gamma * u,
             self.op.n,
             LanczosConfig(seed=int(self.lanczos_rng.integers(2**32))),
+            start=self.lanczos_start,
         )
+        self.lanczos_start = q
+        return lam, q
 
     def payload(self, record):
         s = self.state

@@ -2,10 +2,13 @@
 codes, and multi-seed fan-out."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdkit import cli
 from cdkit.cli import RunSpec, UsageError, build_parser, console_main, resolve, validate
@@ -89,6 +92,44 @@ def test_resolve_config_key_without_command_flag(tmp_path, command, line):
 def test_resolve_missing_config_file(tmp_path):
     with pytest.raises(OSError):
         resolve(parse(["toy", "--config", str(tmp_path / "absent.cfg")]), env={})
+
+
+# a config value is read back with its key's RunSpec type; strings are
+# stripped, so a drawn string has no surrounding whitespace
+_CONFIG_VALUES = {
+    int: st.integers(-(10**12), 10**12),
+    float: st.floats(allow_nan=False),
+    str: st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).filter(
+        lambda t: t == t.strip()
+    ),
+}
+_CONFIG_KINDS = {
+    f.name: cli._field_kind(f.type) for f in dataclasses.fields(RunSpec) if f.name != "command"
+}
+_CONFIG_KINDS["seeds"] = str
+
+
+@st.composite
+def _config_entries(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_KINDS)), unique=True, max_size=8))
+    return {key: draw(_CONFIG_VALUES[_CONFIG_KINDS[key]]) for key in keys}
+
+
+@settings(max_examples=80, deadline=None)
+@given(entries=_config_entries(), data=st.data())
+def test_config_file_roundtrip(tmp_path_factory, entries, data):
+    lines = ["# drawn settings", ""]
+    for key, val in entries.items():
+        spelled = key.replace("_", "-") if data.draw(st.booleans()) else key
+        pad = data.draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(f"{pad}{spelled}{pad}={pad}{val}{pad}")
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    parsed = cli._parse_config_file(path)
+    assert parsed == entries
+    assert {key: type(val) for key, val in parsed.items()} == {
+        key: _CONFIG_KINDS[key] for key in entries
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.fft import dct, idct
 
 from cdkit import DegenerateSignal
@@ -341,6 +342,66 @@ def test_instance_container_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded["b"], arrays["b"])
     np.testing.assert_array_equal(loaded["idx"], arrays["idx"])
     assert loaded["idx"].dtype == np.int32
+
+
+def _write_pgm(path, pixels, maxval, binary):
+    height, width = pixels.shape
+    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n".encode()
+    if binary:
+        body = pixels.astype(">u2" if maxval > 255 else "u1").tobytes()
+    else:
+        body = "\n".join(" ".join(map(str, row)) for row in pixels).encode() + b"\n"
+    path.write_bytes(header + body)
+
+
+@st.composite
+def _graymaps(draw):
+    maxval = draw(st.sampled_from([255, 65535]))
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6))
+    pixels = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, maxval)))
+    return pixels, maxval
+
+
+@settings(max_examples=60, deadline=None)
+@given(image=_graymaps(), binary=st.booleans())
+def test_read_pgm_roundtrip(tmp_path_factory, image, binary):
+    pixels, maxval = image
+    path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+    _write_pgm(path, pixels, maxval, binary)
+    img = read_pgm(path)
+    assert img.shape == pixels.shape
+    assert img.min() >= 0.0 and img.max() <= 1.0
+    np.testing.assert_array_equal(np.rint(img * maxval), pixels)
+
+
+_CONTAINER_DTYPES = [np.float64, np.float32, np.int64, np.int32, np.uint8, np.bool_, np.complex128]
+
+
+@st.composite
+def _named_arrays(draw):
+    names = draw(
+        st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True), max_size=4, unique=True)
+    )
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+    return {
+        name: draw(hnp.arrays(draw(st.sampled_from(_CONTAINER_DTYPES)), shapes))
+        for name in names
+    }
+
+
+# the kind is stored as UTF-8 with its byte length, so it starts non-ASCII
+@settings(max_examples=60, deadline=None)
+@given(kind=st.text(max_size=12).map(lambda t: "ρ" + t), arrays=_named_arrays())
+def test_instance_container_roundtrip_property(tmp_path_factory, kind, arrays):
+    path = tmp_path_factory.mktemp("inst") / "inst.cdk"
+    dump_instance(path, kind, arrays)
+    got_kind, loaded = load_instance(path)
+    assert got_kind == kind
+    assert sorted(loaded) == sorted(arrays)
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == arr.dtype
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
 
 
 def test_instance_container_rejects_bad_magic(tmp_path):

@@ -86,6 +86,19 @@ def test_lanczos_diag_with_known_minimum():
     assert abs(q[0]) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_lanczos_warm_start_on_wrong_eigenvector_finds_bottom(seed):
+    # e_2 is the eigenvector of eigenvalue 2: alone it spans an invariant
+    # subspace and Lanczos would stop there at 2; the random part of the
+    # start must carry the run down to 1
+    d = np.arange(1.0, 41.0)
+    start = np.zeros(40)
+    start[1] = 1.0
+    lam, q = min_eig_lanczos(lambda v: d * v, 40, LanczosConfig(seed=seed), start=start)
+    assert abs(lam - 1.0) <= 1e-9
+    assert abs(q[0]) == pytest.approx(1.0, abs=1e-6)
+
+
 def _tridiagonal_cases():
     rng = np.random.default_rng(7)
     for size in (1, 2, 10, 34, 86, 200):
@@ -214,30 +227,46 @@ def test_lapack_failure_takes_the_retry(monkeypatch):
     monkeypatch.setattr(sdp, "_STEBZ", fail_once)
     lam, q = min_eig_lanczos(lambda v: a @ v, 30, cfg)
     assert len(failures) == 1
-    # the retry is a fresh run from the reseeded start
+    # a failed warm start takes the same retry
+    failures.clear()
+    warm_lam, warm_q = min_eig_lanczos(lambda v: a @ v, 30, cfg, start=np.eye(30)[4])
+    assert len(failures) == 1
+    # the retry is a fresh run from the reseeded cold start
     monkeypatch.setattr(sdp, "_STEBZ", stebz)
     retry_lam, retry_q = sdp._lanczos_once(lambda v: a @ v, 30, cfg, cfg.seed + 1)
-    assert lam == retry_lam
+    assert lam == retry_lam == warm_lam
     np.testing.assert_array_equal(q, retry_q)
+    np.testing.assert_array_equal(warm_q, retry_q)
     assert abs(lam - np.linalg.eigvalsh(a)[0]) <= 1e-9 * max(1.0, np.abs(a).sum())
 
 
 def test_each_visit_starts_lanczos_afresh(monkeypatch):
     # a start vector that misses the bottom eigenvector must not be reused on
-    # every visit, and the draws must still repeat given the config seed
+    # every visit, and the draws must still repeat given the config seed; the
+    # warm start of each visit is the eigenvector the previous visit returned
     seeds = []
+    starts = []
+    vectors = []
 
-    def recording(matvec, n, config):
+    def recording(matvec, n, config, start=None):
         seeds.append(config.seed)
-        return min_eig_lanczos(matvec, n, config)
+        starts.append(start)
+        lam, q = min_eig_lanczos(matvec, n, config, start=start)
+        vectors.append(q)
+        return lam, q
 
     monkeypatch.setattr(sdp, "min_eig_lanczos", recording)
     mc = build_matcomp(n=20, rank=2, seed=0, block=4, density=0.2)
     runs = []
     for rng_seed in (0, 0, 1):
         seeds.clear()
+        starts.clear()
+        vectors.clear()
         res = sdp_solve(mc.fv, mc.op, config=SolverConfig(max_iters=20, rng_seed=rng_seed))
         runs.append((list(seeds), res.trace.f_values()))
+        assert starts[0] is None
+        for start, previous in zip(starts[1:], vectors):
+            np.testing.assert_array_equal(start, previous)
     assert len(runs[0][0]) == 21
     assert len(set(runs[0][0])) == 21
     assert runs[0][0] == runs[1][0]
@@ -416,6 +445,33 @@ def test_sdp_solve_monotone_on_matcomp():
     assert all(rec.lambda_min is not None for rec in res.trace.records)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_matcomp(n=30, rank=2, seed=0, block=5, density=0.15),
+        lambda: build_phase_retrieval(n=16, m=12, seed=0, noise_snr=20.0),
+    ],
+    ids=["matcomp", "phase"],
+)
+def test_lmo_eigenvalue_matches_dense_at_every_visit(build):
+    # every visit's warm-started Lanczos value against eigvalsh of the dense
+    # adjoint image of the momentum vector, to the certificate tolerance of
+    # 1e-6 relative to the operator's largest eigenvalue
+    bundle = build()
+    op, gamma = bundle.op, bundle.gamma
+    errs = []
+
+    def cb(info):
+        w = np.linalg.eigvalsh(op.adjoint_dense(info["g_avg"]) + gamma * np.eye(op.n))
+        scale = max(1.0, float(np.abs(w).max()))
+        errs.append(abs(info["record"].lambda_min - w[0]) / scale)
+
+    cfg = SolverConfig(max_iters=40, greedy_period=10)
+    res = sdp_solve(bundle.fv, op, gamma=gamma, config=cfg, callback=cb)
+    assert len(errs) == len(res.trace) == 41
+    assert max(errs) <= 1e-6, max(errs)
+
+
 def test_sdp_solve_dense_mirror_consistency():
     # replay the iteration in dense matrix space and require the vectorized
     # state to match the measurement of the dense iterate
@@ -579,14 +635,23 @@ def _greedy_on_matcomp(fv, op):
     return sdp_solve(fv, op, gamma=0.5, config=cfg)
 
 
+def _phase_case():
+    return build_phase_retrieval(n=16, m=12, noise_snr=20.0, seed=0)
+
+
+def _greedy_on_phase(fv, op):
+    cfg = SolverConfig(max_iters=40, greedy_period=10)
+    return sdp_solve(fv, op, gamma=_phase_case().gamma, config=cfg)
+
+
 def _solve_on_orthant(program, _):
     return solve(program, SolverConfig(max_iters=40))
 
 
 @pytest.mark.parametrize(
     "run",
-    [_fw_on_matcomp, _greedy_on_matcomp, _solve_on_orthant],
-    ids=["fw_solve", "sdp_solve", "solve"],
+    [_fw_on_matcomp, _greedy_on_matcomp, _greedy_on_phase, _solve_on_orthant],
+    ids=["fw_solve", "sdp_solve", "phase", "solve"],
 )
 def test_golden_section_fallback_agrees_with_restriction(run):
     # without a restriction oracle every ray, line, segment and greedy scale
@@ -596,6 +661,9 @@ def test_golden_section_fallback_agrees_with_restriction(run):
     # run near f = 19.09 instead of 17.81.
     if run is _solve_on_orthant:
         program, op = build_orthant_quadratic(dim=20, seed=0).program, None
+    elif run is _greedy_on_phase:
+        ph = _phase_case()
+        program, op = ph.fv, ph.op
     else:
         mc = build_matcomp(n=30, rank=2, seed=0, block=5, density=0.15)
         program, op = mc.fv, mc.op
