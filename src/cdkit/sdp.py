@@ -173,9 +173,15 @@ def min_eig_lanczos(matvec, n, config=None, start=None):
     part keeps a component along every eigenvector, so a warm start
     orthogonal to the bottom eigenvector still finds it. One retry from a
     reseeded cold random start is attempted before giving up, so a warm
-    start that fails falls back to the cold path. The bottom Ritz pair
-    of each step comes from the LAPACK bisection and inverse-iteration
-    routines (stebz, stein) called directly, which gives bit for bit what
+    start that fails falls back to the cold path.
+
+    The bottom Ritz pair and the residual-estimate stop test run on every
+    4th step, on breakdown and on the last allowed step, not on every step.
+    The bottom Ritz value does not increase with the step, so a stop up to 3
+    steps late only brings the value closer to the smallest eigenvalue; the
+    explicit residual check after the loop is unchanged. The Ritz pair comes
+    from the LAPACK bisection and inverse-iteration routines (stebz, stein)
+    called directly, which gives bit for bit what
     scipy.linalg.eigh_tridiagonal(select="i") returns without its per-call
     argument checks; a LAPACK failure raises EigFailure and so takes the
     retry.
@@ -191,6 +197,9 @@ _STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),
 
 # weight of the unit random vector mixed into a warm Lanczos start
 _WARM_START_MIX = 0.1
+
+# Lanczos steps between tridiagonal Ritz solves and residual stop tests
+_RITZ_CHECK_EVERY = 4
 
 
 def _tridiagonal_min_eig(d, e):
@@ -247,12 +256,15 @@ def _lanczos_once(matvec, n, cfg, seed, start=None):
         beta = math.sqrt(w @ w)  # what np.linalg.norm(w) computes
         if not math.isfinite(beta):
             raise EigFailure("Lanczos residual overflowed")
-        lam, ritz_vec = _tridiagonal_min_eig(alphas[: j + 1], betas[:j])
         scale = max(1.0, alpha_max + 2.0 * beta_max)
-        resid_est = beta * abs(float(ritz_vec[-1]))
-        j_stop = j
-        if resid_est <= cfg.residual_tol * scale or beta <= 1e-14 * scale:
-            break
+        breakdown = beta <= 1e-14 * scale
+        # Ritz pair and stop test only every few steps, on breakdown and on
+        # the last step; a later stop only lowers the Ritz value
+        if breakdown or (j + 1) % _RITZ_CHECK_EVERY == 0 or j == m - 1:
+            lam, ritz_vec = _tridiagonal_min_eig(alphas[: j + 1], betas[:j])
+            j_stop = j
+            if breakdown or beta * abs(float(ritz_vec[-1])) <= cfg.residual_tol * scale:
+                break
         betas[j] = beta
         beta_max = max(beta_max, beta)
         v = w / beta
@@ -457,6 +469,7 @@ class _MeasurementIterate:
         # misses the bottom eigenvector on one visit does not miss it on all
         self.lanczos_rng = np.random.default_rng(config.rng_seed).spawn(1)[0]
         self.lanczos_start = None
+        self.lmo_matvecs = 0
         sketch = None
         if sketch_size is not None:
             sketch = SketchState.create(op.n, sketch_size, seed=config.rng_seed + 1)
@@ -471,9 +484,14 @@ class _MeasurementIterate:
         return fval, p
 
     def lmo(self, p):
-        # smallest eigenpair of the adjoint image of p plus gamma I
+        # smallest eigenpair of the adjoint image of p plus gamma I; every
+        # matvec counts, the verification and a retry's included
+        def matvec(u):
+            self.lmo_matvecs += 1
+            return self.op.adjoint_matvec(p, u) + self.gamma * u
+
         lam, q = min_eig_lanczos(
-            lambda u: self.op.adjoint_matvec(p, u) + self.gamma * u,
+            matvec,
             self.op.n,
             LanczosConfig(seed=int(self.lanczos_rng.integers(2**32))),
             start=self.lanczos_start,
@@ -495,6 +513,7 @@ class _MeasurementIterate:
     def result(self, status, trace, cert, stats):
         stats["greedy_events"] = self.greedy_events
         stats["n_greedy_commits"] = sum(1 for e in self.greedy_events if e["committed"])
+        stats["lmo_matvecs"] = self.lmo_matvecs
         return SdpResult(
             final_y=self.state.y,
             final_tr=self.state.tr,
@@ -572,7 +591,9 @@ def sdp_solve(
 
     The returned state is the ray-rescaled iterate of the final visit. When
     sketch_size is set, a rank sketch of X is maintained through every move
-    and returned for factorized readout.
+    and returned for factorized readout. stats["lmo_matvecs"] counts the
+    operator matvecs of every Lanczos run, verification and retries
+    included.
 
     callback(info) runs once per visit, after the step, with "record" (the
     TraceRecord), "q", "greedy", "y", "tr", "sketch" and "g_avg" in info.
@@ -640,7 +661,7 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=Non
     gap reaches tol_eps directly (the gap already has objective units). A
     tau below the trace of the true minimizer makes the optimum of this
     problem differ from the unconstrained-cone one; that is the point of the
-    comparison, not a defect.
+    comparison, not a defect. stats["lmo_matvecs"] is as in sdp_solve.
 
     callback(info) gets sdp_solve's keys but "g_avg"; q is None when the
     atom is X = 0.

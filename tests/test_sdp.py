@@ -126,8 +126,9 @@ def test_tridiagonal_step_matches_eigh_tridiagonal_bitwise(d, e):
 
 
 def _reference_min_eig_lanczos(matvec, n, cfg):
-    # the Lanczos loop as it was with scipy's eigh_tridiagonal wrapper, kept
-    # to show the direct LAPACK step changes no bit of the answer
+    # the Lanczos loop on scipy's eigh_tridiagonal wrapper, with the same
+    # check schedule, kept to show the direct LAPACK step changes no bit of
+    # the answer
     try:
         return _reference_lanczos_once(matvec, n, cfg, cfg.seed)
     except EigFailure:
@@ -161,20 +162,24 @@ def _reference_lanczos_once(matvec, n, cfg, seed):
         for _ in range(2):
             w -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
         beta = float(np.linalg.norm(w))
-        ritz, svec = scipy.linalg.eigh_tridiagonal(
-            alphas[: j + 1], betas[:j], select="i", select_range=(0, 0)
-        )
-        lam = float(ritz[0])
-        ritz_vec = svec[:, 0]
         scale = max(
             1.0,
             float(np.abs(alphas[: j + 1]).max())
             + (2.0 * float(np.abs(betas[:j]).max()) if j > 0 else 0.0),
         )
-        resid_est = beta * abs(float(ritz_vec[-1]))
-        j_stop = j
-        if resid_est <= cfg.residual_tol * scale or beta <= 1e-14 * scale:
-            break
+        # Ritz pair and stop test on every 4th step, on breakdown and on the
+        # last step only
+        breakdown = beta <= 1e-14 * scale
+        if breakdown or (j + 1) % 4 == 0 or j == m - 1:
+            ritz, svec = scipy.linalg.eigh_tridiagonal(
+                alphas[: j + 1], betas[:j], select="i", select_range=(0, 0)
+            )
+            lam = float(ritz[0])
+            ritz_vec = svec[:, 0]
+            resid_est = beta * abs(float(ritz_vec[-1]))
+            j_stop = j
+            if resid_est <= cfg.residual_tol * scale or breakdown:
+                break
         betas[j] = beta
         v = w / beta
     q = basis[:, : j_stop + 1] @ ritz_vec
@@ -207,6 +212,72 @@ def test_lanczos_matches_reference_loop_bitwise(n):
             ref = _outcome(_reference_min_eig_lanczos, lambda v: a @ v, n, cfg)
             assert got[0] == ref[0]
             np.testing.assert_array_equal(got[1], ref[1])
+
+
+def _schedule_cases():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 5, 40):
+        yield f"diag-{n}", np.diag(np.arange(1.0, n + 1))
+        for k in range(2):
+            b = rng.standard_normal((n, n))
+            yield f"random-{n}-{k}", (b + b.T) / 2.0
+    # rank 5 of 40: a random start spans a Krylov space of dimension 6, so the
+    # run breaks down on step 6, which is not a check step
+    u, _ = np.linalg.qr(rng.standard_normal((40, 5)))
+    yield "low-rank-40", u @ np.diag([-3.0, -1.0, 2.0, 4.0, 7.0]) @ u.T
+
+
+_SCHEDULE_CASES = list(_schedule_cases())
+
+
+@pytest.mark.parametrize("max_iters", [30, 31, 200])
+@pytest.mark.parametrize("name, a", _SCHEDULE_CASES, ids=[c[0] for c in _SCHEDULE_CASES])
+def test_ritz_check_schedule(monkeypatch, name, a, max_iters):
+    # the tridiagonal Ritz solve runs only on every 4th step, on breakdown or
+    # on the last step; against the stop test on every step, the run takes at
+    # most 3 more matvecs and its Ritz value is no higher
+    n = a.shape[0]
+    m = min(n, max_iters)
+    cfg = LanczosConfig(max_iters=max_iters, seed=2)
+    solve_ritz = sdp._tridiagonal_min_eig
+    sizes = []
+
+    def recording(d, e):
+        sizes.append(d.size)
+        return solve_ritz(d, e)
+
+    monkeypatch.setattr(sdp, "_tridiagonal_min_eig", recording)
+    outcomes = []
+    for every in (1, 4):
+        monkeypatch.setattr(sdp, "_RITZ_CHECK_EVERY", every)
+        sizes.clear()
+        matvecs = [0]
+
+        def matvec(v):
+            matvecs[0] += 1
+            return a @ v
+
+        outcomes.append((_outcome(min_eig_lanczos, matvec, n, cfg), matvecs[0]))
+    (every_pair, every_matvecs), (pair, n_matvecs) = outcomes
+    # steps are 1-based here: a solve off the schedule is a breakdown, which
+    # ends its run (the next size, if any, belongs to the retry)
+    for i, size in enumerate(sizes):
+        assert size % 4 == 0 or size == m or i + 1 == len(sizes) or sizes[i + 1] < size
+    if name == "low-rank-40":
+        assert sizes == [4, 6]
+    assert 0 <= n_matvecs - every_matvecs <= 3
+    if every_pair[1] is None:
+        # both runs reached the step cap, where they coincide, and failed alike
+        assert pair == every_pair
+        assert n_matvecs == every_matvecs
+        return
+    lam, q = pair
+    w = np.linalg.eigvalsh(a)
+    scale = max(1.0, float(np.abs(w).max()))
+    # the scale the solver tests against is at most max|alpha| + 2 max|beta|,
+    # which is at most 3 ||A||
+    assert np.linalg.norm(a @ q - lam * q) <= 10.0 * cfg.residual_tol * 3.0 * scale
+    assert w[0] - 1e-12 * scale <= lam <= every_pair[0] + 1e-12 * scale
 
 
 def test_lapack_failure_takes_the_retry(monkeypatch):
@@ -272,6 +343,52 @@ def test_each_visit_starts_lanczos_afresh(monkeypatch):
     assert runs[0][0] == runs[1][0]
     np.testing.assert_array_equal(runs[0][1], runs[1][1])
     assert not set(runs[0][0]) & set(runs[2][0])
+
+
+@pytest.mark.parametrize("solver", ["sdp_solve", "fw_solve"])
+def test_lmo_matvecs_counts_every_lanczos_matvec(monkeypatch, solver):
+    # stats["lmo_matvecs"] against a counter on adjoint_matvec that is live
+    # only inside min_eig_lanczos (the greedy refit calls adjoint_matvec too);
+    # one LAPACK failure on the fifth tridiagonal solve forces a retry, whose
+    # matvecs count as well
+    mc = build_matcomp(n=20, rank=2, seed=0, block=4, density=0.2)
+    inside = [False]
+    counted = [0]
+
+    def adjoint_matvec(p, u):
+        counted[0] += inside[0]
+        return mc.op.adjoint_matvec(p, u)
+
+    def lanczos(matvec, n, config, start=None):
+        inside[0] = True
+        try:
+            return min_eig_lanczos(matvec, n, config, start=start)
+        finally:
+            inside[0] = False
+
+    stebz = sdp._STEBZ
+    calls = [0]
+
+    def fail_fifth(*args):
+        m, w, iblock, isplit, info = stebz(*args)
+        calls[0] += 1
+        return m, w, iblock, isplit, 1 if calls[0] == 5 else info
+
+    monkeypatch.setattr(sdp, "min_eig_lanczos", lanczos)
+    monkeypatch.setattr(sdp, "_STEBZ", fail_fifth)
+    op = dataclasses.replace(mc.op, adjoint_matvec=adjoint_matvec)
+    counts = []
+    for _ in range(2):
+        calls[0] = counted[0] = 0
+        if solver == "sdp_solve":
+            config = SolverConfig(max_iters=20, greedy_period=5, rng_seed=3)
+            res = sdp_solve(mc.fv, op, config=config)
+        else:
+            res = fw_solve(mc.fv, op, tau=5.0, config=SolverConfig(max_iters=20, rng_seed=3))
+        assert res.stats["lmo_matvecs"] == counted[0] > 0
+        counts.append(res.stats["lmo_matvecs"])
+    assert calls[0] > 5
+    assert counts[0] == counts[1]
 
 
 def test_lanczos_gives_up_after_two_lapack_failures(monkeypatch):
@@ -659,6 +776,16 @@ def test_golden_section_fallback_agrees_with_restriction(run):
     # (trace-penalized) objective as the closed form: final f agrees to a
     # relative 1e-5. Dropping the gamma trace term in fw's fallback ends its
     # run near f = 19.09 instead of 17.81.
+    # The fw case sits closest to the bound. A golden section compares
+    # values, so it cannot place theta closer than sqrt(2 eps f / a) to the
+    # exact step (a the curvature along the segment): 1e-9 to 1e-8 here, and
+    # that is the size of its misses. Frank-Wolfe's zig-zag between atoms
+    # amplifies them about 1.25x per visit: a relative f gap of 1.9e-9 at
+    # visit 4, 2.6e-7 at visit 32 and 8.6e-6 at visit 40 with a Ritz check
+    # on every Lanczos step, 1.1e-6 at visit 40 with the check every 4th
+    # step (9.0e-6, 4.0e-6 and 2.2e-6 with every 3rd, 5th and 6th). A
+    # bisection on the sign of the segment derivative would resolve theta to
+    # roundoff and take the gap to about 1e-13 under each of those strides.
     if run is _solve_on_orthant:
         program, op = build_orthant_quadratic(dim=20, seed=0).program, None
     elif run is _greedy_on_phase:
