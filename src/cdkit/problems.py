@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct, idct
+from scipy.sparse import _sparsetools
 
 from .cones import NonnegativeOrthant
 from .core import ConicProgram
@@ -232,17 +233,40 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None,
             return q.take(row_idx) * q.take(col_idx)
         return (q.take(row_idx, axis=0) * q.take(col_idx, axis=0)).sum(axis=1)
 
+    # The mask comes in CSR order (row_idx non-decreasing, col_idx rising
+    # within a row), so (p / 2, col_idx, indptr) is the upper triangle U of
+    # G^*(p) in CSR form and, read as CSC, its transpose. G^*(p) u is
+    # U u + U^T u, each half computed by scipy's compiled kernel into its own
+    # zeroed output. Each kernel adds the products (p_k / 2) u_j of an output
+    # entry in mask order, as two weighted bincounts over the mask do (the
+    # tests' reference), so the sum is the same to the bit; one shared
+    # output would not be. A call allocates p / 2 and two outputs, never an
+    # n x n matrix. The private module skips building a csr_array, which
+    # costs more per call than the whole product at n = 100.
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row_idx, minlength=n), out=indptr[1:])
+
     def adjoint_matvec(p, u):
-        u = np.asarray(u, dtype=float)
-        p = np.asarray(p, dtype=float)
+        u = np.ascontiguousarray(u, dtype=float)
+        hp = 0.5 * np.asarray(p, dtype=float)
+        # the kernels read through raw pointers, so check sizes first
+        if hp.shape != (d,) or u.ndim not in (1, 2) or u.shape[0] != n:
+            raise ValueError(
+                f"adjoint_matvec needs p of shape ({d},) and u with {n} rows, "
+                f"got {hp.shape} and {u.shape}"
+            )
+        upper = np.zeros(u.shape)
+        lower = np.zeros(u.shape)
         if u.ndim == 1:
-            hp = 0.5 * p
-            w = np.bincount(row_idx, weights=hp * u.take(col_idx), minlength=n)
-            w += np.bincount(col_idx, weights=hp * u.take(row_idx), minlength=n)
-            return w
-        return np.stack(
-            [adjoint_matvec(p, u[:, c]) for c in range(u.shape[1])], axis=1
-        )
+            args = (n, n, indptr, col_idx, hp, u)
+            _sparsetools.csr_matvec(*args, upper)
+            _sparsetools.csc_matvec(*args, lower)
+        else:
+            args = (n, n, u.shape[1], indptr, col_idx, hp, u.ravel())
+            _sparsetools.csr_matvecs(*args, upper.ravel())
+            _sparsetools.csc_matvecs(*args, lower.ravel())
+        upper += lower
+        return upper
 
     def apply_dense(x_mat):
         return 0.5 * (x_mat[row_idx, col_idx] + x_mat[col_idx, row_idx])

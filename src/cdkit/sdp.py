@@ -14,6 +14,7 @@ vector, solved matrix-free by Lanczos iteration.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -184,13 +185,29 @@ def min_eig_lanczos(matvec, n, config=None, start=None):
     called directly, which gives bit for bit what
     scipy.linalg.eigh_tridiagonal(select="i") returns without its per-call
     argument checks; a LAPACK failure raises EigFailure and so takes the
-    retry.
+    retry. A config whose max_iters is not an int >= 1, or whose
+    residual_tol is not finite and positive, raises ValueError.
     """
     cfg = config if config is not None else LanczosConfig()
+    _check_lanczos_config(cfg)
     try:
         return _lanczos_once(matvec, n, cfg, cfg.seed, start)
     except EigFailure:
         return _lanczos_once(matvec, n, cfg, cfg.seed + 1)
+
+
+def _check_lanczos_config(cfg):
+    # max_iters = 0 would leave no Lanczos step, and a NaN tolerance would
+    # pass the explicit residual check after the loop
+    iters, tol = cfg.max_iters, cfg.residual_tol
+    if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
+        raise ValueError(f"LanczosConfig.max_iters must be an int >= 1, got {iters!r}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (
+        math.isfinite(tol) and tol > 0.0
+    ):
+        raise ValueError(
+            f"LanczosConfig.residual_tol must be finite and positive, got {tol!r}"
+        )
 
 
 _STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))

@@ -1,6 +1,9 @@
 """Problem builders: planted optima, measurement masks, transform
 identities, noise injection, and instance file formats."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from scipy.fft import dct, idct
 
 from cdkit import DegenerateSignal
 from cdkit.problems import (
+    _matcomp_mask,
     add_noise_snr,
     build_matcomp,
     build_orthant_quadratic,
@@ -197,6 +201,97 @@ def test_kernels_match_reference_loops_bitwise(build, gram_loop, adjoint_loop, c
         u = rng.standard_normal(op.n if cols is None else (op.n, cols))
         np.testing.assert_array_equal(op.gram(u), gram_loop(bundle, u))
         np.testing.assert_array_equal(op.adjoint_matvec(p, u), adjoint_loop(bundle, p, u))
+
+
+@pytest.mark.parametrize(
+    "n, block, density",
+    [(1, 1, 0.5), (12, 1, 0.0), (12, 3, 0.3), (30, 5, 0.2), (200, 10, 0.1)],
+)
+def test_matcomp_mask_is_in_csr_order(n, block, density):
+    # adjoint_matvec reads (p / 2, col_idx, row pointers) as a CSR matrix,
+    # which is only the upper triangle if rows come in order and columns
+    # rise strictly within a row
+    for seed in range(3):
+        i, j = _matcomp_mask(n, block, density, np.random.default_rng(seed))
+        assert i.dtype == j.dtype == np.int32
+        assert np.all(np.diff(i) >= 0)
+        same_row = i[1:] == i[:-1]
+        assert np.all(np.diff(j)[same_row] > 0)
+        assert np.all(i <= j) and np.all(j < n)
+
+
+def _matcomp_edge_inputs():
+    rng = np.random.default_rng(5)
+    mc = build_matcomp(n=30, rank=2, seed=4, block=5, density=0.2)
+    p = rng.standard_normal(mc.op.d)
+    big = rng.standard_normal((30, 6))
+    long = rng.standard_normal(60)
+    yield "fortran", mc, p, np.asfortranarray(big[:, :3])
+    yield "strided-cols", mc, p, big[:, ::2]
+    yield "strided-vector", mc, p, long[::2]
+    yield "column-view", mc, p, big[:, 1]
+    yield "p-list", mc, p.tolist(), big[:, 0]
+    yield "p-float32", mc, p.astype(np.float32), big[:, :2]
+    # rows 1..11 observe nothing: their row pointers repeat
+    empty = build_matcomp(n=12, rank=2, seed=0, block=1, density=0.0)
+    assert empty.op.d == 1
+    yield "empty-rows", empty, np.array([2.5]), rng.standard_normal(12)
+    yield "empty-rows-block", empty, np.array([-1.5]), rng.standard_normal((12, 3))
+    one = build_matcomp(n=1, rank=1, seed=0, block=1, density=0.5)
+    yield "n1", one, np.array([3.0]), np.array([2.0])
+    yield "n1-block", one, np.array([3.0]), np.array([[2.0, -1.0]])
+
+
+@pytest.mark.parametrize(
+    "case, mc, p, u",
+    list(_matcomp_edge_inputs()),
+    ids=[case[0] for case in _matcomp_edge_inputs()],
+)
+def test_matcomp_adjoint_edge_layouts_bitwise(case, mc, p, u):
+    got = mc.op.adjoint_matvec(p, u)
+    p64 = np.asarray(p, dtype=float)
+    want = _matcomp_adjoint_loop(mc, p64, np.array(u))
+    assert got.shape == np.shape(u)
+    np.testing.assert_array_equal(got, want)
+    dense = mc.op.adjoint_dense(p64) @ u
+    np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
+
+
+def test_matcomp_adjoint_rejects_mismatched_sizes():
+    # the compiled kernels index through raw pointers, so a short p or u
+    # must fail before they run
+    mc = build_matcomp(n=12, rank=2, seed=0, block=3, density=0.3)
+    p = np.ones(mc.op.d)
+    for bad_p, bad_u in [
+        (p[:-1], np.ones(12)),
+        (np.ones((mc.op.d, 1)), np.ones(12)),
+        (p, np.ones(11)),
+        (p, np.ones((11, 2))),
+        (p, np.ones((12, 2, 1))),
+    ]:
+        with pytest.raises(ValueError, match="adjoint_matvec needs"):
+            mc.op.adjoint_matvec(bad_p, bad_u)
+
+
+@pytest.mark.parametrize("cols", [None, 3])
+def test_matcomp_adjoint_transient_memory_is_one_measurement_vector(cols):
+    # one call may allocate p / 2 and its n-sized outputs; the bincount
+    # form held about three d-length temporaries at once
+    n = 2000
+    mc = build_matcomp(n=n, rank=3, seed=0, block=10, density=0.1)
+    rng = np.random.default_rng(0)
+    p = rng.standard_normal(mc.op.d)
+    u = rng.standard_normal(n if cols is None else (n, cols))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mc.op.adjoint_matvec(p, u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    budget = 1.5 * 8 * mc.op.d
+    assert peak <= budget, (peak, budget, peak / (8 * mc.op.d))
 
 
 _SMALL_OPERATORS = {

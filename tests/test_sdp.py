@@ -79,6 +79,42 @@ def test_lanczos_overflowing_residual_raises_eig_failure():
             min_eig_lanczos(lambda v: d * v, 8)
 
 
+_BAD_TOL = "residual_tol must be finite and positive, got "
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"max_iters": 0}, r"max_iters must be an int >= 1, got 0"),
+        ({"max_iters": -3}, r"max_iters must be an int >= 1, got -3"),
+        ({"max_iters": 5.0}, r"max_iters must be an int >= 1, got 5\.0"),
+        ({"max_iters": True}, r"max_iters must be an int >= 1, got True"),
+        ({"residual_tol": float("nan")}, _BAD_TOL + "nan"),
+        ({"residual_tol": float("inf")}, _BAD_TOL + "inf"),
+        ({"residual_tol": 0.0}, _BAD_TOL + r"0\.0"),
+        ({"residual_tol": "1e-8"}, _BAD_TOL + "'1e-8'"),
+    ],
+)
+def test_lanczos_rejects_bad_config(bad, match):
+    # a NaN tolerance used to switch off the explicit residual check and
+    # max_iters = 0 failed inside numpy's matmul
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return v
+
+    with pytest.raises(ValueError, match=match):
+        min_eig_lanczos(matvec, 5, LanczosConfig(**bad))
+    assert not calls
+
+
+def test_lanczos_accepts_numpy_scalar_config():
+    cfg = LanczosConfig(max_iters=np.int64(10), residual_tol=np.float64(1e-8))
+    lam, _ = min_eig_lanczos(lambda v: np.arange(1.0, 6.0) * v, 5, cfg)
+    assert lam == pytest.approx(1.0, abs=1e-9)
+
+
 def test_lanczos_diag_with_known_minimum():
     d = np.arange(40, dtype=float) - 5.0
     lam, q = min_eig_lanczos(lambda v: d * v, 40, LanczosConfig(seed=1))
