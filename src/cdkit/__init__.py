@@ -15,9 +15,6 @@ from .cones import (
     NonnegativeOrthant,
     PsdCone,
     SecondOrderCone,
-    lmo_orthant,
-    lmo_psd_dense,
-    lmo_soc,
 )
 from .core import (
     ConicProgram,
@@ -26,19 +23,15 @@ from .core import (
     SolverConfig,
     TraceRecord,
     delta_schedule,
-    dual_certificate,
     line_search_step,
-    minimize_convex_1d,
     momentum_update,
     ray_minimize,
     solve,
-    theta_heuristic,
 )
 from .exceptions import (
     DegenerateSignal,
     EigFailure,
     LineSearchDivergence,
-    LmoFailure,
     NonFiniteValue,
     RankTooLarge,
     SolverError,
@@ -60,12 +53,10 @@ from .sdp import (
     LanczosConfig,
     MeasurementOperator,
     SdpResult,
-    SdpState,
     SketchState,
     factor_to_dense,
     fw_solve,
     greedy_step,
-    load_factor,
     min_eig_lanczos,
     save_factor,
     sdp_solve,
@@ -80,14 +71,12 @@ __all__ = [
     "EigFailure",
     "LanczosConfig",
     "LineSearchDivergence",
-    "LmoFailure",
     "MeasurementOperator",
     "NonFiniteValue",
     "NonnegativeOrthant",
     "PsdCone",
     "RankTooLarge",
     "SdpResult",
-    "SdpState",
     "SecondOrderCone",
     "SketchState",
     "SolveResult",
@@ -103,19 +92,13 @@ __all__ = [
     "build_trace_toy",
     "dct_measurement_apply",
     "delta_schedule",
-    "dual_certificate",
     "dump_instance",
     "factor_to_dense",
     "fw_solve",
     "greedy_step",
     "line_search_step",
-    "lmo_orthant",
-    "lmo_psd_dense",
-    "lmo_soc",
-    "load_factor",
     "load_instance",
     "min_eig_lanczos",
-    "minimize_convex_1d",
     "momentum_update",
     "ray_minimize",
     "read_pgm",
@@ -124,5 +107,4 @@ __all__ = [
     "sdp_solve",
     "sketch_reconstruct",
     "solve",
-    "theta_heuristic",
 ]

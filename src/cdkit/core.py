@@ -19,10 +19,7 @@ import numpy as np
 from .cones import Cone
 from .exceptions import LineSearchDivergence, NonFiniteValue, UnsupportedCone
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 BRACKET_LIMIT = 1e18
-SEARCH_REL_TOL = 1e-10
-SEARCH_MAX_EVALS = 200
 
 
 @dataclass
@@ -40,8 +37,10 @@ class ConicProgram:
         semidefinite path leave it as None.
     restriction_oracle : callable or None
         Optional exact 1D restriction: (base, direction) -> (a, b, c) with
-        f(base + t * direction) = a t^2 + b t + c. When present, ray and line
-        searches are solved in closed form instead of by bracketing.
+        f(base + t * direction) = a t^2 + b t + c. When present, ray, line,
+        segment and greedy factor searches are solved in closed form;
+        without it they bisect on the sign of the directional derivative,
+        which the gradient oracle gives.
 
     Calls through .value/.gradient/.restriction are counted on the instance
     (see eval_counts) so runs can be compared by oracle effort.
@@ -183,92 +182,76 @@ def dual_certificate(g, v):
     return -float(np.vdot(np.asarray(g, float), np.asarray(v, float)))
 
 
-def _quad_argmin_nonneg(a, b):
-    # Minimize a t^2 + b t over t >= 0 for a convex restriction. Returns None
+def _quad_argmin_nonneg(a, b, hi=math.inf):
+    # Minimize a t^2 + b t over [0, hi] for a convex restriction. Returns None
     # for a constant restriction so callers can apply their own convention.
     if a < 0.0:
         raise LineSearchDivergence("restriction is concave along the search line")
     if a > 0.0:
-        return max(0.0, -b / (2.0 * a))
+        return min(hi, max(0.0, -b / (2.0 * a)))
     if b > 0.0:
         return 0.0
     if b < 0.0:
-        raise LineSearchDivergence("objective is linear and unbounded along the line")
+        if hi == math.inf:
+            raise LineSearchDivergence("objective is linear and unbounded on the line")
+        return hi
     return None
 
 
-def minimize_convex_interval(phi, lo, hi, rel_tol=SEARCH_REL_TOL, max_evals=SEARCH_MAX_EVALS):
-    """Golden-section minimization of a convex 1D function on [lo, hi].
+def minimize_convex_1d(slope, hi=math.inf):
+    """argmin over [0, hi] of a convex 1D function, given its derivative.
 
-    Returns (t_best, phi(t_best)) over all evaluated points.
+    Returns 0 when slope(0) >= 0. Otherwise it brackets a sign change of the
+    slope by doubling from [0, 1], capped at hi (and returns hi when the
+    slope is still <= 0 there), then bisects the bracket until its midpoint
+    equals one of its ends. The result is the end with a negative slope, so
+    the function there is no higher than at 0, or a point where the slope is
+    exactly 0. A nonconvex function gets a local minimizer. Raises
+    LineSearchDivergence when the bracket grows past BRACKET_LIMIT with the
+    slope still negative, and NonFiniteValue on a non-finite slope.
     """
-    best = [lo, math.inf]
-    evals = [0]
 
-    def ph(t):
-        v = float(phi(t))
-        evals[0] += 1
-        if v < best[1]:
-            best[0], best[1] = t, v
-        return v
+    def check(t):
+        s = float(slope(t))
+        if not math.isfinite(s):
+            raise NonFiniteValue(f"non-finite slope at t = {t!r}")
+        return s
 
-    a, b = float(lo), float(hi)
-    ph(a)
-    ph(b)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = ph(c), ph(d)
-    while (b - a) > rel_tol * max(1.0, abs(a) + abs(b)) and evals[0] < max_evals:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = ph(c)
+    if check(0.0) >= 0.0:
+        return 0.0
+    lo, up = 0.0, min(1.0, hi)
+    s_up = check(up)
+    while s_up < 0.0:
+        if up >= hi:
+            return hi
+        if up > BRACKET_LIMIT:
+            raise LineSearchDivergence("bracket grew past the overflow threshold")
+        lo, up = up, min(2.0 * up, hi)
+        s_up = check(up)
+    while s_up > 0.0:
+        mid = 0.5 * (lo + up)
+        if mid == lo or mid == up:
+            return lo
+        s = check(mid)
+        if s < 0.0:
+            lo = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = ph(d)
-    return best[0], best[1]
+            up, s_up = mid, s
+    return up
 
 
-def minimize_convex_1d(phi, rel_tol=SEARCH_REL_TOL, max_evals=SEARCH_MAX_EVALS):
-    """Minimize a convex 1D function over t >= 0.
-
-    Brackets the minimizer by doubling from [0, 1] and refines the bracket by
-    golden section. Raises LineSearchDivergence when the bracket expands past
-    the overflow threshold without the values turning upward.
-    """
-    f0 = float(phi(0.0))
-    hi = 1.0
-    f_hi = float(phi(hi))
-    if f_hi < f0:
-        while True:
-            nxt = 2.0 * hi
-            if nxt > BRACKET_LIMIT:
-                raise LineSearchDivergence(
-                    "bracket expansion exceeded the overflow threshold"
-                )
-            f_nxt = float(phi(nxt))
-            if f_nxt >= f_hi:
-                lo, up = 0.5 * hi, nxt
-                break
-            hi, f_hi = nxt, f_nxt
-    else:
-        lo, up = 0.0, 1.0
-    t_best, f_best = minimize_convex_interval(phi, lo, up, rel_tol, max_evals)
-    if f0 <= f_best:
-        return 0.0, f0
-    return t_best, f_best
-
-
-def _search(problem, base, direction, linear, flat_value):
-    # argmin over t >= 0 of f(base + t * direction) + linear * t; flat_value
-    # is the convention for a constant restriction
+def _search(problem, base, direction, linear, flat_value, hi=math.inf):
+    # argmin over t in [0, hi] of f(base + t * direction) + linear * t;
+    # flat_value is the convention for a constant restriction
     if problem.restriction_oracle is not None:
         a, b, _ = problem.restriction(base, direction)
-        t = _quad_argmin_nonneg(a, b + linear)
+        t = _quad_argmin_nonneg(a, b + linear, hi)
         return flat_value if t is None else t
-    t, _ = minimize_convex_1d(lambda s: problem.value(base + s * direction) + linear * s)
-    return t
+
+    def slope(t):
+        return float(np.vdot(problem.gradient(base + t * direction), direction)) + linear
+
+    return minimize_convex_1d(slope, hi)
 
 
 def ray_minimize(problem, x, base=None, linear=0.0):
@@ -276,9 +259,10 @@ def ray_minimize(problem, x, base=None, linear=0.0):
 
     base defaults to 0, which makes this the exact minimization along the ray
     through x. Uses the exact quadratic restriction when the program provides
-    one and a bracketed golden-section search otherwise. At x = 0 with no
-    linear term every eta gives the same value and the no-op convention
-    eta = 1 applies; the same convention covers a constant restriction.
+    one and a bisection on the sign of the derivative otherwise. At x = 0
+    with no linear term every eta gives the same value and the no-op
+    convention eta = 1 applies; the same convention covers a constant
+    restriction.
     """
     x = np.asarray(x, dtype=float)
     if linear == 0.0 and float(np.linalg.norm(x.ravel())) == 0.0:

@@ -10,18 +10,17 @@ class NonFiniteValue(SolverError):
 
 
 class LineSearchDivergence(SolverError):
-    """A 1D search bracket expanded past the overflow threshold.
+    """A 1D search has no minimizer it can return.
 
-    Signals an objective that is unbounded below along the search ray,
-    which violates the strict-convexity assumption on rays.
+    Raised when the slope bisection's bracket grows past the overflow
+    threshold with the slope still negative, when an exact restriction is
+    concave, or when it is linear and decreasing on an unbounded search
+    line. Each signals an objective that breaks the convexity assumption or
+    is unbounded below along the search ray.
     """
 
 
-class LmoFailure(SolverError):
-    """The cone linear-minimization oracle failed."""
-
-
-class EigFailure(LmoFailure):
+class EigFailure(SolverError):
     """An eigensolver did not reach the requested residual tolerance."""
 
 

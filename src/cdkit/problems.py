@@ -518,15 +518,26 @@ def dump_instance(path, kind, arrays):
         fh.write(raw)
 
 
+def _read_exact(fh, size):
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated instance container: {len(data)} of {size} bytes")
+    return data
+
+
 def load_instance(path):
-    """Read back a container written by dump_instance: (kind, arrays)."""
+    """Read back a container written by dump_instance: (kind, arrays).
+
+    A bad magic, an unknown version or a file that ends early raises
+    ValueError.
+    """
     with open(path, "rb") as fh:
         if fh.read(4) != _CONTAINER_MAGIC:
             raise ValueError("not an instance container")
-        version, kind_len = struct.unpack("<HH", fh.read(4))
+        version, kind_len = struct.unpack("<HH", _read_exact(fh, 4))
         if version != _CONTAINER_VERSION:
             raise ValueError(f"unsupported container version {version}")
-        kind = fh.read(kind_len).decode("utf-8")
-        (nbytes,) = struct.unpack("<Q", fh.read(8))
-        data = np.load(io.BytesIO(fh.read(nbytes)))
+        kind = _read_exact(fh, kind_len).decode("utf-8")
+        (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8))
+        data = np.load(io.BytesIO(_read_exact(fh, nbytes)))
         return kind, {key: data[key] for key in data.files}

@@ -25,6 +25,7 @@ from .core import (
     SolveTrace,
     SolverConfig,
     _descend,
+    _search,
     delta_schedule,
     line_search_step,
     minimize_convex_1d,
@@ -107,9 +108,13 @@ def sketch_reconstruct(sketch, rank):
     nu * omega with nu at the noise floor of S, the square root of the small
     Gram matrix is Cholesky when it cooperates and an eigenvalue square root
     otherwise, and nu is subtracted back off the squared singular values.
+    A rank that is not an integer >= 1 raises ValueError, and one that the
+    sketch cannot resolve (size - 1 or more) raises RankTooLarge.
     """
     omega, s = sketch.omega, sketch.s
     n, size = s.shape
+    if isinstance(rank, bool) or not isinstance(rank, numbers.Integral) or rank < 1:
+        raise ValueError(f"reconstruction rank must be an int >= 1, got {rank!r}")
     if rank >= size - 1:
         raise RankTooLarge(
             f"rank {rank} needs a sketch larger than {size} columns"
@@ -299,17 +304,15 @@ def _lanczos_once(matvec, n, cfg, seed, start=None):
 # rank-constrained descent on the factored family t^2 X + u u^T
 
 
-# greedy refit: factor rank, inner iterations, evaluations per golden-section
-# factor search (programs without a restriction oracle), relative stall
-# tolerance, and the scale of the start perturbation
+# greedy refit: factor rank, inner iterations, relative stall tolerance, and
+# the scale of the start perturbation
 _GREEDY_RANK = 3
 _GREEDY_MAX_INNER = 60
-_GREEDY_SEARCH_EVALS = 40
 _GREEDY_REL_TOL = 1e-10
 _GREEDY_PERTURB = 1e-3
 
 
-def _factor_quartic(fv, op, gamma, y_cur, u, gram_u, d):
+def _factor_quartic(fv, gamma, y_cur, u, big_c, big_d, d):
     """Coefficients (c1, c2, c3, c4) of the greedy factor search polynomial.
 
     Along u - a d at a fixed scale, the image is y_cur - a C + a^2 D with
@@ -318,8 +321,6 @@ def _factor_quartic(fv, op, gamma, y_cur, u, gram_u, d):
     h(a) - h(0) = c1 a + c2 a^2 + c3 a^3 + c4 a^4, where h adds the trace
     penalty gamma |u - a d|^2 to f of the image.
     """
-    big_d = op.gram(d)
-    big_c = op.gram(u + d) - gram_u - big_d
     q_c, l_c, _ = fv.restriction(y_cur, -big_c)
     q_d, l_d, _ = fv.restriction(y_cur, big_d)
     q_cd, _, _ = fv.restriction(y_cur, big_d - big_c)
@@ -329,6 +330,22 @@ def _factor_quartic(fv, op, gamma, y_cur, u, gram_u, d):
         q_cd - q_c - q_d,
         q_d,
     )
+
+
+def _factor_slope(fv, gamma, y_cur, u, big_c, big_d, d):
+    """h'(a) of the greedy factor search, for a program without a restriction.
+
+    h and C, D are as in _factor_quartic: the gradient of f at the image
+    y_cur - a C + a^2 D paired with the image's derivative 2 a D - C, plus
+    the derivative of the trace penalty. No gram call is needed.
+    """
+    dd, ud = float(np.vdot(d, d)), float(np.vdot(u, d))
+
+    def slope(a):
+        p = fv.gradient(y_cur - a * big_c + a * a * big_d)
+        return float(np.vdot(p, 2.0 * a * big_d - big_c)) + 2.0 * gamma * (a * dd - ud)
+
+    return slope
 
 
 def _quartic_argmin(c1, c2, c3, c4):
@@ -358,11 +375,13 @@ def greedy_step(fv, op, gamma, state, rng):
     image, the trace accumulator, and measurement-space primitives. Inner
     iterations alternate an exact update of s (the objective restricted to s
     is a one-dimensional convex problem the restriction oracle solves in
-    closed form) with a line-searched gradient step on u. With a restriction
-    oracle the objective along the factor step is a quartic in the step
-    length, minimized exactly over its stationary points; without one a
-    golden-section search stands in, which assumes convexity along the step
-    that the quartic need not have. The start point
+    closed form) with a line-searched gradient step on u. Along the factor
+    step the image is y - a C + a^2 D for two images C and D that each inner
+    iteration builds with two gram calls. With a restriction oracle the
+    objective along the step is then a quartic in the step length, minimized
+    exactly over its stationary points. Without one, a bisection on the sign
+    of its derivative stands in; it stops at a local minimum, which need not
+    be the quartic's global one. The start point
     (s, u) = (1, 0) is stationary in u, hence the seeded random perturbation;
     the state is rewritten only when the best point found is strictly below
     the incumbent value, so the outer objective never increases here. A
@@ -404,21 +423,18 @@ def greedy_step(fv, op, gamma, state, rng):
             inner_done = inner + 1
             break
         direction = grad_u / gn
+        big_d = op.gram(direction)
+        big_c = op.gram(u + direction) - gram_u - big_d
+        factor = (fv, gamma, y_cur, u, big_c, big_d, direction)
         if fv.restriction_oracle is not None:
-            alpha, drop = _quartic_argmin(
-                *_factor_quartic(fv, op, gamma, y_cur, u, gram_u, direction)
-            )
+            alpha, drop = _quartic_argmin(*_factor_quartic(*factor))
             h_alpha = h_cur + drop
         else:
-
-            def along(alpha):
-                uv = u - alpha * direction
-                hv, _ = assemble(s, op.gram(uv), float(np.vdot(uv, uv)))
-                return hv
-
-            alpha, h_alpha = minimize_convex_1d(
-                along, max_evals=_GREEDY_SEARCH_EVALS
-            )
+            alpha = minimize_convex_1d(_factor_slope(*factor))
+            u_alpha = u - alpha * direction
+            y_alpha = y_cur - alpha * big_c + alpha * alpha * big_d
+            tr_alpha = float(np.vdot(u_alpha, u_alpha))
+            h_alpha = fv.value(y_alpha) + gamma * (s * tr0 + tr_alpha)
         if h_alpha < h_cur:
             u = u - alpha * direction
             gram_u = op.gram(u)
@@ -621,13 +637,6 @@ def sdp_solve(
     return it.result(*_descend(fv, config, it, callback, allow_greedy=True))
 
 
-def _quad_argmin_segment(a, b):
-    # minimize a t^2 + b t over [0, 1]; convexity means a >= 0 up to roundoff
-    if a <= 0.0:
-        return 0.0 if a + b >= 0.0 else 1.0
-    return min(1.0, max(0.0, -b / (2.0 * a)))
-
-
 class _FwIterate(_MeasurementIterate):
     """Frank-Wolfe on {X psd, tr X <= tau}: no ray rescale, no momentum."""
 
@@ -650,17 +659,9 @@ class _FwIterate(_MeasurementIterate):
 
     def step(self, k, theta):
         # step length in [0, 1] from the iterate toward the atom
-        s, gamma, tr_atom = self.state, self.gamma, self.tr_atom
+        s, tr_atom = self.state, self.tr_atom
         direction = self.y_atom - s.y
-        if self.fv.restriction_oracle is not None:
-            a, b, _ = self.fv.restriction(s.y, direction)
-            theta = _quad_argmin_segment(a, b + gamma * (tr_atom - s.tr))
-        else:
-            theta, _ = minimize_convex_1d(
-                lambda t: self.fv.value(s.y + min(t, 1.0) * direction)
-                + gamma * ((1.0 - min(t, 1.0)) * s.tr + min(t, 1.0) * tr_atom)
-            )
-            theta = min(theta, 1.0)
+        theta = _search(self.fv, s.y, direction, self.gamma * (tr_atom - s.tr), 0.0, 1.0)
         s.y = s.y + theta * direction
         s.tr = (1.0 - theta) * s.tr + theta * tr_atom
         if s.sketch is not None:

@@ -24,7 +24,6 @@ from cdkit.core import (
     dual_certificate,
     line_search_step,
     minimize_convex_1d,
-    minimize_convex_interval,
     momentum_update,
     ray_minimize,
 )
@@ -95,33 +94,62 @@ def test_quad_argmin_nonneg_cases():
         _quad_argmin_nonneg(0.0, -1.0)
     with pytest.raises(LineSearchDivergence):
         _quad_argmin_nonneg(-1.0, 2.0)
+    # a linear restriction that decreases stops at a finite upper end
+    assert _quad_argmin_nonneg(0.0, -1.0, hi=3.0) == 3.0
 
 
 # ---------------------------------------------------------------------------
-# derivative-free 1-d searches
-
-
-def test_minimize_convex_interval_quadratic():
-    t, ft = minimize_convex_interval(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0)
-    assert abs(t - 0.3) < 1e-7
-    assert ft == pytest.approx(1.0, abs=1e-12)
+# slope bisection for programs without a restriction oracle
 
 
 def test_minimize_convex_1d_brackets_far_minimum():
-    t, ft = minimize_convex_1d(lambda t: (t - 37.0) ** 2)
-    assert abs(t - 37.0) < 1e-5
-    assert ft < 1e-9
+    # (t - 37)^2: doubling brackets [32, 64], bisection lands on 37 itself,
+    # where the slope is exactly 0
+    assert minimize_convex_1d(lambda t: 2.0 * (t - 37.0)) == 37.0
+    # minimizers off the dyadic grid are placed to one ulp, on the side
+    # where the slope is still negative
+    for t_star in (37.3, 1e-7, 3.0e5, math.pi):
+        t = minimize_convex_1d(lambda t: 2.0 * (t - t_star))
+        assert t <= t_star
+        assert t_star - t <= math.ulp(t_star)
 
 
 def test_minimize_convex_1d_minimum_at_zero():
-    t, ft = minimize_convex_1d(lambda t: t * t + 5.0)
-    assert t == 0.0
-    assert ft == 5.0
+    calls = []
+
+    def slope(t):
+        calls.append(t)
+        return 2.0 * t
+
+    assert minimize_convex_1d(slope) == 0.0
+    assert calls == [0.0]
+    assert minimize_convex_1d(lambda t: 2.0 * t + 1.0) == 0.0
+
+
+def test_minimize_convex_1d_clamps_at_hi():
+    # slope still negative at hi: the end of the interval is the minimizer
+    assert minimize_convex_1d(lambda t: 2.0 * (t - 37.0), hi=1.0) == 1.0
+    assert minimize_convex_1d(lambda t: 2.0 * (t - 37.0), hi=5.0) == 5.0
+    assert minimize_convex_1d(lambda t: -1.0, hi=1.0) == 1.0
+    # an interior minimizer is found as without the bound
+    assert minimize_convex_1d(lambda t: 2.0 * (t - 0.25), hi=1.0) == 0.25
+    assert minimize_convex_1d(lambda t: 2.0 * (t - 3.0), hi=5.0) == 3.0
 
 
 def test_minimize_convex_1d_divergence():
     with pytest.raises(LineSearchDivergence):
-        minimize_convex_1d(lambda t: -t)
+        minimize_convex_1d(lambda t: -1.0)
+    with pytest.raises(LineSearchDivergence):
+        minimize_convex_1d(lambda t: -1.0 / (1.0 + t))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_minimize_convex_1d_rejects_non_finite_slope(bad):
+    with pytest.raises(NonFiniteValue):
+        minimize_convex_1d(lambda t: bad)
+    # a slope that turns non-finite while bracketing
+    with pytest.raises(NonFiniteValue):
+        minimize_convex_1d(lambda t: -1.0 if t < 4.0 else bad)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +197,16 @@ def test_searches_without_restriction_fall_back_to_golden():
     def grad(x):
         return 2.0 * (x - 2.0)
 
+    # without a restriction oracle the searches bisect on the sign of the
+    # directional derivative, which the gradient oracle gives
     prob = ConicProgram(2, value, grad)
     x = np.array([1.0, 1.0])
     # min over eta of 2*(eta-2)^2 is eta=2
-    assert abs(ray_minimize(prob, x) - 2.0) < 1e-6
+    assert ray_minimize(prob, x) == 2.0
+    # along (1, 0) from (0, 3): (t - 2)^2 + 1, with a linear term 0.5 t
+    assert line_search_step(prob, np.array([0.0, 3.0]), np.array([1.0, 0.0])) == 2.0
+    assert line_search_step(prob, np.array([0.0, 3.0]), np.array([1.0, 0.0]), 0.5) == 1.75
+    assert prob.eval_counts()["value"] == 0
 
 
 # ---------------------------------------------------------------------------

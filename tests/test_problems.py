@@ -504,3 +504,14 @@ def test_instance_container_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_instance(path)
+
+
+# cut inside the version header, inside the kind "matcomp", and inside the
+# array payload
+@pytest.mark.parametrize("keep", [6, 14, -10])
+def test_instance_container_rejects_truncated_file(tmp_path, keep):
+    path = tmp_path / "inst.cdk"
+    dump_instance(path, "matcomp", {"b": np.arange(4.0)})
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="truncated"):
+        load_instance(path)

@@ -13,13 +13,12 @@ from cdkit import sdp
 from cdkit import (
     EigFailure,
     LanczosConfig,
+    LineSearchDivergence,
     RankTooLarge,
-    SdpState,
     SketchState,
     SolverConfig,
     factor_to_dense,
     fw_solve,
-    load_factor,
     min_eig_lanczos,
     save_factor,
     sdp_solve,
@@ -27,13 +26,15 @@ from cdkit import (
     solve,
 )
 from cdkit.sdp import (
+    SdpState,
     _factor_quartic,
-    _quad_argmin_segment,
+    _factor_slope,
     _quartic_argmin,
     _tridiagonal_min_eig,
     greedy_step,
+    load_factor,
 )
-from cdkit.core import minimize_convex_1d, theta_heuristic
+from cdkit.core import _quad_argmin_nonneg, minimize_convex_1d, theta_heuristic
 from cdkit.problems import (
     build_matcomp,
     build_orthant_quadratic,
@@ -538,6 +539,15 @@ def test_reconstruct_rank_cap():
         sketch_reconstruct(sk, 4)
 
 
+@pytest.mark.parametrize("rank", [-1, 0, 1.0, 2.5, True])
+def test_reconstruct_rejects_rank_below_one_or_not_integer(rank):
+    sk = SketchState.create(10, 6, seed=0)
+    sk.add_rank_one(1.0, np.ones(10))
+    with pytest.raises(ValueError, match="int >= 1") as info:
+        sketch_reconstruct(sk, rank)
+    assert not isinstance(info.value, RankTooLarge)
+
+
 def test_factor_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     u = rng.standard_normal((7, 2))
@@ -555,13 +565,14 @@ def test_factor_roundtrip(tmp_path):
 
 def test_quad_argmin_segment_cases():
     # minimize a t^2 + b t over [0, 1]
-    assert _quad_argmin_segment(1.0, -1.0) == 0.5
-    assert _quad_argmin_segment(1.0, -4.0) == 1.0
-    assert _quad_argmin_segment(1.0, 1.0) == 0.0
-    assert _quad_argmin_segment(0.0, -2.0) == 1.0
-    assert _quad_argmin_segment(0.0, 2.0) == 0.0
-    assert _quad_argmin_segment(-1.0, 0.5) == 1.0
-    assert _quad_argmin_segment(-1.0, 3.0) == 0.0
+    assert _quad_argmin_nonneg(1.0, -1.0, hi=1.0) == 0.5
+    assert _quad_argmin_nonneg(1.0, -4.0, hi=1.0) == 1.0
+    assert _quad_argmin_nonneg(1.0, 1.0, hi=1.0) == 0.0
+    assert _quad_argmin_nonneg(0.0, -2.0, hi=1.0) == 1.0
+    assert _quad_argmin_nonneg(0.0, 2.0, hi=1.0) == 0.0
+    # a concave restriction raises on the segment as on the ray
+    with pytest.raises(LineSearchDivergence):
+        _quad_argmin_nonneg(-1.0, 0.5, hi=1.0)
 
 
 def test_theta_heuristic_schedule():
@@ -687,15 +698,19 @@ _SEARCH_BUILDS = {
 
 def _factor_search(fv, op, gamma, u, d):
     # one greedy factor search at X = u u^T (scale 1, nothing else in X):
-    # the quartic's coefficients and h(a) computed directly through gram
+    # the quartic's coefficients, the restriction-free search's minimizer,
+    # and h(a) computed directly through gram
     gram_u = op.gram(u)
     y_cur = gram_u - op.z
+    big_d = op.gram(d)
+    big_c = op.gram(u + d) - gram_u - big_d
+    factor = (fv, gamma, y_cur, u, big_c, big_d, d)
 
     def h(a):
         uv = u - a * d
         return fv.value(op.gram(uv) - op.z) + gamma * float(np.vdot(uv, uv))
 
-    return _factor_quartic(fv, op, gamma, y_cur, u, gram_u, d), h
+    return _factor_quartic(*factor), minimize_convex_1d(_factor_slope(*factor)), h
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
@@ -706,7 +721,7 @@ def test_factor_quartic_matches_direct_objective(name, gamma):
     for _ in range(3):
         u = rng.standard_normal((b.op.n, 3))
         d = rng.standard_normal((b.op.n, 3))
-        (c1, c2, c3, c4), h = _factor_search(b.fv, b.op, gamma, u, d)
+        (c1, c2, c3, c4), _, h = _factor_search(b.fv, b.op, gamma, u, d)
         h0 = h(0.0)
         for a in (0.1, 0.5, 1.0, 2.7):
             quartic = h0 + a * (c1 + a * (c2 + a * (c3 + a * c4)))
@@ -715,31 +730,34 @@ def test_factor_quartic_matches_direct_objective(name, gamma):
 
 @pytest.mark.parametrize("name", list(_SEARCH_BUILDS))
 def test_quartic_search_no_worse_than_golden_section(name):
+    # the quartic's global minimum is never above the local minimum that
+    # the restriction-free search (a slope bisection) stops at
     b = _SEARCH_BUILDS[name]()
     rng = np.random.default_rng(9)
     for _ in range(10):
         u = 10.0 ** rng.uniform(-2, 1) * rng.standard_normal((b.op.n, 3))
         d = rng.standard_normal((b.op.n, 3))
-        coeffs, h = _factor_search(b.fv, b.op, 0.5, u, d)
+        coeffs, a_free, h = _factor_search(b.fv, b.op, 0.5, u, d)
         a_quartic, drop = _quartic_argmin(*coeffs)
-        _, h_golden = minimize_convex_1d(h, max_evals=40)
-        assert a_quartic >= 0.0
+        h_free = h(a_free)
+        assert a_quartic >= 0.0 and a_free >= 0.0
+        assert h_free <= h(0.0)
         assert h(a_quartic) == pytest.approx(h(0.0) + drop, rel=1e-9)
-        assert h(a_quartic) <= h_golden + 1e-12 * abs(h_golden)
+        assert h(a_quartic) <= h_free + 1e-12 * abs(h_free)
 
 
 def test_quartic_search_finds_minimum_golden_section_misses():
     # trace toy at X = u u^T with tr = 0.81 below the target 1: stepping
     # along d first shrinks the trace (h rises until a = 3) and then grows it
     # back through the target at a = 19/3, where h = 0. h is not convex in a
-    # and h(1) > h(0), so the golden section keeps to [0, 1] and returns 0.
+    # and h'(0) > 0, so the restriction-free search (a slope bisection)
+    # stops at the local minimum a = 0.
     toy = build_trace_toy()
     u = np.array([[0.9], [0.0]])
     d = np.array([[0.3], [0.0]])
-    coeffs, h = _factor_search(toy.fv, toy.op, 0.0, u, d)
+    coeffs, a_free, h = _factor_search(toy.fv, toy.op, 0.0, u, d)
     assert h(1.0) > h(0.0) > h(19.0 / 3.0)
-    a_golden, h_golden = minimize_convex_1d(h, max_evals=40)
-    assert a_golden == 0.0 and h_golden == h(0.0)
+    assert a_free == 0.0
     a_quartic, drop = _quartic_argmin(*coeffs)
     assert a_quartic == pytest.approx(19.0 / 3.0, rel=1e-9)
     assert h(a_quartic) <= 1e-15
@@ -806,22 +824,17 @@ def _solve_on_orthant(program, _):
     [_fw_on_matcomp, _greedy_on_matcomp, _greedy_on_phase, _solve_on_orthant],
     ids=["fw_solve", "sdp_solve", "phase", "solve"],
 )
-def test_golden_section_fallback_agrees_with_restriction(run):
-    # without a restriction oracle every ray, line, segment and greedy scale
-    # search falls back to golden section, which must minimize the same
-    # (trace-penalized) objective as the closed form: final f agrees to a
-    # relative 1e-5. Dropping the gamma trace term in fw's fallback ends its
-    # run near f = 19.09 instead of 17.81.
-    # The fw case sits closest to the bound. A golden section compares
-    # values, so it cannot place theta closer than sqrt(2 eps f / a) to the
-    # exact step (a the curvature along the segment): 1e-9 to 1e-8 here, and
-    # that is the size of its misses. Frank-Wolfe's zig-zag between atoms
-    # amplifies them about 1.25x per visit: a relative f gap of 1.9e-9 at
-    # visit 4, 2.6e-7 at visit 32 and 8.6e-6 at visit 40 with a Ritz check
-    # on every Lanczos step, 1.1e-6 at visit 40 with the check every 4th
-    # step (9.0e-6, 4.0e-6 and 2.2e-6 with every 3rd, 5th and 6th). A
-    # bisection on the sign of the segment derivative would resolve theta to
-    # roundoff and take the gap to about 1e-13 under each of those strides.
+def test_restriction_free_search_agrees_with_restriction(run):
+    # without a restriction oracle every ray, line, segment and greedy
+    # search bisects on the sign of the directional derivative, which must
+    # minimize the same (trace-penalized) objective as the closed form:
+    # final f agrees to a relative 1e-10. The bisection resolves each step to
+    # an ulp, so the gaps are roundoff: about 4e-14 for fw_solve and 4e-16 to
+    # 3e-15 for the others. Frank-Wolfe's zig-zag between atoms amplifies a
+    # step error about 1.25x per visit, so the fw case is the most sensitive.
+    # Dropping the linear trace term from the searched slope ends the
+    # gamma > 0 runs at f = 19.09 (fw_solve, not 17.81), 20.76 (sdp_solve,
+    # not 17.11) and 1.94e-4 (phase, not 1.89e-4).
     if run is _solve_on_orthant:
         program, op = build_orthant_quadratic(dim=20, seed=0).program, None
     elif run is _greedy_on_phase:
@@ -831,11 +844,11 @@ def test_golden_section_fallback_agrees_with_restriction(run):
         mc = build_matcomp(n=30, rank=2, seed=0, block=5, density=0.15)
         program, op = mc.fv, mc.op
     exact = run(program, op)
-    golden = run(dataclasses.replace(program, restriction_oracle=None), op)
+    free = run(dataclasses.replace(program, restriction_oracle=None), op)
     assert exact.stats["restriction"] > 0
-    assert golden.stats["restriction"] == 0
+    assert free.stats["restriction"] == 0
     f_exact = exact.trace.f_values()[-1]
-    assert golden.trace.f_values()[-1] == pytest.approx(f_exact, rel=1e-5)
+    assert free.trace.f_values()[-1] == pytest.approx(f_exact, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
