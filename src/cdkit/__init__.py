@@ -50,7 +50,6 @@ from .problems import (
     recovery_error,
 )
 from .sdp import (
-    LanczosConfig,
     MeasurementOperator,
     SdpResult,
     SketchState,
@@ -69,7 +68,6 @@ __all__ = [
     "ConicProgram",
     "DegenerateSignal",
     "EigFailure",
-    "LanczosConfig",
     "LineSearchDivergence",
     "MeasurementOperator",
     "NonFiniteValue",

@@ -17,44 +17,6 @@ from .exceptions import EigFailure, UnsupportedCone
 _SQRT2 = math.sqrt(2.0)
 
 
-def lmo_orthant(g):
-    """Minimize <g, v> over v >= 0, ||v||_2 <= 1.
-
-    Returns [-g]_+ / ||[-g]_+||_2 when g has a negative entry, else 0.
-    The attained value is -||[-g]_+||_2.
-    """
-    g = np.asarray(g, dtype=float)
-    neg = np.maximum(-g, 0.0)
-    nrm = np.linalg.norm(neg)
-    if nrm == 0.0:
-        return np.zeros_like(g)
-    return neg / nrm
-
-
-def lmo_soc(g):
-    """Minimize <g, v> over the second-order cone intersected with the l2 ball.
-
-    Coordinates are laid out (x, t) with the cone variable t last. Three
-    cases: -g inside the cone gives -g/||g||; g inside the (self-)dual cone
-    gives 0; otherwise the minimizer sits on the cone boundary at
-    (-g_x/||g_x||, 1)/sqrt(2).
-    """
-    g = np.asarray(g, dtype=float)
-    gx, gt = g[:-1], g[-1]
-    nx = np.linalg.norm(gx)
-    ng = np.linalg.norm(g)
-    if ng == 0.0:
-        return np.zeros_like(g)
-    if nx <= -gt:
-        return -g / ng
-    if nx <= gt:
-        return np.zeros_like(g)
-    v = np.empty_like(g)
-    v[:-1] = -gx / (nx * _SQRT2)
-    v[-1] = 1.0 / _SQRT2
-    return v
-
-
 def lmo_psd_dense(mat):
     """Minimize <G, V> over V PSD with nuclear norm at most 1.
 
@@ -99,6 +61,8 @@ class Cone:
         raise NotImplementedError
 
     def contains(self, x):
+        """Membership up to roundoff: a relative slack of 1e-10 for the
+        orthant and the second-order cone, 1e-8 for the PSD cone."""
         raise NotImplementedError
 
     def dual_distance(self, g):
@@ -117,12 +81,22 @@ class NonnegativeOrthant(Cone):
         self.dim = int(dim)
 
     def lmo(self, g):
-        return lmo_orthant(g)
+        """Minimize <g, v> over v >= 0, ||v||_2 <= 1.
 
-    def contains(self, x, tol=1e-10):
+        Returns [-g]_+ / ||[-g]_+||_2 when g has a negative entry, else 0.
+        The attained value is -||[-g]_+||_2.
+        """
+        g = np.asarray(g, dtype=float)
+        neg = np.maximum(-g, 0.0)
+        nrm = np.linalg.norm(neg)
+        if nrm == 0.0:
+            return np.zeros_like(g)
+        return neg / nrm
+
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
         scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
-        return bool(np.min(x, initial=0.0) >= -tol * scale)
+        return bool(np.min(x, initial=0.0) >= -1e-10 * scale)
 
     def dual_distance(self, g):
         # The dual cone is the orthant itself; the l2 projection residual is
@@ -147,12 +121,31 @@ class SecondOrderCone(Cone):
         self.dim = int(dim)
 
     def lmo(self, g):
-        return lmo_soc(g)
+        """Minimize <g, v> over the second-order cone intersected with the l2 ball.
 
-    def contains(self, x, tol=1e-10):
+        Three cases: -g inside the cone gives -g/||g||; g inside the
+        (self-)dual cone gives 0; otherwise the minimizer sits on the cone
+        boundary at (-g_x/||g_x||, 1)/sqrt(2).
+        """
+        g = np.asarray(g, dtype=float)
+        gx, gt = g[:-1], g[-1]
+        nx = np.linalg.norm(gx)
+        ng = np.linalg.norm(g)
+        if ng == 0.0:
+            return np.zeros_like(g)
+        if nx <= -gt:
+            return -g / ng
+        if nx <= gt:
+            return np.zeros_like(g)
+        v = np.empty_like(g)
+        v[:-1] = -gx / (nx * _SQRT2)
+        v[-1] = 1.0 / _SQRT2
+        return v
+
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
         scale = max(1.0, float(np.linalg.norm(x)))
-        return bool(x[-1] - np.linalg.norm(x[:-1]) >= -tol * scale)
+        return bool(x[-1] - np.linalg.norm(x[:-1]) >= -1e-10 * scale)
 
     def dual_distance(self, g):
         # Self-dual; measured with the l2 norm via the closed-form projection.
@@ -182,10 +175,10 @@ class PsdCone(Cone):
         _, _, v = lmo_psd_dense(g)
         return v
 
-    def contains(self, x, tol=1e-8):
+    def contains(self, x):
         sym = 0.5 * (np.asarray(x, dtype=float) + np.asarray(x, dtype=float).T)
         evals = np.linalg.eigvalsh(sym)
-        return bool(evals[0] >= -tol * float(np.sum(np.abs(evals))))
+        return bool(evals[0] >= -1e-8 * float(np.sum(np.abs(evals))))
 
     def dual_distance(self, g):
         # Operator-norm distance to the PSD cone: shifting by

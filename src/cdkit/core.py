@@ -10,6 +10,7 @@ sqrt(tol_eps).
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -73,10 +74,6 @@ class ConicProgram:
     def eval_counts(self):
         return dict(self._counts)
 
-    def reset_counts(self):
-        for key in self._counts:
-            self._counts[key] = 0
-
 
 @dataclass
 class SolverConfig:
@@ -85,9 +82,10 @@ class SolverConfig:
     momentum_mode "moco" averages gradients with weight 2/(k+2); "cd" uses the
     raw current gradient. With heuristic_m None every step searches along the
     atom; a positive heuristic_m M takes theta_k = 2 M / (k + 2) instead and
-    performs no search (monotone descent is then not guaranteed).
-    greedy_period > 0 enables the periodic factored descent step and applies
-    to the semidefinite path only.
+    performs no search (monotone descent is then not guaranteed); fw_solve
+    rejects it. greedy_period > 0 enables the periodic factored descent step
+    and applies to sdp_solve only. max_iters, greedy_period, trace_every and
+    rng_seed must be ints (numpy integers included, bools not).
     """
 
     max_iters: int = 300
@@ -175,11 +173,6 @@ def momentum_update(g_prev, grad, delta):
     if not 0.0 <= delta <= 1.0:
         raise ValueError("momentum weight must lie in [0, 1]")
     return (1.0 - delta) * g_prev + delta * grad
-
-
-def dual_certificate(g, v):
-    """-<g, v> for an LMO output v; equals dist_dual(g, K*) at an exact LMO."""
-    return -float(np.vdot(np.asarray(g, float), np.asarray(v, float)))
 
 
 def _quad_argmin_nonneg(a, b, hi=math.inf):
@@ -279,12 +272,11 @@ def line_search_step(problem, base, direction, linear=0.0):
     return _search(problem, base, direction, linear, 0.0)
 
 
-def theta_heuristic(k, m):
-    """Pre-scheduled step length 2 m / (k + 2), no search involved."""
-    return 2.0 * m / (k + 2.0)
-
-
 def _check_config(config, allow_greedy):
+    for name in ("max_iters", "greedy_period", "trace_every", "rng_seed"):
+        v = getattr(config, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an int, got {v!r}")
     if config.max_iters < 1:
         raise ValueError("max_iters must be positive")
     # "not >= 0" and "not > 0" also reject NaN, which would never stop a run
@@ -303,7 +295,7 @@ def _check_config(config, allow_greedy):
         raise ValueError("greedy_period must be nonnegative")
 
 
-def _descend(problem, config, it, callback, allow_greedy=False, frank_wolfe=False):
+def _descend(problem, config, it, callback, frank_wolfe=False):
     """The visit loop shared by solve, sdp_solve and fw_solve.
 
     `it` carries one solver's iterate and per-visit math:
@@ -318,11 +310,12 @@ def _descend(problem, config, it, callback, allow_greedy=False, frank_wolfe=Fals
     take line-searched steps, or scheduled ones when heuristic_m is set.
     With frank_wolfe the certificate is a linearization gap, which already
     has objective units and stops at tol_eps, and every step is the
-    iterate's own segment search, not counted as a theta search.
+    iterate's own segment search, not counted as a theta search (fw_solve
+    rejects heuristic_m). Callers run _check_config before they build `it`,
+    whose set-up already reads rng_seed.
 
     Returns (status, trace, certificate of the last visit, stats).
     """
-    _check_config(config, allow_greedy)
     stop_at = config.tol_eps if frank_wolfe else math.sqrt(config.tol_eps)
     trace = SolveTrace()
     counts0 = problem.eval_counts()
@@ -338,11 +331,11 @@ def _descend(problem, config, it, callback, allow_greedy=False, frank_wolfe=Fals
         last = k == config.max_iters
         theta = 0.0
         if not (stop or last):
-            if frank_wolfe or config.heuristic_m is None:
+            if config.heuristic_m is None:
                 theta = it.step(k, None)
                 n_theta_searches += not frank_wolfe
             else:
-                theta = it.step(k, theta_heuristic(k, config.heuristic_m))
+                theta = it.step(k, 2.0 * config.heuristic_m / (k + 2.0))
         wall_ms = (time.perf_counter() - t_start) * 1e3
         record = TraceRecord(k, fval, cert, it.cs, it.eta, theta, wall_ms, it.lam)
         if k % config.trace_every == 0 or stop or last:
@@ -381,7 +374,8 @@ class _VectorIterate:
     def certify(self, k, grad):
         self.g_avg = momentum_update(self.g_avg, grad, delta_schedule(k, self.mode))
         self.v = self.problem.cone.lmo(self.g_avg)
-        return dual_certificate(self.g_avg, self.v)
+        # -<g, v> equals dist_dual(g, K*) at an exact LMO
+        return -float(np.vdot(self.g_avg, self.v))
 
     def step(self, k, theta):
         if theta is None:
@@ -418,6 +412,7 @@ def solve(problem, config=None, x0=None, callback=None):
         config = SolverConfig()
     if problem.cone is None:
         raise UnsupportedCone("solve() needs a ConicProgram with a cone handle")
+    _check_config(config, allow_greedy=False)
     x = problem.cone.default_init() if x0 is None else np.array(x0, dtype=float)
     it = _VectorIterate(problem, config, x)
     status, trace, cert, stats = _descend(problem, config, it, callback)

@@ -60,27 +60,26 @@ class OrthantQuadratic:
     lipschitz: float
 
 
-def build_orthant_quadratic(dim=20, seed=0, support_size=None):
+def build_orthant_quadratic(dim=20, seed=0):
     """Strongly convex quadratic over the nonnegative orthant.
 
-    The optimum is planted: pick x_star supported on a random index set,
-    pick nonnegative slacks off the support, and back out the linear term so
-    the gradient at x_star equals the slack vector. That makes x_star satisfy
-    the optimality conditions exactly, with known optimal value.
+    The optimum is planted: pick x_star supported on a random set of
+    max(1, dim // 3) indices, pick nonnegative slacks off the support, and
+    back out the linear term so the gradient at x_star equals the slack
+    vector. That makes x_star satisfy the optimality conditions exactly, with
+    known optimal value. A dim below 1 raises ValueError.
     """
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((dim, dim))
     quad = m @ m.T / dim + 0.1 * np.eye(dim)
-    if support_size is None:
-        support_size = max(1, dim // 3)
-    if not 1 <= support_size <= dim:
-        raise ValueError("support_size out of range")
+    size = max(1, dim // 3)
     order = rng.permutation(dim)
-    support = order[:support_size]
     x_star = np.zeros(dim)
-    x_star[support] = np.abs(rng.standard_normal(support_size)) + 0.1
+    x_star[order[:size]] = np.abs(rng.standard_normal(size)) + 0.1
     slack = np.zeros(dim)
-    slack[order[support_size:]] = np.abs(rng.standard_normal(dim - support_size))
+    slack[order[size:]] = np.abs(rng.standard_normal(dim - size))
     lin = quad @ x_star - slack
     f_star = 0.5 * float(x_star @ quad @ x_star) - float(lin @ x_star)
     lipschitz = float(np.linalg.eigvalsh(quad)[-1])

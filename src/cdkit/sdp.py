@@ -24,6 +24,7 @@ import scipy.linalg
 from .core import (
     SolveTrace,
     SolverConfig,
+    _check_config,
     _descend,
     _search,
     delta_schedule,
@@ -45,8 +46,10 @@ class MeasurementOperator:
     gram(q) returns the measurement image of q q^T for a vector q of shape
     (n,), or of U U^T when given a matrix of shape (n, r).
     adjoint_matvec(p, u) applies sum_i p_i G_i to u; u may be (n,) or (n, r).
-    apply_dense / adjoint_dense materialize the map on explicit matrices and
-    exist for verification at small n; large instances leave them as None.
+    apply_dense / adjoint_dense materialize the map on explicit matrices for
+    verification at small n. Every bundled builder sets both, and they
+    allocate n x n only when called; an operator built by hand may leave
+    them as None.
     """
 
     n: int
@@ -162,57 +165,35 @@ def load_factor(path):
 # matrix-free smallest eigenpair
 
 
-@dataclass
-class LanczosConfig:
-    max_iters: int = 200
-    residual_tol: float = 1e-8
-    seed: int = 0
-
-
-def min_eig_lanczos(matvec, n, config=None, start=None):
+def min_eig_lanczos(matvec, n, seed=0, start=None):
     """Smallest eigenpair (lam, q) of a symmetric operator given as a matvec.
 
-    Runs Lanczos with full reorthogonalization from a seeded random start and
-    verifies the returned pair against an explicit residual. A unit warm
-    start, typically the eigenvector of a nearby operator, may be given; the
-    run then starts from it plus 0.1 times the unit random vector. The random
-    part keeps a component along every eigenvector, so a warm start
-    orthogonal to the bottom eigenvector still finds it. One retry from a
-    reseeded cold random start is attempted before giving up, so a warm
-    start that fails falls back to the cold path.
+    Runs at most 200 Lanczos steps with full reorthogonalization from a
+    random start drawn from seed, and verifies the returned pair against an
+    explicit residual. A unit warm start, typically the eigenvector of a
+    nearby operator, may be given; the run then starts from it plus 0.1
+    times the unit random vector. The random part keeps a component along
+    every eigenvector, so a warm start orthogonal to the bottom eigenvector
+    still finds it. One retry from a cold random start drawn from seed + 1
+    is attempted before giving up, so a warm start that fails falls back to
+    the cold path.
 
     The bottom Ritz pair and the residual-estimate stop test run on every
     4th step, on breakdown and on the last allowed step, not on every step.
-    The bottom Ritz value does not increase with the step, so a stop up to 3
-    steps late only brings the value closer to the smallest eigenvalue; the
-    explicit residual check after the loop is unchanged. The Ritz pair comes
-    from the LAPACK bisection and inverse-iteration routines (stebz, stein)
-    called directly, which gives bit for bit what
-    scipy.linalg.eigh_tridiagonal(select="i") returns without its per-call
-    argument checks; a LAPACK failure raises EigFailure and so takes the
-    retry. A config whose max_iters is not an int >= 1, or whose
-    residual_tol is not finite and positive, raises ValueError.
+    The run stops once the residual estimate is at most 1e-8 times the scale
+    max(1, max |alpha| + 2 max |beta|), and the explicit residual must then
+    be within 10 times that bound. The bottom Ritz value does not increase
+    with the step, so a stop up to 3 steps late only brings the value closer
+    to the smallest eigenvalue. The Ritz pair comes from the LAPACK bisection
+    and inverse-iteration routines (stebz, stein) called directly, which
+    gives bit for bit what scipy.linalg.eigh_tridiagonal(select="i") returns
+    without its per-call argument checks; a LAPACK failure raises EigFailure
+    and so takes the retry.
     """
-    cfg = config if config is not None else LanczosConfig()
-    _check_lanczos_config(cfg)
     try:
-        return _lanczos_once(matvec, n, cfg, cfg.seed, start)
+        return _lanczos_once(matvec, n, seed, start)
     except EigFailure:
-        return _lanczos_once(matvec, n, cfg, cfg.seed + 1)
-
-
-def _check_lanczos_config(cfg):
-    # max_iters = 0 would leave no Lanczos step, and a NaN tolerance would
-    # pass the explicit residual check after the loop
-    iters, tol = cfg.max_iters, cfg.residual_tol
-    if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
-        raise ValueError(f"LanczosConfig.max_iters must be an int >= 1, got {iters!r}")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (
-        math.isfinite(tol) and tol > 0.0
-    ):
-        raise ValueError(
-            f"LanczosConfig.residual_tol must be finite and positive, got {tol!r}"
-        )
+        return _lanczos_once(matvec, n, seed + 1)
 
 
 _STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
@@ -222,6 +203,10 @@ _WARM_START_MIX = 0.1
 
 # Lanczos steps between tridiagonal Ritz solves and residual stop tests
 _RITZ_CHECK_EVERY = 4
+
+# step cap and relative residual tolerance of every Lanczos run
+_LANCZOS_MAX_STEPS = 200
+_LANCZOS_TOL = 1e-8
 
 
 def _tridiagonal_min_eig(d, e):
@@ -237,13 +222,13 @@ def _tridiagonal_min_eig(d, e):
     raise EigFailure(f"tridiagonal eigensolver failed (info {info}) at size {d.size}")
 
 
-def _lanczos_once(matvec, n, cfg, seed, start=None):
+def _lanczos_once(matvec, n, seed, start=None):
     if n == 1:
         q = np.ones(1)
         lam = float(np.asarray(matvec(q)).ravel()[0])
         return lam, q
     rng = np.random.default_rng(seed)
-    m = min(n, cfg.max_iters)
+    m = min(n, _LANCZOS_MAX_STEPS)
     basis = np.zeros((n, m))
     alphas = np.zeros(m)
     betas = np.zeros(m)
@@ -285,7 +270,7 @@ def _lanczos_once(matvec, n, cfg, seed, start=None):
         if breakdown or (j + 1) % _RITZ_CHECK_EVERY == 0 or j == m - 1:
             lam, ritz_vec = _tridiagonal_min_eig(alphas[: j + 1], betas[:j])
             j_stop = j
-            if breakdown or beta * abs(float(ritz_vec[-1])) <= cfg.residual_tol * scale:
+            if breakdown or beta * abs(float(ritz_vec[-1])) <= _LANCZOS_TOL * scale:
                 break
         betas[j] = beta
         beta_max = max(beta_max, beta)
@@ -293,7 +278,7 @@ def _lanczos_once(matvec, n, cfg, seed, start=None):
     q = basis[:, : j_stop + 1] @ ritz_vec
     q /= np.linalg.norm(q)
     resid = float(np.linalg.norm(np.asarray(matvec(q), dtype=float) - lam * q))
-    if resid > 10.0 * cfg.residual_tol * scale:
+    if resid > 10.0 * _LANCZOS_TOL * scale:
         raise EigFailure(
             f"eigenpair residual {resid:.3e} above tolerance after {j_stop + 1} steps"
         )
@@ -526,7 +511,7 @@ class _MeasurementIterate:
         lam, q = min_eig_lanczos(
             matvec,
             self.op.n,
-            LanczosConfig(seed=int(self.lanczos_rng.integers(2**32))),
+            seed=int(self.lanczos_rng.integers(2**32)),
             start=self.lanczos_start,
         )
         self.lanczos_start = q
@@ -633,8 +618,9 @@ def sdp_solve(
     """
     if config is None:
         config = SolverConfig()
+    _check_config(config, allow_greedy=True)
     it = _SdpIterate(fv, op, gamma, config, sketch_size)
-    return it.result(*_descend(fv, config, it, callback, allow_greedy=True))
+    return it.result(*_descend(fv, config, it, callback))
 
 
 class _FwIterate(_MeasurementIterate):
@@ -679,7 +665,9 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=Non
     gap reaches tol_eps directly (the gap already has objective units). A
     tau below the trace of the true minimizer makes the optimum of this
     problem differ from the unconstrained-cone one; that is the point of the
-    comparison, not a defect. stats["lmo_matvecs"] is as in sdp_solve.
+    comparison, not a defect. stats["lmo_matvecs"] is as in sdp_solve. A
+    config with heuristic_m set raises ValueError, since every step here is
+    an exact search on the segment to the atom.
 
     callback(info) gets sdp_solve's keys but "g_avg"; q is None when the
     atom is X = 0.
@@ -688,5 +676,8 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=Non
         config = SolverConfig()
     if not tau > 0.0:
         raise ValueError("trace bound tau must be positive")
+    if config.heuristic_m is not None:
+        raise ValueError("fw_solve takes no heuristic_m: its steps are segment searches")
+    _check_config(config, allow_greedy=False)
     it = _FwIterate(fv, op, gamma, config, sketch_size, tau)
     return it.result(*_descend(fv, config, it, callback, frank_wolfe=True))

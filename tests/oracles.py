@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from cdkit.core import dual_certificate, momentum_update
+from cdkit.core import momentum_update
 from cdkit.exceptions import UnsupportedCone
 
 
@@ -54,7 +54,7 @@ def phi_lower_bound(tracker, cone, radius):
     cone's LMO on the tracker's own linear part.
     """
     v = cone.lmo(tracker.linear)
-    cert = dual_certificate(tracker.linear, v)
+    cert = -float(np.vdot(tracker.linear, v))
     return tracker.alpha - radius * cert
 
 

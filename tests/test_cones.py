@@ -12,9 +12,7 @@ from cdkit.cones import (
     NonnegativeOrthant,
     PsdCone,
     SecondOrderCone,
-    lmo_orthant,
     lmo_psd_dense,
-    lmo_soc,
 )
 from oracles import brute_lmo, nuclear_norm, operator_norm
 
@@ -25,30 +23,31 @@ from oracles import brute_lmo, nuclear_norm, operator_norm
 
 def test_orthant_lmo_picks_most_negative_coordinate():
     g = np.array([1.0, -2.0, 2.0])
-    v = lmo_orthant(g)
+    v = NonnegativeOrthant(3).lmo(g)
     np.testing.assert_array_equal(v, [0.0, 1.0, 0.0])
     assert -np.vdot(g, v) == 2.0
 
 
 def test_orthant_lmo_nonnegative_gradient_returns_zero():
-    v = lmo_orthant(np.array([0.5, 0.0, 3.0]))
+    v = NonnegativeOrthant(3).lmo(np.array([0.5, 0.0, 3.0]))
     np.testing.assert_array_equal(v, np.zeros(3))
 
 
 def test_soc_lmo_three_regimes():
     # outside both cones: extreme ray at 45 degrees against the bar part
     g = np.array([3.0, 0.0, 1.0])
-    v = lmo_soc(g)
+    v = SecondOrderCone(3).lmo(g)
     r2 = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(v, [-r2, 0.0, r2], atol=1e-15)
     assert abs(-np.vdot(g, v) - np.sqrt(2.0)) < 1e-14
 
     # g in the dual cone: nothing to gain, lmo is zero
-    np.testing.assert_array_equal(lmo_soc(np.array([0.0, 0.0, 2.0])), np.zeros(3))
+    v = SecondOrderCone(3).lmo(np.array([0.0, 0.0, 2.0]))
+    np.testing.assert_array_equal(v, np.zeros(3))
 
     # -g in the cone interior: unit vector along the steepest ray
     g = np.array([1.0, 0.0, -3.0])
-    v = lmo_soc(g)
+    v = SecondOrderCone(3).lmo(g)
     r10 = 1.0 / np.sqrt(10.0)
     np.testing.assert_allclose(v, [-r10, 0.0, 3.0 * r10], atol=1e-14)
     assert abs(-np.vdot(g, v) - np.sqrt(10.0)) < 1e-13
@@ -186,7 +185,7 @@ def test_psd_cert_is_dual_distance_property(a):
 # brute-force grid agrees with the closed forms
 
 
-def test_brute_lmo_orthant_matches_closed_form():
+def test_brute_orthant_lmo_matches_closed_form():
     cone = NonnegativeOrthant(3)
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -197,7 +196,7 @@ def test_brute_lmo_orthant_matches_closed_form():
         assert exact - brute <= 2e-3 * (1.0 + np.linalg.norm(g))
 
 
-def test_brute_lmo_soc_matches_closed_form():
+def test_brute_soc_lmo_matches_closed_form():
     cone = SecondOrderCone(3)
     rng = np.random.default_rng(8)
     for _ in range(20):

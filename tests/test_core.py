@@ -21,7 +21,6 @@ from cdkit import (
 from cdkit.core import (
     _quad_argmin_nonneg,
     delta_schedule,
-    dual_certificate,
     line_search_step,
     minimize_convex_1d,
     momentum_update,
@@ -72,13 +71,6 @@ def test_momentum_update_convex_combination():
         momentum_update(g_prev, grad, 1.5)
     with pytest.raises(ValueError):
         momentum_update(g_prev, grad, -0.1)
-
-
-def test_dual_certificate_is_negative_inner_product():
-    g = np.array([1.0, -2.0, 2.0])
-    v = np.array([0.0, 1.0, 0.0])
-    assert dual_certificate(g, v) == 2.0
-    assert dual_certificate(g, np.zeros(3)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +252,6 @@ def test_solve_rejects_nonfinite_objective():
 def test_eval_counting_and_stats():
     built = build_orthant_quadratic(dim=10, seed=2)
     prob = built.program
-    prob.reset_counts()
     res = solve(prob, SolverConfig(max_iters=30))
     counts = prob.eval_counts()
     # stats report the counter deltas for this run, one gradient per visit
@@ -275,6 +266,10 @@ def test_heuristic_step_skips_theta_search():
     cfg = SolverConfig(max_iters=60, heuristic_m=m)
     res = solve(built.program, cfg)
     assert res.stats["n_theta_searches"] == 0
+    # every step but the last visit's (which takes none) is 2 M / (k + 2)
+    for r in res.trace.records[:-1]:
+        assert r.theta == 2.0 * m / (r.k + 2.0)
+    assert len(res.trace.records) > 1
     # still makes progress
     assert res.trace.f_values()[-1] < res.trace.f_values()[0]
 
@@ -285,6 +280,8 @@ def test_callback_sees_every_visit():
 
     def cb(info):
         seen.append((info["record"].k, info["record"].f_value))
+        # the certificate is -<g_avg, v> for the visit's momentum and atom
+        assert info["record"].dual_cert == -np.vdot(info["g_avg"], info["v"])
 
     solve(built.program, SolverConfig(max_iters=25), callback=cb)
     assert [k for k, _ in seen] == list(range(len(seen)))
@@ -319,6 +316,9 @@ def test_config_validation_errors():
         SolverConfig(trace_every=0),
         SolverConfig(tol_eps=-1.0),
         SolverConfig(tol_eps=math.nan),
+        # fw_solve steps by segment search only, so a scheduled step is
+        # refused rather than ignored
+        SolverConfig(heuristic_m=0.01),
     ):
         with pytest.raises(ValueError):
             fw_solve(toy.fv, toy.op, tau=1.0, config=config)
@@ -328,6 +328,27 @@ def test_config_validation_errors():
         sdp_solve(toy.fv, toy.op, gamma=math.nan)
     with pytest.raises(ValueError):
         fw_solve(quad_program(2, np.eye(2), np.zeros(2)), toy.op, tau=1.0)
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("max_iters", 3.0),
+        ("max_iters", True),
+        ("greedy_period", 2.5),
+        ("trace_every", 1.5),
+        ("rng_seed", 1.5),
+    ],
+)
+def test_config_counts_must_be_integers(name, bad):
+    # a float trace_every or greedy_period would run on an off schedule and a
+    # float max_iters or rng_seed fail with TypeError; numpy integers pass
+    toy = build_trace_toy()
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        sdp_solve(toy.fv, toy.op, config=SolverConfig(**{name: bad}))
+    good = {"max_iters": 3, "greedy_period": 2, "trace_every": 2, "rng_seed": 1}[name]
+    res = sdp_solve(toy.fv, toy.op, config=SolverConfig(**{name: np.int64(good)}))
+    assert len(res.trace) >= 1
 
 
 def test_trace_csv_roundtrip(tmp_path):

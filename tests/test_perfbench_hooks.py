@@ -5,6 +5,7 @@ import os
 import sys
 
 import cdkit.core
+import cdkit.problems
 import cdkit.sdp
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
@@ -23,3 +24,19 @@ def test_tracer_installs_and_restores_its_hooks():
         tracer.uninstall()
     assert cdkit.core.ray_minimize is original
     assert cdkit.sdp.ray_minimize is original
+
+
+def test_tracer_counts_match_solver_stats():
+    # the tracer counts LMO matvecs through min_eig_lanczos's first argument
+    # and greedy refits through greedy_step's result; both must agree with
+    # what sdp_solve reports itself
+    tracer = Tracer()
+    try:
+        tracer.install()
+        mc = cdkit.problems.build_matcomp(n=20, rank=2, seed=0, block=4, density=0.2)
+        config = cdkit.SolverConfig(max_iters=20, greedy_period=5)
+        res = cdkit.sdp.sdp_solve(mc.fv, mc.op, config=config)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["sdp.lmo.matvecs"] == res.stats["lmo_matvecs"] > 0
+    assert tracer.counts["sdp.greedy.refits"] == len(res.stats["greedy_events"]) > 0

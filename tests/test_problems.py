@@ -41,7 +41,7 @@ def test_planted_point_satisfies_kkt(seed):
     assert built.program.value_oracle(built.x_star) == pytest.approx(built.f_star, rel=1e-12)
 
 
-def test_planted_support_size_default_is_third():
+def test_planted_support_is_a_third_of_dim():
     built = build_orthant_quadratic(dim=21, seed=2)
     assert int((built.x_star > 0).sum()) == 7
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cdkit import sdp
 from cdkit import (
     EigFailure,
-    LanczosConfig,
     LineSearchDivergence,
     RankTooLarge,
     SketchState,
@@ -34,7 +33,7 @@ from cdkit.sdp import (
     greedy_step,
     load_factor,
 )
-from cdkit.core import _quad_argmin_nonneg, minimize_convex_1d, theta_heuristic
+from cdkit.core import _quad_argmin_nonneg, minimize_convex_1d
 from cdkit.problems import (
     build_matcomp,
     build_orthant_quadratic,
@@ -52,7 +51,7 @@ def test_lanczos_matches_dense_eigh(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((50, 50))
     a = (a + a.T) / 2.0
-    lam, q = min_eig_lanczos(lambda v: a @ v, 50, LanczosConfig(seed=seed))
+    lam, q = min_eig_lanczos(lambda v: a @ v, 50, seed=seed)
     w = np.linalg.eigvalsh(a)
     scale = max(1.0, float(np.abs(w).max()))
     assert abs(lam - w[0]) <= 1e-9 * scale
@@ -80,45 +79,9 @@ def test_lanczos_overflowing_residual_raises_eig_failure():
             min_eig_lanczos(lambda v: d * v, 8)
 
 
-_BAD_TOL = "residual_tol must be finite and positive, got "
-
-
-@pytest.mark.parametrize(
-    "bad, match",
-    [
-        ({"max_iters": 0}, r"max_iters must be an int >= 1, got 0"),
-        ({"max_iters": -3}, r"max_iters must be an int >= 1, got -3"),
-        ({"max_iters": 5.0}, r"max_iters must be an int >= 1, got 5\.0"),
-        ({"max_iters": True}, r"max_iters must be an int >= 1, got True"),
-        ({"residual_tol": float("nan")}, _BAD_TOL + "nan"),
-        ({"residual_tol": float("inf")}, _BAD_TOL + "inf"),
-        ({"residual_tol": 0.0}, _BAD_TOL + r"0\.0"),
-        ({"residual_tol": "1e-8"}, _BAD_TOL + "'1e-8'"),
-    ],
-)
-def test_lanczos_rejects_bad_config(bad, match):
-    # a NaN tolerance used to switch off the explicit residual check and
-    # max_iters = 0 failed inside numpy's matmul
-    calls = []
-
-    def matvec(v):
-        calls.append(1)
-        return v
-
-    with pytest.raises(ValueError, match=match):
-        min_eig_lanczos(matvec, 5, LanczosConfig(**bad))
-    assert not calls
-
-
-def test_lanczos_accepts_numpy_scalar_config():
-    cfg = LanczosConfig(max_iters=np.int64(10), residual_tol=np.float64(1e-8))
-    lam, _ = min_eig_lanczos(lambda v: np.arange(1.0, 6.0) * v, 5, cfg)
-    assert lam == pytest.approx(1.0, abs=1e-9)
-
-
 def test_lanczos_diag_with_known_minimum():
     d = np.arange(40, dtype=float) - 5.0
-    lam, q = min_eig_lanczos(lambda v: d * v, 40, LanczosConfig(seed=1))
+    lam, q = min_eig_lanczos(lambda v: d * v, 40, seed=1)
     assert lam == pytest.approx(-5.0, abs=1e-10)
     assert abs(q[0]) == pytest.approx(1.0, abs=1e-6)
 
@@ -131,7 +94,7 @@ def test_lanczos_warm_start_on_wrong_eigenvector_finds_bottom(seed):
     d = np.arange(1.0, 41.0)
     start = np.zeros(40)
     start[1] = 1.0
-    lam, q = min_eig_lanczos(lambda v: d * v, 40, LanczosConfig(seed=seed), start=start)
+    lam, q = min_eig_lanczos(lambda v: d * v, 40, seed=seed, start=start)
     assert abs(lam - 1.0) <= 1e-9
     assert abs(q[0]) == pytest.approx(1.0, abs=1e-6)
 
@@ -162,23 +125,24 @@ def test_tridiagonal_step_matches_eigh_tridiagonal_bitwise(d, e):
     np.testing.assert_array_equal(vec, svec[:, 0])
 
 
-def _reference_min_eig_lanczos(matvec, n, cfg):
+def _reference_min_eig_lanczos(matvec, n, seed, max_steps):
     # the Lanczos loop on scipy's eigh_tridiagonal wrapper, with the same
-    # check schedule, kept to show the direct LAPACK step changes no bit of
-    # the answer
+    # check schedule and tolerance, kept to show the direct LAPACK step
+    # changes no bit of the answer
     try:
-        return _reference_lanczos_once(matvec, n, cfg, cfg.seed)
+        return _reference_lanczos_once(matvec, n, seed, max_steps)
     except EigFailure:
-        return _reference_lanczos_once(matvec, n, cfg, cfg.seed + 1)
+        return _reference_lanczos_once(matvec, n, seed + 1, max_steps)
 
 
-def _reference_lanczos_once(matvec, n, cfg, seed):
+def _reference_lanczos_once(matvec, n, seed, max_steps):
+    tol = 1e-8
     if n == 1:
         q = np.ones(1)
         lam = float(np.asarray(matvec(q)).ravel()[0])
         return lam, q
     rng = np.random.default_rng(seed)
-    m = min(n, cfg.max_iters)
+    m = min(n, max_steps)
     basis = np.zeros((n, m))
     alphas = np.zeros(m)
     betas = np.zeros(m)
@@ -215,38 +179,42 @@ def _reference_lanczos_once(matvec, n, cfg, seed):
             ritz_vec = svec[:, 0]
             resid_est = beta * abs(float(ritz_vec[-1]))
             j_stop = j
-            if resid_est <= cfg.residual_tol * scale or breakdown:
+            if resid_est <= tol * scale or breakdown:
                 break
         betas[j] = beta
         v = w / beta
     q = basis[:, : j_stop + 1] @ ritz_vec
     q /= np.linalg.norm(q)
     resid = float(np.linalg.norm(np.asarray(matvec(q), dtype=float) - lam * q))
-    if resid > 10.0 * cfg.residual_tol * scale:
+    if resid > 10.0 * tol * scale:
         raise EigFailure(
             f"eigenpair residual {resid:.3e} above tolerance after {j_stop + 1} steps"
         )
     return lam, q
 
 
-def _outcome(solver, matvec, n, cfg):
+def _outcome(solver, *args):
     try:
-        return solver(matvec, n, cfg)
+        return solver(*args)
     except EigFailure as exc:
         return str(exc), None
 
 
 @pytest.mark.parametrize("n", [1, 2, 50, 100])
-def test_lanczos_matches_reference_loop_bitwise(n):
+def test_lanczos_matches_reference_loop_bitwise(monkeypatch, n):
     for seed in range(4):
         rng = np.random.default_rng(1000 * n + seed)
         a = rng.standard_normal((n, n))
         a = (a + a.T) / 2.0
-        # a 30-step cap leaves most of the n = 50 and 100 cases short of the
-        # tolerance, so both must also fail alike, residual included
-        for cfg in (LanczosConfig(seed=seed), LanczosConfig(max_iters=30, seed=seed)):
-            got = _outcome(min_eig_lanczos, lambda v: a @ v, n, cfg)
-            ref = _outcome(_reference_min_eig_lanczos, lambda v: a @ v, n, cfg)
+        # the solver's own 200-step cap, then a 30-step cap, which leaves most
+        # of the n = 50 and 100 cases short of the tolerance, so both must
+        # also fail alike, residual included
+        for max_steps in (200, 30):
+            with monkeypatch.context() as patch:
+                if max_steps != 200:
+                    patch.setattr(sdp, "_LANCZOS_MAX_STEPS", max_steps)
+                got = _outcome(min_eig_lanczos, lambda v: a @ v, n, seed)
+            ref = _outcome(_reference_min_eig_lanczos, lambda v: a @ v, n, seed, max_steps)
             assert got[0] == ref[0]
             np.testing.assert_array_equal(got[1], ref[1])
 
@@ -267,15 +235,15 @@ def _schedule_cases():
 _SCHEDULE_CASES = list(_schedule_cases())
 
 
-@pytest.mark.parametrize("max_iters", [30, 31, 200])
+@pytest.mark.parametrize("max_steps", [30, 31, 200])
 @pytest.mark.parametrize("name, a", _SCHEDULE_CASES, ids=[c[0] for c in _SCHEDULE_CASES])
-def test_ritz_check_schedule(monkeypatch, name, a, max_iters):
+def test_ritz_check_schedule(monkeypatch, name, a, max_steps):
     # the tridiagonal Ritz solve runs only on every 4th step, on breakdown or
     # on the last step; against the stop test on every step, the run takes at
     # most 3 more matvecs and its Ritz value is no higher
     n = a.shape[0]
-    m = min(n, max_iters)
-    cfg = LanczosConfig(max_iters=max_iters, seed=2)
+    m = min(n, max_steps)
+    monkeypatch.setattr(sdp, "_LANCZOS_MAX_STEPS", max_steps)
     solve_ritz = sdp._tridiagonal_min_eig
     sizes = []
 
@@ -294,7 +262,7 @@ def test_ritz_check_schedule(monkeypatch, name, a, max_iters):
             matvecs[0] += 1
             return a @ v
 
-        outcomes.append((_outcome(min_eig_lanczos, matvec, n, cfg), matvecs[0]))
+        outcomes.append((_outcome(min_eig_lanczos, matvec, n, 2), matvecs[0]))
     (every_pair, every_matvecs), (pair, n_matvecs) = outcomes
     # steps are 1-based here: a solve off the schedule is a breakdown, which
     # ends its run (the next size, if any, belongs to the retry)
@@ -313,7 +281,7 @@ def test_ritz_check_schedule(monkeypatch, name, a, max_iters):
     scale = max(1.0, float(np.abs(w).max()))
     # the scale the solver tests against is at most max|alpha| + 2 max|beta|,
     # which is at most 3 ||A||
-    assert np.linalg.norm(a @ q - lam * q) <= 10.0 * cfg.residual_tol * 3.0 * scale
+    assert np.linalg.norm(a @ q - lam * q) <= 10.0 * sdp._LANCZOS_TOL * 3.0 * scale
     assert w[0] - 1e-12 * scale <= lam <= every_pair[0] + 1e-12 * scale
 
 
@@ -321,7 +289,6 @@ def test_lapack_failure_takes_the_retry(monkeypatch):
     rng = np.random.default_rng(5)
     a = rng.standard_normal((30, 30))
     a = (a + a.T) / 2.0
-    cfg = LanczosConfig(seed=3)
     stebz = sdp._STEBZ
     failures = []
 
@@ -333,15 +300,15 @@ def test_lapack_failure_takes_the_retry(monkeypatch):
         return m, w, iblock, isplit, info
 
     monkeypatch.setattr(sdp, "_STEBZ", fail_once)
-    lam, q = min_eig_lanczos(lambda v: a @ v, 30, cfg)
+    lam, q = min_eig_lanczos(lambda v: a @ v, 30, seed=3)
     assert len(failures) == 1
     # a failed warm start takes the same retry
     failures.clear()
-    warm_lam, warm_q = min_eig_lanczos(lambda v: a @ v, 30, cfg, start=np.eye(30)[4])
+    warm_lam, warm_q = min_eig_lanczos(lambda v: a @ v, 30, seed=3, start=np.eye(30)[4])
     assert len(failures) == 1
     # the retry is a fresh run from the reseeded cold start
     monkeypatch.setattr(sdp, "_STEBZ", stebz)
-    retry_lam, retry_q = sdp._lanczos_once(lambda v: a @ v, 30, cfg, cfg.seed + 1)
+    retry_lam, retry_q = sdp._lanczos_once(lambda v: a @ v, 30, 4)
     assert lam == retry_lam == warm_lam
     np.testing.assert_array_equal(q, retry_q)
     np.testing.assert_array_equal(warm_q, retry_q)
@@ -350,16 +317,16 @@ def test_lapack_failure_takes_the_retry(monkeypatch):
 
 def test_each_visit_starts_lanczos_afresh(monkeypatch):
     # a start vector that misses the bottom eigenvector must not be reused on
-    # every visit, and the draws must still repeat given the config seed; the
+    # every visit, and the draws must still repeat given the run's seed; the
     # warm start of each visit is the eigenvector the previous visit returned
     seeds = []
     starts = []
     vectors = []
 
-    def recording(matvec, n, config, start=None):
-        seeds.append(config.seed)
+    def recording(matvec, n, seed=0, start=None):
+        seeds.append(seed)
         starts.append(start)
-        lam, q = min_eig_lanczos(matvec, n, config, start=start)
+        lam, q = min_eig_lanczos(matvec, n, seed, start=start)
         vectors.append(q)
         return lam, q
 
@@ -396,10 +363,10 @@ def test_lmo_matvecs_counts_every_lanczos_matvec(monkeypatch, solver):
         counted[0] += inside[0]
         return mc.op.adjoint_matvec(p, u)
 
-    def lanczos(matvec, n, config, start=None):
+    def lanczos(matvec, n, seed=0, start=None):
         inside[0] = True
         try:
-            return min_eig_lanczos(matvec, n, config, start=start)
+            return min_eig_lanczos(matvec, n, seed, start=start)
         finally:
             inside[0] = False
 
@@ -573,11 +540,6 @@ def test_quad_argmin_segment_cases():
     # a concave restriction raises on the segment as on the ray
     with pytest.raises(LineSearchDivergence):
         _quad_argmin_nonneg(-1.0, 0.5, hi=1.0)
-
-
-def test_theta_heuristic_schedule():
-    assert theta_heuristic(0, 1.0) == 1.0
-    assert theta_heuristic(2, 3.0) == 1.5
 
 
 # ---------------------------------------------------------------------------
