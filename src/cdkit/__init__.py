@@ -22,9 +22,7 @@ from .core import (
     SolveTrace,
     SolverConfig,
     TraceRecord,
-    delta_schedule,
     line_search_step,
-    momentum_update,
     ray_minimize,
     solve,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "build_phase_retrieval",
     "build_trace_toy",
     "dct_measurement_apply",
-    "delta_schedule",
     "dump_instance",
     "factor_to_dense",
     "fw_solve",
@@ -97,7 +94,6 @@ __all__ = [
     "line_search_step",
     "load_instance",
     "min_eig_lanczos",
-    "momentum_update",
     "ray_minimize",
     "read_pgm",
     "recovery_error",

@@ -194,7 +194,8 @@ def resolve(args, env=None):
 def validate(spec):
     # a RunSpec built in code is not parsed, so check each field's type
     # before the range checks compare it; the checks on float fields are
-    # written so that NaN fails them
+    # written so that NaN and infinities fail them (a noise SNR of +inf means
+    # no noise)
     for f in dataclasses.fields(RunSpec):
         value = getattr(spec, f.name)
         if value is None and type(None) in typing.get_args(f.type):
@@ -210,8 +211,8 @@ def validate(spec):
         )
     if spec.iters < 1:
         raise UsageError("iters must be at least 1")
-    if not spec.tol >= 0.0:
-        raise UsageError("tol must be nonnegative")
+    if not 0.0 <= spec.tol < math.inf:
+        raise UsageError("tol must be finite and nonnegative")
     if spec.trace_every < 1:
         raise UsageError("trace-every must be at least 1")
     if spec.command == "toy" and spec.dim < 1:
@@ -235,14 +236,14 @@ def validate(spec):
             raise UsageError("recon-rank must lie in [1, sketch - 2]")
     if spec.sketch is not None and spec.sketch < 2:
         raise UsageError("sketch must be at least 2")
-    if spec.heuristic_m is not None and not spec.heuristic_m > 0.0:
-        raise UsageError("heuristic-m must be positive")
-    if spec.trace_bound is not None and not spec.trace_bound > 0.0:
-        raise UsageError("trace-bound must be positive")
-    if spec.gamma is not None and not spec.gamma >= 0.0:
-        raise UsageError("gamma must be nonnegative")
-    if spec.noise_snr is not None and math.isnan(spec.noise_snr):
-        raise UsageError("noise-snr must be a number of decibels, not NaN")
+    if spec.heuristic_m is not None and not 0.0 < spec.heuristic_m < math.inf:
+        raise UsageError("heuristic-m must be positive and finite")
+    if spec.trace_bound is not None and not 0.0 < spec.trace_bound < math.inf:
+        raise UsageError("trace-bound must be positive and finite")
+    if spec.gamma is not None and not 0.0 <= spec.gamma < math.inf:
+        raise UsageError("gamma must be finite and nonnegative")
+    if spec.noise_snr is not None and not -math.inf < spec.noise_snr <= math.inf:
+        raise UsageError("noise-snr must be a number of decibels or inf")
     if spec.greedy_every < 1:
         raise UsageError("greedy-every must be at least 1")
 
@@ -344,19 +345,16 @@ def _run_sdp(spec):
     phase = spec.command == "phase"
     if phase:
         signal = None if spec.image is None else read_pgm(spec.image).ravel()
-        gamma = spec.gamma if spec.gamma is not None else 5e-5
         bundle = build_phase_retrieval(
             n=spec.n,
             m=spec.m,
             seed=spec.seed,
             noise_snr=spec.noise_snr,
-            gamma=gamma,
             signal=signal,
         )
         sketch_size = spec.sketch if spec.sketch is not None else _PHASE_SKETCH
         m_estimate = bundle.m_estimate
     else:
-        gamma = spec.gamma if spec.gamma is not None else 0.0
         bundle = build_matcomp(
             n=spec.n,
             rank=spec.rank,
@@ -364,10 +362,10 @@ def _run_sdp(spec):
             block=spec.block,
             density=spec.density,
             noise_snr=spec.noise_snr,
-            gamma=gamma,
         )
         sketch_size = spec.sketch
         m_estimate = None
+    gamma = spec.gamma if spec.gamma is not None else bundle.gamma
     config = _solver_config(spec, m_estimate)
     if spec.algo == "fw":
         tau = spec.trace_bound if spec.trace_bound is not None else 2.0 * m_estimate

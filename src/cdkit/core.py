@@ -80,12 +80,14 @@ class SolverConfig:
     """Run parameters shared by the conic and semidefinite solvers.
 
     momentum_mode "moco" averages gradients with weight 2/(k+2); "cd" uses the
-    raw current gradient. With heuristic_m None every step searches along the
-    atom; a positive heuristic_m M takes theta_k = 2 M / (k + 2) instead and
-    performs no search (monotone descent is then not guaranteed); fw_solve
-    rejects it. greedy_period > 0 enables the periodic factored descent step
-    and applies to sdp_solve only. max_iters, greedy_period, trace_every and
-    rng_seed must be ints (numpy integers included, bools not).
+    raw current gradient. fw_solve does no averaging in either mode. With
+    heuristic_m None every step searches along the atom; a positive finite
+    heuristic_m M takes theta_k = 2 M / (k + 2) instead and performs no
+    search (monotone descent is then not guaranteed); fw_solve rejects it.
+    tol_eps must be finite and nonnegative. greedy_period > 0 enables the
+    periodic factored descent step and applies to sdp_solve only.
+    max_iters, greedy_period, trace_every and rng_seed must be ints (numpy
+    integers included, bools not).
     """
 
     max_iters: int = 300
@@ -157,22 +159,6 @@ class SolveResult:
     trace: SolveTrace
     certified_dual_cert: float
     stats: dict = field(default_factory=dict)
-
-
-def delta_schedule(k, mode="moco"):
-    """Averaging weight for the momentum update at iteration k."""
-    if mode == "moco":
-        return 2.0 / (k + 2.0)
-    if mode == "cd":
-        return 1.0
-    raise ValueError(f"unknown momentum mode {mode!r}")
-
-
-def momentum_update(g_prev, grad, delta):
-    """Convex combination (1 - delta) * g_prev + delta * grad."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("momentum weight must lie in [0, 1]")
-    return (1.0 - delta) * g_prev + delta * grad
 
 
 def _quad_argmin_nonneg(a, b, hi=math.inf):
@@ -279,14 +265,15 @@ def _check_config(config, allow_greedy):
             raise ValueError(f"{name} must be an int, got {v!r}")
     if config.max_iters < 1:
         raise ValueError("max_iters must be positive")
-    # "not >= 0" and "not > 0" also reject NaN, which would never stop a run
-    # or make every scheduled step NaN
-    if not config.tol_eps >= 0.0:
-        raise ValueError("tol_eps must be nonnegative")
+    # the chained comparisons also reject NaN, which would never stop a run
+    # or make every scheduled step NaN, and infinity, which would stop every
+    # run at once or make the first scheduled step infinite
+    if not 0.0 <= config.tol_eps < math.inf:
+        raise ValueError("tol_eps must be finite and nonnegative")
     if config.momentum_mode not in ("cd", "moco"):
         raise ValueError(f"unknown momentum mode {config.momentum_mode!r}")
-    if config.heuristic_m is not None and not config.heuristic_m > 0.0:
-        raise ValueError("heuristic_m must be a positive M estimate (or None)")
+    if config.heuristic_m is not None and not 0.0 < config.heuristic_m < math.inf:
+        raise ValueError("heuristic_m must be a positive finite M estimate (or None)")
     if config.trace_every < 1:
         raise ValueError("trace_every must be a positive integer")
     if config.greedy_period and not allow_greedy:
@@ -298,21 +285,27 @@ def _check_config(config, allow_greedy):
 def _descend(problem, config, it, callback, frank_wolfe=False):
     """The visit loop shared by solve, sdp_solve and fw_solve.
 
-    `it` carries one solver's iterate and per-visit math:
-      evaluate(k) -> (f, gradient) at the visited point, after any ray
+    The loop owns the momentum average: g_avg starts at zero and each visit
+    sets g_avg = (1 - delta) g_avg + delta grad, with delta = 2 / (k + 2)
+    under momentum_mode "moco" and 1 under "cd". `it` carries one solver's
+    iterate and per-visit math:
+      evaluate() -> (f, gradient) at the visited point, after any ray
         rescale; also sets it.eta, it.cs and it.lam for the trace record;
-      certify(k, gradient) -> the visit's certificate (runs the LMO);
+      certify(g) -> the visit's certificate for g, the average (runs the
+        LMO);
       step(k, theta) moves by theta, or by a searched length when theta is
         None, and returns the length used;
       payload(record) -> the dict passed to callback: the visit's trace
-        record under "record" plus the iterate's own state.
+        record under "record" plus the iterate's own state; the loop adds
+        "g_avg".
     Momentum solvers stop once the certificate reaches sqrt(tol_eps) and
     take line-searched steps, or scheduled ones when heuristic_m is set.
-    With frank_wolfe the certificate is a linearization gap, which already
-    has objective units and stops at tol_eps, and every step is the
-    iterate's own segment search, not counted as a theta search (fw_solve
-    rejects heuristic_m). Callers run _check_config before they build `it`,
-    whose set-up already reads rng_seed.
+    With frank_wolfe there is no average: certify gets the raw gradient and
+    the payload no "g_avg". The certificate is then a linearization gap,
+    which already has objective units and stops at tol_eps, and every step
+    is the iterate's own segment search, not counted as a theta search
+    (fw_solve rejects heuristic_m). Callers run _check_config before they
+    build `it`, whose set-up already reads rng_seed.
 
     Returns (status, trace, certificate of the last visit, stats).
     """
@@ -320,13 +313,19 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
     trace = SolveTrace()
     counts0 = problem.eval_counts()
     n_theta_searches = 0
+    g_avg = 0.0
     t_start = time.perf_counter()
 
     for k in range(config.max_iters + 1):
-        fval, grad = it.evaluate(k)
+        fval, grad = it.evaluate()
         if not math.isfinite(fval) or not np.all(np.isfinite(grad)):
             raise NonFiniteValue(f"non-finite objective data at iteration {k}")
-        cert = it.certify(k, grad)
+        if frank_wolfe:
+            cert = it.certify(grad)
+        else:
+            delta = 2.0 / (k + 2.0) if config.momentum_mode == "moco" else 1.0
+            g_avg = (1.0 - delta) * g_avg + delta * grad
+            cert = it.certify(g_avg)
         stop = cert <= stop_at
         last = k == config.max_iters
         theta = 0.0
@@ -341,7 +340,10 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
         if k % config.trace_every == 0 or stop or last:
             trace.records.append(record)
         if callback is not None:
-            callback(it.payload(record))
+            info = it.payload(record)
+            if not frank_wolfe:
+                info["g_avg"] = g_avg
+            callback(info)
         if stop or last:
             break
 
@@ -356,13 +358,11 @@ class _VectorIterate:
 
     lam = None
 
-    def __init__(self, problem, config, x):
+    def __init__(self, problem, x):
         self.problem = problem
-        self.mode = config.momentum_mode
         self.x_next = x
-        self.g_avg = np.zeros_like(x)
 
-    def evaluate(self, k):
+    def evaluate(self):
         self.x = self.x_next
         self.eta = ray_minimize(self.problem, self.x)
         self.xe = self.eta * self.x
@@ -371,11 +371,10 @@ class _VectorIterate:
         self.cs = float(np.vdot(self.xe, grad))
         return fval, grad
 
-    def certify(self, k, grad):
-        self.g_avg = momentum_update(self.g_avg, grad, delta_schedule(k, self.mode))
-        self.v = self.problem.cone.lmo(self.g_avg)
+    def certify(self, g):
+        self.v = self.problem.cone.lmo(g)
         # -<g, v> equals dist_dual(g, K*) at an exact LMO
-        return -float(np.vdot(self.g_avg, self.v))
+        return -float(np.vdot(g, self.v))
 
     def step(self, k, theta):
         if theta is None:
@@ -385,7 +384,7 @@ class _VectorIterate:
         return theta
 
     def payload(self, record):
-        return {"record": record, "x": self.x, "g_avg": self.g_avg, "v": self.v}
+        return {"record": record, "x": self.x, "v": self.v}
 
 
 def solve(problem, config=None, x0=None, callback=None):
@@ -401,8 +400,8 @@ def solve(problem, config=None, x0=None, callback=None):
     callback : callable or None
         Invoked once per iteration as callback(info) after the step size is
         known: info["record"] is the TraceRecord, info["x"] the pre-ray
-        iterate x_k (the analyzed point is record.eta * x), then "g_avg"
-        (the momentum vector) and "v" (the LMO atom).
+        iterate x_k (the analyzed point is record.eta * x), then "v" (the
+        LMO atom) and "g_avg" (the momentum vector).
 
     Returns a SolveResult whose final_point is the ray-minimized iterate of
     the last visit. Status "converged" means the dual certificate dropped to
@@ -414,7 +413,7 @@ def solve(problem, config=None, x0=None, callback=None):
         raise UnsupportedCone("solve() needs a ConicProgram with a cone handle")
     _check_config(config, allow_greedy=False)
     x = problem.cone.default_init() if x0 is None else np.array(x0, dtype=float)
-    it = _VectorIterate(problem, config, x)
+    it = _VectorIterate(problem, x)
     status, trace, cert, stats = _descend(problem, config, it, callback)
     return SolveResult(
         final_point=it.xe,

@@ -7,6 +7,7 @@ can be checked against independent quantities instead of solver output.
 """
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -203,15 +204,14 @@ def _matcomp_mask(n, block, density, rng):
     return np.concatenate(rows_i), np.concatenate(rows_j)
 
 
-def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None,
-                  gamma=0.0):
+def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     """Symmetric matrix completion from a partial entry mask.
 
     The ground truth is v v^T for an n-by-rank Gaussian factor v. Observed
     entries are the symmetrized coordinate measurements (so each observation
     reads (X_ij + X_ji) / 2), the objective is half the squared residual to
     the observed values, and z equals the observation vector so y = 0 at a
-    perfect fit.
+    perfect fit. The bundle's gamma, the default trace penalty, is 0.
     """
     if block > n:
         raise ValueError("observed block cannot exceed the matrix size")
@@ -289,7 +289,7 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None,
     return MatrixCompletion(
         fv=fv,
         op=op,
-        gamma=float(gamma),
+        gamma=0.0,
         v_true=v_true,
         b=b,
         row_idx=row_idx,
@@ -322,8 +322,7 @@ class PhaseRetrieval:
     m_estimate: float
 
 
-def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, gamma=5e-5,
-                          signal=None):
+def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     """Recover a signal from squared signed-DCT measurements, lifted to psd.
 
     Each of the m masks flips signs entrywise before an orthonormal cosine
@@ -332,6 +331,7 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, gamma=5e-5,
     each mask is orthogonal, the measurements of one mask sum to ||x||^2, so
     the mean of the observation vector over masks estimates the trace of the
     lifted solution; that estimate is what the pre-scheduled step rule uses.
+    The bundle's gamma, the default trace penalty, is 5e-5.
     """
     rng = np.random.default_rng(seed)
     if signal is not None:
@@ -405,7 +405,7 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, gamma=5e-5,
     return PhaseRetrieval(
         fv=fv,
         op=op,
-        gamma=float(gamma),
+        gamma=5e-5,
         x_true=x_true,
         b=b,
         signs=signs,
@@ -438,10 +438,13 @@ def add_noise_snr(clean, snr_db, rng):
 
     The noise draw is rescaled after the fact so that
     ||noise|| / ||clean|| = 10 ** (-snr_db / 20) holds as written, rather
-    than only in expectation. snr_db = inf returns an unchanged copy.
+    than only in expectation. snr_db = +inf returns an unchanged copy; NaN
+    and -inf raise ValueError.
     """
     clean = np.asarray(clean, dtype=float)
-    if np.isinf(snr_db):
+    if not -math.inf < snr_db <= math.inf:
+        raise ValueError(f"noise SNR must be a number of decibels or +inf, got {snr_db!r}")
+    if snr_db == math.inf:
         return clean.copy()
     nrm = float(np.linalg.norm(clean))
     if nrm == 0.0:

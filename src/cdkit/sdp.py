@@ -27,10 +27,8 @@ from .core import (
     _check_config,
     _descend,
     _search,
-    delta_schedule,
     line_search_step,
     minimize_convex_1d,
-    momentum_update,
     ray_minimize,
 )
 from .exceptions import EigFailure, RankTooLarge
@@ -63,11 +61,27 @@ class MeasurementOperator:
 
 @dataclass
 class SdpState:
-    """Mutable iterate of the engine: image, trace, optional sketch."""
+    """Mutable iterate of the engine: image, trace, optional sketch.
+
+    move(y, scale, weight, q) applies X <- scale X + weight q q^T: it stores
+    the new image y, which the caller computes, updates the trace to
+    scale tr + weight, scales the sketch (unless scale is 1) and adds the
+    rank-one term to it when q is given. The greedy refit's rank-r commit
+    goes through SketchState.replace instead.
+    """
 
     y: np.ndarray
     tr: float
     sketch: "SketchState | None" = None
+
+    def move(self, y, scale=1.0, weight=0.0, q=None):
+        self.y = y
+        self.tr = scale * self.tr + weight
+        if self.sketch is not None:
+            if scale != 1.0:
+                self.sketch.scale(scale)
+            if q is not None:
+                self.sketch.add_rank_one(weight, q)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +491,8 @@ class _MeasurementIterate:
     def __init__(self, fv, op, gamma, config, sketch_size):
         if fv.dim != op.d:
             raise ValueError("objective dimension does not match the measurement count")
-        if not gamma >= 0.0:
-            raise ValueError("trace penalty gamma must be nonnegative")
+        if not 0.0 <= gamma < math.inf:
+            raise ValueError("trace penalty gamma must be finite and nonnegative")
         self.fv, self.op, self.gamma = fv, op, gamma
         self.z = np.asarray(op.z, dtype=float)
         # every visit's Lanczos run starts from the previous visit's
@@ -494,7 +508,7 @@ class _MeasurementIterate:
         self.state = SdpState(y=-self.z.astype(float), tr=0.0, sketch=sketch)
         self.greedy_events = []
 
-    def evaluate(self, k):
+    def evaluate(self):
         s = self.state
         fval = self.fv.value(s.y) + self.gamma * s.tr
         p = self.fv.gradient(s.y)
@@ -549,25 +563,19 @@ class _SdpIterate(_MeasurementIterate):
 
     def __init__(self, fv, op, gamma, config, sketch_size):
         super().__init__(fv, op, gamma, config, sketch_size)
-        self.mode = config.momentum_mode
         self.greedy_period = config.greedy_period
         self.rng = np.random.default_rng(config.rng_seed)
-        self.g_avg = np.zeros(op.d)
 
-    def evaluate(self, k):
+    def evaluate(self):
         s, z = self.state, self.z
         self.eta = ray_minimize(self.fv, s.y + z, -z, self.gamma * s.tr)
         if self.eta != 1.0:
-            s.y = self.eta * (s.y + z) - z
-            s.tr *= self.eta
-            if s.sketch is not None:
-                s.sketch.scale(self.eta)
+            s.move(self.eta * (s.y + z) - z, self.eta)
         self.greedy = None
-        return super().evaluate(k)
+        return super().evaluate()
 
-    def certify(self, k, p):
-        self.g_avg = momentum_update(self.g_avg, p, delta_schedule(k, self.mode))
-        self.lam, self.q = self.lmo(self.g_avg)
+    def certify(self, g):
+        self.lam, self.q = self.lmo(g)
         return max(0.0, -self.lam)
 
     def step(self, k, theta):
@@ -575,20 +583,12 @@ class _SdpIterate(_MeasurementIterate):
         g_atom = self.op.gram(self.q)
         if theta is None:
             theta = line_search_step(self.fv, s.y, g_atom, self.gamma)
-        s.y = s.y + theta * g_atom
-        s.tr += theta
-        if s.sketch is not None:
-            s.sketch.add_rank_one(theta, self.q)
+        s.move(s.y + theta * g_atom, weight=theta, q=self.q)
         if self.greedy_period and (k + 1) % self.greedy_period == 0:
             self.greedy = greedy_step(self.fv, self.op, self.gamma, s, self.rng)
             self.greedy["k"] = k
             self.greedy_events.append(self.greedy)
         return theta
-
-    def payload(self, record):
-        info = super().payload(record)
-        info["g_avg"] = self.g_avg
-        return info
 
 
 def sdp_solve(
@@ -630,7 +630,7 @@ class _FwIterate(_MeasurementIterate):
         super().__init__(fv, op, gamma, config, sketch_size)
         self.tau = tau
 
-    def certify(self, k, p):
+    def certify(self, p):
         # extreme point of the set against the gradient p: tau q q^T when
         # lambda < 0 (q is None otherwise), kept as its image and trace; the
         # certificate is the gap <p, X - atom> plus the trace term
@@ -648,12 +648,7 @@ class _FwIterate(_MeasurementIterate):
         s, tr_atom = self.state, self.tr_atom
         direction = self.y_atom - s.y
         theta = _search(self.fv, s.y, direction, self.gamma * (tr_atom - s.tr), 0.0, 1.0)
-        s.y = s.y + theta * direction
-        s.tr = (1.0 - theta) * s.tr + theta * tr_atom
-        if s.sketch is not None:
-            s.sketch.scale(1.0 - theta)
-            if self.q is not None:
-                s.sketch.add_rank_one(theta * self.tau, self.q)
+        s.move(s.y + theta * direction, 1.0 - theta, theta * tr_atom, self.q)
         return theta
 
 
@@ -666,16 +661,17 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=Non
     tau below the trace of the true minimizer makes the optimum of this
     problem differ from the unconstrained-cone one; that is the point of the
     comparison, not a defect. stats["lmo_matvecs"] is as in sdp_solve. A
-    config with heuristic_m set raises ValueError, since every step here is
-    an exact search on the segment to the atom.
+    tau that is not positive and finite raises ValueError, and so does a
+    config with heuristic_m set, since every step here is an exact search
+    on the segment to the atom.
 
     callback(info) gets sdp_solve's keys but "g_avg"; q is None when the
     atom is X = 0.
     """
     if config is None:
         config = SolverConfig()
-    if not tau > 0.0:
-        raise ValueError("trace bound tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("trace bound tau must be positive and finite")
     if config.heuristic_m is not None:
         raise ValueError("fw_solve takes no heuristic_m: its steps are segment searches")
     _check_config(config, allow_greedy=False)

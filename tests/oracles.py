@@ -15,16 +15,16 @@ import math
 
 import numpy as np
 
-from cdkit.core import momentum_update
 from cdkit.exceptions import UnsupportedCone
 
 
 class PhiTracker:
     """Running affine minorant of the objective.
 
-    update(k, delta, f_at_point, grad_dot_point, point) must be called once
-    per solver visit with the same delta the solver used. The linear
-    coefficient is recomputed with the identical averaging arithmetic, so it
+    update(delta, f_value, grad, point) must be called once per solver
+    visit with the weight delta the solver used: 2 / (k + 2) under "moco",
+    1 under "cd". The linear coefficient is the same convex combination
+    (1 - delta) * linear + delta * grad that the solver's loop forms, so it
     matches the solver's momentum vector bitwise when fed the same gradients.
     """
 
@@ -40,7 +40,7 @@ class PhiTracker:
         # exact ray minimization <grad, x_k> = 0 and the intercept is f(x_k).
         intercept = float(f_value) - float(np.vdot(grad, point))
         self.alpha = (1.0 - delta) * self.alpha + delta * intercept
-        self.linear = momentum_update(self.linear, grad, delta)
+        self.linear = (1.0 - delta) * self.linear + delta * grad
         self.n_updates += 1
 
     def value_at(self, x):

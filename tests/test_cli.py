@@ -286,16 +286,41 @@ def test_usage_error_exits_two(capsys):
         (["matcomp", "--n", "20", "--algo", "fw", "--trace-bound", "nan"], "trace-bound"),
         (["matcomp", "--n", "20", "--gamma", "nan"], "gamma"),
         (["phase", "--n", "16", "--m", "4", "--noise-snr", "nan"], "noise-snr"),
+        (["toy", "--tol", "inf"], "tol"),
+        (["toy", "--algo", "mocoh", "--heuristic-m", "inf"], "heuristic-m"),
+        (["matcomp", "--n", "20", "--algo", "fw", "--trace-bound", "inf"], "trace-bound"),
+        (["matcomp", "--n", "20", "--gamma", "inf"], "gamma"),
+        # argparse reads a bare "-inf" as a flag
+        (["phase", "--n", "16", "--m", "4", "--noise-snr=-inf"], "noise-snr"),
     ],
-    ids=["toy-tol", "matcomp-fw-trace-bound", "matcomp-gamma", "phase-noise-snr"],
+    ids=[
+        "toy-tol", "matcomp-fw-trace-bound", "matcomp-gamma", "phase-noise-snr",
+        "toy-tol-inf", "toy-heuristic-m-inf", "matcomp-fw-trace-bound-inf",
+        "matcomp-gamma-inf", "phase-noise-snr-minus-inf",
+    ],
 )
 def test_nan_option_exits_two(tmp_path, capsys, argv, option):
     # NaN compares false both ways, so each range check must be written to
-    # fail it; these used to run (exit 0) or fail in the solver (exit 3)
+    # fail it, and an infinite value must fail it too; these used to run
+    # (exit 0, an infinite tol stopping at the first visit and an SNR of -inf
+    # adding no noise) or fail in the solver (exit 3)
     code = console_main(argv + ["--iters", "5", "--prefix", str(tmp_path / "x")])
     assert code == 2
     assert option in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_infinite_noise_snr_means_no_noise(tmp_path):
+    # +inf stays a valid SNR: the run sees the clean measurements
+    finals = []
+    for name, extra in (("clean", []), ("inf", ["--noise-snr", "inf"])):
+        prefix = tmp_path / name
+        argv = ["phase", "--n", "16", "--m", "4", "--iters", "10", "--prefix", str(prefix)]
+        assert console_main(argv + extra) == 0
+        with open(f"{prefix}.summary.json") as fh:
+            summary = json.load(fh)
+        finals.append((summary["final_f"], summary["final_dual_cert"]))
+    assert finals[0] == finals[1]
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
-"""Core solver machinery: schedules, 1-d searches, ray/step exactness, and
+"""Core solver machinery: 1-d searches, ray/step exactness, and
 the full visit loop on small planted problems."""
 
 import csv
 import io
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -20,13 +22,11 @@ from cdkit import (
 )
 from cdkit.core import (
     _quad_argmin_nonneg,
-    delta_schedule,
     line_search_step,
     minimize_convex_1d,
-    momentum_update,
     ray_minimize,
 )
-from cdkit.problems import build_orthant_quadratic, build_trace_toy
+from cdkit.problems import add_noise_snr, build_orthant_quadratic, build_trace_toy
 from oracles import kkt_residuals
 
 
@@ -45,32 +45,6 @@ def quad_program(dim, quad, lin, cone=None):
         return a, b, c
 
     return ConicProgram(dim, value, grad, cone=cone, restriction_oracle=restriction)
-
-
-# ---------------------------------------------------------------------------
-# schedules and elementary updates
-
-
-def test_delta_schedule_values():
-    assert delta_schedule(0, "cd") == 1.0
-    assert delta_schedule(5, "cd") == 1.0
-    assert delta_schedule(0, "moco") == 1.0
-    assert delta_schedule(1, "moco") == pytest.approx(2.0 / 3.0)
-    assert delta_schedule(2, "moco") == 0.5
-    with pytest.raises(ValueError):
-        delta_schedule(0, "nope")
-
-
-def test_momentum_update_convex_combination():
-    g_prev = np.array([1.0, 0.0])
-    grad = np.array([0.0, 2.0])
-    np.testing.assert_allclose(momentum_update(g_prev, grad, 0.5), [0.5, 1.0])
-    np.testing.assert_array_equal(momentum_update(g_prev, grad, 1.0), grad)
-    np.testing.assert_array_equal(momentum_update(g_prev, grad, 0.0), g_prev)
-    with pytest.raises(ValueError):
-        momentum_update(g_prev, grad, 1.5)
-    with pytest.raises(ValueError):
-        momentum_update(g_prev, grad, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +156,7 @@ def test_line_search_step_exact_on_quadratic():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_searches_without_restriction_fall_back_to_golden():
+def test_searches_without_restriction_fall_back_to_bisection():
     def value(x):
         return float(np.sum((x - 2.0) ** 2))
 
@@ -287,6 +261,44 @@ def test_callback_sees_every_visit():
     assert [k for k, _ in seen] == list(range(len(seen)))
 
 
+def _readme_callback_keys():
+    # the README's Callbacks table: per solver, the backticked names that
+    # are not inside a parenthesized remark, plus "record"
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    table = text.split("### Callbacks", 1)[1].split("\n## ", 1)[0]
+    keys = {}
+    for row in re.findall(r"^\| `(\w+)` +\|(.*)\|$", table, flags=re.M):
+        solver, cell = row
+        keys[solver] = {"record"} | set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell)))
+    return keys
+
+
+def test_callback_keys_match_readme_table():
+    # every solver's payload has exactly the keys the README lists; only
+    # the momentum solvers carry "g_avg"
+    readme = _readme_callback_keys()
+    assert set(readme) == {"solve", "sdp_solve", "fw_solve"}
+    assert "g_avg" in readme["solve"] and "g_avg" in readme["sdp_solve"]
+    assert "g_avg" not in readme["fw_solve"]
+    toy = build_trace_toy()
+    runs = {
+        "solve": lambda cb: solve(
+            build_orthant_quadratic(dim=6, seed=0).program, SolverConfig(max_iters=3),
+            callback=cb,
+        ),
+        "sdp_solve": lambda cb: sdp_solve(
+            toy.fv, toy.op, config=SolverConfig(max_iters=3), callback=cb
+        ),
+        "fw_solve": lambda cb: fw_solve(
+            toy.fv, toy.op, tau=0.5, config=SolverConfig(max_iters=3), callback=cb
+        ),
+    }
+    for solver, run in runs.items():
+        seen = []
+        run(lambda info: seen.append(set(info)))
+        assert seen and all(keys == readme[solver] for keys in seen), solver
+
+
 def test_trace_every_thins_records_but_keeps_last():
     built = build_orthant_quadratic(dim=8, seed=5)
     res = solve(built.program, SolverConfig(max_iters=20, trace_every=7))
@@ -311,21 +323,35 @@ def test_config_validation_errors():
         solve(built.program, SolverConfig(greedy_period=5))
     with pytest.raises(ValueError):
         solve(built.program, SolverConfig(max_iters=-1))
+    # an infinite tol_eps would stop every run at its first visit and an
+    # infinite M make the first scheduled step infinite
+    with pytest.raises(ValueError, match="tol_eps"):
+        solve(built.program, SolverConfig(tol_eps=math.inf))
+    with pytest.raises(ValueError, match="heuristic_m"):
+        solve(built.program, SolverConfig(heuristic_m=math.inf))
     toy = build_trace_toy()
     for config in (
         SolverConfig(trace_every=0),
         SolverConfig(tol_eps=-1.0),
         SolverConfig(tol_eps=math.nan),
+        SolverConfig(tol_eps=math.inf),
         # fw_solve steps by segment search only, so a scheduled step is
         # refused rather than ignored
         SolverConfig(heuristic_m=0.01),
     ):
         with pytest.raises(ValueError):
             fw_solve(toy.fv, toy.op, tau=1.0, config=config)
-    with pytest.raises(ValueError):
-        fw_solve(toy.fv, toy.op, tau=math.nan)
-    with pytest.raises(ValueError):
-        sdp_solve(toy.fv, toy.op, gamma=math.nan)
+    for tau in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau"):
+            fw_solve(toy.fv, toy.op, tau=tau)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            sdp_solve(toy.fv, toy.op, gamma=gamma)
+        with pytest.raises(ValueError, match="gamma"):
+            fw_solve(toy.fv, toy.op, tau=1.0, gamma=gamma)
+    for snr in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="SNR"):
+            add_noise_snr(np.ones(3), snr, np.random.default_rng(0))
     with pytest.raises(ValueError):
         fw_solve(quad_program(2, np.eye(2), np.zeros(2)), toy.op, tau=1.0)
 

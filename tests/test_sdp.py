@@ -99,6 +99,22 @@ def test_lanczos_warm_start_on_wrong_eigenvector_finds_bottom(seed):
     assert abs(q[0]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_lanczos_step_cap_is_200():
+    # n = 400 with the spectrum clustered at 0: no run converges within 200
+    # steps, so each of the two attempts (the retry starts cold from seed
+    # + 1) makes exactly 200 loop matvecs and one for the verification
+    d = np.linspace(0.0, 1.0, 400) ** 2
+    matvecs = [0]
+
+    def matvec(v):
+        matvecs[0] += 1
+        return d * v
+
+    with pytest.raises(EigFailure, match="after 200 steps"):
+        min_eig_lanczos(matvec, 400, seed=0)
+    assert matvecs[0] == 2 * (200 + 1)
+
+
 def _tridiagonal_cases():
     rng = np.random.default_rng(7)
     for size in (1, 2, 10, 34, 86, 200):
@@ -691,7 +707,7 @@ def test_factor_quartic_matches_direct_objective(name, gamma):
 
 
 @pytest.mark.parametrize("name", list(_SEARCH_BUILDS))
-def test_quartic_search_no_worse_than_golden_section(name):
+def test_quartic_search_no_worse_than_slope_bisection(name):
     # the quartic's global minimum is never above the local minimum that
     # the restriction-free search (a slope bisection) stops at
     b = _SEARCH_BUILDS[name]()
@@ -708,7 +724,7 @@ def test_quartic_search_no_worse_than_golden_section(name):
         assert h(a_quartic) <= h_free + 1e-12 * abs(h_free)
 
 
-def test_quartic_search_finds_minimum_golden_section_misses():
+def test_quartic_search_finds_minimum_slope_bisection_misses():
     # trace toy at X = u u^T with tr = 0.81 below the target 1: stepping
     # along d first shrinks the trace (h rises until a = 3) and then grows it
     # back through the target at a = 19/3, where h = 0. h is not convex in a

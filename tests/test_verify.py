@@ -4,7 +4,7 @@ gradient validation, and smoothness gap probing."""
 import numpy as np
 import pytest
 
-from cdkit import ConicProgram, SolverConfig, delta_schedule, solve
+from cdkit import ConicProgram, SolverConfig, solve
 from cdkit.problems import build_orthant_quadratic
 from oracles import (
     PhiTracker,
@@ -14,25 +14,35 @@ from oracles import (
 )
 
 
+def _delta(k, mode):
+    # the averaging weight of the paper's schedule, written out here rather
+    # than read from the solver
+    return 2.0 / (k + 2.0) if mode == "moco" else 1.0
+
+
 def test_phi_tracker_matches_solver_momentum_bitwise():
     # feed the tracker the same (delta, f, grad, point) stream the solver
-    # consumes and require bit-identical momentum vectors
+    # consumes and require bit-identical momentum vectors, with averaging
+    # ("moco") and without ("cd": the average is the current gradient)
     built = build_orthant_quadratic(dim=12, seed=0)
     prob = built.program
-    tracker = PhiTracker(12)
-    mism = []
+    for mode in ("moco", "cd"):
+        tracker = PhiTracker(12)
+        mism = []
 
-    def cb(info):
-        record = info["record"]
-        xe = record.eta * info["x"]
-        delta = delta_schedule(record.k)
-        tracker.update(delta, record.f_value, prob.gradient_oracle(xe), xe)
-        if not np.array_equal(tracker.linear, info["g_avg"]):
-            mism.append(record.k)
+        def cb(info):
+            record = info["record"]
+            xe = record.eta * info["x"]
+            grad = prob.gradient_oracle(xe)
+            tracker.update(_delta(record.k, mode), record.f_value, grad, xe)
+            if not np.array_equal(tracker.linear, info["g_avg"]):
+                mism.append(record.k)
+            if mode == "cd" and not np.array_equal(info["g_avg"], grad):
+                mism.append(("cd", record.k))
 
-    solve(prob, SolverConfig(max_iters=40), callback=cb)
-    assert mism == []
-    assert tracker.n_updates == 41
+        solve(prob, SolverConfig(max_iters=40, momentum_mode=mode), callback=cb)
+        assert mism == [], mode
+        assert tracker.n_updates == 41
 
 
 def test_phi_tracker_value_at_affine():
@@ -53,7 +63,7 @@ def test_phi_lower_bound_below_true_optimum():
     def cb(info):
         record = info["record"]
         xe = record.eta * info["x"]
-        tracker.update(delta_schedule(record.k), record.f_value, prob.gradient_oracle(xe), xe)
+        tracker.update(_delta(record.k, "moco"), record.f_value, prob.gradient_oracle(xe), xe)
 
     solve(prob, SolverConfig(max_iters=200), callback=cb)
     radius = float(np.linalg.norm(built.x_star))
