@@ -42,8 +42,6 @@ from .problems import (
     build_phase_retrieval,
     build_trace_toy,
     dct_measurement_apply,
-    dump_instance,
-    load_instance,
     read_pgm,
     recovery_error,
 )
@@ -55,7 +53,6 @@ from .sdp import (
     fw_solve,
     greedy_step,
     min_eig_lanczos,
-    save_factor,
     sdp_solve,
     sketch_reconstruct,
 )
@@ -87,17 +84,14 @@ __all__ = [
     "build_phase_retrieval",
     "build_trace_toy",
     "dct_measurement_apply",
-    "dump_instance",
     "factor_to_dense",
     "fw_solve",
     "greedy_step",
     "line_search_step",
-    "load_instance",
     "min_eig_lanczos",
     "ray_minimize",
     "read_pgm",
     "recovery_error",
-    "save_factor",
     "sdp_solve",
     "sketch_reconstruct",
     "solve",

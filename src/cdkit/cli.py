@@ -10,7 +10,9 @@ Usage sketches:
 Every run writes <prefix>.trace.csv (one row per recorded iteration) and
 <prefix>.summary.json (resolved configuration, final values, oracle call
 counts). Phase runs additionally write <prefix>.factor.npz with the factored
-reconstruction read out of the sketch.
+reconstruction read out of the sketch (arrays u and lam). With --dump-to PATH
+a run also writes the instance it built to PATH, exactly as given: a plain
+.npz file holding kind, seed and the bundle's arrays, which np.load reads.
 
 Option precedence, lowest to highest: built-in defaults, then key=value
 lines from --config, then explicit command line flags, then the CDK_SEED
@@ -39,23 +41,22 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .core import SolverConfig, solve
-from .exceptions import DegenerateSignal, RankTooLarge, SolverError
+from .exceptions import SolverError
 from .problems import (
     build_matcomp,
     build_orthant_quadratic,
     build_phase_retrieval,
-    dump_instance,
     read_pgm,
     recovery_error,
 )
-from .sdp import fw_solve, save_factor, sdp_solve, sketch_reconstruct
+from .sdp import fw_solve, sdp_solve, sketch_reconstruct
 
 _VECTOR_ALGOS = ("cd", "moco", "mocoh")
 _SDP_ALGOS = ("cd", "moco", "mocog", "mocoh", "fw")
 # phase keeps a sketch unless told otherwise: its factor readout needs one
 _PHASE_SKETCH = 8
-# what --dump-to writes for each command: the container kind and the fields
-# of the built bundle it holds, plus the seed
+# what --dump-to writes for each command: the kind tag (saved as the string
+# array "kind", beside "seed") and the fields of the built bundle
 _DUMPS = {
     "toy": ("orthant_quadratic", ("quad", "lin", "x_star")),
     "matcomp": ("matcomp", ("row_idx", "col_idx", "b", "v_true")),
@@ -91,7 +92,7 @@ class RunSpec:
     dump_to: str | None = None
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Raised for settings that cannot be run; maps to exit code 2."""
 
 
@@ -321,12 +322,18 @@ def run_experiment(spec):
     if spec.dump_to is not None:
         kind, names = _DUMPS[spec.command]
         arrays = {name: getattr(bundle, name) for name in names}
-        arrays["seed"] = np.array(spec.seed)
-        dump_instance(spec.dump_to, kind, arrays)
+        _write_npz(spec.dump_to, kind=kind, seed=spec.seed, **arrays)
     with open(f"{spec.prefix}.summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
+
+
+def _write_npz(path, **arrays):
+    # np.savez appends ".npz" to a str path that lacks it; an open file is
+    # written where it is
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def _run_toy(spec):
@@ -394,7 +401,7 @@ def _run_sdp(spec):
     u, lam = sketch_reconstruct(result.sketch, spec.recon_rank)
     x_hat = u[:, 0] * math.sqrt(max(float(lam[0]), 0.0))
     factor_path = f"{spec.prefix}.factor.npz"
-    save_factor(factor_path, u, lam)
+    _write_npz(factor_path, u=u, lam=lam)
     summary["m_estimate"] = float(m_estimate)
     summary["recovery_error"] = float(recovery_error(x_hat, bundle.x_true))
     summary["factor_file"] = factor_path
@@ -411,12 +418,11 @@ def _spec_worker(spec):
             f"status={summary['status']} final_f={summary['final_f']:.6g} "
             f"cert={summary['final_dual_cert']:.6g}",
         )
-    except (UsageError, DegenerateSignal, RankTooLarge) as exc:
-        return (spec.prefix, 2, str(exc))
     except (SolverError, np.linalg.LinAlgError) as exc:
         return (spec.prefix, 3, str(exc))
     except ValueError as exc:
-        # after the clause above: LinAlgError is a ValueError and means 3
+        # after the clause above: LinAlgError is a ValueError and means 3;
+        # UsageError, DegenerateSignal and RankTooLarge are ValueErrors too
         return (spec.prefix, 2, str(exc))
     except OSError as exc:
         return (spec.prefix, 4, str(exc))
@@ -447,7 +453,8 @@ def build_parser():
                         dest="heuristic_m",
                         help="step scale for the mocoh schedule")
     common.add_argument("--dump-to", default=None, dest="dump_to",
-                        help="also write the instance to this container file")
+                        help="also write the built instance to this exact path as "
+                             "a plain .npz file")
 
     sdp_flags = argparse.ArgumentParser(add_help=False)
     sdp_flags.add_argument("--n", type=int, default=None)

@@ -6,9 +6,7 @@ operator where one applies, and whatever ground truth the construction knows
 can be checked against independent quantities instead of solver output.
 """
 
-import io
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +135,11 @@ def build_trace_toy(n=2, target=1.0):
     Any psd matrix with trace equal to target is optimal, so the optimal
     value is 0 and the minimal nuclear radius of a solution is the target
     itself. Useful as the smallest instance where a trace-bounded feasible
-    set with too small a bound visibly changes the answer.
+    set with too small a bound visibly changes the answer. A target that is
+    not positive and finite raises ValueError.
     """
-    if target <= 0.0:
-        raise ValueError("target trace must be positive")
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"target trace must be positive and finite, got {target!r}")
     z = np.array([float(target)])
 
     def gram(q):
@@ -158,7 +157,6 @@ def build_trace_toy(n=2, target=1.0):
 
     op = MeasurementOperator(
         n=n,
-        d=1,
         z=z,
         gram=gram,
         adjoint_matvec=adjoint_matvec,
@@ -211,8 +209,11 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     entries are the symmetrized coordinate measurements (so each observation
     reads (X_ij + X_ji) / 2), the objective is half the squared residual to
     the observed values, and z equals the observation vector so y = 0 at a
-    perfect fit. The bundle's gamma, the default trace penalty, is 0.
+    perfect fit. The bundle's gamma, the default trace penalty, is 0. A
+    density outside (0, 1] or a block larger than n raises ValueError.
     """
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must lie in (0, 1], got {density!r}")
     if block > n:
         raise ValueError("observed block cannot exceed the matrix size")
     rng = np.random.default_rng(seed)
@@ -278,7 +279,6 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
 
     op = MeasurementOperator(
         n=n,
-        d=d,
         z=b.copy(),
         gram=gram,
         adjoint_matvec=adjoint_matvec,
@@ -331,8 +331,11 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     each mask is orthogonal, the measurements of one mask sum to ||x||^2, so
     the mean of the observation vector over masks estimates the trace of the
     lifted solution; that estimate is what the pre-scheduled step rule uses.
-    The bundle's gamma, the default trace penalty, is 5e-5.
+    The bundle's gamma, the default trace penalty, is 5e-5. An m below 1
+    raises ValueError.
     """
+    if not m >= 1:
+        raise ValueError(f"m must be at least 1, got {m!r}")
     rng = np.random.default_rng(seed)
     if signal is not None:
         x_true = np.asarray(signal, dtype=float).ravel()
@@ -394,7 +397,6 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
 
     op = MeasurementOperator(
         n=n,
-        d=d,
         z=b.copy(),
         gram=gram,
         adjoint_matvec=adjoint_matvec,
@@ -430,7 +432,7 @@ def recovery_error(x_hat, x_true):
 
 
 # ---------------------------------------------------------------------------
-# noise, images, instance containers
+# noise and images
 
 
 def add_noise_snr(clean, snr_db, rng):
@@ -500,46 +502,3 @@ def read_pgm(path):
             raise ValueError("truncated image payload")
         arr = np.array(fields[:count], dtype=float)
     return arr.reshape(height, width).astype(float) / maxval
-
-
-_CONTAINER_MAGIC = b"CDKI"
-_CONTAINER_VERSION = 1
-
-
-def dump_instance(path, kind, arrays):
-    """Write named arrays to a tagged binary container."""
-    payload = io.BytesIO()
-    np.savez(payload, **arrays)
-    raw = payload.getvalue()
-    kind_b = kind.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CONTAINER_MAGIC)
-        fh.write(struct.pack("<HH", _CONTAINER_VERSION, len(kind_b)))
-        fh.write(kind_b)
-        fh.write(struct.pack("<Q", len(raw)))
-        fh.write(raw)
-
-
-def _read_exact(fh, size):
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError(f"truncated instance container: {len(data)} of {size} bytes")
-    return data
-
-
-def load_instance(path):
-    """Read back a container written by dump_instance: (kind, arrays).
-
-    A bad magic, an unknown version or a file that ends early raises
-    ValueError.
-    """
-    with open(path, "rb") as fh:
-        if fh.read(4) != _CONTAINER_MAGIC:
-            raise ValueError("not an instance container")
-        version, kind_len = struct.unpack("<HH", _read_exact(fh, 4))
-        if version != _CONTAINER_VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        kind = _read_exact(fh, kind_len).decode("utf-8")
-        (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8))
-        data = np.load(io.BytesIO(_read_exact(fh, nbytes)))
-        return kind, {key: data[key] for key in data.files}

@@ -39,7 +39,8 @@ class MeasurementOperator:
     """Linear measurements of a symmetric matrix, with a constant shift.
 
     Encodes the map X -> (tr(G_1 X), ..., tr(G_d X)) together with the shift
-    z, so iterates live in measurement space as y = apply(X) - z.
+    z, so iterates live in measurement space as y = apply(X) - z. The
+    measurement count d is the length of z.
 
     gram(q) returns the measurement image of q q^T for a vector q of shape
     (n,), or of U U^T when given a matrix of shape (n, r).
@@ -51,12 +52,15 @@ class MeasurementOperator:
     """
 
     n: int
-    d: int
     z: np.ndarray
     gram: Callable
     adjoint_matvec: Callable
     apply_dense: Callable | None = None
     adjoint_dense: Callable | None = None
+
+    @property
+    def d(self):
+        return len(self.z)
 
 
 @dataclass
@@ -164,17 +168,6 @@ def factor_to_dense(u, lam):
     return (u * lam) @ u.T
 
 
-def save_factor(path, u, lam):
-    with open(path, "wb") as fh:
-        np.savez(fh, u=np.asarray(u, dtype=float), lam=np.asarray(lam, dtype=float))
-
-
-def load_factor(path):
-    with open(path, "rb") as fh:
-        data = np.load(fh)
-        return data["u"], data["lam"]
-
-
 # ---------------------------------------------------------------------------
 # matrix-free smallest eigenpair
 
@@ -202,8 +195,10 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
     and inverse-iteration routines (stebz, stein) called directly, which
     gives bit for bit what scipy.linalg.eigh_tridiagonal(select="i") returns
     without its per-call argument checks; a LAPACK failure raises EigFailure
-    and so takes the retry.
+    and so takes the retry. An n below 1 raises ValueError.
     """
+    if n < 1:
+        raise ValueError(f"operator size n must be at least 1, got {n!r}")
     try:
         return _lanczos_once(matvec, n, seed, start)
     except EigFailure:
@@ -251,9 +246,6 @@ def _lanczos_once(matvec, n, seed, start=None):
     if start is not None:
         v = np.asarray(start, dtype=float) + _WARM_START_MIX * v
         v /= np.linalg.norm(v)
-    lam = 0.0
-    ritz_vec = None
-    j_stop = 0
     # running max |alpha| and max |beta| for the residual scale
     alpha_max = beta_max = 0.0
     for j in range(m):
@@ -283,18 +275,18 @@ def _lanczos_once(matvec, n, seed, start=None):
         # the last step; a later stop only lowers the Ritz value
         if breakdown or (j + 1) % _RITZ_CHECK_EVERY == 0 or j == m - 1:
             lam, ritz_vec = _tridiagonal_min_eig(alphas[: j + 1], betas[:j])
-            j_stop = j
             if breakdown or beta * abs(float(ritz_vec[-1])) <= _LANCZOS_TOL * scale:
                 break
         betas[j] = beta
         beta_max = max(beta_max, beta)
         v = w / beta
-    q = basis[:, : j_stop + 1] @ ritz_vec
+    # the loop ends at a Ritz solve: a break, or the last step, which solves
+    q = basis[:, : j + 1] @ ritz_vec
     q /= np.linalg.norm(q)
     resid = float(np.linalg.norm(np.asarray(matvec(q), dtype=float) - lam * q))
     if resid > 10.0 * _LANCZOS_TOL * scale:
         raise EigFailure(
-            f"eigenpair residual {resid:.3e} above tolerance after {j_stop + 1} steps"
+            f"eigenpair residual {resid:.3e} above tolerance after {j + 1} steps"
         )
     return lam, q
 

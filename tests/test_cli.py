@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cdkit import cli
 from cdkit.cli import RunSpec, UsageError, build_parser, console_main, resolve, validate
+from cdkit.problems import build_matcomp, build_orthant_quadratic, build_phase_retrieval
 
 
 def parse(argv):
@@ -228,6 +229,54 @@ def test_phase_run_writes_factor(tmp_path):
     assert "recovery_error" in summary
 
 
+@pytest.mark.parametrize(
+    "argv, build, kind, names",
+    [
+        (
+            ["toy", "--dim", "6"],
+            lambda: build_orthant_quadratic(dim=6, seed=3),
+            "orthant_quadratic",
+            ("quad", "lin", "x_star"),
+        ),
+        (
+            ["matcomp", "--n", "20", "--rank", "2", "--block", "4", "--density", "0.2"],
+            lambda: build_matcomp(n=20, rank=2, seed=3, block=4, density=0.2),
+            "matcomp",
+            ("row_idx", "col_idx", "b", "v_true"),
+        ),
+        (
+            ["phase", "--n", "16", "--m", "3"],
+            lambda: build_phase_retrieval(n=16, m=3, seed=3),
+            "phase",
+            ("signs", "b", "x_true"),
+        ),
+    ],
+    ids=["toy", "matcomp", "phase"],
+)
+def test_dump_to_writes_plain_npz_at_given_path(tmp_path, argv, build, kind, names):
+    # no .npz suffix: the file must sit at exactly this path, where
+    # np.savez given the bare string would have appended one
+    path = tmp_path / "instance.bin"
+    prefix = tmp_path / "run"
+    code = console_main(
+        argv + ["--seed", "3", "--iters", "5", "--prefix", str(prefix), "--dump-to", str(path)]
+    )
+    assert code == 0
+    written = {p.name for p in tmp_path.iterdir()}
+    assert {p for p in written if not p.startswith("run.")} == {"instance.bin"}
+    bundle = build()
+    with np.load(path, allow_pickle=False) as npz:
+        assert sorted(npz.files) == sorted(("kind", "seed") + names)
+        assert npz["kind"].dtype.kind == "U"
+        assert str(npz["kind"]) == kind
+        assert npz["seed"].shape == ()
+        assert int(npz["seed"]) == 3
+        for name in names:
+            want = getattr(bundle, name)
+            assert npz[name].dtype == want.dtype, name
+            np.testing.assert_array_equal(npz[name], want)
+
+
 def test_matcomp_env_seed_is_echoed(tmp_path, monkeypatch):
     monkeypatch.setenv("CDK_SEED", "11")
     prefix = tmp_path / "m"
@@ -292,11 +341,12 @@ def test_usage_error_exits_two(capsys):
         (["matcomp", "--n", "20", "--gamma", "inf"], "gamma"),
         # argparse reads a bare "-inf" as a flag
         (["phase", "--n", "16", "--m", "4", "--noise-snr=-inf"], "noise-snr"),
+        (["matcomp", "--n", "20", "--density", "nan"], "density"),
     ],
     ids=[
         "toy-tol", "matcomp-fw-trace-bound", "matcomp-gamma", "phase-noise-snr",
         "toy-tol-inf", "toy-heuristic-m-inf", "matcomp-fw-trace-bound-inf",
-        "matcomp-gamma-inf", "phase-noise-snr-minus-inf",
+        "matcomp-gamma-inf", "phase-noise-snr-minus-inf", "matcomp-density-nan",
     ],
 )
 def test_nan_option_exits_two(tmp_path, capsys, argv, option):

@@ -1,7 +1,8 @@
 """Problem builders: planted optima, measurement masks, transform
-identities, noise injection, and instance file formats."""
+identities, input range checks, noise injection, and graymap reading."""
 
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,8 +21,6 @@ from cdkit.problems import (
     build_phase_retrieval,
     build_trace_toy,
     dct_measurement_apply,
-    dump_instance,
-    load_instance,
     read_pgm,
     recovery_error,
 )
@@ -73,6 +72,30 @@ def test_builders_are_deterministic():
     m2 = build_matcomp(n=30, rank=2, seed=9, block=5, density=0.1)
     np.testing.assert_array_equal(m1.b, m2.b)
     np.testing.assert_array_equal(m1.row_idx, m2.row_idx)
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, name",
+    [
+        (build_trace_toy, dict(target=math.nan), "target"),
+        (build_trace_toy, dict(target=math.inf), "target"),
+        (build_trace_toy, dict(target=0.0), "target"),
+        (build_matcomp, dict(n=20, block=4, density=math.nan), "density"),
+        (build_matcomp, dict(n=20, block=4, density=-1.0), "density"),
+        (build_matcomp, dict(n=20, block=4, density=0.0), "density"),
+        (build_matcomp, dict(n=20, block=4, density=1.5), "density"),
+        (build_phase_retrieval, dict(n=8, m=0), "m must"),
+    ],
+    ids=[
+        "trace-target-nan", "trace-target-inf", "trace-target-zero",
+        "matcomp-density-nan", "matcomp-density-negative", "matcomp-density-zero",
+        "matcomp-density-above-one", "phase-m-zero",
+    ],
+)
+def test_builders_reject_out_of_range_inputs(build, kwargs, name):
+    # each check is written so that NaN fails it
+    with pytest.raises(ValueError, match=name):
+        build(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +255,9 @@ def _matcomp_edge_inputs():
     yield "column-view", mc, p, big[:, 1]
     yield "p-list", mc, p.tolist(), big[:, 0]
     yield "p-float32", mc, p.astype(np.float32), big[:, :2]
-    # rows 1..11 observe nothing: their row pointers repeat
-    empty = build_matcomp(n=12, rank=2, seed=0, block=1, density=0.0)
+    # rows 1..11 observe nothing: their row pointers repeat (a density of 0
+    # is rejected, and this one keeps none of seed 0's draws)
+    empty = build_matcomp(n=12, rank=2, seed=0, block=1, density=1e-12)
     assert empty.op.d == 1
     yield "empty-rows", empty, np.array([2.5]), rng.standard_normal(12)
     yield "empty-rows-block", empty, np.array([-1.5]), rng.standard_normal((12, 3))
@@ -428,17 +452,6 @@ def test_read_pgm_truncated_raises(tmp_path):
         read_pgm(bad)
 
 
-def test_instance_container_roundtrip(tmp_path):
-    path = tmp_path / "inst.cdk"
-    arrays = {"b": np.arange(4.0), "idx": np.array([1, 2], dtype=np.int32)}
-    dump_instance(path, "matcomp", arrays)
-    kind, loaded = load_instance(path)
-    assert kind == "matcomp"
-    np.testing.assert_array_equal(loaded["b"], arrays["b"])
-    np.testing.assert_array_equal(loaded["idx"], arrays["idx"])
-    assert loaded["idx"].dtype == np.int32
-
-
 def _write_pgm(path, pixels, maxval, binary):
     height, width = pixels.shape
     header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n".encode()
@@ -467,51 +480,3 @@ def test_read_pgm_roundtrip(tmp_path_factory, image, binary):
     assert img.shape == pixels.shape
     assert img.min() >= 0.0 and img.max() <= 1.0
     np.testing.assert_array_equal(np.rint(img * maxval), pixels)
-
-
-_CONTAINER_DTYPES = [np.float64, np.float32, np.int64, np.int32, np.uint8, np.bool_, np.complex128]
-
-
-@st.composite
-def _named_arrays(draw):
-    names = draw(
-        st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True), max_size=4, unique=True)
-    )
-    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
-    return {
-        name: draw(hnp.arrays(draw(st.sampled_from(_CONTAINER_DTYPES)), shapes))
-        for name in names
-    }
-
-
-# the kind is stored as UTF-8 with its byte length, so it starts non-ASCII
-@settings(max_examples=60, deadline=None)
-@given(kind=st.text(max_size=12).map(lambda t: "ρ" + t), arrays=_named_arrays())
-def test_instance_container_roundtrip_property(tmp_path_factory, kind, arrays):
-    path = tmp_path_factory.mktemp("inst") / "inst.cdk"
-    dump_instance(path, kind, arrays)
-    got_kind, loaded = load_instance(path)
-    assert got_kind == kind
-    assert sorted(loaded) == sorted(arrays)
-    for name, arr in arrays.items():
-        assert loaded[name].dtype == arr.dtype
-        assert loaded[name].shape == arr.shape
-        assert loaded[name].tobytes() == arr.tobytes()
-
-
-def test_instance_container_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.cdk"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        load_instance(path)
-
-
-# cut inside the version header, inside the kind "matcomp", and inside the
-# array payload
-@pytest.mark.parametrize("keep", [6, 14, -10])
-def test_instance_container_rejects_truncated_file(tmp_path, keep):
-    path = tmp_path / "inst.cdk"
-    dump_instance(path, "matcomp", {"b": np.arange(4.0)})
-    path.write_bytes(path.read_bytes()[:keep])
-    with pytest.raises(ValueError, match="truncated"):
-        load_instance(path)

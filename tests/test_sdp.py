@@ -19,7 +19,6 @@ from cdkit import (
     factor_to_dense,
     fw_solve,
     min_eig_lanczos,
-    save_factor,
     sdp_solve,
     sketch_reconstruct,
     solve,
@@ -31,7 +30,6 @@ from cdkit.sdp import (
     _quartic_argmin,
     _tridiagonal_min_eig,
     greedy_step,
-    load_factor,
 )
 from cdkit.core import _quad_argmin_nonneg, minimize_convex_1d
 from cdkit.problems import (
@@ -63,6 +61,12 @@ def test_lanczos_scalar_operator():
     lam, q = min_eig_lanczos(lambda v: -3.0 * v, 1)
     assert lam == -3.0
     np.testing.assert_array_equal(q, [1.0])
+
+
+def test_lanczos_rejects_empty_operator():
+    # the Ritz pair is read after the step loop, which an n of 0 never enters
+    with pytest.raises(ValueError, match="at least 1"):
+        min_eig_lanczos(lambda v: v, 0)
 
 
 def test_lanczos_rejects_nonfinite_operator():
@@ -529,17 +533,6 @@ def test_reconstruct_rejects_rank_below_one_or_not_integer(rank):
     with pytest.raises(ValueError, match="int >= 1") as info:
         sketch_reconstruct(sk, rank)
     assert not isinstance(info.value, RankTooLarge)
-
-
-def test_factor_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    u = rng.standard_normal((7, 2))
-    lam = np.array([2.0, 0.5])
-    path = tmp_path / "factor.npz"
-    save_factor(path, u, lam)
-    u2, lam2 = load_factor(path)
-    np.testing.assert_array_equal(u, u2)
-    np.testing.assert_array_equal(lam, lam2)
 
 
 # ---------------------------------------------------------------------------
