@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct, idct
+from scipy.fft._pocketfft import pypocketfft
 from scipy.sparse import _sparsetools
 
 from .cones import NonnegativeOrthant
@@ -135,9 +136,11 @@ def build_trace_toy(n=2, target=1.0):
     Any psd matrix with trace equal to target is optimal, so the optimal
     value is 0 and the minimal nuclear radius of a solution is the target
     itself. Useful as the smallest instance where a trace-bounded feasible
-    set with too small a bound visibly changes the answer. A target that is
-    not positive and finite raises ValueError.
+    set with too small a bound visibly changes the answer. An n below 1, or
+    a target that is not positive and finite, raises ValueError.
     """
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
     if not 0.0 < target < math.inf:
         raise ValueError(f"target trace must be positive and finite, got {target!r}")
     z = np.array([float(target)])
@@ -209,13 +212,18 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     entries are the symmetrized coordinate measurements (so each observation
     reads (X_ij + X_ji) / 2), the objective is half the squared residual to
     the observed values, and z equals the observation vector so y = 0 at a
-    perfect fit. The bundle's gamma, the default trace penalty, is 0. A
-    density outside (0, 1] or a block larger than n raises ValueError.
+    perfect fit. The bundle's gamma, the default trace penalty, is 0. An n
+    or rank below 1, a block outside [0, n] or a density outside (0, 1]
+    raises ValueError.
     """
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
+    if not rank >= 1:
+        raise ValueError(f"rank must be at least 1, got {rank!r}")
+    if not 0 <= block <= n:
+        raise ValueError(f"block must lie in [0, n] = [0, {n}], got {block!r}")
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density!r}")
-    if block > n:
-        raise ValueError("observed block cannot exceed the matrix size")
     rng = np.random.default_rng(seed)
     v_true = rng.standard_normal((n, rank))
     row_idx, col_idx = _matcomp_mask(n, block, density, rng)
@@ -234,38 +242,45 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
         return (q.take(row_idx, axis=0) * q.take(col_idx, axis=0)).sum(axis=1)
 
     # The mask comes in CSR order (row_idx non-decreasing, col_idx rising
-    # within a row), so (p / 2, col_idx, indptr) is the upper triangle U of
-    # G^*(p) in CSR form and, read as CSC, its transpose. G^*(p) u is
-    # U u + U^T u, each half computed by scipy's compiled kernel into its own
-    # zeroed output. Each kernel adds the products (p_k / 2) u_j of an output
-    # entry in mask order, as two weighted bincounts over the mask do (the
-    # tests' reference), so the sum is the same to the bit; one shared
-    # output would not be. A call allocates p / 2 and two outputs, never an
-    # n x n matrix. The private module skips building a csr_array, which
-    # costs more per call than the whole product at n = 100.
+    # within a row), so (p, col_idx, indptr) is an upper-triangular U in CSR
+    # form and, read as CSC, its transpose, with G^*(p) = (U + U^T) / 2.
+    # G^*(p) u is (U u + U^T u) / 2, each product computed by scipy's
+    # compiled kernel into its own zeroed output. Each kernel adds the
+    # products p_k u_j of an output entry in mask order, as two weighted
+    # bincounts over the mask do (the tests' reference), so the sum is the
+    # same to the bit; one shared output would not be. Halving the sum at
+    # the end, in place of p first, gives the same bits too: a factor of 0.5
+    # commutes exactly with every product and sum outside the subnormal and
+    # overflow ranges. So a call reads p where it lies (a contiguous float64
+    # p is not copied) and allocates only two outputs of the size of u,
+    # never an O(d) temporary or an n x n matrix. The private module skips
+    # building a csr_array, which costs more per call than the whole product
+    # at n = 100.
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(row_idx, minlength=n), out=indptr[1:])
 
     def adjoint_matvec(p, u):
         u = np.ascontiguousarray(u, dtype=float)
-        hp = 0.5 * np.asarray(p, dtype=float)
+        p = np.asarray(p, dtype=float)
         # the kernels read through raw pointers, so check sizes first
-        if hp.shape != (d,) or u.ndim not in (1, 2) or u.shape[0] != n:
+        if p.shape != (d,) or u.ndim not in (1, 2) or u.shape[0] != n:
             raise ValueError(
                 f"adjoint_matvec needs p of shape ({d},) and u with {n} rows, "
-                f"got {hp.shape} and {u.shape}"
+                f"got {p.shape} and {u.shape}"
             )
+        p = np.ascontiguousarray(p)
         upper = np.zeros(u.shape)
         lower = np.zeros(u.shape)
         if u.ndim == 1:
-            args = (n, n, indptr, col_idx, hp, u)
+            args = (n, n, indptr, col_idx, p, u)
             _sparsetools.csr_matvec(*args, upper)
             _sparsetools.csc_matvec(*args, lower)
         else:
-            args = (n, n, u.shape[1], indptr, col_idx, hp, u.ravel())
+            args = (n, n, u.shape[1], indptr, col_idx, p, u.ravel())
             _sparsetools.csr_matvecs(*args, upper.ravel())
             _sparsetools.csc_matvecs(*args, lower.ravel())
         upper += lower
+        upper *= 0.5
         return upper
 
     def apply_dense(x_mat):
@@ -311,6 +326,20 @@ def dct_measurement_apply(signs, v):
     return dct(signs * v[None, :], axis=1, norm="ortho")
 
 
+# The phase kernels call pocketfft's orthonormal DCT (type 2 forward, type 3
+# inverse) with the arguments scipy.fft passes it, but without scipy.fft's
+# dispatch layers, which cost more than the transform itself at n = 64.
+# Each call transforms its argument in place, so callers pass a fresh
+# temporary. dct_measurement_apply and the dense mirrors stay on scipy.fft,
+# which keeps the tests' reference path independent of these calls.
+def _dct(a, axis):
+    return pypocketfft.dct(a, 2, (axis,), 1, a, 1)
+
+
+def _idct(a, axis):
+    return pypocketfft.dct(a, 3, (axis,), 1, a, 1)
+
+
 @dataclass
 class PhaseRetrieval:
     fv: ConicProgram
@@ -331,11 +360,13 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     each mask is orthogonal, the measurements of one mask sum to ||x||^2, so
     the mean of the observation vector over masks estimates the trace of the
     lifted solution; that estimate is what the pre-scheduled step rule uses.
-    The bundle's gamma, the default trace penalty, is 5e-5. An m below 1
-    raises ValueError.
+    The bundle's gamma, the default trace penalty, is 5e-5. An m below 1,
+    or an n below 2 when no signal is given, raises ValueError.
     """
     if not m >= 1:
         raise ValueError(f"m must be at least 1, got {m!r}")
+    if signal is None and not n >= 2:
+        raise ValueError(f"n must be at least 2, got {n!r}")
     rng = np.random.default_rng(seed)
     if signal is not None:
         x_true = np.asarray(signal, dtype=float).ravel()
@@ -358,13 +389,15 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     # Both kernels transform every mask and column in one call over a 3-D
     # block and sum over its leading axis, which numpy adds in loop order,
     # so they equal the one-mask (or one-column) loops bit for bit. numpy
-    # sums a trailing axis of 8 or more pairwise, which would not.
+    # sums a trailing axis of 8 or more pairwise, which would not, and it
+    # sums a leading axis that lies contiguous in memory the same way, so
+    # the in-place transforms work on C-ordered blocks.
     def gram(q):
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
-            a = dct_measurement_apply(signs, q)
+            a = _dct(signs * q[None, :], 1)
             return (a * a).ravel()
-        a = dct(signs * q.T[:, None, :], axis=2, norm="ortho")
+        a = _dct(np.multiply(signs, q.T[:, None, :], order="C"), 2)
         return (a * a).sum(axis=0).ravel()
 
     def adjoint_matvec(p, u):
@@ -372,9 +405,9 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
         single = u.ndim == 1
         cols = u[:, None] if single else u
         pb = np.asarray(p, dtype=float).reshape(m, n)
-        t = dct(signs[:, :, None] * cols[None], axis=1, norm="ortho")
+        t = _dct(np.multiply(signs[:, :, None], cols[None], order="C"), 1)
         t *= pb[:, :, None]
-        out = (signs[:, :, None] * idct(t, axis=1, norm="ortho")).sum(axis=0)
+        out = (signs[:, :, None] * _idct(t, 1)).sum(axis=0)
         return out[:, 0] if single else out
 
     def apply_dense(x_mat):

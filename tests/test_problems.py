@@ -85,11 +85,25 @@ def test_builders_are_deterministic():
         (build_matcomp, dict(n=20, block=4, density=0.0), "density"),
         (build_matcomp, dict(n=20, block=4, density=1.5), "density"),
         (build_phase_retrieval, dict(n=8, m=0), "m must"),
+        (build_trace_toy, dict(n=0), "n must"),
+        (build_trace_toy, dict(n=math.nan), "n must"),
+        (build_matcomp, dict(n=0, block=0), "n must"),
+        (build_matcomp, dict(n=math.nan, block=0), "n must"),
+        (build_matcomp, dict(n=20, rank=0, block=4), "rank must"),
+        (build_matcomp, dict(n=20, rank=math.nan, block=4), "rank must"),
+        (build_matcomp, dict(n=20, block=-1), "block must"),
+        (build_matcomp, dict(n=20, block=21), "block must"),
+        (build_matcomp, dict(n=20, block=math.nan), "block must"),
+        (build_phase_retrieval, dict(n=1, m=3), "n must"),
+        (build_phase_retrieval, dict(n=math.nan, m=3), "n must"),
     ],
     ids=[
         "trace-target-nan", "trace-target-inf", "trace-target-zero",
         "matcomp-density-nan", "matcomp-density-negative", "matcomp-density-zero",
         "matcomp-density-above-one", "phase-m-zero",
+        "trace-n-zero", "trace-n-nan", "matcomp-n-zero", "matcomp-n-nan",
+        "matcomp-rank-zero", "matcomp-rank-nan", "matcomp-block-negative",
+        "matcomp-block-above-n", "matcomp-block-nan", "phase-n-one", "phase-n-nan",
     ],
 )
 def test_builders_reject_out_of_range_inputs(build, kwargs, name):
@@ -298,9 +312,9 @@ def test_matcomp_adjoint_rejects_mismatched_sizes():
 
 
 @pytest.mark.parametrize("cols", [None, 3])
-def test_matcomp_adjoint_transient_memory_is_one_measurement_vector(cols):
-    # one call may allocate p / 2 and its n-sized outputs; the bincount
-    # form held about three d-length temporaries at once
+def test_matcomp_adjoint_transient_memory_is_outputs_of_size_u(cols):
+    # a call reads p in place and allocates only its n-sized outputs; no
+    # temporary grows with the d (about 200k here) measurements
     n = 2000
     mc = build_matcomp(n=n, rank=3, seed=0, block=10, density=0.1)
     rng = np.random.default_rng(0)
@@ -314,8 +328,35 @@ def test_matcomp_adjoint_transient_memory_is_one_measurement_vector(cols):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    budget = 1.5 * 8 * mc.op.d
+    budget = 4 * 8 * n * (1 if cols is None else cols)
     assert peak <= budget, (peak, budget, peak / (8 * mc.op.d))
+
+
+_KERNEL_BUILDERS = {
+    "matcomp": lambda: build_matcomp(n=30, rank=2, seed=1, block=5, density=0.2),
+    "phase": lambda: build_phase_retrieval(n=24, m=9, seed=1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_BUILDERS))
+@pytest.mark.parametrize("cols", [None, 3])
+def test_kernels_leave_inputs_unchanged_and_read_strided_p(kind, cols):
+    # the kernels transform fresh temporaries in place and may read p where
+    # it lies, so neither may write into the caller's p or u
+    op = _KERNEL_BUILDERS[kind]().op
+    rng = np.random.default_rng(7)
+    p = rng.standard_normal(op.d)
+    u = rng.standard_normal(op.n if cols is None else (op.n, cols))
+    p0, u0 = p.copy(), u.copy()
+    want = op.adjoint_matvec(p, u)
+    op.gram(u)
+    np.testing.assert_array_equal(p, p0)
+    np.testing.assert_array_equal(u, u0)
+    strided = np.repeat(p, 2)[::2]
+    assert not strided.flags["C_CONTIGUOUS"]
+    np.testing.assert_array_equal(op.adjoint_matvec(strided, u), want)
+    np.testing.assert_array_equal(strided, p0)
+    np.testing.assert_array_equal(u, u0)
 
 
 _SMALL_OPERATORS = {
