@@ -24,6 +24,12 @@ identical outputs except for wall-clock columns and fields.
 Exit codes: 0 on success, 2 for unusable arguments or degenerate input
 data (any ValueError a solve raises, such as a dimension mismatch), 3 when
 the solver or a numeric routine fails, 4 for I/O failures.
+
+A setting out of range fails the run that uses it, with the message of the
+library check that rejects it, so it carries the library's name for the
+setting (max_iters for --iters, tol_eps for --tol). Each run prints one
+"<prefix>: <message>" line on stderr, so under --seeds a bad setting
+prints one such line per run.
 """
 
 import argparse
@@ -128,11 +134,10 @@ def _parse_config_file(path):
             key = key.strip().replace("-", "_")
             if key not in kinds:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = kinds[key]
             try:
-                pairs[key] = kind(val.strip())
+                pairs[key] = kinds[key](val.strip())
             except ValueError:
-                raise UsageError(f"{path}:{lineno}: {key} needs {_KINDS[kind][1]}")
+                raise UsageError(f"{path}:{lineno}: {key} needs {_KINDS[kinds[key]][1]}")
     return pairs
 
 
@@ -185,18 +190,18 @@ def resolve(args, env=None):
         one = dataclasses.replace(spec, seed=seed)
         if len(seeds) > 1:
             one.prefix = f"{spec.prefix}.s{seed}"
-        # run_experiment validates too; checking here makes a multi-seed run
-        # fail before any of its runs starts
-        validate(one)
         specs.append(one)
     return specs, jobs
 
 
 def validate(spec):
     # a RunSpec built in code is not parsed, so check each field's type
-    # before the range checks compare it; the checks on float fields are
-    # written so that NaN and infinities fail them (a noise SNR of +inf means
-    # no noise)
+    # first. The library checks the range of every value a run passes it, in
+    # its own names (max_iters, tol_eps); the checks here cover what it cannot
+    # know. heuristic-m and trace-bound reach it only under mocoh and fw, and
+    # noise-snr is checked here so that the message names the flag. The
+    # checks on float fields are written so that NaN and infinities fail them
+    # (a noise SNR of +inf means no noise)
     for f in dataclasses.fields(RunSpec):
         value = getattr(spec, f.name)
         if value is None and type(None) in typing.get_args(f.type):
@@ -210,39 +215,19 @@ def validate(spec):
             f"algo {spec.algo!r} is not available for {spec.command} "
             f"(choose from {', '.join(allowed)})"
         )
-    if spec.iters < 1:
-        raise UsageError("iters must be at least 1")
-    if not 0.0 <= spec.tol < math.inf:
-        raise UsageError("tol must be finite and nonnegative")
-    if spec.trace_every < 1:
-        raise UsageError("trace-every must be at least 1")
-    if spec.command == "toy" and spec.dim < 1:
-        raise UsageError("dim must be at least 1")
     if spec.command == "matcomp":
-        if spec.n < 1 or spec.rank < 1:
-            raise UsageError("n and rank must be at least 1")
-        if not 0.0 < spec.density <= 1.0:
-            raise UsageError("density must lie in (0, 1]")
-        if spec.block < 0 or spec.block > spec.n:
-            raise UsageError("block must lie in [0, n]")
         if spec.algo == "fw" and spec.trace_bound is None:
             raise UsageError("fw on matcomp needs --trace-bound")
         if spec.algo == "mocoh" and spec.heuristic_m is None:
             raise UsageError("mocoh on matcomp needs --heuristic-m")
     if spec.command == "phase":
-        if spec.n < 2 or spec.m < 1:
-            raise UsageError("phase needs n >= 2 and m >= 1")
         sketch = spec.sketch if spec.sketch is not None else _PHASE_SKETCH
         if spec.recon_rank < 1 or spec.recon_rank >= sketch - 1:
             raise UsageError("recon-rank must lie in [1, sketch - 2]")
-    if spec.sketch is not None and spec.sketch < 2:
-        raise UsageError("sketch must be at least 2")
     if spec.heuristic_m is not None and not 0.0 < spec.heuristic_m < math.inf:
         raise UsageError("heuristic-m must be positive and finite")
     if spec.trace_bound is not None and not 0.0 < spec.trace_bound < math.inf:
         raise UsageError("trace-bound must be positive and finite")
-    if spec.gamma is not None and not 0.0 <= spec.gamma < math.inf:
-        raise UsageError("gamma must be finite and nonnegative")
     if spec.noise_snr is not None and not -math.inf < spec.noise_snr <= math.inf:
         raise UsageError("noise-snr must be a number of decibels or inf")
     if spec.greedy_every < 1:
@@ -310,7 +295,8 @@ def run_experiment(spec):
     """Execute one resolved run and write its output files.
 
     Returns the summary dict that was written to <prefix>.summary.json.
-    Raises UsageError for a spec that validate rejects.
+    Raises UsageError for a spec that validate rejects, and the library's
+    ValueError for a setting outside the range it accepts.
     """
     validate(spec)
     if spec.command == "toy":
@@ -457,7 +443,9 @@ def build_parser():
                              "a plain .npz file")
 
     sdp_flags = argparse.ArgumentParser(add_help=False)
-    sdp_flags.add_argument("--n", type=int, default=None)
+    sdp_flags.add_argument("--n", type=int, default=None,
+                           help="matrix side; phase takes it from --image "
+                                "when one is given")
     sdp_flags.add_argument("--noise-snr", type=float, default=None, dest="noise_snr")
     sdp_flags.add_argument("--gamma", type=float, default=None,
                            help="trace penalty weight")

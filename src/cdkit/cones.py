@@ -1,72 +1,28 @@
-"""Cone handles: membership tests, linear minimization over the unit-ball
-slice of a cone, and dual-cone distance oracles.
+"""Cone handles: linear minimization over the unit-ball slice of a cone.
 
 Each cone is measured in a norm pair (primal norm for the ball slice, dual
 norm for gradients and certificates): l2/l2 for the orthant and second-order
 cone, nuclear/operator for the semidefinite cone. For every cone here the
 linear-minimization value satisfies -<g, lmo(g)> = dist_dual(g, K*), which is
-what makes the certificate computable for free.
+what makes the certificate computable for free. The solvers never need the
+distance itself; the test suite's oracles compute it by another route to
+check the identity.
 """
 
 import math
 
 import numpy as np
 
-from .exceptions import EigFailure, UnsupportedCone
+from .exceptions import EigFailure
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def lmo_psd_dense(mat):
-    """Minimize <G, V> over V PSD with nuclear norm at most 1.
-
-    Returns (lambda_min, q, v) where v = q q^T if lambda_min < 0 and v = 0
-    otherwise; the attained value is min(lambda_min, 0).
-    """
-    sym = 0.5 * (np.asarray(mat, dtype=float) + np.asarray(mat, dtype=float).T)
-    try:
-        evals, evecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
-        raise EigFailure("dense eigendecomposition failed") from exc
-    lam = float(evals[0])
-    q = evecs[:, 0]
-    if lam < 0.0:
-        v = np.outer(q, q)
-    else:
-        v = np.zeros_like(sym)
-    return lam, q, v
-
-
-def _soc_project(g):
-    # Closed-form projection onto {(x, t): ||x|| <= t}.
-    gx, gt = g[:-1], g[-1]
-    nx = np.linalg.norm(gx)
-    if nx <= gt:
-        return g.copy()
-    if nx <= -gt:
-        return np.zeros_like(g)
-    coef = 0.5 * (nx + gt)
-    out = np.empty_like(g)
-    out[:-1] = coef * gx / nx
-    out[-1] = coef
-    return out
 
 
 class Cone:
     """Abstract cone handle."""
 
-    kind = "abstract"
-
     def lmo(self, g):
         raise NotImplementedError
-
-    def contains(self, x):
-        """Membership up to roundoff: a relative slack of 1e-10 for the
-        orthant and the second-order cone, 1e-8 for the PSD cone."""
-        raise NotImplementedError
-
-    def dual_distance(self, g):
-        raise UnsupportedCone(f"no dual-distance oracle for cone kind {self.kind!r}")
 
     def default_init(self):
         raise NotImplementedError
@@ -74,8 +30,6 @@ class Cone:
 
 class NonnegativeOrthant(Cone):
     """Nonnegative orthant in R^d with the l2/l2 norm pair."""
-
-    kind = "orthant"
 
     def __init__(self, dim):
         self.dim = int(dim)
@@ -93,17 +47,6 @@ class NonnegativeOrthant(Cone):
             return np.zeros_like(g)
         return neg / nrm
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
-        return bool(np.min(x, initial=0.0) >= -1e-10 * scale)
-
-    def dual_distance(self, g):
-        # The dual cone is the orthant itself; the l2 projection residual is
-        # the norm of the negative part.
-        g = np.asarray(g, dtype=float)
-        return float(np.linalg.norm(np.minimum(g, 0.0)))
-
     def default_init(self):
         e = np.zeros(self.dim)
         e[0] = 1.0
@@ -112,8 +55,6 @@ class NonnegativeOrthant(Cone):
 
 class SecondOrderCone(Cone):
     """Second-order cone {(x, t): ||x||_2 <= t} in R^d, t stored last."""
-
-    kind = "second_order"
 
     def __init__(self, dim):
         if dim < 2:
@@ -142,16 +83,6 @@ class SecondOrderCone(Cone):
         v[-1] = 1.0 / _SQRT2
         return v
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        scale = max(1.0, float(np.linalg.norm(x)))
-        return bool(x[-1] - np.linalg.norm(x[:-1]) >= -1e-10 * scale)
-
-    def dual_distance(self, g):
-        # Self-dual; measured with the l2 norm via the closed-form projection.
-        g = np.asarray(g, dtype=float)
-        return float(np.linalg.norm(g - _soc_project(g)))
-
     def default_init(self):
         # The first basis vector is not a cone point here (t = 0 < ||x||);
         # the cone axis is the canonical nonzero start.
@@ -163,28 +94,29 @@ class SecondOrderCone(Cone):
 class PsdCone(Cone):
     """PSD cone of n x n symmetric matrices, nuclear/operator norm pair.
 
-    All oracles use dense eigendecompositions; suitable for small n.
+    The LMO uses a dense eigendecomposition; suitable for small n. The
+    matrix-free semidefinite path in sdp.py does not use this class.
     """
-
-    kind = "psd_dense"
 
     def __init__(self, n):
         self.n = int(n)
 
     def lmo(self, g):
-        _, _, v = lmo_psd_dense(g)
-        return v
+        """Minimize <G, V> over V PSD with nuclear norm at most 1.
 
-    def contains(self, x):
-        sym = 0.5 * (np.asarray(x, dtype=float) + np.asarray(x, dtype=float).T)
-        evals = np.linalg.eigvalsh(sym)
-        return bool(evals[0] >= -1e-8 * float(np.sum(np.abs(evals))))
-
-    def dual_distance(self, g):
-        # Operator-norm distance to the PSD cone: shifting by
-        # max(0, -lambda_min) I is the smallest such perturbation.
-        lam, _, _ = lmo_psd_dense(g)
-        return max(0.0, -lam)
+        Returns q q^T for a unit bottom eigenvector q of the symmetric part
+        of G when its smallest eigenvalue is negative, else 0. The attained
+        value is min(lambda_min, 0).
+        """
+        sym = 0.5 * (np.asarray(g, dtype=float) + np.asarray(g, dtype=float).T)
+        try:
+            evals, evecs = np.linalg.eigh(sym)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
+            raise EigFailure("dense eigendecomposition failed") from exc
+        if evals[0] < 0.0:
+            q = evecs[:, 0]
+            return np.outer(q, q)
+        return np.zeros_like(sym)
 
     def default_init(self):
         x = np.zeros((self.n, self.n))

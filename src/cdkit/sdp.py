@@ -179,11 +179,13 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
     random start drawn from seed, and verifies the returned pair against an
     explicit residual. A unit warm start, typically the eigenvector of a
     nearby operator, may be given; the run then starts from it plus 0.1
-    times the unit random vector. The random part keeps a component along
-    every eigenvector, so a warm start orthogonal to the bottom eigenvector
-    still finds it. One retry from a cold random start drawn from seed + 1
-    is attempted before giving up, so a warm start that fails falls back to
-    the cold path.
+    times the unit random vector. The random part gives the start a nonzero
+    component along every eigenvector with probability one, so a warm start
+    orthogonal to the bottom eigenvector can still find it; the random-start
+    failure bound covers only a cold start, not this mix. The explicit
+    residual check proves an eigenpair, not that it is the smallest. One
+    retry from a cold random start drawn from seed + 1 is attempted before
+    giving up, so a warm start that fails falls back to the cold path.
 
     The bottom Ritz pair and the residual-estimate stop test run on every
     4th step, on breakdown and on the last allowed step, not on every step.

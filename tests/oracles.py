@@ -8,6 +8,9 @@ reports, by a route the solver does not take:
   on the optimal value;
 - finite-difference gradient and smoothness-gap probes of an objective;
 - a brute-force grid LMO for small cones, and dense matrix norms;
+- cone membership and the distance to the dual cone, which the solvers
+  never compute: the tests check the identity -<g, lmo(g)> = dist_dual(g, K*)
+  against these;
 - the complementary-slackness and dual-distance residuals at a point.
 """
 
@@ -15,6 +18,7 @@ import math
 
 import numpy as np
 
+from cdkit.cones import NonnegativeOrthant, PsdCone, SecondOrderCone
 from cdkit.exceptions import UnsupportedCone
 
 
@@ -103,18 +107,71 @@ def smoothness_gap_check(value, gradient, pairs, lipschitz):
     return worst
 
 
+def _soc_project(g):
+    # closed-form projection onto {(x, t): ||x|| <= t}
+    gx, gt = g[:-1], g[-1]
+    nx = np.linalg.norm(gx)
+    if nx <= gt:
+        return g.copy()
+    if nx <= -gt:
+        return np.zeros_like(g)
+    coef = 0.5 * (nx + gt)
+    out = np.empty_like(g)
+    out[:-1] = coef * gx / nx
+    out[-1] = coef
+    return out
+
+
+def contains(cone, x):
+    """Membership of x in the cone up to roundoff.
+
+    The slack is relative: 1e-10 for the orthant and the second-order cone,
+    1e-8 of the nuclear norm for the PSD cone.
+    """
+    x = np.asarray(x, dtype=float)
+    if isinstance(cone, NonnegativeOrthant):
+        scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
+        return bool(np.min(x, initial=0.0) >= -1e-10 * scale)
+    if isinstance(cone, SecondOrderCone):
+        scale = max(1.0, float(np.linalg.norm(x)))
+        return bool(x[-1] - np.linalg.norm(x[:-1]) >= -1e-10 * scale)
+    if isinstance(cone, PsdCone):
+        evals = np.linalg.eigvalsh(0.5 * (x + x.T))
+        return bool(evals[0] >= -1e-8 * float(np.sum(np.abs(evals))))
+    raise UnsupportedCone(f"no membership oracle for {type(cone).__name__}")
+
+
+def dual_distance(cone, g):
+    """Distance from g to the dual cone K*, in the cone's dual norm.
+
+    The orthant and the second-order cone are self-dual, measured in l2: the
+    residual of the closed-form projection. For the PSD cone, in the
+    operator norm, shifting by max(0, -lambda_min) I is the smallest
+    perturbation into the cone; lambda_min comes from eigvalsh, not from the
+    eigh call that the LMO makes.
+    """
+    g = np.asarray(g, dtype=float)
+    if isinstance(cone, NonnegativeOrthant):
+        return float(np.linalg.norm(np.minimum(g, 0.0)))
+    if isinstance(cone, SecondOrderCone):
+        return float(np.linalg.norm(g - _soc_project(g)))
+    if isinstance(cone, PsdCone):
+        return max(0.0, -float(np.linalg.eigvalsh(0.5 * (g + g.T))[0]))
+    raise UnsupportedCone(f"no dual-distance oracle for {type(cone).__name__}")
+
+
 def kkt_residuals(problem, x):
     """Complementary-slackness and squared dual-distance residuals at x.
 
-    Returns (<x, grad f(x)>, dist_dual(grad f(x), K*)^2) using the cone's
-    exact dual-distance oracle.
+    Returns (<x, grad f(x)>, dist_dual(grad f(x), K*)^2) using the exact
+    dual-distance oracle above.
     """
     if problem.cone is None:
         raise UnsupportedCone("kkt_residuals needs a cone handle")
     x = np.asarray(x, dtype=float)
     grad = problem.gradient(x)
     cs = float(np.vdot(x, grad))
-    dist = problem.cone.dual_distance(grad)
+    dist = dual_distance(problem.cone, grad)
     return cs, dist * dist
 
 
@@ -175,11 +232,11 @@ def brute_lmo(cone, g, grid_n=10000):
     exists purely to cross-check the closed-form oracles.
     """
     g = np.asarray(g, dtype=float)
-    if cone.kind == "orthant":
+    if isinstance(cone, NonnegativeOrthant):
         pts = _sphere_grid_orthant(g.size, grid_n)
-    elif cone.kind == "second_order":
+    elif isinstance(cone, SecondOrderCone):
         pts = _sphere_grid_soc(g.size, grid_n)
-    elif cone.kind == "psd_dense":
+    elif isinstance(cone, PsdCone):
         # Unit-nuclear-norm extreme points of the PSD cone are q q^T for
         # unit q, and the sign of q does not matter, so a hemisphere grid
         # of q vectors covers the slice.
@@ -202,7 +259,7 @@ def brute_lmo(cone, g, grid_n=10000):
             return np.zeros_like(g)
         return np.outer(qs[i], qs[i])
     else:
-        raise UnsupportedCone(f"no grid oracle for cone kind {cone.kind!r}")
+        raise UnsupportedCone(f"no grid oracle for {type(cone).__name__}")
     vals = pts @ g
     i = int(np.argmin(vals))
     if vals[i] >= 0.0:

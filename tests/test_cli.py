@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdkit import cli
+from cdkit import SolverConfig, cli, sdp_solve, solve
 from cdkit.cli import RunSpec, UsageError, build_parser, console_main, resolve, validate
 from cdkit.problems import build_matcomp, build_orthant_quadratic, build_phase_retrieval
 
@@ -165,15 +165,6 @@ def test_validate_recon_rank_bounds():
     validate(RunSpec(command="phase", sketch=6, recon_rank=4))
 
 
-def test_validate_numeric_ranges():
-    with pytest.raises(UsageError):
-        validate(RunSpec(command="toy", iters=0))
-    with pytest.raises(UsageError):
-        validate(RunSpec(command="toy", tol=-1.0))
-    with pytest.raises(UsageError):
-        validate(RunSpec(command="matcomp", density=0.0))
-
-
 # ---------------------------------------------------------------------------
 # end-to-end runs
 
@@ -227,6 +218,21 @@ def test_phase_run_writes_factor(tmp_path):
     with open(f"{prefix}.summary.json") as fh:
         summary = json.load(fh)
     assert "recovery_error" in summary
+
+
+@pytest.mark.parametrize("extra", [[], ["--n", "1"]], ids=["image", "image-overrides-n"])
+def test_phase_image_sets_signal_length(tmp_path, extra):
+    # a 4 x 5 graymap is a signal of length 20, whatever --n says
+    image = tmp_path / "img.pgm"
+    image.write_bytes(b"P5\n5 4\n255\n" + np.arange(1, 21, dtype=np.uint8).tobytes())
+    prefix = tmp_path / "p"
+    code = console_main(
+        ["phase", "--image", str(image), "--m", "3", "--iters", "5", "--prefix", str(prefix)]
+        + extra
+    )
+    assert code == 0
+    with np.load(f"{prefix}.factor.npz") as npz:
+        assert npz["u"].shape[0] == 20
 
 
 @pytest.mark.parametrize(
@@ -360,6 +366,61 @@ def test_nan_option_exits_two(tmp_path, capsys, argv, option):
     assert list(tmp_path.iterdir()) == []
 
 
+def _toy_solve(**config):
+    return solve(build_orthant_quadratic(dim=3).program, SolverConfig(**config))
+
+
+def _matcomp_solve(**kwargs):
+    bundle = build_matcomp(n=20)
+    return sdp_solve(bundle.fv, bundle.op, **kwargs)
+
+
+# one case per range the command line leaves to the library: the flags, and
+# the library call that rejects the same setting
+_LIBRARY_RANGES = {
+    "toy-iters": (["toy", "--iters", "0"], lambda: _toy_solve(max_iters=0)),
+    "toy-tol": (["toy", "--tol=-1"], lambda: _toy_solve(tol_eps=-1.0)),
+    "toy-trace-every": (["toy", "--trace-every", "0"], lambda: _toy_solve(trace_every=0)),
+    "toy-dim": (["toy", "--dim", "0"], lambda: build_orthant_quadratic(dim=0)),
+    "matcomp-n": (["matcomp", "--n", "0"], lambda: build_matcomp(n=0)),
+    "matcomp-rank": (
+        ["matcomp", "--n", "20", "--rank", "0"], lambda: build_matcomp(n=20, rank=0)
+    ),
+    "matcomp-block": (
+        ["matcomp", "--n", "20", "--block", "-1"], lambda: build_matcomp(n=20, block=-1)
+    ),
+    "matcomp-density": (
+        ["matcomp", "--n", "20", "--density", "0"], lambda: build_matcomp(n=20, density=0.0)
+    ),
+    "phase-n": (["phase", "--n", "1"], lambda: build_phase_retrieval(n=1)),
+    "phase-m": (["phase", "--n", "16", "--m", "0"], lambda: build_phase_retrieval(n=16, m=0)),
+    "matcomp-sketch": (
+        ["matcomp", "--n", "20", "--sketch", "1"], lambda: _matcomp_solve(sketch_size=1)
+    ),
+    "matcomp-gamma": (["matcomp", "--n", "20", "--gamma=-1"], lambda: _matcomp_solve(gamma=-1.0)),
+    "toy-iters-jobs2": (
+        ["toy", "--iters", "0", "--seeds", "0,1", "--jobs", "2"],
+        lambda: _toy_solve(max_iters=0),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, call", list(_LIBRARY_RANGES.values()), ids=list(_LIBRARY_RANGES)
+)
+def test_cli_range_errors_are_library_errors(tmp_path, capsys, argv, call):
+    # the library owns these checks: each run fails with the library's own
+    # message on one "<prefix>: <message>" line, exits 2 and writes nothing
+    with pytest.raises(ValueError) as info:
+        call()
+    prefix = str(tmp_path / "x")
+    code = console_main(argv + ["--prefix", prefix])
+    assert code == 2
+    prefixes = [f"{prefix}.s0", f"{prefix}.s1"] if "--seeds" in argv else [prefix]
+    assert capsys.readouterr().err.splitlines() == [f"{p}: {info.value}" for p in prefixes]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_infinite_noise_snr_means_no_noise(tmp_path):
     # +inf stays a valid SNR: the run sees the clean measurements
     finals = []
@@ -399,13 +460,21 @@ def test_spec_worker_rejects_mistyped_fields(tmp_path, monkeypatch, fields):
         dict(command="toy", algo="fw"),
         dict(command="toy", algo="moco", heuristic_m=-1.0),
         dict(command="toy", algo="mocoh", heuristic_m=float("nan")),
+        dict(command="toy", iters=0),
+        dict(command="toy", tol=-1.0),
+        dict(command="matcomp", density=0.0),
     ],
-    ids=["matcomp-fw-without-bound", "toy-fw", "toy-negative-m", "toy-nan-m"],
+    ids=[
+        "matcomp-fw-without-bound", "toy-fw", "toy-negative-m", "toy-nan-m",
+        "toy-zero-iters", "toy-negative-tol", "matcomp-zero-density",
+    ],
 )
 def test_run_experiment_validates_its_spec(tmp_path, fields):
-    # the library entry point checks what resolve checks for the command line,
-    # and a NaN M fails the solver's own config check, before any file is written
-    spec = RunSpec(iters=5, prefix=str(tmp_path / "x"), **fields)
+    # the library entry point rejects a bad spec before any file is written:
+    # validate checks what the library cannot, and the builders and solvers
+    # check the ranges of what they are given (a NaN M fails the solver's own
+    # config check)
+    spec = RunSpec(**{"iters": 5, "prefix": str(tmp_path / "x"), **fields})
     _, code, msg = cli._spec_worker(spec)
     assert code == 2, msg
     assert list(tmp_path.iterdir()) == []
