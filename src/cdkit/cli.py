@@ -221,8 +221,9 @@ def validate(spec):
         if spec.algo == "mocoh" and spec.heuristic_m is None:
             raise UsageError("mocoh on matcomp needs --heuristic-m")
     if spec.command == "phase":
+        # a sketch below 2 columns is the library's error to report
         sketch = spec.sketch if spec.sketch is not None else _PHASE_SKETCH
-        if spec.recon_rank < 1 or spec.recon_rank >= sketch - 1:
+        if sketch >= 2 and not 1 <= spec.recon_rank < sketch - 1:
             raise UsageError("recon-rank must lie in [1, sketch - 2]")
     if spec.heuristic_m is not None and not 0.0 < spec.heuristic_m < math.inf:
         raise UsageError("heuristic-m must be positive and finite")
@@ -345,6 +346,8 @@ def _run_sdp(spec):
             noise_snr=spec.noise_snr,
             signal=signal,
         )
+        # an image sets the signal length; the summary echoes it as n
+        spec = dataclasses.replace(spec, n=bundle.op.n)
         sketch_size = spec.sketch if spec.sketch is not None else _PHASE_SKETCH
         m_estimate = bundle.m_estimate
     else:

@@ -291,8 +291,12 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
     iterate and per-visit math:
       evaluate() -> (f, gradient) at the visited point, after any ray
         rescale; also sets it.eta, it.cs and it.lam for the trace record;
-      certify(g) -> the visit's certificate for g, the average (runs the
-        LMO);
+      certify(g, confirm) -> the visit's certificate for g, the average
+        (runs the LMO). With confirm the LMO may not start from an earlier
+        visit's answer. The last visit certifies with confirm at once. A
+        visit whose certificate would stop the run certifies again with
+        confirm and stops only if that value still meets the bar; if not,
+        it records that value and steps along the confirming atom;
       step(k, theta) moves by theta, or by a searched length when theta is
         None, and returns the length used;
       payload(record) -> the dict passed to callback: the visit's trace
@@ -321,13 +325,18 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
         if not math.isfinite(fval) or not np.all(np.isfinite(grad)):
             raise NonFiniteValue(f"non-finite objective data at iteration {k}")
         if frank_wolfe:
-            cert = it.certify(grad)
+            g = grad
         else:
             delta = 2.0 / (k + 2.0) if config.momentum_mode == "moco" else 1.0
             g_avg = (1.0 - delta) * g_avg + delta * grad
-            cert = it.certify(g_avg)
-        stop = cert <= stop_at
+            g = g_avg
         last = k == config.max_iters
+        cert = it.certify(g, last)
+        stop = cert <= stop_at
+        if stop and not last:
+            # stop only on a confirmed certificate
+            cert = it.certify(g, True)
+            stop = cert <= stop_at
         theta = 0.0
         if not (stop or last):
             if config.heuristic_m is None:
@@ -371,7 +380,8 @@ class _VectorIterate:
         self.cs = float(np.vdot(self.xe, grad))
         return fval, grad
 
-    def certify(self, g):
+    def certify(self, g, confirm):
+        # the cone LMO is exact, so a confirming call only repeats it
         self.v = self.problem.cone.lmo(g)
         # -<g, v> equals dist_dual(g, K*) at an exact LMO
         return -float(np.vdot(g, self.v))

@@ -178,14 +178,15 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
     Runs at most 200 Lanczos steps with full reorthogonalization from a
     random start drawn from seed, and verifies the returned pair against an
     explicit residual. A unit warm start, typically the eigenvector of a
-    nearby operator, may be given; the run then starts from it plus 0.1
+    nearby operator, may be given; the run then starts from it plus 1e-3
     times the unit random vector. The random part gives the start a nonzero
     component along every eigenvector with probability one, so a warm start
     orthogonal to the bottom eigenvector can still find it; the random-start
-    failure bound covers only a cold start, not this mix. The explicit
-    residual check proves an eigenpair, not that it is the smallest. One
-    retry from a cold random start drawn from seed + 1 is attempted before
-    giving up, so a warm start that fails falls back to the cold path.
+    failure bound covers only a cold start (start None), not this mix. The
+    explicit residual check proves an eigenpair, not that it is the
+    smallest. One retry from a cold random start drawn from seed + 1 is
+    attempted before giving up, so a warm start that fails falls back to
+    the cold path.
 
     The bottom Ritz pair and the residual-estimate stop test run on every
     4th step, on breakdown and on the last allowed step, not on every step.
@@ -210,7 +211,7 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
 _STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
 
 # weight of the unit random vector mixed into a warm Lanczos start
-_WARM_START_MIX = 0.1
+_WARM_START_MIX = 1e-3
 
 # Lanczos steps between tridiagonal Ritz solves and residual stop tests
 _RITZ_CHECK_EVERY = 4
@@ -462,6 +463,14 @@ def greedy_step(fv, op, gamma, state, rng):
 
 @dataclass
 class SdpResult:
+    """Outcome of sdp_solve or fw_solve.
+
+    certified_dual_cert and final_lambda come from the last visit's Lanczos
+    run, which starts cold (see sdp_solve). The trace's dual_cert and
+    lambda_min columns hold warm-start values on the visits that did not
+    confirm.
+    """
+
     final_y: np.ndarray
     final_tr: float
     sketch: SketchState | None
@@ -489,13 +498,16 @@ class _MeasurementIterate:
             raise ValueError("trace penalty gamma must be finite and nonnegative")
         self.fv, self.op, self.gamma = fv, op, gamma
         self.z = np.asarray(op.z, dtype=float)
-        # every visit's Lanczos run starts from the previous visit's
-        # eigenvector plus a fresh random vector drawn from this one stream:
-        # the momentum vector moves little between visits, and a start that
-        # misses the bottom eigenvector on one visit does not miss it on all
+        # every Lanczos run draws its seed from this one stream. A visit's
+        # run starts from the previous visit's eigenvector plus a little of
+        # the seed's random vector: the momentum vector moves little between
+        # visits, and a start that misses the bottom eigenvector on one visit
+        # does not miss it on all. A confirming run starts from the random
+        # vector alone
         self.lanczos_rng = np.random.default_rng(config.rng_seed).spawn(1)[0]
         self.lanczos_start = None
         self.lmo_matvecs = 0
+        self.lmo_confirmations = 0
         sketch = None
         if sketch_size is not None:
             sketch = SketchState.create(op.n, sketch_size, seed=config.rng_seed + 1)
@@ -509,9 +521,10 @@ class _MeasurementIterate:
         self.cs = float(np.vdot(s.y + self.z, p)) + self.gamma * s.tr
         return fval, p
 
-    def lmo(self, p):
-        # smallest eigenpair of the adjoint image of p plus gamma I; every
-        # matvec counts, the verification and a retry's included
+    def lmo(self, p, confirm):
+        # smallest eigenpair of the adjoint image of p plus gamma I, from a
+        # cold start when confirming; every matvec counts, the verification
+        # and a retry's included
         def matvec(u):
             self.lmo_matvecs += 1
             return self.op.adjoint_matvec(p, u) + self.gamma * u
@@ -520,8 +533,9 @@ class _MeasurementIterate:
             matvec,
             self.op.n,
             seed=int(self.lanczos_rng.integers(2**32)),
-            start=self.lanczos_start,
+            start=None if confirm else self.lanczos_start,
         )
+        self.lmo_confirmations += confirm
         self.lanczos_start = q
         return lam, q
 
@@ -540,6 +554,7 @@ class _MeasurementIterate:
         stats["greedy_events"] = self.greedy_events
         stats["n_greedy_commits"] = sum(1 for e in self.greedy_events if e["committed"])
         stats["lmo_matvecs"] = self.lmo_matvecs
+        stats["lmo_confirmations"] = self.lmo_confirmations
         return SdpResult(
             final_y=self.state.y,
             final_tr=self.state.tr,
@@ -568,8 +583,8 @@ class _SdpIterate(_MeasurementIterate):
         self.greedy = None
         return super().evaluate()
 
-    def certify(self, g):
-        self.lam, self.q = self.lmo(g)
+    def certify(self, g, confirm):
+        self.lam, self.q = self.lmo(g, confirm)
         return max(0.0, -self.lam)
 
     def step(self, k, theta):
@@ -601,11 +616,21 @@ def sdp_solve(
     eigenvalue lambda of the adjoint image of the momentum vector plus
     gamma I, and the run stops once it reaches sqrt(tol_eps).
 
+    Each visit's Lanczos run starts warm, from the previous visit's
+    eigenvector plus a little random noise. A visit whose warm certificate
+    would stop the run reruns Lanczos from a cold random start and stops
+    only if that confirmed certificate still reaches sqrt(tol_eps);
+    otherwise it records the confirmed values and steps along the confirmed
+    eigenvector. The last visit takes no step, so its only run is cold.
+    Hence certified_dual_cert, final_lambda and a "converged" status all rest
+    on a cold start, which the random-start failure bound of Lanczos covers.
+
     The returned state is the ray-rescaled iterate of the final visit. When
     sketch_size is set, a rank sketch of X is maintained through every move
     and returned for factorized readout. stats["lmo_matvecs"] counts the
-    operator matvecs of every Lanczos run, verification and retries
-    included.
+    operator matvecs of every Lanczos run, verification, retries and cold
+    confirmations included; stats["lmo_confirmations"] counts the cold
+    confirming runs: one for the final visit plus one per rejected stop.
 
     callback(info) runs once per visit, after the step, with "record" (the
     TraceRecord), "q", "greedy", "y", "tr", "sketch" and "g_avg" in info.
@@ -624,11 +649,11 @@ class _FwIterate(_MeasurementIterate):
         super().__init__(fv, op, gamma, config, sketch_size)
         self.tau = tau
 
-    def certify(self, p):
+    def certify(self, p, confirm):
         # extreme point of the set against the gradient p: tau q q^T when
         # lambda < 0 (q is None otherwise), kept as its image and trace; the
         # certificate is the gap <p, X - atom> plus the trace term
-        self.lam, q = self.lmo(p)
+        self.lam, q = self.lmo(p, confirm)
         if self.lam < 0.0:
             self.q, self.tr_atom = q, self.tau
             self.y_atom = self.tau * self.op.gram(q) - self.z
@@ -654,10 +679,13 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=Non
     gap reaches tol_eps directly (the gap already has objective units). A
     tau below the trace of the true minimizer makes the optimum of this
     problem differ from the unconstrained-cone one; that is the point of the
-    comparison, not a defect. stats["lmo_matvecs"] is as in sdp_solve. A
-    tau that is not positive and finite raises ValueError, and so does a
-    config with heuristic_m set, since every step here is an exact search
-    on the segment to the atom.
+    comparison, not a defect. A gap that would stop the run is confirmed
+    from a cold Lanczos start as in sdp_solve, and the last visit's run is
+    cold, so certified_dual_cert, final_lambda and a "converged" status rest
+    on a cold start. stats["lmo_matvecs"] and stats["lmo_confirmations"]
+    are as in sdp_solve. A tau that is not positive and finite raises
+    ValueError, and so does a config with heuristic_m set, since every step
+    here is an exact search on the segment to the atom.
 
     callback(info) gets sdp_solve's keys but "g_avg"; q is None when the
     atom is X = 0.

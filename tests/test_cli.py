@@ -163,6 +163,8 @@ def test_validate_recon_rank_bounds():
     with pytest.raises(UsageError):
         validate(RunSpec(command="phase", sketch=6, recon_rank=5))
     validate(RunSpec(command="phase", sketch=6, recon_rank=4))
+    # below 2 sketch columns the library reports the sketch, not the rank
+    validate(RunSpec(command="phase", sketch=1))
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +220,8 @@ def test_phase_run_writes_factor(tmp_path):
     with open(f"{prefix}.summary.json") as fh:
         summary = json.load(fh)
     assert "recovery_error" in summary
+    # a max_iters run confirms once, on its last visit
+    assert summary["stats"]["lmo_confirmations"] == 1
 
 
 @pytest.mark.parametrize("extra", [[], ["--n", "1"]], ids=["image", "image-overrides-n"])
@@ -233,6 +237,8 @@ def test_phase_image_sets_signal_length(tmp_path, extra):
     assert code == 0
     with np.load(f"{prefix}.factor.npz") as npz:
         assert npz["u"].shape[0] == 20
+    with open(f"{prefix}.summary.json") as fh:
+        assert json.load(fh)["config"]["n"] == 20
 
 
 @pytest.mark.parametrize(
@@ -375,6 +381,11 @@ def _matcomp_solve(**kwargs):
     return sdp_solve(bundle.fv, bundle.op, **kwargs)
 
 
+def _phase_solve(**kwargs):
+    bundle = build_phase_retrieval(n=16)
+    return sdp_solve(bundle.fv, bundle.op, **kwargs)
+
+
 # one case per range the command line leaves to the library: the flags, and
 # the library call that rejects the same setting
 _LIBRARY_RANGES = {
@@ -396,6 +407,9 @@ _LIBRARY_RANGES = {
     "phase-m": (["phase", "--n", "16", "--m", "0"], lambda: build_phase_retrieval(n=16, m=0)),
     "matcomp-sketch": (
         ["matcomp", "--n", "20", "--sketch", "1"], lambda: _matcomp_solve(sketch_size=1)
+    ),
+    "phase-sketch": (
+        ["phase", "--n", "16", "--sketch", "1"], lambda: _phase_solve(sketch_size=1)
     ),
     "matcomp-gamma": (["matcomp", "--n", "20", "--gamma=-1"], lambda: _matcomp_solve(gamma=-1.0)),
     "toy-iters-jobs2": (

@@ -338,7 +338,8 @@ def test_lapack_failure_takes_the_retry(monkeypatch):
 def test_each_visit_starts_lanczos_afresh(monkeypatch):
     # a start vector that misses the bottom eigenvector must not be reused on
     # every visit, and the draws must still repeat given the run's seed; the
-    # warm start of each visit is the eigenvector the previous visit returned
+    # warm start of each visit is the eigenvector the previous visit returned,
+    # and the first and last visits start cold
     seeds = []
     starts = []
     vectors = []
@@ -359,14 +360,67 @@ def test_each_visit_starts_lanczos_afresh(monkeypatch):
         vectors.clear()
         res = sdp_solve(mc.fv, mc.op, config=SolverConfig(max_iters=20, rng_seed=rng_seed))
         runs.append((list(seeds), res.trace.f_values()))
-        assert starts[0] is None
-        for start, previous in zip(starts[1:], vectors):
+        assert starts[0] is None and starts[-1] is None
+        for start, previous in zip(starts[1:-1], vectors):
             np.testing.assert_array_equal(start, previous)
+        assert res.stats["lmo_confirmations"] == 1
     assert len(runs[0][0]) == 21
     assert len(set(runs[0][0])) == 21
     assert runs[0][0] == runs[1][0]
     np.testing.assert_array_equal(runs[0][1], runs[1][1])
     assert not set(runs[0][0]) & set(runs[2][0])
+
+
+@pytest.mark.parametrize("solver", ["sdp_solve", "fw_solve"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_matcomp(n=20, rank=2, seed=0, block=4, density=0.2),
+        lambda: build_phase_retrieval(n=16, m=6, seed=0, noise_snr=20.0),
+    ],
+    ids=["matcomp", "phase"],
+)
+def test_runs_stop_only_on_a_cold_start_certificate(monkeypatch, build, solver):
+    # every warm-started Lanczos run reports lambda = 0, which would stop the
+    # run on the next visit (an sdp certificate of 0, an fw gap of cs <= 0 with
+    # the trace bound active); each such stop must be confirmed from a cold
+    # start and rejected, and the reported certificate must be the dense one
+    bundle = build()
+    op, gamma, tau = bundle.op, bundle.gamma, 1.0
+    colds = []
+    matvecs = [0]
+
+    def lying(matvec, n, seed=0, start=None):
+        def counted(u):
+            matvecs[0] += 1
+            return matvec(u)
+
+        lam, q = min_eig_lanczos(counted, n, seed, start=start)
+        colds.append(start is None)
+        return (lam, q) if start is None else (0.0, q)
+
+    last = {}
+    monkeypatch.setattr(sdp, "min_eig_lanczos", lying)
+    cfg = SolverConfig(max_iters=40, tol_eps=1e-6)
+    if solver == "sdp_solve":
+        res = sdp_solve(bundle.fv, op, gamma=gamma, config=cfg, callback=last.update)
+        g = last["g_avg"]
+    else:
+        res = fw_solve(bundle.fv, op, tau=tau, gamma=gamma, config=cfg, callback=last.update)
+        g = bundle.fv.gradient(last["y"])
+    assert colds[-1]
+    bar = cfg.tol_eps ** 0.5 if solver == "sdp_solve" else cfg.tol_eps
+    assert res.status == "max_iters" or res.certified_dual_cert <= bar
+    # visit 0 starts cold without confirming; each later visit confirms once
+    assert res.stats["lmo_confirmations"] == colds.count(True) - 1 == len(res.trace) - 1 > 1
+    assert res.stats["lmo_matvecs"] == matvecs[0]
+    w = np.linalg.eigvalsh(op.adjoint_dense(g) + gamma * np.eye(op.n))[0]
+    assert abs(res.final_lambda - w) <= 1e-6
+    if solver == "sdp_solve":
+        dense_cert = max(0.0, -w)
+    else:
+        dense_cert = last["record"].cs_residual - tau * min(0.0, w)
+    assert abs(res.certified_dual_cert - dense_cert) <= 1e-6
 
 
 @pytest.mark.parametrize("solver", ["sdp_solve", "fw_solve"])
@@ -589,22 +643,28 @@ def test_sdp_solve_monotone_on_matcomp():
     ids=["matcomp", "phase"],
 )
 def test_lmo_eigenvalue_matches_dense_at_every_visit(build):
-    # every visit's warm-started Lanczos value against eigvalsh of the dense
-    # adjoint image of the momentum vector, to the certificate tolerance of
-    # 1e-6 relative to the operator's largest eigenvalue
+    # every visit's Lanczos value (warm-started on all but the first and last
+    # visits) against eigvalsh of the dense adjoint image of the momentum
+    # vector, to the certificate tolerance of 1e-6 relative to the operator's
+    # largest eigenvalue
     bundle = build()
     op, gamma = bundle.op, bundle.gamma
     errs = []
+    dense_certs = []
 
     def cb(info):
         w = np.linalg.eigvalsh(op.adjoint_dense(info["g_avg"]) + gamma * np.eye(op.n))
         scale = max(1.0, float(np.abs(w).max()))
         errs.append(abs(info["record"].lambda_min - w[0]) / scale)
+        dense_certs.append((max(0.0, -w[0]), scale))
 
     cfg = SolverConfig(max_iters=40, greedy_period=10)
     res = sdp_solve(bundle.fv, op, gamma=gamma, config=cfg, callback=cb)
     assert len(errs) == len(res.trace) == 41
     assert max(errs) <= 1e-6, max(errs)
+    # the reported certificate, from the last visit's cold run
+    dense_cert, scale = dense_certs[-1]
+    assert abs(res.certified_dual_cert - dense_cert) / scale <= 1e-6
 
 
 def test_sdp_solve_dense_mirror_consistency():
