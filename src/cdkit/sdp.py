@@ -175,10 +175,14 @@ def factor_to_dense(u, lam):
 def min_eig_lanczos(matvec, n, seed=0, start=None):
     """Smallest eigenpair (lam, q) of a symmetric operator given as a matvec.
 
-    Runs at most 200 Lanczos steps with full reorthogonalization from a
-    random start drawn from seed, and verifies the returned pair against an
-    explicit residual. A unit warm start, typically the eigenvector of a
-    nearby operator, may be given; the run then starts from it plus 1e-3
+    Runs at most 200 Lanczos steps from a random start drawn from seed, and
+    verifies the returned pair against an explicit residual. The basis is
+    kept one vector per row. Each step reorthogonalizes the new vector
+    against the whole basis with two classical Gram-Schmidt passes; the
+    first pass also removes the parts along the current and previous basis
+    vectors that the three-term recurrence would subtract, and alpha is the
+    current vector's coefficient of the two passes added. A unit warm
+    start, typically the eigenvector of a nearby operator, may be given; the run then starts from it plus 1e-3
     times the unit random vector. The random part gives the start a nonzero
     component along every eigenvector with probability one, so a warm start
     orthogonal to the bottom eigenvector can still find it; the random-start
@@ -241,7 +245,9 @@ def _lanczos_once(matvec, n, seed, start=None):
         return lam, q
     rng = np.random.default_rng(seed)
     m = min(n, _LANCZOS_MAX_STEPS)
-    basis = np.zeros((n, m))
+    # one Lanczos vector per row, so every step reads and writes contiguous
+    # memory; rows past the last step are never read
+    basis = np.empty((m, n))
     alphas = np.zeros(m)
     betas = np.zeros(m)
     v = rng.standard_normal(n)
@@ -252,23 +258,26 @@ def _lanczos_once(matvec, n, seed, start=None):
     # running max |alpha| and max |beta| for the residual scale
     alpha_max = beta_max = 0.0
     for j in range(m):
-        basis[:, j] = v
+        basis[j] = v
         w = np.asarray(matvec(v), dtype=float)
-        alpha = float(v @ w)
-        # a non-finite entry of w makes v @ w non-finite, so this one scalar
-        # test screens the whole matvec
+        # full reorthogonalization: two classical Gram-Schmidt passes against
+        # the whole basis, which keep it usable long past the point where
+        # plain Lanczos loses orthogonality. The first pass also takes out
+        # the v_j and v_{j-1} parts of the three-term recurrence, and alpha
+        # is the v_j coefficient of both passes together
+        span = basis[: j + 1]
+        h = span @ w
+        alpha = float(h[j])
+        # a non-finite entry of w makes h[j] = v @ w non-finite, so this one
+        # scalar test screens the whole matvec
         if not math.isfinite(alpha):
             raise EigFailure("operator returned non-finite values")
+        w -= h @ span
+        h = span @ w
+        w -= h @ span
+        alpha += float(h[j])
         alphas[j] = alpha
         alpha_max = max(alpha_max, abs(alpha))
-        w -= alpha * v
-        if j > 0:
-            w -= betas[j - 1] * basis[:, j - 1]
-        # full reorthogonalization, twice, keeps the basis usable long past
-        # the point where plain Lanczos loses orthogonality
-        span = basis[:, : j + 1]
-        for _ in range(2):
-            w -= span @ (span.T @ w)
         beta = math.sqrt(w @ w)  # what np.linalg.norm(w) computes
         if not math.isfinite(beta):
             raise EigFailure("Lanczos residual overflowed")
@@ -284,7 +293,7 @@ def _lanczos_once(matvec, n, seed, start=None):
         beta_max = max(beta_max, beta)
         v = w / beta
     # the loop ends at a Ritz solve: a break, or the last step, which solves
-    q = basis[:, : j + 1] @ ritz_vec
+    q = ritz_vec @ basis[: j + 1]
     q /= np.linalg.norm(q)
     resid = float(np.linalg.norm(np.asarray(matvec(q), dtype=float) - lam * q))
     if resid > 10.0 * _LANCZOS_TOL * scale:
@@ -529,12 +538,16 @@ class _MeasurementIterate:
             self.lmo_matvecs += 1
             return self.op.adjoint_matvec(p, u) + self.gamma * u
 
+        start = None if confirm else self.lanczos_start
         lam, q = min_eig_lanczos(
             matvec,
             self.op.n,
             seed=int(self.lanczos_rng.integers(2**32)),
-            start=None if confirm else self.lanczos_start,
+            start=start,
         )
+        # a run from no start is cold: a confirming run, or visit 0's, which
+        # has no warm start to take
+        self.confirmed = start is None
         self.lmo_confirmations += confirm
         self.lanczos_start = q
         return lam, q
@@ -554,7 +567,8 @@ class _MeasurementIterate:
         stats["greedy_events"] = self.greedy_events
         stats["n_greedy_commits"] = sum(1 for e in self.greedy_events if e["committed"])
         stats["lmo_matvecs"] = self.lmo_matvecs
-        stats["lmo_confirmations"] = self.lmo_confirmations
+        # a stop on visit 0 rests on that visit's own cold run
+        stats["lmo_confirmations"] = self.lmo_confirmations + (trace[-1].k == 0)
         return SdpResult(
             final_y=self.state.y,
             final_tr=self.state.tr,
@@ -616,14 +630,16 @@ def sdp_solve(
     eigenvalue lambda of the adjoint image of the momentum vector plus
     gamma I, and the run stops once it reaches sqrt(tol_eps).
 
-    Each visit's Lanczos run starts warm, from the previous visit's
-    eigenvector plus a little random noise. A visit whose warm certificate
-    would stop the run reruns Lanczos from a cold random start and stops
-    only if that confirmed certificate still reaches sqrt(tol_eps);
-    otherwise it records the confirmed values and steps along the confirmed
-    eigenvector. The last visit takes no step, so its only run is cold.
-    Hence certified_dual_cert, final_lambda and a "converged" status all rest
-    on a cold start, which the random-start failure bound of Lanczos covers.
+    Each visit's Lanczos run after the first starts warm, from the previous
+    visit's eigenvector plus a little random noise; visit 0 has no earlier
+    eigenvector and starts cold. A visit whose warm certificate would stop
+    the run reruns Lanczos from a cold random start and stops only if that
+    confirmed certificate still reaches sqrt(tol_eps); otherwise it records
+    the confirmed values and steps along the confirmed eigenvector. A stop
+    on visit 0 needs no rerun. The last visit takes no step, so its only
+    run is cold. Hence certified_dual_cert, final_lambda and a "converged"
+    status all rest on a cold start, which the random-start failure bound
+    of Lanczos covers.
 
     The returned state is the ray-rescaled iterate of the final visit. When
     sketch_size is set, a rank sketch of X is maintained through every move
@@ -679,13 +695,14 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=Non
     gap reaches tol_eps directly (the gap already has objective units). A
     tau below the trace of the true minimizer makes the optimum of this
     problem differ from the unconstrained-cone one; that is the point of the
-    comparison, not a defect. A gap that would stop the run is confirmed
-    from a cold Lanczos start as in sdp_solve, and the last visit's run is
-    cold, so certified_dual_cert, final_lambda and a "converged" status rest
-    on a cold start. stats["lmo_matvecs"] and stats["lmo_confirmations"]
-    are as in sdp_solve. A tau that is not positive and finite raises
-    ValueError, and so does a config with heuristic_m set, since every step
-    here is an exact search on the segment to the atom.
+    comparison, not a defect. A warm gap that would stop the run is
+    confirmed from a cold Lanczos start as in sdp_solve, and the first and
+    last visits' runs are cold, so certified_dual_cert, final_lambda and a
+    "converged" status rest on a cold start. stats["lmo_matvecs"] and
+    stats["lmo_confirmations"] are as in sdp_solve. A tau that is not
+    positive and finite raises ValueError, and so does a config with
+    heuristic_m set, since every step here is an exact search on the
+    segment to the atom.
 
     callback(info) gets sdp_solve's keys but "g_avg"; q is None when the
     atom is X = 0.

@@ -80,6 +80,31 @@ def test_minimize_convex_1d_brackets_far_minimum():
         assert t_star - t <= math.ulp(t_star)
 
 
+def test_minimize_convex_1d_call_count():
+    # a bracket [0, u] is narrowed in the exponent before it is bisected, so
+    # a tiny minimizer costs few slope calls (a plain bisection from [0, 1]
+    # took 149 at 1e-30 and 1051 at 1e-300), and minimizers near or above 1
+    # cost no more than that bisection did (59 at 37.3, 62 at 1e-3)
+    def calls(t_star):
+        count = [0]
+
+        def slope(t):
+            count[0] += 1
+            return 2.0 * (t - t_star)
+
+        t = minimize_convex_1d(slope)
+        assert t <= t_star
+        assert t_star - t <= math.ulp(t_star)
+        return count[0]
+
+    assert max(calls(10.0 ** e) for e in np.linspace(-300.0, 0.0, 601)) <= 80
+    assert calls(37.3) <= 59
+    assert calls(1e-3) <= 62
+    # below the normal range points underflow to 0, whose slope is known
+    for t_star in (1e-310, 1e-320, 5e-324):
+        calls(t_star)
+
+
 def test_minimize_convex_1d_minimum_at_zero():
     calls = []
 
@@ -375,6 +400,27 @@ def test_config_counts_must_be_integers(name, bad):
     good = {"max_iters": 3, "greedy_period": 2, "trace_every": 2, "rng_seed": 1}[name]
     res = sdp_solve(toy.fv, toy.op, config=SolverConfig(**{name: np.int64(good)}))
     assert len(res.trace) >= 1
+
+
+@pytest.mark.parametrize("tol_eps", [1e6, 1e-2])
+def test_stopping_visit_calls_the_exact_cone_lmo_once(monkeypatch, tol_eps):
+    # the cone LMO is exact, so the certificate that stops a run needs no
+    # confirming call: a run that stops at visit k makes k + 1 LMO calls
+    built = build_orthant_quadratic(dim=8, seed=7)
+    cone = built.program.cone
+    lmo = cone.lmo
+    calls = [0]
+
+    def counting(g):
+        calls[0] += 1
+        return lmo(g)
+
+    monkeypatch.setattr(cone, "lmo", counting)
+    res = solve(built.program, SolverConfig(max_iters=300, tol_eps=tol_eps))
+    assert res.status == "converged"
+    assert calls[0] == res.trace[-1].k + 1
+    if tol_eps > 1.0:
+        assert res.trace[-1].k == 0
 
 
 def test_trace_csv_roundtrip(tmp_path):

@@ -119,6 +119,36 @@ def test_lanczos_step_cap_is_200():
     assert matvecs[0] == 2 * (200 + 1)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_lanczos_clustered_bottom_at_the_step_cap(seed):
+    # n = 100 with the bottom 4 eigenvalues within 1e-9 of each other and the
+    # rest close above them: the residual estimate never meets the tolerance
+    # early, so the run makes all 100 steps (one matvec each) plus the
+    # verification, and the two projection passes must keep the basis
+    # orthogonal that long
+    rng = np.random.default_rng(seed)
+    w = np.concatenate(
+        [-1.0 + 1e-9 * np.array([0.0, 0.25, 0.5, 1.0]),
+         -1.0 + 1e-3 + 10.0 * np.linspace(0.0, 1.0, 97)[1:] ** 2]
+    )
+    basis, _ = np.linalg.qr(rng.standard_normal((100, 100)))
+    a = (basis * w) @ basis.T
+    a = (a + a.T) / 2.0
+    matvecs = [0]
+
+    def matvec(v):
+        matvecs[0] += 1
+        return a @ v
+
+    lam, q = min_eig_lanczos(matvec, 100, seed=seed)
+    assert matvecs[0] == 100 + 1
+    w = np.linalg.eigvalsh(a)
+    scale = max(1.0, float(np.abs(w).max()))
+    assert abs(lam - w[0]) <= 1e-9 * scale
+    # the solver's scale max|alpha| + 2 max|beta| is at most 3 ||A||
+    assert np.linalg.norm(a @ q - lam * q) <= 10.0 * sdp._LANCZOS_TOL * 3.0 * scale
+
+
 def _tridiagonal_cases():
     rng = np.random.default_rng(7)
     for size in (1, 2, 10, 34, 86, 200):
@@ -163,7 +193,7 @@ def _reference_lanczos_once(matvec, n, seed, max_steps):
         return lam, q
     rng = np.random.default_rng(seed)
     m = min(n, max_steps)
-    basis = np.zeros((n, m))
+    basis = np.zeros((m, n))
     alphas = np.zeros(m)
     betas = np.zeros(m)
     v = rng.standard_normal(n)
@@ -172,16 +202,17 @@ def _reference_lanczos_once(matvec, n, seed, max_steps):
     ritz_vec = None
     j_stop = 0
     for j in range(m):
-        basis[:, j] = v
+        basis[j] = v
         w = np.asarray(matvec(v), dtype=float)
         if not np.all(np.isfinite(w)):
             raise EigFailure("operator returned non-finite values")
-        alphas[j] = float(v @ w)
-        w -= alphas[j] * v
-        if j > 0:
-            w -= betas[j - 1] * basis[:, j - 1]
+        # two classical Gram-Schmidt passes over the row basis; alpha is the
+        # v_j coefficient of both
+        h = []
         for _ in range(2):
-            w -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
+            h.append(basis[: j + 1] @ w)
+            w -= h[-1] @ basis[: j + 1]
+        alphas[j] = float(h[0][j]) + float(h[1][j])
         beta = float(np.linalg.norm(w))
         scale = max(
             1.0,
@@ -203,7 +234,7 @@ def _reference_lanczos_once(matvec, n, seed, max_steps):
                 break
         betas[j] = beta
         v = w / beta
-    q = basis[:, : j_stop + 1] @ ritz_vec
+    q = ritz_vec @ basis[: j_stop + 1]
     q /= np.linalg.norm(q)
     resid = float(np.linalg.norm(np.asarray(matvec(q), dtype=float) - lam * q))
     if resid > 10.0 * tol * scale:
@@ -421,6 +452,31 @@ def test_runs_stop_only_on_a_cold_start_certificate(monkeypatch, build, solver):
     else:
         dense_cert = last["record"].cs_residual - tau * min(0.0, w)
     assert abs(res.certified_dual_cert - dense_cert) <= 1e-6
+
+
+@pytest.mark.parametrize("solver", ["sdp_solve", "fw_solve"])
+def test_stop_on_visit_0_runs_lanczos_once(monkeypatch, solver):
+    # visit 0 has no warm start, so its run is already cold and a stop there
+    # takes no confirming rerun: one run of 12 steps and its verification,
+    # which counts as the final visit's confirmation
+    bundle = build_phase_retrieval(n=16, m=6, seed=0)
+    runs = []
+
+    def recording(matvec, n, seed=0, start=None):
+        runs.append(start)
+        return min_eig_lanczos(matvec, n, seed, start=start)
+
+    monkeypatch.setattr(sdp, "min_eig_lanczos", recording)
+    cfg = SolverConfig(tol_eps=1e6)
+    if solver == "sdp_solve":
+        res = sdp_solve(bundle.fv, bundle.op, gamma=bundle.gamma, config=cfg)
+    else:
+        res = fw_solve(bundle.fv, bundle.op, tau=1.0, gamma=bundle.gamma, config=cfg)
+    assert res.status == "converged"
+    assert [r.k for r in res.trace] == [0]
+    assert runs == [None]
+    assert res.stats["lmo_matvecs"] == 13
+    assert res.stats["lmo_confirmations"] == 1
 
 
 @pytest.mark.parametrize("solver", ["sdp_solve", "fw_solve"])
@@ -665,6 +721,42 @@ def test_lmo_eigenvalue_matches_dense_at_every_visit(build):
     # the reported certificate, from the last visit's cold run
     dense_cert, scale = dense_certs[-1]
     assert abs(res.certified_dual_cert - dense_cert) / scale <= 1e-6
+
+
+def test_lmo_eigenvalue_matches_dense_on_the_bench_instance(monkeypatch):
+    # the matcomp-greedy benchmark instance (n = 100) over the benchmark's 300
+    # iterations with a greedy refit every 20: every visit's Lanczos value
+    # against eigvalsh of the dense adjoint image of the momentum vector. The
+    # runs of the first 150 visits end by step 92; the late ones, which this
+    # covers, go all 100 steps
+    mc = build_matcomp(n=100, rank=3, block=10, density=0.1, noise_snr=20.0)
+    op, gamma = mc.op, mc.gamma
+    steps = []
+
+    def counting(matvec, n, seed=0, start=None):
+        calls = [0]
+
+        def counted(u):
+            calls[0] += 1
+            return matvec(u)
+
+        pair = min_eig_lanczos(counted, n, seed, start=start)
+        steps.append(calls[0] - 1)
+        return pair
+
+    errs = []
+
+    def cb(info):
+        w = np.linalg.eigvalsh(op.adjoint_dense(info["g_avg"]) + gamma * np.eye(op.n))
+        scale = max(1.0, float(np.abs(w).max()))
+        errs.append(abs(info["record"].lambda_min - w[0]) / scale)
+
+    monkeypatch.setattr(sdp, "min_eig_lanczos", counting)
+    cfg = SolverConfig(max_iters=300, greedy_period=20)
+    res = sdp_solve(mc.fv, op, gamma=gamma, config=cfg, sketch_size=8, callback=cb)
+    assert len(errs) == len(res.trace) == 301
+    assert max(errs) <= 1e-6, max(errs)
+    assert max(steps) == 100
 
 
 def test_sdp_solve_dense_mirror_consistency():
