@@ -182,14 +182,9 @@ def minimize_convex_1d(slope, hi=math.inf):
 
     Returns 0 when slope(0) >= 0. Otherwise it brackets a sign change of the
     slope by doubling from [0, 1], capped at hi (and returns hi when the
-    slope is still <= 0 there). A bracket whose lower end is still 0 is
-    first narrowed in the exponent: its upper end u is tried at u 2^-1,
-    u 2^-2, u 2^-4, ... until the slope turns negative, and the exponent is
-    then bisected until the bracket spans one factor of 2. A minimizer t*
-    far below 1 thus takes about 2 log2 log2(1/t*) calls to bracket, not
-    log2(1/t*). The bracket is then bisected until its midpoint equals one
-    of its ends. The result is the end with a negative slope, so the
-    function there is no higher than at 0, or a point where the slope is
+    slope is still <= 0 there), then bisects the bracket until its midpoint
+    equals one of its ends. The result is the end with a negative slope, so
+    the function there is no higher than at 0, or a point where the slope is
     exactly 0. A nonconvex function gets a local minimizer. Raises
     LineSearchDivergence when the bracket grows past BRACKET_LIMIT with the
     slope still negative, and NonFiniteValue on a non-finite slope.
@@ -201,8 +196,7 @@ def minimize_convex_1d(slope, hi=math.inf):
             raise NonFiniteValue(f"non-finite slope at t = {t!r}")
         return s
 
-    s_zero = check(0.0)
-    if s_zero >= 0.0:
+    if check(0.0) >= 0.0:
         return 0.0
     lo, up = 0.0, min(1.0, hi)
     s_up = check(up)
@@ -213,24 +207,6 @@ def minimize_convex_1d(slope, hi=math.inf):
             raise LineSearchDivergence("bracket grew past the overflow threshold")
         lo, up = up, min(2.0 * up, hi)
         s_up = check(up)
-    if lo == 0.0 and s_up > 0.0:
-        # narrow [0, up] in the exponent: the slope is positive at
-        # top 2^-k_pos and negative at top 2^-k_neg, where k_neg first runs
-        # through 1, 2, 4, ... and is then bisected against k_pos; a point
-        # that underflows to 0 has the known slope at 0
-        top, k_pos, k_neg, found = up, 0, 1, False
-        while not found or k_neg - k_pos > 1:
-            k = (k_pos + k_neg) // 2 if found else k_neg
-            t = math.ldexp(top, -k)
-            s = check(t) if t > 0.0 else s_zero
-            if s == 0.0:
-                return t
-            if s < 0.0:
-                lo, k_neg, found = t, k, True
-            else:
-                up, s_up, k_pos = t, s, k
-                if not found:
-                    k_neg = 2 * k
     while s_up > 0.0:
         mid = 0.5 * (lo + up)
         if mid == lo or mid == up:
@@ -322,7 +298,9 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
         visit certifies with confirm at once. A visit whose unconfirmed
         certificate would stop the run certifies again with confirm and
         stops only if that value still meets the bar; if not, it records
-        that value and steps along the confirming atom;
+        that value and steps along the confirming atom. The loop adds to
+        it.confirmations one per visit whose stop test ends on a confirmed
+        value: the visit the run ends on and each rejected stop;
       step(k, theta) moves by theta, or by a searched length when theta is
         None, and returns the length used;
       payload(record) -> the dict passed to callback: the visit's trace
@@ -359,6 +337,7 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
         last = k == config.max_iters
         cert = it.certify(g, last)
         stop = cert <= stop_at
+        it.confirmations += stop or last
         if stop and not it.confirmed:
             # stop only on a confirmed certificate
             cert = it.certify(g, True)
@@ -392,8 +371,10 @@ class _VectorIterate:
     """Per-visit math of momentum conic descent on a vector ConicProgram."""
 
     lam = None
-    # the cone LMO is exact, so no certificate needs a confirming run
+    # the cone LMO is exact, so no certificate needs a confirming run, and
+    # the loop's count of confirmed stop tests is not reported
     confirmed = True
+    confirmations = 0
 
     def __init__(self, problem, x):
         self.problem = problem

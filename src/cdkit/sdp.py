@@ -181,16 +181,16 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
     against the whole basis with two classical Gram-Schmidt passes; the
     first pass also removes the parts along the current and previous basis
     vectors that the three-term recurrence would subtract, and alpha is the
-    current vector's coefficient of the two passes added. A unit warm
-    start, typically the eigenvector of a nearby operator, may be given; the run then starts from it plus 1e-3
-    times the unit random vector. The random part gives the start a nonzero
-    component along every eigenvector with probability one, so a warm start
-    orthogonal to the bottom eigenvector can still find it; the random-start
-    failure bound covers only a cold start (start None), not this mix. The
-    explicit residual check proves an eigenpair, not that it is the
-    smallest. One retry from a cold random start drawn from seed + 1 is
-    attempted before giving up, so a warm start that fails falls back to
-    the cold path.
+    current vector's coefficient of the two passes added. A unit warm start,
+    typically the eigenvector of a nearby operator, may be given; the run
+    then starts from it plus 1e-3 times the unit random vector. The random
+    part gives the start a nonzero component along every eigenvector with
+    probability one, so a warm start orthogonal to the bottom eigenvector
+    can still find it; the random-start failure bound covers only a cold
+    start (start None), not this mix. The explicit residual check proves an
+    eigenpair, not that it is the smallest. One retry from a cold random
+    start drawn from seed + 1 is attempted before giving up, so a warm start
+    that fails falls back to the cold path.
 
     The bottom Ritz pair and the residual-estimate stop test run on every
     4th step, on breakdown and on the last allowed step, not on every step.
@@ -516,7 +516,7 @@ class _MeasurementIterate:
         self.lanczos_rng = np.random.default_rng(config.rng_seed).spawn(1)[0]
         self.lanczos_start = None
         self.lmo_matvecs = 0
-        self.lmo_confirmations = 0
+        self.confirmations = 0
         sketch = None
         if sketch_size is not None:
             sketch = SketchState.create(op.n, sketch_size, seed=config.rng_seed + 1)
@@ -548,7 +548,6 @@ class _MeasurementIterate:
         # a run from no start is cold: a confirming run, or visit 0's, which
         # has no warm start to take
         self.confirmed = start is None
-        self.lmo_confirmations += confirm
         self.lanczos_start = q
         return lam, q
 
@@ -567,8 +566,7 @@ class _MeasurementIterate:
         stats["greedy_events"] = self.greedy_events
         stats["n_greedy_commits"] = sum(1 for e in self.greedy_events if e["committed"])
         stats["lmo_matvecs"] = self.lmo_matvecs
-        # a stop on visit 0 rests on that visit's own cold run
-        stats["lmo_confirmations"] = self.lmo_confirmations + (trace[-1].k == 0)
+        stats["lmo_confirmations"] = self.confirmations
         return SdpResult(
             final_y=self.state.y,
             final_tr=self.state.tr,
@@ -646,7 +644,8 @@ def sdp_solve(
     and returned for factorized readout. stats["lmo_matvecs"] counts the
     operator matvecs of every Lanczos run, verification, retries and cold
     confirmations included; stats["lmo_confirmations"] counts the cold
-    confirming runs: one for the final visit plus one per rejected stop.
+    runs that decided a stop test: one for the visit the run ends on plus
+    one per rejected stop.
 
     callback(info) runs once per visit, after the step, with "record" (the
     TraceRecord), "q", "greedy", "y", "tr", "sketch" and "g_avg" in info.

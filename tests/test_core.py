@@ -80,31 +80,6 @@ def test_minimize_convex_1d_brackets_far_minimum():
         assert t_star - t <= math.ulp(t_star)
 
 
-def test_minimize_convex_1d_call_count():
-    # a bracket [0, u] is narrowed in the exponent before it is bisected, so
-    # a tiny minimizer costs few slope calls (a plain bisection from [0, 1]
-    # took 149 at 1e-30 and 1051 at 1e-300), and minimizers near or above 1
-    # cost no more than that bisection did (59 at 37.3, 62 at 1e-3)
-    def calls(t_star):
-        count = [0]
-
-        def slope(t):
-            count[0] += 1
-            return 2.0 * (t - t_star)
-
-        t = minimize_convex_1d(slope)
-        assert t <= t_star
-        assert t_star - t <= math.ulp(t_star)
-        return count[0]
-
-    assert max(calls(10.0 ** e) for e in np.linspace(-300.0, 0.0, 601)) <= 80
-    assert calls(37.3) <= 59
-    assert calls(1e-3) <= 62
-    # below the normal range points underflow to 0, whose slope is known
-    for t_star in (1e-310, 1e-320, 5e-324):
-        calls(t_star)
-
-
 def test_minimize_convex_1d_minimum_at_zero():
     calls = []
 
