@@ -126,11 +126,13 @@ def sketch_reconstruct(sketch, rank):
     Returns (u, lam) with u of shape (n, rank), orthonormal columns, and
     nonnegative eigenvalues lam, approximating X ~ u diag(lam) u^T. The
     stabilizing shift follows the usual single-pass recipe: S is perturbed by
-    nu * omega with nu at the noise floor of S, the square root of the small
-    Gram matrix is Cholesky when it cooperates and an eigenvalue square root
-    otherwise, and nu is subtracted back off the squared singular values.
-    A rank that is not an integer >= 1 raises ValueError, and one that the
-    sketch cannot resolve (size - 1 or more) raises RankTooLarge.
+    nu * omega with nu at the noise floor of S, the small Gram matrix
+    omega^T (S + nu omega) is inverted through an eigenvalue square root, and
+    nu is subtracted back off the squared singular values. Directions below
+    1e-14 of the largest eigenvalue, where roundoff leaves them when X has
+    low rank, are zeroed, so the factor keeps its `rank` columns. A rank
+    that is not an integer >= 1 raises ValueError, and one that the sketch
+    cannot resolve (size - 1 or more) raises RankTooLarge.
     """
     omega, s = sketch.omega, sketch.s
     n, size = s.shape
@@ -146,16 +148,10 @@ def sketch_reconstruct(sketch, rank):
     nu = math.sqrt(n) * np.finfo(float).eps * fro
     s_nu = s + nu * omega
     b = omega.T @ s_nu
-    b = 0.5 * (b + b.T)
-    try:
-        chol = np.linalg.cholesky(b)
-        e = scipy.linalg.solve_triangular(chol, s_nu.T, lower=True).T
-    except np.linalg.LinAlgError:
-        # b should be positive definite; roundoff can spoil that, so fall
-        # back to a pseudo inverse square root
-        w, q = np.linalg.eigh(b)
-        keep = w > w.max() * 1e-14
-        e = s_nu @ (q[:, keep] / np.sqrt(w[keep]))
+    w, q = np.linalg.eigh(0.5 * (b + b.T))
+    keep = w > w.max() * 1e-14
+    e = np.zeros_like(s)
+    e[:, keep] = s_nu @ (q[:, keep] / np.sqrt(w[keep]))
     u, sig, _ = np.linalg.svd(e, full_matrices=False)
     lam = np.maximum(sig**2 - nu, 0.0)
     return u[:, :rank], lam[:rank]
@@ -352,7 +348,7 @@ def _factor_slope(fv, gamma, y_cur, u, big_c, big_d, d):
 
 
 def _quartic_argmin(c1, c2, c3, c4):
-    """(a, p(a)) minimizing p(a) = c1 a + c2 a^2 + c3 a^3 + c4 a^4 over a >= 0.
+    """The a >= 0 minimizing p(a) = c1 a + c2 a^2 + c3 a^3 + c4 a^4.
 
     The minimum sits at 0 or at a positive stationary point, so it is the
     best of 0 and the roots of the cubic p'. Every candidate is a feasible
@@ -367,7 +363,7 @@ def _quartic_argmin(c1, c2, c3, c4):
             p = a * (c1 + a * (c2 + a * (c3 + a * c4)))
             if p < best_p:
                 best_a, best_p = a, p
-    return best_a, best_p
+    return best_a
 
 
 def greedy_step(fv, op, gamma, state, rng):
@@ -384,12 +380,14 @@ def greedy_step(fv, op, gamma, state, rng):
     objective along the step is then a quartic in the step length, minimized
     exactly over its stationary points. Without one, a bisection on the sign
     of its derivative stands in; it stops at a local minimum, which need not
-    be the quartic's global one. The start point
-    (s, u) = (1, 0) is stationary in u, hence the seeded random perturbation;
-    the state is rewritten only when the best point found is strictly below
-    the incumbent value, so the outer objective never increases here. A
-    committed step's info dict carries the scale t_sq and the factor u, so
-    X_new = t_sq X + u u^T can be replayed.
+    be the quartic's global one. Either search only proposes a step length,
+    and the factor moves there only when one gram call and one objective
+    call find a value strictly below the current one. The start point
+    (s, u) = (1, 0) is stationary in u, hence the seeded random perturbation.
+    The refit holds one point and commits the point it ends at, only when
+    its value is strictly below the incumbent value, so the outer objective
+    never increases here. A committed step's info dict carries the scale
+    t_sq and the factor u, so X_new = t_sq X + u u^T can be replayed.
     """
     z = np.asarray(op.z, dtype=float)
     y0 = state.y
@@ -410,8 +408,6 @@ def greedy_step(fv, op, gamma, state, rng):
     gram_u = op.gram(u)
     tr_u = float(np.vdot(u, u))
     h_cur, y_cur = assemble(s, gram_u, tr_u)
-    h_best, s_best, u_best = h_cur, s, u.copy()
-    inner_done = 0
     for inner in range(_GREEDY_MAX_INNER):
         h_prev = h_cur
         # exact scale update: along s the problem is the objective restricted
@@ -423,46 +419,40 @@ def greedy_step(fv, op, gamma, state, rng):
         grad_u = 2.0 * (op.adjoint_matvec(p, u) + gamma * u)
         gn = float(np.linalg.norm(grad_u))
         if gn <= 1e-14 * max(1.0, abs(h_cur)):
-            inner_done = inner + 1
             break
         direction = grad_u / gn
         big_d = op.gram(direction)
         big_c = op.gram(u + direction) - gram_u - big_d
         factor = (fv, gamma, y_cur, u, big_c, big_d, direction)
         if fv.restriction_oracle is not None:
-            alpha, drop = _quartic_argmin(*_factor_quartic(*factor))
-            h_alpha = h_cur + drop
+            alpha = _quartic_argmin(*_factor_quartic(*factor))
         else:
             alpha = minimize_convex_1d(_factor_slope(*factor))
+        if alpha != 0.0:
             u_alpha = u - alpha * direction
-            y_alpha = y_cur - alpha * big_c + alpha * alpha * big_d
+            gram_alpha = op.gram(u_alpha)
             tr_alpha = float(np.vdot(u_alpha, u_alpha))
-            h_alpha = fv.value(y_alpha) + gamma * (s * tr0 + tr_alpha)
-        if h_alpha < h_cur:
-            u = u - alpha * direction
-            gram_u = op.gram(u)
-            tr_u = float(np.vdot(u, u))
-            h_cur, y_cur = assemble(s, gram_u, tr_u)
-        inner_done = inner + 1
-        if h_cur < h_best:
-            h_best, s_best, u_best = h_cur, s, u.copy()
+            h_alpha, y_alpha = assemble(s, gram_alpha, tr_alpha)
+            if h_alpha < h_cur:
+                u, gram_u, tr_u = u_alpha, gram_alpha, tr_alpha
+                h_cur, y_cur = h_alpha, y_alpha
         if h_prev - h_cur <= _GREEDY_REL_TOL * max(1.0, abs(h_prev)):
             break
     info = {
         "committed": False,
         "f_before": f0,
         "f_after": f0,
-        "inner_iters": inner_done,
+        "inner_iters": inner + 1,
     }
-    if h_best < f0:
-        state.y = s_best * base + op.gram(u_best) - z
-        state.tr = s_best * tr0 + float(np.vdot(u_best, u_best))
+    if h_cur < f0:
+        state.y = y_cur
+        state.tr = s * tr0 + tr_u
         if state.sketch is not None:
-            state.sketch.replace(s_best, u_best)
+            state.sketch.replace(s, u)
         info["committed"] = True
-        info["f_after"] = h_best
-        info["t_sq"] = s_best
-        info["u"] = u_best
+        info["f_after"] = h_cur
+        info["t_sq"] = s
+        info["u"] = u
     return info
 
 
