@@ -20,17 +20,20 @@ from .exceptions import DegenerateSignal
 from .sdp import MeasurementOperator
 
 
-def _scaled_sq_norm_program(dim, coeff):
-    # f(y) = coeff * ||y||^2 with exact quadratic restrictions
+def _scaled_sq_norm_program(b, coeff):
+    # f(y) = coeff * ||y - b||^2 of the measurement image y = apply(X), with
+    # exact quadratic restrictions; the program keeps its own copy of b
+    b = np.array(b, dtype=float)
+
     def value(y):
-        y = np.asarray(y, dtype=float)
-        return coeff * float(np.vdot(y, y))
+        r = np.asarray(y, dtype=float) - b
+        return coeff * float(np.vdot(r, r))
 
     def gradient(y):
-        return 2.0 * coeff * np.asarray(y, dtype=float)
+        return 2.0 * coeff * (np.asarray(y, dtype=float) - b)
 
     def restriction(base, direction):
-        base = np.asarray(base, dtype=float)
+        base = np.asarray(base, dtype=float) - b
         direction = np.asarray(direction, dtype=float)
         return (
             coeff * float(np.vdot(direction, direction)),
@@ -39,7 +42,7 @@ def _scaled_sq_norm_program(dim, coeff):
         )
 
     return ConicProgram(
-        dim=dim,
+        dim=b.size,
         value_oracle=value,
         gradient_oracle=gradient,
         restriction_oracle=restriction,
@@ -143,7 +146,6 @@ def build_trace_toy(n=2, target=1.0):
         raise ValueError(f"n must be at least 1, got {n!r}")
     if not 0.0 < target < math.inf:
         raise ValueError(f"target trace must be positive and finite, got {target!r}")
-    z = np.array([float(target)])
 
     def gram(q):
         q = np.asarray(q, dtype=float)
@@ -160,13 +162,13 @@ def build_trace_toy(n=2, target=1.0):
 
     op = MeasurementOperator(
         n=n,
-        z=z,
+        d=1,
         gram=gram,
         adjoint_matvec=adjoint_matvec,
         apply_dense=apply_dense,
         adjoint_dense=adjoint_dense,
     )
-    fv = _scaled_sq_norm_program(1, 0.5)
+    fv = _scaled_sq_norm_program([target], 0.5)
     return TraceToy(fv=fv, op=op, target=float(target), f_star=0.0)
 
 
@@ -210,8 +212,8 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
 
     The ground truth is v v^T for an n-by-rank Gaussian factor v. Observed
     entries are the symmetrized coordinate measurements (so each observation
-    reads (X_ij + X_ji) / 2), the objective is half the squared residual to
-    the observed values, and z equals the observation vector so y = 0 at a
+    reads (X_ij + X_ji) / 2), and the objective is half the squared residual
+    of the image y = apply(X) to the observation vector b, so f = 0 at a
     perfect fit. The bundle's gamma, the default trace penalty, is 0. An n
     or rank below 1, a block outside [0, n] or a density outside (0, 1]
     raises ValueError.
@@ -294,13 +296,13 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
 
     op = MeasurementOperator(
         n=n,
-        z=b.copy(),
+        d=d,
         gram=gram,
         adjoint_matvec=adjoint_matvec,
         apply_dense=apply_dense,
         adjoint_dense=adjoint_dense,
     )
-    fv = _scaled_sq_norm_program(d, 0.5)
+    fv = _scaled_sq_norm_program(b, 0.5)
     return MatrixCompletion(
         fv=fv,
         op=op,
@@ -430,13 +432,13 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
 
     op = MeasurementOperator(
         n=n,
-        z=b.copy(),
+        d=d,
         gram=gram,
         adjoint_matvec=adjoint_matvec,
         apply_dense=apply_dense,
         adjoint_dense=adjoint_dense,
     )
-    fv = _scaled_sq_norm_program(d, coeff)
+    fv = _scaled_sq_norm_program(b, coeff)
     return PhaseRetrieval(
         fv=fv,
         op=op,

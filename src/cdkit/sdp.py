@@ -2,11 +2,12 @@
 
 The positive semidefinite variable X only ever enters the objective through
 its measurement image, so the engine tracks three small objects instead of
-X itself: the shifted image y = apply(X) - z, a running trace accumulator,
-and (optionally) a randomized range sketch S = X @ Omega. Every solver move
-is rank one or a rescaling, and each admits an exact cheap update of all
-three. The matrix is recovered only on demand, as a low-rank factorization
-read out of the sketch.
+X itself: the image y = apply(X), a running trace accumulator, and
+(optionally) a randomized range sketch S = X @ Omega. Any data the
+objective compares the image with belongs to the objective. Every solver
+move is rank one or a rescaling, and each admits an exact cheap update of
+all three. The matrix is recovered only on demand, as a low-rank
+factorization read out of the sketch.
 
 The linear minimization over the unit-nuclear-ball slice of the cone reduces
 to a smallest-eigenvalue problem for the adjoint image of the momentum
@@ -36,11 +37,11 @@ from .exceptions import EigFailure, RankTooLarge
 
 @dataclass
 class MeasurementOperator:
-    """Linear measurements of a symmetric matrix, with a constant shift.
+    """Linear measurements of a symmetric matrix.
 
-    Encodes the map X -> (tr(G_1 X), ..., tr(G_d X)) together with the shift
-    z, so iterates live in measurement space as y = apply(X) - z. The
-    measurement count d is the length of z.
+    Encodes the linear map X -> (tr(G_1 X), ..., tr(G_d X)) on n x n
+    matrices, so iterates live in measurement space as y = apply(X). The
+    measurement count d must be an int >= 1, or ValueError is raised.
 
     gram(q) returns the measurement image of q q^T for a vector q of shape
     (n,), or of U U^T when given a matrix of shape (n, r).
@@ -52,34 +53,38 @@ class MeasurementOperator:
     """
 
     n: int
-    z: np.ndarray
+    d: int
     gram: Callable
     adjoint_matvec: Callable
     apply_dense: Callable | None = None
     adjoint_dense: Callable | None = None
 
-    @property
-    def d(self):
-        return len(self.z)
+    def __post_init__(self):
+        d = self.d
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+            raise ValueError(f"measurement count d must be an int >= 1, got {d!r}")
 
 
 @dataclass
 class SdpState:
-    """Mutable iterate of the engine: image, trace, optional sketch.
+    """Mutable iterate of the engine: image y = apply(X), trace, optional sketch.
 
-    move(y, scale, weight, q) applies X <- scale X + weight q q^T: it stores
-    the new image y, which the caller computes, updates the trace to
-    scale tr + weight, scales the sketch (unless scale is 1) and adds the
-    rank-one term to it when q is given. The greedy refit's rank-r commit
-    goes through SketchState.replace instead.
+    move(scale, weight, q, gram_q) applies X <- scale X + weight q q^T to all
+    three: the image becomes scale y + weight gram_q, where gram_q is the
+    image of q q^T, the trace scale tr + weight, and the sketch is scaled and
+    gets the rank-one term when q is given. A scale of 1 skips the multiply.
+    y is rebound to a new array, never updated in place, so a callback may
+    keep the previous one. The greedy refit's rank-r commit goes through
+    SketchState.replace instead.
     """
 
     y: np.ndarray
     tr: float
     sketch: "SketchState | None" = None
 
-    def move(self, y, scale=1.0, weight=0.0, q=None):
-        self.y = y
+    def move(self, scale=1.0, weight=0.0, q=None, gram_q=None):
+        y = self.y if scale == 1.0 else scale * self.y
+        self.y = y if gram_q is None else y + weight * gram_q
         self.tr = scale * self.tr + weight
         if self.sketch is not None:
             if scale != 1.0:
@@ -389,11 +394,9 @@ def greedy_step(fv, op, gamma, state, rng):
     never increases here. A committed step's info dict carries the scale
     t_sq and the factor u, so X_new = t_sq X + u u^T can be replayed.
     """
-    z = np.asarray(op.z, dtype=float)
     y0 = state.y
     tr0 = state.tr
     f0 = fv.value(y0) + gamma * tr0
-    base = y0 + z
     s = 1.0
     u = (
         _GREEDY_PERTURB
@@ -402,7 +405,7 @@ def greedy_step(fv, op, gamma, state, rng):
     )
 
     def assemble(sv, gram_u, tr_u):
-        y_new = sv * base + gram_u - z
+        y_new = sv * y0 + gram_u
         return fv.value(y_new) + gamma * (sv * tr0 + tr_u), y_new
 
     gram_u = op.gram(u)
@@ -412,7 +415,7 @@ def greedy_step(fv, op, gamma, state, rng):
         h_prev = h_cur
         # exact scale update: along s the problem is the objective restricted
         # to a ray, plus a linear trace term
-        s = ray_minimize(fv, base, gram_u - z, gamma * tr0)
+        s = ray_minimize(fv, y0, gram_u, gamma * tr0)
         h_cur, y_cur = assemble(s, gram_u, tr_u)
         # line-searched gradient step on the factor
         p = fv.gradient(y_cur)
@@ -496,7 +499,6 @@ class _MeasurementIterate:
         if not 0.0 <= gamma < math.inf:
             raise ValueError("trace penalty gamma must be finite and nonnegative")
         self.fv, self.op, self.gamma = fv, op, gamma
-        self.z = np.asarray(op.z, dtype=float)
         # every Lanczos run draws its seed from this one stream. A visit's
         # run starts from the previous visit's eigenvector plus a little of
         # the seed's random vector: the momentum vector moves little between
@@ -510,14 +512,14 @@ class _MeasurementIterate:
         sketch = None
         if sketch_size is not None:
             sketch = SketchState.create(op.n, sketch_size, seed=config.rng_seed + 1)
-        self.state = SdpState(y=-self.z.astype(float), tr=0.0, sketch=sketch)
+        self.state = SdpState(y=np.zeros(op.d), tr=0.0, sketch=sketch)
         self.greedy_events = []
 
     def evaluate(self):
         s = self.state
         fval = self.fv.value(s.y) + self.gamma * s.tr
         p = self.fv.gradient(s.y)
-        self.cs = float(np.vdot(s.y + self.z, p)) + self.gamma * s.tr
+        self.cs = float(np.vdot(s.y, p)) + self.gamma * s.tr
         return fval, p
 
     def lmo(self, p, confirm):
@@ -578,10 +580,10 @@ class _SdpIterate(_MeasurementIterate):
         self.rng = np.random.default_rng(config.rng_seed)
 
     def evaluate(self):
-        s, z = self.state, self.z
-        self.eta = ray_minimize(self.fv, s.y + z, -z, self.gamma * s.tr)
+        s = self.state
+        self.eta = ray_minimize(self.fv, s.y, linear=self.gamma * s.tr)
         if self.eta != 1.0:
-            s.move(self.eta * (s.y + z) - z, self.eta)
+            s.move(self.eta)
         self.greedy = None
         return super().evaluate()
 
@@ -594,7 +596,7 @@ class _SdpIterate(_MeasurementIterate):
         g_atom = self.op.gram(self.q)
         if theta is None:
             theta = line_search_step(self.fv, s.y, g_atom, self.gamma)
-        s.move(s.y + theta * g_atom, weight=theta, q=self.q)
+        s.move(1.0, theta, self.q, g_atom)
         if self.greedy_period and (k + 1) % self.greedy_period == 0:
             self.greedy = greedy_step(self.fv, self.op, self.gamma, s, self.rng)
             self.greedy["k"] = k
@@ -610,7 +612,7 @@ def sdp_solve(
     sketch_size=None,
     callback=None,
 ):
-    """Momentum conic descent on min f(apply(X) - z) + gamma tr(X), X psd.
+    """Momentum conic descent on min f(apply(X)) + gamma tr(X), X psd.
 
     fv is the measurement-space objective (a ConicProgram with cone None and
     dim equal to op.d); the trace penalty is handled here, not inside fv.
@@ -656,23 +658,24 @@ class _FwIterate(_MeasurementIterate):
 
     def certify(self, p, confirm):
         # extreme point of the set against the gradient p: tau q q^T when
-        # lambda < 0 (q is None otherwise), kept as its image and trace; the
-        # certificate is the gap <p, X - atom> plus the trace term
+        # lambda < 0, else X = 0 with q None and a zero image; the atom's
+        # image is tr_atom * gram_q. The certificate is the gap
+        # <p, X - atom> plus the trace term
         self.lam, q = self.lmo(p, confirm)
         if self.lam < 0.0:
-            self.q, self.tr_atom = q, self.tau
-            self.y_atom = self.tau * self.op.gram(q) - self.z
+            self.q, self.gram_q, self.tr_atom = q, self.op.gram(q), self.tau
         else:
-            self.q, self.y_atom, self.tr_atom = None, -self.z, 0.0
+            self.q, self.gram_q, self.tr_atom = None, 0.0, 0.0
         s = self.state
-        return float(np.vdot(p, s.y - self.y_atom)) + self.gamma * (s.tr - self.tr_atom)
+        y_atom = self.tr_atom * self.gram_q
+        return float(np.vdot(p, s.y - y_atom)) + self.gamma * (s.tr - self.tr_atom)
 
     def step(self, k, theta):
         # step length in [0, 1] from the iterate toward the atom
         s, tr_atom = self.state, self.tr_atom
-        direction = self.y_atom - s.y
+        direction = tr_atom * self.gram_q - s.y
         theta = _search(self.fv, s.y, direction, self.gamma * (tr_atom - s.tr), 0.0, 1.0)
-        s.move(s.y + theta * direction, 1.0 - theta, theta * tr_atom, self.q)
+        s.move(1.0 - theta, theta * tr_atom, self.q, self.gram_q)
         return theta
 
 

@@ -52,15 +52,29 @@ def test_lipschitz_is_largest_curvature():
 
 
 def test_restriction_matches_values_along_lines():
-    built = build_orthant_quadratic(dim=10, seed=4)
-    prob = built.program
+    # the measurement programs compare the image with their data b inside
+    # the oracles, restriction included, so each bundled restriction is
+    # checked against its own value oracle; a bundle's b is a copy the
+    # program does not read after the build
+    bundles = [
+        build_orthant_quadratic(dim=10, seed=4).program,
+        build_trace_toy(n=3, target=2.0).fv,
+        build_matcomp(n=20, rank=2, seed=4, block=4, density=0.2),
+        build_phase_retrieval(n=16, m=3, seed=4),
+    ]
     rng = np.random.default_rng(0)
-    base = rng.standard_normal(10)
-    direction = rng.standard_normal(10)
-    a, b, c = prob.restriction_oracle(base, direction)
-    for t in (0.0, 0.3, 1.7):
-        want = prob.value_oracle(base + t * direction)
-        assert a * t * t + b * t + c == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for bundle in bundles:
+        prob = getattr(bundle, "fv", bundle)
+        base = rng.standard_normal(prob.dim)
+        direction = rng.standard_normal(prob.dim)
+        a, b, c = prob.restriction_oracle(base, direction)
+        for t in (0.0, 0.3, 1.7):
+            want = prob.value_oracle(base + t * direction)
+            assert a * t * t + b * t + c == pytest.approx(want, rel=1e-12, abs=1e-12)
+        if hasattr(bundle, "b"):
+            before = prob.value_oracle(base)
+            bundle.b[:] += 1.0
+            assert prob.value_oracle(base) == before
 
 
 def test_builders_are_deterministic():
@@ -120,9 +134,11 @@ def test_trace_toy_objective_shape():
     toy = build_trace_toy()
     assert toy.op.d == 1
     assert toy.f_star == 0.0
-    # measurement of X is its trace; objective is half squared miss
-    assert toy.fv.value(np.array([-1.0])) == pytest.approx(0.5)
-    assert toy.fv.value(np.array([0.0])) == 0.0
+    # measurement of X is its trace; objective is half squared miss of the
+    # target, so X = 0 has value 0.5 and a unit trace is optimal
+    assert toy.fv.value(np.array([0.0])) == pytest.approx(0.5)
+    assert toy.fv.value(np.array([1.0])) == 0.0
+    assert toy.fv.value(np.array([3.0])) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +425,7 @@ def test_phase_retrieval_noiseless_energy_estimate():
 
 def test_phase_retrieval_truth_is_a_zero_of_the_objective():
     ph = build_phase_retrieval(n=32, m=4, seed=1)
-    y_true = ph.op.gram(ph.x_true) - ph.op.z
+    y_true = ph.op.gram(ph.x_true)
     assert ph.fv.value(y_true) <= 1e-24
 
 

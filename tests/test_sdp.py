@@ -791,14 +791,19 @@ def test_lmo_eigenvalue_matches_dense_on_the_bench_instance(monkeypatch):
 
 
 def test_sdp_solve_dense_mirror_consistency():
-    # replay the iteration in dense matrix space and require the vectorized
-    # state to match the measurement of the dense iterate
+    # replay the iteration of both solvers in dense matrix space and require
+    # the vectorized state to match the image and trace of the dense iterate
     mc = build_matcomp(n=25, rank=2, seed=1, block=5, density=0.2)
     op = mc.op
+    tau = 40.0
     x = np.zeros((25, 25))
-    worst = [0.0]
+    worst = [0.0, 0.0]
 
-    def cb(info):
+    def check(info):
+        worst[0] = max(worst[0], np.abs(op.apply_dense(x) - info["y"]).max())
+        worst[1] = max(worst[1], abs(np.trace(x) - info["tr"]))
+
+    def sdp_cb(info):
         # visit order: ray rescale, then the rank-one step, then greedy
         record = info["record"]
         if record.eta != 1.0:
@@ -808,12 +813,28 @@ def test_sdp_solve_dense_mirror_consistency():
         if info["greedy"] is not None and info["greedy"]["committed"]:
             x[:] *= info["greedy"]["t_sq"]
             x[:] += info["greedy"]["u"] @ info["greedy"]["u"].T
-        gap = np.abs(op.apply_dense(x) - op.z - info["y"]).max()
-        worst[0] = max(worst[0], gap)
+        check(info)
+
+    fw_atoms = [0, 0]
+
+    def fw_cb(info):
+        # X <- (1 - theta) X + theta tau q q^T, only the scaling when the
+        # atom is X = 0 (q None)
+        theta = info["record"].theta
+        x[:] *= 1.0 - theta
+        if info["q"] is not None:
+            x[:] += theta * tau * np.outer(info["q"], info["q"])
+        fw_atoms[info["q"] is None] += 1
+        check(info)
 
     cfg = SolverConfig(max_iters=40, greedy_period=15, rng_seed=0)
-    sdp_solve(mc.fv, op, config=cfg, sketch_size=6, callback=cb)
-    assert worst[0] <= 1e-8
+    sdp_solve(mc.fv, op, config=cfg, sketch_size=6, callback=sdp_cb)
+    assert worst[0] <= 1e-8 and worst[1] <= 1e-10, worst
+    x[:] = 0.0
+    # gamma 1 makes the zero atom win on some visits
+    fw_solve(mc.fv, op, tau, gamma=1.0, config=SolverConfig(max_iters=40), callback=fw_cb)
+    assert worst[0] <= 1e-8 and worst[1] <= 1e-10, worst
+    assert min(fw_atoms) >= 1, fw_atoms
 
 
 def test_greedy_step_never_commits_an_increase():
@@ -857,7 +878,7 @@ def test_greedy_commit_stores_the_point_it_reports(oracle):
     for iters in (5, 15, 30):
         cfg = SolverConfig(max_iters=iters)
         res = sdp_solve(fv, mc.op, gamma=gamma, config=cfg, sketch_size=6)
-        base, tr0 = res.final_y + mc.op.z, res.final_tr
+        base, tr0 = res.final_y, res.final_tr
         state = SdpState(res.final_y.copy(), tr0, res.sketch)
         before = fv.eval_counts()["gradient"]
         info = greedy_step(fv, mc.op, gamma, state, np.random.default_rng(iters))
@@ -866,7 +887,7 @@ def test_greedy_commit_stores_the_point_it_reports(oracle):
         if info["committed"]:
             commits += 1
             t_sq, u = info["t_sq"], info["u"]
-            assert np.array_equal(state.y, t_sq * base + mc.op.gram(u) - mc.op.z)
+            assert np.array_equal(state.y, t_sq * base + mc.op.gram(u))
             assert state.tr == t_sq * tr0 + float(np.vdot(u, u))
             assert info["f_after"] == fv.value(state.y) + gamma * state.tr
     assert commits >= 2
@@ -884,14 +905,13 @@ def _factor_search(fv, op, gamma, u, d):
     # the quartic's coefficients, the restriction-free search's minimizer,
     # and h(a) computed directly through gram
     gram_u = op.gram(u)
-    y_cur = gram_u - op.z
     big_d = op.gram(d)
     big_c = op.gram(u + d) - gram_u - big_d
-    factor = (fv, gamma, y_cur, u, big_c, big_d, d)
+    factor = (fv, gamma, gram_u, u, big_c, big_d, d)
 
     def h(a):
         uv = u - a * d
-        return fv.value(op.gram(uv) - op.z) + gamma * float(np.vdot(uv, uv))
+        return fv.value(op.gram(uv)) + gamma * float(np.vdot(uv, uv))
 
     return _factor_quartic(*factor), minimize_convex_1d(_factor_slope(*factor)), h
 
@@ -1049,6 +1069,11 @@ def test_measurement_operator_identities():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
         # dense apply agrees with the factored gram
         np.testing.assert_allclose(op.apply_dense(np.outer(q, q)), op.gram(q), atol=1e-10)
+    # the measurement count is an int >= 1; an array in its place (the data
+    # vector passed second) fails loudly
+    for d in (2.0, True, 0, mc.b, np.array(5)):
+        with pytest.raises(ValueError, match="int >= 1"):
+            dataclasses.replace(op, d=d)
 
 
 @pytest.mark.parametrize(
