@@ -46,6 +46,7 @@ class MeasurementOperator:
     gram(q) returns the measurement image of q q^T for a vector q of shape
     (n,), or of U U^T when given a matrix of shape (n, r).
     adjoint_matvec(p, u) applies sum_i p_i G_i to u; u may be (n,) or (n, r).
+    The Lanczos LMO writes into the array it returns.
     apply_dense / adjoint_dense materialize the map on explicit matrices for
     verification at small n. Every bundled builder sets both, and they
     allocate n x n only when called; an operator built by hand may leave
@@ -182,9 +183,12 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
     against the whole basis with two classical Gram-Schmidt passes; the
     first pass also removes the parts along the current and previous basis
     vectors that the three-term recurrence would subtract, and alpha is the
-    current vector's coefficient of the two passes added. A unit warm start,
-    typically the eigenvector of a nearby operator, may be given; the run
-    then starts from it plus 1e-3 times the unit random vector. The random
+    current vector's coefficient of the two passes added. The passes write
+    into two buffers allocated once per run and subtract in place from the
+    array matvec returned, so matvec may return one buffer that it
+    overwrites on every call, but not an array it reads again. A unit warm
+    start, typically the eigenvector of a nearby operator, may be given; the
+    run then starts from it plus 1e-3 times the unit random vector. The random
     part gives the start a nonzero component along every eigenvector with
     probability one, so a warm start orthogonal to the bottom eigenvector
     can still find it; the random-start failure bound covers only a cold
@@ -243,6 +247,8 @@ def _lanczos_once(matvec, n, seed, start=None):
     if n == 1:
         q = np.ones(1)
         lam = float(np.asarray(matvec(q)).ravel()[0])
+        if not math.isfinite(lam):
+            raise EigFailure("operator returned non-finite values")
         return lam, q
     rng = np.random.default_rng(seed)
     m = min(n, _LANCZOS_MAX_STEPS)
@@ -251,6 +257,10 @@ def _lanczos_once(matvec, n, seed, start=None):
     basis = np.empty((m, n))
     alphas = np.zeros(m)
     betas = np.zeros(m)
+    # the projection coefficients and the projection of every pass are
+    # written into these two buffers, which no matvec ever sees
+    coef = np.empty(m)
+    proj = np.empty(n)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     if start is not None:
@@ -258,6 +268,7 @@ def _lanczos_once(matvec, n, seed, start=None):
         v /= np.linalg.norm(v)
     # running max |alpha| and max |beta| for the residual scale
     alpha_max = beta_max = 0.0
+    next_check = _RITZ_CHECK_EVERY - 1
     for j in range(m):
         basis[j] = v
         w = np.asarray(matvec(v), dtype=float)
@@ -265,33 +276,38 @@ def _lanczos_once(matvec, n, seed, start=None):
         # the whole basis, which keep it usable long past the point where
         # plain Lanczos loses orthogonality. The first pass also takes out
         # the v_j and v_{j-1} parts of the three-term recurrence, and alpha
-        # is the v_j coefficient of both passes together
+        # is the v_j coefficient of both passes together. np.dot with out=
+        # makes the same BLAS calls as span @ w and h @ span
         span = basis[: j + 1]
-        h = span @ w
+        h = coef[: j + 1]
+        np.dot(span, w, out=h)
         alpha = float(h[j])
         # a non-finite entry of w makes h[j] = v @ w non-finite, so this one
         # scalar test screens the whole matvec
         if not math.isfinite(alpha):
             raise EigFailure("operator returned non-finite values")
-        w -= h @ span
-        h = span @ w
-        w -= h @ span
+        w -= np.dot(h, span, out=proj)
+        np.dot(span, w, out=h)
+        w -= np.dot(h, span, out=proj)
         alpha += float(h[j])
         alphas[j] = alpha
-        alpha_max = max(alpha_max, abs(alpha))
-        beta = math.sqrt(w @ w)  # what np.linalg.norm(w) computes
+        if abs(alpha) > alpha_max:
+            alpha_max = abs(alpha)
+        beta = math.sqrt(np.dot(w, w))  # what np.linalg.norm(w) computes
         if not math.isfinite(beta):
             raise EigFailure("Lanczos residual overflowed")
         scale = max(1.0, alpha_max + 2.0 * beta_max)
         breakdown = beta <= 1e-14 * scale
         # Ritz pair and stop test only every few steps, on breakdown and on
         # the last step; a later stop only lowers the Ritz value
-        if breakdown or (j + 1) % _RITZ_CHECK_EVERY == 0 or j == m - 1:
+        if breakdown or j == next_check or j == m - 1:
+            next_check = j + _RITZ_CHECK_EVERY
             lam, ritz_vec = _tridiagonal_min_eig(alphas[: j + 1], betas[:j])
             if breakdown or beta * abs(float(ritz_vec[-1])) <= _LANCZOS_TOL * scale:
                 break
         betas[j] = beta
-        beta_max = max(beta_max, beta)
+        if beta > beta_max:
+            beta_max = beta
         v = w / beta
     # the loop ends at a Ritz solve: a break, or the last step, which solves
     q = ritz_vec @ basis[: j + 1]
@@ -525,10 +541,15 @@ class _MeasurementIterate:
     def lmo(self, p, confirm):
         # smallest eigenpair of the adjoint image of p plus gamma I, from a
         # cold start when confirming; every matvec counts, the verification
-        # and a retry's included
+        # and a retry's included. At gamma 0 the adjoint's own array is
+        # returned: adding 0 u would change at most the sign of a zero
+        adjoint, gamma = self.op.adjoint_matvec, self.gamma
+
         def matvec(u):
             self.lmo_matvecs += 1
-            return self.op.adjoint_matvec(p, u) + self.gamma * u
+            if gamma:
+                return adjoint(p, u) + gamma * u
+            return adjoint(p, u)
 
         start = None if confirm else self.lanczos_start
         lam, q = min_eig_lanczos(

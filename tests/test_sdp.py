@@ -13,6 +13,7 @@ from cdkit import sdp
 from cdkit import (
     EigFailure,
     LineSearchDivergence,
+    MeasurementOperator,
     RankTooLarge,
     SketchState,
     SolverConfig,
@@ -69,9 +70,26 @@ def test_lanczos_rejects_empty_operator():
         min_eig_lanczos(lambda v: v, 0)
 
 
-def test_lanczos_rejects_nonfinite_operator():
-    with pytest.raises(EigFailure):
-        min_eig_lanczos(lambda v: v * np.nan, 5)
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lanczos_rejects_nonfinite_operator(n, bad):
+    # n = 1 reads the one entry of one matvec instead of running the loop,
+    # and must screen it the same way
+    with pytest.raises(EigFailure, match="non-finite"):
+        min_eig_lanczos(lambda v: v * bad, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sdp_solve_rejects_nonfinite_adjoint(n):
+    # a NaN eigenvalue would give the certificate max(0, -nan) = 0, a false
+    # "converged"
+    toy = build_trace_toy(n=n)
+    def adjoint_matvec(p, u):
+        return np.full(np.shape(u), np.nan)
+
+    op = MeasurementOperator(n=n, d=1, gram=toy.op.gram, adjoint_matvec=adjoint_matvec)
+    with pytest.raises(EigFailure, match="non-finite"):
+        sdp_solve(toy.fv, op, config=SolverConfig(max_iters=5))
 
 
 def test_lanczos_overflowing_residual_raises_eig_failure():
@@ -270,6 +288,26 @@ def test_lanczos_matches_reference_loop_bitwise(monkeypatch, n):
             np.testing.assert_array_equal(got[1], ref[1])
 
 
+def test_lanczos_matvec_may_return_one_reused_buffer():
+    # the loop writes into the array matvec returns; a matvec that returns
+    # the one buffer it overwrites on every call must give the bits of a
+    # copying matvec, so nothing the loop keeps may alias that array
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((60, 60))
+    a = (a + a.T) / 2.0
+    buffer = np.empty(60)
+
+    def reused(v):
+        buffer[:] = a @ v
+        return buffer
+
+    for start in (None, np.eye(60)[3]):
+        lam, q = min_eig_lanczos(lambda v: a @ v, 60, seed=4, start=start)
+        got_lam, got_q = min_eig_lanczos(reused, 60, seed=4, start=start)
+        assert got_lam == lam
+        np.testing.assert_array_equal(got_q, q)
+
+
 def _schedule_cases():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 5, 40):
@@ -400,6 +438,48 @@ def test_each_visit_starts_lanczos_afresh(monkeypatch):
     assert runs[0][0] == runs[1][0]
     np.testing.assert_array_equal(runs[0][1], runs[1][1])
     assert not set(runs[0][0]) & set(runs[2][0])
+
+
+@pytest.mark.parametrize(
+    "build, gamma",
+    [
+        (lambda: build_matcomp(n=20, rank=2, seed=0, block=4, density=0.2), 0.0),
+        (lambda: build_matcomp(n=20, rank=2, seed=0, block=4, density=0.2), 0.5),
+        (lambda: build_phase_retrieval(n=16, m=6, seed=0, noise_snr=20.0), None),
+    ],
+    ids=["matcomp-gamma-0", "matcomp-gamma-0.5", "phase"],
+)
+def test_lmo_matvec_is_the_shifted_adjoint(monkeypatch, build, gamma):
+    # every matvec an LMO hands the eigensolver applies adjoint(p) + gamma I
+    # for the p of that LMO, at gamma 0 as well as above it
+    bundle = build()
+    op = bundle.op
+    gamma = bundle.gamma if gamma is None else gamma
+    grads = []
+    checked = [0]
+    lmo = sdp._MeasurementIterate.lmo
+
+    def recording_lmo(self, p, confirm):
+        grads.append(p)
+        return lmo(self, p, confirm)
+
+    def checking(matvec, n, seed=0, start=None):
+        p = grads[-1]
+
+        def compared(u):
+            got = matvec(u)
+            np.testing.assert_array_equal(got, op.adjoint_matvec(p, u) + gamma * u)
+            checked[0] += 1
+            return got
+
+        return min_eig_lanczos(compared, n, seed, start=start)
+
+    monkeypatch.setattr(sdp._MeasurementIterate, "lmo", recording_lmo)
+    monkeypatch.setattr(sdp, "min_eig_lanczos", checking)
+    cfg = SolverConfig(max_iters=20, greedy_period=5)
+    res = sdp_solve(bundle.fv, op, gamma=gamma, config=cfg)
+    assert len(grads) >= 21
+    assert checked[0] == res.stats["lmo_matvecs"] > 0
 
 
 @pytest.mark.parametrize("solver", ["sdp_solve", "fw_solve"])
