@@ -22,8 +22,6 @@ from .core import (
     SolveTrace,
     SolverConfig,
     TraceRecord,
-    line_search_step,
-    ray_minimize,
     solve,
 )
 from .exceptions import (
@@ -35,27 +33,17 @@ from .exceptions import (
     SolverError,
     UnsupportedCone,
 )
-from .problems import (
-    add_noise_snr,
-    build_matcomp,
-    build_orthant_quadratic,
-    build_phase_retrieval,
-    build_trace_toy,
-    dct_measurement_apply,
-    read_pgm,
-    recovery_error,
-)
 from .sdp import (
     MeasurementOperator,
     SdpResult,
     SketchState,
     factor_to_dense,
     fw_solve,
-    greedy_step,
     min_eig_lanczos,
     sdp_solve,
     sketch_reconstruct,
 )
+
 __version__ = "0.1.0"
 
 __all__ = [
@@ -78,20 +66,9 @@ __all__ = [
     "SolverError",
     "TraceRecord",
     "UnsupportedCone",
-    "add_noise_snr",
-    "build_matcomp",
-    "build_orthant_quadratic",
-    "build_phase_retrieval",
-    "build_trace_toy",
-    "dct_measurement_apply",
     "factor_to_dense",
     "fw_solve",
-    "greedy_step",
-    "line_search_step",
     "min_eig_lanczos",
-    "ray_minimize",
-    "read_pgm",
-    "recovery_error",
     "sdp_solve",
     "sketch_reconstruct",
     "solve",

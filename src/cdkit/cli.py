@@ -115,13 +115,15 @@ def _field_kind(field_type):
     return (typing.get_args(field_type) or (field_type,))[0]
 
 
+# the type of each RunSpec field, which its flag and its --config key parse to
+_FIELD_KINDS = {f.name: _field_kind(f.type) for f in dataclasses.fields(RunSpec)}
+
+
 def _parse_config_file(path):
     # each value takes its RunSpec field's type; whether the command has the
     # option is resolve's check
-    kinds = {
-        f.name: _field_kind(f.type) for f in dataclasses.fields(RunSpec) if f.name != "command"
-    }
-    kinds["seeds"] = str
+    kinds = dict(_FIELD_KINDS, seeds=str)
+    del kinds["command"]
     pairs = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -206,7 +208,7 @@ def validate(spec):
         value = getattr(spec, f.name)
         if value is None and type(None) in typing.get_args(f.type):
             continue
-        admits, what = _KINDS[_field_kind(f.type)]
+        admits, what = _KINDS[_FIELD_KINDS[f.name]]
         if not isinstance(value, admits):
             raise UsageError(f"{f.name} needs {what}, got {value!r}")
     allowed = _VECTOR_ALGOS if spec.command == "toy" else _SDP_ALGOS
@@ -362,25 +364,17 @@ def _run_sdp(spec):
         sketch_size = spec.sketch
         m_estimate = None
     gamma = spec.gamma if spec.gamma is not None else bundle.gamma
-    config = _solver_config(spec, m_estimate)
+    solver = sdp_solve
     if spec.algo == "fw":
         tau = spec.trace_bound if spec.trace_bound is not None else 2.0 * m_estimate
-        result = fw_solve(
-            bundle.fv,
-            bundle.op,
-            tau=tau,
-            gamma=gamma,
-            config=config,
-            sketch_size=sketch_size,
-        )
-    else:
-        result = sdp_solve(
-            bundle.fv,
-            bundle.op,
-            gamma=gamma,
-            config=config,
-            sketch_size=sketch_size,
-        )
+        solver = functools.partial(fw_solve, tau=tau)
+    result = solver(
+        bundle.fv,
+        bundle.op,
+        gamma=gamma,
+        config=_solver_config(spec, m_estimate),
+        sketch_size=sketch_size,
+    )
     summary = _base_summary(spec, result)
     summary["final_trace"] = float(result.final_tr)
     summary["final_lambda_min"] = float(result.final_lambda)
@@ -417,67 +411,55 @@ def _spec_worker(spec):
         return (spec.prefix, 4, str(exc))
 
 
+def _add_flags(parser, **helps):
+    # one flag per named RunSpec field, typed by the field; argparse derives
+    # the destination from the flag and leaves an absent flag at None
+    for name, text in helps.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=_FIELD_KINDS[name], help=text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cdkit",
         description="Projection-free conic solvers on bundled experiment problems.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--algo", choices=_SDP_ALGOS, default=None,
-                        help="solver variant")
-    common.add_argument("--seed", type=int, default=None, help="rng seed")
-    common.add_argument("--seeds", default=None,
-                        help="comma separated seed list; fans out one run per seed")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for --seeds (default 1)")
-    common.add_argument("--iters", type=int, default=None, help="iteration budget")
-    common.add_argument("--tol", type=float, default=None,
-                        help="stop once the dual certificate reaches sqrt(tol)")
-    common.add_argument("--prefix", default=None, help="output file prefix")
-    common.add_argument("--config", default=None,
-                        help="key=value file applied below explicit flags")
-    common.add_argument("--trace-every", type=int, default=None, dest="trace_every",
-                        help="record every this-many iterations")
-    common.add_argument("--heuristic-m", type=float, default=None,
-                        dest="heuristic_m",
-                        help="step scale for the mocoh schedule")
-    common.add_argument("--dump-to", default=None, dest="dump_to",
-                        help="also write the built instance to this exact path as "
-                             "a plain .npz file")
-
+    common.add_argument("--algo", choices=_SDP_ALGOS, help="solver variant")
+    common.add_argument("--seeds", help="comma separated seed list; fans out one run per seed")
+    common.add_argument("--jobs", type=int, help="worker processes for --seeds (default 1)")
+    common.add_argument("--config", help="key=value file applied below explicit flags")
+    _add_flags(
+        common,
+        seed="rng seed",
+        iters="iteration budget",
+        tol="stop once the dual certificate reaches sqrt(tol)",
+        prefix="output file prefix",
+        trace_every="record every this-many iterations",
+        heuristic_m="step scale for the mocoh schedule",
+        dump_to="also write the built instance to this exact path as a plain .npz file",
+    )
     sdp_flags = argparse.ArgumentParser(add_help=False)
-    sdp_flags.add_argument("--n", type=int, default=None,
-                           help="matrix side; phase takes it from --image "
-                                "when one is given")
-    sdp_flags.add_argument("--noise-snr", type=float, default=None, dest="noise_snr")
-    sdp_flags.add_argument("--gamma", type=float, default=None,
-                           help="trace penalty weight")
-    sdp_flags.add_argument("--sketch", type=int, default=None,
-                           help="sketch column count (omitted: none on matcomp, "
-                                f"{_PHASE_SKETCH} on phase)")
-    sdp_flags.add_argument("--greedy-every", type=int, default=None,
-                           dest="greedy_every",
-                           help="period of the factored descent step (mocog)")
-    sdp_flags.add_argument("--trace-bound", type=float, default=None,
-                           dest="trace_bound", help="feasible trace bound for fw")
+    _add_flags(
+        sdp_flags,
+        n="matrix side; phase takes it from --image when one is given",
+        noise_snr=None,
+        gamma="trace penalty weight",
+        sketch=f"sketch column count (omitted: none on matcomp, {_PHASE_SKETCH} on phase)",
+        greedy_every="period of the factored descent step (mocog)",
+        trace_bound="feasible trace bound for fw",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
-    toy = sub.add_parser("toy", parents=[common],
-                         help="quadratic over the nonnegative orthant")
-    toy.add_argument("--dim", type=int, default=None)
-
-    matcomp = sub.add_parser("matcomp", parents=[common, sdp_flags],
-                             help="low-rank symmetric matrix completion")
-    matcomp.add_argument("--rank", type=int, default=None)
-    matcomp.add_argument("--density", type=float, default=None)
-    matcomp.add_argument("--block", type=int, default=None)
-
-    phase = sub.add_parser("phase", parents=[common, sdp_flags],
-                           help="phase retrieval from signed-DCT magnitudes")
-    phase.add_argument("--m", type=int, default=None)
-    phase.add_argument("--image", default=None,
-                       help="PGM image used as the ground-truth signal")
-    phase.add_argument("--recon-rank", type=int, default=None, dest="recon_rank")
+    toy = sub.add_parser("toy", parents=[common], help="quadratic over the nonnegative orthant")
+    _add_flags(toy, dim=None)
+    matcomp = sub.add_parser(
+        "matcomp", parents=[common, sdp_flags], help="low-rank symmetric matrix completion"
+    )
+    _add_flags(matcomp, rank=None, density=None, block=None)
+    phase = sub.add_parser(
+        "phase", parents=[common, sdp_flags], help="phase retrieval from signed-DCT magnitudes"
+    )
+    _add_flags(phase, m=None, image="PGM image used as the ground-truth signal", recon_rank=None)
     return parser
 
 

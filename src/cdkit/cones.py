@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .exceptions import EigFailure
+from .exceptions import EigFailure, UnsupportedCone
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -26,6 +26,10 @@ class Cone:
 
     def default_init(self):
         raise NotImplementedError
+
+    def contains(self, x):
+        """Whether x lies in the cone up to roundoff."""
+        raise UnsupportedCone(f"{type(self).__name__} has no membership test")
 
 
 class NonnegativeOrthant(Cone):
@@ -51,6 +55,11 @@ class NonnegativeOrthant(Cone):
         e = np.zeros(self.dim)
         e[0] = 1.0
         return e
+
+    def contains(self, x):
+        # no entry below -1e-10 of the largest magnitude (or of 1)
+        scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
+        return bool(np.min(x, initial=0.0) >= -1e-10 * scale)
 
 
 class SecondOrderCone(Cone):
@@ -90,6 +99,11 @@ class SecondOrderCone(Cone):
         e[-1] = 1.0
         return e
 
+    def contains(self, x):
+        # t at least ||x||, less 1e-10 of the norm of (x, t) (or of 1)
+        scale = max(1.0, float(np.linalg.norm(x)))
+        return bool(x[-1] - np.linalg.norm(x[:-1]) >= -1e-10 * scale)
+
 
 class PsdCone(Cone):
     """PSD cone of n x n symmetric matrices, nuclear/operator norm pair.
@@ -122,3 +136,11 @@ class PsdCone(Cone):
         x = np.zeros((self.n, self.n))
         x[0, 0] = 1.0
         return x
+
+    def contains(self, x):
+        # symmetric, with no eigenvalue below -1e-8 of the nuclear norm, and
+        # no entry off its transpose by more than that
+        x = np.asarray(x, dtype=float)
+        evals = np.linalg.eigvalsh(0.5 * (x + x.T))
+        slack = 1e-8 * float(np.sum(np.abs(evals)))
+        return bool(evals[0] >= -slack and np.max(np.abs(x - x.T)) <= slack)

@@ -414,7 +414,9 @@ def solve(problem, config=None, x0=None, callback=None):
         Objective with a cone handle.
     config : SolverConfig
     x0 : array or None
-        Start point in the cone; default is the cone's canonical start.
+        Start point in the cone; default is the cone's canonical start. A
+        start of another shape, or outside the cone up to roundoff, raises
+        ValueError; a cone without a membership test raises UnsupportedCone.
     callback : callable or None
         Invoked once per iteration as callback(info) after the step size is
         known: info["record"] is the TraceRecord, info["x"] the pre-ray
@@ -430,7 +432,12 @@ def solve(problem, config=None, x0=None, callback=None):
     if problem.cone is None:
         raise UnsupportedCone("solve() needs a ConicProgram with a cone handle")
     _check_config(config, allow_greedy=False)
-    x = problem.cone.default_init() if x0 is None else np.array(x0, dtype=float)
+    x = problem.cone.default_init()
+    if x0 is not None:
+        x0 = np.array(x0, dtype=float)
+        if x0.shape != x.shape or not problem.cone.contains(x0):
+            raise ValueError(f"x0 must be a point of the cone of shape {x.shape}")
+        x = x0
     it = _VectorIterate(problem, x)
     status, trace, cert, stats = _descend(problem, config, it, callback)
     return SolveResult(

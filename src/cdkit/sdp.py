@@ -41,7 +41,8 @@ class MeasurementOperator:
 
     Encodes the linear map X -> (tr(G_1 X), ..., tr(G_d X)) on n x n
     matrices, so iterates live in measurement space as y = apply(X). The
-    measurement count d must be an int >= 1, or ValueError is raised.
+    matrix side n and the measurement count d must each be an int >= 1, or
+    ValueError is raised.
 
     gram(q) returns the measurement image of q q^T for a vector q of shape
     (n,), or of U U^T when given a matrix of shape (n, r).
@@ -61,9 +62,9 @@ class MeasurementOperator:
     adjoint_dense: Callable | None = None
 
     def __post_init__(self):
-        d = self.d
-        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
-            raise ValueError(f"measurement count d must be an int >= 1, got {d!r}")
+        for what, value in (("matrix side n", self.n), ("measurement count d", self.d)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{what} must be an int >= 1, got {value!r}")
 
 
 @dataclass
@@ -603,8 +604,7 @@ class _SdpIterate(_MeasurementIterate):
     def evaluate(self):
         s = self.state
         self.eta = ray_minimize(self.fv, s.y, linear=self.gamma * s.tr)
-        if self.eta != 1.0:
-            s.move(self.eta)
+        s.move(self.eta)
         self.greedy = None
         return super().evaluate()
 

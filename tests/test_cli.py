@@ -133,6 +133,64 @@ def test_config_file_roundtrip(tmp_path_factory, entries, data):
     }
 
 
+# the flags of each command: its RunSpec fields, beside command, seeds, jobs
+# and config, which are not RunSpec fields or not flags
+_COMMON_FIELDS = {
+    "algo", "seed", "iters", "tol", "prefix", "trace_every", "heuristic_m", "dump_to",
+}
+_SDP_FIELDS = {"n", "noise_snr", "gamma", "sketch", "greedy_every", "trace_bound"}
+_COMMAND_FIELDS = {
+    "toy": _COMMON_FIELDS | {"dim"},
+    "matcomp": _COMMON_FIELDS | _SDP_FIELDS | {"rank", "density", "block"},
+    "phase": _COMMON_FIELDS | _SDP_FIELDS | {"m", "image", "recon_rank"},
+}
+# a value to spell on the command line for each RunSpec flag, and what it
+# must parse to, type included
+_FLAG_SAMPLES = {
+    "algo": ("mocoh", "mocoh"),
+    "seed": ("7", 7),
+    "iters": ("12", 12),
+    "tol": ("1e-6", 1e-6),
+    "prefix": ("out/x", "out/x"),
+    "trace_every": ("3", 3),
+    "heuristic_m": ("2.5", 2.5),
+    "dump_to": ("inst.npz", "inst.npz"),
+    "dim": ("6", 6),
+    "n": ("40", 40),
+    "noise_snr": ("20", 20.0),
+    "gamma": ("0.5", 0.5),
+    "sketch": ("6", 6),
+    "greedy_every": ("5", 5),
+    "trace_bound": ("3", 3.0),
+    "rank": ("2", 2),
+    "density": ("0.2", 0.2),
+    "block": ("4", 4),
+    "m": ("8", 8),
+    "image": ("face.pgm", "face.pgm"),
+    "recon_rank": ("2", 2),
+}
+
+
+def test_each_command_has_exactly_its_flags():
+    runspec_fields = {f.name for f in dataclasses.fields(RunSpec)} - {"command"}
+    assert set(_FLAG_SAMPLES) == runspec_fields
+    assert set().union(*_COMMAND_FIELDS.values()) == runspec_fields
+    for command, fields in _COMMAND_FIELDS.items():
+        given = vars(parse([command]))
+        assert set(given) == fields | {"command", "seeds", "jobs", "config"}
+        assert given["command"] == command
+        assert all(given[key] is None for key in given if key != "command")
+        argv = [command]
+        for name in sorted(fields):
+            argv += ["--" + name.replace("_", "-"), _FLAG_SAMPLES[name][0]]
+        parsed = vars(parse(argv + ["--seeds", "1,2", "--jobs", "2", "--config", "c.cfg"]))
+        for name in fields:
+            expected = _FLAG_SAMPLES[name][1]
+            assert parsed[name] == expected, name
+            assert type(parsed[name]) is type(expected), name
+        assert (parsed["seeds"], parsed["jobs"], parsed["config"]) == ("1,2", 2, "c.cfg")
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -236,6 +236,51 @@ def test_contains_and_default_init():
     assert not contains(p, -np.eye(2))
 
 
+def _membership_points(cone, rng):
+    # random points inside and outside, boundary points, and points just off
+    # the boundary by more and by less than the roundoff slack. The PSD
+    # points are symmetric: the oracle reads only the symmetric part, where
+    # the library also rejects an unsymmetric matrix
+    if isinstance(cone, NonnegativeOrthant):
+        inside = np.abs(rng.standard_normal(cone.dim))
+        edge = inside.copy()
+        edge[0] = 0.0
+        pts = [inside, edge, rng.standard_normal(cone.dim), np.zeros(cone.dim)]
+        for off in (1e-12, 1e-6):
+            bent = edge.copy()
+            bent[0] = -off
+            pts.append(bent)
+        return pts
+    if isinstance(cone, SecondOrderCone):
+        x = rng.standard_normal(cone.dim - 1)
+        r = float(np.linalg.norm(x))
+        pts = [np.append(x, t) for t in (2.0 * r, r, 0.5 * r, -r, r - 1e-12, r - 1e-6)]
+        return pts + [rng.standard_normal(cone.dim), np.zeros(cone.dim)]
+    a = rng.standard_normal((cone.n, cone.n))
+    evecs = np.linalg.qr(a)[0]
+    pts = [a @ a.T, 0.5 * (a + a.T), np.zeros((cone.n, cone.n))]
+    for low in (0.0, -1e-12, -1e-6, -1.0):
+        evals = np.abs(rng.standard_normal(cone.n)) + 0.1
+        evals[0] = low
+        pts.append((evecs * evals) @ evecs.T)
+    return pts
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "cone",
+    [NonnegativeOrthant(4), SecondOrderCone(4), PsdCone(4)],
+    ids=["orthant", "soc", "psd"],
+)
+def test_library_membership_matches_oracle(cone, seed):
+    # the check solve() makes on a start point agrees with the oracle's,
+    # which is written separately
+    pts = _membership_points(cone, np.random.default_rng(seed))
+    verdicts = [cone.contains(x) for x in pts]
+    assert verdicts == [contains(cone, x) for x in pts]
+    assert True in verdicts and False in verdicts
+
+
 def test_default_init_has_unit_scale():
     assert np.linalg.norm(NonnegativeOrthant(4).default_init()) == 1.0
     assert np.linalg.norm(SecondOrderCone(4).default_init()) == 1.0

@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 
 from cdkit import (
+    Cone,
     ConicProgram,
     LineSearchDivergence,
     NonFiniteValue,
     NonnegativeOrthant,
+    PsdCone,
+    SecondOrderCone,
     SolverConfig,
+    UnsupportedCone,
     fw_solve,
     sdp_solve,
     solve,
@@ -209,6 +213,77 @@ def test_solve_converges_immediately_at_optimum():
     assert res.trace.records[-1].k == 0
     np.testing.assert_array_equal(res.final_point, np.zeros(3))
     assert res.certified_dual_cert == 0.0
+
+
+def _psd_quad_program(n):
+    # (1/2)||X - I||_F^2 over the PSD cone, on the flattened matrix
+    eye = np.eye(n)
+
+    def value(x):
+        return 0.5 * float(np.sum((x - eye) ** 2))
+
+    return ConicProgram(n * n, value, lambda x: x - eye, cone=PsdCone(n))
+
+
+_OUTSIDE_STARTS = {
+    "orthant-negative": (NonnegativeOrthant, 5, -np.ones(5)),
+    "orthant-mixed": (NonnegativeOrthant, 5, np.array([1.0, -0.5, 0.0, 0.0, 0.0])),
+    "orthant-shape": (NonnegativeOrthant, 5, np.ones(4)),
+    "psd-unsymmetric": (PsdCone, 2, np.array([[1.0, 0.5], [0.0, 1.0]])),
+    "psd-indefinite": (PsdCone, 2, np.diag([1.0, -0.5])),
+    "psd-flat": (PsdCone, 2, np.ones(4)),
+    "soc-outside": (SecondOrderCone, 3, np.array([1.0, 1.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize(
+    "cone_type, dim, x0", list(_OUTSIDE_STARTS.values()), ids=list(_OUTSIDE_STARTS)
+)
+def test_solve_rejects_start_outside_the_cone(cone_type, dim, x0):
+    # a start outside the cone used to run: from -1 on the planted orthant
+    # quadratic (dim 5, seed 0) it ended "converged" at f = -1.787, far
+    # below f* = -0.0386, at a point with entries near -3.4
+    cone = cone_type(dim)
+    if cone_type is NonnegativeOrthant:
+        prob = build_orthant_quadratic(dim=dim, seed=0).program
+    elif cone_type is PsdCone:
+        prob = _psd_quad_program(dim)
+    else:
+        prob = quad_program(dim, np.eye(dim), -np.ones(dim), cone=cone)
+    with pytest.raises(ValueError, match="x0 must be a point of the cone"):
+        solve(prob, SolverConfig(max_iters=300, tol_eps=1e-8), x0=x0)
+
+
+@pytest.mark.parametrize("cone_type", [NonnegativeOrthant, SecondOrderCone, PsdCone])
+def test_solve_accepts_starts_in_the_cone(cone_type):
+    # the canonical start, given explicitly, runs the same solve as the
+    # default; a point on the boundary, off it by roundoff, runs too
+    cone = cone_type(3)
+    if cone_type is PsdCone:
+        prob = _psd_quad_program(3)
+    else:
+        prob = quad_program(3, np.eye(3), -np.ones(3), cone=cone)
+    config = SolverConfig(max_iters=20)
+    default = solve(prob, config)
+    given = solve(prob, config, x0=cone.default_init())
+    np.testing.assert_array_equal(given.final_point, default.final_point)
+    edge = cone.default_init() - 1e-13
+    solve(prob, config, x0=edge)
+
+
+def test_solve_start_needs_a_membership_test():
+    # a cone written without contains() can still run from its own start
+    class Ray(Cone):
+        def lmo(self, g):
+            return np.array([1.0]) if g[0] < 0.0 else np.zeros(1)
+
+        def default_init(self):
+            return np.ones(1)
+
+    prob = quad_program(1, np.eye(1), -np.ones(1), cone=Ray())
+    assert solve(prob, SolverConfig(max_iters=5)).status in ("converged", "max_iters")
+    with pytest.raises(UnsupportedCone):
+        solve(prob, SolverConfig(max_iters=5), x0=np.ones(1))
 
 
 def test_solve_rejects_nonfinite_objective():

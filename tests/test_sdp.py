@@ -1154,6 +1154,13 @@ def test_measurement_operator_identities():
     for d in (2.0, True, 0, mc.b, np.array(5)):
         with pytest.raises(ValueError, match="int >= 1"):
             dataclasses.replace(op, d=d)
+    # the matrix side follows the same rule; a fractional or boolean n used
+    # to build and then fail inside numpy at the first solve
+    for n in (2.5, True, 0):
+        with pytest.raises(ValueError, match="matrix side n must be an int >= 1"):
+            dataclasses.replace(op, n=n)
+        with pytest.raises(ValueError):
+            build_trace_toy(n=n)
 
 
 @pytest.mark.parametrize(
