@@ -415,8 +415,9 @@ def solve(problem, config=None, x0=None, callback=None):
     config : SolverConfig
     x0 : array or None
         Start point in the cone; default is the cone's canonical start. A
-        start of another shape, or outside the cone up to roundoff, raises
-        ValueError; a cone without a membership test raises UnsupportedCone.
+        start of another shape, with a non-finite entry, or outside the cone
+        up to roundoff, raises ValueError; a cone without a membership test
+        raises UnsupportedCone.
     callback : callable or None
         Invoked once per iteration as callback(info) after the step size is
         known: info["record"] is the TraceRecord, info["x"] the pre-ray
@@ -435,7 +436,7 @@ def solve(problem, config=None, x0=None, callback=None):
     x = problem.cone.default_init()
     if x0 is not None:
         x0 = np.array(x0, dtype=float)
-        if x0.shape != x.shape or not problem.cone.contains(x0):
+        if x0.shape != x.shape or not (np.isfinite(x0).all() and problem.cone.contains(x0)):
             raise ValueError(f"x0 must be a point of the cone of shape {x.shape}")
         x = x0
     it = _VectorIterate(problem, x)

@@ -239,9 +239,7 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     # add 1.6 MB per bundle there.
     def gram(q):
         q = np.asarray(q, dtype=float)
-        if q.ndim == 1:
-            return q.take(row_idx) * q.take(col_idx)
-        return (q.take(row_idx, axis=0) * q.take(col_idx, axis=0)).sum(axis=1)
+        return q.take(row_idx) * q.take(col_idx)
 
     # The mask comes in CSR order (row_idx non-decreasing, col_idx rising
     # within a row), so (p, col_idx, indptr) is an upper-triangular U in CSR
@@ -265,22 +263,17 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
         u = np.ascontiguousarray(u, dtype=float)
         p = np.asarray(p, dtype=float)
         # the kernels read through raw pointers, so check sizes first
-        if p.shape != (d,) or u.ndim not in (1, 2) or u.shape[0] != n:
+        if p.shape != (d,) or u.shape != (n,):
             raise ValueError(
-                f"adjoint_matvec needs p of shape ({d},) and u with {n} rows, "
+                f"adjoint_matvec needs p of shape ({d},) and u of shape ({n},), "
                 f"got {p.shape} and {u.shape}"
             )
         p = np.ascontiguousarray(p)
-        upper = np.zeros(u.shape)
-        lower = np.zeros(u.shape)
-        if u.ndim == 1:
-            args = (n, n, indptr, col_idx, p, u)
-            _sparsetools.csr_matvec(*args, upper)
-            _sparsetools.csc_matvec(*args, lower)
-        else:
-            args = (n, n, u.shape[1], indptr, col_idx, p, u.ravel())
-            _sparsetools.csr_matvecs(*args, upper.ravel())
-            _sparsetools.csc_matvecs(*args, lower.ravel())
+        upper = np.zeros(n)
+        lower = np.zeros(n)
+        args = (n, n, indptr, col_idx, p, u)
+        _sparsetools.csr_matvec(*args, upper)
+        _sparsetools.csc_matvec(*args, lower)
         upper += lower
         upper *= 0.5
         return upper
@@ -388,29 +381,17 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     d = m * n
     coeff = 1.0 / d
 
-    # Both kernels transform every mask and column in one call over a 3-D
-    # block and sum over its leading axis, which numpy adds in loop order,
-    # so they equal the one-mask (or one-column) loops bit for bit. numpy
-    # sums a trailing axis of 8 or more pairwise, which would not, and it
-    # sums a leading axis that lies contiguous in memory the same way, so
-    # the in-place transforms work on C-ordered blocks.
+    # Both kernels transform all m masks in one call over an (m, n) block.
+    # The adjoint sums the masks over the leading axis, which numpy adds in
+    # loop order, so it equals the one-mask loop bit for bit.
     def gram(q):
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 1:
-            a = _dct(signs * q[None, :], 1)
-            return (a * a).ravel()
-        a = _dct(np.multiply(signs, q.T[:, None, :], order="C"), 2)
-        return (a * a).sum(axis=0).ravel()
+        a = _dct(signs * np.asarray(q, dtype=float)[None, :], 1)
+        return (a * a).ravel()
 
     def adjoint_matvec(p, u):
-        u = np.asarray(u, dtype=float)
-        single = u.ndim == 1
-        cols = u[:, None] if single else u
-        pb = np.asarray(p, dtype=float).reshape(m, n)
-        t = _dct(np.multiply(signs[:, :, None], cols[None], order="C"), 1)
-        t *= pb[:, :, None]
-        out = (signs[:, :, None] * _idct(t, 1)).sum(axis=0)
-        return out[:, 0] if single else out
+        t = _dct(signs * np.asarray(u, dtype=float)[None, :], 1)
+        t *= np.asarray(p, dtype=float).reshape(m, n)
+        return (signs * _idct(t, 1)).sum(axis=0)
 
     def apply_dense(x_mat):
         blocks = []

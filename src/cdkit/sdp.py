@@ -44,10 +44,13 @@ class MeasurementOperator:
     matrix side n and the measurement count d must each be an int >= 1, or
     ValueError is raised.
 
-    gram(q) returns the measurement image of q q^T for a vector q of shape
-    (n,), or of U U^T when given a matrix of shape (n, r).
-    adjoint_matvec(p, u) applies sum_i p_i G_i to u; u may be (n,) or (n, r).
-    The Lanczos LMO writes into the array it returns.
+    The solvers touch the map only through two functions of vectors:
+    gram(q) returns the measurement image of q q^T, an array of shape (d,),
+    for q of shape (n,), and adjoint_matvec(p, u) returns sum_i p_i G_i u,
+    of shape (n,), for p of shape (d,) and u of shape (n,). Neither is
+    called with a matrix; the greedy refit maps its rank-r factor one
+    column at a time. The Lanczos LMO writes into the array adjoint_matvec
+    returns.
     apply_dense / adjoint_dense materialize the map on explicit matrices for
     verification at small n. Every bundled builder sets both, and they
     allocate n x n only when called; an operator built by hand may leave
@@ -245,12 +248,6 @@ def _tridiagonal_min_eig(d, e):
 
 
 def _lanczos_once(matvec, n, seed, start=None):
-    if n == 1:
-        q = np.ones(1)
-        lam = float(np.asarray(matvec(q)).ravel()[0])
-        if not math.isfinite(lam):
-            raise EigFailure("operator returned non-finite values")
-        return lam, q
     rng = np.random.default_rng(seed)
     m = min(n, _LANCZOS_MAX_STEPS)
     # one Lanczos vector per row, so every step reads and writes contiguous
@@ -333,6 +330,20 @@ _GREEDY_REL_TOL = 1e-10
 _GREEDY_PERTURB = 1e-3
 
 
+def _gram_cols(op, u):
+    # image of u u^T for a factor u of shape (n, r): the column images added
+    # in column order
+    image = op.gram(u[:, 0])
+    for c in range(1, u.shape[1]):
+        image = image + op.gram(u[:, c])
+    return image
+
+
+def _adjoint_cols(op, p, u):
+    # the adjoint image of p applied to each column of u, stacked as columns
+    return np.stack([op.adjoint_matvec(p, u[:, c]) for c in range(u.shape[1])], axis=1)
+
+
 def _factor_quartic(fv, gamma, y_cur, u, big_c, big_d, d):
     """Coefficients (c1, c2, c3, c4) of the greedy factor search polynomial.
 
@@ -393,17 +404,19 @@ def greedy_step(fv, op, gamma, state, rng):
 
     The scalar s >= 0 scales the whole current iterate and u is an n-by-rank
     factor, so the penalized objective and its gradient need only the current
-    image, the trace accumulator, and measurement-space primitives. Inner
+    image, the trace accumulator, and measurement-space primitives. The image
+    of a factor is the sum of its column images, one gram call per column,
+    and the gradient in u applies adjoint_matvec to each column. Inner
     iterations alternate an exact update of s (the objective restricted to s
     is a one-dimensional convex problem the restriction oracle solves in
     closed form) with a line-searched gradient step on u. Along the factor
     step the image is y - a C + a^2 D for two images C and D that each inner
-    iteration builds with two gram calls. With a restriction oracle the
+    iteration builds with two factor images. With a restriction oracle the
     objective along the step is then a quartic in the step length, minimized
     exactly over its stationary points. Without one, a bisection on the sign
     of its derivative stands in; it stops at a local minimum, which need not
     be the quartic's global one. Either search only proposes a step length,
-    and the factor moves there only when one gram call and one objective
+    and the factor moves there only when one factor image and one objective
     call find a value strictly below the current one. The start point
     (s, u) = (1, 0) is stationary in u, hence the seeded random perturbation.
     The refit holds one point and commits the point it ends at, only when
@@ -425,7 +438,7 @@ def greedy_step(fv, op, gamma, state, rng):
         y_new = sv * y0 + gram_u
         return fv.value(y_new) + gamma * (sv * tr0 + tr_u), y_new
 
-    gram_u = op.gram(u)
+    gram_u = _gram_cols(op, u)
     tr_u = float(np.vdot(u, u))
     h_cur, y_cur = assemble(s, gram_u, tr_u)
     for inner in range(_GREEDY_MAX_INNER):
@@ -436,13 +449,13 @@ def greedy_step(fv, op, gamma, state, rng):
         h_cur, y_cur = assemble(s, gram_u, tr_u)
         # line-searched gradient step on the factor
         p = fv.gradient(y_cur)
-        grad_u = 2.0 * (op.adjoint_matvec(p, u) + gamma * u)
+        grad_u = 2.0 * (_adjoint_cols(op, p, u) + gamma * u)
         gn = float(np.linalg.norm(grad_u))
         if gn <= 1e-14 * max(1.0, abs(h_cur)):
             break
         direction = grad_u / gn
-        big_d = op.gram(direction)
-        big_c = op.gram(u + direction) - gram_u - big_d
+        big_d = _gram_cols(op, direction)
+        big_c = _gram_cols(op, u + direction) - gram_u - big_d
         factor = (fv, gamma, y_cur, u, big_c, big_d, direction)
         if fv.restriction_oracle is not None:
             alpha = _quartic_argmin(*_factor_quartic(*factor))
@@ -450,7 +463,7 @@ def greedy_step(fv, op, gamma, state, rng):
             alpha = minimize_convex_1d(_factor_slope(*factor))
         if alpha != 0.0:
             u_alpha = u - alpha * direction
-            gram_alpha = op.gram(u_alpha)
+            gram_alpha = _gram_cols(op, u_alpha)
             tr_alpha = float(np.vdot(u_alpha, u_alpha))
             h_alpha, y_alpha = assemble(s, gram_alpha, tr_alpha)
             if h_alpha < h_cur:

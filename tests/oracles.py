@@ -126,7 +126,8 @@ def contains(cone, x):
     """Membership of x in the cone up to roundoff.
 
     The slack is relative: 1e-10 for the orthant and the second-order cone,
-    1e-8 of the nuclear norm for the PSD cone.
+    1e-8 of the nuclear norm for the PSD cone. A PSD point must also be
+    symmetric: no entry of x - x^T may exceed that slack.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(cone, NonnegativeOrthant):
@@ -137,7 +138,9 @@ def contains(cone, x):
         return bool(x[-1] - np.linalg.norm(x[:-1]) >= -1e-10 * scale)
     if isinstance(cone, PsdCone):
         evals = np.linalg.eigvalsh(0.5 * (x + x.T))
-        return bool(evals[0] >= -1e-8 * float(np.sum(np.abs(evals))))
+        slack = 1e-8 * float(np.sum(np.abs(evals)))
+        skew = float(np.max(np.abs(x - x.T), initial=0.0))
+        return bool(evals[0] >= -slack and skew <= slack)
     raise UnsupportedCone(f"no membership oracle for {type(cone).__name__}")
 
 

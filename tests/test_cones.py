@@ -239,8 +239,8 @@ def test_contains_and_default_init():
 def _membership_points(cone, rng):
     # random points inside and outside, boundary points, and points just off
     # the boundary by more and by less than the roundoff slack. The PSD
-    # points are symmetric: the oracle reads only the symmetric part, where
-    # the library also rejects an unsymmetric matrix
+    # points add an unsymmetric matrix whose symmetric part is PSD, which
+    # both tests reject
     if isinstance(cone, NonnegativeOrthant):
         inside = np.abs(rng.standard_normal(cone.dim))
         edge = inside.copy()
@@ -258,7 +258,7 @@ def _membership_points(cone, rng):
         return pts + [rng.standard_normal(cone.dim), np.zeros(cone.dim)]
     a = rng.standard_normal((cone.n, cone.n))
     evecs = np.linalg.qr(a)[0]
-    pts = [a @ a.T, 0.5 * (a + a.T), np.zeros((cone.n, cone.n))]
+    pts = [a @ a.T, 0.5 * (a + a.T), np.zeros((cone.n, cone.n)), a @ a.T + (a - a.T)]
     for low in (0.0, -1e-12, -1e-6, -1.0):
         evals = np.abs(rng.standard_normal(cone.n)) + 0.1
         evals[0] = low

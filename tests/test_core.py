@@ -233,6 +233,12 @@ _OUTSIDE_STARTS = {
     "psd-indefinite": (PsdCone, 2, np.diag([1.0, -0.5])),
     "psd-flat": (PsdCone, 2, np.ones(4)),
     "soc-outside": (SecondOrderCone, 3, np.array([1.0, 1.0, 1.0])),
+    # the membership slack scales with the largest magnitude, so an infinite
+    # entry passed it and the solve failed later on non-finite data
+    "orthant-inf": (NonnegativeOrthant, 5, np.array([math.inf, -1.0, 0.0, 0.0, 0.0])),
+    "orthant-nan": (NonnegativeOrthant, 5, np.array([math.nan, 1.0, 0.0, 0.0, 0.0])),
+    "soc-inf": (SecondOrderCone, 3, np.array([1.0, 0.0, math.inf])),
+    "psd-nan": (PsdCone, 2, np.array([[1.0, math.nan], [math.nan, 1.0]])),
 }
 
 

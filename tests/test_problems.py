@@ -1,6 +1,7 @@
 """Problem builders: planted optima, measurement masks, transform
 identities, input range checks, noise injection, and graymap reading."""
 
+import functools
 import gc
 import math
 import tracemalloc
@@ -24,6 +25,7 @@ from cdkit.problems import (
     read_pgm,
     recovery_error,
 )
+from cdkit.sdp import _adjoint_cols, _gram_cols
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +168,7 @@ def test_matcomp_mask_statistics():
 def test_matcomp_noiseless_measurements_match_truth():
     mc = build_matcomp(n=40, rank=2, seed=1, block=5, density=0.15)
     want = np.einsum("ik,jk->ij", mc.v_true, mc.v_true)[mc.row_idx, mc.col_idx]
-    np.testing.assert_array_equal(mc.b, mc.op.gram(mc.v_true))
+    np.testing.assert_array_equal(mc.b, _gram_cols(mc.op, mc.v_true))
     np.testing.assert_allclose(mc.b, want, rtol=1e-12)
 
 
@@ -188,10 +190,20 @@ def test_matcomp_adjoint_is_mask_transpose():
 # measurement kernels against one-at-a-time reference loops
 
 
+def _column_maps(op, u):
+    # a vector goes to the operator itself, a factor to the greedy refit's
+    # column sums and stacked column adjoints
+    if u.ndim == 1:
+        return op.gram, op.adjoint_matvec
+    return functools.partial(_gram_cols, op), functools.partial(_adjoint_cols, op)
+
+
 def _matcomp_gram_loop(mc, q):
-    if q.ndim == 1:
-        return q[mc.row_idx] * q[mc.col_idx]
-    return (q[mc.row_idx] * q[mc.col_idx]).sum(axis=1)
+    cols = q[:, None] if q.ndim == 1 else q
+    out = np.zeros(mc.op.d)
+    for c in range(cols.shape[1]):
+        out += cols[mc.row_idx, c] * cols[mc.col_idx, c]
+    return out
 
 
 def _matcomp_adjoint_loop(mc, p, u):
@@ -245,15 +257,16 @@ def _phase_adjoint_loop(ph, p, u):
 @pytest.mark.parametrize("cols", [None, 1, 3, 8])
 def test_kernels_match_reference_loops_bitwise(build, gram_loop, adjoint_loop, cols):
     # the kernels batch or reorder the loops' work but not their arithmetic,
-    # so solves stay bit for bit what the loops gave
+    # and the refit adds its column images in column order, so solves stay
+    # bit for bit what the loops gave
     for seed in range(3):
         bundle = build(seed)
-        op = bundle.op
         rng = np.random.default_rng(100 + seed)
-        p = rng.standard_normal(op.d)
-        u = rng.standard_normal(op.n if cols is None else (op.n, cols))
-        np.testing.assert_array_equal(op.gram(u), gram_loop(bundle, u))
-        np.testing.assert_array_equal(op.adjoint_matvec(p, u), adjoint_loop(bundle, p, u))
+        p = rng.standard_normal(bundle.op.d)
+        u = rng.standard_normal(bundle.op.n if cols is None else (bundle.op.n, cols))
+        gram, adjoint = _column_maps(bundle.op, u)
+        np.testing.assert_array_equal(gram(u), gram_loop(bundle, u))
+        np.testing.assert_array_equal(adjoint(p, u), adjoint_loop(bundle, p, u))
 
 
 @pytest.mark.parametrize(
@@ -302,7 +315,8 @@ def _matcomp_edge_inputs():
     ids=[case[0] for case in _matcomp_edge_inputs()],
 )
 def test_matcomp_adjoint_edge_layouts_bitwise(case, mc, p, u):
-    got = mc.op.adjoint_matvec(p, u)
+    # a factor of any layout goes through the refit's column adjoints
+    got = _column_maps(mc.op, u)[1](p, u)
     p64 = np.asarray(p, dtype=float)
     want = _matcomp_adjoint_loop(mc, p64, np.array(u))
     assert got.shape == np.shape(u)
@@ -322,6 +336,8 @@ def test_matcomp_adjoint_rejects_mismatched_sizes():
         (p, np.ones(11)),
         (p, np.ones((11, 2))),
         (p, np.ones((12, 2, 1))),
+        # a factor is mapped one column at a time, never as a block
+        (p, np.ones((12, 3))),
     ]:
         with pytest.raises(ValueError, match="adjoint_matvec needs"):
             mc.op.adjoint_matvec(bad_p, bad_u)
@@ -330,17 +346,19 @@ def test_matcomp_adjoint_rejects_mismatched_sizes():
 @pytest.mark.parametrize("cols", [None, 3])
 def test_matcomp_adjoint_transient_memory_is_outputs_of_size_u(cols):
     # a call reads p in place and allocates only its n-sized outputs; no
-    # temporary grows with the d (about 200k here) measurements
+    # temporary grows with the d (about 200k here) measurements, and the
+    # refit's column adjoints of a factor add only the stacked result
     n = 2000
     mc = build_matcomp(n=n, rank=3, seed=0, block=10, density=0.1)
     rng = np.random.default_rng(0)
     p = rng.standard_normal(mc.op.d)
     u = rng.standard_normal(n if cols is None else (n, cols))
+    adjoint = _column_maps(mc.op, u)[1]
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        mc.op.adjoint_matvec(p, u)
+        adjoint(p, u)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -358,19 +376,21 @@ _KERNEL_BUILDERS = {
 @pytest.mark.parametrize("cols", [None, 3])
 def test_kernels_leave_inputs_unchanged_and_read_strided_p(kind, cols):
     # the kernels transform fresh temporaries in place and may read p where
-    # it lies, so neither may write into the caller's p or u
+    # it lies, so neither may write into the caller's p or u; the refit hands
+    # them column views of its factor, which must stay unchanged too
     op = _KERNEL_BUILDERS[kind]().op
     rng = np.random.default_rng(7)
     p = rng.standard_normal(op.d)
     u = rng.standard_normal(op.n if cols is None else (op.n, cols))
+    gram, adjoint = _column_maps(op, u)
     p0, u0 = p.copy(), u.copy()
-    want = op.adjoint_matvec(p, u)
-    op.gram(u)
+    want = adjoint(p, u)
+    gram(u)
     np.testing.assert_array_equal(p, p0)
     np.testing.assert_array_equal(u, u0)
     strided = np.repeat(p, 2)[::2]
     assert not strided.flags["C_CONTIGUOUS"]
-    np.testing.assert_array_equal(op.adjoint_matvec(strided, u), want)
+    np.testing.assert_array_equal(adjoint(strided, u), want)
     np.testing.assert_array_equal(strided, p0)
     np.testing.assert_array_equal(u, u0)
 
@@ -393,9 +413,9 @@ def test_adjoint_matvec_is_adjoint_of_gram(kind, seed, rank):
     rng = np.random.default_rng(seed)
     p = rng.standard_normal(op.d)
     u = rng.standard_normal((op.n, rank))
-    image = op.adjoint_matvec(p, u)
-    # <p, G(U U^T)> = <G^*(p), U U^T>
-    lhs = float(p @ op.gram(u))
+    # the refit's factor maps: <p, G(U U^T)> = <G^*(p), U U^T>
+    image = _adjoint_cols(op, p, u)
+    lhs = float(p @ _gram_cols(op, u))
     rhs = float(np.sum(u * image))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
     np.testing.assert_allclose(image, op.adjoint_dense(p) @ u, rtol=1e-10, atol=1e-10)
