@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .exceptions import EigFailure, UnsupportedCone
+from .exceptions import EigFailure, UnsupportedCone, _check_count
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -33,9 +33,10 @@ class Cone:
 
 
 class NonnegativeOrthant(Cone):
-    """Nonnegative orthant in R^d with the l2/l2 norm pair."""
+    """Nonnegative orthant in R^d with the l2/l2 norm pair; dim an int >= 1."""
 
     def __init__(self, dim):
+        _check_count("dim", dim, 1)
         self.dim = int(dim)
 
     def lmo(self, g):
@@ -63,11 +64,10 @@ class NonnegativeOrthant(Cone):
 
 
 class SecondOrderCone(Cone):
-    """Second-order cone {(x, t): ||x||_2 <= t} in R^d, t stored last."""
+    """Second-order cone {(x, t): ||x||_2 <= t} in R^d, t stored last; dim an int >= 2."""
 
     def __init__(self, dim):
-        if dim < 2:
-            raise ValueError("second-order cone needs dimension >= 2")
+        _check_count("dim", dim, 2)
         self.dim = int(dim)
 
     def lmo(self, g):
@@ -108,11 +108,13 @@ class SecondOrderCone(Cone):
 class PsdCone(Cone):
     """PSD cone of n x n symmetric matrices, nuclear/operator norm pair.
 
-    The LMO uses a dense eigendecomposition; suitable for small n. The
-    matrix-free semidefinite path in sdp.py does not use this class.
+    n is an int >= 1. The LMO uses a dense eigendecomposition; suitable for
+    small n. The matrix-free semidefinite path in sdp.py does not use this
+    class.
     """
 
     def __init__(self, n):
+        _check_count("n", n, 1)
         self.n = int(n)
 
     def lmo(self, g):

@@ -10,7 +10,6 @@ sqrt(tol_eps).
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -18,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .cones import Cone
-from .exceptions import LineSearchDivergence, NonFiniteValue, UnsupportedCone
+from .exceptions import LineSearchDivergence, NonFiniteValue, UnsupportedCone, _check_count
 
 BRACKET_LIMIT = 1e18
 
@@ -86,8 +85,8 @@ class SolverConfig:
     search (monotone descent is then not guaranteed); fw_solve rejects it.
     tol_eps must be finite and nonnegative. greedy_period > 0 enables the
     periodic factored descent step and applies to sdp_solve only.
-    max_iters, greedy_period, trace_every and rng_seed must be ints (numpy
-    integers included, bools not).
+    max_iters and trace_every must be ints >= 1, and greedy_period and
+    rng_seed ints >= 0 (numpy integers included, bools not).
     """
 
     max_iters: int = 300
@@ -259,12 +258,9 @@ def line_search_step(problem, base, direction, linear=0.0):
 
 
 def _check_config(config, allow_greedy):
-    for name in ("max_iters", "greedy_period", "trace_every", "rng_seed"):
-        v = getattr(config, name)
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(f"{name} must be an int, got {v!r}")
-    if config.max_iters < 1:
-        raise ValueError("max_iters must be positive")
+    floors = {"max_iters": 1, "greedy_period": 0, "trace_every": 1, "rng_seed": 0}
+    for name, low in floors.items():
+        _check_count(name, getattr(config, name), low)
     # the chained comparisons also reject NaN, which would never stop a run
     # or make every scheduled step NaN, and infinity, which would stop every
     # run at once or make the first scheduled step infinite
@@ -274,12 +270,8 @@ def _check_config(config, allow_greedy):
         raise ValueError(f"unknown momentum mode {config.momentum_mode!r}")
     if config.heuristic_m is not None and not 0.0 < config.heuristic_m < math.inf:
         raise ValueError("heuristic_m must be a positive finite M estimate (or None)")
-    if config.trace_every < 1:
-        raise ValueError("trace_every must be a positive integer")
     if config.greedy_period and not allow_greedy:
         raise ValueError("greedy steps apply to sdp_solve only")
-    if config.greedy_period < 0:
-        raise ValueError("greedy_period must be nonnegative")
 
 
 def _descend(problem, config, it, callback, frank_wolfe=False):

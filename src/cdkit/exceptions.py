@@ -1,4 +1,13 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules, and the one check of a count."""
+
+import numbers
+
+
+def _check_count(what, value, low):
+    # a size, count or seed: an int (numpy integers included, bools not) at
+    # or above its floor low
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{what} must be an int >= {low}, got {value!r}")
 
 
 class SolverError(Exception):

@@ -16,7 +16,7 @@ from scipy.sparse import _sparsetools
 
 from .cones import NonnegativeOrthant
 from .core import ConicProgram
-from .exceptions import DegenerateSignal
+from .exceptions import DegenerateSignal, _check_count
 from .sdp import MeasurementOperator
 
 
@@ -70,10 +70,9 @@ def build_orthant_quadratic(dim=20, seed=0):
     max(1, dim // 3) indices, pick nonnegative slacks off the support, and
     back out the linear term so the gradient at x_star equals the slack
     vector. That makes x_star satisfy the optimality conditions exactly, with
-    known optimal value. A dim below 1 raises ValueError.
+    known optimal value. A dim that is not an int >= 1 raises ValueError.
     """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    _check_count("dim", dim, 1)
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((dim, dim))
     quad = m @ m.T / dim + 0.1 * np.eye(dim)
@@ -139,11 +138,11 @@ def build_trace_toy(n=2, target=1.0):
     Any psd matrix with trace equal to target is optimal, so the optimal
     value is 0 and the minimal nuclear radius of a solution is the target
     itself. Useful as the smallest instance where a trace-bounded feasible
-    set with too small a bound visibly changes the answer. An n below 1, or
-    a target that is not positive and finite, raises ValueError.
+    set with too small a bound visibly changes the answer. An n that is not
+    an int >= 1, or a target that is not positive and finite, raises
+    ValueError.
     """
-    if not n >= 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
+    _check_count("n", n, 1)
     if not 0.0 < target < math.inf:
         raise ValueError(f"target trace must be positive and finite, got {target!r}")
 
@@ -215,13 +214,11 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     reads (X_ij + X_ji) / 2), and the objective is half the squared residual
     of the image y = apply(X) to the observation vector b, so f = 0 at a
     perfect fit. The bundle's gamma, the default trace penalty, is 0. An n
-    or rank below 1, a block outside [0, n] or a density outside (0, 1]
-    raises ValueError.
+    or rank that is not an int >= 1, a block outside [0, n] or a density
+    outside (0, 1] raises ValueError.
     """
-    if not n >= 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
-    if not rank >= 1:
-        raise ValueError(f"rank must be at least 1, got {rank!r}")
+    _check_count("n", n, 1)
+    _check_count("rank", rank, 1)
     if not 0 <= block <= n:
         raise ValueError(f"block must lie in [0, n] = [0, {n}], got {block!r}")
     if not 0.0 < density <= 1.0:
@@ -236,9 +233,12 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
 
     # take() gathers through the int32 indices in about half the time of
     # fancy indexing at d = 200k. The indices stay int32: intp copies would
-    # add 1.6 MB per bundle there.
+    # add 1.6 MB per bundle there. take() reads any array flat, so the shape
+    # is checked first
     def gram(q):
         q = np.asarray(q, dtype=float)
+        if q.shape != (n,):
+            raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
         return q.take(row_idx) * q.take(col_idx)
 
     # The mask comes in CSR order (row_idx non-decreasing, col_idx rising
@@ -355,13 +355,13 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     each mask is orthogonal, the measurements of one mask sum to ||x||^2, so
     the mean of the observation vector over masks estimates the trace of the
     lifted solution; that estimate is what the pre-scheduled step rule uses.
-    The bundle's gamma, the default trace penalty, is 5e-5. An m below 1,
-    or an n below 2 when no signal is given, raises ValueError.
+    The bundle's gamma, the default trace penalty, is 5e-5. An m that is
+    not an int >= 1, or an n that is not an int >= 2 when no signal is
+    given, raises ValueError.
     """
-    if not m >= 1:
-        raise ValueError(f"m must be at least 1, got {m!r}")
-    if signal is None and not n >= 2:
-        raise ValueError(f"n must be at least 2, got {n!r}")
+    _check_count("m", m, 1)
+    if signal is None:
+        _check_count("n", n, 2)
     rng = np.random.default_rng(seed)
     if signal is not None:
         x_true = np.asarray(signal, dtype=float).ravel()
@@ -383,13 +383,21 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
 
     # Both kernels transform all m masks in one call over an (m, n) block.
     # The adjoint sums the masks over the leading axis, which numpy adds in
-    # loop order, so it equals the one-mask loop bit for bit.
+    # loop order, so it equals the one-mask loop bit for bit. A q or u of
+    # another shape would broadcast against the masks into a wrong block,
+    # so the shapes are checked first
     def gram(q):
-        a = _dct(signs * np.asarray(q, dtype=float)[None, :], 1)
+        q = np.asarray(q, dtype=float)
+        if q.shape != (n,):
+            raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
+        a = _dct(signs * q[None, :], 1)
         return (a * a).ravel()
 
     def adjoint_matvec(p, u):
-        t = _dct(signs * np.asarray(u, dtype=float)[None, :], 1)
+        u = np.asarray(u, dtype=float)
+        if u.shape != (n,):
+            raise ValueError(f"adjoint_matvec needs u of shape ({n},), got {u.shape}")
+        t = _dct(signs * u[None, :], 1)
         t *= np.asarray(p, dtype=float).reshape(m, n)
         return (signs * _idct(t, 1)).sum(axis=0)
 

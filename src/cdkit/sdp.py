@@ -5,9 +5,10 @@ its measurement image, so the engine tracks three small objects instead of
 X itself: the image y = apply(X), a running trace accumulator, and
 (optionally) a randomized range sketch S = X @ Omega. Any data the
 objective compares the image with belongs to the objective. Every solver
-move is rank one or a rescaling, and each admits an exact cheap update of
-all three. The matrix is recovered only on demand, as a low-rank
-factorization read out of the sketch.
+move is a rescaling plus a rank-one or low-rank term, and each admits an
+exact cheap update of all three, made in one place, SdpState.move. The
+matrix is recovered only on demand, as a low-rank factorization read out of
+the sketch.
 
 The linear minimization over the unit-nuclear-ball slice of the cone reduces
 to a smallest-eigenvalue problem for the adjoint image of the momentum
@@ -15,7 +16,6 @@ vector, solved matrix-free by Lanczos iteration.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,7 +32,7 @@ from .core import (
     minimize_convex_1d,
     ray_minimize,
 )
-from .exceptions import EigFailure, RankTooLarge
+from .exceptions import EigFailure, RankTooLarge, _check_count
 
 
 @dataclass
@@ -65,32 +65,34 @@ class MeasurementOperator:
     adjoint_dense: Callable | None = None
 
     def __post_init__(self):
-        for what, value in (("matrix side n", self.n), ("measurement count d", self.d)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{what} must be an int >= 1, got {value!r}")
+        _check_count("matrix side n", self.n, 1)
+        _check_count("measurement count d", self.d, 1)
 
 
 @dataclass
 class SdpState:
     """Mutable iterate of the engine: image y = apply(X), trace, optional sketch.
 
-    move(scale, weight, q, gram_q) applies X <- scale X + weight q q^T to all
-    three: the image becomes scale y + weight gram_q, where gram_q is the
-    image of q q^T, the trace scale tr + weight, and the sketch is scaled and
-    gets the rank-one term when q is given. A scale of 1 skips the multiply.
-    y is rebound to a new array, never updated in place, so a callback may
-    keep the previous one. The greedy refit's rank-r commit goes through
-    SketchState.replace instead.
+    move(scale, weight, q, gram_q, tr_q) applies X <- scale X + weight q q^T
+    to all three, for a unit vector q of shape (n,) or a factor q of shape
+    (n, r): the image becomes scale y + weight gram_q, where gram_q is the
+    image of q q^T, the trace scale tr + weight tr_q, where tr_q is the trace
+    of q q^T (1 for a unit vector, the default), and the sketch is scaled
+    and gets the term of q q^T when q is given. A scale of 1 skips the
+    multiply. This is the one writer of the state: the solvers' steps, the
+    ray rescale and the greedy refit's commit all go through it. y is
+    rebound to a new array, never updated in place, so a callback may keep
+    the previous one.
     """
 
     y: np.ndarray
     tr: float
     sketch: "SketchState | None" = None
 
-    def move(self, scale=1.0, weight=0.0, q=None, gram_q=None):
+    def move(self, scale=1.0, weight=0.0, q=None, gram_q=None, tr_q=1.0):
         y = self.y if scale == 1.0 else scale * self.y
         self.y = y if gram_q is None else y + weight * gram_q
-        self.tr = scale * self.tr + weight
+        self.tr = scale * self.tr + weight * tr_q
         if self.sketch is not None:
             if scale != 1.0:
                 self.sketch.scale(scale)
@@ -104,15 +106,18 @@ class SdpState:
 
 @dataclass
 class SketchState:
-    """Running sketch S = X @ omega for a fixed Gaussian test matrix omega."""
+    """Running sketch S = X @ omega for a fixed Gaussian test matrix omega.
+
+    The solvers update it only through SdpState.move. A size that is not an
+    int >= 2 raises ValueError.
+    """
 
     omega: np.ndarray
     s: np.ndarray
 
     @classmethod
     def create(cls, n, size, seed=0):
-        if size < 2:
-            raise ValueError("sketch size must be at least 2")
+        _check_count("sketch size", size, 2)
         rng = np.random.default_rng(seed)
         omega = rng.standard_normal((n, size))
         return cls(omega=omega, s=np.zeros((n, size)))
@@ -121,8 +126,10 @@ class SketchState:
         self.s *= c
 
     def add_rank_one(self, theta, q):
-        q = np.asarray(q, dtype=float)
-        self.s += theta * np.outer(q, q @ self.omega)
+        """S += theta q q^T omega, for q of shape (n,) or a factor of shape (n, r)."""
+        # for a vector each entry of the term is one product, as np.outer's
+        q2 = np.asarray(q, dtype=float).reshape(self.s.shape[0], -1)
+        self.s += theta * (q2 @ (q2.T @ self.omega))
 
     def replace(self, t_sq, u):
         # mirrors X <- t_sq * X + u u^T
@@ -146,8 +153,7 @@ def sketch_reconstruct(sketch, rank):
     """
     omega, s = sketch.omega, sketch.s
     n, size = s.shape
-    if isinstance(rank, bool) or not isinstance(rank, numbers.Integral) or rank < 1:
-        raise ValueError(f"reconstruction rank must be an int >= 1, got {rank!r}")
+    _check_count("reconstruction rank", rank, 1)
     if rank >= size - 1:
         raise RankTooLarge(
             f"rank {rank} needs a sketch larger than {size} columns"
@@ -211,10 +217,9 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
     and inverse-iteration routines (stebz, stein) called directly, which
     gives bit for bit what scipy.linalg.eigh_tridiagonal(select="i") returns
     without its per-call argument checks; a LAPACK failure raises EigFailure
-    and so takes the retry. An n below 1 raises ValueError.
+    and so takes the retry. An n that is not an int >= 1 raises ValueError.
     """
-    if n < 1:
-        raise ValueError(f"operator size n must be at least 1, got {n!r}")
+    _check_count("operator size n", n, 1)
     try:
         return _lanczos_once(matvec, n, seed, start)
     except EigFailure:
@@ -419,10 +424,11 @@ def greedy_step(fv, op, gamma, state, rng):
     and the factor moves there only when one factor image and one objective
     call find a value strictly below the current one. The start point
     (s, u) = (1, 0) is stationary in u, hence the seeded random perturbation.
-    The refit holds one point and commits the point it ends at, only when
-    its value is strictly below the incumbent value, so the outer objective
-    never increases here. A committed step's info dict carries the scale
-    t_sq and the factor u, so X_new = t_sq X + u u^T can be replayed.
+    The refit holds one point and commits the point it ends at through
+    state.move, only when its value is strictly below the incumbent value,
+    so the outer objective never increases here. A committed step's info
+    dict carries the scale t_sq and the factor u, so X_new = t_sq X + u u^T
+    can be replayed.
     """
     y0 = state.y
     tr0 = state.tr
@@ -478,10 +484,7 @@ def greedy_step(fv, op, gamma, state, rng):
         "inner_iters": inner + 1,
     }
     if h_cur < f0:
-        state.y = y_cur
-        state.tr = s * tr0 + tr_u
-        if state.sketch is not None:
-            state.sketch.replace(s, u)
+        state.move(s, 1.0, u, gram_u, tr_u)
         info["committed"] = True
         info["f_after"] = h_cur
         info["t_sq"] = s

@@ -458,6 +458,20 @@ def test_config_counts_must_be_integers(name, bad):
     assert len(res.trace) >= 1
 
 
+def test_solvers_reject_a_negative_rng_seed():
+    # numpy's default_rng would reject it later without naming the setting,
+    # and solve, which draws nothing, would accept it
+    toy = build_trace_toy()
+    config = SolverConfig(max_iters=3, rng_seed=-1)
+    for call in (
+        lambda: solve(build_orthant_quadratic(dim=3).program, config),
+        lambda: sdp_solve(toy.fv, toy.op, config=config),
+        lambda: fw_solve(toy.fv, toy.op, tau=1.0, config=config),
+    ):
+        with pytest.raises(ValueError, match="rng_seed must be an int >= 0"):
+            call()
+
+
 @pytest.mark.parametrize("tol_eps", [1e6, 1e-2])
 def test_stopping_visit_calls_the_exact_cone_lmo_once(monkeypatch, tol_eps):
     # the cone LMO is exact, so the certificate that stops a run needs no

@@ -1,0 +1,140 @@
+"""One owner per rule: one writer of the semidefinite state, one check of a count."""
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+
+import cdkit.sdp
+from cdkit import (
+    MeasurementOperator,
+    NonnegativeOrthant,
+    PsdCone,
+    SecondOrderCone,
+    SketchState,
+    SolverConfig,
+    min_eig_lanczos,
+    sdp_solve,
+    sketch_reconstruct,
+)
+from cdkit.problems import (
+    build_matcomp,
+    build_orthant_quadratic,
+    build_phase_retrieval,
+    build_trace_toy,
+)
+
+_STATE_ATTRS = {"y", "tr"}
+_SKETCH_WRITES = {"scale", "add_rank_one", "replace"}
+
+
+def _state_writes(tree):
+    # (function, line) of every assignment to an attribute y or tr and every
+    # call of a method that writes the sketch, tagged with the enclosing
+    # class-qualified function name
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+            targets = []
+            if isinstance(child, ast.Assign):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and sub.attr in _STATE_ATTRS:
+                        found.append((owner, child.lineno))
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in _SKETCH_WRITES
+            ):
+                found.append((owner, child.lineno))
+            visit(child, name)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_sdp_state_move_writes_the_state():
+    # the image, the trace and the sketch of X change in one method; a
+    # solver step, the ray rescale or the greedy commit that wrote them
+    # itself could let the three drift apart
+    tree = ast.parse(pathlib.Path(cdkit.sdp.__file__).read_text())
+    writes = _state_writes(tree)
+    assert {owner for owner, _ in writes} == {"SdpState.move"}, writes
+
+
+def test_state_check_sees_a_direct_write():
+    # the check itself: a greedy commit written out by hand is caught
+    source = (
+        "def greedy_step(state, y, s, u):\n"
+        "    state.y = y\n"
+        "    state.tr += 1.0\n"
+        "    state.sketch.replace(s, u)\n"
+    )
+    owners = [owner for owner, _ in _state_writes(ast.parse(source))]
+    assert owners == ["greedy_step"] * 3
+
+
+def _toy_solve(**config):
+    toy = build_trace_toy()
+    return sdp_solve(toy.fv, toy.op, config=SolverConfig(**config))
+
+
+def _operator(**sizes):
+    toy = build_trace_toy()
+    kwargs = dict(n=2, d=1, gram=toy.op.gram, adjoint_matvec=toy.op.adjoint_matvec)
+    kwargs.update(sizes)
+    return MeasurementOperator(**kwargs)
+
+
+def _readout(rank):
+    sk = SketchState.create(10, 6, seed=0)
+    sk.add_rank_one(1.0, np.ones(10))
+    return sketch_reconstruct(sk, rank)
+
+
+def _sketched_solve(size):
+    toy = build_trace_toy()
+    return sdp_solve(toy.fv, toy.op, config=SolverConfig(max_iters=3), sketch_size=size)
+
+
+# every count argument: the name its error gives, its floor, and a call
+# that passes the value to it
+_COUNT_SITES = {
+    "max_iters": ("max_iters", 1, lambda v: _toy_solve(max_iters=v)),
+    "greedy_period": ("greedy_period", 0, lambda v: _toy_solve(max_iters=3, greedy_period=v)),
+    "trace_every": ("trace_every", 1, lambda v: _toy_solve(max_iters=3, trace_every=v)),
+    "rng_seed": ("rng_seed", 0, lambda v: _toy_solve(max_iters=3, rng_seed=v)),
+    "operator-n": ("matrix side n", 1, lambda v: _operator(n=v)),
+    "operator-d": ("measurement count d", 1, lambda v: _operator(d=v)),
+    "reconstruct-rank": ("reconstruction rank", 1, _readout),
+    "sketch-size": ("sketch size", 2, _sketched_solve),
+    "lanczos-n": ("operator size n", 1, lambda v: min_eig_lanczos(lambda x: -x, v)),
+    "orthant-dim": ("dim", 1, NonnegativeOrthant),
+    "soc-dim": ("dim", 2, SecondOrderCone),
+    "psd-n": ("n", 1, PsdCone),
+    "orthant-quadratic-dim": ("dim", 1, lambda v: build_orthant_quadratic(dim=v)),
+    "trace-toy-n": ("n", 1, lambda v: build_trace_toy(n=v)),
+    "matcomp-n": ("n", 1, lambda v: build_matcomp(n=v, block=0, density=1.0)),
+    "matcomp-rank": ("rank", 1, lambda v: build_matcomp(n=10, rank=v, block=2)),
+    "phase-m": ("m", 1, lambda v: build_phase_retrieval(n=8, m=v)),
+    "phase-n": ("n", 2, lambda v: build_phase_retrieval(n=v, m=2)),
+}
+
+
+@pytest.mark.parametrize("site", list(_COUNT_SITES))
+def test_every_count_argument_takes_ints_at_its_floor(site):
+    # a float, a bool and the floor minus one each raise ValueError naming
+    # the argument; a numpy integer at the floor is accepted
+    what, low, call = _COUNT_SITES[site]
+    for bad in (2.5, True, low - 1):
+        with pytest.raises(ValueError, match=f"^{what} must be an int >= {low}, got "):
+            call(bad)
+    call(np.int64(low))

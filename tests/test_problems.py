@@ -325,6 +325,22 @@ def test_matcomp_adjoint_edge_layouts_bitwise(case, mc, p, u):
     np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", ["column-pair", "row"])
+def test_vector_maps_reject_other_shapes(shape):
+    # a factor of shape (n, 2) or a row of shape (1, n) would otherwise be
+    # read flat (matcomp gram) or broadcast against the masks (phase), and
+    # give wrong values of a plausible size
+    mc = build_matcomp(n=12, rank=2, seed=0, block=3, density=0.3)
+    ph = build_phase_retrieval(n=12, m=3, seed=0)
+    q = np.ones((12, 2)) if shape == "column-pair" else np.ones((1, 12))
+    with pytest.raises(ValueError, match=r"gram needs q of shape \(12,\)"):
+        mc.op.gram(q)
+    with pytest.raises(ValueError, match=r"gram needs q of shape \(12,\)"):
+        ph.op.gram(q)
+    with pytest.raises(ValueError, match=r"adjoint_matvec needs u of shape \(12,\)"):
+        ph.op.adjoint_matvec(np.ones(ph.op.d), q)
+
+
 def test_matcomp_adjoint_rejects_mismatched_sizes():
     # the compiled kernels index through raw pointers, so a short p or u
     # must fail before they run

@@ -68,7 +68,7 @@ def test_lanczos_scalar_operator():
 
 def test_lanczos_rejects_empty_operator():
     # the Ritz pair is read after the step loop, which an n of 0 never enters
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="operator size n must be an int >= 1"):
         min_eig_lanczos(lambda v: v, 0)
 
 
@@ -656,24 +656,28 @@ _SKETCH_MOVES = st.tuples(
     st.sampled_from(["scale", "add_rank_one", "replace"]),
     st.floats(0.0, 3.0),
     st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(moves=st.lists(_SKETCH_MOVES, min_size=1, max_size=10), seed=st.integers(0, 99))
 def test_sketch_is_linear_in_the_dense_mirror(moves, seed):
-    # every update keeps S = X @ omega for a dense X moved the same way
+    # every update keeps S = X @ omega for a dense X moved the same way;
+    # add_rank_one takes a vector (one column) or an (n, 2) factor
     n = 7
     sk = SketchState.create(n, 4, seed=seed)
     x = np.zeros((n, n))
-    for kind, c, vec_seed in moves:
+    for kind, c, vec_seed, width in moves:
         vec = np.random.default_rng(vec_seed).standard_normal((n, 2))
         if kind == "scale":
             sk.scale(c)
             x *= c
         elif kind == "add_rank_one":
-            sk.add_rank_one(c, vec[:, 0])
-            x += c * np.outer(vec[:, 0], vec[:, 0])
+            q = vec[:, 0] if width == 1 else vec
+            sk.add_rank_one(c, q)
+            q2 = q.reshape(n, -1)
+            x += c * q2 @ q2.T
         else:
             sk.replace(c, vec)
             x = c * x + vec @ vec.T
@@ -959,7 +963,7 @@ def test_greedy_commit_stores_the_point_it_reports(oracle):
     for iters in (5, 15, 30):
         cfg = SolverConfig(max_iters=iters)
         res = sdp_solve(fv, mc.op, gamma=gamma, config=cfg, sketch_size=6)
-        base, tr0 = res.final_y, res.final_tr
+        base, tr0, s0 = res.final_y, res.final_tr, res.sketch.s.copy()
         state = SdpState(res.final_y.copy(), tr0, res.sketch)
         before = fv.eval_counts()["gradient"]
         info = greedy_step(fv, mc.op, gamma, state, np.random.default_rng(iters))
@@ -970,8 +974,25 @@ def test_greedy_commit_stores_the_point_it_reports(oracle):
             t_sq, u = info["t_sq"], info["u"]
             assert np.array_equal(state.y, t_sq * base + _gram_cols(mc.op, u))
             assert state.tr == t_sq * tr0 + float(np.vdot(u, u))
+            omega = state.sketch.omega
+            assert np.array_equal(state.sketch.s, t_sq * s0 + u @ (u.T @ omega))
             assert info["f_after"] == fv.value(state.y) + gamma * state.tr
+        else:
+            assert np.array_equal(state.sketch.s, s0)
     assert commits >= 2
+
+
+def test_greedy_commit_needs_no_sketch_replace(monkeypatch):
+    # the refit commits through SdpState.move, which scales the sketch and
+    # adds the factor's term; SketchState.replace is not on the solve path
+    def refuse(self, t_sq, u):
+        raise AssertionError("SketchState.replace called")
+
+    monkeypatch.setattr(SketchState, "replace", refuse)
+    mc = build_matcomp(n=30, rank=2, seed=2, block=5, density=0.15)
+    cfg = SolverConfig(max_iters=60, greedy_period=10, rng_seed=0)
+    res = sdp_solve(mc.fv, mc.op, config=cfg, sketch_size=6)
+    assert res.stats["n_greedy_commits"] >= 1
 
 
 _SEARCH_BUILDS = {
