@@ -258,6 +258,9 @@ def line_search_step(problem, base, direction, linear=0.0):
 
 
 def _check_config(config, allow_greedy):
+    # returns the config to run: the one given, checked, or the defaults
+    if config is None:
+        config = SolverConfig()
     floors = {"max_iters": 1, "greedy_period": 0, "trace_every": 1, "rng_seed": 0}
     for name, low in floors.items():
         _check_count(name, getattr(config, name), low)
@@ -272,32 +275,36 @@ def _check_config(config, allow_greedy):
         raise ValueError("heuristic_m must be a positive finite M estimate (or None)")
     if config.greedy_period and not allow_greedy:
         raise ValueError("greedy steps apply to sdp_solve only")
+    return config
 
 
 def _descend(problem, config, it, callback, frank_wolfe=False):
     """The visit loop shared by solve, sdp_solve and fw_solve.
 
-    The loop owns the momentum average: g_avg starts at zero and each visit
-    sets g_avg = (1 - delta) g_avg + delta grad, with delta = 2 / (k + 2)
-    under momentum_mode "moco" and 1 under "cd". `it` carries one solver's
-    iterate and per-visit math:
-      evaluate() -> (f, gradient) at the visited point, after any ray
-        rescale; also sets it.eta, it.cs and it.lam for the trace record;
-      certify(g, confirm) -> the visit's certificate for g, the average
-        (runs the LMO). With confirm the LMO may not start from an earlier
-        visit's answer; afterwards it.confirmed tells whether the value
-        rests on no earlier answer (a cold start or an exact LMO). The last
-        visit certifies with confirm at once. A visit whose unconfirmed
-        certificate would stop the run certifies again with confirm and
-        stops only if that value still meets the bar; if not, it records
-        that value and steps along the confirming atom. The loop adds to
-        it.confirmations one per visit whose stop test ends on a confirmed
-        value: the visit the run ends on and each rejected stop;
+    The loop owns the momentum average, the stop test, the trace record,
+    the counters and the result: g_avg starts at zero and each visit sets
+    g_avg = (1 - delta) g_avg + delta grad, with delta = 2 / (k + 2) under
+    momentum_mode "moco" and 1 under "cd". `it` carries one solver's
+    iterate and per-visit math, and reports each visit's facts only by
+    return value:
+      evaluate() -> (f, gradient, cs, eta) at the visited point, after any
+        ray rescale by eta (1 without one); cs is the complementary
+        slackness residual <point, gradient> for the trace record;
+      certify(g, confirm) -> (cert, lam, confirmed): the visit's
+        certificate for g, the average, the eigenvalue behind it (None for
+        a cone LMO), and whether the value rests on no earlier visit's
+        answer (a cold start, or an exact LMO). With confirm the LMO may
+        not start from an earlier visit's answer. The last visit certifies
+        with confirm at once. A visit whose unconfirmed certificate would
+        stop the run certifies again with confirm and stops only if that
+        value still meets the bar; if not, it records that value and steps
+        along the confirming atom;
       step(k, theta) moves by theta, or by a searched length when theta is
         None, and returns the length used;
       payload(record) -> the dict passed to callback: the visit's trace
         record under "record" plus the iterate's own state; the loop adds
-        "g_avg".
+        "g_avg";
+      result(status, trace, cert, stats) -> the solver's result object.
     Momentum solvers stop once the certificate reaches sqrt(tol_eps) and
     take line-searched steps, or scheduled ones when heuristic_m is set.
     With frank_wolfe there is no average: certify gets the raw gradient and
@@ -307,17 +314,22 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
     (fw_solve rejects heuristic_m). Callers run _check_config before they
     build `it`, whose set-up already reads rng_seed.
 
-    Returns (status, trace, certificate of the last visit, stats).
+    stats holds the oracle calls of the run, "n_theta_searches" and
+    "lmo_confirmations": one per visit whose stop test ends on a confirmed
+    value, the visit the run ends on and each rejected stop. Returns
+    it.result of the status, the trace, the last visit's certificate and
+    stats.
     """
     stop_at = config.tol_eps if frank_wolfe else math.sqrt(config.tol_eps)
     trace = SolveTrace()
     counts0 = problem.eval_counts()
     n_theta_searches = 0
+    confirmations = 0
     g_avg = 0.0
     t_start = time.perf_counter()
 
     for k in range(config.max_iters + 1):
-        fval, grad = it.evaluate()
+        fval, grad, cs, eta = it.evaluate()
         if not math.isfinite(fval) or not np.all(np.isfinite(grad)):
             raise NonFiniteValue(f"non-finite objective data at iteration {k}")
         if frank_wolfe:
@@ -327,12 +339,12 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
             g_avg = (1.0 - delta) * g_avg + delta * grad
             g = g_avg
         last = k == config.max_iters
-        cert = it.certify(g, last)
+        cert, lam, confirmed = it.certify(g, last)
         stop = cert <= stop_at
-        it.confirmations += stop or last
-        if stop and not it.confirmed:
+        confirmations += stop or last
+        if stop and not confirmed:
             # stop only on a confirmed certificate
-            cert = it.certify(g, True)
+            cert, lam, confirmed = it.certify(g, True)
             stop = cert <= stop_at
         theta = 0.0
         if not (stop or last):
@@ -342,7 +354,7 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
             else:
                 theta = it.step(k, 2.0 * config.heuristic_m / (k + 2.0))
         wall_ms = (time.perf_counter() - t_start) * 1e3
-        record = TraceRecord(k, fval, cert, it.cs, it.eta, theta, wall_ms, it.lam)
+        record = TraceRecord(k, fval, cert, cs, eta, theta, wall_ms, lam)
         if k % config.trace_every == 0 or stop or last:
             trace.records.append(record)
         if callback is not None:
@@ -356,17 +368,12 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
     counts1 = problem.eval_counts()
     stats = {key: counts1[key] - counts0[key] for key in counts1}
     stats["n_theta_searches"] = n_theta_searches
-    return "converged" if stop else "max_iters", trace, cert, stats
+    stats["lmo_confirmations"] = confirmations
+    return it.result("converged" if stop else "max_iters", trace, cert, stats)
 
 
 class _VectorIterate:
     """Per-visit math of momentum conic descent on a vector ConicProgram."""
-
-    lam = None
-    # the cone LMO is exact, so no certificate needs a confirming run, and
-    # the loop's count of confirmed stop tests is not reported
-    confirmed = True
-    confirmations = 0
 
     def __init__(self, problem, x):
         self.problem = problem
@@ -374,17 +381,17 @@ class _VectorIterate:
 
     def evaluate(self):
         self.x = self.x_next
-        self.eta = ray_minimize(self.problem, self.x)
-        self.xe = self.eta * self.x
+        eta = ray_minimize(self.problem, self.x)
+        self.xe = eta * self.x
         fval = self.problem.value(self.xe)
         grad = self.problem.gradient(self.xe)
-        self.cs = float(np.vdot(self.xe, grad))
-        return fval, grad
+        return fval, grad, float(np.vdot(self.xe, grad)), eta
 
     def certify(self, g, confirm):
         self.v = self.problem.cone.lmo(g)
-        # -<g, v> equals dist_dual(g, K*) at an exact LMO
-        return -float(np.vdot(g, self.v))
+        # -<g, v> equals dist_dual(g, K*) at an exact LMO, so every value is
+        # confirmed and a stopping visit needs no second call
+        return -float(np.vdot(g, self.v)), None, True
 
     def step(self, k, theta):
         if theta is None:
@@ -395,6 +402,9 @@ class _VectorIterate:
 
     def payload(self, record):
         return {"record": record, "x": self.x, "v": self.v}
+
+    def result(self, status, trace, cert, stats):
+        return SolveResult(self.xe, status, trace, cert, stats)
 
 
 def solve(problem, config=None, x0=None, callback=None):
@@ -418,25 +428,17 @@ def solve(problem, config=None, x0=None, callback=None):
 
     Returns a SolveResult whose final_point is the ray-minimized iterate of
     the last visit. Status "converged" means the dual certificate dropped to
-    sqrt(tol_eps).
+    sqrt(tol_eps). stats counts the oracle calls and the line searches
+    ("n_theta_searches"); its "lmo_confirmations" is always 1, since the
+    cone LMO is exact and only the visit the run ends on counts.
     """
-    if config is None:
-        config = SolverConfig()
     if problem.cone is None:
         raise UnsupportedCone("solve() needs a ConicProgram with a cone handle")
-    _check_config(config, allow_greedy=False)
+    config = _check_config(config, allow_greedy=False)
     x = problem.cone.default_init()
     if x0 is not None:
         x0 = np.array(x0, dtype=float)
         if x0.shape != x.shape or not (np.isfinite(x0).all() and problem.cone.contains(x0)):
             raise ValueError(f"x0 must be a point of the cone of shape {x.shape}")
         x = x0
-    it = _VectorIterate(problem, x)
-    status, trace, cert, stats = _descend(problem, config, it, callback)
-    return SolveResult(
-        final_point=it.xe,
-        status=status,
-        trace=trace,
-        certified_dual_cert=cert,
-        stats=stats,
-    )
+    return _descend(problem, config, _VectorIterate(problem, x), callback)

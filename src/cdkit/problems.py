@@ -70,9 +70,11 @@ def build_orthant_quadratic(dim=20, seed=0):
     max(1, dim // 3) indices, pick nonnegative slacks off the support, and
     back out the linear term so the gradient at x_star equals the slack
     vector. That makes x_star satisfy the optimality conditions exactly, with
-    known optimal value. A dim that is not an int >= 1 raises ValueError.
+    known optimal value. A dim that is not an int >= 1, or a seed that is
+    not an int >= 0, raises ValueError.
     """
     _check_count("dim", dim, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((dim, dim))
     quad = m @ m.T / dim + 0.1 * np.eye(dim)
@@ -214,12 +216,15 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     reads (X_ij + X_ji) / 2), and the objective is half the squared residual
     of the image y = apply(X) to the observation vector b, so f = 0 at a
     perfect fit. The bundle's gamma, the default trace penalty, is 0. An n
-    or rank that is not an int >= 1, a block outside [0, n] or a density
-    outside (0, 1] raises ValueError.
+    or rank that is not an int >= 1, a seed that is not an int >= 0, a
+    block that is not an int in [0, n] or a density outside (0, 1] raises
+    ValueError.
     """
     _check_count("n", n, 1)
     _check_count("rank", rank, 1)
-    if not 0 <= block <= n:
+    _check_count("seed", seed, 0)
+    _check_count("block", block, 0)
+    if block > n:
         raise ValueError(f"block must lie in [0, n] = [0, {n}], got {block!r}")
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density!r}")
@@ -356,10 +361,11 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     the mean of the observation vector over masks estimates the trace of the
     lifted solution; that estimate is what the pre-scheduled step rule uses.
     The bundle's gamma, the default trace penalty, is 5e-5. An m that is
-    not an int >= 1, or an n that is not an int >= 2 when no signal is
-    given, raises ValueError.
+    not an int >= 1, a seed that is not an int >= 0, or an n that is not an
+    int >= 2 when no signal is given, raises ValueError.
     """
     _check_count("m", m, 1)
+    _check_count("seed", seed, 0)
     if signal is None:
         _check_count("n", n, 2)
     rng = np.random.default_rng(seed)

@@ -24,7 +24,6 @@ import scipy.linalg
 
 from .core import (
     SolveTrace,
-    SolverConfig,
     _check_config,
     _descend,
     _search,
@@ -108,8 +107,9 @@ class SdpState:
 class SketchState:
     """Running sketch S = X @ omega for a fixed Gaussian test matrix omega.
 
-    The solvers update it only through SdpState.move. A size that is not an
-    int >= 2 raises ValueError.
+    The solvers update it only through SdpState.move. An n that is not an
+    int >= 1, a size that is not an int >= 2 or a seed that is not an
+    int >= 0 raises ValueError.
     """
 
     omega: np.ndarray
@@ -117,7 +117,9 @@ class SketchState:
 
     @classmethod
     def create(cls, n, size, seed=0):
+        _check_count("matrix side n", n, 1)
         _check_count("sketch size", size, 2)
+        _check_count("seed", seed, 0)
         rng = np.random.default_rng(seed)
         omega = rng.standard_normal((n, size))
         return cls(omega=omega, s=np.zeros((n, size)))
@@ -217,9 +219,11 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
     and inverse-iteration routines (stebz, stein) called directly, which
     gives bit for bit what scipy.linalg.eigh_tridiagonal(select="i") returns
     without its per-call argument checks; a LAPACK failure raises EigFailure
-    and so takes the retry. An n that is not an int >= 1 raises ValueError.
+    and so takes the retry. An n that is not an int >= 1, or a seed that is
+    not an int >= 0, raises ValueError.
     """
     _check_count("operator size n", n, 1)
+    _check_count("seed", seed, 0)
     try:
         return _lanczos_once(matvec, n, seed, start)
     except EigFailure:
@@ -501,9 +505,9 @@ class SdpResult:
     """Outcome of sdp_solve or fw_solve.
 
     certified_dual_cert and final_lambda come from the last visit's Lanczos
-    run, which starts cold (see sdp_solve). The trace's dual_cert and
-    lambda_min columns hold warm-start values on the visits that did not
-    confirm.
+    run, which starts cold (see sdp_solve); final_lambda is the last trace
+    record's lambda_min. The trace's dual_cert and lambda_min columns hold
+    warm-start values on the visits that did not confirm.
     """
 
     final_y: np.ndarray
@@ -523,7 +527,6 @@ class _MeasurementIterate:
     for _descend; this base holds what sdp_solve and fw_solve share.
     """
 
-    eta = 1.0
     greedy = None
 
     def __init__(self, fv, op, gamma, config, sketch_size):
@@ -541,19 +544,18 @@ class _MeasurementIterate:
         self.lanczos_rng = np.random.default_rng(config.rng_seed).spawn(1)[0]
         self.lanczos_start = None
         self.lmo_matvecs = 0
-        self.confirmations = 0
         sketch = None
         if sketch_size is not None:
             sketch = SketchState.create(op.n, sketch_size, seed=config.rng_seed + 1)
         self.state = SdpState(y=np.zeros(op.d), tr=0.0, sketch=sketch)
         self.greedy_events = []
 
-    def evaluate(self):
+    def evaluate(self, eta=1.0):
+        # eta is the ray rescale already applied to the state, for the record
         s = self.state
         fval = self.fv.value(s.y) + self.gamma * s.tr
         p = self.fv.gradient(s.y)
-        self.cs = float(np.vdot(s.y, p)) + self.gamma * s.tr
-        return fval, p
+        return fval, p, float(np.vdot(s.y, p)) + self.gamma * s.tr, eta
 
     def lmo(self, p, confirm):
         # smallest eigenpair of the adjoint image of p plus gamma I, from a
@@ -575,11 +577,10 @@ class _MeasurementIterate:
             seed=int(self.lanczos_rng.integers(2**32)),
             start=start,
         )
-        # a run from no start is cold: a confirming run, or visit 0's, which
-        # has no warm start to take
-        self.confirmed = start is None
         self.lanczos_start = q
-        return lam, q
+        # a run from no start is cold, hence confirmed: a confirming run, or
+        # visit 0's, which has no warm start to take
+        return lam, q, start is None
 
     def payload(self, record):
         s = self.state
@@ -596,7 +597,6 @@ class _MeasurementIterate:
         stats["greedy_events"] = self.greedy_events
         stats["n_greedy_commits"] = sum(1 for e in self.greedy_events if e["committed"])
         stats["lmo_matvecs"] = self.lmo_matvecs
-        stats["lmo_confirmations"] = self.confirmations
         return SdpResult(
             final_y=self.state.y,
             final_tr=self.state.tr,
@@ -604,7 +604,7 @@ class _MeasurementIterate:
             status=status,
             trace=trace,
             certified_dual_cert=cert,
-            final_lambda=self.lam,
+            final_lambda=trace[-1].lambda_min,
             stats=stats,
         )
 
@@ -619,14 +619,14 @@ class _SdpIterate(_MeasurementIterate):
 
     def evaluate(self):
         s = self.state
-        self.eta = ray_minimize(self.fv, s.y, linear=self.gamma * s.tr)
-        s.move(self.eta)
+        eta = ray_minimize(self.fv, s.y, linear=self.gamma * s.tr)
+        s.move(eta)
         self.greedy = None
-        return super().evaluate()
+        return super().evaluate(eta)
 
     def certify(self, g, confirm):
-        self.lam, self.q = self.lmo(g, confirm)
-        return max(0.0, -self.lam)
+        lam, self.q, confirmed = self.lmo(g, confirm)
+        return max(0.0, -lam), lam, confirmed
 
     def step(self, k, theta):
         s = self.state
@@ -679,11 +679,8 @@ def sdp_solve(
     callback(info) runs once per visit, after the step, with "record" (the
     TraceRecord), "q", "greedy", "y", "tr", "sketch" and "g_avg" in info.
     """
-    if config is None:
-        config = SolverConfig()
-    _check_config(config, allow_greedy=True)
-    it = _SdpIterate(fv, op, gamma, config, sketch_size)
-    return it.result(*_descend(fv, config, it, callback))
+    config = _check_config(config, allow_greedy=True)
+    return _descend(fv, config, _SdpIterate(fv, op, gamma, config, sketch_size), callback)
 
 
 class _FwIterate(_MeasurementIterate):
@@ -698,14 +695,15 @@ class _FwIterate(_MeasurementIterate):
         # lambda < 0, else X = 0 with q None and a zero image; the atom's
         # image is tr_atom * gram_q. The certificate is the gap
         # <p, X - atom> plus the trace term
-        self.lam, q = self.lmo(p, confirm)
-        if self.lam < 0.0:
+        lam, q, confirmed = self.lmo(p, confirm)
+        if lam < 0.0:
             self.q, self.gram_q, self.tr_atom = q, self.op.gram(q), self.tau
         else:
             self.q, self.gram_q, self.tr_atom = None, 0.0, 0.0
         s = self.state
         y_atom = self.tr_atom * self.gram_q
-        return float(np.vdot(p, s.y - y_atom)) + self.gamma * (s.tr - self.tr_atom)
+        gap = float(np.vdot(p, s.y - y_atom)) + self.gamma * (s.tr - self.tr_atom)
+        return gap, lam, confirmed
 
     def step(self, k, theta):
         # step length in [0, 1] from the iterate toward the atom
@@ -736,12 +734,10 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=Non
     callback(info) gets sdp_solve's keys but "g_avg"; q is None when the
     atom is X = 0.
     """
-    if config is None:
-        config = SolverConfig()
     if not 0.0 < tau < math.inf:
         raise ValueError("trace bound tau must be positive and finite")
+    config = _check_config(config, allow_greedy=False)
     if config.heuristic_m is not None:
         raise ValueError("fw_solve takes no heuristic_m: its steps are segment searches")
-    _check_config(config, allow_greedy=False)
     it = _FwIterate(fv, op, gamma, config, sketch_size, tau)
-    return it.result(*_descend(fv, config, it, callback, frank_wolfe=True))
+    return _descend(fv, config, it, callback, frank_wolfe=True)

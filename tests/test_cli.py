@@ -451,6 +451,7 @@ _LIBRARY_RANGES = {
     "toy-tol": (["toy", "--tol=-1"], lambda: _toy_solve(tol_eps=-1.0)),
     "toy-trace-every": (["toy", "--trace-every", "0"], lambda: _toy_solve(trace_every=0)),
     "toy-dim": (["toy", "--dim", "0"], lambda: build_orthant_quadratic(dim=0)),
+    "toy-seed": (["toy", "--seed", "-1"], lambda: build_orthant_quadratic(seed=-1)),
     "matcomp-n": (["matcomp", "--n", "0"], lambda: build_matcomp(n=0)),
     "matcomp-rank": (
         ["matcomp", "--n", "20", "--rank", "0"], lambda: build_matcomp(n=20, rank=0)
@@ -610,3 +611,121 @@ def test_io_error_exits_four_under_jobs(tmp_path):
          "--jobs", "2"]
     )
     assert code == 4
+
+
+# ---------------------------------------------------------------------------
+# entry paths: resolve-time exits, fw runs, malformed images
+
+
+@pytest.mark.parametrize(
+    "lines, argv, env",
+    [
+        ("bogus = 3\n", [], {}),
+        ("iters 42\n", [], {}),
+        ("iters = many\n", [], {}),
+        (None, ["--seeds", "1,x"], {}),
+        (None, ["--seeds", ","], {}),
+        (None, ["--jobs", "0"], {}),
+        (None, [], {"CDK_SEED": "x"}),
+    ],
+    ids=[
+        "unknown-key", "no-equals", "bad-value", "seeds-bad", "seeds-empty", "jobs-0",
+        "env-seed",
+    ],
+)
+def test_resolve_errors_exit_two(tmp_path, monkeypatch, capsys, lines, argv, env):
+    # settings that cannot be resolved fail before any run: one "error:"
+    # line on stderr, exit 2 and no files
+    monkeypatch.delenv("CDK_SEED", raising=False)
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    out = tmp_path / "out"
+    out.mkdir()
+    if lines is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        argv = argv + ["--config", str(cfg)]
+    code = console_main(["toy", "--iters", "5", "--prefix", str(out / "x")] + argv)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert list(out.iterdir()) == []
+
+
+def test_missing_config_file_exits_four(tmp_path, capsys):
+    code = console_main(
+        ["toy", "--config", str(tmp_path / "absent.cfg"), "--prefix", str(tmp_path / "x")]
+    )
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("io error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_greedy_every_zero_exits_two(tmp_path, capsys):
+    prefix = str(tmp_path / "x")
+    argv = ["matcomp", "--n", "20", "--algo", "mocog", "--greedy-every", "0"]
+    assert console_main(argv + ["--prefix", prefix]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{prefix}: greedy-every must be at least 1"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, tau",
+    [
+        (["matcomp", "--n", "20", "--rank", "2", "--trace-bound", "30"], lambda b: 30.0),
+        (["phase", "--n", "16", "--m", "4"], lambda b: 2.0 * b.m_estimate),
+    ],
+    ids=["matcomp-trace-bound", "phase-default-bound"],
+)
+def test_fw_run_writes_trace_and_summary(tmp_path, argv, tau):
+    # a successful fw run through the command line: its files agree with
+    # fw_solve called directly at the same trace bound
+    prefix = tmp_path / "fw"
+    code = console_main(argv + ["--algo", "fw", "--iters", "15", "--prefix", str(prefix)])
+    assert code == 0
+    with open(f"{prefix}.trace.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][-1] == "lambda_min" and len(rows) == 17
+    with open(f"{prefix}.summary.json") as fh:
+        summary = json.load(fh)
+    if argv[0] == "phase":
+        bundle = build_phase_retrieval(n=16, m=4, seed=0)
+        sketch = cli._PHASE_SKETCH
+    else:
+        bundle = build_matcomp(n=20, rank=2, seed=0)
+        sketch = None
+    res = cli.fw_solve(
+        bundle.fv, bundle.op, tau=tau(bundle), gamma=bundle.gamma,
+        config=SolverConfig(max_iters=15), sketch_size=sketch,
+    )
+    assert summary["final_f"] == res.trace[-1].f_value
+    assert summary["final_trace"] == res.final_tr
+    assert summary["stats"]["n_theta_searches"] == 0
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b"P7\n5 4\n255\n" + bytes(range(1, 21)), "not a graymap file"),
+        (b"P5\n0 4\n255\n", "bad graymap dimensions"),
+        (b"P5\n5 4\n255\n" + bytes(range(1, 11)), "truncated image payload"),
+        (b"P5\n5 4\n255\n" + bytes(20), "signal has zero norm"),
+    ],
+    ids=["header", "dimensions", "payload", "all-zero"],
+)
+def test_bad_phase_image_exits_two(tmp_path, capsys, payload, message):
+    image = tmp_path / "img.pgm"
+    image.write_bytes(payload)
+    out = tmp_path / "out"
+    out.mkdir()
+    prefix = str(out / "p")
+    code = console_main(
+        ["phase", "--image", str(image), "--m", "3", "--iters", "5", "--prefix", prefix]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{prefix}: {message}")
+    assert list(out.iterdir()) == []

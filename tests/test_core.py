@@ -475,7 +475,8 @@ def test_solvers_reject_a_negative_rng_seed():
 @pytest.mark.parametrize("tol_eps", [1e6, 1e-2])
 def test_stopping_visit_calls_the_exact_cone_lmo_once(monkeypatch, tol_eps):
     # the cone LMO is exact, so the certificate that stops a run needs no
-    # confirming call: a run that stops at visit k makes k + 1 LMO calls
+    # confirming call: a run that stops at visit k makes k + 1 LMO calls,
+    # and only the stopping visit counts as a confirmation
     built = build_orthant_quadratic(dim=8, seed=7)
     cone = built.program.cone
     lmo = cone.lmo
@@ -489,6 +490,7 @@ def test_stopping_visit_calls_the_exact_cone_lmo_once(monkeypatch, tol_eps):
     res = solve(built.program, SolverConfig(max_iters=300, tol_eps=tol_eps))
     assert res.status == "converged"
     assert calls[0] == res.trace[-1].k + 1
+    assert res.stats["lmo_confirmations"] == 1
     if tol_eps > 1.0:
         assert res.trace[-1].k == 0
 

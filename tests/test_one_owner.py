@@ -1,4 +1,5 @@
-"""One owner per rule: one writer of the semidefinite state, one check of a count."""
+"""One owner per rule: one writer of the semidefinite state, one check of a
+count, and a visit loop that reads its iterate only through the protocol."""
 
 import ast
 import pathlib
@@ -6,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import cdkit.core
 import cdkit.sdp
 from cdkit import (
     MeasurementOperator,
@@ -126,6 +128,13 @@ _COUNT_SITES = {
     "matcomp-rank": ("rank", 1, lambda v: build_matcomp(n=10, rank=v, block=2)),
     "phase-m": ("m", 1, lambda v: build_phase_retrieval(n=8, m=v)),
     "phase-n": ("n", 2, lambda v: build_phase_retrieval(n=v, m=2)),
+    "orthant-quadratic-seed": ("seed", 0, lambda v: build_orthant_quadratic(dim=2, seed=v)),
+    "matcomp-seed": ("seed", 0, lambda v: build_matcomp(n=10, rank=1, seed=v, block=2)),
+    "matcomp-block": ("block", 0, lambda v: build_matcomp(n=10, rank=1, block=v)),
+    "phase-seed": ("seed", 0, lambda v: build_phase_retrieval(n=8, m=2, seed=v)),
+    "lanczos-seed": ("seed", 0, lambda v: min_eig_lanczos(lambda x: -x, 3, seed=v)),
+    "sketch-n": ("matrix side n", 1, lambda v: SketchState.create(v, 4)),
+    "sketch-seed": ("seed", 0, lambda v: SketchState.create(3, 4, seed=v)),
 }
 
 
@@ -138,3 +147,43 @@ def test_every_count_argument_takes_ints_at_its_floor(site):
         with pytest.raises(ValueError, match=f"^{what} must be an int >= {low}, got "):
             call(bad)
     call(np.int64(low))
+
+
+# what _descend may read of its iterate: the three per-visit methods, the
+# callback payload and the result
+_PROTOCOL = {"evaluate", "certify", "step", "payload", "result"}
+
+
+def _iterate_attrs(tree, function, name="it"):
+    # every attribute of the variable `name` that the function touches
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return {
+                sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == name
+            }
+    raise AssertionError(f"no function {function}")
+
+
+def test_descend_reads_its_iterate_only_through_the_protocol():
+    # each visit's facts come back as return values; an attribute the
+    # iterate sets on the side for the loop to read is a second channel
+    # that every iterate must remember to feed
+    tree = ast.parse(pathlib.Path(cdkit.core.__file__).read_text())
+    assert _iterate_attrs(tree, "_descend") == _PROTOCOL
+
+
+def test_protocol_check_sees_a_side_channel():
+    # the check itself: a loop that reads a fact or keeps a count on the
+    # iterate is caught
+    source = (
+        "def _descend(it):\n"
+        "    fval, grad = it.evaluate()\n"
+        "    it.confirmations += it.confirmed\n"
+        "    return it.result(it.lam)\n"
+    )
+    attrs = _iterate_attrs(ast.parse(source), "_descend")
+    assert attrs - _PROTOCOL == {"confirmations", "confirmed", "lam"}

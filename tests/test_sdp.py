@@ -1160,17 +1160,18 @@ def test_restriction_free_search_agrees_with_restriction(run):
 
 def test_measurement_operator_identities():
     mc = build_matcomp(n=30, rank=2, seed=5, block=5, density=0.15)
-    op = mc.op
     rng = np.random.default_rng(6)
-    for _ in range(10):
-        q = rng.standard_normal(30)
-        p = rng.standard_normal(op.d)
-        # <p, G(q q^T)> == q^T (G^*(p) q)
-        lhs = float(p @ op.gram(q))
-        rhs = float(q @ op.adjoint_matvec(p, q))
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-        # dense apply agrees with the factored gram
-        np.testing.assert_allclose(op.apply_dense(np.outer(q, q)), op.gram(q), atol=1e-10)
+    for op in (mc.op, build_trace_toy(n=7).op):
+        for _ in range(10):
+            q = rng.standard_normal(op.n)
+            p = rng.standard_normal(op.d)
+            # <p, G(q q^T)> == q^T (G^*(p) q)
+            lhs = float(p @ op.gram(q))
+            rhs = float(q @ op.adjoint_matvec(p, q))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+            # dense apply agrees with the factored gram
+            np.testing.assert_allclose(op.apply_dense(np.outer(q, q)), op.gram(q), atol=1e-10)
+    op = mc.op
     # the measurement count is an int >= 1; an array in its place (the data
     # vector passed second) fails loudly
     for d in (2.0, True, 0, mc.b, np.array(5)):
