@@ -200,10 +200,8 @@ def validate(spec):
     # a RunSpec built in code is not parsed, so check each field's type
     # first. The library checks the range of every value a run passes it, in
     # its own names (max_iters, tol_eps); the checks here cover what it cannot
-    # know. heuristic-m and trace-bound reach it only under mocoh and fw, and
-    # noise-snr is checked here so that the message names the flag. The
+    # know: heuristic-m and trace-bound reach it only under mocoh and fw. The
     # checks on float fields are written so that NaN and infinities fail them
-    # (a noise SNR of +inf means no noise)
     for f in dataclasses.fields(RunSpec):
         value = getattr(spec, f.name)
         if value is None and type(None) in typing.get_args(f.type):
@@ -231,8 +229,6 @@ def validate(spec):
         raise UsageError("heuristic-m must be positive and finite")
     if spec.trace_bound is not None and not 0.0 < spec.trace_bound < math.inf:
         raise UsageError("trace-bound must be positive and finite")
-    if spec.noise_snr is not None and not -math.inf < spec.noise_snr <= math.inf:
-        raise UsageError("noise-snr must be a number of decibels or inf")
     if spec.greedy_every < 1:
         raise UsageError("greedy-every must be at least 1")
 
@@ -432,7 +428,7 @@ def build_parser():
         common,
         seed="rng seed",
         iters="iteration budget",
-        tol="stop once the dual certificate reaches sqrt(tol)",
+        tol="stop once the dual certificate reaches sqrt(tol), or fw's gap reaches tol",
         prefix="output file prefix",
         trace_every="record every this-many iterations",
         heuristic_m="step scale for the mocoh schedule",

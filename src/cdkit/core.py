@@ -79,7 +79,7 @@ class SolverConfig:
     """Run parameters shared by the conic and semidefinite solvers.
 
     momentum_mode "moco" averages gradients with weight 2/(k+2); "cd" uses the
-    raw current gradient. fw_solve does no averaging in either mode. With
+    raw current gradient. fw_solve runs as "cd" in either mode. With
     heuristic_m None every step searches along the atom; a positive finite
     heuristic_m M takes theta_k = 2 M / (k + 2) instead and performs no
     search (monotone descent is then not guaranteed); fw_solve rejects it.
@@ -278,7 +278,7 @@ def _check_config(config, allow_greedy):
     return config
 
 
-def _descend(problem, config, it, callback, frank_wolfe=False):
+def _descend(problem, config, it, callback, stop_at):
     """The visit loop shared by solve, sdp_solve and fw_solve.
 
     The loop owns the momentum average, the stop test, the trace record,
@@ -305,22 +305,17 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
         record under "record" plus the iterate's own state; the loop adds
         "g_avg";
       result(status, trace, cert, stats) -> the solver's result object.
-    Momentum solvers stop once the certificate reaches sqrt(tol_eps) and
-    take line-searched steps, or scheduled ones when heuristic_m is set.
-    With frank_wolfe there is no average: certify gets the raw gradient and
-    the payload no "g_avg". The certificate is then a linearization gap,
-    which already has objective units and stops at tol_eps, and every step
-    is the iterate's own segment search, not counted as a theta search
-    (fw_solve rejects heuristic_m). Callers run _check_config before they
-    build `it`, whose set-up already reads rng_seed.
+    The run stops once the certificate reaches stop_at, which the solver
+    passes in its certificate's units. Steps are searched, or scheduled
+    when heuristic_m is set. Callers run _check_config before they build
+    `it`, whose set-up already reads rng_seed.
 
-    stats holds the oracle calls of the run, "n_theta_searches" and
-    "lmo_confirmations": one per visit whose stop test ends on a confirmed
-    value, the visit the run ends on and each rejected stop. Returns
-    it.result of the status, the trace, the last visit's certificate and
-    stats.
+    stats holds the oracle calls of the run, "n_theta_searches" (one per
+    searched step) and "lmo_confirmations": one per visit whose stop test
+    ends on a confirmed value, the visit the run ends on and each rejected
+    stop. Returns it.result of the status, the trace, the last visit's
+    certificate and stats.
     """
-    stop_at = config.tol_eps if frank_wolfe else math.sqrt(config.tol_eps)
     trace = SolveTrace()
     counts0 = problem.eval_counts()
     n_theta_searches = 0
@@ -332,25 +327,21 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
         fval, grad, cs, eta = it.evaluate()
         if not math.isfinite(fval) or not np.all(np.isfinite(grad)):
             raise NonFiniteValue(f"non-finite objective data at iteration {k}")
-        if frank_wolfe:
-            g = grad
-        else:
-            delta = 2.0 / (k + 2.0) if config.momentum_mode == "moco" else 1.0
-            g_avg = (1.0 - delta) * g_avg + delta * grad
-            g = g_avg
+        delta = 2.0 / (k + 2.0) if config.momentum_mode == "moco" else 1.0
+        g_avg = (1.0 - delta) * g_avg + delta * grad
         last = k == config.max_iters
-        cert, lam, confirmed = it.certify(g, last)
+        cert, lam, confirmed = it.certify(g_avg, last)
         stop = cert <= stop_at
         confirmations += stop or last
         if stop and not confirmed:
             # stop only on a confirmed certificate
-            cert, lam, confirmed = it.certify(g, True)
+            cert, lam, confirmed = it.certify(g_avg, True)
             stop = cert <= stop_at
         theta = 0.0
         if not (stop or last):
             if config.heuristic_m is None:
                 theta = it.step(k, None)
-                n_theta_searches += not frank_wolfe
+                n_theta_searches += 1
             else:
                 theta = it.step(k, 2.0 * config.heuristic_m / (k + 2.0))
         wall_ms = (time.perf_counter() - t_start) * 1e3
@@ -359,8 +350,7 @@ def _descend(problem, config, it, callback, frank_wolfe=False):
             trace.records.append(record)
         if callback is not None:
             info = it.payload(record)
-            if not frank_wolfe:
-                info["g_avg"] = g_avg
+            info["g_avg"] = g_avg
             callback(info)
         if stop or last:
             break
@@ -441,4 +431,5 @@ def solve(problem, config=None, x0=None, callback=None):
         if x0.shape != x.shape or not (np.isfinite(x0).all() and problem.cone.contains(x0)):
             raise ValueError(f"x0 must be a point of the cone of shape {x.shape}")
         x = x0
-    return _descend(problem, config, _VectorIterate(problem, x), callback)
+    it = _VectorIterate(problem, x)
+    return _descend(problem, config, it, callback, math.sqrt(config.tol_eps))

@@ -505,6 +505,13 @@ def _pgm_token(buf, pos):
     return buf[start:pos], pos
 
 
+def _pgm_int(token, what):
+    # PGM writes each header field and P2 sample as a decimal integer
+    if not token.isdigit():
+        raise ValueError(f"bad graymap {what}: {token!r} is not a nonnegative integer")
+    return int(token)
+
+
 def read_pgm(path):
     """Load an ASCII (P2) or binary (P5) graymap, scaled to [0, 1] floats."""
     with open(path, "rb") as fh:
@@ -512,10 +519,11 @@ def read_pgm(path):
     magic, pos = _pgm_token(buf, 0)
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"not a graymap file (magic {magic!r})")
-    width, pos = _pgm_token(buf, pos)
-    height, pos = _pgm_token(buf, pos)
-    maxval, pos = _pgm_token(buf, pos)
-    width, height, maxval = int(width), int(height), int(maxval)
+    header = []
+    for name in ("width", "height", "maxval"):
+        token, pos = _pgm_token(buf, pos)
+        header.append(_pgm_int(token, f"header {name}"))
+    width, height, maxval = header
     if width <= 0 or height <= 0 or not 0 < maxval < 65536:
         raise ValueError("bad graymap dimensions")
     count = width * height
@@ -530,5 +538,5 @@ def read_pgm(path):
         fields = buf[pos:].split()
         if len(fields) < count:
             raise ValueError("truncated image payload")
-        arr = np.array(fields[:count], dtype=float)
+        arr = np.array([_pgm_int(t, "payload sample") for t in fields[:count]], dtype=float)
     return arr.reshape(height, width).astype(float) / maxval

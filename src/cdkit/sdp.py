@@ -16,7 +16,7 @@ vector, solved matrix-free by Lanczos iteration.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -680,7 +680,8 @@ def sdp_solve(
     TraceRecord), "q", "greedy", "y", "tr", "sketch" and "g_avg" in info.
     """
     config = _check_config(config, allow_greedy=True)
-    return _descend(fv, config, _SdpIterate(fv, op, gamma, config, sketch_size), callback)
+    it = _SdpIterate(fv, op, gamma, config, sketch_size)
+    return _descend(fv, config, it, callback, math.sqrt(config.tol_eps))
 
 
 class _FwIterate(_MeasurementIterate):
@@ -726,18 +727,20 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=Non
     confirmed from a cold Lanczos start as in sdp_solve, and the first and
     last visits' runs are cold, so certified_dual_cert, final_lambda and a
     "converged" status rest on a cold start. stats["lmo_matvecs"] and
-    stats["lmo_confirmations"] are as in sdp_solve. A tau that is not
-    positive and finite raises ValueError, and so does a config with
+    stats["lmo_confirmations"] are as in sdp_solve, and
+    stats["n_theta_searches"] counts the segment searches. A tau that is
+    not positive and finite raises ValueError, and so does a config with
     heuristic_m set, since every step here is an exact search on the
     segment to the atom.
 
-    callback(info) gets sdp_solve's keys but "g_avg"; q is None when the
-    atom is X = 0.
+    callback(info) gets sdp_solve's keys, and its "g_avg" is the gradient;
+    q is None when the atom is X = 0.
     """
     if not 0.0 < tau < math.inf:
         raise ValueError("trace bound tau must be positive and finite")
-    config = _check_config(config, allow_greedy=False)
+    # under "cd" the loop's average is the gradient itself
+    config = replace(_check_config(config, allow_greedy=False), momentum_mode="cd")
     if config.heuristic_m is not None:
         raise ValueError("fw_solve takes no heuristic_m: its steps are segment searches")
     it = _FwIterate(fv, op, gamma, config, sketch_size, tau)
-    return _descend(fv, config, it, callback, frank_wolfe=True)
+    return _descend(fv, config, it, callback, config.tol_eps)

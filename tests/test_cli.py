@@ -4,6 +4,7 @@ codes, and multi-seed fan-out."""
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -404,26 +405,23 @@ def test_usage_error_exits_two(capsys):
         (["toy", "--tol", "nan"], "tol"),
         (["matcomp", "--n", "20", "--algo", "fw", "--trace-bound", "nan"], "trace-bound"),
         (["matcomp", "--n", "20", "--gamma", "nan"], "gamma"),
-        (["phase", "--n", "16", "--m", "4", "--noise-snr", "nan"], "noise-snr"),
         (["toy", "--tol", "inf"], "tol"),
         (["toy", "--algo", "mocoh", "--heuristic-m", "inf"], "heuristic-m"),
         (["matcomp", "--n", "20", "--algo", "fw", "--trace-bound", "inf"], "trace-bound"),
         (["matcomp", "--n", "20", "--gamma", "inf"], "gamma"),
-        # argparse reads a bare "-inf" as a flag
-        (["phase", "--n", "16", "--m", "4", "--noise-snr=-inf"], "noise-snr"),
         (["matcomp", "--n", "20", "--density", "nan"], "density"),
     ],
     ids=[
-        "toy-tol", "matcomp-fw-trace-bound", "matcomp-gamma", "phase-noise-snr",
-        "toy-tol-inf", "toy-heuristic-m-inf", "matcomp-fw-trace-bound-inf",
-        "matcomp-gamma-inf", "phase-noise-snr-minus-inf", "matcomp-density-nan",
+        "toy-tol", "matcomp-fw-trace-bound", "matcomp-gamma", "toy-tol-inf",
+        "toy-heuristic-m-inf", "matcomp-fw-trace-bound-inf", "matcomp-gamma-inf",
+        "matcomp-density-nan",
     ],
 )
 def test_nan_option_exits_two(tmp_path, capsys, argv, option):
     # NaN compares false both ways, so each range check must be written to
     # fail it, and an infinite value must fail it too; these used to run
-    # (exit 0, an infinite tol stopping at the first visit and an SNR of -inf
-    # adding no noise) or fail in the solver (exit 3)
+    # (exit 0, an infinite tol stopping at the first visit) or fail in the
+    # solver (exit 3)
     code = console_main(argv + ["--iters", "5", "--prefix", str(tmp_path / "x")])
     assert code == 2
     assert option in capsys.readouterr().err
@@ -471,6 +469,15 @@ _LIBRARY_RANGES = {
         ["phase", "--n", "16", "--sketch", "1"], lambda: _phase_solve(sketch_size=1)
     ),
     "matcomp-gamma": (["matcomp", "--n", "20", "--gamma=-1"], lambda: _matcomp_solve(gamma=-1.0)),
+    "phase-noise-snr": (
+        ["phase", "--n", "16", "--m", "4", "--noise-snr", "nan"],
+        lambda: build_phase_retrieval(n=16, m=4, noise_snr=math.nan),
+    ),
+    # argparse reads a bare "-inf" as a flag
+    "phase-noise-snr-minus-inf": (
+        ["phase", "--n", "16", "--m", "4", "--noise-snr=-inf"],
+        lambda: build_phase_retrieval(n=16, m=4, noise_snr=-math.inf),
+    ),
     "toy-iters-jobs2": (
         ["toy", "--iters", "0", "--seeds", "0,1", "--jobs", "2"],
         lambda: _toy_solve(max_iters=0),
@@ -536,10 +543,11 @@ def test_spec_worker_rejects_mistyped_fields(tmp_path, monkeypatch, fields):
         dict(command="toy", iters=0),
         dict(command="toy", tol=-1.0),
         dict(command="matcomp", density=0.0),
+        dict(command="bogus"),
     ],
     ids=[
         "matcomp-fw-without-bound", "toy-fw", "toy-negative-m", "toy-nan-m",
-        "toy-zero-iters", "toy-negative-tol", "matcomp-zero-density",
+        "toy-zero-iters", "toy-negative-tol", "matcomp-zero-density", "unknown-command",
     ],
 )
 def test_run_experiment_validates_its_spec(tmp_path, fields):
@@ -703,7 +711,8 @@ def test_fw_run_writes_trace_and_summary(tmp_path, argv, tau):
     )
     assert summary["final_f"] == res.trace[-1].f_value
     assert summary["final_trace"] == res.final_tr
-    assert summary["stats"]["n_theta_searches"] == 0
+    # one segment search per visit that stepped: all but the last
+    assert summary["stats"]["n_theta_searches"] == res.trace[-1].k
 
 
 @pytest.mark.parametrize(
@@ -713,8 +722,17 @@ def test_fw_run_writes_trace_and_summary(tmp_path, argv, tau):
         (b"P5\n0 4\n255\n", "bad graymap dimensions"),
         (b"P5\n5 4\n255\n" + bytes(range(1, 11)), "truncated image payload"),
         (b"P5\n5 4\n255\n" + bytes(20), "signal has zero norm"),
+        (b"P5\nx 2\n255\n", "bad graymap header width"),
+        (b"P2\n2 2\n255\n1 2 x 4\n", "bad graymap payload"),
+        # a NaN sample would otherwise reach the solver and exit 3
+        (b"P2\n2 2\n255\n1 2 nan 4\n", "bad graymap payload"),
+        (b"P5\n2 2\n", "truncated image header"),
+        (b"P2\n2 2\n255\n1 2 3\n", "truncated image payload"),
     ],
-    ids=["header", "dimensions", "payload", "all-zero"],
+    ids=[
+        "header", "dimensions", "payload", "all-zero", "header-token", "p2-payload-token",
+        "p2-payload-nan", "header-cut", "p2-payload-cut",
+    ],
 )
 def test_bad_phase_image_exits_two(tmp_path, capsys, payload, message):
     image = tmp_path / "img.pgm"

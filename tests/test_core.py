@@ -292,6 +292,20 @@ def test_solve_start_needs_a_membership_test():
         solve(prob, SolverConfig(max_iters=5), x0=np.ones(1))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (solve, "cone handle"),
+        (lambda prob: prob.restriction(np.zeros(2), np.ones(2)), "no restriction oracle"),
+    ],
+    ids=["solve-without-cone", "restriction-without-oracle"],
+)
+def test_missing_oracle_raises_unsupported_cone(call, message):
+    prob = ConicProgram(2, lambda x: float(x @ x), lambda x: 2.0 * x)
+    with pytest.raises(UnsupportedCone, match=message):
+        call(prob)
+
+
 def test_solve_rejects_nonfinite_objective():
     def value(x):
         return float("nan")
@@ -355,12 +369,11 @@ def _readme_callback_keys():
 
 
 def test_callback_keys_match_readme_table():
-    # every solver's payload has exactly the keys the README lists; only
-    # the momentum solvers carry "g_avg"
+    # every solver's payload has exactly the keys the README lists, and the
+    # shared loop gives each one "g_avg"
     readme = _readme_callback_keys()
     assert set(readme) == {"solve", "sdp_solve", "fw_solve"}
-    assert "g_avg" in readme["solve"] and "g_avg" in readme["sdp_solve"]
-    assert "g_avg" not in readme["fw_solve"]
+    assert all("g_avg" in keys for keys in readme.values())
     toy = build_trace_toy()
     runs = {
         "solve": lambda cb: solve(

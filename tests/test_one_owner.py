@@ -2,6 +2,7 @@
 count, and a visit loop that reads its iterate only through the protocol."""
 
 import ast
+import inspect
 import pathlib
 
 import numpy as np
@@ -187,3 +188,10 @@ def test_protocol_check_sees_a_side_channel():
     )
     attrs = _iterate_attrs(ast.parse(source), "_descend")
     assert attrs - _PROTOCOL == {"confirmations", "confirmed", "lam"}
+
+
+def test_descend_takes_its_stop_threshold_and_no_solver_switch():
+    # each solver passes the threshold in its certificate's units, so the
+    # shared loop has one path and never asks which solver called it
+    params = list(inspect.signature(cdkit.core._descend).parameters)
+    assert params == ["problem", "config", "it", "callback", "stop_at"]

@@ -482,6 +482,8 @@ def test_recovery_error_sign_invariant():
     assert recovery_error(x, x) == 0.0
     assert recovery_error(-x, x) == 0.0
     assert recovery_error(np.zeros(20), x) == pytest.approx(1.0)
+    with pytest.raises(DegenerateSignal, match="zero norm"):
+        recovery_error(x, np.zeros(20))
 
 
 # ---------------------------------------------------------------------------
