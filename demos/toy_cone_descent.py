@@ -24,10 +24,10 @@ def grad(p):
 
 
 def restriction(base, direction):
-    # exact quadratic coefficients of f along base + t * direction
+    # f(base + t * direction) = f(base) + a t^2 + b t
     a = float(direction @ direction)
     b = 2.0 * float((base - OPT) @ direction)
-    return a, b, value(base)
+    return a, b
 
 
 def main():

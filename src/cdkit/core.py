@@ -36,11 +36,13 @@ class ConicProgram:
         Cone handle for the conic solver; vector-space objectives used by the
         semidefinite path leave it as None.
     restriction_oracle : callable or None
-        Optional exact 1D restriction: (base, direction) -> (a, b, c) with
-        f(base + t * direction) = a t^2 + b t + c. When present, ray, line,
-        segment and greedy factor searches are solved in closed form;
-        without it they bisect on the sign of the directional derivative,
-        which the gradient oracle gives.
+        Optional exact 1D restriction: (base, direction) -> (a, b) with
+        f(base + t * direction) = f(base) + a t^2 + b t. No search reads
+        the constant f(base), so the oracle does not compute it; an oracle
+        that returns three values fails with Python's unpacking ValueError.
+        When present, ray, line, segment and greedy factor searches are
+        solved in closed form; without it they bisect on the sign of the
+        directional derivative, which the gradient oracle gives.
 
     Calls through .value/.gradient/.restriction are counted on the instance
     (see eval_counts) so runs can be compared by oracle effort.
@@ -67,8 +69,8 @@ class ConicProgram:
         if self.restriction_oracle is None:
             raise UnsupportedCone("no restriction oracle on this program")
         self._counts["restriction"] += 1
-        a, b, c = self.restriction_oracle(base, direction)
-        return float(a), float(b), float(c)
+        a, b = self.restriction_oracle(base, direction)
+        return float(a), float(b)
 
     def eval_counts(self):
         return dict(self._counts)
@@ -222,7 +224,7 @@ def _search(problem, base, direction, linear, flat_value, hi=math.inf):
     # argmin over t in [0, hi] of f(base + t * direction) + linear * t;
     # flat_value is the convention for a constant restriction
     if problem.restriction_oracle is not None:
-        a, b, _ = problem.restriction(base, direction)
+        a, b = problem.restriction(base, direction)
         t = _quad_argmin_nonneg(a, b + linear, hi)
         return flat_value if t is None else t
 
@@ -243,7 +245,10 @@ def ray_minimize(problem, x, base=None, linear=0.0):
     restriction.
     """
     x = np.asarray(x, dtype=float)
-    if linear == 0.0 and float(np.linalg.norm(x.ravel())) == 0.0:
+    # the dot product np.linalg.norm takes, so an x whose squares underflow
+    # is a zero point too
+    xr = x.ravel()
+    if linear == 0.0 and float(np.dot(xr, xr)) == 0.0:
         return 1.0
     return _search(problem, np.zeros_like(x) if base is None else base, x, linear, 1.0)
 
@@ -325,7 +330,7 @@ def _descend(problem, config, it, callback, stop_at):
 
     for k in range(config.max_iters + 1):
         fval, grad, cs, eta = it.evaluate()
-        if not math.isfinite(fval) or not np.all(np.isfinite(grad)):
+        if not math.isfinite(fval) or not np.isfinite(grad).all():
             raise NonFiniteValue(f"non-finite objective data at iteration {k}")
         delta = 2.0 / (k + 2.0) if config.momentum_mode == "moco" else 1.0
         g_avg = (1.0 - delta) * g_avg + delta * grad

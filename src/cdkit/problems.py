@@ -38,7 +38,6 @@ def _scaled_sq_norm_program(b, coeff):
         return (
             coeff * float(np.vdot(direction, direction)),
             2.0 * coeff * float(np.vdot(base, direction)),
-            coeff * float(np.vdot(base, base)),
         )
 
     return ConicProgram(
@@ -99,11 +98,7 @@ def build_orthant_quadratic(dim=20, seed=0):
         base = np.asarray(base, dtype=float)
         direction = np.asarray(direction, dtype=float)
         qd = quad @ direction
-        return (
-            0.5 * float(direction @ qd),
-            float(base @ qd) - float(lin @ direction),
-            value(base),
-        )
+        return 0.5 * float(direction @ qd), float(base @ qd) - float(lin @ direction)
 
     program = ConicProgram(
         dim=dim,
@@ -513,7 +508,11 @@ def _pgm_int(token, what):
 
 
 def read_pgm(path):
-    """Load an ASCII (P2) or binary (P5) graymap, scaled to [0, 1] floats."""
+    """Load an ASCII (P2) or binary (P5) graymap, scaled to [0, 1] floats.
+
+    A malformed header or payload, or a sample above maxval, raises
+    ValueError.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     magic, pos = _pgm_token(buf, 0)
@@ -538,5 +537,9 @@ def read_pgm(path):
         fields = buf[pos:].split()
         if len(fields) < count:
             raise ValueError("truncated image payload")
-        arr = np.array([_pgm_int(t, "payload sample") for t in fields[:count]], dtype=float)
-    return arr.reshape(height, width).astype(float) / maxval
+        # Python ints until checked: a long sample does not fit a float
+        arr = [_pgm_int(t, "payload sample") for t in fields[:count]]
+    top = int(np.max(arr))
+    if top > maxval:
+        raise ValueError(f"bad graymap payload sample: {top} is above maxval {maxval}")
+    return np.reshape(arr, (height, width)).astype(float) / maxval

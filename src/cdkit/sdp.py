@@ -362,9 +362,9 @@ def _factor_quartic(fv, gamma, y_cur, u, big_c, big_d, d):
     h(a) - h(0) = c1 a + c2 a^2 + c3 a^3 + c4 a^4, where h adds the trace
     penalty gamma |u - a d|^2 to f of the image.
     """
-    q_c, l_c, _ = fv.restriction(y_cur, -big_c)
-    q_d, l_d, _ = fv.restriction(y_cur, big_d)
-    q_cd, _, _ = fv.restriction(y_cur, big_d - big_c)
+    q_c, l_c = fv.restriction(y_cur, -big_c)
+    q_d, l_d = fv.restriction(y_cur, big_d)
+    q_cd, _ = fv.restriction(y_cur, big_d - big_c)
     return (
         l_c - 2.0 * gamma * float(np.vdot(u, d)),
         l_d + q_c + gamma * float(np.vdot(d, d)),

@@ -49,8 +49,7 @@ def toy_program():
     def restriction(base, direction):
         a = float(direction @ direction)
         b = 2.0 * float((base - opt) @ direction)
-        c = value(base)
-        return a, b, c
+        return a, b
 
     return ConicProgram(
         2, value, grad, cone=NonnegativeOrthant(2), restriction_oracle=restriction

@@ -728,10 +728,16 @@ def test_fw_run_writes_trace_and_summary(tmp_path, argv, tau):
         (b"P2\n2 2\n255\n1 2 nan 4\n", "bad graymap payload"),
         (b"P5\n2 2\n", "truncated image header"),
         (b"P2\n2 2\n255\n1 2 3\n", "truncated image payload"),
+        # a sample above maxval would read as a pixel above 1
+        (b"P2\n2 2\n255\n1 2 300 4\n", "bad graymap payload sample: 300"),
+        (b"P5\n1 1\n1000\n" + (2000).to_bytes(2, "big"), "bad graymap payload sample: 2000"),
+        # one too long for a float
+        (b"P2\n1 1\n255\n" + b"9" * 400 + b"\n", "bad graymap payload sample: 999"),
     ],
     ids=[
         "header", "dimensions", "payload", "all-zero", "header-token", "p2-payload-token",
-        "p2-payload-nan", "header-cut", "p2-payload-cut",
+        "p2-payload-nan", "header-cut", "p2-payload-cut", "p2-above-maxval", "p5-above-maxval",
+        "p2-long-sample",
     ],
 )
 def test_bad_phase_image_exits_two(tmp_path, capsys, payload, message):

@@ -42,11 +42,10 @@ def quad_program(dim, quad, lin, cone=None):
         return quad @ x + lin
 
     def restriction(base, direction):
-        # f(base + t*direction) = a t^2 + b t + c
+        # f(base + t*direction) = f(base) + a t^2 + b t
         a = 0.5 * float(direction @ quad @ direction)
         b = float(direction @ quad @ base) + float(lin @ direction)
-        c = value(base)
-        return a, b, c
+        return a, b
 
     return ConicProgram(dim, value, grad, cone=cone, restriction_oracle=restriction)
 
@@ -143,6 +142,11 @@ def test_ray_minimize_exact_on_quadratic():
 def test_ray_minimize_zero_point_returns_one():
     prob = quad_program(3, np.eye(3), np.ones(3))
     assert ray_minimize(prob, np.zeros(3)) == 1.0
+    # the squared norm of a nonzero x can underflow to 0; np.linalg.norm
+    # reads such an x as the zero point, and so does the search
+    tiny = np.full(3, 1e-200)
+    assert float(np.linalg.norm(tiny)) == 0.0
+    assert ray_minimize(prob, tiny) == 1.0
 
 
 def test_line_search_step_exact_on_quadratic():
@@ -306,15 +310,26 @@ def test_missing_oracle_raises_unsupported_cone(call, message):
         call(prob)
 
 
-def test_solve_rejects_nonfinite_objective():
+@pytest.mark.parametrize(
+    "f, g",
+    [(math.nan, 0.0), (1.0, math.inf), (1.0, math.nan)],
+    ids=["nan-value", "inf-gradient", "nan-gradient"],
+)
+def test_solve_rejects_nonfinite_objective(f, g):
+    # a non-finite value, or one non-finite gradient entry beside a finite
+    # value, stops the run at the visit's screen; the finite restriction
+    # keeps the ray search from reading the gradient first
     def value(x):
-        return float("nan")
+        return f
 
     def grad(x):
-        return np.zeros(2)
+        return np.array([0.0, g])
 
-    prob = ConicProgram(2, value, grad, cone=NonnegativeOrthant(2))
-    with pytest.raises(NonFiniteValue):
+    prob = ConicProgram(
+        2, value, grad, cone=NonnegativeOrthant(2),
+        restriction_oracle=lambda base, direction: (1.0, -1.0),
+    )
+    with pytest.raises(NonFiniteValue, match="non-finite objective data at iteration 0"):
         solve(prob, SolverConfig(max_iters=3))
 
 

@@ -69,10 +69,12 @@ def test_restriction_matches_values_along_lines():
         prob = getattr(bundle, "fv", bundle)
         base = rng.standard_normal(prob.dim)
         direction = rng.standard_normal(prob.dim)
-        a, b, c = prob.restriction_oracle(base, direction)
+        a, b = prob.restriction_oracle(base, direction)
+        # the restriction leaves out the constant f(base)
+        c = prob.value_oracle(base)
         for t in (0.0, 0.3, 1.7):
             want = prob.value_oracle(base + t * direction)
-            assert a * t * t + b * t + c == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert c + a * t * t + b * t == pytest.approx(want, rel=1e-12, abs=1e-12)
         if hasattr(bundle, "b"):
             before = prob.value_oracle(base)
             bundle.b[:] += 1.0
@@ -545,6 +547,24 @@ def test_read_pgm_truncated_raises(tmp_path):
     bad.write_bytes(b"P7\n1 1\n255\n\x00")
     with pytest.raises(ValueError):
         read_pgm(bad)
+
+
+@pytest.mark.parametrize(
+    "payload, sample",
+    [
+        (b"P2\n2 2\n255\n1 2 300 4\n", 300),
+        (b"P5\n1 1\n1000\n" + (2000).to_bytes(2, "big"), 2000),
+        (b"P2\n1 1\n255\n" + b"9" * 400 + b"\n", int("9" * 400)),
+    ],
+    ids=["p2", "p5-16-bit", "p2-too-long-for-a-float"],
+)
+def test_read_pgm_rejects_sample_above_maxval(tmp_path, payload, sample):
+    # a sample above maxval would read as a pixel above 1; the check comes
+    # before the conversion to floats, which a long sample would overflow
+    path = tmp_path / "over.pgm"
+    path.write_bytes(payload)
+    with pytest.raises(ValueError, match=f"bad graymap payload sample: {sample} "):
+        read_pgm(path)
 
 
 def _write_pgm(path, pixels, maxval, binary):

@@ -53,12 +53,16 @@ def solve_set(smoke):
         build_trace_toy,
     )
 
-    def orthant(mode, seed, iters=300):
+    def orthant(mode, seed, iters=300, free=False):
+        # free drops the restriction oracle, so every search bisects
         bundle = build_orthant_quadratic(dim=20, seed=seed)
         m = float(np.linalg.norm(bundle.x_star)) if mode == "mocoh" else None
         momentum = "cd" if mode == "cd" else "moco"
         cfg = SolverConfig(max_iters=iters, momentum_mode=momentum, heuristic_m=m, rng_seed=seed)
-        return lambda: solve(bundle.program, cfg)
+        program = bundle.program
+        if free:
+            program = dataclasses.replace(program, restriction_oracle=None)
+        return lambda: solve(program, cfg)
 
     def small_matcomp(seed):
         return build_matcomp(n=30, rank=2, seed=seed, block=5, density=0.15)
@@ -86,6 +90,7 @@ def solve_set(smoke):
     for seed in (0, 1):
         for mode in ("cd", "moco", "mocoh"):
             calls[f"orthant-{mode}-s{seed}"] = orthant(mode, seed)
+        calls[f"orthant-moco-free-s{seed}"] = orthant("moco", seed, free=True)
         calls[f"matcomp100-mocog-s{seed}"] = greedy(build_matcomp(n=100, seed=seed), seed, 300, 20)
         phase = build_phase_retrieval(n=64, m=10, seed=seed)
         calls[f"phase64-mocog-s{seed}"] = greedy(phase, seed, 300, 20)
