@@ -36,8 +36,8 @@ def main():
 
     # every tenth record, side by side
     print(f"\n{'k':>4} {'f (moco)':>12} {'f (mocog)':>12}")
-    recs_m = {r.k: r for r in results["moco"].trace.records}
-    recs_g = {r.k: r for r in results["mocog"].trace.records}
+    recs_m = {r.k: r for r in results["moco"].trace}
+    recs_g = {r.k: r for r in results["mocog"].trace}
     for k in range(0, 301, 30):
         if k in recs_m and k in recs_g:
             print(f"{k:>4} {recs_m[k].f_value:>12.6f} {recs_g[k].f_value:>12.6f}")

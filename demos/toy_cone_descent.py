@@ -43,7 +43,7 @@ def main():
         res = solve(prob, SolverConfig(max_iters=20, momentum_mode=mode), x0=x0)
         print(f"\n{mode}: status={res.status}")
         print(f"{'k':>3} {'f':>12} {'dual cert':>12} {'eta':>8} {'theta':>8}  4/(k+1)")
-        for rec in res.trace.records[:8]:
+        for rec in res.trace[:8]:
             envelope = 4.0 / (rec.k + 1.0) if rec.k >= 1 else float("inf")
             print(
                 f"{rec.k:>3} {rec.f_value:>12.3e} {rec.dual_cert:>12.3e} "

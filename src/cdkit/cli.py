@@ -156,7 +156,8 @@ def _parse_seed_list(text):
 def resolve(args, env=None):
     """Merge defaults, config file, flags, and CDK_SEED into run specs.
 
-    Returns (specs, jobs): one spec per requested seed.
+    Returns (specs, jobs): one spec per requested seed, and the worker
+    count, --jobs capped at one worker per spec.
     """
     env = os.environ if env is None else env
     given = vars(args)
@@ -193,7 +194,7 @@ def resolve(args, env=None):
         if len(seeds) > 1:
             one.prefix = f"{spec.prefix}.s{seed}"
         specs.append(one)
-    return specs, jobs
+    return specs, min(jobs, len(specs))
 
 
 def validate(spec):
@@ -471,7 +472,7 @@ def console_main(argv=None):
         print(f"io error: {exc}", file=sys.stderr)
         return 4
 
-    if jobs == 1 or len(specs) == 1:
+    if jobs == 1:
         outcomes = [_spec_worker(spec) for spec in specs]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -112,41 +112,30 @@ class TraceRecord:
     lambda_min: float | None = None
 
 
-@dataclass
-class SolveTrace:
-    """Sequence of per-iteration records.
+class SolveTrace(list):
+    """The run's TraceRecords, in visit order: a list, indexed and iterated
+    as one.
 
     Under exact line search f_value is non-increasing across records.
     """
 
-    records: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
     def f_values(self):
-        return np.array([r.f_value for r in self.records])
+        return np.array([r.f_value for r in self])
 
     def dual_certs(self):
-        return np.array([r.dual_cert for r in self.records])
+        return np.array([r.dual_cert for r in self])
 
     def cs_residuals(self):
-        return np.array([r.cs_residual for r in self.records])
+        return np.array([r.cs_residual for r in self])
 
     def write_csv(self, path):
         # repr() of python floats round-trips exactly, which keeps identical
         # runs byte-identical (wall_ms is excluded from that guarantee).
-        include_lambda = any(r.lambda_min is not None for r in self.records)
+        include_lambda = any(r.lambda_min is not None for r in self)
         with open(path, "w") as fh:
             fh.write("k,f,dual_cert,cs,eta,theta,wall_ms")
             fh.write(",lambda_min\n" if include_lambda else "\n")
-            for r in self.records:
+            for r in self:
                 vals = [r.f_value, r.dual_cert, r.cs_residual, r.eta, r.theta, r.wall_ms]
                 if include_lambda:
                     vals.append(r.lambda_min)
@@ -155,6 +144,9 @@ class SolveTrace:
 
 @dataclass
 class SolveResult:
+    """Outcome of solve: certified_dual_cert is trace[-1].dual_cert, the
+    certificate of the visit the run ends on."""
+
     final_point: np.ndarray
     status: str  # "converged" | "max_iters"
     trace: SolveTrace
@@ -309,7 +301,9 @@ def _descend(problem, config, it, callback, stop_at):
       payload(record) -> the dict passed to callback: the visit's trace
         record under "record" plus the iterate's own state; the loop adds
         "g_avg";
-      result(status, trace, cert, stats) -> the solver's result object.
+      result(status, trace, stats) -> the solver's result object, which
+        reads the run's certificate from trace[-1], the visit the run ends
+        on: the loop always records it.
     The run stops once the certificate reaches stop_at, which the solver
     passes in its certificate's units. Steps are searched, or scheduled
     when heuristic_m is set. Callers run _check_config before they build
@@ -318,8 +312,7 @@ def _descend(problem, config, it, callback, stop_at):
     stats holds the oracle calls of the run, "n_theta_searches" (one per
     searched step) and "lmo_confirmations": one per visit whose stop test
     ends on a confirmed value, the visit the run ends on and each rejected
-    stop. Returns it.result of the status, the trace, the last visit's
-    certificate and stats.
+    stop. Returns it.result of the status, the trace and stats.
     """
     trace = SolveTrace()
     counts0 = problem.eval_counts()
@@ -344,15 +337,13 @@ def _descend(problem, config, it, callback, stop_at):
             stop = cert <= stop_at
         theta = 0.0
         if not (stop or last):
-            if config.heuristic_m is None:
-                theta = it.step(k, None)
-                n_theta_searches += 1
-            else:
-                theta = it.step(k, 2.0 * config.heuristic_m / (k + 2.0))
+            m = config.heuristic_m
+            theta = it.step(k, None if m is None else 2.0 * m / (k + 2.0))
+            n_theta_searches += m is None
         wall_ms = (time.perf_counter() - t_start) * 1e3
         record = TraceRecord(k, fval, cert, cs, eta, theta, wall_ms, lam)
         if k % config.trace_every == 0 or stop or last:
-            trace.records.append(record)
+            trace.append(record)
         if callback is not None:
             info = it.payload(record)
             info["g_avg"] = g_avg
@@ -364,7 +355,7 @@ def _descend(problem, config, it, callback, stop_at):
     stats = {key: counts1[key] - counts0[key] for key in counts1}
     stats["n_theta_searches"] = n_theta_searches
     stats["lmo_confirmations"] = confirmations
-    return it.result("converged" if stop else "max_iters", trace, cert, stats)
+    return it.result("converged" if stop else "max_iters", trace, stats)
 
 
 class _VectorIterate:
@@ -398,8 +389,8 @@ class _VectorIterate:
     def payload(self, record):
         return {"record": record, "x": self.x, "v": self.v}
 
-    def result(self, status, trace, cert, stats):
-        return SolveResult(self.xe, status, trace, cert, stats)
+    def result(self, status, trace, stats):
+        return SolveResult(self.xe, status, trace, trace[-1].dual_cert, stats)
 
 
 def solve(problem, config=None, x0=None, callback=None):

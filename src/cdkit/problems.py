@@ -501,10 +501,14 @@ def _pgm_token(buf, pos):
 
 
 def _pgm_int(token, what):
-    # PGM writes each header field and P2 sample as a decimal integer
+    # PGM writes each header field and P2 sample as a decimal integer; the
+    # messages show at most 20 bytes of a token, which may be a whole file
     if not token.isdigit():
-        raise ValueError(f"bad graymap {what}: {token!r} is not a nonnegative integer")
-    return int(token)
+        raise ValueError(f"bad graymap {what}: {token[:20]!r} is not a nonnegative integer")
+    try:
+        return int(token)
+    except ValueError:  # more digits than Python converts to an int
+        raise ValueError(f"bad graymap {what}: {len(token)} digits is too long") from None
 
 
 def read_pgm(path):

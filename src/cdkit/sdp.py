@@ -275,7 +275,6 @@ def _lanczos_once(matvec, n, seed, start=None):
         v /= np.linalg.norm(v)
     # running max |alpha| and max |beta| for the residual scale
     alpha_max = beta_max = 0.0
-    next_check = _RITZ_CHECK_EVERY - 1
     for j in range(m):
         basis[j] = v
         w = np.asarray(matvec(v), dtype=float)
@@ -307,8 +306,7 @@ def _lanczos_once(matvec, n, seed, start=None):
         breakdown = beta <= 1e-14 * scale
         # Ritz pair and stop test only every few steps, on breakdown and on
         # the last step; a later stop only lowers the Ritz value
-        if breakdown or j == next_check or j == m - 1:
-            next_check = j + _RITZ_CHECK_EVERY
+        if breakdown or (j + 1) % _RITZ_CHECK_EVERY == 0 or j == m - 1:
             lam, ritz_vec = _tridiagonal_min_eig(alphas[: j + 1], betas[:j])
             if breakdown or beta * abs(float(ritz_vec[-1])) <= _LANCZOS_TOL * scale:
                 break
@@ -481,18 +479,16 @@ def greedy_step(fv, op, gamma, state, rng):
                 h_cur, y_cur = h_alpha, y_alpha
         if h_prev - h_cur <= _GREEDY_REL_TOL * max(1.0, abs(h_prev)):
             break
+    committed = h_cur < f0
     info = {
-        "committed": False,
+        "committed": committed,
         "f_before": f0,
-        "f_after": f0,
+        "f_after": h_cur if committed else f0,
         "inner_iters": inner + 1,
     }
-    if h_cur < f0:
+    if committed:
         state.move(s, 1.0, u, gram_u, tr_u)
-        info["committed"] = True
-        info["f_after"] = h_cur
-        info["t_sq"] = s
-        info["u"] = u
+        info.update(t_sq=s, u=u)
     return info
 
 
@@ -504,10 +500,11 @@ def greedy_step(fv, op, gamma, state, rng):
 class SdpResult:
     """Outcome of sdp_solve or fw_solve.
 
-    certified_dual_cert and final_lambda come from the last visit's Lanczos
-    run, which starts cold (see sdp_solve); final_lambda is the last trace
-    record's lambda_min. The trace's dual_cert and lambda_min columns hold
-    warm-start values on the visits that did not confirm.
+    certified_dual_cert and final_lambda are the last trace record's
+    dual_cert and lambda_min: the loop always records the visit the run
+    ends on, whose Lanczos run starts cold (see sdp_solve). The trace's
+    dual_cert and lambda_min columns hold warm-start values on the visits
+    that did not confirm.
     """
 
     final_y: np.ndarray
@@ -593,7 +590,7 @@ class _MeasurementIterate:
             "sketch": s.sketch,
         }
 
-    def result(self, status, trace, cert, stats):
+    def result(self, status, trace, stats):
         stats["greedy_events"] = self.greedy_events
         stats["n_greedy_commits"] = sum(1 for e in self.greedy_events if e["committed"])
         stats["lmo_matvecs"] = self.lmo_matvecs
@@ -603,7 +600,7 @@ class _MeasurementIterate:
             sketch=self.state.sketch,
             status=status,
             trace=trace,
-            certified_dual_cert=cert,
+            certified_dual_cert=trace[-1].dual_cert,
             final_lambda=trace[-1].lambda_min,
             stats=stats,
         )

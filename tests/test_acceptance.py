@@ -114,7 +114,7 @@ def test_criterion_01_toy_primal_rate():
         t0 = time.perf_counter()
         res = solve(prob, SolverConfig(max_iters=50, momentum_mode=mode), x0=TOY_X0)
         wall = time.perf_counter() - t0
-        for rec in res.trace.records:
+        for rec in res.trace:
             if rec.k >= 1:
                 assert rec.f_value <= 4.0 / (rec.k + 1.0) + 1e-15, (mode, rec.k)
         assert res.trace.f_values()[-1] <= 1e-6, mode

@@ -612,6 +612,34 @@ def test_solver_error_exits_three_under_jobs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.count("synthetic failure") == 2
 
 
+def test_jobs_start_at_most_one_worker_per_run(tmp_path, monkeypatch, capsys):
+    # a fake pool that records its size and maps in this process: a real
+    # one would fork every worker it is asked for at the first submit
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    printed = []
+    for jobs in ("64", "2"):
+        argv = ["toy", "--iters", "5", "--seeds", "0,1", "--jobs", jobs]
+        assert console_main(argv + ["--prefix", str(tmp_path / "x")]) == 0
+        printed.append(capsys.readouterr().out)
+    assert sizes == [2, 2]
+    assert printed[0] == printed[1] and printed[0].count("status=") == 2
+
+
 def test_io_error_exits_four_under_jobs(tmp_path):
     missing_dir = tmp_path / "nope" / "deeper" / "out"
     code = console_main(
@@ -733,11 +761,14 @@ def test_fw_run_writes_trace_and_summary(tmp_path, argv, tau):
         (b"P5\n1 1\n1000\n" + (2000).to_bytes(2, "big"), "bad graymap payload sample: 2000"),
         # one too long for a float
         (b"P2\n1 1\n255\n" + b"9" * 400 + b"\n", "bad graymap payload sample: 999"),
+        # too long for int() itself
+        (b"P2\n1 1\n255\n" + b"9" * 5000 + b"\n", "bad graymap payload sample: 5000 digits"),
+        (b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00", "bad graymap header width: 5000 digits"),
     ],
     ids=[
         "header", "dimensions", "payload", "all-zero", "header-token", "p2-payload-token",
         "p2-payload-nan", "header-cut", "p2-payload-cut", "p2-above-maxval", "p5-above-maxval",
-        "p2-long-sample",
+        "p2-long-sample", "p2-huge-sample", "huge-header-width",
     ],
 )
 def test_bad_phase_image_exits_two(tmp_path, capsys, payload, message):

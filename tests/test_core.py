@@ -214,7 +214,7 @@ def test_solve_converges_immediately_at_optimum():
     prob = quad_program(3, np.eye(3), np.ones(3), cone=NonnegativeOrthant(3))
     res = solve(prob, SolverConfig(max_iters=50), x0=np.zeros(3))
     assert res.status == "converged"
-    assert res.trace.records[-1].k == 0
+    assert res.trace[-1].k == 0
     np.testing.assert_array_equal(res.final_point, np.zeros(3))
     assert res.certified_dual_cert == 0.0
 
@@ -340,7 +340,7 @@ def test_eval_counting_and_stats():
     counts = prob.eval_counts()
     # stats report the counter deltas for this run, one gradient per visit
     assert counts["gradient"] == res.stats["gradient"]
-    assert res.stats["gradient"] == len(res.trace.records)
+    assert res.stats["gradient"] == len(res.trace)
     assert res.stats["n_theta_searches"] > 0
 
 
@@ -351,9 +351,9 @@ def test_heuristic_step_skips_theta_search():
     res = solve(built.program, cfg)
     assert res.stats["n_theta_searches"] == 0
     # every step but the last visit's (which takes none) is 2 M / (k + 2)
-    for r in res.trace.records[:-1]:
+    for r in res.trace[:-1]:
         assert r.theta == 2.0 * m / (r.k + 2.0)
-    assert len(res.trace.records) > 1
+    assert len(res.trace) > 1
     # still makes progress
     assert res.trace.f_values()[-1] < res.trace.f_values()[0]
 
@@ -411,7 +411,7 @@ def test_callback_keys_match_readme_table():
 def test_trace_every_thins_records_but_keeps_last():
     built = build_orthant_quadratic(dim=8, seed=5)
     res = solve(built.program, SolverConfig(max_iters=20, trace_every=7))
-    ks = [r.k for r in res.trace.records]
+    ks = [r.k for r in res.trace]
     assert ks[0] == 0
     assert ks[-1] == 20 or res.status == "converged"
     for k in ks[:-1]:
@@ -532,9 +532,9 @@ def test_trace_csv_roundtrip(tmp_path):
     lines = text.strip().split("\n")
     assert lines[0] == "k,f,dual_cert,cs,eta,theta,wall_ms"
     rows = list(csv.reader(io.StringIO(text)))
-    assert len(rows) == len(res.trace.records) + 1
+    assert len(rows) == len(res.trace) + 1
     # repr round trip: floats survive exactly
-    for row, rec in zip(rows[1:], res.trace.records):
+    for row, rec in zip(rows[1:], res.trace):
         assert int(row[0]) == rec.k
         assert float(row[1]) == rec.f_value
         assert float(row[2]) == rec.dual_cert

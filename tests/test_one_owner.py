@@ -2,6 +2,7 @@
 count, and a visit loop that reads its iterate only through the protocol."""
 
 import ast
+import dataclasses
 import inspect
 import pathlib
 
@@ -17,9 +18,11 @@ from cdkit import (
     SecondOrderCone,
     SketchState,
     SolverConfig,
+    fw_solve,
     min_eig_lanczos,
     sdp_solve,
     sketch_reconstruct,
+    solve,
 )
 from cdkit.problems import (
     build_matcomp,
@@ -195,3 +198,49 @@ def test_descend_takes_its_stop_threshold_and_no_solver_switch():
     # shared loop has one path and never asks which solver called it
     params = list(inspect.signature(cdkit.core._descend).parameters)
     assert params == ["problem", "config", "it", "callback", "stop_at"]
+
+
+# each solver on a small problem, with the tol_eps that stops it at a visit
+# no multiple of 7 (orthant 52, matcomp 41, phase 115)
+def _orthant_run(config, callback):
+    return solve(build_orthant_quadratic(dim=20, seed=0).program, config, callback=callback)
+
+
+def _matcomp_run(config, callback):
+    bundle = build_matcomp(n=30, rank=2, seed=0, block=5, density=0.15)
+    config = dataclasses.replace(config, greedy_period=5)
+    return sdp_solve(
+        bundle.fv, bundle.op, bundle.gamma, config=config, sketch_size=8, callback=callback
+    )
+
+
+def _phase_run(config, callback):
+    bundle = build_phase_retrieval(n=16, m=4, seed=0)
+    tau = 2.0 * bundle.m_estimate
+    return fw_solve(
+        bundle.fv, bundle.op, tau, bundle.gamma, config=config, sketch_size=8, callback=callback
+    )
+
+
+@pytest.mark.parametrize(
+    "run, tol_eps",
+    [(_orthant_run, 1e-4), (_matcomp_run, 1e-3), (_phase_run, 1e-4)],
+    ids=["solve", "sdp_solve", "fw_solve"],
+)
+@pytest.mark.parametrize("stop", ["max_iters", "converged"])
+def test_result_certificate_is_the_last_records(run, tol_eps, stop):
+    # the result keeps no copy of the certificate: it reads the record of
+    # the visit the run ends on, which the thinning alone would not keep
+    visits = []
+    if stop == "max_iters":
+        config = SolverConfig(max_iters=30, trace_every=7)
+    else:
+        config = SolverConfig(max_iters=300, tol_eps=tol_eps, trace_every=7)
+    res = run(config, lambda info: visits.append(info["record"].k))
+    assert res.status == stop
+    assert visits[-1] % 7 != 0
+    assert isinstance(res.trace, list)
+    assert res.trace[-1].k == visits[-1]
+    assert res.certified_dual_cert == res.trace[-1].dual_cert
+    if run is not _orthant_run:
+        assert res.final_lambda == res.trace[-1].lambda_min

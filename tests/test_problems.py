@@ -567,6 +567,23 @@ def test_read_pgm_rejects_sample_above_maxval(tmp_path, payload, sample):
         read_pgm(path)
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (b"P2\n1 1\n255\n" + b"9" * 5000 + b"\n", "payload sample"),
+        (b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00", "header width"),
+    ],
+    ids=["p2-sample", "header-width"],
+)
+def test_read_pgm_names_a_field_too_long_for_int(tmp_path, payload, field):
+    # int() refuses a number of more digits than Python's conversion limit
+    # with a message that names neither the file nor the field
+    path = tmp_path / "long.pgm"
+    path.write_bytes(payload)
+    with pytest.raises(ValueError, match=f"^bad graymap {field}: 5000 digits is too long$"):
+        read_pgm(path)
+
+
 def _write_pgm(path, pixels, maxval, binary):
     height, width = pixels.shape
     header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n".encode()

@@ -803,7 +803,7 @@ def test_sdp_solve_monotone_on_matcomp():
     assert all(fs[i + 1] <= fs[i] + 1e-12 for i in range(len(fs) - 1))
     assert fs[-1] < fs[0]
     # lambda column is populated on the semidefinite path
-    assert all(rec.lambda_min is not None for rec in res.trace.records)
+    assert all(rec.lambda_min is not None for rec in res.trace)
 
 
 @pytest.mark.parametrize(
@@ -1080,7 +1080,7 @@ def test_fw_trace_toy_small_radius_stalls_at_boundary():
     assert res.status == "converged"
     # the first step leaves X = 0 with a positive gap and a positive step,
     # so the trace it takes toward the atom is positive
-    first = res.trace.records[0]
+    first = res.trace[0]
     assert first.dual_cert > 0.0
     assert first.theta > 0.0
 

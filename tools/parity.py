@@ -53,12 +53,15 @@ def solve_set(smoke):
         build_trace_toy,
     )
 
-    def orthant(mode, seed, iters=300, free=False):
+    # cfg holds further SolverConfig fields
+    def orthant(mode, seed, iters=300, free=False, **cfg):
         # free drops the restriction oracle, so every search bisects
         bundle = build_orthant_quadratic(dim=20, seed=seed)
         m = float(np.linalg.norm(bundle.x_star)) if mode == "mocoh" else None
         momentum = "cd" if mode == "cd" else "moco"
-        cfg = SolverConfig(max_iters=iters, momentum_mode=momentum, heuristic_m=m, rng_seed=seed)
+        cfg = SolverConfig(
+            max_iters=iters, momentum_mode=momentum, heuristic_m=m, rng_seed=seed, **cfg
+        )
         program = bundle.program
         if free:
             program = dataclasses.replace(program, restriction_oracle=None)
@@ -67,13 +70,13 @@ def solve_set(smoke):
     def small_matcomp(seed):
         return build_matcomp(n=30, rank=2, seed=seed, block=5, density=0.15)
 
-    def greedy(bundle, seed, iters, period, **kwargs):
-        cfg = SolverConfig(max_iters=iters, greedy_period=period, rng_seed=seed)
-        kwargs.setdefault("gamma", bundle.gamma)
-        return lambda: sdp_solve(bundle.fv, bundle.op, config=cfg, sketch_size=8, **kwargs)
+    def greedy(bundle, seed, iters, period, gamma=None, **cfg):
+        cfg = SolverConfig(max_iters=iters, greedy_period=period, rng_seed=seed, **cfg)
+        gamma = bundle.gamma if gamma is None else gamma
+        return lambda: sdp_solve(bundle.fv, bundle.op, gamma, config=cfg, sketch_size=8)
 
-    def frank_wolfe(bundle, seed, iters, tau):
-        cfg = SolverConfig(max_iters=iters, rng_seed=seed)
+    def frank_wolfe(bundle, seed, iters, tau, **cfg):
+        cfg = SolverConfig(max_iters=iters, rng_seed=seed, **cfg)
         return lambda: fw_solve(
             bundle.fv, bundle.op, tau, gamma=bundle.gamma, config=cfg, sketch_size=8
         )
@@ -103,6 +106,16 @@ def solve_set(smoke):
                 dataclasses.replace(small, fv=free), seed, 60, 5, gamma=gamma
             )
         calls[f"matcomp30-fw-s{seed}"] = frank_wolfe(small, seed, 100, 30.0)
+    # thinned traces of runs that stop on tol_eps at visits 52, 41 and 115,
+    # none a multiple of 7: the result reads its certificate from the
+    # record of that visit, which the thinning alone would not keep
+    thin = {"trace_every": 7}
+    calls["orthant-moco-thin-s0"] = orthant("moco", 0, tol_eps=1e-4, **thin)
+    calls["matcomp30-mocog-thin-s0"] = greedy(small_matcomp(0), 0, 300, 5, tol_eps=1e-3, **thin)
+    phase = build_phase_retrieval(n=16, m=4, seed=0)
+    calls["phase16-fw-thin-s0"] = frank_wolfe(
+        phase, 0, 300, 2.0 * phase.m_estimate, tol_eps=1e-4, **thin
+    )
     toy = build_trace_toy(n=4)
     calls["trace-toy-tol"] = lambda: sdp_solve(
         toy.fv, toy.op, config=SolverConfig(tol_eps=1e-12), sketch_size=3
