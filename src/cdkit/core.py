@@ -242,7 +242,7 @@ def ray_minimize(problem, x, base=None, linear=0.0):
     xr = x.ravel()
     if linear == 0.0 and float(np.dot(xr, xr)) == 0.0:
         return 1.0
-    return _search(problem, np.zeros_like(x) if base is None else base, x, linear, 1.0)
+    return _search(problem, np.zeros(x.shape) if base is None else base, x, linear, 1.0)
 
 
 def line_search_step(problem, base, direction, linear=0.0):
@@ -327,6 +327,7 @@ def _descend(problem, config, it, callback, stop_at):
             raise NonFiniteValue(f"non-finite objective data at iteration {k}")
         delta = 2.0 / (k + 2.0) if config.momentum_mode == "moco" else 1.0
         g_avg = (1.0 - delta) * g_avg + delta * grad
+        del grad  # folded into g_avg: one fewer d-vector through the LMO
         last = k == config.max_iters
         cert, lam, confirmed = it.certify(g_avg, last)
         stop = cert <= stop_at

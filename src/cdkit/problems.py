@@ -17,13 +17,16 @@ from scipy.sparse import _sparsetools
 from .cones import NonnegativeOrthant
 from .core import ConicProgram
 from .exceptions import DegenerateSignal, _check_count
-from .sdp import MeasurementOperator
+from .sdp import MeasurementOperator, _gram_cols
 
 
 def _scaled_sq_norm_program(b, coeff):
     # f(y) = coeff * ||y - b||^2 of the measurement image y = apply(X), with
-    # exact quadratic restrictions; the program keeps its own copy of b
-    b = np.array(b, dtype=float)
+    # exact quadratic restrictions. The program reads b where it lies and
+    # marks it read-only, so a bundle shares its one b with the objective
+    # and a write to either raises ValueError instead of moving the optimum
+    b = np.asarray(b, dtype=float)
+    b.flags.writeable = False
 
     def value(y):
         r = np.asarray(y, dtype=float) - b
@@ -174,13 +177,27 @@ def build_trace_toy(n=2, target=1.0):
 
 @dataclass
 class MatrixCompletion:
+    """A completion instance. The mask is held once, in the CSR form the
+    operator reads: row_counts[i] observed entries in row i, at the columns
+    col_idx, in row order. row_idx is derived from the counts on each
+    access; b is shared with fv and read-only."""
+
     fv: ConicProgram
     op: MeasurementOperator
     gamma: float
     v_true: np.ndarray
     b: np.ndarray
-    row_idx: np.ndarray
+    row_counts: np.ndarray
     col_idx: np.ndarray
+
+    @property
+    def row_idx(self):
+        return _mask_rows(self.row_counts)
+
+
+def _mask_rows(counts):
+    # the int32 row index of every observed entry, in mask order
+    return np.repeat(np.arange(counts.size, dtype=np.int32), counts)
 
 
 def _matcomp_mask(n, block, density, rng):
@@ -210,10 +227,13 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     entries are the symmetrized coordinate measurements (so each observation
     reads (X_ij + X_ji) / 2), and the objective is half the squared residual
     of the image y = apply(X) to the observation vector b, so f = 0 at a
-    perfect fit. The bundle's gamma, the default trace penalty, is 0. An n
-    or rank that is not an int >= 1, a seed that is not an int >= 0, a
-    block that is not an int in [0, n] or a density outside (0, 1] raises
-    ValueError.
+    perfect fit. The clean b is the image of v v^T as the refit maps a
+    factor: op.gram of each column of v, added in column order. The bundle's
+    gamma, the default trace penalty, is 0. It holds each length-d array
+    once: b (read-only, shared with fv) and the mask as row_counts and
+    col_idx; row_idx is derived on access. An n or rank that is not an
+    int >= 1, a seed that is not an int >= 0, a block that is not an int in
+    [0, n] or a density outside (0, 1] raises ValueError.
     """
     _check_count("n", n, 1)
     _check_count("rank", rank, 1)
@@ -226,20 +246,25 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     rng = np.random.default_rng(seed)
     v_true = rng.standard_normal((n, rank))
     row_idx, col_idx = _matcomp_mask(n, block, density, rng)
-    b = (v_true[row_idx] * v_true[col_idx]).sum(axis=1)
-    if noise_snr is not None:
-        b = add_noise_snr(b, noise_snr, rng)
     d = row_idx.size
+    # The bundle keeps the mask as row counts and col_idx, and drops the row
+    # indices. The counts are intp, which np.repeat reads without a
+    # conversion; the column indices stay int32: intp would add 1.6 MB per
+    # bundle at n = 2000 (d about 200k)
+    counts = np.bincount(row_idx, minlength=n)
+    del row_idx
 
-    # take() gathers through the int32 indices in about half the time of
-    # fancy indexing at d = 200k. The indices stay int32: intp copies would
-    # add 1.6 MB per bundle there. take() reads any array flat, so the shape
-    # is checked first
+    # q[row_idx] is q_i repeated once per entry of row i, which np.repeat
+    # writes in a fourth of the time take() gathers it at d = 200k; the
+    # column factor is multiplied in place. take() reads any array flat, so
+    # the shape is checked first
     def gram(q):
         q = np.asarray(q, dtype=float)
         if q.shape != (n,):
             raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
-        return q.take(row_idx) * q.take(col_idx)
+        image = np.repeat(q, counts)
+        image *= q.take(col_idx)
+        return image
 
     # The mask comes in CSR order (row_idx non-decreasing, col_idx rising
     # within a row), so (p, col_idx, indptr) is an upper-triangular U in CSR
@@ -257,7 +282,7 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     # building a csr_array, which costs more per call than the whole product
     # at n = 100.
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row_idx, minlength=n), out=indptr[1:])
+    np.cumsum(counts, out=indptr[1:])
 
     def adjoint_matvec(p, u):
         u = np.ascontiguousarray(u, dtype=float)
@@ -279,12 +304,14 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
         return upper
 
     def apply_dense(x_mat):
-        return 0.5 * (x_mat[row_idx, col_idx] + x_mat[col_idx, row_idx])
+        rows = _mask_rows(counts)
+        return 0.5 * (x_mat[rows, col_idx] + x_mat[col_idx, rows])
 
     def adjoint_dense(p):
+        rows = _mask_rows(counts)
         mat = np.zeros((n, n))
-        np.add.at(mat, (row_idx, col_idx), 0.5 * np.asarray(p, dtype=float))
-        np.add.at(mat, (col_idx, row_idx), 0.5 * np.asarray(p, dtype=float))
+        np.add.at(mat, (rows, col_idx), 0.5 * np.asarray(p, dtype=float))
+        np.add.at(mat, (col_idx, rows), 0.5 * np.asarray(p, dtype=float))
         return mat
 
     op = MeasurementOperator(
@@ -295,6 +322,9 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
         apply_dense=apply_dense,
         adjoint_dense=adjoint_dense,
     )
+    b = _gram_cols(op, v_true)
+    if noise_snr is not None:
+        b = add_noise_snr(b, noise_snr, rng)
     fv = _scaled_sq_norm_program(b, 0.5)
     return MatrixCompletion(
         fv=fv,
@@ -302,7 +332,7 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
         gamma=0.0,
         v_true=v_true,
         b=b,
-        row_idx=row_idx,
+        row_counts=counts,
         col_idx=col_idx,
     )
 

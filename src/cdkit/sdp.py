@@ -90,7 +90,12 @@ class SdpState:
 
     def move(self, scale=1.0, weight=0.0, q=None, gram_q=None, tr_q=1.0):
         y = self.y if scale == 1.0 else scale * self.y
-        self.y = y if gram_q is None else y + weight * gram_q
+        if gram_q is not None:
+            # the sum of the two terms, built on the new term's array
+            new = weight * gram_q
+            new += y
+            y = new
+        self.y = y
         self.tr = scale * self.tr + weight * tr_q
         if self.sketch is not None:
             if scale != 1.0:

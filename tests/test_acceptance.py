@@ -428,3 +428,48 @@ def test_criterion_13_memory_contract():
         f"criterion 13 PASS: peak solver allocation {used / 1e6:.1f} MB, "
         f"under the {budget / 1e6:.0f} MB dense-matrix budget"
     )
+
+
+def _traced(call):
+    # (result, bytes still held, peak bytes) of call, above what was held before
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held - base, peak - base
+
+
+def test_criterion_13_measurement_arrays_held_once():
+    # A completion instance holds each length-d array once: b (float64,
+    # shared by the bundle and the objective) and the int32 col_idx, 12
+    # bytes per measurement. O(n) covers v_true (8 rank bytes a row), the
+    # row counts and row pointers, and the closures. A second b would add 8
+    # bytes per measurement, stored row indices 4
+    n, rank = 600, 3
+    build_matcomp(n=20)
+    mc, held, peak = _traced(lambda: build_matcomp(n=n, rank=rank, density=0.1))
+    d = mc.op.d
+    vec = 8 * d
+    budget = 12 * d + 8 * n * (rank + 5)
+    assert held <= budget, (held, budget, held / d)
+    # the build's transients: the mask's row indices and the images of the
+    # factor columns
+    assert peak <= budget + 4 * vec, (peak, budget, (peak - held) / vec)
+    # the solve peaks in the LMO: the Lanczos basis beside the few
+    # d-vectors a visit keeps (the image and the momentum vector; the
+    # gradient is dropped once folded in)
+    lanczos = min(n, 200) * n * 8
+    res, _, solve_peak = _traced(
+        lambda: sdp_solve(mc.fv, mc.op, config=SolverConfig(max_iters=8), sketch_size=8)
+    )
+    assert res.status in ("converged", "max_iters")
+    assert solve_peak < lanczos + 4 * vec, (solve_peak, lanczos, (solve_peak - lanczos) / vec)
+    print(
+        f"criterion 13 PASS: the instance holds {held / d:.1f} bytes per measurement "
+        f"(budget {budget / d:.1f}); a visit peaks at "
+        f"{(solve_peak - lanczos) / vec:.1f} d-vectors beside the Lanczos basis"
+    )

@@ -56,8 +56,9 @@ def test_lipschitz_is_largest_curvature():
 def test_restriction_matches_values_along_lines():
     # the measurement programs compare the image with their data b inside
     # the oracles, restriction included, so each bundled restriction is
-    # checked against its own value oracle; a bundle's b is a copy the
-    # program does not read after the build
+    # checked against its own value oracle; a bundle's b is the array the
+    # program reads, and it is read-only, so a write fails and the value
+    # stays put
     bundles = [
         build_orthant_quadratic(dim=10, seed=4).program,
         build_trace_toy(n=3, target=2.0).fv,
@@ -77,7 +78,8 @@ def test_restriction_matches_values_along_lines():
             assert c + a * t * t + b * t == pytest.approx(want, rel=1e-12, abs=1e-12)
         if hasattr(bundle, "b"):
             before = prob.value_oracle(base)
-            bundle.b[:] += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                bundle.b[:] += 1.0
             assert prob.value_oracle(base) == before
 
 
@@ -162,8 +164,10 @@ def test_matcomp_mask_statistics():
             assert (a, b) in pairs
     # expected count 55 + (5050 - 55) * 0.1 = 554.5, sd about 21.2; 4 sigma band
     assert 469 <= len(i) <= 640
-    # int32, not intp: at n = 2000 (d about 200k) intp indices add 1.6 MB
-    # to every bundle, which shows in the benchmark's peak_rss_mb
+    # int32, not intp: at n = 2000 (d about 200k) intp column indices add
+    # 1.6 MB to every bundle, which shows in the benchmark's peak_rss_mb.
+    # The row indices are not stored: row_idx is derived from the row
+    # counts, in int32 so that --dump-to files keep their bytes
     assert i.dtype == j.dtype == np.int32
 
 
@@ -172,6 +176,54 @@ def test_matcomp_noiseless_measurements_match_truth():
     want = np.einsum("ik,jk->ij", mc.v_true, mc.v_true)[mc.row_idx, mc.col_idx]
     np.testing.assert_array_equal(mc.b, _gram_cols(mc.op, mc.v_true))
     np.testing.assert_allclose(mc.b, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, block, density, noise_snr",
+    [(1, 1, 0.5, None), (12, 0, 0.3, 20.0), (30, 5, 0.2, None), (40, 40, 1.0, None)],
+)
+def test_matcomp_derived_rows_are_the_built_mask(n, block, density, noise_snr):
+    # the bundle keeps the mask as row counts and col_idx; row_idx, derived
+    # on access, is the row half of the mask the builder drew
+    for seed in range(3):
+        mc = build_matcomp(n=n, rank=2, seed=seed, block=block, density=density,
+                           noise_snr=noise_snr)
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((n, 2))
+        i, j = _matcomp_mask(n, block, density, rng)
+        assert mc.row_idx.dtype == np.int32
+        np.testing.assert_array_equal(mc.row_idx, i)
+        np.testing.assert_array_equal(mc.col_idx, j)
+        assert mc.row_counts.shape == (n,) and mc.row_counts.sum() == mc.op.d
+
+
+@pytest.mark.parametrize(
+    "n, block, density",
+    [(1, 1, 0.5), (12, 0, 0.3), (12, 1, 1e-12), (40, 10, 1.0), (200, 10, 0.1)],
+    ids=["n1", "block0", "empty-rows", "full", "n200"],
+)
+def test_matcomp_gram_repeats_rows_to_the_bit(n, block, density):
+    # gram writes q[row_idx] by repeating each q_i over its row's entries;
+    # the product is the gathered one, rows without entries included
+    for seed in range(3):
+        mc = build_matcomp(n=n, rank=2, seed=seed, block=block, density=density)
+        q = np.random.default_rng(seed).standard_normal(n)
+        want = q.take(mc.row_idx) * q.take(mc.col_idx)
+        got = mc.op.gram(q)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_matcomp_b_is_the_factor_image_at_rank_8():
+    # from rank 8 on numpy sums a row of eight or more products in blocks,
+    # so the row sum of v_i v_j differs from the column-order image by
+    # roundoff; b is the operator's own image of v v^T at every rank
+    mc = build_matcomp(n=60, rank=8, seed=3, block=5, density=0.3)
+    np.testing.assert_array_equal(mc.b, _gram_cols(mc.op, mc.v_true))
+    terms = mc.v_true[mc.row_idx] * mc.v_true[mc.col_idx]
+    # roundoff of a sum is relative to the sum of its terms' magnitudes: an
+    # entry whose terms cancel differs by more relative to itself
+    scale = np.abs(terms).sum(axis=1)
+    assert np.all(np.abs(mc.b - terms.sum(axis=1)) <= 1e-15 * scale)
 
 
 def test_matcomp_adjoint_is_mask_transpose():

@@ -1,4 +1,5 @@
-"""Compare every solve output of this checkout with another checkout's.
+"""Compare every solve output and built instance of this checkout with
+another checkout's.
 
 Run from the repository root, against a second checkout of cdkit, here
 the commit before HEAD:
@@ -9,18 +10,22 @@ the commit before HEAD:
 
 Each side runs in its own subprocess, with that side's src/ first on
 sys.path; the subprocess checks that cdkit was imported from there. Both
-sides run one fixed set of solves and, without --smoke, three command-line
-runs, and write what they return to a temporary directory: per solve the
-trace (every column but wall_ms), stats (greedy events included), status,
-the final point or final_y and final_tr, the sketch's s,
-certified_dual_cert and final_lambda; per command-line run the trace CSV
-without wall_ms, the summary JSON without wall_ms_total and build, and the
-phase run's factor.npz. --smoke runs 3 small solves and no command-line run.
+sides run this file's fixed set of solves and, without --smoke, its set of
+built instances and four command-line runs, and write what they return to
+a temporary directory: per solve the trace (every column but wall_ms),
+stats (greedy events included), status, the final point or final_y and
+final_tr, the sketch's s, certified_dual_cert and final_lambda; per
+instance its data arrays (matcomp's b, row_idx and col_idx, phase's b and
+signs) and the objective's gradient at 0, which reads the data the
+objective holds; per command-line run the trace CSV without wall_ms, the
+summary JSON without wall_ms_total and build, the phase run's factor.npz
+and the matcomp --dump-to file. --smoke runs 3 small solves and nothing
+else.
 
-For each solve and field this prints "identical", the largest relative
-change, or the keys one side has and the other lacks. Identical means equal
-to the bit, NaN included. The exit code is 0 when every field is identical,
-1 when any differs, and 2 when a side could not run.
+For each solve, instance and field this prints "identical", the largest
+relative change, or the keys one side has and the other lacks. Identical
+means equal to the bit, NaN included. The exit code is 0 when every field
+is identical, 1 when any differs, and 2 when a side could not run.
 """
 
 import argparse
@@ -40,7 +45,7 @@ TRACE_COLUMNS = ("k", "f_value", "dual_cert", "cs_residual", "eta", "theta", "la
 
 
 # ---------------------------------------------------------------------------
-# one side: run the solve set and write what it returns
+# one side: run the solve and instance sets and write what they return
 
 
 def solve_set(smoke):
@@ -123,11 +128,45 @@ def solve_set(smoke):
     return calls
 
 
-# trace CSV, summary JSON and, for phase, factor.npz of each command-line run
+def instance_set():
+    """name -> zero-argument call returning the arrays of a built instance."""
+    from cdkit.problems import build_matcomp, build_phase_retrieval, build_trace_toy
+
+    def arrays(build, names, **kwargs):
+        def call():
+            bundle = build(**kwargs)
+            out = {name: getattr(bundle, name) for name in names}
+            out["fv.gradient(0)"] = bundle.fv.gradient(np.zeros(bundle.op.d))
+            return out
+
+        return call
+
+    calls = {}
+    for n in (40, 600):
+        for rank in (1, 3):
+            for block in (0, 10):
+                for snr in (None, 20.0):
+                    noise = "clean" if snr is None else "noisy"
+                    calls[f"matcomp{n}-r{rank}-b{block}-{noise}"] = arrays(
+                        build_matcomp, ("b", "row_idx", "col_idx"),
+                        n=n, rank=rank, seed=n + rank, block=block, noise_snr=snr,
+                    )
+    for snr in (None, 20.0):
+        noise = "clean" if snr is None else "noisy"
+        calls[f"phase64-{noise}"] = arrays(
+            build_phase_retrieval, ("b", "signs"), n=64, m=10, seed=3, noise_snr=snr
+        )
+    calls["trace-toy"] = arrays(build_trace_toy, (), n=4, target=2.0)
+    return calls
+
+
+# trace CSV, summary JSON and, where written, factor.npz and the --dump-to
+# file <name>.dump.npz of each command-line run
 CLI_RUNS = {
     "toy": ["toy"],
     "phase-mocog": ["phase", "--algo", "mocog"],
     "matcomp-fw": ["matcomp", "--algo", "fw", "--n", "40", "--trace-bound", "50", "--iters", "100"],
+    "matcomp-dump": ["matcomp", "--n", "40", "--iters", "20", "--dump-to", "matcomp-dump.dump.npz"],
 }
 
 
@@ -159,6 +198,7 @@ def run_side(src, out_dir, smoke):
         return 2
     results = {name: fields(call()) for name, call in solve_set(smoke).items()}
     if not smoke:
+        results.update({f"instance:{k}": call() for k, call in instance_set().items()})
         from cdkit.cli import console_main
 
         # the side runs in out_dir: relative prefixes write there, and each
@@ -243,10 +283,11 @@ def read_cli_outputs(out_dir):
         summary.pop("wall_ms_total")
         summary.pop("build")
         files["summary.json"] = summary
-        factor = os.path.join(out_dir, f"{name}.factor.npz")
-        if os.path.exists(factor):
-            with np.load(factor) as npz:
-                files["factor.npz"] = {key: npz[key] for key in npz.files}
+        for suffix in ("factor.npz", "dump.npz"):
+            path = os.path.join(out_dir, f"{name}.{suffix}")
+            if os.path.exists(path):
+                with np.load(path) as npz:
+                    files[suffix] = {key: npz[key] for key in npz.files}
         found[name] = files
     return found
 
@@ -288,7 +329,7 @@ def main(argv=None):
                 print(f"error: the {side} side failed:\n{proc.stderr}", file=sys.stderr)
                 return 2
             found[side] = read_side(out_dir, args.smoke)
-    # both sides ran this file's solve set; keys added are on this side only,
+    # both sides ran this file's sets; keys added are on this side only,
     # keys removed on the other only
     before, after = found["against"], found["this"]
     differ = 0
