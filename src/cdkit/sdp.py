@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import _linalg
 
 from .core import (
     SolveTrace,
@@ -214,18 +215,27 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
     start drawn from seed + 1 is attempted before giving up, so a warm start
     that fails falls back to the cold path.
 
-    The bottom Ritz pair and the residual-estimate stop test run on every
-    4th step, on breakdown and on the last allowed step, not on every step.
-    The run stops once the residual estimate is at most 1e-8 times the scale
+    The bottom Ritz pair and the residual-estimate stop test run on
+    scheduled steps, on breakdown and on the last allowed step, not on every
+    step. The first check is on step 4. After a check that does not stop,
+    the next one comes 4 steps later, unless the estimate fell since the
+    previous check: then the decay rate per step between the two checks
+    places the next check half way to the step where the estimate would
+    meet the tolerance, 1 to 12 steps later. The schedule reads only the
+    run's own numbers, so a rerun repeats it. The run stops once the
+    residual estimate is at most 1e-8 times the scale
     max(1, max |alpha| + 2 max |beta|), and the explicit residual must then
-    be within 10 times that bound. The bottom Ritz value does not increase
-    with the step, so a stop up to 3 steps late only brings the value closer
-    to the smallest eigenvalue. The Ritz pair comes from the LAPACK bisection
-    and inverse-iteration routines (stebz, stein) called directly, which
-    gives bit for bit what scipy.linalg.eigh_tridiagonal(select="i") returns
-    without its per-call argument checks; a LAPACK failure raises EigFailure
-    and so takes the retry. An n that is not an int >= 1, or a seed that is
-    not an int >= 0, raises ValueError.
+    be within 10 times that bound. So a run stops at a checked step whose
+    estimate passes; the estimate is not monotone, so that step may come
+    several steps after the first step whose estimate passes. The bottom
+    Ritz value does not increase with the step, so the returned value is no
+    higher than at any earlier step. The Ritz pair comes from the LAPACK
+    bisection and inverse-iteration routines (stebz, stein) called
+    directly, which gives bit for bit what
+    scipy.linalg.eigh_tridiagonal(select="i") returns without its per-call
+    argument checks; a LAPACK failure raises EigFailure and so takes the
+    retry. An n that is not an int >= 1, or a seed that is not an int >= 0,
+    raises ValueError.
     """
     _check_count("operator size n", n, 1)
     _check_count("seed", seed, 0)
@@ -240,8 +250,11 @@ _STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),
 # weight of the unit random vector mixed into a warm Lanczos start
 _WARM_START_MIX = 1e-3
 
-# Lanczos steps between tridiagonal Ritz solves and residual stop tests
+# the step of the first tridiagonal Ritz solve and residual stop test, and
+# the gap to the next one when the estimate has not yet measurably fallen;
+# a gap read from the estimate's decay is at most _RITZ_MAX_GAP
 _RITZ_CHECK_EVERY = 4
+_RITZ_MAX_GAP = 12
 
 # step cap and relative residual tolerance of every Lanczos run
 _LANCZOS_MAX_STEPS = 200
@@ -280,6 +293,9 @@ def _lanczos_once(matvec, n, seed, start=None):
         v /= np.linalg.norm(v)
     # running max |alpha| and max |beta| for the residual scale
     alpha_max = beta_max = 0.0
+    # the next step to check, and the step and estimate of the last check;
+    # the first check has no earlier estimate to measure a decay from
+    next_check, last_check, last_est = _RITZ_CHECK_EVERY - 1, -1, 0.0
     for j in range(m):
         basis[j] = v
         w = np.asarray(matvec(v), dtype=float)
@@ -309,12 +325,20 @@ def _lanczos_once(matvec, n, seed, start=None):
             raise EigFailure("Lanczos residual overflowed")
         scale = max(1.0, alpha_max + 2.0 * beta_max)
         breakdown = beta <= 1e-14 * scale
-        # Ritz pair and stop test only every few steps, on breakdown and on
-        # the last step; a later stop only lowers the Ritz value
-        if breakdown or (j + 1) % _RITZ_CHECK_EVERY == 0 or j == m - 1:
+        # Ritz pair and stop test only on scheduled steps, on breakdown and
+        # on the last step; a later stop only lowers the Ritz value
+        if breakdown or j == next_check or j == m - 1:
             lam, ritz_vec = _tridiagonal_min_eig(alphas[: j + 1], betas[:j])
-            if breakdown or beta * abs(float(ritz_vec[-1])) <= _LANCZOS_TOL * scale:
+            resid_est, tol = beta * abs(float(ritz_vec[-1])), _LANCZOS_TOL * scale
+            if breakdown or resid_est <= tol:
                 break
+            # the next check comes half way to the step where the estimate's
+            # decay since the last check would meet the tolerance
+            gap = _RITZ_CHECK_EVERY
+            if 0.0 < resid_est < last_est:
+                rate = math.log(resid_est / last_est) / (j - last_check)
+                gap = min(max(int(0.5 * math.log(tol / resid_est) / rate), 1), _RITZ_MAX_GAP)
+            next_check, last_check, last_est = j + gap, j, resid_est
         betas[j] = beta
         if beta > beta_max:
             beta_max = beta
@@ -392,6 +416,31 @@ def _factor_slope(fv, gamma, y_cur, u, big_c, big_d, d):
     return slope
 
 
+# np.roots costs about 30 us per call, five times its eigenvalue solve, and
+# the greedy refit calls it on every inner iteration. This builds the same
+# companion matrix, with entries -p_k / p_0, and runs the finiteness check
+# and the ufunc that np.linalg.eigvals runs, under the same error state, so
+# the real parts are the same to the bit. As in np.roots, leading zeros
+# lower the degree, and a non-finite companion matrix or a LAPACK
+# non-convergence raises LinAlgError. Trailing zeros are roots at 0, which
+# np.roots appends and this drops: the caller only reads positive roots.
+_NONCONVERGENCE = _linalg._raise_linalgerror_eigenvalues_nonconvergence
+
+
+def _poly_roots(p):
+    # the real parts of the roots of p[0] x^k + ... + p[k] as floats, less
+    # the roots at 0 that trailing zeros give
+    nonzero = [i for i, c in enumerate(p) if c != 0.0]
+    if len(nonzero) < 2:
+        return []
+    p = p[nonzero[0] : nonzero[-1] + 1]
+    companion = np.eye(len(p) - 1, k=-1)
+    companion[0] = [-c / p[0] for c in p[1:]]
+    _linalg._assert_finite(companion)
+    with np.errstate(all="ignore", invalid="call", call=_NONCONVERGENCE):
+        return _linalg._umath_linalg.eigvals(companion, signature="d->D").real.tolist()
+
+
 def _quartic_argmin(c1, c2, c3, c4):
     """The a >= 0 minimizing p(a) = c1 a + c2 a^2 + c3 a^3 + c4 a^4.
 
@@ -402,8 +451,7 @@ def _quartic_argmin(c1, c2, c3, c4):
     still a point of descent.
     """
     best_a, best_p = 0.0, 0.0
-    for root in np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1]):
-        a = float(root.real)
+    for a in _poly_roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1]):
         if a > 0.0:
             p = a * (c1 + a * (c2 + a * (c3 + a * c4)))
             if p < best_p:

@@ -2,6 +2,8 @@
 greedy refinement, and the vectorized solve loops against dense mirrors."""
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -220,6 +222,11 @@ def _reference_lanczos_once(matvec, n, seed, max_steps):
     lam = 0.0
     ritz_vec = None
     j_stop = 0
+    # the Ritz check schedule: first check on step 4, then a gap of 4, or
+    # half the steps the decay since the previous check needs to reach the
+    # tolerance, clamped to [1, 12]
+    next_check = 3
+    checks = []
     for j in range(m):
         basis[j] = v
         w = np.asarray(matvec(v), dtype=float)
@@ -238,10 +245,10 @@ def _reference_lanczos_once(matvec, n, seed, max_steps):
             float(np.abs(alphas[: j + 1]).max())
             + (2.0 * float(np.abs(betas[:j]).max()) if j > 0 else 0.0),
         )
-        # Ritz pair and stop test on every 4th step, on breakdown and on the
+        # Ritz pair and stop test on scheduled steps, on breakdown and on the
         # last step only
         breakdown = beta <= 1e-14 * scale
-        if breakdown or (j + 1) % 4 == 0 or j == m - 1:
+        if breakdown or j == next_check or j == m - 1:
             ritz, svec = scipy.linalg.eigh_tridiagonal(
                 alphas[: j + 1], betas[:j], select="i", select_range=(0, 0)
             )
@@ -251,6 +258,13 @@ def _reference_lanczos_once(matvec, n, seed, max_steps):
             j_stop = j
             if resid_est <= tol * scale or breakdown:
                 break
+            gap = 4
+            if checks and 0.0 < resid_est < checks[-1][1]:
+                j0, r0 = checks[-1]
+                rate = np.log(resid_est / r0) / (j - j0)
+                gap = int(np.clip(np.floor(0.5 * np.log(tol * scale / resid_est) / rate), 1, 12))
+            checks.append((j, resid_est))
+            next_check = j + gap
         betas[j] = beta
         v = w / beta
     q = ritz_vec @ basis[: j_stop + 1]
@@ -272,9 +286,14 @@ def _outcome(solver, *args):
 
 @pytest.mark.parametrize("n", [1, 2, 50, 100])
 def test_lanczos_matches_reference_loop_bitwise(monkeypatch, n):
-    for seed in range(4):
+    for seed, slow in itertools.product(range(4), (False, True)):
         rng = np.random.default_rng(1000 * n + seed)
         a = rng.standard_normal((n, n))
+        if slow:
+            # a spectrum ((0..n-1) / (n-1))^1.5, slow enough that the decay
+            # schedule takes gaps of up to 12 steps
+            basis, _ = np.linalg.qr(a)
+            a = basis @ np.diag(np.linspace(0.0, 1.0, n) ** 1.5) @ basis.T
         a = (a + a.T) / 2.0
         # the solver's own 200-step cap, then a 30-step cap, which leaves most
         # of the n = 50 and 100 cases short of the tolerance, so both must
@@ -328,9 +347,10 @@ _SCHEDULE_CASES = list(_schedule_cases())
 @pytest.mark.parametrize("max_steps", [30, 31, 200])
 @pytest.mark.parametrize("name, a", _SCHEDULE_CASES, ids=[c[0] for c in _SCHEDULE_CASES])
 def test_ritz_check_schedule(monkeypatch, name, a, max_steps):
-    # the tridiagonal Ritz solve runs only on every 4th step, on breakdown or
-    # on the last step; against the stop test on every step, the run takes at
-    # most 3 more matvecs and its Ritz value is no higher
+    # the tridiagonal Ritz solve runs only on scheduled steps (the first on
+    # step 4, then gaps of 1 to 12), on breakdown or on the last step;
+    # against the stop test on every step, the run takes at most 3 more
+    # matvecs on these cases and its Ritz value is no higher
     n = a.shape[0]
     m = min(n, max_steps)
     monkeypatch.setattr(sdp, "_LANCZOS_MAX_STEPS", max_steps)
@@ -343,8 +363,8 @@ def test_ritz_check_schedule(monkeypatch, name, a, max_steps):
 
     monkeypatch.setattr(sdp, "_tridiagonal_min_eig", recording)
     outcomes = []
-    for every in (1, 4):
-        monkeypatch.setattr(sdp, "_RITZ_CHECK_EVERY", every)
+    # a first check on step 1 and a gap of at most 1 test every step
+    for every, max_gap in ((1, 1), (sdp._RITZ_CHECK_EVERY, sdp._RITZ_MAX_GAP)):
         sizes.clear()
         matvecs = [0]
 
@@ -352,13 +372,26 @@ def test_ritz_check_schedule(monkeypatch, name, a, max_steps):
             matvecs[0] += 1
             return a @ v
 
-        outcomes.append((_outcome(min_eig_lanczos, matvec, n, 2), matvecs[0]))
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp, "_RITZ_CHECK_EVERY", every)
+            patch.setattr(sdp, "_RITZ_MAX_GAP", max_gap)
+            outcomes.append((_outcome(min_eig_lanczos, matvec, n, 2), matvecs[0]))
     (every_pair, every_matvecs), (pair, n_matvecs) = outcomes
-    # steps are 1-based here: a solve off the schedule is a breakdown, which
-    # ends its run (the next size, if any, belongs to the retry)
+    # steps are 1-based here; a size no larger than the one before starts
+    # the retry's run
+    runs = []
     for i, size in enumerate(sizes):
-        assert size % 4 == 0 or size == m or i + 1 == len(sizes) or sizes[i + 1] < size
+        if i == 0 or size <= sizes[i - 1]:
+            runs.append([])
+        runs[-1].append(size)
+    for run in runs:
+        assert run[0] == min(4, m)
+        assert all(0 < b - a <= 12 for a, b in zip(run, run[1:]))
+    # every run ends on a check, its stop or its last step, then spends one
+    # matvec on the explicit residual
+    assert n_matvecs == sum(run[-1] + 1 for run in runs)
     if name == "low-rank-40":
+        # the breakdown on step 6 comes before the next scheduled check
         assert sizes == [4, 6]
     assert 0 <= n_matvecs - every_matvecs <= 3
     if every_pair[1] is None:
@@ -373,6 +406,38 @@ def test_ritz_check_schedule(monkeypatch, name, a, max_steps):
     # which is at most 3 ||A||
     assert np.linalg.norm(a @ q - lam * q) <= 10.0 * sdp._LANCZOS_TOL * 3.0 * scale
     assert w[0] - 1e-12 * scale <= lam <= every_pair[0] + 1e-12 * scale
+
+
+def test_ritz_schedule_saves_tridiagonal_solves(monkeypatch):
+    # on a slowly converging operator (spectrum ((0..99) / 99)^1.5 in a
+    # random basis) the estimate's decay spaces the checks out: a run makes
+    # at most 60% of the ceil(steps / 4) tridiagonal solves that a check on
+    # every 4th step would
+    rng = np.random.default_rng(3)
+    basis, _ = np.linalg.qr(rng.standard_normal((100, 100)))
+    a = basis @ np.diag(np.linspace(0.0, 1.0, 100) ** 1.5) @ basis.T
+    a = (a + a.T) / 2.0
+    solve_ritz = sdp._tridiagonal_min_eig
+    sizes = []
+
+    def recording(d, e):
+        sizes.append(d.size)
+        return solve_ritz(d, e)
+
+    monkeypatch.setattr(sdp, "_tridiagonal_min_eig", recording)
+    for seed in range(4):
+        sizes.clear()
+        matvecs = [0]
+
+        def matvec(v):
+            matvecs[0] += 1
+            return a @ v
+
+        lam, _ = min_eig_lanczos(matvec, 100, seed)
+        steps = matvecs[0] - 1
+        assert steps >= 80
+        assert len(sizes) <= 0.6 * math.ceil(steps / 4)
+        assert abs(lam) <= 1e-7
 
 
 def test_lapack_failure_takes_the_retry(monkeypatch):
@@ -538,7 +603,7 @@ def test_runs_stop_only_on_a_cold_start_certificate(monkeypatch, build, solver):
 @pytest.mark.parametrize("solver", ["sdp_solve", "fw_solve"])
 def test_stop_on_visit_0_runs_lanczos_once(monkeypatch, solver):
     # visit 0 has no warm start, so its run is already cold and a stop there
-    # takes no confirming rerun: one run of 12 steps and its verification,
+    # takes no confirming rerun: one run of 11 steps and its verification,
     # which counts as the final visit's confirmation
     bundle = build_phase_retrieval(n=16, m=6, seed=0)
     runs = []
@@ -556,7 +621,7 @@ def test_stop_on_visit_0_runs_lanczos_once(monkeypatch, solver):
     assert res.status == "converged"
     assert [r.k for r in res.trace] == [0]
     assert runs == [None]
-    assert res.stats["lmo_matvecs"] == 13
+    assert res.stats["lmo_matvecs"] == 12
     assert res.stats["lmo_confirmations"] == 1
 
 
@@ -1065,6 +1130,56 @@ def test_quartic_search_finds_minimum_slope_bisection_misses():
     a_quartic = _quartic_argmin(*coeffs)
     assert a_quartic == pytest.approx(19.0 / 3.0, rel=1e-9)
     assert h(a_quartic) <= 1e-15
+
+
+def _reference_quartic_argmin(c1, c2, c3, c4):
+    # the quartic search on np.roots itself
+    best_a, best_p = 0.0, 0.0
+    for root in np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1]):
+        a = float(root.real)
+        if a > 0.0:
+            p = a * (c1 + a * (c2 + a * (c3 + a * c4)))
+            if p < best_p:
+                best_a, best_p = a, p
+    return best_a
+
+
+def _quartic_cases():
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        signs = rng.choice([-1.0, 1.0], 4)
+        yield tuple(float(c) for c in signs * 10.0 ** rng.uniform(-12, 12, 4))
+    # zero leading coefficients lower the degree, zero trailing ones add
+    # roots at 0, and all zeros leave no root
+    for zeros in ((3,), (2, 3), (1, 2, 3), (0,), (0, 1), (0, 3), (0, 1, 2, 3)):
+        for _ in range(20):
+            c = rng.standard_normal(4)
+            c[list(zeros)] = 0.0
+            yield tuple(float(x) for x in c)
+    # a negative zero, a leading coefficient that lets the companion
+    # underflow, and one that makes it overflow
+    yield (-1.0, 2.0, -0.0, 0.5)
+    yield (1.0, -3.0, 1.0, 1e300)
+    yield (1.0, 1e300, 1e300, 1e-300)
+    # non-finite coefficients
+    yield (1.0, math.nan, 2.0, 1.0)
+    yield (1.0, 2.0, 3.0, math.inf)
+    yield (math.inf, 2.0, 3.0, 1.0)
+
+
+def test_quartic_argmin_matches_np_roots_bitwise():
+    for coeffs in _quartic_cases():
+        with np.errstate(all="ignore"):
+            expected = _outcome_or_error(_reference_quartic_argmin, coeffs)
+            got = _outcome_or_error(_quartic_argmin, coeffs)
+        assert repr(got) == repr(expected), coeffs
+
+
+def _outcome_or_error(search, coeffs):
+    try:
+        return search(*coeffs)
+    except np.linalg.LinAlgError as exc:
+        return exc.args
 
 
 # ---------------------------------------------------------------------------
