@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from numpy.linalg import _linalg
 
 from .core import (
     SolveTrace,
@@ -416,17 +415,14 @@ def _factor_slope(fv, gamma, y_cur, u, big_c, big_d, d):
     return slope
 
 
-# np.roots costs about 30 us per call, five times its eigenvalue solve, and
-# the greedy refit calls it on every inner iteration. This builds the same
-# companion matrix, with entries -p_k / p_0, and runs the finiteness check
-# and the ufunc that np.linalg.eigvals runs, under the same error state, so
-# the real parts are the same to the bit. As in np.roots, leading zeros
-# lower the degree, and a non-finite companion matrix or a LAPACK
-# non-convergence raises LinAlgError. Trailing zeros are roots at 0, which
-# np.roots appends and this drops: the caller only reads positive roots.
-_NONCONVERGENCE = _linalg._raise_linalgerror_eigenvalues_nonconvergence
-
-
+# np.roots costs about 30 us per call, several times its eigenvalue solve,
+# and the greedy refit calls it on every inner iteration. This builds the
+# same companion matrix, with entries -p_k / p_0, and hands it to
+# np.linalg.eigvals as np.roots does, so the real parts are the same to the
+# bit. As in np.roots, leading zeros lower the degree, and a non-finite
+# companion matrix or a LAPACK non-convergence raises LinAlgError. Trailing
+# zeros are roots at 0, which np.roots appends and this drops: the caller
+# only reads positive roots.
 def _poly_roots(p):
     # the real parts of the roots of p[0] x^k + ... + p[k] as floats, less
     # the roots at 0 that trailing zeros give
@@ -436,9 +432,7 @@ def _poly_roots(p):
     p = p[nonzero[0] : nonzero[-1] + 1]
     companion = np.eye(len(p) - 1, k=-1)
     companion[0] = [-c / p[0] for c in p[1:]]
-    _linalg._assert_finite(companion)
-    with np.errstate(all="ignore", invalid="call", call=_NONCONVERGENCE):
-        return _linalg._umath_linalg.eigvals(companion, signature="d->D").real.tolist()
+    return np.linalg.eigvals(companion).real.tolist()
 
 
 def _quartic_argmin(c1, c2, c3, c4):
