@@ -386,8 +386,9 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     the mean of the observation vector over masks estimates the trace of the
     lifted solution; that estimate is what the pre-scheduled step rule uses.
     The bundle's gamma, the default trace penalty, is 5e-5. An m that is
-    not an int >= 1, a seed that is not an int >= 0, or an n that is not an
-    int >= 2 when no signal is given, raises ValueError.
+    not an int >= 1, a seed that is not an int >= 0, an n that is not an
+    int >= 2 when no signal is given, or a signal with a NaN or infinite
+    entry, raises ValueError.
     """
     _check_count("m", m, 1)
     _check_count("seed", seed, 0)
@@ -396,6 +397,8 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     rng = np.random.default_rng(seed)
     if signal is not None:
         x_true = np.asarray(signal, dtype=float).ravel()
+        if not np.isfinite(x_true).all():
+            raise ValueError("signal has a NaN or infinite entry")
         n = x_true.size
         nrm = float(np.linalg.norm(x_true))
         if nrm == 0.0:
@@ -471,9 +474,14 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
 
 
 def recovery_error(x_hat, x_true):
-    """Relative signal error up to global sign."""
+    """Relative signal error up to global sign.
+
+    Signals of different sizes raise ValueError, rather than broadcast.
+    """
     x_hat = np.asarray(x_hat, dtype=float).ravel()
     x_true = np.asarray(x_true, dtype=float).ravel()
+    if x_hat.size != x_true.size:
+        raise ValueError(f"x_hat has {x_hat.size} entries and x_true has {x_true.size}")
     nrm = float(np.linalg.norm(x_true))
     if nrm == 0.0:
         raise DegenerateSignal("reference signal has zero norm")

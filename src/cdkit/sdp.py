@@ -156,8 +156,11 @@ def sketch_reconstruct(sketch, rank):
     1e-14 of the largest eigenvalue, where roundoff leaves them when X has
     low rank, are zeroed, so the factor keeps its `rank` columns. A rank
     that is not an integer >= 1 raises ValueError, and one that the sketch
-    cannot resolve (size - 1 or more) raises RankTooLarge.
+    cannot resolve (size - 1 or more) raises RankTooLarge. A sketch of None,
+    what a solve run without sketch_size returns, raises ValueError.
     """
+    if sketch is None:
+        raise ValueError("no sketch to read out: run the solve with sketch_size set")
     omega, s = sketch.omega, sketch.s
     n, size = s.shape
     _check_count("reconstruction rank", rank, 1)
@@ -357,8 +360,8 @@ def _lanczos_once(matvec, n, seed, start=None):
 # rank-constrained descent on the factored family t^2 X + u u^T
 
 
-# greedy refit: factor rank, inner iterations, relative stall tolerance, and
-# the scale of the start perturbation
+# greedy refit: inner iterations and relative stall tolerance, and the rank
+# and scale of the start factor the solver draws
 _GREEDY_RANK = 3
 _GREEDY_MAX_INNER = 60
 _GREEDY_REL_TOL = 1e-10
@@ -415,26 +418,6 @@ def _factor_slope(fv, gamma, y_cur, u, big_c, big_d, d):
     return slope
 
 
-# np.roots costs about 30 us per call, several times its eigenvalue solve,
-# and the greedy refit calls it on every inner iteration. This builds the
-# same companion matrix, with entries -p_k / p_0, and hands it to
-# np.linalg.eigvals as np.roots does, so the real parts are the same to the
-# bit. As in np.roots, leading zeros lower the degree, and a non-finite
-# companion matrix or a LAPACK non-convergence raises LinAlgError. Trailing
-# zeros are roots at 0, which np.roots appends and this drops: the caller
-# only reads positive roots.
-def _poly_roots(p):
-    # the real parts of the roots of p[0] x^k + ... + p[k] as floats, less
-    # the roots at 0 that trailing zeros give
-    nonzero = [i for i, c in enumerate(p) if c != 0.0]
-    if len(nonzero) < 2:
-        return []
-    p = p[nonzero[0] : nonzero[-1] + 1]
-    companion = np.eye(len(p) - 1, k=-1)
-    companion[0] = [-c / p[0] for c in p[1:]]
-    return np.linalg.eigvals(companion).real.tolist()
-
-
 def _quartic_argmin(c1, c2, c3, c4):
     """The a >= 0 minimizing p(a) = c1 a + c2 a^2 + c3 a^3 + c4 a^4.
 
@@ -445,7 +428,8 @@ def _quartic_argmin(c1, c2, c3, c4):
     still a point of descent.
     """
     best_a, best_p = 0.0, 0.0
-    for a in _poly_roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1]):
+    for root in np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1]):
+        a = float(root.real)
         if a > 0.0:
             p = a * (c1 + a * (c2 + a * (c3 + a * c4)))
             if p < best_p:
@@ -453,10 +437,10 @@ def _quartic_argmin(c1, c2, c3, c4):
     return best_a
 
 
-def greedy_step(fv, op, gamma, state, rng):
+def greedy_step(fv, op, gamma, state, u):
     """Descend over matrices s X_cur + u u^T and commit only improvements.
 
-    The scalar s >= 0 scales the whole current iterate and u is an n-by-rank
+    The scalar s >= 0 scales the whole current iterate and u is an n-by-r
     factor, so the penalized objective and its gradient need only the current
     image, the trace accumulator, and measurement-space primitives. The image
     of a factor is the sum of its column images, one gram call per column,
@@ -471,8 +455,10 @@ def greedy_step(fv, op, gamma, state, rng):
     of its derivative stands in; it stops at a local minimum, which need not
     be the quartic's global one. Either search only proposes a step length,
     and the factor moves there only when one factor image and one objective
-    call find a value strictly below the current one. The start point
-    (s, u) = (1, 0) is stationary in u, hence the seeded random perturbation.
+    call find a value strictly below the current one. The descent starts at
+    s = 1 from the factor u it is given, of shape (n, r); u = 0 would be
+    stationary in u. On a zero state the scale multiplies nothing, the scale
+    search makes no oracle call, and the refit descends on the factor alone.
     The refit holds one point and commits the point it ends at through
     state.move, only when its value is strictly below the incumbent value,
     so the outer objective never increases here. A committed step's info
@@ -483,11 +469,6 @@ def greedy_step(fv, op, gamma, state, rng):
     tr0 = state.tr
     f0 = fv.value(y0) + gamma * tr0
     s = 1.0
-    u = (
-        _GREEDY_PERTURB
-        * math.sqrt((1.0 + tr0) / op.n)
-        * rng.standard_normal((op.n, _GREEDY_RANK))
-    )
 
     def assemble(sv, gram_u, tr_u):
         y_new = sv * y0 + gram_u
@@ -679,7 +660,12 @@ class _SdpIterate(_MeasurementIterate):
             theta = line_search_step(self.fv, s.y, g_atom, self.gamma)
         s.move(1.0, theta, self.q, g_atom)
         if self.greedy_period and (k + 1) % self.greedy_period == 0:
-            self.greedy = greedy_step(self.fv, self.op, self.gamma, s, self.rng)
+            # u = 0 is stationary, so the refit starts from a small random
+            # factor sized to the trace
+            n = self.op.n
+            size = _GREEDY_PERTURB * math.sqrt((1.0 + s.tr) / n)
+            u = size * self.rng.standard_normal((n, _GREEDY_RANK))
+            self.greedy = greedy_step(self.fv, self.op, self.gamma, s, u)
             self.greedy["k"] = k
             self.greedy_events.append(self.greedy)
         return theta

@@ -88,6 +88,50 @@ def test_state_check_sees_a_direct_write():
     assert owners == ["greedy_step"] * 3
 
 
+# numpy's random draws and the generator they come from
+_RANDOM_CALLS = {
+    "default_rng",
+    "standard_normal",
+    "normal",
+    "uniform",
+    "random",
+    "integers",
+    "choice",
+    "permutation",
+    "spawn",
+}
+
+
+def _random_calls(tree, function):
+    # the names of the random draws the function makes
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            funcs = [sub.func for sub in ast.walk(node) if isinstance(sub, ast.Call)]
+            names = {getattr(f, "attr", getattr(f, "id", None)) for f in funcs}
+            return names & _RANDOM_CALLS
+    raise AssertionError(f"no function {function}")
+
+
+def test_greedy_step_descends_from_the_factor_it_is_given():
+    # the refit's start is its caller's choice: a draw inside the descent
+    # would tie it to one start policy and one stream
+    tree = ast.parse(pathlib.Path(cdkit.sdp.__file__).read_text())
+    assert _random_calls(tree, "greedy_step") == set()
+    params = list(inspect.signature(cdkit.sdp.greedy_step).parameters)
+    assert params == ["fv", "op", "gamma", "state", "u"]
+
+
+def test_random_call_check_sees_a_draw():
+    # the check itself: a start drawn inside the refit is caught
+    source = (
+        "def greedy_step(fv, op, gamma, state, rng):\n"
+        "    u = 1e-3 * rng.standard_normal((op.n, 3))\n"
+        "    v = np.random.default_rng(0).normal(size=3)\n"
+    )
+    calls = _random_calls(ast.parse(source), "greedy_step")
+    assert calls == {"standard_normal", "default_rng", "normal"}
+
+
 def _toy_solve(**config):
     toy = build_trace_toy()
     return sdp_solve(toy.fv, toy.op, config=SolverConfig(**config))

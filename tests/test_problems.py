@@ -519,6 +519,14 @@ def test_phase_retrieval_truth_is_a_zero_of_the_objective():
     assert ph.fv.value(y_true) <= 1e-24
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_retrieval_rejects_a_non_finite_signal(bad):
+    # a NaN or infinite entry would make every measurement NaN, and the
+    # first solve would fail far from the cause
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        build_phase_retrieval(m=2, signal=[1.0, bad, 2.0, 3.0])
+
+
 def test_phase_dense_and_factored_paths_agree():
     ph = build_phase_retrieval(n=16, m=3, seed=2)
     rng = np.random.default_rng(5)
@@ -538,6 +546,12 @@ def test_recovery_error_sign_invariant():
     assert recovery_error(np.zeros(20), x) == pytest.approx(1.0)
     with pytest.raises(DegenerateSignal, match="zero norm"):
         recovery_error(x, np.zeros(20))
+
+
+def test_recovery_error_rejects_a_size_mismatch():
+    # one entry against four would broadcast to an error of 0.5
+    with pytest.raises(ValueError, match="x_hat has 1 entries and x_true has 4"):
+        recovery_error(np.array([0.5]), np.ones(4))
 
 
 # ---------------------------------------------------------------------------

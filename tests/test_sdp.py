@@ -809,6 +809,12 @@ def test_reconstruct_zero_sketch_gives_zeros():
     np.testing.assert_array_equal(u @ np.diag(lam) @ u.T, np.zeros((10, 10)))
 
 
+def test_reconstruct_without_a_sketch_names_sketch_size():
+    # what a solve run without a sketch returns in place of one
+    with pytest.raises(ValueError, match="sketch_size"):
+        sketch_reconstruct(None, 2)
+
+
 def test_reconstruct_rank_cap():
     sk = SketchState.create(10, 4, seed=0)
     with pytest.raises(RankTooLarge):
@@ -1001,12 +1007,18 @@ def test_greedy_step_never_commits_an_increase():
     assert res.stats["n_greedy_commits"] == sum(1 for ev in events if ev["committed"])
 
 
+def _refit_start(n, tr, seed):
+    # a start factor drawn as the solver draws the refit's: three columns
+    # of N(0, 1) entries scaled by 1e-3 sqrt((1 + tr) / n)
+    return 1e-3 * math.sqrt((1.0 + tr) / n) * np.random.default_rng(seed).standard_normal((n, 3))
+
+
 def test_greedy_step_standalone_improves_from_partial_iterate():
     mc = build_matcomp(n=30, rank=2, seed=3, block=5, density=0.15)
     res = sdp_solve(mc.fv, mc.op, config=SolverConfig(max_iters=15))
     state = SdpState(res.final_y.copy(), res.final_tr, None)
     f0 = mc.fv.value(state.y)
-    info = greedy_step(mc.fv, mc.op, 0.0, state, np.random.default_rng(0))
+    info = greedy_step(mc.fv, mc.op, 0.0, state, _refit_start(mc.op.n, state.tr, 0))
     assert info["f_before"] == pytest.approx(f0, rel=1e-12)
     if info["committed"]:
         assert mc.fv.value(state.y) < f0
@@ -1031,7 +1043,7 @@ def test_greedy_commit_stores_the_point_it_reports(oracle):
         base, tr0, s0 = res.final_y, res.final_tr, res.sketch.s.copy()
         state = SdpState(res.final_y.copy(), tr0, res.sketch)
         before = fv.eval_counts()["gradient"]
-        info = greedy_step(fv, mc.op, gamma, state, np.random.default_rng(iters))
+        info = greedy_step(fv, mc.op, gamma, state, _refit_start(mc.op.n, tr0, iters))
         if oracle:
             assert fv.eval_counts()["gradient"] - before == info["inner_iters"]
         if info["committed"]:
@@ -1045,6 +1057,28 @@ def test_greedy_commit_stores_the_point_it_reports(oracle):
         else:
             assert np.array_equal(state.sketch.s, s0)
     assert commits >= 2
+
+
+def test_greedy_step_on_a_zero_state_descends_on_the_factor_alone():
+    # from a rank-3 sketch readout on a zero state the scale multiplies
+    # nothing: the scale search makes no oracle call, each inner iteration
+    # makes the quartic's three restriction calls, and the committed image
+    # and trace are those of the returned factor alone
+    mc = build_matcomp(n=40, rank=3, seed=0, block=5, density=0.3)
+    cfg = SolverConfig(max_iters=60, greedy_period=20, rng_seed=0)
+    res = sdp_solve(mc.fv, mc.op, config=cfg, sketch_size=8)
+    u, lam = sketch_reconstruct(res.sketch, 3)
+    start = u * np.sqrt(lam)
+    state = SdpState(np.zeros(mc.op.d), 0.0, None)
+    f_zero = mc.fv.value(state.y)
+    before = mc.fv.eval_counts()["restriction"]
+    info = greedy_step(mc.fv, mc.op, 0.0, state, start)
+    assert mc.fv.eval_counts()["restriction"] - before == 3 * info["inner_iters"]
+    assert info["committed"] and info["f_before"] == f_zero
+    assert info["f_after"] <= mc.fv.value(_gram_cols(mc.op, start)) < f_zero
+    assert info["t_sq"] == 1.0
+    assert np.array_equal(state.y, _gram_cols(mc.op, info["u"]))
+    assert state.tr == float(np.vdot(info["u"], info["u"]))
 
 
 def test_greedy_commit_needs_no_sketch_replace(monkeypatch):
@@ -1130,56 +1164,6 @@ def test_quartic_search_finds_minimum_slope_bisection_misses():
     a_quartic = _quartic_argmin(*coeffs)
     assert a_quartic == pytest.approx(19.0 / 3.0, rel=1e-9)
     assert h(a_quartic) <= 1e-15
-
-
-def _reference_quartic_argmin(c1, c2, c3, c4):
-    # the quartic search on np.roots itself
-    best_a, best_p = 0.0, 0.0
-    for root in np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1]):
-        a = float(root.real)
-        if a > 0.0:
-            p = a * (c1 + a * (c2 + a * (c3 + a * c4)))
-            if p < best_p:
-                best_a, best_p = a, p
-    return best_a
-
-
-def _quartic_cases():
-    rng = np.random.default_rng(12)
-    for _ in range(2000):
-        signs = rng.choice([-1.0, 1.0], 4)
-        yield tuple(float(c) for c in signs * 10.0 ** rng.uniform(-12, 12, 4))
-    # zero leading coefficients lower the degree, zero trailing ones add
-    # roots at 0, and all zeros leave no root
-    for zeros in ((3,), (2, 3), (1, 2, 3), (0,), (0, 1), (0, 3), (0, 1, 2, 3)):
-        for _ in range(20):
-            c = rng.standard_normal(4)
-            c[list(zeros)] = 0.0
-            yield tuple(float(x) for x in c)
-    # a negative zero, a leading coefficient that lets the companion
-    # underflow, and one that makes it overflow
-    yield (-1.0, 2.0, -0.0, 0.5)
-    yield (1.0, -3.0, 1.0, 1e300)
-    yield (1.0, 1e300, 1e300, 1e-300)
-    # non-finite coefficients
-    yield (1.0, math.nan, 2.0, 1.0)
-    yield (1.0, 2.0, 3.0, math.inf)
-    yield (math.inf, 2.0, 3.0, 1.0)
-
-
-def test_quartic_argmin_matches_np_roots_bitwise():
-    for coeffs in _quartic_cases():
-        with np.errstate(all="ignore"):
-            expected = _outcome_or_error(_reference_quartic_argmin, coeffs)
-            got = _outcome_or_error(_quartic_argmin, coeffs)
-        assert repr(got) == repr(expected), coeffs
-
-
-def _outcome_or_error(search, coeffs):
-    try:
-        return search(*coeffs)
-    except np.linalg.LinAlgError as exc:
-        return exc.args
 
 
 # ---------------------------------------------------------------------------
