@@ -27,9 +27,12 @@ the solver or a numeric routine fails, 4 for I/O failures.
 
 A setting out of range fails the run that uses it, with the message of the
 library check that rejects it, so it carries the library's name for the
-setting (max_iters for --iters, tol_eps for --tol). Each run prints one
-"<prefix>: <message>" line on stderr, so under --seeds a bad setting
-prints one such line per run.
+setting (max_iters for --iters, tol_eps for --tol). --heuristic-m,
+--trace-bound and --greedy-every reach the library only under some algos,
+so each run puts them through the same checks under their flag names.
+Each run prints one "<prefix>: <message>" line on stderr, so under --seeds
+a bad setting prints one such line per run. A bad --jobs fails the same
+count check before any run starts, with one "error: <message>" line.
 """
 
 import argparse
@@ -47,7 +50,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .core import SolverConfig, solve
-from .exceptions import SolverError
+from .exceptions import SolverError, _check_count, _check_real
 from .problems import (
     build_matcomp,
     build_orthant_quadratic,
@@ -186,8 +189,7 @@ def resolve(args, env=None):
     if seeds is None:
         seeds = [spec.seed]
     jobs = args.jobs if args.jobs is not None else 1
-    if jobs < 1:
-        raise UsageError("--jobs must be at least 1")
+    _check_count("--jobs", jobs, 1)
     specs = []
     for seed in seeds:
         one = dataclasses.replace(spec, seed=seed)
@@ -200,9 +202,9 @@ def resolve(args, env=None):
 def validate(spec):
     # a RunSpec built in code is not parsed, so check each field's type
     # first. The library checks the range of every value a run passes it, in
-    # its own names (max_iters, tol_eps); the checks here cover what it cannot
-    # know: heuristic-m and trace-bound reach it only under mocoh and fw. The
-    # checks on float fields are written so that NaN and infinities fail them
+    # its own names (max_iters, tol_eps). heuristic-m and trace-bound reach it
+    # only under mocoh and fw, and greedy-every only under mocog, so the
+    # library's own checks see them here, under their flag names
     for f in dataclasses.fields(RunSpec):
         value = getattr(spec, f.name)
         if value is None and type(None) in typing.get_args(f.type):
@@ -226,12 +228,11 @@ def validate(spec):
         sketch = spec.sketch if spec.sketch is not None else _PHASE_SKETCH
         if sketch >= 2 and not 1 <= spec.recon_rank < sketch - 1:
             raise UsageError("recon-rank must lie in [1, sketch - 2]")
-    if spec.heuristic_m is not None and not 0.0 < spec.heuristic_m < math.inf:
-        raise UsageError("heuristic-m must be positive and finite")
-    if spec.trace_bound is not None and not 0.0 < spec.trace_bound < math.inf:
-        raise UsageError("trace-bound must be positive and finite")
-    if spec.greedy_every < 1:
-        raise UsageError("greedy-every must be at least 1")
+    if spec.heuristic_m is not None:
+        _check_real("heuristic-m", spec.heuristic_m, "(0, inf)")
+    if spec.trace_bound is not None:
+        _check_real("trace-bound", spec.trace_bound, "(0, inf)")
+    _check_count("greedy-every", spec.greedy_every, 1)
 
 
 def _solver_config(spec, m_estimate):
@@ -295,8 +296,10 @@ def run_experiment(spec):
     """Execute one resolved run and write its output files.
 
     Returns the summary dict that was written to <prefix>.summary.json.
-    Raises UsageError for a spec that validate rejects, and the library's
-    ValueError for a setting outside the range it accepts.
+    Raises UsageError for a field of the wrong type or a setting that does
+    not fit the command or algo, and the ValueError of the library's count
+    and real checks for a setting outside its range, whether validate or
+    the library applies them.
     """
     validate(spec)
     if spec.command == "toy":
@@ -465,7 +468,7 @@ def console_main(argv=None):
     args = parser.parse_args(argv)
     try:
         specs, jobs = resolve(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .cones import Cone
-from .exceptions import LineSearchDivergence, NonFiniteValue, UnsupportedCone, _check_count
+from .exceptions import LineSearchDivergence, NonFiniteValue, UnsupportedCone
+from .exceptions import _check_count, _check_real
 
 BRACKET_LIMIT = 1e18
 
@@ -85,7 +86,7 @@ class SolverConfig:
     heuristic_m None every step searches along the atom; a positive finite
     heuristic_m M takes theta_k = 2 M / (k + 2) instead and performs no
     search (monotone descent is then not guaranteed); fw_solve rejects it.
-    tol_eps must be finite and nonnegative. greedy_period > 0 enables the
+    tol_eps must be a number in [0, inf). greedy_period > 0 enables the
     periodic factored descent step and applies to sdp_solve only.
     max_iters and trace_every must be ints >= 1, and greedy_period and
     rng_seed ints >= 0 (numpy integers included, bools not).
@@ -261,15 +262,13 @@ def _check_config(config, allow_greedy):
     floors = {"max_iters": 1, "greedy_period": 0, "trace_every": 1, "rng_seed": 0}
     for name, low in floors.items():
         _check_count(name, getattr(config, name), low)
-    # the chained comparisons also reject NaN, which would never stop a run
-    # or make every scheduled step NaN, and infinity, which would stop every
-    # run at once or make the first scheduled step infinite
-    if not 0.0 <= config.tol_eps < math.inf:
-        raise ValueError("tol_eps must be finite and nonnegative")
+    # NaN would never stop a run or make every scheduled step NaN, and
+    # infinity would stop every run at once or make the first step infinite
+    _check_real("tol_eps", config.tol_eps, "[0, inf)")
     if config.momentum_mode not in ("cd", "moco"):
         raise ValueError(f"unknown momentum mode {config.momentum_mode!r}")
-    if config.heuristic_m is not None and not 0.0 < config.heuristic_m < math.inf:
-        raise ValueError("heuristic_m must be a positive finite M estimate (or None)")
+    if config.heuristic_m is not None:
+        _check_real("heuristic_m", config.heuristic_m, "(0, inf)")
     if config.greedy_period and not allow_greedy:
         raise ValueError("greedy steps apply to sdp_solve only")
     return config

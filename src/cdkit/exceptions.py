@@ -1,4 +1,5 @@
-"""Exception types shared across the solver modules, and the one check of a count."""
+"""Exception types shared across the solver modules, and the one check of a
+count and the one check of a real-valued setting."""
 
 import numbers
 
@@ -8,6 +9,18 @@ def _check_count(what, value, low):
     # or above its floor low
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{what} must be an int >= {low}, got {value!r}")
+
+
+def _check_real(what, value, interval):
+    # a real setting: an int or float (numpy reals included; bools, NaN and
+    # arrays not) in interval, written as "(0, 1]": a bracket closes an end,
+    # a parenthesis opens it, and an end may be inf or -inf
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        (low <= value if interval[0] == "[" else low < value)
+        and (value <= high if interval[-1] == "]" else value < high)
+    ):
+        raise ValueError(f"{what} must be a number in {interval}, got {value!r}")
 
 
 class SolverError(Exception):

@@ -16,7 +16,7 @@ from scipy.sparse import _sparsetools
 
 from .cones import NonnegativeOrthant
 from .core import ConicProgram
-from .exceptions import DegenerateSignal, _check_count
+from .exceptions import DegenerateSignal, _check_count, _check_real
 from .sdp import MeasurementOperator, _gram_cols
 
 
@@ -139,12 +139,11 @@ def build_trace_toy(n=2, target=1.0):
     value is 0 and the minimal nuclear radius of a solution is the target
     itself. Useful as the smallest instance where a trace-bounded feasible
     set with too small a bound visibly changes the answer. An n that is not
-    an int >= 1, or a target that is not positive and finite, raises
+    an int >= 1, or a target that is not a number in (0, inf), raises
     ValueError.
     """
     _check_count("n", n, 1)
-    if not 0.0 < target < math.inf:
-        raise ValueError(f"target trace must be positive and finite, got {target!r}")
+    _check_real("target", target, "(0, inf)")
 
     def gram(q):
         q = np.asarray(q, dtype=float)
@@ -233,7 +232,7 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     once: b (read-only, shared with fv) and the mask as row_counts and
     col_idx; row_idx is derived on access. An n or rank that is not an
     int >= 1, a seed that is not an int >= 0, a block that is not an int in
-    [0, n] or a density outside (0, 1] raises ValueError.
+    [0, n] or a density that is not a number in (0, 1] raises ValueError.
     """
     _check_count("n", n, 1)
     _check_count("rank", rank, 1)
@@ -241,8 +240,7 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     _check_count("block", block, 0)
     if block > n:
         raise ValueError(f"block must lie in [0, n] = [0, {n}], got {block!r}")
-    if not 0.0 < density <= 1.0:
-        raise ValueError(f"density must lie in (0, 1], got {density!r}")
+    _check_real("density", density, "(0, 1]")
     rng = np.random.default_rng(seed)
     v_true = rng.standard_normal((n, rank))
     row_idx, col_idx = _matcomp_mask(n, block, density, rng)
@@ -386,28 +384,26 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     the mean of the observation vector over masks estimates the trace of the
     lifted solution; that estimate is what the pre-scheduled step rule uses.
     The bundle's gamma, the default trace penalty, is 5e-5. An m that is
-    not an int >= 1, a seed that is not an int >= 0, an n that is not an
-    int >= 2 when no signal is given, or a signal with a NaN or infinite
-    entry, raises ValueError.
+    not an int >= 1, a seed that is not an int >= 0, an n (the signal's
+    length when one is given) that is not an int >= 2, or a signal with a
+    NaN or infinite entry, raises ValueError.
     """
     _check_count("m", m, 1)
     _check_count("seed", seed, 0)
-    if signal is None:
-        _check_count("n", n, 2)
-    rng = np.random.default_rng(seed)
     if signal is not None:
         x_true = np.asarray(signal, dtype=float).ravel()
         if not np.isfinite(x_true).all():
             raise ValueError("signal has a NaN or infinite entry")
         n = x_true.size
-        nrm = float(np.linalg.norm(x_true))
-        if nrm == 0.0:
-            raise DegenerateSignal("signal has zero norm")
-        x_true = x_true / nrm
+    _check_count("n", n, 2)
+    rng = np.random.default_rng(seed)
     signs = (rng.integers(0, 2, size=(m, n)) * 2 - 1).astype(float)
     if signal is None:
         x_true = rng.standard_normal(n)
-        x_true /= np.linalg.norm(x_true)
+    nrm = float(np.linalg.norm(x_true))
+    if nrm == 0.0:
+        raise DegenerateSignal("signal has zero norm")
+    x_true = x_true / nrm
     amps = dct_measurement_apply(signs, x_true)
     b = (amps * amps).ravel()
     if noise_snr is not None:
@@ -503,12 +499,12 @@ def add_noise_snr(clean, snr_db, rng):
 
     The noise draw is rescaled after the fact so that
     ||noise|| / ||clean|| = 10 ** (-snr_db / 20) holds as written, rather
-    than only in expectation. snr_db = +inf returns an unchanged copy; NaN
-    and -inf raise ValueError.
+    than only in expectation. snr_db = +inf returns an unchanged copy; an
+    snr_db that is not a number in (-inf, inf], NaN included, raises
+    ValueError.
     """
     clean = np.asarray(clean, dtype=float)
-    if not -math.inf < snr_db <= math.inf:
-        raise ValueError(f"noise SNR must be a number of decibels or +inf, got {snr_db!r}")
+    _check_real("noise SNR", snr_db, "(-inf, inf]")
     if snr_db == math.inf:
         return clean.copy()
     nrm = float(np.linalg.norm(clean))

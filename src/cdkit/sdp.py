@@ -31,7 +31,7 @@ from .core import (
     minimize_convex_1d,
     ray_minimize,
 )
-from .exceptions import EigFailure, RankTooLarge, _check_count
+from .exceptions import EigFailure, RankTooLarge, _check_count, _check_real
 
 
 @dataclass
@@ -463,8 +463,11 @@ def greedy_step(fv, op, gamma, state, u):
     state.move, only when its value is strictly below the incumbent value,
     so the outer objective never increases here. A committed step's info
     dict carries the scale t_sq and the factor u, so X_new = t_sq X + u u^T
-    can be replayed.
+    can be replayed. A u that is not 2-D with op.n rows and at least one
+    column raises ValueError.
     """
+    if np.ndim(u) != 2 or np.shape(u)[0] != op.n or np.shape(u)[1] < 1:
+        raise ValueError(f"u must have shape (n, r) = ({op.n}, r >= 1), got {np.shape(u)}")
     y0 = state.y
     tr0 = state.tr
     f0 = fv.value(y0) + gamma * tr0
@@ -557,8 +560,7 @@ class _MeasurementIterate:
     def __init__(self, fv, op, gamma, config, sketch_size):
         if fv.dim != op.d:
             raise ValueError("objective dimension does not match the measurement count")
-        if not 0.0 <= gamma < math.inf:
-            raise ValueError("trace penalty gamma must be finite and nonnegative")
+        _check_real("gamma", gamma, "[0, inf)")
         self.fv, self.op, self.gamma = fv, op, gamma
         # every Lanczos run draws its seed from this one stream. A visit's
         # run starts from the previous visit's eigenvector plus a little of
@@ -682,7 +684,8 @@ def sdp_solve(
     """Momentum conic descent on min f(apply(X)) + gamma tr(X), X psd.
 
     fv is the measurement-space objective (a ConicProgram with cone None and
-    dim equal to op.d); the trace penalty is handled here, not inside fv.
+    dim equal to op.d); the trace penalty is handled here, not inside fv,
+    and a gamma that is not a number in [0, inf) raises ValueError.
     The dual certificate of a visit is max(0, -lambda) for the smallest
     eigenvalue lambda of the adjoint image of the momentum vector plus
     gamma I, and the run stops once it reaches sqrt(tol_eps).
@@ -759,15 +762,14 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=Non
     "converged" status rest on a cold start. stats["lmo_matvecs"] and
     stats["lmo_confirmations"] are as in sdp_solve, and
     stats["n_theta_searches"] counts the segment searches. A tau that is
-    not positive and finite raises ValueError, and so does a config with
+    not a number in (0, inf) raises ValueError, and so does a config with
     heuristic_m set, since every step here is an exact search on the
     segment to the atom.
 
     callback(info) gets sdp_solve's keys, and its "g_avg" is the gradient;
     q is None when the atom is X = 0.
     """
-    if not 0.0 < tau < math.inf:
-        raise ValueError("trace bound tau must be positive and finite")
+    _check_real("tau", tau, "(0, inf)")
     # under "cd" the loop's average is the gradient itself
     config = replace(_check_config(config, allow_greedy=False), momentum_mode="cd")
     if config.heuristic_m is not None:

@@ -703,8 +703,17 @@ def test_greedy_every_zero_exits_two(tmp_path, capsys):
     argv = ["matcomp", "--n", "20", "--algo", "mocog", "--greedy-every", "0"]
     assert console_main(argv + ["--prefix", prefix]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"{prefix}: greedy-every must be at least 1"
+        f"{prefix}: greedy-every must be an int >= 1, got 0"
     ]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_jobs_zero_exits_two(tmp_path, capsys):
+    # --jobs goes through the library's count check, whose ValueError is a
+    # usage error before any run starts
+    argv = ["toy", "--jobs", "0", "--prefix", str(tmp_path / "x")]
+    assert console_main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: --jobs must be an int >= 1, got 0"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,10 +1,13 @@
 """One owner per rule: one writer of the semidefinite state, one check of a
-count, and a visit loop that reads its iterate only through the protocol."""
+count and one of a real setting, and a visit loop that reads its iterate
+only through the protocol."""
 
 import ast
 import dataclasses
 import inspect
+import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +27,9 @@ from cdkit import (
     sketch_reconstruct,
     solve,
 )
+from cdkit.cli import RunSpec, validate
 from cdkit.problems import (
+    add_noise_snr,
     build_matcomp,
     build_orthant_quadratic,
     build_phase_retrieval,
@@ -195,6 +200,55 @@ def test_every_count_argument_takes_ints_at_its_floor(site):
         with pytest.raises(ValueError, match=f"^{what} must be an int >= {low}, got "):
             call(bad)
     call(np.int64(low))
+
+
+def _toy_sdp(solver, **kwargs):
+    toy = build_trace_toy()
+    return solver(toy.fv, toy.op, config=SolverConfig(max_iters=3), **kwargs)
+
+
+# every real-valued setting: the name its error gives, its interval, the
+# nearest values beyond its ends (an open end itself; a closed infinite end
+# has none), and a call that passes the value to it
+_REAL_SITES = {
+    "tol_eps": ("tol_eps", "[0, inf)", (-5e-324, math.inf),
+                lambda v: _toy_solve(max_iters=3, tol_eps=v)),
+    "heuristic_m": ("heuristic_m", "(0, inf)", (0.0, math.inf),
+                    lambda v: _toy_solve(max_iters=3, heuristic_m=v)),
+    "gamma": ("gamma", "[0, inf)", (-5e-324, math.inf), lambda v: _toy_sdp(sdp_solve, gamma=v)),
+    "tau": ("tau", "(0, inf)", (0.0, math.inf), lambda v: _toy_sdp(fw_solve, tau=v)),
+    "trace-toy-target": ("target", "(0, inf)", (0.0, math.inf),
+                         lambda v: build_trace_toy(target=v)),
+    "matcomp-density": ("density", "(0, 1]", (0.0, np.nextafter(1.0, 2.0)),
+                        lambda v: build_matcomp(n=10, rank=1, block=2, density=v)),
+    "noise-snr": ("noise SNR", "(-inf, inf]", (-math.inf,),
+                  lambda v: add_noise_snr(np.ones(3), v, np.random.default_rng(0))),
+    "cli-heuristic-m": ("heuristic-m", "(0, inf)", (0.0, math.inf),
+                        lambda v: validate(RunSpec(command="toy", heuristic_m=v))),
+    "cli-trace-bound": ("trace-bound", "(0, inf)", (0.0, math.inf),
+                        lambda v: validate(RunSpec(command="matcomp", trace_bound=v))),
+}
+# where None leaves the setting unset
+_NONE_UNSETS = {"heuristic_m", "cli-heuristic-m", "cli-trace-bound"}
+
+
+@pytest.mark.parametrize("site", list(_REAL_SITES))
+def test_every_real_setting_takes_numbers_in_its_interval(site):
+    # a str, None, a bool, NaN and the nearest value beyond each end each
+    # raise ValueError naming the setting, and a numpy float inside is
+    # accepted. Where None means unset it is accepted, and the CLI's field
+    # type check turns a str away before the range check sees it
+    what, interval, outside, call = _REAL_SITES[site]
+    for bad in ("0.5", None, True, math.nan, *outside):
+        message = f"^{what} must be a number in {re.escape(interval)}, got {re.escape(repr(bad))}$"
+        if bad is None and site in _NONE_UNSETS:
+            call(bad)
+            continue
+        if isinstance(bad, str) and site.startswith("cli-"):
+            message = "needs a number, got '0.5'$"
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+    call(np.float64(0.5))
 
 
 # what _descend may read of its iterate: the three per-visit methods, the

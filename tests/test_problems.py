@@ -527,6 +527,19 @@ def test_phase_retrieval_rejects_a_non_finite_signal(bad):
         build_phase_retrieval(m=2, signal=[1.0, bad, 2.0, 3.0])
 
 
+def test_phase_retrieval_holds_a_signal_to_the_n_floor():
+    # a given signal sets n and meets the same n >= 2 floor as a drawn one;
+    # it used to build an n = 1 instance
+    with pytest.raises(ValueError, match=r"^n must be an int >= 2, got 1$"):
+        build_phase_retrieval(m=2, signal=[1.0])
+    # both paths draw the masks first, so a signal of length n gets the
+    # masks a drawn signal of length n gets
+    drawn = build_phase_retrieval(n=8, m=3, seed=5)
+    given = build_phase_retrieval(m=3, seed=5, signal=3.0 * drawn.x_true)
+    np.testing.assert_array_equal(given.signs, drawn.signs)
+    np.testing.assert_allclose(given.x_true, drawn.x_true, rtol=1e-15)
+
+
 def test_phase_dense_and_factored_paths_agree():
     ph = build_phase_retrieval(n=16, m=3, seed=2)
     rng = np.random.default_rng(5)

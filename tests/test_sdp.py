@@ -1026,6 +1026,22 @@ def test_greedy_step_standalone_improves_from_partial_iterate():
         assert mc.fv.value(state.y) == pytest.approx(f0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "shape", [(3, 2), (4, 1), (2,), (2, 0)], ids=["3-rows", "4-rows", "1-d", "no-columns"]
+)
+def test_greedy_step_rejects_a_factor_of_the_wrong_shape(shape):
+    # (3, 2) and (4, 1) factors used to commit a wrong sketch term (the
+    # sketch reshapes a factor to n rows) and the 1-D and empty ones died
+    # with IndexError inside the column loop; each now raises before any
+    # oracle call and leaves the state as it was
+    toy = build_trace_toy(n=2)
+    state = SdpState(np.zeros(1), 0.0, SketchState.create(2, 3))
+    with pytest.raises(ValueError, match=r"^u must have shape \(n, r\) = \(2, r >= 1\)"):
+        greedy_step(toy.fv, toy.op, 0.0, state, np.ones(shape))
+    assert (state.y.tolist(), state.tr, state.sketch.s.tolist()) == ([0.0], 0.0, [[0.0] * 3] * 2)
+    assert sum(toy.fv.eval_counts().values()) == 0
+
+
 @pytest.mark.parametrize("oracle", [True, False], ids=["restriction", "slope"])
 def test_greedy_commit_stores_the_point_it_reports(oracle):
     # a committed refit stores the image and trace of the point it ends at:

@@ -15,12 +15,12 @@ built instances and four command-line runs, and write what they return to
 a temporary directory: per solve the trace (every column but wall_ms),
 stats (greedy events included), status, the final point or final_y and
 final_tr, the sketch's s, certified_dual_cert and final_lambda; per
-instance its data arrays (matcomp's b, row_idx and col_idx, phase's b and
-signs) and the objective's gradient at 0, which reads the data the
-objective holds; per command-line run the trace CSV without wall_ms, the
-summary JSON without wall_ms_total and build, the phase run's factor.npz
-and the matcomp --dump-to file. --smoke runs 3 small solves and nothing
-else.
+instance its data arrays (matcomp's b, row_idx and col_idx, phase's b,
+signs and x_true, for drawn and given signals) and the objective's
+gradient at 0, which reads the data the objective holds; per command-line
+run the trace CSV without wall_ms, the summary JSON without wall_ms_total
+and build, the phase run's factor.npz and the matcomp --dump-to file.
+--smoke runs 3 small solves and nothing else.
 
 For each solve, instance and field this prints "identical", the largest
 relative change, or the keys one side has and the other lacks. Identical
@@ -151,11 +151,16 @@ def instance_set():
                         build_matcomp, ("b", "row_idx", "col_idx"),
                         n=n, rank=rank, seed=n + rank, block=block, noise_snr=snr,
                     )
+    phase_arrays = ("b", "signs", "x_true")
     for snr in (None, 20.0):
         noise = "clean" if snr is None else "noisy"
         calls[f"phase64-{noise}"] = arrays(
-            build_phase_retrieval, ("b", "signs"), n=64, m=10, seed=3, noise_snr=snr
+            build_phase_retrieval, phase_arrays, n=64, m=10, seed=3, noise_snr=snr
         )
+    # the builder's other path: a given signal, which sets n
+    calls["phase-signal"] = arrays(
+        build_phase_retrieval, phase_arrays, m=6, seed=4, signal=np.cos(0.3 * np.arange(48))
+    )
     calls["trace-toy"] = arrays(build_trace_toy, (), n=4, target=2.0)
     return calls
 
