@@ -133,9 +133,17 @@ class SketchState:
         self.s *= c
 
     def add_rank_one(self, theta, q):
-        """S += theta q q^T omega, for q of shape (n,) or a factor of shape (n, r)."""
+        """S += theta q q^T omega, for q of shape (n,) or a factor of shape (n, r).
+
+        A q of any other shape, r = 0 included, raises ValueError and leaves
+        the sketch as it was.
+        """
+        q = np.asarray(q, dtype=float)
+        n = self.s.shape[0]
+        if q.shape != (n,) and (q.ndim != 2 or q.shape[0] != n or q.shape[1] < 1):
+            raise ValueError(f"q must have shape ({n},) or ({n}, r >= 1), got {q.shape}")
         # for a vector each entry of the term is one product, as np.outer's
-        q2 = np.asarray(q, dtype=float).reshape(self.s.shape[0], -1)
+        q2 = q.reshape(n, -1)
         self.s += theta * (q2 @ (q2.T @ self.omega))
 
     def replace(self, t_sq, u):
@@ -236,11 +244,16 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
     directly, which gives bit for bit what
     scipy.linalg.eigh_tridiagonal(select="i") returns without its per-call
     argument checks; a LAPACK failure raises EigFailure and so takes the
-    retry. An n that is not an int >= 1, or a seed that is not an int >= 0,
-    raises ValueError.
+    retry. An n that is not an int >= 1, a seed that is not an int >= 0, or
+    a start that is not a finite array of shape (n,), raises ValueError
+    before any matvec.
     """
     _check_count("operator size n", n, 1)
     _check_count("seed", seed, 0)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (n,) or not np.isfinite(start).all():
+            raise ValueError(f"start must be a finite array of shape ({n},), got {start.shape}")
     try:
         return _lanczos_once(matvec, n, seed, start)
     except EigFailure:
@@ -291,7 +304,7 @@ def _lanczos_once(matvec, n, seed, start=None):
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     if start is not None:
-        v = np.asarray(start, dtype=float) + _WARM_START_MIX * v
+        v = start + _WARM_START_MIX * v
         v /= np.linalg.norm(v)
     # running max |alpha| and max |beta| for the residual scale
     alpha_max = beta_max = 0.0
@@ -447,15 +460,21 @@ def greedy_step(fv, op, gamma, state, u):
     and the gradient in u applies adjoint_matvec to each column. Inner
     iterations alternate an exact update of s (the objective restricted to s
     is a one-dimensional convex problem the restriction oracle solves in
-    closed form) with a line-searched gradient step on u. Along the factor
-    step the image is y - a C + a^2 D for two images C and D that each inner
-    iteration builds with two factor images. With a restriction oracle the
-    objective along the step is then a quartic in the step length, minimized
-    exactly over its stationary points. Without one, a bisection on the sign
-    of its derivative stands in; it stops at a local minimum, which need not
-    be the quartic's global one. Either search only proposes a step length,
-    and the factor moves there only when one factor image and one objective
-    call find a value strictly below the current one. The descent starts at
+    closed form), taken only when its value is not above the held one, with
+    a line-searched conjugate step on u. The factor step searches along the
+    unit vector of d_k = g_k + beta_k d_(k-1), where g_k is the gradient in
+    u and beta_k = max(0, <g_k, g_k - g_(k-1)> / <g_(k-1), g_(k-1)>)
+    (Polak-Ribiere+). It searches along g_k alone on the first inner
+    iteration, after an iteration whose factor step was not taken, and when
+    <d_k, g_k> <= 0. Along the factor step the image is y - a C + a^2 D for
+    two images C and D that each inner iteration builds with two factor
+    images. With a restriction oracle the objective along the step is then
+    a quartic in the step length, minimized exactly over its stationary
+    points. Without one, a bisection on the sign of its derivative stands
+    in; it stops at a local minimum, which need not be the quartic's global
+    one. Either search only proposes a step length, and the factor moves
+    there only when one factor image and one objective call find a value
+    strictly below the current one. The descent starts at
     s = 1 from the factor u it is given, of shape (n, r); u = 0 would be
     stationary in u. On a zero state the scale multiplies nothing, the scale
     search makes no oracle call, and the refit descends on the factor alone.
@@ -480,19 +499,34 @@ def greedy_step(fv, op, gamma, state, u):
     gram_u = _gram_cols(op, u)
     tr_u = float(np.vdot(u, u))
     h_cur, y_cur = assemble(s, gram_u, tr_u)
+    # the gradient of the last factor step taken; None restarts the next
+    # search along the gradient
+    grad_prev = None
     for inner in range(_GREEDY_MAX_INNER):
         h_prev = h_cur
         # exact scale update: along s the problem is the objective restricted
-        # to a ray, plus a linear trace term
-        s = ray_minimize(fv, y0, gram_u, gamma * tr0)
-        h_cur, y_cur = assemble(s, gram_u, tr_u)
-        # line-searched gradient step on the factor
+        # to a ray, plus a linear trace term. A proposal above the held value
+        # (an exact search's roundoff) is not taken, so the held point never
+        # gets worse
+        s_new = ray_minimize(fv, y0, gram_u, gamma * tr0)
+        h_new, y_new = assemble(s_new, gram_u, tr_u)
+        if h_new <= h_prev:
+            s, h_cur, y_cur = s_new, h_new, y_new
+        # line-searched conjugate step on the factor (Polak-Ribiere+)
         p = fv.gradient(y_cur)
         grad_u = 2.0 * (_adjoint_cols(op, p, u) + gamma * u)
         gn = float(np.linalg.norm(grad_u))
         if gn <= 1e-14 * max(1.0, abs(h_cur)):
             break
-        direction = grad_u / gn
+        if grad_prev is None:
+            search = grad_u
+        else:
+            # beta = max(0, <g, g - g_prev> / <g_prev, g_prev>)
+            rise = float(np.vdot(grad_u, grad_u - grad_prev))
+            search = grad_u + max(0.0, rise / float(np.vdot(grad_prev, grad_prev))) * search
+            if float(np.vdot(search, grad_u)) <= 0.0:
+                search = grad_u
+        direction = search / float(np.linalg.norm(search))
         big_d = _gram_cols(op, direction)
         big_c = _gram_cols(op, u + direction) - gram_u - big_d
         factor = (fv, gamma, y_cur, u, big_c, big_d, direction)
@@ -500,6 +534,7 @@ def greedy_step(fv, op, gamma, state, u):
             alpha = _quartic_argmin(*_factor_quartic(*factor))
         else:
             alpha = minimize_convex_1d(_factor_slope(*factor))
+        grad_prev = None
         if alpha != 0.0:
             u_alpha = u - alpha * direction
             gram_alpha = _gram_cols(op, u_alpha)
@@ -508,6 +543,7 @@ def greedy_step(fv, op, gamma, state, u):
             if h_alpha < h_cur:
                 u, gram_u, tr_u = u_alpha, gram_alpha, tr_alpha
                 h_cur, y_cur = h_alpha, y_alpha
+                grad_prev = grad_u
         if h_prev - h_cur <= _GREEDY_REL_TOL * max(1.0, abs(h_prev)):
             break
     committed = h_cur < f0
@@ -663,10 +699,16 @@ class _SdpIterate(_MeasurementIterate):
         s.move(1.0, theta, self.q, g_atom)
         if self.greedy_period and (k + 1) % self.greedy_period == 0:
             # u = 0 is stationary, so the refit starts from a small random
-            # factor sized to the trace
+            # factor sized to the trace, grown to its best amplitude: the
+            # image of a u is y + a^2 gram(u), so a line search in t = a^2
+            # finds it exactly. The start is never smaller than the draw
             n = self.op.n
             size = _GREEDY_PERTURB * math.sqrt((1.0 + s.tr) / n)
             u = size * self.rng.standard_normal((n, _GREEDY_RANK))
+            t = line_search_step(
+                self.fv, s.y, _gram_cols(self.op, u), self.gamma * float(np.vdot(u, u))
+            )
+            u = math.sqrt(max(1.0, t)) * u
             self.greedy = greedy_step(self.fv, self.op, self.gamma, s, u)
             self.greedy["k"] = k
             self.greedy_events.append(self.greedy)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cdkit import sdp
 from cdkit import (
+    ConicProgram,
     EigFailure,
     LineSearchDivergence,
     MeasurementOperator,
@@ -93,6 +94,26 @@ def test_sdp_solve_rejects_nonfinite_adjoint(n):
     op = MeasurementOperator(n=n, d=1, gram=toy.op.gram, adjoint_matvec=adjoint_matvec)
     with pytest.raises(EigFailure, match="non-finite"):
         sdp_solve(toy.fv, op, config=SolverConfig(max_iters=5))
+
+
+@pytest.mark.parametrize(
+    "start",
+    [np.ones(5), np.ones((4, 1)), np.array([1.0, np.nan, 0.0, 0.0])],
+    ids=["length-5", "column", "nan"],
+)
+def test_lanczos_rejects_a_bad_start_before_any_matvec(start):
+    # a length-5 start used to die in numpy's broadcast, a (4, 1) start was
+    # broadcast into a (4, 4) array first, and a NaN entry reached the
+    # operator; each now raises a ValueError naming start
+    matvecs = []
+
+    def matvec(v):
+        matvecs.append(v)
+        return v
+
+    with pytest.raises(ValueError, match=r"^start must be a finite array of shape \(4,\)"):
+        min_eig_lanczos(matvec, 4, start=start)
+    assert matvecs == []
 
 
 def test_lanczos_overflowing_residual_raises_eig_failure():
@@ -750,6 +771,22 @@ def test_sketch_is_linear_in_the_dense_mirror(moves, seed):
         np.testing.assert_allclose(sk.s, x @ sk.omega, rtol=0, atol=1e-12 * n * scale)
 
 
+@pytest.mark.parametrize(
+    "q", [np.ones(8), np.ones((2, 4)), np.ones((4, 0)), np.ones((4, 1, 1))],
+    ids=["length-8", "2-rows", "no-columns", "3-d"],
+)
+def test_sketch_add_rank_one_rejects_a_term_of_the_wrong_shape(q):
+    # a length-8 vector or a (2, 4) factor used to reshape to (4, 2) and add
+    # a wrong term; each shape but (n,) and (n, r >= 1) now raises and leaves
+    # the sketch as it was
+    sk = SketchState.create(4, 4)
+    sk.add_rank_one(1.0, np.arange(4.0))
+    before = sk.s.copy()
+    with pytest.raises(ValueError, match=r"^q must have shape \(4,\) or \(4, r >= 1\)"):
+        sk.add_rank_one(2.0, q)
+    assert np.array_equal(sk.s, before)
+
+
 def test_sketch_size_floor():
     with pytest.raises(ValueError):
         SketchState.create(5, 1)
@@ -910,13 +947,11 @@ def test_lmo_eigenvalue_matches_dense_at_every_visit(build):
     assert abs(res.certified_dual_cert - dense_cert) / scale <= 1e-6
 
 
-def test_lmo_eigenvalue_matches_dense_on_the_bench_instance(monkeypatch):
-    # the matcomp-greedy benchmark instance (n = 100) over the benchmark's 300
-    # iterations with a greedy refit every 20: every visit's Lanczos value
-    # against eigvalsh of the dense adjoint image of the momentum vector. The
-    # runs of the first 150 visits end by step 92; the late ones, which this
-    # covers, go all 100 steps
-    mc = build_matcomp(n=100, rank=3, block=10, density=0.1, noise_snr=20.0)
+def _lmo_errors_and_steps(monkeypatch, mc):
+    # a 300-visit mocog solve with a refit every 20 visits: every visit's
+    # Lanczos value against eigvalsh of the dense adjoint image of the
+    # momentum vector, relative to the operator's largest eigenvalue, and
+    # the step count of every Lanczos run
     op, gamma = mc.op, mc.gamma
     steps = []
 
@@ -942,8 +977,24 @@ def test_lmo_eigenvalue_matches_dense_on_the_bench_instance(monkeypatch):
     cfg = SolverConfig(max_iters=300, greedy_period=20)
     res = sdp_solve(mc.fv, op, gamma=gamma, config=cfg, sketch_size=8, callback=cb)
     assert len(errs) == len(res.trace) == 301
+    return errs, steps
+
+
+def test_lmo_eigenvalue_matches_dense_on_the_bench_instance(monkeypatch):
+    # the matcomp-greedy benchmark instance (n = 100) over the benchmark's
+    # 300 iterations; its Lanczos runs end by step 92
+    mc = build_matcomp(n=100, rank=3, block=10, density=0.1, noise_snr=20.0)
+    errs, _ = _lmo_errors_and_steps(monkeypatch, mc)
     assert max(errs) <= 1e-6, max(errs)
-    assert max(steps) == 100
+
+
+def test_lmo_eigenvalue_matches_dense_over_full_length_runs(monkeypatch):
+    # on matcomp n = 60 at density 0.2 the late runs go all n steps, so the
+    # 1e-6 bound also covers runs that build the whole n-vector basis
+    mc = build_matcomp(n=60, rank=3, density=0.2, noise_snr=20.0)
+    errs, steps = _lmo_errors_and_steps(monkeypatch, mc)
+    assert max(errs) <= 1e-6, max(errs)
+    assert max(steps) == 60
 
 
 def test_sdp_solve_dense_mirror_consistency():
@@ -1008,9 +1059,41 @@ def test_greedy_step_never_commits_an_increase():
 
 
 def _refit_start(n, tr, seed):
-    # a start factor drawn as the solver draws the refit's: three columns
-    # of N(0, 1) entries scaled by 1e-3 sqrt((1 + tr) / n)
+    # a start factor drawn as the solver draws the refit's, before it grows
+    # the draw to its best amplitude: three columns of N(0, 1) entries
+    # scaled by 1e-3 sqrt((1 + tr) / n)
     return 1e-3 * math.sqrt((1.0 + tr) / n) * np.random.default_rng(seed).standard_normal((n, 3))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_refit_starts_from_the_draw_at_its_best_amplitude(monkeypatch, gamma):
+    # the solver draws u0 and passes sqrt(max(1, t)) u0 to the refit, where
+    # t minimizes f(y + t gram(u0)) + gamma t |u0|^2 over t >= 0; here t is
+    # the root of that parabola's slope, read from two gradient calls
+    mc = build_matcomp(n=40, rank=3, block=5, density=0.2, noise_snr=20.0)
+    starts = []
+
+    def recording(fv, op, penalty, state, u):
+        starts.append((state.y.copy(), state.tr, u))
+        return greedy_step(fv, op, penalty, state, u)
+
+    monkeypatch.setattr(sdp, "greedy_step", recording)
+    sdp_solve(mc.fv, mc.op, gamma=gamma, config=SolverConfig(max_iters=60, greedy_period=10))
+    assert len(starts) == 6
+    # the solver's refit generator, seeded with rng_seed 0
+    draws = np.random.default_rng(0)
+    amplitudes = []
+    for y, tr, u in starts:
+        u0 = 1e-3 * math.sqrt((1.0 + tr) / mc.op.n) * draws.standard_normal((mc.op.n, 3))
+        big_d = _gram_cols(mc.op, u0)
+        linear = gamma * float(np.vdot(u0, u0))
+        slope0 = float(np.vdot(mc.fv.gradient(y), big_d)) + linear
+        slope1 = float(np.vdot(mc.fv.gradient(y + big_d), big_d)) + linear
+        t = max(0.0, slope0 / (slope0 - slope1))
+        np.testing.assert_allclose(u, math.sqrt(max(1.0, t)) * u0, rtol=1e-6)
+        amplitudes.append(t)
+    # the search grows some starts and leaves the others at the draw
+    assert min(amplitudes) <= 1.0 < max(amplitudes)
 
 
 def test_greedy_step_standalone_improves_from_partial_iterate():
@@ -1095,6 +1178,32 @@ def test_greedy_step_on_a_zero_state_descends_on_the_factor_alone():
     assert info["t_sq"] == 1.0
     assert np.array_equal(state.y, _gram_cols(mc.op, info["u"]))
     assert state.tr == float(np.vdot(info["u"], info["u"]))
+
+
+def test_greedy_step_never_holds_a_worse_scale():
+    # a restriction oracle that places the scale's minimizer 1% too far out,
+    # on a start (s, u) = (1, u) that is already the exact minimizer (f = 0):
+    # the scale search proposes a worse point, which the refit must not take,
+    # so it commits the start itself rather than a point above it
+    n = 4
+    u = np.arange(1.0, n + 1.0).reshape(n, 1)
+    y0 = np.full(n, 0.5)
+    target = 1.0 * y0 + u[:, 0] * u[:, 0]
+    op = MeasurementOperator(n, n, gram=lambda q: q * q, adjoint_matvec=lambda p, v: p * v)
+
+    def misreported(base, d):
+        return 0.5 * float(np.dot(d, d)) / 1.01, float(np.dot(base - target, d))
+
+    fv = ConicProgram(
+        dim=n,
+        value_oracle=lambda y: 0.5 * float(np.dot(y - target, y - target)),
+        gradient_oracle=lambda y: y - target,
+        restriction_oracle=misreported,
+    )
+    state = SdpState(y0.copy(), float(y0.sum()), None)
+    info = greedy_step(fv, op, 0.0, state, u)
+    assert info["committed"] and info["f_after"] == 0.0 and info["t_sq"] == 1.0
+    assert np.array_equal(state.y, target)
 
 
 def test_greedy_commit_needs_no_sketch_replace(monkeypatch):

@@ -111,6 +111,9 @@ def solve_set(smoke):
                 dataclasses.replace(small, fv=free), seed, 60, 5, gamma=gamma
             )
         calls[f"matcomp30-fw-s{seed}"] = frank_wolfe(small, seed, 100, 30.0)
+    # the matcomp-greedy benchmark's instance and schedule: 20 dB noise
+    bench = build_matcomp(n=100, block=10, density=0.1, noise_snr=20.0)
+    calls["matcomp100-bench-mocog-s0"] = greedy(bench, 0, 300, 20)
     # thinned traces of runs that stop on tol_eps at visits 52, 41 and 115,
     # none a multiple of 7: the result reads its certificate from the
     # record of that visit, which the thinning alone would not keep
