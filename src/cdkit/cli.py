@@ -62,8 +62,6 @@ from .sdp import fw_solve, sdp_solve, sketch_reconstruct
 
 _VECTOR_ALGOS = ("cd", "moco", "mocoh")
 _SDP_ALGOS = ("cd", "moco", "mocog", "mocoh", "fw")
-# phase keeps a sketch unless told otherwise: its factor readout needs one
-_PHASE_SKETCH = 8
 # what --dump-to writes for each command: the kind tag (saved as the string
 # array "kind", beside "seed") and the fields of the built bundle
 _DUMPS = {
@@ -92,7 +90,7 @@ class RunSpec:
     block: int = 10
     noise_snr: float | None = None
     gamma: float | None = None
-    sketch: int | None = None
+    sketch: int = 8
     greedy_every: int = 20
     heuristic_m: float | None = None
     trace_bound: float | None = None
@@ -225,8 +223,7 @@ def validate(spec):
             raise UsageError("mocoh on matcomp needs --heuristic-m")
     if spec.command == "phase":
         # a sketch below 2 columns is the library's error to report
-        sketch = spec.sketch if spec.sketch is not None else _PHASE_SKETCH
-        if sketch >= 2 and not 1 <= spec.recon_rank < sketch - 1:
+        if spec.sketch >= 2 and not 1 <= spec.recon_rank < spec.sketch - 1:
             raise UsageError("recon-rank must lie in [1, sketch - 2]")
     if spec.heuristic_m is not None:
         _check_real("heuristic-m", spec.heuristic_m, "(0, inf)")
@@ -350,7 +347,6 @@ def _run_sdp(spec):
         )
         # an image sets the signal length; the summary echoes it as n
         spec = dataclasses.replace(spec, n=bundle.op.n)
-        sketch_size = spec.sketch if spec.sketch is not None else _PHASE_SKETCH
         m_estimate = bundle.m_estimate
     else:
         bundle = build_matcomp(
@@ -361,7 +357,6 @@ def _run_sdp(spec):
             density=spec.density,
             noise_snr=spec.noise_snr,
         )
-        sketch_size = spec.sketch
         m_estimate = None
     gamma = spec.gamma if spec.gamma is not None else bundle.gamma
     solver = sdp_solve
@@ -373,7 +368,7 @@ def _run_sdp(spec):
         bundle.op,
         gamma=gamma,
         config=_solver_config(spec, m_estimate),
-        sketch_size=sketch_size,
+        sketch_size=spec.sketch,
     )
     summary = _base_summary(spec, result)
     summary["final_trace"] = float(result.final_tr)
@@ -444,7 +439,7 @@ def build_parser():
         n="matrix side; phase takes it from --image when one is given",
         noise_snr=None,
         gamma="trace penalty weight",
-        sketch=f"sketch column count (omitted: none on matcomp, {_PHASE_SKETCH} on phase)",
+        sketch="columns of the sketch every run keeps (default 8)",
         greedy_every="period of the factored descent step (mocog)",
         trace_bound="feasible trace bound for fw",
     )

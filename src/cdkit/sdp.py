@@ -2,8 +2,8 @@
 
 The positive semidefinite variable X only ever enters the objective through
 its measurement image, so the engine tracks three small objects instead of
-X itself: the image y = apply(X), a running trace accumulator, and
-(optionally) a randomized range sketch S = X @ Omega. Any data the
+X itself: the image y = apply(X), a running trace accumulator, and a
+randomized range sketch S = X @ Omega, which every solve keeps. Any data the
 objective compares the image with belongs to the objective. Every solver
 move is a rescaling plus a rank-one or low-rank term, and each admits an
 exact cheap update of all three, made in one place, SdpState.move. The
@@ -70,38 +70,35 @@ class MeasurementOperator:
 
 @dataclass
 class SdpState:
-    """Mutable iterate of the engine: image y = apply(X), trace, optional sketch.
+    """Mutable iterate of the engine: image y = apply(X), trace and sketch.
 
     move(scale, weight, q, gram_q, tr_q) applies X <- scale X + weight q q^T
     to all three, for a unit vector q of shape (n,) or a factor q of shape
     (n, r): the image becomes scale y + weight gram_q, where gram_q is the
     image of q q^T, the trace scale tr + weight tr_q, where tr_q is the trace
     of q q^T (1 for a unit vector, the default), and the sketch is scaled
-    and gets the term of q q^T when q is given. A scale of 1 skips the
-    multiply. This is the one writer of the state: the solvers' steps, the
-    ray rescale and the greedy refit's commit all go through it. y is
-    rebound to a new array, never updated in place, so a callback may keep
-    the previous one.
+    and gets the term of q q^T. A scale of 1 skips the multiply, and a q of
+    None adds no term. This is the one writer of the state: the solvers'
+    steps, the ray rescale and the greedy refit's commit all go through it.
+    y is rebound to a new array, never updated in place, so a callback may
+    keep the previous one.
     """
 
     y: np.ndarray
     tr: float
-    sketch: "SketchState | None" = None
+    sketch: "SketchState"
 
     def move(self, scale=1.0, weight=0.0, q=None, gram_q=None, tr_q=1.0):
-        y = self.y if scale == 1.0 else scale * self.y
-        if gram_q is not None:
+        if scale != 1.0:
+            self.y = scale * self.y
+            self.sketch.scale(scale)
+        if q is not None:
             # the sum of the two terms, built on the new term's array
             new = weight * gram_q
-            new += y
-            y = new
-        self.y = y
+            new += self.y
+            self.y = new
+            self.sketch.add_rank_one(weight, q)
         self.tr = scale * self.tr + weight * tr_q
-        if self.sketch is not None:
-            if scale != 1.0:
-                self.sketch.scale(scale)
-            if q is not None:
-                self.sketch.add_rank_one(weight, q)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +161,8 @@ def sketch_reconstruct(sketch, rank):
     1e-14 of the largest eigenvalue, where roundoff leaves them when X has
     low rank, are zeroed, so the factor keeps its `rank` columns. A rank
     that is not an integer >= 1 raises ValueError, and one that the sketch
-    cannot resolve (size - 1 or more) raises RankTooLarge. A sketch of None,
-    what a solve run without sketch_size returns, raises ValueError.
+    cannot resolve (size - 1 or more) raises RankTooLarge.
     """
-    if sketch is None:
-        raise ValueError("no sketch to read out: run the solve with sketch_size set")
     omega, s = sketch.omega, sketch.s
     n, size = s.shape
     _check_count("reconstruction rank", rank, 1)
@@ -571,12 +565,13 @@ class SdpResult:
     dual_cert and lambda_min: the loop always records the visit the run
     ends on, whose Lanczos run starts cold (see sdp_solve). The trace's
     dual_cert and lambda_min columns hold warm-start values on the visits
-    that did not confirm.
+    that did not confirm. sketch is the range sketch of the final iterate,
+    which every solve keeps.
     """
 
     final_y: np.ndarray
     final_tr: float
-    sketch: SketchState | None
+    sketch: SketchState
     status: str
     trace: SolveTrace
     certified_dual_cert: float
@@ -607,10 +602,8 @@ class _MeasurementIterate:
         self.lanczos_rng = np.random.default_rng(config.rng_seed).spawn(1)[0]
         self.lanczos_start = None
         self.lmo_matvecs = 0
-        sketch = None
-        if sketch_size is not None:
-            sketch = SketchState.create(op.n, sketch_size, seed=config.rng_seed + 1)
-        self.state = SdpState(y=np.zeros(op.d), tr=0.0, sketch=sketch)
+        sketch = SketchState.create(op.n, sketch_size, seed=config.rng_seed + 1)
+        self.state = SdpState(np.zeros(op.d), 0.0, sketch)
         self.greedy_events = []
 
     def evaluate(self, eta=1.0):
@@ -711,7 +704,9 @@ class _SdpIterate(_MeasurementIterate):
             u = math.sqrt(max(1.0, t)) * u
             self.greedy = greedy_step(self.fv, self.op, self.gamma, s, u)
             self.greedy["k"] = k
-            self.greedy_events.append(self.greedy)
+            # the run keeps each event's scalars; the factor goes only to
+            # the callback, so a run holds no factor per refit
+            self.greedy_events.append({key: v for key, v in self.greedy.items() if key != "u"})
         return theta
 
 
@@ -720,7 +715,7 @@ def sdp_solve(
     op,
     gamma=0.0,
     config=None,
-    sketch_size=None,
+    sketch_size=8,
     callback=None,
 ):
     """Momentum conic descent on min f(apply(X)) + gamma tr(X), X psd.
@@ -743,13 +738,15 @@ def sdp_solve(
     status all rest on a cold start, which the random-start failure bound
     of Lanczos covers.
 
-    The returned state is the ray-rescaled iterate of the final visit. When
-    sketch_size is set, a rank sketch of X is maintained through every move
-    and returned for factorized readout. stats["lmo_matvecs"] counts the
-    operator matvecs of every Lanczos run, verification, retries and cold
-    confirmations included; stats["lmo_confirmations"] counts the cold
-    runs that decided a stop test: one for the visit the run ends on plus
-    one per rejected stop.
+    The returned state is the ray-rescaled iterate of the final visit. A
+    range sketch of X with sketch_size columns (8 unless given; an int >= 2,
+    or ValueError) is kept through every move and returned for factorized
+    readout. stats["lmo_matvecs"] counts the operator matvecs of every
+    Lanczos run, verification, retries and cold confirmations included;
+    stats["lmo_confirmations"] counts the cold runs that decided a stop
+    test: one for the visit the run ends on plus one per rejected stop.
+    stats["greedy_events"] holds each refit's info dict, with its visit k,
+    less the factor u, which only the callback's "greedy" carries.
 
     callback(info) runs once per visit, after the step, with "record" (the
     TraceRecord), "q", "greedy", "y", "tr", "sketch" and "g_avg" in info.
@@ -790,7 +787,7 @@ class _FwIterate(_MeasurementIterate):
         return theta
 
 
-def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=None):
+def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=8, callback=None):
     """Baseline solver on the trace-bounded set {X psd, tr X <= tau}.
 
     No ray rescaling and no momentum; the recorded dual_cert column holds the
@@ -803,7 +800,8 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=None, callback=Non
     last visits' runs are cold, so certified_dual_cert, final_lambda and a
     "converged" status rest on a cold start. stats["lmo_matvecs"] and
     stats["lmo_confirmations"] are as in sdp_solve, and
-    stats["n_theta_searches"] counts the segment searches. A tau that is
+    stats["n_theta_searches"] counts the segment searches. The sketch is
+    kept and returned as in sdp_solve. A tau that is
     not a number in (0, inf) raises ValueError, and so does a config with
     heuristic_m set, since every step here is an exact search on the
     segment to the atom.

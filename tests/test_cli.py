@@ -738,13 +738,11 @@ def test_fw_run_writes_trace_and_summary(tmp_path, argv, tau):
         summary = json.load(fh)
     if argv[0] == "phase":
         bundle = build_phase_retrieval(n=16, m=4, seed=0)
-        sketch = cli._PHASE_SKETCH
     else:
         bundle = build_matcomp(n=20, rank=2, seed=0)
-        sketch = None
     res = cli.fw_solve(
         bundle.fv, bundle.op, tau=tau(bundle), gamma=bundle.gamma,
-        config=SolverConfig(max_iters=15), sketch_size=sketch,
+        config=SolverConfig(max_iters=15),
     )
     assert summary["final_f"] == res.trace[-1].f_value
     assert summary["final_trace"] == res.final_tr

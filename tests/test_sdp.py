@@ -846,10 +846,33 @@ def test_reconstruct_zero_sketch_gives_zeros():
     np.testing.assert_array_equal(u @ np.diag(lam) @ u.T, np.zeros((10, 10)))
 
 
-def test_reconstruct_without_a_sketch_names_sketch_size():
-    # what a solve run without a sketch returns in place of one
-    with pytest.raises(ValueError, match="sketch_size"):
-        sketch_reconstruct(None, 2)
+@pytest.mark.parametrize("solver", ["sdp", "fw"])
+def test_solvers_keep_an_eight_column_sketch_by_default(solver):
+    # a solve that leaves sketch_size unset still returns a sketch of X,
+    # 8 columns wide, which the readout takes
+    mc = build_matcomp(n=20, rank=2, seed=0)
+    cfg = SolverConfig(max_iters=5)
+    if solver == "sdp":
+        res = sdp_solve(mc.fv, mc.op, config=cfg)
+    else:
+        res = fw_solve(mc.fv, mc.op, 10.0, config=cfg)
+    assert res.sketch.s.shape == res.sketch.omega.shape == (20, 8)
+    assert np.any(res.sketch.s != 0.0)
+    u, lam = sketch_reconstruct(res.sketch, 1)
+    assert u.shape == (20, 1) and lam[0] > 0.0
+
+
+@pytest.mark.parametrize("solver", ["sdp", "fw"])
+def test_solvers_take_no_sketch_size_of_none(solver):
+    # every solve keeps a sketch: None is not a size, and the count check
+    # names the setting
+    mc = build_matcomp(n=20, rank=2, seed=0)
+    cfg = SolverConfig(max_iters=5)
+    with pytest.raises(ValueError, match="^sketch size must be an int >= 2, got None"):
+        if solver == "sdp":
+            sdp_solve(mc.fv, mc.op, config=cfg, sketch_size=None)
+        else:
+            fw_solve(mc.fv, mc.op, 10.0, config=cfg, sketch_size=None)
 
 
 def test_reconstruct_rank_cap():
@@ -1044,6 +1067,22 @@ def test_sdp_solve_dense_mirror_consistency():
     assert min(fw_atoms) >= 1, fw_atoms
 
 
+def test_refit_events_in_stats_hold_no_array():
+    # a run keeps each refit's scalars, not its factor: the factor goes only
+    # to the callback, so the run holds no factor per refit
+    mc = build_matcomp(n=30, rank=2, seed=2, block=5, density=0.15)
+    cfg = SolverConfig(max_iters=60, greedy_period=10, rng_seed=0)
+    seen = []
+    res = sdp_solve(mc.fv, mc.op, config=cfg, callback=lambda info: seen.append(info["greedy"]))
+    refits = [g for g in seen if g is not None]
+    events = res.stats["greedy_events"]
+    assert len(events) == len(refits) >= 4 and any(e["committed"] for e in events)
+    for event, refit in zip(events, refits):
+        assert not any(isinstance(v, np.ndarray) for v in event.values())
+        assert ("u" in refit) == refit["committed"]
+        assert event == {key: v for key, v in refit.items() if key != "u"}
+
+
 def test_greedy_step_never_commits_an_increase():
     mc = build_matcomp(n=30, rank=2, seed=2, block=5, density=0.15)
     cfg = SolverConfig(max_iters=60, greedy_period=10, rng_seed=0)
@@ -1099,7 +1138,7 @@ def test_refit_starts_from_the_draw_at_its_best_amplitude(monkeypatch, gamma):
 def test_greedy_step_standalone_improves_from_partial_iterate():
     mc = build_matcomp(n=30, rank=2, seed=3, block=5, density=0.15)
     res = sdp_solve(mc.fv, mc.op, config=SolverConfig(max_iters=15))
-    state = SdpState(res.final_y.copy(), res.final_tr, None)
+    state = SdpState(res.final_y.copy(), res.final_tr, SketchState.create(mc.op.n, 3))
     f0 = mc.fv.value(state.y)
     info = greedy_step(mc.fv, mc.op, 0.0, state, _refit_start(mc.op.n, state.tr, 0))
     assert info["f_before"] == pytest.approx(f0, rel=1e-12)
@@ -1168,7 +1207,7 @@ def test_greedy_step_on_a_zero_state_descends_on_the_factor_alone():
     res = sdp_solve(mc.fv, mc.op, config=cfg, sketch_size=8)
     u, lam = sketch_reconstruct(res.sketch, 3)
     start = u * np.sqrt(lam)
-    state = SdpState(np.zeros(mc.op.d), 0.0, None)
+    state = SdpState(np.zeros(mc.op.d), 0.0, SketchState.create(mc.op.n, 3))
     f_zero = mc.fv.value(state.y)
     before = mc.fv.eval_counts()["restriction"]
     info = greedy_step(mc.fv, mc.op, 0.0, state, start)
@@ -1200,10 +1239,58 @@ def test_greedy_step_never_holds_a_worse_scale():
         gradient_oracle=lambda y: y - target,
         restriction_oracle=misreported,
     )
-    state = SdpState(y0.copy(), float(y0.sum()), None)
+    state = SdpState(y0.copy(), float(y0.sum()), SketchState.create(n, 3))
     info = greedy_step(fv, op, 0.0, state, u)
     assert info["committed"] and info["f_after"] == 0.0 and info["t_sq"] == 1.0
     assert np.array_equal(state.y, target)
+
+
+def test_greedy_step_restarts_when_the_conjugate_direction_is_no_ascent():
+    # f = 0.5 |s y0 + u u - target|^2 over a diagonal operator, from a factor
+    # near the saddle u_2 = 0: between two factor steps the scale update
+    # turns the gradient, and on some inner iterations the Polak-Ribiere+
+    # direction d_k = g_k + beta_k d_(k-1) has <d_k, g_k> <= 0. The refit
+    # must then search along g_k. Each inner iteration's gradient is read
+    # from its adjoint call and its search direction from the next gram
+    # call, and both are checked against a mirror of the direction rule
+    n = 2
+    target, y0 = np.array([3.0, 2.0]), np.array([0.5, 0.5])
+    adjoint_calls, gram_calls = [], []
+
+    def gram(q):
+        gram_calls.append((len(adjoint_calls), q.copy()))
+        return q * q
+
+    def adjoint(p, v):
+        adjoint_calls.append((p.copy(), v.copy()))
+        return p * v
+
+    op = MeasurementOperator(n, n, gram=gram, adjoint_matvec=adjoint)
+    fv = ConicProgram(
+        dim=n,
+        value_oracle=lambda y: 0.5 * float(np.dot(y - target, y - target)),
+        gradient_oracle=lambda y: y - target,
+        restriction_oracle=lambda base, d: (0.5 * float(d @ d), float((base - target) @ d)),
+    )
+    state = SdpState(y0.copy(), float(y0.sum()), SketchState.create(n, 3))
+    info = greedy_step(fv, op, 0.0, state, np.array([[2.0], [0.01]]))
+    assert info["committed"]
+    restarts = 0
+    for k, (p, u) in enumerate(adjoint_calls):
+        # the first gram call after the k-th adjoint call maps the direction
+        after = [q for calls, q in gram_calls if calls == k + 1]
+        if not after:
+            break
+        g = 2.0 * p * u
+        if k == 0 or np.array_equal(u, adjoint_calls[k - 1][1]):
+            search = g
+        else:
+            g_prev = 2.0 * adjoint_calls[k - 1][0] * adjoint_calls[k - 1][1]
+            search = g + max(0.0, g @ (g - g_prev) / (g_prev @ g_prev)) * search
+            if search @ g <= 0.0:
+                search, restarts = g, restarts + 1
+        np.testing.assert_allclose(after[0], search / np.linalg.norm(search), rtol=1e-12)
+    assert restarts >= 1
 
 
 def test_greedy_commit_needs_no_sketch_replace(monkeypatch):

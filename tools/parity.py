@@ -114,6 +114,14 @@ def solve_set(smoke):
     # the matcomp-greedy benchmark's instance and schedule: 20 dB noise
     bench = build_matcomp(n=100, block=10, density=0.1, noise_snr=20.0)
     calls["matcomp100-bench-mocog-s0"] = greedy(bench, 0, 300, 20)
+    # one solve of each solver that leaves sketch_size at its default
+    plain = small_matcomp(0)
+    calls["matcomp30-mocog-sketch-default-s0"] = lambda: sdp_solve(
+        plain.fv, plain.op, plain.gamma, config=SolverConfig(max_iters=60, greedy_period=5)
+    )
+    calls["matcomp30-fw-sketch-default-s0"] = lambda: fw_solve(
+        plain.fv, plain.op, 30.0, gamma=plain.gamma, config=SolverConfig(max_iters=100)
+    )
     # thinned traces of runs that stop on tol_eps at visits 52, 41 and 115,
     # none a multiple of 7: the result reads its certificate from the
     # record of that visit, which the thinning alone would not keep
@@ -192,6 +200,7 @@ def fields(res):
     else:
         out["final_y"] = res.final_y
         out["final_tr"] = res.final_tr
+        # a checkout from before every solve kept a sketch returns None
         out["sketch.s"] = None if res.sketch is None else res.sketch.s
         out["final_lambda"] = res.final_lambda
     return out
