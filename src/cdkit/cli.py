@@ -7,12 +7,13 @@ Usage sketches:
     cdkit phase --n 64 --m 10 --algo mocoh --prefix out/ph
     cdkit phase --seeds 0,1,2,3 --jobs 4 --prefix out/sweep
 
-Every run writes <prefix>.trace.csv (one row per recorded iteration) and
-<prefix>.summary.json (resolved configuration, final values, oracle call
-counts). Phase runs additionally write <prefix>.factor.npz with the factored
-reconstruction read out of the sketch (arrays u and lam). With --dump-to PATH
-a run also writes the instance it built to PATH, exactly as given: a plain
-.npz file holding kind, seed and the bundle's arrays, which np.load reads.
+Every run writes <prefix>.trace.csv (one row per visit) and
+<prefix>.summary.json (the command and the resolved value of each flag it
+has, final values, oracle call counts). Phase runs additionally write
+<prefix>.factor.npz with the factored reconstruction read out of the
+sketch (arrays u and lam). With --dump-to PATH a run also writes the
+instance it built to PATH, exactly as given: a plain .npz file holding
+kind, seed and the bundle's arrays, which np.load reads.
 
 Option precedence, lowest to highest: built-in defaults, then key=value
 lines from --config, then explicit command line flags, then the CDK_SEED
@@ -81,7 +82,6 @@ class RunSpec:
     iters: int = 300
     tol: float = 0.0
     prefix: str = "run"
-    trace_every: int = 1
     dim: int = 20
     n: int = 100
     m: int = 10
@@ -222,8 +222,8 @@ def validate(spec):
         if spec.algo == "mocoh" and spec.heuristic_m is None:
             raise UsageError("mocoh on matcomp needs --heuristic-m")
     if spec.command == "phase":
-        # a sketch below 2 columns is the library's error to report
-        if spec.sketch >= 2 and not 1 <= spec.recon_rank < spec.sketch - 1:
+        # a sketch below 3 columns is the library's error to report
+        if spec.sketch >= 3 and not 1 <= spec.recon_rank < spec.sketch - 1:
             raise UsageError("recon-rank must lie in [1, sketch - 2]")
     if spec.heuristic_m is not None:
         _check_real("heuristic-m", spec.heuristic_m, "(0, inf)")
@@ -245,7 +245,6 @@ def _solver_config(spec, m_estimate):
         heuristic_m=heuristic_m,
         greedy_period=spec.greedy_every if spec.algo == "mocog" else 0,
         rng_seed=spec.seed,
-        trace_every=spec.trace_every,
     )
 
 
@@ -268,6 +267,15 @@ def _build_stamp():
     return out.stdout.strip()
 
 
+@functools.cache
+def _own_fields(command):
+    # the RunSpec fields the command has a flag for, command included: the
+    # keys of the namespace resolve checks --config keys against. Once per
+    # process and command, as building the parser is not free
+    given = vars(build_parser().parse_args([command]))
+    return [f.name for f in dataclasses.fields(RunSpec) if f.name in given]
+
+
 def _base_summary(spec, result):
     # the trace file and the summary keys every command shares
     result.trace.write_csv(f"{spec.prefix}.trace.csv")
@@ -278,7 +286,7 @@ def _base_summary(spec, result):
     }
     last = result.trace[-1]
     return {
-        "config": dataclasses.asdict(spec),
+        "config": {name: getattr(spec, name) for name in _own_fields(spec.command)},
         "build": _build_stamp(),
         "status": result.status,
         "iters_run": int(last.k),
@@ -429,7 +437,6 @@ def build_parser():
         iters="iteration budget",
         tol="stop once the dual certificate reaches sqrt(tol), or fw's gap reaches tol",
         prefix="output file prefix",
-        trace_every="record every this-many iterations",
         heuristic_m="step scale for the mocoh schedule",
         dump_to="also write the built instance to this exact path as a plain .npz file",
     )

@@ -88,8 +88,9 @@ class SolverConfig:
     search (monotone descent is then not guaranteed); fw_solve rejects it.
     tol_eps must be a number in [0, inf). greedy_period > 0 enables the
     periodic factored descent step and applies to sdp_solve only.
-    max_iters and trace_every must be ints >= 1, and greedy_period and
-    rng_seed ints >= 0 (numpy integers included, bools not).
+    max_iters must be an int >= 1, and greedy_period and rng_seed ints >= 0
+    (numpy integers included, bools not). Every visit adds one record to
+    the trace.
     """
 
     max_iters: int = 300
@@ -98,7 +99,6 @@ class SolverConfig:
     heuristic_m: float | None = None
     greedy_period: int = 0
     rng_seed: int = 0
-    trace_every: int = 1
 
 
 @dataclass
@@ -114,8 +114,8 @@ class TraceRecord:
 
 
 class SolveTrace(list):
-    """The run's TraceRecords, in visit order: a list, indexed and iterated
-    as one.
+    """The run's TraceRecords, one per visit: a list, indexed and iterated
+    as one, whose record k is visit k.
 
     Under exact line search f_value is non-increasing across records.
     """
@@ -259,7 +259,7 @@ def _check_config(config, allow_greedy):
     # returns the config to run: the one given, checked, or the defaults
     if config is None:
         config = SolverConfig()
-    floors = {"max_iters": 1, "greedy_period": 0, "trace_every": 1, "rng_seed": 0}
+    floors = {"max_iters": 1, "greedy_period": 0, "rng_seed": 0}
     for name, low in floors.items():
         _check_count(name, getattr(config, name), low)
     # NaN would never stop a run or make every scheduled step NaN, and
@@ -277,8 +277,9 @@ def _check_config(config, allow_greedy):
 def _descend(problem, config, it, callback, stop_at):
     """The visit loop shared by solve, sdp_solve and fw_solve.
 
-    The loop owns the momentum average, the stop test, the trace record,
-    the counters and the result: g_avg starts at zero and each visit sets
+    The loop owns the momentum average, the stop test, the trace (one
+    record per visit, so trace[k].k == k), the counters and the result:
+    g_avg starts at zero and each visit sets
     g_avg = (1 - delta) g_avg + delta grad, with delta = 2 / (k + 2) under
     momentum_mode "moco" and 1 under "cd". `it` carries one solver's
     iterate and per-visit math, and reports each visit's facts only by
@@ -302,7 +303,7 @@ def _descend(problem, config, it, callback, stop_at):
         "g_avg";
       result(status, trace, stats) -> the solver's result object, which
         reads the run's certificate from trace[-1], the visit the run ends
-        on: the loop always records it.
+        on.
     The run stops once the certificate reaches stop_at, which the solver
     passes in its certificate's units. Steps are searched, or scheduled
     when heuristic_m is set. Callers run _check_config before they build
@@ -342,8 +343,7 @@ def _descend(problem, config, it, callback, stop_at):
             n_theta_searches += m is None
         wall_ms = (time.perf_counter() - t_start) * 1e3
         record = TraceRecord(k, fval, cert, cs, eta, theta, wall_ms, lam)
-        if k % config.trace_every == 0 or stop or last:
-            trace.append(record)
+        trace.append(record)
         if callback is not None:
             info = it.payload(record)
             info["g_avg"] = g_avg

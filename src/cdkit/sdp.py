@@ -110,8 +110,9 @@ class SketchState:
     """Running sketch S = X @ omega for a fixed Gaussian test matrix omega.
 
     The solvers update it only through SdpState.move. An n that is not an
-    int >= 1, a size that is not an int >= 2 or a seed that is not an
-    int >= 0 raises ValueError.
+    int >= 1, a size that is not an int >= 3 (the fewest columns
+    sketch_reconstruct reads out) or a seed that is not an int >= 0 raises
+    ValueError.
     """
 
     omega: np.ndarray
@@ -120,7 +121,7 @@ class SketchState:
     @classmethod
     def create(cls, n, size, seed=0):
         _check_count("matrix side n", n, 1)
-        _check_count("sketch size", size, 2)
+        _check_count("sketch size", size, 3)
         _check_count("seed", seed, 0)
         rng = np.random.default_rng(seed)
         omega = rng.standard_normal((n, size))
@@ -562,11 +563,11 @@ class SdpResult:
     """Outcome of sdp_solve or fw_solve.
 
     certified_dual_cert and final_lambda are the last trace record's
-    dual_cert and lambda_min: the loop always records the visit the run
-    ends on, whose Lanczos run starts cold (see sdp_solve). The trace's
-    dual_cert and lambda_min columns hold warm-start values on the visits
-    that did not confirm. sketch is the range sketch of the final iterate,
-    which every solve keeps.
+    dual_cert and lambda_min: those of the visit the run ends on, whose
+    Lanczos run starts cold (see sdp_solve). The trace's dual_cert and
+    lambda_min columns hold warm-start values on the visits that did not
+    confirm. sketch is the range sketch of the final iterate, which every
+    solve keeps.
     """
 
     final_y: np.ndarray
@@ -739,9 +740,9 @@ def sdp_solve(
     of Lanczos covers.
 
     The returned state is the ray-rescaled iterate of the final visit. A
-    range sketch of X with sketch_size columns (8 unless given; an int >= 2,
-    or ValueError) is kept through every move and returned for factorized
-    readout. stats["lmo_matvecs"] counts the operator matvecs of every
+    range sketch of X with sketch_size columns (8 unless given; an int of
+    at least 3, or ValueError) is kept through every move and returned for
+    factorized readout. stats["lmo_matvecs"] counts the operator matvecs of every
     Lanczos run, verification, retries and cold confirmations included;
     stats["lmo_confirmations"] counts the cold runs that decided a stop
     test: one for the visit the run ends on plus one per rejected stop.
@@ -801,10 +802,10 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=8, callback=None):
     "converged" status rest on a cold start. stats["lmo_matvecs"] and
     stats["lmo_confirmations"] are as in sdp_solve, and
     stats["n_theta_searches"] counts the segment searches. The sketch is
-    kept and returned as in sdp_solve. A tau that is
-    not a number in (0, inf) raises ValueError, and so does a config with
-    heuristic_m set, since every step here is an exact search on the
-    segment to the atom.
+    kept and returned as in sdp_solve, with sketch_size at least 3. A tau
+    that is not a number in (0, inf) raises ValueError, and so does a
+    config with heuristic_m set, since every step here is an exact search
+    on the segment to the atom.
 
     callback(info) gets sdp_solve's keys, and its "g_avg" is the gradient;
     q is None when the atom is X = 0.

@@ -137,7 +137,7 @@ def test_config_file_roundtrip(tmp_path_factory, entries, data):
 # the flags of each command: its RunSpec fields, beside command, seeds, jobs
 # and config, which are not RunSpec fields or not flags
 _COMMON_FIELDS = {
-    "algo", "seed", "iters", "tol", "prefix", "trace_every", "heuristic_m", "dump_to",
+    "algo", "seed", "iters", "tol", "prefix", "heuristic_m", "dump_to",
 }
 _SDP_FIELDS = {"n", "noise_snr", "gamma", "sketch", "greedy_every", "trace_bound"}
 _COMMAND_FIELDS = {
@@ -153,7 +153,6 @@ _FLAG_SAMPLES = {
     "iters": ("12", 12),
     "tol": ("1e-6", 1e-6),
     "prefix": ("out/x", "out/x"),
-    "trace_every": ("3", 3),
     "heuristic_m": ("2.5", 2.5),
     "dump_to": ("inst.npz", "inst.npz"),
     "dim": ("6", 6),
@@ -222,12 +221,37 @@ def test_validate_recon_rank_bounds():
     with pytest.raises(UsageError):
         validate(RunSpec(command="phase", sketch=6, recon_rank=5))
     validate(RunSpec(command="phase", sketch=6, recon_rank=4))
-    # below 2 sketch columns the library reports the sketch, not the rank
+    # below 3 sketch columns the library reports the sketch, not the rank
     validate(RunSpec(command="phase", sketch=1))
+    validate(RunSpec(command="phase", sketch=2))
 
 
 # ---------------------------------------------------------------------------
 # end-to-end runs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["toy"], ["matcomp", "--n", "20"], ["phase", "--n", "16", "--m", "4"]],
+    ids=["toy", "matcomp", "phase"],
+)
+def test_summary_echoes_only_the_commands_settings(tmp_path, argv):
+    # the config echo holds the command and one key per flag it has, the
+    # keys a --config file may set; toy echoes no sketch, rank or image
+    command = argv[0]
+    prefix = tmp_path / "x"
+    assert console_main(argv + ["--iters", "3", "--prefix", str(prefix)]) == 0
+    with open(f"{prefix}.summary.json") as fh:
+        echo = json.load(fh)["config"]
+    assert set(echo) == _COMMAND_FIELDS[command] | {"command"}
+    assert echo["command"] == command and echo["iters"] == 3
+
+
+def test_removed_trace_every_flag_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        console_main(["toy", "--trace-every", "3"])
+    assert info.value.code == 2
+    assert "--trace-every" in capsys.readouterr().err
 
 
 def test_toy_run_writes_trace_and_summary(tmp_path):
@@ -447,7 +471,6 @@ def _phase_solve(**kwargs):
 _LIBRARY_RANGES = {
     "toy-iters": (["toy", "--iters", "0"], lambda: _toy_solve(max_iters=0)),
     "toy-tol": (["toy", "--tol=-1"], lambda: _toy_solve(tol_eps=-1.0)),
-    "toy-trace-every": (["toy", "--trace-every", "0"], lambda: _toy_solve(trace_every=0)),
     "toy-dim": (["toy", "--dim", "0"], lambda: build_orthant_quadratic(dim=0)),
     "toy-seed": (["toy", "--seed", "-1"], lambda: build_orthant_quadratic(seed=-1)),
     "matcomp-n": (["matcomp", "--n", "0"], lambda: build_matcomp(n=0)),
@@ -467,6 +490,10 @@ _LIBRARY_RANGES = {
     ),
     "phase-sketch": (
         ["phase", "--n", "16", "--sketch", "1"], lambda: _phase_solve(sketch_size=1)
+    ),
+    # two columns read out at no rank, so the floor is 3
+    "matcomp-sketch-2": (
+        ["matcomp", "--n", "20", "--sketch", "2"], lambda: _matcomp_solve(sketch_size=2)
     ),
     "matcomp-gamma": (["matcomp", "--n", "20", "--gamma=-1"], lambda: _matcomp_solve(gamma=-1.0)),
     "phase-noise-snr": (
@@ -657,6 +684,7 @@ def test_io_error_exits_four_under_jobs(tmp_path):
     "lines, argv, env",
     [
         ("bogus = 3\n", [], {}),
+        ("trace_every = 7\n", [], {}),
         ("iters 42\n", [], {}),
         ("iters = many\n", [], {}),
         (None, ["--seeds", "1,x"], {}),
@@ -665,8 +693,8 @@ def test_io_error_exits_four_under_jobs(tmp_path):
         (None, [], {"CDK_SEED": "x"}),
     ],
     ids=[
-        "unknown-key", "no-equals", "bad-value", "seeds-bad", "seeds-empty", "jobs-0",
-        "env-seed",
+        "unknown-key", "trace-every-key", "no-equals", "bad-value", "seeds-bad",
+        "seeds-empty", "jobs-0", "env-seed",
     ],
 )
 def test_resolve_errors_exit_two(tmp_path, monkeypatch, capsys, lines, argv, env):

@@ -408,16 +408,6 @@ def test_callback_keys_match_readme_table():
         assert seen and all(keys == readme[solver] for keys in seen), solver
 
 
-def test_trace_every_thins_records_but_keeps_last():
-    built = build_orthant_quadratic(dim=8, seed=5)
-    res = solve(built.program, SolverConfig(max_iters=20, trace_every=7))
-    ks = [r.k for r in res.trace]
-    assert ks[0] == 0
-    assert ks[-1] == 20 or res.status == "converged"
-    for k in ks[:-1]:
-        assert k % 7 == 0
-
-
 # ---------------------------------------------------------------------------
 # config validation and trace serialization
 
@@ -440,7 +430,6 @@ def test_config_validation_errors():
         solve(built.program, SolverConfig(heuristic_m=math.inf))
     toy = build_trace_toy()
     for config in (
-        SolverConfig(trace_every=0),
         SolverConfig(tol_eps=-1.0),
         SolverConfig(tol_eps=math.nan),
         SolverConfig(tol_eps=math.inf),
@@ -465,23 +454,28 @@ def test_config_validation_errors():
         fw_solve(quad_program(2, np.eye(2), np.zeros(2)), toy.op, tau=1.0)
 
 
+def test_no_setting_thins_the_trace():
+    # every visit adds its record, so there is no thinning setting to take
+    with pytest.raises(TypeError, match="trace_every"):
+        SolverConfig(trace_every=7)
+
+
 @pytest.mark.parametrize(
     "name, bad",
     [
         ("max_iters", 3.0),
         ("max_iters", True),
         ("greedy_period", 2.5),
-        ("trace_every", 1.5),
         ("rng_seed", 1.5),
     ],
 )
 def test_config_counts_must_be_integers(name, bad):
-    # a float trace_every or greedy_period would run on an off schedule and a
+    # a float greedy_period would run on an off schedule and a
     # float max_iters or rng_seed fail with TypeError; numpy integers pass
     toy = build_trace_toy()
     with pytest.raises(ValueError, match=f"{name} must be an int"):
         sdp_solve(toy.fv, toy.op, config=SolverConfig(**{name: bad}))
-    good = {"max_iters": 3, "greedy_period": 2, "trace_every": 2, "rng_seed": 1}[name]
+    good = {"max_iters": 3, "greedy_period": 2, "rng_seed": 1}[name]
     res = sdp_solve(toy.fv, toy.op, config=SolverConfig(**{name: np.int64(good)}))
     assert len(res.trace) >= 1
 

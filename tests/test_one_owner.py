@@ -165,12 +165,11 @@ def _sketched_solve(size):
 _COUNT_SITES = {
     "max_iters": ("max_iters", 1, lambda v: _toy_solve(max_iters=v)),
     "greedy_period": ("greedy_period", 0, lambda v: _toy_solve(max_iters=3, greedy_period=v)),
-    "trace_every": ("trace_every", 1, lambda v: _toy_solve(max_iters=3, trace_every=v)),
     "rng_seed": ("rng_seed", 0, lambda v: _toy_solve(max_iters=3, rng_seed=v)),
     "operator-n": ("matrix side n", 1, lambda v: _operator(n=v)),
     "operator-d": ("measurement count d", 1, lambda v: _operator(d=v)),
     "reconstruct-rank": ("reconstruction rank", 1, _readout),
-    "sketch-size": ("sketch size", 2, _sketched_solve),
+    "sketch-size": ("sketch size", 3, _sketched_solve),
     "lanczos-n": ("operator size n", 1, lambda v: min_eig_lanczos(lambda x: -x, v)),
     "orthant-dim": ("dim", 1, NonnegativeOrthant),
     "soc-dim": ("dim", 2, SecondOrderCone),
@@ -298,8 +297,8 @@ def test_descend_takes_its_stop_threshold_and_no_solver_switch():
     assert params == ["problem", "config", "it", "callback", "stop_at"]
 
 
-# each solver on a small problem, with the tol_eps that stops it at a visit
-# no multiple of 7 (orthant 52, matcomp 41, phase 115)
+# each solver on a small problem, with the tol_eps that stops it (orthant
+# at visit 52, matcomp 41, phase 115)
 def _orthant_run(config, callback):
     return solve(build_orthant_quadratic(dim=20, seed=0).program, config, callback=callback)
 
@@ -320,25 +319,45 @@ def _phase_run(config, callback):
     )
 
 
-@pytest.mark.parametrize(
+_EACH_SOLVER = pytest.mark.parametrize(
     "run, tol_eps",
     [(_orthant_run, 1e-4), (_matcomp_run, 1e-3), (_phase_run, 1e-4)],
     ids=["solve", "sdp_solve", "fw_solve"],
 )
-@pytest.mark.parametrize("stop", ["max_iters", "converged"])
+_EACH_STOP = pytest.mark.parametrize("stop", ["max_iters", "converged"])
+
+
+def _run_to(run, tol_eps, stop):
+    # the result of a run that stops on max_iters or on tol_eps, and the
+    # record its callback got at each visit
+    records = []
+    if stop == "max_iters":
+        config = SolverConfig(max_iters=30)
+    else:
+        config = SolverConfig(max_iters=300, tol_eps=tol_eps)
+    res = run(config, lambda info: records.append(info["record"]))
+    assert res.status == stop
+    return res, records
+
+
+@_EACH_SOLVER
+@_EACH_STOP
+def test_every_visit_adds_one_record(run, tol_eps, stop):
+    # the trace is the list of the visits' records: record k is visit k's,
+    # the one its callback got
+    res, records = _run_to(run, tol_eps, stop)
+    assert [r.k for r in res.trace] == list(range(len(records)))
+    assert all(kept is given for kept, given in zip(res.trace, records))
+
+
+@_EACH_SOLVER
+@_EACH_STOP
 def test_result_certificate_is_the_last_records(run, tol_eps, stop):
     # the result keeps no copy of the certificate: it reads the record of
-    # the visit the run ends on, which the thinning alone would not keep
-    visits = []
-    if stop == "max_iters":
-        config = SolverConfig(max_iters=30, trace_every=7)
-    else:
-        config = SolverConfig(max_iters=300, tol_eps=tol_eps, trace_every=7)
-    res = run(config, lambda info: visits.append(info["record"].k))
-    assert res.status == stop
-    assert visits[-1] % 7 != 0
+    # the visit the run ends on
+    res, records = _run_to(run, tol_eps, stop)
     assert isinstance(res.trace, list)
-    assert res.trace[-1].k == visits[-1]
+    assert res.trace[-1] is records[-1]
     assert res.certified_dual_cert == res.trace[-1].dual_cert
     if run is not _orthant_run:
         assert res.final_lambda == res.trace[-1].lambda_min

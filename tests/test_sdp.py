@@ -868,7 +868,7 @@ def test_solvers_take_no_sketch_size_of_none(solver):
     # names the setting
     mc = build_matcomp(n=20, rank=2, seed=0)
     cfg = SolverConfig(max_iters=5)
-    with pytest.raises(ValueError, match="^sketch size must be an int >= 2, got None"):
+    with pytest.raises(ValueError, match="^sketch size must be an int >= 3, got None"):
         if solver == "sdp":
             sdp_solve(mc.fv, mc.op, config=cfg, sketch_size=None)
         else:

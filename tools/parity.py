@@ -58,15 +58,12 @@ def solve_set(smoke):
         build_trace_toy,
     )
 
-    # cfg holds further SolverConfig fields
-    def orthant(mode, seed, iters=300, free=False, **cfg):
+    def orthant(mode, seed, iters=300, free=False):
         # free drops the restriction oracle, so every search bisects
         bundle = build_orthant_quadratic(dim=20, seed=seed)
         m = float(np.linalg.norm(bundle.x_star)) if mode == "mocoh" else None
         momentum = "cd" if mode == "cd" else "moco"
-        cfg = SolverConfig(
-            max_iters=iters, momentum_mode=momentum, heuristic_m=m, rng_seed=seed, **cfg
-        )
+        cfg = SolverConfig(max_iters=iters, momentum_mode=momentum, heuristic_m=m, rng_seed=seed)
         program = bundle.program
         if free:
             program = dataclasses.replace(program, restriction_oracle=None)
@@ -75,13 +72,13 @@ def solve_set(smoke):
     def small_matcomp(seed):
         return build_matcomp(n=30, rank=2, seed=seed, block=5, density=0.15)
 
-    def greedy(bundle, seed, iters, period, gamma=None, **cfg):
-        cfg = SolverConfig(max_iters=iters, greedy_period=period, rng_seed=seed, **cfg)
+    def greedy(bundle, seed, iters, period, gamma=None):
+        cfg = SolverConfig(max_iters=iters, greedy_period=period, rng_seed=seed)
         gamma = bundle.gamma if gamma is None else gamma
         return lambda: sdp_solve(bundle.fv, bundle.op, gamma, config=cfg, sketch_size=8)
 
-    def frank_wolfe(bundle, seed, iters, tau, **cfg):
-        cfg = SolverConfig(max_iters=iters, rng_seed=seed, **cfg)
+    def frank_wolfe(bundle, seed, iters, tau):
+        cfg = SolverConfig(max_iters=iters, rng_seed=seed)
         return lambda: fw_solve(
             bundle.fv, bundle.op, tau, gamma=bundle.gamma, config=cfg, sketch_size=8
         )
@@ -121,16 +118,6 @@ def solve_set(smoke):
     )
     calls["matcomp30-fw-sketch-default-s0"] = lambda: fw_solve(
         plain.fv, plain.op, 30.0, gamma=plain.gamma, config=SolverConfig(max_iters=100)
-    )
-    # thinned traces of runs that stop on tol_eps at visits 52, 41 and 115,
-    # none a multiple of 7: the result reads its certificate from the
-    # record of that visit, which the thinning alone would not keep
-    thin = {"trace_every": 7}
-    calls["orthant-moco-thin-s0"] = orthant("moco", 0, tol_eps=1e-4, **thin)
-    calls["matcomp30-mocog-thin-s0"] = greedy(small_matcomp(0), 0, 300, 5, tol_eps=1e-3, **thin)
-    phase = build_phase_retrieval(n=16, m=4, seed=0)
-    calls["phase16-fw-thin-s0"] = frank_wolfe(
-        phase, 0, 300, 2.0 * phase.m_estimate, tol_eps=1e-4, **thin
     )
     toy = build_trace_toy(n=4)
     calls["trace-toy-tol"] = lambda: sdp_solve(
