@@ -145,12 +145,23 @@ def build_trace_toy(n=2, target=1.0):
     _check_count("n", n, 1)
     _check_real("target", target, "(0, inf)")
 
+    # vdot reads q flat and p[0] ignores the rest of p, so the shapes are
+    # checked first
     def gram(q):
         q = np.asarray(q, dtype=float)
+        if q.shape != (n,):
+            raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
         return np.array([float(np.vdot(q, q))])
 
     def adjoint_matvec(p, u):
-        return float(p[0]) * np.asarray(u, dtype=float)
+        p = np.asarray(p, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if p.shape != (1,) or u.shape != (n,):
+            raise ValueError(
+                f"adjoint_matvec needs p of shape (1,) and u of shape ({n},), "
+                f"got {p.shape} and {u.shape}"
+            )
+        return float(p[0]) * u
 
     def apply_dense(x_mat):
         return np.array([float(np.trace(x_mat))])
@@ -199,23 +210,39 @@ def _mask_rows(counts):
     return np.repeat(np.arange(counts.size, dtype=np.int32), counts)
 
 
+# The mask's uniforms are drawn for whole rows at a time, at most this many
+# per draw (a longer row is drawn alone), so no buffer grows with n^2
+_MASK_DRAWS = 1 << 16
+
+
 def _matcomp_mask(n, block, density, rng):
-    # Upper-triangle sampling built one row at a time so no n^2 buffer is
-    # ever allocated. The leading block-by-block corner is always observed;
-    # the remaining upper-triangle entries are kept independently with the
-    # given density.
+    # Upper-triangle sampling: row i draws n - i uniforms, one per column
+    # j >= i, and keeps the columns whose draw is below density; the leading
+    # block-by-block corner is always observed. One draw of several rows'
+    # uniforms gives the same values as drawing them row by row, so the
+    # mask and the generator's state are those of a row-by-row loop. starts
+    # holds the offset of each row's first draw in the whole sequence
+    starts = np.arange(n + 1, dtype=np.int64)
+    starts = starts * n - starts * (starts - 1) // 2
     rows_i = []
     rows_j = []
-    for i in range(n):
-        js = np.arange(i, n, dtype=np.int32)
-        bern = rng.random(n - i) < density
-        if i < block:
-            keep = (js < block) | bern
-        else:
-            keep = bern
-        kept = js[keep]
-        rows_i.append(np.full(kept.size, i, dtype=np.int32))
-        rows_j.append(kept)
+    i = 0
+    while i < n:
+        end = int(np.searchsorted(starts, starts[i] + _MASK_DRAWS, side="right")) - 1
+        end = max(end, i + 1)
+        local = starts[i : end + 1] - starts[i]
+        keep = rng.random(int(local[-1])) < density
+        # at most block rows observe the corner
+        for r in range(i, min(end, block)):
+            keep[local[r - i] : local[r - i] + block - r] = True
+        # a row's kept draws lie between its start and the next row's, and
+        # row r's draw at offset t is column r + t
+        flat = np.flatnonzero(keep)
+        counts = np.diff(np.searchsorted(flat, local))
+        rows = np.arange(i, end, dtype=np.int32)
+        rows_i.append(np.repeat(rows, counts))
+        rows_j.append((flat - np.repeat(local[:-1] - rows, counts)).astype(np.int32))
+        i = end
     return np.concatenate(rows_i), np.concatenate(rows_j)
 
 
@@ -247,41 +274,45 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     d = row_idx.size
     # The bundle keeps the mask as row counts and col_idx, and drops the row
     # indices. The counts are intp, which np.repeat reads without a
-    # conversion; the column indices stay int32: intp would add 1.6 MB per
-    # bundle at n = 2000 (d about 200k)
+    # conversion. The column indices stay int32, the index type of the
+    # compiled kernels below, which read them beside int32 row pointers
+    # with no cast; intp would add 1.6 MB per bundle at n = 2000 (d about
+    # 200k)
     counts = np.bincount(row_idx, minlength=n)
     del row_idx
 
-    # q[row_idx] is q_i repeated once per entry of row i, which np.repeat
-    # writes in a fourth of the time take() gathers it at d = 200k; the
-    # column factor is multiplied in place. take() reads any array flat, so
-    # the shape is checked first
-    def gram(q):
-        q = np.asarray(q, dtype=float)
-        if q.shape != (n,):
-            raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
-        image = np.repeat(q, counts)
-        image *= q.take(col_idx)
-        return image
-
     # The mask comes in CSR order (row_idx non-decreasing, col_idx rising
     # within a row), so (p, col_idx, indptr) is an upper-triangular U in CSR
-    # form and, read as CSC, its transpose, with G^*(p) = (U + U^T) / 2.
-    # G^*(p) u is (U u + U^T u) / 2, each product computed by scipy's
-    # compiled kernel into its own zeroed output. Each kernel adds the
-    # products p_k u_j of an output entry in mask order, as two weighted
-    # bincounts over the mask do (the tests' reference), so the sum is the
-    # same to the bit; one shared output would not be. Halving the sum at
-    # the end, in place of p first, gives the same bits too: a factor of 0.5
-    # commutes exactly with every product and sum outside the subnormal and
-    # overflow ranges. So a call reads p where it lies (a contiguous float64
-    # p is not copied) and allocates only two outputs of the size of u,
-    # never an O(d) temporary or an n x n matrix. The private module skips
-    # building a csr_array, which costs more per call than the whole product
-    # at n = 100.
+    # form and, read as CSC, its transpose. scipy's compiled kernels read
+    # these int32 arrays where they lie, with no cast to intp per call
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
 
+    # q[row_idx] is q_i repeated once per entry of row i, and the column
+    # factor scales it in place: csr_scale_columns multiplies entry k by
+    # q[col_idx[k]], the same product a gathered copy would give, so a call
+    # allocates only its output. The kernel reads q through a raw pointer,
+    # so q is made C-contiguous float64 and its shape is checked first
+    def gram(q):
+        q = np.ascontiguousarray(q, dtype=float)
+        if q.shape != (n,):
+            raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
+        image = np.repeat(q, counts)
+        _sparsetools.csr_scale_columns(n, n, indptr, col_idx, image, q)
+        return image
+
+    # G^*(p) = (U + U^T) / 2, and G^*(p) u is (U u + U^T u) / 2, each product
+    # computed by a compiled kernel into its own zeroed output. Each kernel
+    # adds the products p_k u_j of an output entry in mask order, as two
+    # weighted bincounts over the mask do (the tests' reference), so the sum
+    # is the same to the bit; one shared output would not be. Halving the
+    # sum at the end, in place of p first, gives the same bits too: a factor
+    # of 0.5 commutes exactly with every product and sum outside the
+    # subnormal and overflow ranges. So a call reads p where it lies (a
+    # contiguous float64 p is not copied) and allocates only two outputs of
+    # the size of u, never an O(d) temporary or an n x n matrix. The private
+    # module skips building a csr_array, which costs more per call than the
+    # whole product at n = 100.
     def adjoint_matvec(p, u):
         u = np.ascontiguousarray(u, dtype=float)
         p = np.asarray(p, dtype=float)
@@ -415,7 +446,8 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     # The adjoint sums the masks over the leading axis, which numpy adds in
     # loop order, so it equals the one-mask loop bit for bit. A q or u of
     # another shape would broadcast against the masks into a wrong block,
-    # so the shapes are checked first
+    # and a p of shape (m, n) or (d, 1) would be reshaped, so the shapes
+    # are checked first
     def gram(q):
         q = np.asarray(q, dtype=float)
         if q.shape != (n,):
@@ -424,11 +456,15 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
         return (a * a).ravel()
 
     def adjoint_matvec(p, u):
+        p = np.asarray(p, dtype=float)
         u = np.asarray(u, dtype=float)
-        if u.shape != (n,):
-            raise ValueError(f"adjoint_matvec needs u of shape ({n},), got {u.shape}")
+        if p.shape != (d,) or u.shape != (n,):
+            raise ValueError(
+                f"adjoint_matvec needs p of shape ({d},) and u of shape ({n},), "
+                f"got {p.shape} and {u.shape}"
+            )
         t = _dct(signs * u[None, :], 1)
-        t *= np.asarray(p, dtype=float).reshape(m, n)
+        t *= p.reshape(m, n)
         return (signs * _idct(t, 1)).sum(axis=0)
 
     def apply_dense(x_mat):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.fft import dct, idct
 
-from cdkit import DegenerateSignal
+from cdkit import DegenerateSignal, problems
 from cdkit.problems import (
     _matcomp_mask,
     add_noise_snr,
@@ -340,6 +340,71 @@ def test_matcomp_mask_is_in_csr_order(n, block, density):
         assert np.all(i <= j) and np.all(j < n)
 
 
+def _matcomp_mask_loop(n, block, density, rng):
+    # the reference: one row of draws at a time, row i drawing n - i
+    # uniforms in column order
+    rows_i = []
+    rows_j = []
+    for i in range(n):
+        js = np.arange(i, n, dtype=np.int32)
+        bern = rng.random(n - i) < density
+        if i < block:
+            keep = (js < block) | bern
+        else:
+            keep = bern
+        kept = js[keep]
+        rows_i.append(np.full(kept.size, i, dtype=np.int32))
+        rows_j.append(kept)
+    return np.concatenate(rows_i), np.concatenate(rows_j)
+
+
+def _assert_mask_is_the_loops(n, block, density, seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _matcomp_mask(n, block, density, rng)
+    want = _matcomp_mask_loop(n, block, density, ref)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int32
+        np.testing.assert_array_equal(g, w)
+    # the same uniforms were drawn, no more and no fewer
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("density", [0.0, 1e-12, 0.1, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 12, 600, 2000])
+def test_matcomp_mask_is_the_row_loops(n, density):
+    # the mask draws several rows' uniforms at once; rows below block
+    # observe the corner, all of them at block = n
+    for block in sorted({0, 1, min(10, n), n}):
+        _assert_mask_is_the_loops(n, block, density, seed=n + block)
+
+
+@pytest.mark.parametrize("draws", [1, 5, 12, 13, 30])
+def test_matcomp_mask_chunks_split_anywhere(monkeypatch, draws):
+    # with a draw budget this small the chunks end inside the corner, rows
+    # straddle each budget's end, and a row longer than the budget is drawn
+    # alone
+    monkeypatch.setattr(problems, "_MASK_DRAWS", draws)
+    for block, density in [(0, 0.3), (5, 0.3), (12, 0.1), (3, 1.0)]:
+        _assert_mask_is_the_loops(12, block, density, seed=draws)
+
+
+def test_matcomp_mask_peak_is_the_mask_not_its_draws():
+    # at n = 2000 the upper triangle has 2001000 entries: drawing their
+    # uniforms at once would take 16 MB. The mask's int32 pieces and their
+    # concatenation take four int32 d-vectors, and a chunk's draws about 1 MB
+    n = 2000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        i, _ = _matcomp_mask(n, 10, 0.1, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    budget = 4 * 4 * i.size + 2**20
+    assert peak <= budget, (peak, budget)
+
+
 def _matcomp_edge_inputs():
     rng = np.random.default_rng(5)
     mc = build_matcomp(n=30, rank=2, seed=4, block=5, density=0.2)
@@ -379,38 +444,89 @@ def test_matcomp_adjoint_edge_layouts_bitwise(case, mc, p, u):
     np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", ["column-pair", "row"])
+@pytest.mark.parametrize(
+    "case, mc, p, u",
+    list(_matcomp_edge_inputs()),
+    ids=[case[0] for case in _matcomp_edge_inputs()],
+)
+def test_matcomp_gram_edge_layouts_bitwise(case, mc, p, u):
+    # the compiled kernel reads q through a raw pointer, so a strided or
+    # Fortran-ordered column must be read by value, and never written
+    u0 = np.array(u)
+    got = _column_maps(mc.op, u)[0](u)
+    want = _matcomp_gram_loop(mc, u0)
+    assert got.shape == (mc.op.d,)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(u, u0)
+
+
+def _small_bundles():
+    # every bundled operator at n = 12
+    return {
+        "trace": build_trace_toy(n=12),
+        "matcomp": build_matcomp(n=12, rank=2, seed=0, block=3, density=0.3),
+        "phase": build_phase_retrieval(n=12, m=3, seed=0),
+    }
+
+
+@pytest.mark.parametrize("shape", ["column-pair", "row", "short"])
 def test_vector_maps_reject_other_shapes(shape):
-    # a factor of shape (n, 2) or a row of shape (1, n) would otherwise be
-    # read flat (matcomp gram) or broadcast against the masks (phase), and
-    # give wrong values of a plausible size
-    mc = build_matcomp(n=12, rank=2, seed=0, block=3, density=0.3)
-    ph = build_phase_retrieval(n=12, m=3, seed=0)
-    q = np.ones((12, 2)) if shape == "column-pair" else np.ones((1, 12))
-    with pytest.raises(ValueError, match=r"gram needs q of shape \(12,\)"):
-        mc.op.gram(q)
-    with pytest.raises(ValueError, match=r"gram needs q of shape \(12,\)"):
-        ph.op.gram(q)
-    with pytest.raises(ValueError, match=r"adjoint_matvec needs u of shape \(12,\)"):
-        ph.op.adjoint_matvec(np.ones(ph.op.d), q)
+    # a factor of shape (n, 2), a row of shape (1, n) or a short vector would
+    # otherwise be read flat (matcomp and trace gram), broadcast against the
+    # masks (phase) or read in part (trace adjoint), and give wrong values of
+    # a plausible size
+    q = {"column-pair": np.ones((12, 2)), "row": np.ones((1, 12)), "short": np.ones(11)}[shape]
+    for bundle in _small_bundles().values():
+        op = bundle.op
+        with pytest.raises(ValueError, match=r"gram needs q of shape \(12,\)"):
+            op.gram(q)
+        message = rf"adjoint_matvec needs p of shape \({op.d},\) and u of shape \(12,\)"
+        with pytest.raises(ValueError, match=message):
+            op.adjoint_matvec(np.ones(op.d), q)
 
 
 def test_matcomp_adjoint_rejects_mismatched_sizes():
     # the compiled kernels index through raw pointers, so a short p or u
-    # must fail before they run
-    mc = build_matcomp(n=12, rank=2, seed=0, block=3, density=0.3)
-    p = np.ones(mc.op.d)
-    for bad_p, bad_u in [
-        (p[:-1], np.ones(12)),
-        (np.ones((mc.op.d, 1)), np.ones(12)),
-        (p, np.ones(11)),
-        (p, np.ones((11, 2))),
-        (p, np.ones((12, 2, 1))),
-        # a factor is mapped one column at a time, never as a block
-        (p, np.ones((12, 3))),
-    ]:
-        with pytest.raises(ValueError, match="adjoint_matvec needs"):
-            mc.op.adjoint_matvec(bad_p, bad_u)
+    # must fail before they run; the phase and trace operators would
+    # reshape p or read it in part, so they check the same shapes with the
+    # same message
+    for kind, bundle in _small_bundles().items():
+        op = bundle.op
+        p = np.ones(op.d)
+        cases = [
+            (p[:-1], np.ones(12)),
+            (np.ones((op.d, 1)), np.ones(12)),
+            (np.ones(op.d + 1), np.ones(12)),
+            (p, np.ones(11)),
+            (p, np.ones((11, 2))),
+            (p, np.ones((12, 2, 1))),
+            # a factor is mapped one column at a time, never as a block
+            (p, np.ones((12, 3))),
+        ]
+        if kind == "phase":
+            # the (m, n) block of the masks' coefficients is not a p
+            cases.append((np.ones(bundle.signs.shape), np.ones(12)))
+        for bad_p, bad_u in cases:
+            with pytest.raises(ValueError, match="adjoint_matvec needs p of shape"):
+                op.adjoint_matvec(bad_p, bad_u)
+
+
+def test_matcomp_gram_transient_memory_is_its_output():
+    # a call repeats q into its output and scales that in place: no index
+    # cast and no gathered copy of d (about 200k here) entries
+    n = 2000
+    mc = build_matcomp(n=n, rank=3, seed=0, block=10, density=0.1)
+    q = np.random.default_rng(0).standard_normal(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mc.op.gram(q)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    budget = 8 * mc.op.d + 8 * n
+    assert peak <= budget, (peak, budget, peak / (8 * mc.op.d))
 
 
 @pytest.mark.parametrize("cols", [None, 3])

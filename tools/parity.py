@@ -149,6 +149,14 @@ def instance_set():
                         build_matcomp, ("b", "row_idx", "col_idx"),
                         n=n, rank=rank, seed=n + rank, block=block, noise_snr=snr,
                     )
+    # the matcomp-large benchmark's instance, whose mask is drawn in many
+    # chunks of rows, and a mask whose every row observes the corner
+    calls["matcomp2000-bench"] = arrays(
+        build_matcomp, ("b", "row_idx", "col_idx"), n=2000, rank=3, seed=0, density=0.1
+    )
+    calls["matcomp40-b40"] = arrays(
+        build_matcomp, ("b", "row_idx", "col_idx"), n=40, rank=3, seed=7, block=40
+    )
     phase_arrays = ("b", "signs", "x_true")
     for snr in (None, 20.0):
         noise = "clean" if snr is None else "noisy"
