@@ -24,7 +24,7 @@ def main():
         cfg = SolverConfig(max_iters=300, greedy_period=period, rng_seed=0)
         res = sdp_solve(mc.fv, mc.op, config=cfg, sketch_size=8)
         results[name] = res
-        commits = res.stats.get("n_greedy_commits", 0)
+        commits = sum(e["committed"] for e in res.stats["greedy_events"])
         print(
             f"{name:>6}: final f = {res.trace.f_values()[-1]:.6f}, "
             f"dual cert = {res.certified_dual_cert:.3e}, "

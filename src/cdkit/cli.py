@@ -9,7 +9,9 @@ Usage sketches:
 
 Every run writes <prefix>.trace.csv (one row per visit) and
 <prefix>.summary.json (the command and the resolved value of each flag it
-has, final values, oracle call counts). Phase runs additionally write
+has, final values, and the solve's stats as they are: oracle call counts,
+LMO confirmations and, for the semidefinite algos, LMO matvecs and each
+greedy refit's event). Phase runs additionally write
 <prefix>.factor.npz with the factored reconstruction read out of the
 sketch (arrays u and lam). With --dump-to PATH a run also writes the
 instance it built to PATH, exactly as given: a plain .npz file holding
@@ -279,11 +281,6 @@ def _own_fields(command):
 def _base_summary(spec, result):
     # the trace file and the summary keys every command shares
     result.trace.write_csv(f"{spec.prefix}.trace.csv")
-    stats = {
-        key: val
-        for key, val in result.stats.items()
-        if key != "greedy_events"
-    }
     last = result.trace[-1]
     return {
         "config": {name: getattr(spec, name) for name in _own_fields(spec.command)},
@@ -293,7 +290,7 @@ def _base_summary(spec, result):
         "final_f": float(last.f_value),
         "final_dual_cert": float(result.certified_dual_cert),
         "wall_ms_total": float(last.wall_ms),
-        "stats": stats,
+        "stats": result.stats,
     }
 
 

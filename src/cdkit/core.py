@@ -145,14 +145,17 @@ class SolveTrace(list):
 
 @dataclass
 class SolveResult:
-    """Outcome of solve: certified_dual_cert is trace[-1].dual_cert, the
-    certificate of the visit the run ends on."""
+    """Outcome of solve. certified_dual_cert reads trace[-1].dual_cert, the
+    certificate of the visit the run ends on; the result keeps no copy."""
 
     final_point: np.ndarray
     status: str  # "converged" | "max_iters"
     trace: SolveTrace
-    certified_dual_cert: float
     stats: dict = field(default_factory=dict)
+
+    @property
+    def certified_dual_cert(self):
+        return self.trace[-1].dual_cert
 
 
 def _quad_argmin_nonneg(a, b, hi=math.inf):
@@ -309,14 +312,14 @@ def _descend(problem, config, it, callback, stop_at):
     when heuristic_m is set. Callers run _check_config before they build
     `it`, whose set-up already reads rng_seed.
 
-    stats holds the oracle calls of the run, "n_theta_searches" (one per
-    searched step) and "lmo_confirmations": one per visit whose stop test
-    ends on a confirmed value, the visit the run ends on and each rejected
-    stop. Returns it.result of the status, the trace and stats.
+    stats holds the oracle calls of the run and "lmo_confirmations": one
+    per visit whose stop test ends on a confirmed value, the visit the run
+    ends on and each rejected stop. Every visit but the last steps, so a run
+    without heuristic_m searches trace[-1].k steps. Returns it.result of the
+    status, the trace and stats.
     """
     trace = SolveTrace()
     counts0 = problem.eval_counts()
-    n_theta_searches = 0
     confirmations = 0
     g_avg = 0.0
     t_start = time.perf_counter()
@@ -340,7 +343,6 @@ def _descend(problem, config, it, callback, stop_at):
         if not (stop or last):
             m = config.heuristic_m
             theta = it.step(k, None if m is None else 2.0 * m / (k + 2.0))
-            n_theta_searches += m is None
         wall_ms = (time.perf_counter() - t_start) * 1e3
         record = TraceRecord(k, fval, cert, cs, eta, theta, wall_ms, lam)
         trace.append(record)
@@ -353,7 +355,6 @@ def _descend(problem, config, it, callback, stop_at):
 
     counts1 = problem.eval_counts()
     stats = {key: counts1[key] - counts0[key] for key in counts1}
-    stats["n_theta_searches"] = n_theta_searches
     stats["lmo_confirmations"] = confirmations
     return it.result("converged" if stop else "max_iters", trace, stats)
 
@@ -390,7 +391,7 @@ class _VectorIterate:
         return {"record": record, "x": self.x, "v": self.v}
 
     def result(self, status, trace, stats):
-        return SolveResult(self.xe, status, trace, trace[-1].dual_cert, stats)
+        return SolveResult(self.xe, status, trace, stats)
 
 
 def solve(problem, config=None, x0=None, callback=None):
@@ -414,9 +415,10 @@ def solve(problem, config=None, x0=None, callback=None):
 
     Returns a SolveResult whose final_point is the ray-minimized iterate of
     the last visit. Status "converged" means the dual certificate dropped to
-    sqrt(tol_eps). stats counts the oracle calls and the line searches
-    ("n_theta_searches"); its "lmo_confirmations" is always 1, since the
-    cone LMO is exact and only the visit the run ends on counts.
+    sqrt(tol_eps). stats counts the oracle calls; its "lmo_confirmations"
+    is always 1, since the cone LMO is exact and only the visit the run
+    ends on counts. A run searches one step per visit that steps,
+    trace[-1].k of them, and none under heuristic_m.
     """
     if problem.cone is None:
         raise UnsupportedCone("solve() needs a ConicProgram with a cone handle")

@@ -562,12 +562,12 @@ def greedy_step(fv, op, gamma, state, u):
 class SdpResult:
     """Outcome of sdp_solve or fw_solve.
 
-    certified_dual_cert and final_lambda are the last trace record's
+    certified_dual_cert and final_lambda read the last trace record's
     dual_cert and lambda_min: those of the visit the run ends on, whose
-    Lanczos run starts cold (see sdp_solve). The trace's dual_cert and
-    lambda_min columns hold warm-start values on the visits that did not
-    confirm. sketch is the range sketch of the final iterate, which every
-    solve keeps.
+    Lanczos run starts cold (see sdp_solve). The result keeps no copy. The
+    trace's dual_cert and lambda_min columns hold warm-start values on the
+    visits that did not confirm. sketch is the range sketch of the final
+    iterate, which every solve keeps.
     """
 
     final_y: np.ndarray
@@ -575,9 +575,15 @@ class SdpResult:
     sketch: SketchState
     status: str
     trace: SolveTrace
-    certified_dual_cert: float
-    final_lambda: float
     stats: dict = field(default_factory=dict)
+
+    @property
+    def certified_dual_cert(self):
+        return self.trace[-1].dual_cert
+
+    @property
+    def final_lambda(self):
+        return self.trace[-1].lambda_min
 
 
 class _MeasurementIterate:
@@ -652,7 +658,6 @@ class _MeasurementIterate:
 
     def result(self, status, trace, stats):
         stats["greedy_events"] = self.greedy_events
-        stats["n_greedy_commits"] = sum(1 for e in self.greedy_events if e["committed"])
         stats["lmo_matvecs"] = self.lmo_matvecs
         return SdpResult(
             final_y=self.state.y,
@@ -660,8 +665,6 @@ class _MeasurementIterate:
             sketch=self.state.sketch,
             status=status,
             trace=trace,
-            certified_dual_cert=trace[-1].dual_cert,
-            final_lambda=trace[-1].lambda_min,
             stats=stats,
         )
 
@@ -747,7 +750,8 @@ def sdp_solve(
     stats["lmo_confirmations"] counts the cold runs that decided a stop
     test: one for the visit the run ends on plus one per rejected stop.
     stats["greedy_events"] holds each refit's info dict, with its visit k,
-    less the factor u, which only the callback's "greedy" carries.
+    less the factor u, which only the callback's "greedy" carries; the
+    events marked "committed" are the refits that moved the iterate.
 
     callback(info) runs once per visit, after the step, with "record" (the
     TraceRecord), "q", "greedy", "y", "tr", "sketch" and "g_avg" in info.
@@ -800,8 +804,8 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=8, callback=None):
     confirmed from a cold Lanczos start as in sdp_solve, and the first and
     last visits' runs are cold, so certified_dual_cert, final_lambda and a
     "converged" status rest on a cold start. stats["lmo_matvecs"] and
-    stats["lmo_confirmations"] are as in sdp_solve, and
-    stats["n_theta_searches"] counts the segment searches. The sketch is
+    stats["lmo_confirmations"] are as in sdp_solve; every visit but the
+    last searches its segment, trace[-1].k searches in all. The sketch is
     kept and returned as in sdp_solve, with sketch_size at least 3. A tau
     that is not a number in (0, inf) raises ValueError, and so does a
     config with heuristic_m set, since every step here is an exact search

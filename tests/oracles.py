@@ -11,7 +11,9 @@ reports, by a route the solver does not take:
 - cone membership and the distance to the dual cone, which the solvers
   never compute: the tests check the identity -<g, lmo(g)> = dist_dual(g, K*)
   against these;
-- the complementary-slackness and dual-distance residuals at a point.
+- the complementary-slackness and dual-distance residuals at a point;
+- a call log (log_calls) that wraps a solver module's function, so a test
+  counts its calls itself instead of reading the solver's own counters.
 """
 
 import math
@@ -268,3 +270,17 @@ def brute_lmo(cone, g, grid_n=10000):
     if vals[i] >= 0.0:
         return np.zeros_like(g)
     return pts[i]
+
+
+def log_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper for the rest of the test and return
+    the list to which the wrapper appends each call's arguments."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls

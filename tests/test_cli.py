@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdkit import SolverConfig, cli, sdp_solve, solve
+from cdkit import SolverConfig, cli, core, sdp, sdp_solve, solve
 from cdkit.cli import RunSpec, UsageError, build_parser, console_main, resolve, validate
 from cdkit.problems import build_matcomp, build_orthant_quadratic, build_phase_retrieval
+from oracles import log_calls
 
 
 def parse(argv):
@@ -270,11 +271,21 @@ def test_toy_run_writes_trace_and_summary(tmp_path):
     assert list(summary) == sorted(summary)
 
 
-def test_runs_are_deterministic_modulo_walltime(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["toy", "--iters", "30"],
+        ["phase", "--n", "16", "--m", "3", "--algo", "mocog", "--greedy-every", "5",
+         "--iters", "20"],
+    ],
+    ids=["toy", "phase-mocog"],
+)
+def test_runs_are_deterministic_modulo_walltime(tmp_path, argv):
+    # the phase-mocog summary carries its refit events, which reruns match
     a = tmp_path / "a"
     b = tmp_path / "b"
     for prefix in (a, b):
-        assert console_main(["toy", "--iters", "30", "--prefix", str(prefix)]) == 0
+        assert console_main(argv + ["--prefix", str(prefix)]) == 0
 
     def strip(path):
         with open(path) as fh:
@@ -289,7 +300,11 @@ def test_runs_are_deterministic_modulo_walltime(tmp_path):
         sb = json.load(fh)
     sa.pop("wall_ms_total"), sb.pop("wall_ms_total")
     sa["config"].pop("prefix"), sb["config"].pop("prefix")
+    for summary in (sa, sb):
+        summary.pop("factor_file", None)
     assert sa == sb
+    if argv[0] == "phase":
+        assert [e["k"] for e in sa["stats"]["greedy_events"]] == [4, 9, 14, 19]
 
 
 def test_phase_run_writes_factor(tmp_path):
@@ -395,13 +410,26 @@ def test_seed_fanout_writes_one_file_per_seed(tmp_path):
             assert json.load(fh)["config"]["seed"] == seed
 
 
-def test_mocoh_auto_m_on_toy_and_phase(tmp_path):
+def _scheduled_thetas(prefix, m):
+    # whether every step in the trace file is 2 M / (k + 2); the last visit
+    # takes none
+    with open(f"{prefix}.trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    return len(rows) > 1 and all(
+        float(row["theta"]) == 2.0 * m / (int(row["k"]) + 2.0) for row in rows[:-1]
+    )
+
+
+def test_mocoh_auto_m_on_toy_and_phase(tmp_path, monkeypatch):
+    # mocoh takes each step from the command's own estimate of M and
+    # searches none
+    toy_searches = log_calls(monkeypatch, core, "line_search_step")
+    sdp_searches = log_calls(monkeypatch, sdp, "line_search_step")
     prefix = tmp_path / "h"
     code = console_main(["toy", "--algo", "mocoh", "--iters", "25", "--prefix", str(prefix)])
     assert code == 0
-    with open(f"{prefix}.summary.json") as fh:
-        summary = json.load(fh)
-    assert summary["stats"]["n_theta_searches"] == 0
+    toy = build_orthant_quadratic(dim=RunSpec(command="toy").dim, seed=0)
+    assert _scheduled_thetas(prefix, float(np.linalg.norm(toy.x_star)))
 
     prefix2 = tmp_path / "h2"
     code = console_main(
@@ -411,7 +439,8 @@ def test_mocoh_auto_m_on_toy_and_phase(tmp_path):
     assert code == 0
     with open(f"{prefix2}.summary.json") as fh:
         summary2 = json.load(fh)
-    assert summary2["stats"]["n_theta_searches"] == 0
+    assert _scheduled_thetas(prefix2, summary2["m_estimate"])
+    assert toy_searches == sdp_searches == []
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +782,14 @@ def test_jobs_zero_exits_two(tmp_path, capsys):
     ],
     ids=["matcomp-trace-bound", "phase-default-bound"],
 )
-def test_fw_run_writes_trace_and_summary(tmp_path, argv, tau):
+def test_fw_run_writes_trace_and_summary(tmp_path, monkeypatch, argv, tau):
     # a successful fw run through the command line: its files agree with
     # fw_solve called directly at the same trace bound
     prefix = tmp_path / "fw"
+    searches = log_calls(monkeypatch, sdp, "_search")
     code = console_main(argv + ["--algo", "fw", "--iters", "15", "--prefix", str(prefix)])
     assert code == 0
+    n_searches = len(searches)
     with open(f"{prefix}.trace.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][-1] == "lambda_min" and len(rows) == 17
@@ -775,7 +806,7 @@ def test_fw_run_writes_trace_and_summary(tmp_path, argv, tau):
     assert summary["final_f"] == res.trace[-1].f_value
     assert summary["final_trace"] == res.final_tr
     # one segment search per visit that stepped: all but the last
-    assert summary["stats"]["n_theta_searches"] == res.trace[-1].k
+    assert n_searches == res.trace[-1].k == summary["iters_run"]
 
 
 @pytest.mark.parametrize(

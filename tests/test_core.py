@@ -10,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+import cdkit.core
 from cdkit import (
     Cone,
     ConicProgram,
@@ -31,7 +32,7 @@ from cdkit.core import (
     ray_minimize,
 )
 from cdkit.problems import add_noise_snr, build_orthant_quadratic, build_trace_toy
-from oracles import kkt_residuals
+from oracles import kkt_residuals, log_calls
 
 
 def quad_program(dim, quad, lin, cone=None):
@@ -333,23 +334,26 @@ def test_solve_rejects_nonfinite_objective(f, g):
         solve(prob, SolverConfig(max_iters=3))
 
 
-def test_eval_counting_and_stats():
+def test_eval_counting_and_stats(monkeypatch):
     built = build_orthant_quadratic(dim=10, seed=2)
     prob = built.program
+    searches = log_calls(monkeypatch, cdkit.core, "line_search_step")
     res = solve(prob, SolverConfig(max_iters=30))
     counts = prob.eval_counts()
     # stats report the counter deltas for this run, one gradient per visit
     assert counts["gradient"] == res.stats["gradient"]
     assert res.stats["gradient"] == len(res.trace)
-    assert res.stats["n_theta_searches"] > 0
+    # one searched step per visit that steps: all but the last
+    assert len(searches) == res.trace[-1].k > 0
 
 
-def test_heuristic_step_skips_theta_search():
+def test_heuristic_step_skips_theta_search(monkeypatch):
     built = build_orthant_quadratic(dim=10, seed=3)
     m = float(np.linalg.norm(built.x_star))
     cfg = SolverConfig(max_iters=60, heuristic_m=m)
+    searches = log_calls(monkeypatch, cdkit.core, "line_search_step")
     res = solve(built.program, cfg)
-    assert res.stats["n_theta_searches"] == 0
+    assert searches == []
     # every step but the last visit's (which takes none) is 2 M / (k + 2)
     for r in res.trace[:-1]:
         assert r.theta == 2.0 * m / (r.k + 2.0)

@@ -5,6 +5,7 @@ only through the protocol."""
 import ast
 import dataclasses
 import inspect
+import json
 import math
 import pathlib
 import re
@@ -354,10 +355,30 @@ def test_every_visit_adds_one_record(run, tol_eps, stop):
 @_EACH_STOP
 def test_result_certificate_is_the_last_records(run, tol_eps, stop):
     # the result keeps no copy of the certificate: it reads the record of
-    # the visit the run ends on
+    # the visit the run ends on, so another last record changes it
     res, records = _run_to(run, tol_eps, stop)
     assert isinstance(res.trace, list)
     assert res.trace[-1] is records[-1]
+    fields = {f.name for f in dataclasses.fields(res)}
+    assert not fields & {"certified_dual_cert", "final_lambda"}
     assert res.certified_dual_cert == res.trace[-1].dual_cert
     if run is not _orthant_run:
         assert res.final_lambda == res.trace[-1].lambda_min
+    other = dataclasses.replace(
+        res.trace[-1], dual_cert=res.trace[-1].dual_cert + 1.0, lambda_min=-7.0
+    )
+    res.trace[-1] = other
+    assert res.certified_dual_cert == other.dual_cert
+    if run is not _orthant_run:
+        assert res.final_lambda == -7.0
+
+
+@_EACH_SOLVER
+def test_stats_hold_only_json_values(run, tol_eps):
+    # a run's stats go into the command line's summary as they are, so no
+    # array may get into them; the sdp_solve run refits six times
+    res, _ = _run_to(run, tol_eps, "max_iters")
+    json.dumps(res.stats)
+    assert all(isinstance(v, int) for v in res.stats.values() if not isinstance(v, list))
+    if run is _matcomp_run:
+        assert len(res.stats["greedy_events"]) == 6

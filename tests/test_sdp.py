@@ -43,6 +43,7 @@ from cdkit.problems import (
     build_phase_retrieval,
     build_trace_toy,
 )
+from oracles import log_calls
 
 
 # ---------------------------------------------------------------------------
@@ -1094,7 +1095,8 @@ def test_greedy_step_never_commits_an_increase():
             assert ev["f_after"] < ev["f_before"]
         else:
             assert ev["f_after"] == ev["f_before"]
-    assert res.stats["n_greedy_commits"] == sum(1 for ev in events if ev["committed"])
+    # some refit commits, so the check above covers a commit
+    assert any(ev["committed"] for ev in events)
 
 
 def _refit_start(n, tr, seed):
@@ -1303,7 +1305,7 @@ def test_greedy_commit_needs_no_sketch_replace(monkeypatch):
     mc = build_matcomp(n=30, rank=2, seed=2, block=5, density=0.15)
     cfg = SolverConfig(max_iters=60, greedy_period=10, rng_seed=0)
     res = sdp_solve(mc.fv, mc.op, config=cfg, sketch_size=6)
-    assert res.stats["n_greedy_commits"] >= 1
+    assert any(ev["committed"] for ev in res.stats["greedy_events"])
 
 
 _SEARCH_BUILDS = {
@@ -1402,13 +1404,15 @@ def test_fw_trace_toy_large_radius_reaches_optimum():
     assert res.trace.f_values()[-1] <= 1e-12
 
 
-def test_fw_gap_column_decreases_on_matcomp():
+def test_fw_gap_column_decreases_on_matcomp(monkeypatch):
     mc = build_matcomp(n=30, rank=2, seed=4, block=5, density=0.15)
+    searches = log_calls(monkeypatch, sdp, "_search")
     res = fw_solve(mc.fv, mc.op, tau=5.0, config=SolverConfig(max_iters=60))
     gaps = res.trace.dual_certs()
     assert gaps[-1] < gaps[0]
     assert res.final_tr <= 5.0 + 1e-9
-    assert res.stats["n_theta_searches"] == res.trace[-1].k
+    # one segment search per visit that steps: all but the last
+    assert len(searches) == res.trace[-1].k
 
 
 def _fw_on_matcomp(fv, op):
@@ -1520,5 +1524,5 @@ def test_solvers_map_vectors_only():
     )
     res = sdp_solve(mc.fv, op, config=SolverConfig(max_iters=20, greedy_period=5))
     assert len(res.stats["greedy_events"]) == 4
-    assert res.stats["n_greedy_commits"] >= 1
+    assert any(ev["committed"] for ev in res.stats["greedy_events"])
     fw_solve(mc.fv, op, tau=5.0, config=SolverConfig(max_iters=20))
