@@ -153,6 +153,9 @@ def _parse_seed_list(text):
         raise UsageError(f"bad seed list {text!r}")
     if not seeds:
         raise UsageError("empty seed list")
+    if len(set(seeds)) < len(seeds):
+        # two runs of one seed would write the same files
+        raise UsageError(f"repeated seed in seed list {text!r}")
     return seeds
 
 

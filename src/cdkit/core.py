@@ -30,7 +30,8 @@ class ConicProgram:
     Parameters
     ----------
     dim : int
-        Ambient dimension of the oracle inputs.
+        Ambient dimension of the oracle inputs, an int >= 1 (ValueError
+        otherwise); solve requires it to equal the size of the cone's points.
     value_oracle, gradient_oracle : callable
         Evaluate f and its gradient at an ambient point.
     cone : Cone or None
@@ -56,6 +57,7 @@ class ConicProgram:
     restriction_oracle: Callable | None = None
 
     def __post_init__(self):
+        _check_count("dim", self.dim, 1)
         self._counts = {"value": 0, "gradient": 0, "restriction": 0}
 
     def value(self, x):
@@ -400,7 +402,8 @@ def solve(problem, config=None, x0=None, callback=None):
     Parameters
     ----------
     problem : ConicProgram
-        Objective with a cone handle.
+        Objective with a cone handle. A dim other than the size of the
+        cone's points raises ValueError.
     config : SolverConfig
     x0 : array or None
         Start point in the cone; default is the cone's canonical start. A
@@ -424,6 +427,8 @@ def solve(problem, config=None, x0=None, callback=None):
         raise UnsupportedCone("solve() needs a ConicProgram with a cone handle")
     config = _check_config(config, allow_greedy=False)
     x = problem.cone.default_init()
+    if problem.dim != x.size:
+        raise ValueError(f"program dim {problem.dim} does not match the cone's {x.size}")
     if x0 is not None:
         x0 = np.array(x0, dtype=float)
         if x0.shape != x.shape or not (np.isfinite(x0).all() and problem.cone.contains(x0)):

@@ -187,9 +187,12 @@ def sketch_reconstruct(sketch, rank):
 
 
 def factor_to_dense(u, lam):
-    """Materialize u diag(lam) u^T."""
+    """Materialize u diag(lam) u^T for u of shape (n, r) and lam of shape
+    (r,); other shapes raise ValueError."""
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    if u.ndim != 2 or lam.shape != u.shape[1:]:
+        raise ValueError(f"u must be (n, r) and lam (r,), got {u.shape} and {lam.shape}")
     return (u * lam) @ u.T
 
 

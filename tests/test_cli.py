@@ -720,10 +720,15 @@ def test_io_error_exits_four_under_jobs(tmp_path):
         (None, ["--seeds", ","], {}),
         (None, ["--jobs", "0"], {}),
         (None, [], {"CDK_SEED": "x"}),
+        # two runs of one seed would write the same files
+        (None, ["--seeds", "1,1"], {}),
+        (None, ["--seeds", "1,2,01", "--jobs", "2"], {}),
+        ("seeds = 2, 3, 2\n", [], {}),
     ],
     ids=[
         "unknown-key", "trace-every-key", "no-equals", "bad-value", "seeds-bad",
-        "seeds-empty", "jobs-0", "env-seed",
+        "seeds-empty", "jobs-0", "env-seed", "seeds-repeated", "seeds-repeated-jobs2",
+        "seeds-repeated-config",
     ],
 )
 def test_resolve_errors_exit_two(tmp_path, monkeypatch, capsys, lines, argv, env):

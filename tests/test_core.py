@@ -265,6 +265,20 @@ def test_solve_rejects_start_outside_the_cone(cone_type, dim, x0):
         solve(prob, SolverConfig(max_iters=300, tol_eps=1e-8), x0=x0)
 
 
+@pytest.mark.parametrize(
+    "cone, dim",
+    [(NonnegativeOrthant(4), 3), (NonnegativeOrthant(4), 5), (PsdCone(3), 3)],
+    ids=["orthant-short", "orthant-long", "psd-side"],
+)
+def test_solve_rejects_a_dim_other_than_the_cones(cone, dim):
+    # a program of another dim used to solve over its cone's points; a PSD
+    # program's dim is n * n
+    prob = ConicProgram(dim, lambda x: float(np.sum(x * x)), lambda x: 2.0 * x, cone=cone)
+    size = cone.default_init().size
+    with pytest.raises(ValueError, match=f"^program dim {dim} does not match the cone's {size}$"):
+        solve(prob, SolverConfig(max_iters=3))
+
+
 @pytest.mark.parametrize("cone_type", [NonnegativeOrthant, SecondOrderCone, PsdCone])
 def test_solve_accepts_starts_in_the_cone(cone_type):
     # the canonical start, given explicitly, runs the same solve as the

@@ -16,6 +16,7 @@ import pytest
 import cdkit.core
 import cdkit.sdp
 from cdkit import (
+    ConicProgram,
     MeasurementOperator,
     NonnegativeOrthant,
     PsdCone,
@@ -172,6 +173,7 @@ _COUNT_SITES = {
     "reconstruct-rank": ("reconstruction rank", 1, _readout),
     "sketch-size": ("sketch size", 3, _sketched_solve),
     "lanczos-n": ("operator size n", 1, lambda v: min_eig_lanczos(lambda x: -x, v)),
+    "program-dim": ("dim", 1, lambda v: ConicProgram(v, np.sum, np.ones_like)),
     "orthant-dim": ("dim", 1, NonnegativeOrthant),
     "soc-dim": ("dim", 2, SecondOrderCone),
     "psd-n": ("n", 1, PsdCone),

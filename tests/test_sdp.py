@@ -4,6 +4,7 @@ greedy refinement, and the vectorized solve loops against dense mirrors."""
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -807,6 +808,25 @@ def test_reconstruct_rank_one_exact():
     u, lam = sketch_reconstruct(sk, 1)
     err = np.abs(np.linalg.eigvalsh(factor_to_dense(u, lam) - 1.7 * np.outer(q, q))).sum()
     assert err <= 1e-6 * 1.7
+
+
+@pytest.mark.parametrize(
+    "u, lam",
+    [
+        (np.ones((3, 2)), [2.0]),
+        (np.ones(3), [2.0, 2.0, 2.0]),
+        (np.ones((3, 2)), np.ones((2, 1))),
+        (np.ones((3, 2, 1)), [2.0, 2.0]),
+    ],
+    ids=["short-lam", "vector-u", "column-lam", "3d-u"],
+)
+def test_factor_to_dense_rejects_mismatched_shapes(u, lam):
+    # numpy would broadcast each pair to some matrix or a scalar
+    shapes = f"{np.shape(u)} and {np.shape(lam)}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        factor_to_dense(u, lam)
+    dense = factor_to_dense(np.ones((3, 2)), [2.0, 1.0])
+    np.testing.assert_array_equal(dense, np.full((3, 3), 3.0))
 
 
 def test_reconstruct_drops_roundoff_directions(monkeypatch):
