@@ -271,40 +271,34 @@ def test_toy_run_writes_trace_and_summary(tmp_path):
     assert list(summary) == sorted(summary)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["toy", "--iters", "30"],
-        ["phase", "--n", "16", "--m", "3", "--algo", "mocog", "--greedy-every", "5",
-         "--iters", "20"],
-    ],
-    ids=["toy", "phase-mocog"],
-)
-def test_runs_are_deterministic_modulo_walltime(tmp_path, argv):
+def test_runs_are_deterministic_modulo_walltime(tmp_path):
     # the phase-mocog summary carries its refit events, which reruns match
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    for prefix in (a, b):
-        assert console_main(argv + ["--prefix", str(prefix)]) == 0
-
     def strip(path):
         with open(path) as fh:
             rows = list(csv.reader(fh))
         drop = rows[0].index("wall_ms")
         return [[c for i, c in enumerate(row) if i != drop] for row in rows]
 
-    assert strip(f"{a}.trace.csv") == strip(f"{b}.trace.csv")
-    with open(f"{a}.summary.json") as fh:
-        sa = json.load(fh)
-    with open(f"{b}.summary.json") as fh:
-        sb = json.load(fh)
-    sa.pop("wall_ms_total"), sb.pop("wall_ms_total")
-    sa["config"].pop("prefix"), sb["config"].pop("prefix")
-    for summary in (sa, sb):
-        summary.pop("factor_file", None)
-    assert sa == sb
-    if argv[0] == "phase":
-        assert [e["k"] for e in sa["stats"]["greedy_events"]] == [4, 9, 14, 19]
+    def summary(prefix):
+        with open(f"{prefix}.summary.json") as fh:
+            out = json.load(fh)
+        out.pop("wall_ms_total"), out["config"].pop("prefix"), out.pop("factor_file", None)
+        return out
+
+    runs = {
+        "toy": ["toy", "--iters", "30"],
+        "phase": ["phase", "--n", "16", "--m", "3", "--algo", "mocog", "--greedy-every", "5",
+                  "--iters", "20"],
+    }
+    for name, argv in runs.items():
+        a = tmp_path / f"{name}-a"
+        b = tmp_path / f"{name}-b"
+        for prefix in (a, b):
+            assert console_main(argv + ["--prefix", str(prefix)]) == 0
+        assert strip(f"{a}.trace.csv") == strip(f"{b}.trace.csv")
+        assert summary(a) == summary(b)
+    events = summary(tmp_path / "phase-a")["stats"]["greedy_events"]
+    assert [e["k"] for e in events] == [4, 9, 14, 19]
 
 
 def test_phase_run_writes_factor(tmp_path):
