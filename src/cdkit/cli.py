@@ -15,7 +15,9 @@ greedy refit's event). Phase runs additionally write
 <prefix>.factor.npz with the factored reconstruction read out of the
 sketch (arrays u and lam). With --dump-to PATH a run also writes the
 instance it built to PATH, exactly as given: a plain .npz file holding
-kind, seed and the bundle's arrays, which np.load reads.
+kind, seed and the bundle's arrays, which np.load reads. It takes one
+seed: with more than one left after --seeds, --config and CDK_SEED, the
+command fails before any run starts.
 
 Option precedence, lowest to highest: built-in defaults, then key=value
 lines from --config, then explicit command line flags, then the CDK_SEED
@@ -191,6 +193,9 @@ def resolve(args, env=None):
             raise UsageError(f"CDK_SEED must be an integer, got {env['CDK_SEED']!r}")
     if seeds is None:
         seeds = [spec.seed]
+    if spec.dump_to is not None and len(seeds) > 1:
+        # every run would write its instance to the one path
+        raise UsageError(f"dump-to writes one file, so it takes one seed, got {len(seeds)} seeds")
     jobs = args.jobs if args.jobs is not None else 1
     _check_count("--jobs", jobs, 1)
     specs = []
@@ -378,13 +383,16 @@ def _run_sdp(spec):
         config=_solver_config(spec, m_estimate),
         sketch_size=spec.sketch,
     )
+    # the readout comes before any file is written, so a rank it rejects
+    # leaves none
+    if phase:
+        u, lam = sketch_reconstruct(result.sketch, spec.recon_rank)
     summary = _base_summary(spec, result)
     summary["final_trace"] = float(result.final_tr)
     summary["final_lambda_min"] = float(result.final_lambda)
     if not phase:
         summary["n_observed"] = int(bundle.op.d)
         return bundle, summary
-    u, lam = sketch_reconstruct(result.sketch, spec.recon_rank)
     x_hat = u[:, 0] * math.sqrt(max(float(lam[0]), 0.0))
     factor_path = f"{spec.prefix}.factor.npz"
     _write_npz(factor_path, u=u, lam=lam)

@@ -145,22 +145,10 @@ def build_trace_toy(n=2, target=1.0):
     _check_count("n", n, 1)
     _check_real("target", target, "(0, inf)")
 
-    # vdot reads q flat and p[0] ignores the rest of p, so the shapes are
-    # checked first
     def gram(q):
-        q = np.asarray(q, dtype=float)
-        if q.shape != (n,):
-            raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
         return np.array([float(np.vdot(q, q))])
 
     def adjoint_matvec(p, u):
-        p = np.asarray(p, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if p.shape != (1,) or u.shape != (n,):
-            raise ValueError(
-                f"adjoint_matvec needs p of shape (1,) and u of shape ({n},), "
-                f"got {p.shape} and {u.shape}"
-            )
         return float(p[0]) * u
 
     def apply_dense(x_mat):
@@ -292,11 +280,9 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     # factor scales it in place: csr_scale_columns multiplies entry k by
     # q[col_idx[k]], the same product a gathered copy would give, so a call
     # allocates only its output. The kernel reads q through a raw pointer,
-    # so q is made C-contiguous float64 and its shape is checked first
+    # which is sound because the operator hands every kernel a C-contiguous
+    # float64 vector of the checked shape
     def gram(q):
-        q = np.ascontiguousarray(q, dtype=float)
-        if q.shape != (n,):
-            raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
         image = np.repeat(q, counts)
         _sparsetools.csr_scale_columns(n, n, indptr, col_idx, image, q)
         return image
@@ -308,21 +294,13 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     # is the same to the bit; one shared output would not be. Halving the
     # sum at the end, in place of p first, gives the same bits too: a factor
     # of 0.5 commutes exactly with every product and sum outside the
-    # subnormal and overflow ranges. So a call reads p where it lies (a
-    # contiguous float64 p is not copied) and allocates only two outputs of
-    # the size of u, never an O(d) temporary or an n x n matrix. The private
-    # module skips building a csr_array, which costs more per call than the
-    # whole product at n = 100.
+    # subnormal and overflow ranges. So a call reads p where it lies and
+    # allocates only two outputs of the size of u, never an O(d) temporary
+    # or an n x n matrix. The kernels read p and u through raw pointers, as
+    # the C-contiguous float64 vectors of the checked shapes that the
+    # operator hands them. The private module skips building a csr_array,
+    # which costs more per call than the whole product at n = 100.
     def adjoint_matvec(p, u):
-        u = np.ascontiguousarray(u, dtype=float)
-        p = np.asarray(p, dtype=float)
-        # the kernels read through raw pointers, so check sizes first
-        if p.shape != (d,) or u.shape != (n,):
-            raise ValueError(
-                f"adjoint_matvec needs p of shape ({d},) and u of shape ({n},), "
-                f"got {p.shape} and {u.shape}"
-            )
-        p = np.ascontiguousarray(p)
         upper = np.zeros(n)
         lower = np.zeros(n)
         args = (n, n, indptr, col_idx, p, u)
@@ -444,25 +422,12 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
 
     # Both kernels transform all m masks in one call over an (m, n) block.
     # The adjoint sums the masks over the leading axis, which numpy adds in
-    # loop order, so it equals the one-mask loop bit for bit. A q or u of
-    # another shape would broadcast against the masks into a wrong block,
-    # and a p of shape (m, n) or (d, 1) would be reshaped, so the shapes
-    # are checked first
+    # loop order, so it equals the one-mask loop bit for bit
     def gram(q):
-        q = np.asarray(q, dtype=float)
-        if q.shape != (n,):
-            raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
         a = _dct(signs * q[None, :], 1)
         return (a * a).ravel()
 
     def adjoint_matvec(p, u):
-        p = np.asarray(p, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if p.shape != (d,) or u.shape != (n,):
-            raise ValueError(
-                f"adjoint_matvec needs p of shape ({d},) and u of shape ({n},), "
-                f"got {p.shape} and {u.shape}"
-            )
         t = _dct(signs * u[None, :], 1)
         t *= p.reshape(m, n)
         return (signs * _idct(t, 1)).sum(axis=0)
@@ -537,7 +502,8 @@ def add_noise_snr(clean, snr_db, rng):
     ||noise|| / ||clean|| = 10 ** (-snr_db / 20) holds as written, rather
     than only in expectation. snr_db = +inf returns an unchanged copy; an
     snr_db that is not a number in (-inf, inf], NaN included, raises
-    ValueError.
+    ValueError, and so does one so far from 0 dB (about 6165 dB either way)
+    that the ratio or the noisy data leave the float range.
     """
     clean = np.asarray(clean, dtype=float)
     _check_real("noise SNR", snr_db, "(-inf, inf]")
@@ -548,8 +514,16 @@ def add_noise_snr(clean, snr_db, rng):
         raise DegenerateSignal("cannot scale noise against an all-zero signal")
     noise = rng.standard_normal(clean.shape)
     noise_nrm = float(np.linalg.norm(noise))
-    scale = nrm / (noise_nrm * 10.0 ** (snr_db / 20.0))
-    return clean + scale * noise
+    try:
+        scale = nrm / (noise_nrm * 10.0 ** (snr_db / 20.0))
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    # an overflow is reported below, as the noise SNR's error
+    with np.errstate(over="ignore"):
+        noisy = clean + scale * noise
+    if not np.isfinite(noisy).all():
+        raise ValueError(f"noise SNR {snr_db!r} dB puts the noisy data out of float range")
+    return noisy
 
 
 def _pgm_token(buf, pos):

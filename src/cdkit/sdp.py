@@ -49,7 +49,12 @@ class MeasurementOperator:
     of shape (n,), for p of shape (d,) and u of shape (n,). Neither is
     called with a matrix; the greedy refit maps its rank-r factor one
     column at a time. The Lanczos LMO writes into the array adjoint_matvec
-    returns.
+    returns. The operator checks every vector its two maps receive: it
+    rebinds gram and adjoint_matvec to maps that raise ValueError for a
+    vector of any other shape and hand the given kernels C-contiguous
+    float64 vectors of the checked shapes, so a kernel holds only its
+    arithmetic. A copy made by dataclasses.replace wraps the checked maps
+    it is given once more, and maps every vector to the same bits.
     apply_dense / adjoint_dense materialize the map on explicit matrices for
     verification at small n. Every bundled builder sets both, and they
     allocate n x n only when called; an operator built by hand may leave
@@ -66,6 +71,29 @@ class MeasurementOperator:
     def __post_init__(self):
         _check_count("matrix side n", self.n, 1)
         _check_count("measurement count d", self.d, 1)
+        n, d, gram, adjoint_matvec = self.n, self.d, self.gram, self.adjoint_matvec
+
+        # a kernel given a q of another shape would read it flat, broadcast
+        # it or index past it, so no kernel sees one. asarray with order="C"
+        # keeps a 0-d array 0-d, where ascontiguousarray makes it (1,)
+        def checked_gram(q):
+            q = np.asarray(q, dtype=float, order="C")
+            if q.shape != (n,):
+                raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
+            return gram(q)
+
+        def checked_adjoint_matvec(p, u):
+            p = np.asarray(p, dtype=float, order="C")
+            u = np.asarray(u, dtype=float, order="C")
+            if p.shape != (d,) or u.shape != (n,):
+                raise ValueError(
+                    f"adjoint_matvec needs p of shape ({d},) and u of shape ({n},), "
+                    f"got {p.shape} and {u.shape}"
+                )
+            return adjoint_matvec(p, u)
+
+        self.gram = checked_gram
+        self.adjoint_matvec = checked_adjoint_matvec
 
 
 @dataclass
@@ -162,7 +190,8 @@ def sketch_reconstruct(sketch, rank):
     1e-14 of the largest eigenvalue, where roundoff leaves them when X has
     low rank, are zeroed, so the factor keeps its `rank` columns. A rank
     that is not an integer >= 1 raises ValueError, and one that the sketch
-    cannot resolve (size - 1 or more) raises RankTooLarge.
+    cannot resolve (size - 1 or more) or that is above the matrix side n
+    raises RankTooLarge.
     """
     omega, s = sketch.omega, sketch.s
     n, size = s.shape
@@ -171,6 +200,8 @@ def sketch_reconstruct(sketch, rank):
         raise RankTooLarge(
             f"rank {rank} needs a sketch larger than {size} columns"
         )
+    if rank > n:
+        raise RankTooLarge(f"rank {rank} is above the matrix side n = {n}")
     fro = float(np.linalg.norm(s))
     if fro == 0.0:
         return np.zeros((n, rank)), np.zeros(rank)

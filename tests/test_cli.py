@@ -381,6 +381,17 @@ def test_dump_to_writes_plain_npz_at_given_path(tmp_path, argv, build, kind, nam
             np.testing.assert_array_equal(npz[name], want)
 
 
+def test_dump_to_takes_the_one_seed_cdk_seed_pins(tmp_path, monkeypatch):
+    # CDK_SEED overrides a seed list, so the one run writes the one file
+    monkeypatch.setenv("CDK_SEED", "3")
+    path = tmp_path / "instance.npz"
+    argv = ["toy", "--seeds", "0,1", "--iters", "5", "--prefix", str(tmp_path / "run")]
+    assert console_main(argv + ["--dump-to", str(path)]) == 0
+    with np.load(path) as npz:
+        assert int(npz["seed"]) == 3
+        np.testing.assert_array_equal(npz["x_star"], build_orthant_quadratic(seed=3).x_star)
+
+
 def test_matcomp_env_seed_is_echoed(tmp_path, monkeypatch):
     monkeypatch.setenv("CDK_SEED", "11")
     prefix = tmp_path / "m"
@@ -531,6 +542,25 @@ _LIBRARY_RANGES = {
     "toy-iters-jobs2": (
         ["toy", "--iters", "0", "--seeds", "0,1", "--jobs", "2"],
         lambda: _toy_solve(max_iters=0),
+    ),
+    # SNRs so far from 0 dB that the ratio or the noise leaves the float range
+    "phase-noise-snr-7000": (
+        ["phase", "--n", "16", "--m", "4", "--noise-snr", "7000"],
+        lambda: build_phase_retrieval(n=16, m=4, noise_snr=7000.0),
+    ),
+    "phase-noise-snr-minus-6200": (
+        ["phase", "--n", "16", "--m", "4", "--noise-snr=-6200"],
+        lambda: build_phase_retrieval(n=16, m=4, noise_snr=-6200.0),
+    ),
+    "matcomp-noise-snr-minus-7000": (
+        ["matcomp", "--n", "20", "--noise-snr=-7000"],
+        lambda: build_matcomp(n=20, noise_snr=-7000.0),
+    ),
+    # a readout rank above the matrix side, which a sketch of 10 columns
+    # would otherwise resolve: the run writes no trace before the readout
+    "phase-recon-rank-above-n": (
+        ["phase", "--n", "3", "--m", "4", "--iters", "5", "--sketch", "10", "--recon-rank", "6"],
+        lambda: sdp.sketch_reconstruct(sdp.SketchState.create(3, 10), 6),
     ),
 }
 
@@ -718,21 +748,28 @@ def test_io_error_exits_four_under_jobs(tmp_path):
         (None, ["--seeds", "1,1"], {}),
         (None, ["--seeds", "1,2,01", "--jobs", "2"], {}),
         ("seeds = 2, 3, 2\n", [], {}),
+        # every run would write its instance to the one --dump-to path
+        (None, ["--seeds", "0,1", "--dump-to", "d.npz"], {}),
+        (None, ["--seeds", "0,1", "--jobs", "2", "--dump-to", "d.npz"], {}),
+        ("seeds = 0, 1\ndump_to = d.npz\n", [], {}),
+        ("dump_to = d.npz\n", ["--seeds", "0,1"], {}),
     ],
     ids=[
         "unknown-key", "trace-every-key", "no-equals", "bad-value", "seeds-bad",
         "seeds-empty", "jobs-0", "env-seed", "seeds-repeated", "seeds-repeated-jobs2",
-        "seeds-repeated-config",
+        "seeds-repeated-config", "dump-to-seeds", "dump-to-seeds-jobs2", "dump-to-config",
+        "dump-to-config-seeds-flag",
     ],
 )
 def test_resolve_errors_exit_two(tmp_path, monkeypatch, capsys, lines, argv, env):
     # settings that cannot be resolved fail before any run: one "error:"
-    # line on stderr, exit 2 and no files
+    # line on stderr, exit 2 and no files, relative --dump-to paths included
     monkeypatch.delenv("CDK_SEED", raising=False)
     for key, val in env.items():
         monkeypatch.setenv(key, val)
     out = tmp_path / "out"
     out.mkdir()
+    monkeypatch.chdir(out)
     if lines is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(lines)

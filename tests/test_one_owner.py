@@ -95,6 +95,17 @@ def test_state_check_sees_a_direct_write():
     assert owners == ["greedy_step"] * 3
 
 
+def test_measurement_operator_holds_the_only_vector_map_check():
+    # the builders write kernels only: each shape message of the two maps
+    # appears once in the package, in the operator that checks every
+    # operator's vectors
+    package = pathlib.Path(cdkit.sdp.__file__).parent
+    for message in ("gram needs q of shape", "adjoint_matvec needs p of shape"):
+        found = {path.name: path.read_text().count(message) for path in package.glob("*.py")}
+        assert {name: k for name, k in found.items() if k} == {"sdp.py": 1}, message
+        assert message in inspect.getsource(MeasurementOperator.__post_init__)
+
+
 # numpy's random draws and the generator they come from
 _RANDOM_CALLS = {
     "default_rng",

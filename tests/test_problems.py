@@ -1,10 +1,12 @@
 """Problem builders: planted optima, measurement masks, transform
 identities, input range checks, noise injection, and graymap reading."""
 
+import dataclasses
 import functools
 import gc
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.fft import dct, idct
 
-from cdkit import DegenerateSignal, problems
+from cdkit import DegenerateSignal, MeasurementOperator, problems
 from cdkit.problems import (
     _matcomp_mask,
     add_noise_snr,
@@ -461,11 +463,14 @@ def test_matcomp_gram_edge_layouts_bitwise(case, mc, p, u):
 
 
 def _small_bundles():
-    # every bundled operator at n = 12
+    # every bundled operator at n = 12, and a diagonal operator built by hand
+    # whose kernels check nothing
+    diagonal = MeasurementOperator(12, 12, gram=lambda q: q * q, adjoint_matvec=lambda p, u: p * u)
     return {
         "trace": build_trace_toy(n=12),
         "matcomp": build_matcomp(n=12, rank=2, seed=0, block=3, density=0.3),
         "phase": build_phase_retrieval(n=12, m=3, seed=0),
+        "hand-built": types.SimpleNamespace(op=diagonal),
     }
 
 
@@ -473,8 +478,9 @@ def _small_bundles():
 def test_vector_maps_reject_other_shapes(shape):
     # a factor of shape (n, 2), a row of shape (1, n) or a short vector would
     # otherwise be read flat (matcomp and trace gram), broadcast against the
-    # masks (phase) or read in part (trace adjoint), and give wrong values of
-    # a plausible size
+    # masks (phase) or the diagonal (hand-built) or read in part (trace
+    # adjoint), and give wrong values of a plausible size. The operator
+    # checks them, so a hand-built one fails with the bundled ones' messages
     q = {"column-pair": np.ones((12, 2)), "row": np.ones((1, 12)), "short": np.ones(11)}[shape]
     for bundle in _small_bundles().values():
         op = bundle.op
@@ -485,11 +491,26 @@ def test_vector_maps_reject_other_shapes(shape):
             op.adjoint_matvec(np.ones(op.d), q)
 
 
+def test_replaced_operator_maps_to_the_same_bits():
+    # dataclasses.replace runs the operator's checks again over the checked
+    # maps it copies; every vector still maps to the same bits
+    rng = np.random.default_rng(4)
+    for bundle in _small_bundles().values():
+        op = bundle.op
+        copy = dataclasses.replace(op)
+        q = rng.standard_normal(12)
+        p = rng.standard_normal(op.d)
+        assert copy.gram(q).tobytes() == op.gram(q).tobytes()
+        assert copy.adjoint_matvec(p, q).tobytes() == op.adjoint_matvec(p, q).tobytes()
+        with pytest.raises(ValueError, match=r"gram needs q of shape \(12,\)"):
+            copy.gram(q[:-1])
+
+
 def test_matcomp_adjoint_rejects_mismatched_sizes():
     # the compiled kernels index through raw pointers, so a short p or u
-    # must fail before they run; the phase and trace operators would
-    # reshape p or read it in part, so they check the same shapes with the
-    # same message
+    # must fail before they run; the phase, trace and hand-built kernels
+    # would reshape p, read it in part or broadcast it, so the operator
+    # checks the same shapes with the same message for every kernel
     for kind, bundle in _small_bundles().items():
         op = bundle.op
         p = np.ones(op.d)
@@ -700,6 +721,24 @@ def test_add_noise_snr_infinite_is_copy():
     out = add_noise_snr(clean, np.inf, np.random.default_rng(0))
     np.testing.assert_array_equal(out, clean)
     assert out is not clean
+
+
+@pytest.mark.parametrize("snr_db", [7000.0, 6166.0, -6165.0, -6200.0, -7000.0])
+def test_add_noise_snr_rejects_ratios_out_of_float_range(snr_db):
+    # 10 ** (snr_db / 20) overflows above about 6165 dB; below about -6165
+    # dB it underflows to 0 or the noise scale overflows
+    with pytest.raises(ValueError, match="^noise SNR .* out of float range"):
+        add_noise_snr(np.ones(5), snr_db, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("snr_db", [20.0, -20.0, 6165.0, -6100.0])
+def test_add_noise_snr_keeps_its_bits_wherever_the_noise_is_finite(snr_db):
+    clean = np.ones(5)
+    noise = np.random.default_rng(0).standard_normal(5)
+    scale = np.linalg.norm(clean) / (np.linalg.norm(noise) * 10.0 ** (snr_db / 20.0))
+    want = clean + scale * noise
+    got = add_noise_snr(clean, snr_db, np.random.default_rng(0))
+    assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
 
 
 def test_add_noise_snr_rejects_zero_signal():

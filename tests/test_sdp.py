@@ -904,6 +904,19 @@ def test_reconstruct_rank_cap():
         sketch_reconstruct(sk, 4)
 
 
+@pytest.mark.parametrize("zero", [True, False], ids=["zero-sketch", "rank-one-sketch"])
+def test_reconstruct_rejects_rank_above_the_matrix_side(zero):
+    # a 3 x 3 matrix has no rank-4 factor of shape (3, 4), so a sketch wide
+    # enough to resolve rank 4 still refuses it, as the zero sketch does
+    sk = SketchState.create(3, 10, seed=0)
+    if not zero:
+        sk.add_rank_one(1.0, np.ones(3))
+    with pytest.raises(RankTooLarge, match=r"matrix side n = 3"):
+        sketch_reconstruct(sk, 4)
+    u, lam = sketch_reconstruct(sk, 3)
+    assert u.shape == (3, 3) and lam.shape == (3,)
+
+
 @pytest.mark.parametrize("rank", [-1, 0, 1.0, 2.5, True])
 def test_reconstruct_rejects_rank_below_one_or_not_integer(rank):
     sk = SketchState.create(10, 6, seed=0)

@@ -50,7 +50,7 @@ TRACE_COLUMNS = ("k", "f_value", "dual_cert", "cs_residual", "eta", "theta", "la
 
 def solve_set(smoke):
     """name -> zero-argument call returning a SolveResult or an SdpResult."""
-    from cdkit import SolverConfig, fw_solve, sdp_solve, solve
+    from cdkit import MeasurementOperator, SolverConfig, fw_solve, sdp_solve, solve
     from cdkit.problems import (
         build_matcomp,
         build_orthant_quadratic,
@@ -119,6 +119,9 @@ def solve_set(smoke):
     calls["matcomp30-fw-sketch-default-s0"] = lambda: fw_solve(
         plain.fv, plain.op, 30.0, gamma=plain.gamma, config=SolverConfig(max_iters=100)
     )
+    # an operator built outside problems, over a bundled operator's maps
+    op = MeasurementOperator(plain.op.n, plain.op.d, plain.op.gram, plain.op.adjoint_matvec)
+    calls["matcomp30-hand-built-op-mocog-s0"] = greedy(dataclasses.replace(plain, op=op), 0, 60, 5)
     toy = build_trace_toy(n=4)
     calls["trace-toy-tol"] = lambda: sdp_solve(
         toy.fv, toy.op, config=SolverConfig(tol_eps=1e-12), sketch_size=3
@@ -195,8 +198,7 @@ def fields(res):
     else:
         out["final_y"] = res.final_y
         out["final_tr"] = res.final_tr
-        # a checkout from before every solve kept a sketch returns None
-        out["sketch.s"] = None if res.sketch is None else res.sketch.s
+        out["sketch.s"] = res.sketch.s
         out["final_lambda"] = res.final_lambda
     return out
 
