@@ -13,7 +13,10 @@ has, final values, and the solve's stats as they are: oracle call counts,
 LMO confirmations and, for the semidefinite algos, LMO matvecs and each
 greedy refit's event). Phase runs additionally write
 <prefix>.factor.npz with the factored reconstruction read out of the
-sketch (arrays u and lam). With --dump-to PATH a run also writes the
+sketch (arrays u and lam); once the instance is built, and before the
+solve, --sketch and --recon-rank go through the readout's own checks on an
+empty sketch of the run's width, so a readout rank the library rejects
+fails before any visit. With --dump-to PATH a run also writes the
 instance it built to PATH, exactly as given: a plain .npz file holding
 kind, seed and the bundle's arrays, which np.load reads. It takes one
 seed: with more than one left after --seeds, --config and CDK_SEED, the
@@ -36,8 +39,10 @@ setting (max_iters for --iters, tol_eps for --tol). --heuristic-m,
 --trace-bound and --greedy-every reach the library only under some algos,
 so each run puts them through the same checks under their flag names.
 Each run prints one "<prefix>: <message>" line on stderr, so under --seeds
-a bad setting prints one such line per run. A bad --jobs fails the same
-count check before any run starts, with one "error: <message>" line.
+a bad setting prints one such line per run. A run keeps numpy's
+floating-point warnings silent, so one that trips the library's non-finite
+guard prints that line alone. A bad --jobs fails the same count check
+before any run starts, with one "error: <message>" line.
 """
 
 import argparse
@@ -63,7 +68,7 @@ from .problems import (
     read_pgm,
     recovery_error,
 )
-from .sdp import fw_solve, sdp_solve, sketch_reconstruct
+from .sdp import SketchState, fw_solve, sdp_solve, sketch_reconstruct
 
 _VECTOR_ALGOS = ("cd", "moco", "mocoh")
 _SDP_ALGOS = ("cd", "moco", "mocog", "mocoh", "fw")
@@ -231,10 +236,6 @@ def validate(spec):
             raise UsageError("fw on matcomp needs --trace-bound")
         if spec.algo == "mocoh" and spec.heuristic_m is None:
             raise UsageError("mocoh on matcomp needs --heuristic-m")
-    if spec.command == "phase":
-        # a sketch below 3 columns is the library's error to report
-        if spec.sketch >= 3 and not 1 <= spec.recon_rank < spec.sketch - 1:
-            raise UsageError("recon-rank must lie in [1, sketch - 2]")
     if spec.heuristic_m is not None:
         _check_real("heuristic-m", spec.heuristic_m, "(0, inf)")
     if spec.trace_bound is not None:
@@ -360,6 +361,9 @@ def _run_sdp(spec):
         )
         # an image sets the signal length; the summary echoes it as n
         spec = dataclasses.replace(spec, n=bundle.op.n)
+        # the readout's own checks, on an empty sketch of the run's width: a
+        # width or rank it rejects fails here, before the solve
+        sketch_reconstruct(SketchState.create(bundle.op.n, spec.sketch), spec.recon_rank)
         m_estimate = bundle.m_estimate
     else:
         bundle = build_matcomp(
@@ -383,8 +387,6 @@ def _run_sdp(spec):
         config=_solver_config(spec, m_estimate),
         sketch_size=spec.sketch,
     )
-    # the readout comes before any file is written, so a rank it rejects
-    # leaves none
     if phase:
         u, lam = sketch_reconstruct(result.sketch, spec.recon_rank)
     summary = _base_summary(spec, result)
@@ -403,9 +405,12 @@ def _run_sdp(spec):
 
 
 def _spec_worker(spec):
-    # runs inside a pool process; returns printable outcome, never raises
+    # runs inside a pool process; returns printable outcome, never raises.
+    # numpy's floating-point warnings stay silent: a run that trips the
+    # library's non-finite guard reports it on its one stderr line
     try:
-        summary = run_experiment(spec)
+        with np.errstate(all="ignore"):
+            summary = run_experiment(spec)
         return (
             spec.prefix,
             0,

@@ -379,8 +379,9 @@ class _VectorIterate:
     def certify(self, g, confirm):
         self.v = self.problem.cone.lmo(g)
         # -<g, v> equals dist_dual(g, K*) at an exact LMO, so every value is
-        # confirmed and a stopping visit needs no second call
-        return -float(np.vdot(g, self.v)), None, True
+        # confirmed and a stopping visit needs no second call. Subtracting
+        # from 0.0 keeps every nonzero value and makes the zero atom's +0.0
+        return 0.0 - float(np.vdot(g, self.v)), None, True
 
     def step(self, k, theta):
         if theta is None:

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,17 +215,6 @@ def test_validate_mocoh_matcomp_needs_m():
     with pytest.raises(UsageError):
         validate(RunSpec(command="matcomp", algo="mocoh"))
     validate(RunSpec(command="matcomp", algo="mocoh", heuristic_m=2.0))
-
-
-def test_validate_recon_rank_bounds():
-    with pytest.raises(UsageError):
-        validate(RunSpec(command="phase", recon_rank=0))
-    with pytest.raises(UsageError):
-        validate(RunSpec(command="phase", sketch=6, recon_rank=5))
-    validate(RunSpec(command="phase", sketch=6, recon_rank=4))
-    # below 3 sketch columns the library reports the sketch, not the rank
-    validate(RunSpec(command="phase", sketch=1))
-    validate(RunSpec(command="phase", sketch=2))
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +546,17 @@ _LIBRARY_RANGES = {
         ["matcomp", "--n", "20", "--noise-snr=-7000"],
         lambda: build_matcomp(n=20, noise_snr=-7000.0),
     ),
-    # a readout rank above the matrix side, which a sketch of 10 columns
-    # would otherwise resolve: the run writes no trace before the readout
+    # the three readout ranks sketch_reconstruct rejects: below 1, too wide
+    # for the sketch, and above the matrix side, which a sketch of 10
+    # columns would otherwise resolve
+    "phase-recon-rank-0": (
+        ["phase", "--n", "16", "--m", "4", "--recon-rank", "0"],
+        lambda: sdp.sketch_reconstruct(sdp.SketchState.create(16, 8), 0),
+    ),
+    "phase-recon-rank-5-sketch-6": (
+        ["phase", "--n", "16", "--m", "4", "--sketch", "6", "--recon-rank", "5"],
+        lambda: sdp.sketch_reconstruct(sdp.SketchState.create(16, 6), 5),
+    ),
     "phase-recon-rank-above-n": (
         ["phase", "--n", "3", "--m", "4", "--iters", "5", "--sketch", "10", "--recon-rank", "6"],
         lambda: sdp.sketch_reconstruct(sdp.SketchState.create(3, 10), 6),
@@ -579,6 +578,60 @@ def test_cli_range_errors_are_library_errors(tmp_path, capsys, argv, call):
     prefixes = [f"{prefix}.s0", f"{prefix}.s1"] if "--seeds" in argv else [prefix]
     assert capsys.readouterr().err.splitlines() == [f"{p}: {info.value}" for p in prefixes]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--recon-rank", "0"], "reconstruction rank must be an int >= 1, got 0"),
+        (["--sketch", "6", "--recon-rank", "5"], "rank 5 needs a sketch larger than 6 columns"),
+        (["--sketch", "10", "--recon-rank", "6"], "rank 6 is above the matrix side n = 3"),
+        # a width below 3 is reported before any rank
+        (["--sketch", "2", "--recon-rank", "6"], "sketch size must be an int >= 3, got 2"),
+    ],
+    ids=["rank-0", "rank-5-sketch-6", "rank-above-n", "sketch-2"],
+)
+@pytest.mark.parametrize("algo", ["moco", "fw"])
+def test_readout_errors_fail_before_the_solve(tmp_path, monkeypatch, capsys, extra, message, algo):
+    # the readout's checks run once the instance is built, so a rejected
+    # width or rank starts no solve and writes no file
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(cli, "sdp_solve", no_solve)
+    monkeypatch.setattr(cli, "fw_solve", no_solve)
+    prefix = str(tmp_path / "x")
+    argv = ["phase", "--n", "3", "--m", "4", "--algo", algo, "--prefix", prefix]
+    assert console_main(argv + extra) == 2
+    assert capsys.readouterr().err.splitlines() == [f"{prefix}: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_atom_certificate_is_positive_zero(tmp_path):
+    # on one dimension the orthant LMO returns the zero atom at visit 0, so
+    # -<g, v> is a zero; the trace, its CSV and the summary hold +0.0
+    res = solve(build_orthant_quadratic(dim=1, seed=0).program, SolverConfig(max_iters=3))
+    path = tmp_path / "t.csv"
+    res.trace.write_csv(path)
+    with open(path) as fh:
+        csv_certs = [float(row["dual_cert"]) for row in csv.DictReader(fh)]
+    prefix = tmp_path / "x"
+    assert console_main(["toy", "--dim", "1", "--iters", "3", "--prefix", str(prefix)]) == 0
+    with open(f"{prefix}.summary.json") as fh:
+        summary_cert = json.load(fh)["final_dual_cert"]
+    certs = list(res.trace.dual_certs()) + csv_certs + [summary_cert]
+    assert certs and all(c == 0.0 and math.copysign(1.0, c) == 1.0 for c in certs)
+
+
+def test_non_finite_run_prints_no_numpy_warning(tmp_path):
+    # an M near the float limit overflows the schedule: the run fails the
+    # library's non-finite guard on its one stderr line, and numpy's
+    # RuntimeWarnings, which name library source lines, stay silent
+    argv = ["toy", "--iters", "3", "--algo", "mocoh", "--heuristic-m", "1e308"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert console_main(argv + ["--prefix", str(tmp_path / "x")]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_infinite_noise_snr_means_no_noise(tmp_path):

@@ -106,6 +106,28 @@ def test_measurement_operator_holds_the_only_vector_map_check():
         assert message in inspect.getsource(MeasurementOperator.__post_init__)
 
 
+def test_sketch_reconstruct_holds_the_only_readout_rank_check():
+    # the command line puts --recon-rank through the readout itself: each
+    # readout-rank message appears once in the package, in sketch_reconstruct,
+    # and no comparison in cli.py reads recon_rank
+    package = pathlib.Path(cdkit.sdp.__file__).parent
+    for message in ("needs a sketch larger than", "is above the matrix side n ="):
+        found = {path.name: path.read_text().count(message) for path in package.glob("*.py")}
+        assert {name: k for name, k in found.items() if k} == {"sdp.py": 1}, message
+        assert message in inspect.getsource(sketch_reconstruct)
+    tree = ast.parse((package / "cli.py").read_text())
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            getattr(sub, "attr", getattr(sub, "id", None)) == "recon_rank"
+            for sub in ast.walk(node)
+        )
+    ]
+    assert reads == []
+
+
 # numpy's random draws and the generator they come from
 _RANDOM_CALLS = {
     "default_rng",
