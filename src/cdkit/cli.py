@@ -55,7 +55,6 @@ import os
 import subprocess
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -493,6 +492,9 @@ def console_main(argv=None):
     if jobs == 1:
         outcomes = [_spec_worker(spec) for spec in specs]
     else:
+        # the pool's module is imported only by a command that starts one
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_spec_worker, specs))
     worst = 0

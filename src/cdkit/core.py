@@ -331,7 +331,11 @@ def _descend(problem, config, it, callback, stop_at):
         if not math.isfinite(fval) or not np.isfinite(grad).all():
             raise NonFiniteValue(f"non-finite objective data at iteration {k}")
         delta = 2.0 / (k + 2.0) if config.momentum_mode == "moco" else 1.0
-        g_avg = (1.0 - delta) * g_avg + delta * grad
+        # the average (1 - delta) g_avg + delta grad, summed into the first
+        # product's new array: the same bits as the written-out sum, with one
+        # fewer d-vector at the visit's peak, and still a new array per visit
+        g_avg = (1.0 - delta) * g_avg
+        g_avg += delta * grad
         del grad  # folded into g_avg: one fewer d-vector through the LMO
         last = k == config.max_iters
         cert, lam, confirmed = it.certify(g_avg, last)

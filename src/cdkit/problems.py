@@ -10,9 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, idct
-from scipy.fft._pocketfft import pypocketfft
-from scipy.sparse import _sparsetools
 
 from .cones import NonnegativeOrthant
 from .core import ConicProgram
@@ -33,7 +30,11 @@ def _scaled_sq_norm_program(b, coeff):
         return coeff * float(np.vdot(r, r))
 
     def gradient(y):
-        return 2.0 * coeff * (np.asarray(y, dtype=float) - b)
+        # the residual scaled in place: the product (2 coeff) r of the
+        # written-out formula, with one d-vector allocated, not two
+        r = np.asarray(y, dtype=float) - b
+        r *= 2.0 * coeff
+        return r
 
     def restriction(base, direction):
         base = np.asarray(base, dtype=float) - b
@@ -271,8 +272,14 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
 
     # The mask comes in CSR order (row_idx non-decreasing, col_idx rising
     # within a row), so (p, col_idx, indptr) is an upper-triangular U in CSR
-    # form and, read as CSC, its transpose. scipy's compiled kernels read
-    # these int32 arrays where they lie, with no cast to intp per call
+    # form and, read as CSC, its transpose. The compiled kernels of scipy's
+    # private _sparsetools module read these int32 arrays where they lie,
+    # with no cast to intp per call. The module, and scipy.sparse with it,
+    # is imported here, by the first completion instance of a process; the
+    # closures below hold it, so no call imports anything, and a scipy
+    # without the module fails this builder alone
+    from scipy.sparse import _sparsetools
+
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
 
@@ -354,22 +361,10 @@ def dct_measurement_apply(signs, v):
     Row j holds the orthonormal cosine transform of signs[j] * v, so the
     squared entries are the intensity measurements of v.
     """
+    from scipy.fft import dct
+
     v = np.asarray(v, dtype=float)
     return dct(signs * v[None, :], axis=1, norm="ortho")
-
-
-# The phase kernels call pocketfft's orthonormal DCT (type 2 forward, type 3
-# inverse) with the arguments scipy.fft passes it, but without scipy.fft's
-# dispatch layers, which cost more than the transform itself at n = 64.
-# Each call transforms its argument in place, so callers pass a fresh
-# temporary. dct_measurement_apply and the dense mirrors stay on scipy.fft,
-# which keeps the tests' reference path independent of these calls.
-def _dct(a, axis):
-    return pypocketfft.dct(a, 2, (axis,), 1, a, 1)
-
-
-def _idct(a, axis):
-    return pypocketfft.dct(a, 3, (axis,), 1, a, 1)
 
 
 @dataclass
@@ -420,19 +415,37 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     d = m * n
     coeff = 1.0 / d
 
+    # The kernels call pocketfft's orthonormal DCT (type 2 forward, type 3
+    # inverse) from scipy's private pypocketfft module, with the arguments
+    # scipy.fft passes it, but without scipy.fft's dispatch layers, which
+    # cost more than the transform itself at n = 64. The module is imported
+    # here, by the first phase instance of a process (dct_measurement_apply
+    # above has already imported scipy.fft), and the closures hold it, so
+    # no call imports anything and a scipy without the module fails this
+    # builder alone. dct_measurement_apply and the dense mirrors stay on
+    # scipy.fft, which keeps the tests' reference path independent of
+    # these calls.
+    from scipy.fft._pocketfft import pypocketfft
+
+    def transform(a, kind):
+        # transforms each row of a in place, so callers pass a fresh temporary
+        return pypocketfft.dct(a, kind, (1,), 1, a, 1)
+
     # Both kernels transform all m masks in one call over an (m, n) block.
     # The adjoint sums the masks over the leading axis, which numpy adds in
     # loop order, so it equals the one-mask loop bit for bit
     def gram(q):
-        a = _dct(signs * q[None, :], 1)
+        a = transform(signs * q[None, :], 2)
         return (a * a).ravel()
 
     def adjoint_matvec(p, u):
-        t = _dct(signs * u[None, :], 1)
+        t = transform(signs * u[None, :], 2)
         t *= p.reshape(m, n)
-        return (signs * _idct(t, 1)).sum(axis=0)
+        return (signs * transform(t, 3)).sum(axis=0)
 
     def apply_dense(x_mat):
+        from scipy.fft import dct
+
         blocks = []
         for j in range(m):
             xs = x_mat * np.outer(signs[j], signs[j])
@@ -441,6 +454,8 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
         return np.concatenate(blocks)
 
     def adjoint_dense(p):
+        from scipy.fft import idct
+
         pb = np.asarray(p, dtype=float).reshape(m, n)
         mat = np.zeros((n, n))
         for j in range(m):

@@ -15,12 +15,12 @@ to a smallest-eigenvalue problem for the adjoint image of the momentum
 vector, solved matrix-free by Lanczos iteration.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     SolveTrace,
@@ -273,9 +273,11 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
     directly, which gives bit for bit what
     scipy.linalg.eigh_tridiagonal(select="i") returns without its per-call
     argument checks; a LAPACK failure raises EigFailure and so takes the
-    retry. An n that is not an int >= 1, a seed that is not an int >= 0, or
-    a start that is not a finite array of shape (n,), raises ValueError
-    before any matvec.
+    retry. scipy.linalg, which holds the two routines, is imported on the
+    first Ritz solve of the process, or earlier, when a semidefinite solve
+    builds its iterate. An n that is not an int >= 1, a seed that is not an
+    int >= 0, or a start that is not a finite array of shape (n,), raises
+    ValueError before any matvec.
     """
     _check_count("operator size n", n, 1)
     _check_count("seed", seed, 0)
@@ -289,7 +291,15 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
         return _lanczos_once(matvec, n, seed + 1)
 
 
-_STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
+@functools.cache
+def _lapack():
+    # the float64 LAPACK routines (stebz, stein) of the Ritz solve, fetched
+    # once per process; importing scipy.linalg here, not at module level,
+    # keeps it out of every process that never solves a tridiagonal
+    import scipy.linalg
+
+    return scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
+
 
 # weight of the unit random vector mixed into a warm Lanczos start
 _WARM_START_MIX = 1e-3
@@ -310,9 +320,10 @@ def _tridiagonal_min_eig(d, e):
     # wrapper: the same 1x1 quick exit and the same two LAPACK calls
     if d.size == 1:
         return float(d[0]), np.ones(1)
-    m, w, iblock, isplit, info = _STEBZ(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    stebz, stein = _lapack()
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if info == 0:
-        v, info = _STEIN(d, e, w[:m], iblock, isplit)
+        v, info = stein(d, e, w[:m], iblock, isplit)
         if info == 0:
             return float(w[0]), v[:, 0]
     raise EigFailure(f"tridiagonal eigensolver failed (info {info}) at size {d.size}")
@@ -633,6 +644,9 @@ class _MeasurementIterate:
         if fv.dim != op.d:
             raise ValueError("objective dimension does not match the measurement count")
         _check_real("gamma", gamma, "[0, inf)")
+        # load the LMO's LAPACK routines now, so the first visit's clock,
+        # which _descend starts after this set-up, does not count the import
+        _lapack()
         self.fv, self.op, self.gamma = fv, op, gamma
         # every Lanczos run draws its seed from this one stream. A visit's
         # run starts from the previous visit's eigenvector plus a little of

@@ -1,6 +1,7 @@
 """Command-line harness: option precedence, validation, output files, exit
 codes, and multi-seed fan-out."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -763,7 +764,9 @@ def test_jobs_start_at_most_one_worker_per_run(tmp_path, monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    # console_main imports the pool class when it starts a pool, so the fake
+    # replaces it where that import reads it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     printed = []
     for jobs in ("64", "2"):
         argv = ["toy", "--iters", "5", "--seeds", "0,1", "--jobs", jobs]

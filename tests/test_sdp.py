@@ -467,7 +467,7 @@ def test_lapack_failure_takes_the_retry(monkeypatch):
     rng = np.random.default_rng(5)
     a = rng.standard_normal((30, 30))
     a = (a + a.T) / 2.0
-    stebz = sdp._STEBZ
+    stebz, stein = sdp._lapack()
     failures = []
 
     def fail_once(*args):
@@ -477,7 +477,7 @@ def test_lapack_failure_takes_the_retry(monkeypatch):
             info = 1
         return m, w, iblock, isplit, info
 
-    monkeypatch.setattr(sdp, "_STEBZ", fail_once)
+    monkeypatch.setattr(sdp, "_lapack", lambda: (fail_once, stein))
     lam, q = min_eig_lanczos(lambda v: a @ v, 30, seed=3)
     assert len(failures) == 1
     # a failed warm start takes the same retry
@@ -485,7 +485,7 @@ def test_lapack_failure_takes_the_retry(monkeypatch):
     warm_lam, warm_q = min_eig_lanczos(lambda v: a @ v, 30, seed=3, start=np.eye(30)[4])
     assert len(failures) == 1
     # the retry is a fresh run from the reseeded cold start
-    monkeypatch.setattr(sdp, "_STEBZ", stebz)
+    monkeypatch.setattr(sdp, "_lapack", lambda: (stebz, stein))
     retry_lam, retry_q = sdp._lanczos_once(lambda v: a @ v, 30, 4)
     assert lam == retry_lam == warm_lam
     np.testing.assert_array_equal(q, retry_q)
@@ -669,7 +669,7 @@ def test_lmo_matvecs_counts_every_lanczos_matvec(monkeypatch, solver):
         finally:
             inside[0] = False
 
-    stebz = sdp._STEBZ
+    stebz, stein = sdp._lapack()
     calls = [0]
 
     def fail_fifth(*args):
@@ -678,7 +678,7 @@ def test_lmo_matvecs_counts_every_lanczos_matvec(monkeypatch, solver):
         return m, w, iblock, isplit, 1 if calls[0] == 5 else info
 
     monkeypatch.setattr(sdp, "min_eig_lanczos", lanczos)
-    monkeypatch.setattr(sdp, "_STEBZ", fail_fifth)
+    monkeypatch.setattr(sdp, "_lapack", lambda: (fail_fifth, stein))
     op = dataclasses.replace(mc.op, adjoint_matvec=adjoint_matvec)
     counts = []
     for _ in range(2):
@@ -695,13 +695,13 @@ def test_lmo_matvecs_counts_every_lanczos_matvec(monkeypatch, solver):
 
 
 def test_lanczos_gives_up_after_two_lapack_failures(monkeypatch):
-    stebz = sdp._STEBZ
+    stebz, stein = sdp._lapack()
 
     def always_fail(*args):
         m, w, iblock, isplit, info = stebz(*args)
         return m, w, iblock, isplit, 1
 
-    monkeypatch.setattr(sdp, "_STEBZ", always_fail)
+    monkeypatch.setattr(sdp, "_lapack", lambda: (always_fail, stein))
     with pytest.raises(EigFailure, match="info 1"):
         min_eig_lanczos(lambda v: np.arange(6.0) * v, 6)
 
