@@ -88,8 +88,6 @@ def build_orthant_quadratic(dim=20, seed=0):
     slack = np.zeros(dim)
     slack[order[size:]] = np.abs(rng.standard_normal(dim - size))
     lin = quad @ x_star - slack
-    f_star = 0.5 * float(x_star @ quad @ x_star) - float(lin @ x_star)
-    lipschitz = float(np.linalg.eigvalsh(quad)[-1])
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -116,8 +114,8 @@ def build_orthant_quadratic(dim=20, seed=0):
         quad=quad,
         lin=lin,
         x_star=x_star,
-        f_star=f_star,
-        lipschitz=lipschitz,
+        f_star=value(x_star),
+        lipschitz=float(np.linalg.eigvalsh(quad)[-1]),
     )
 
 
@@ -209,12 +207,14 @@ def _matcomp_mask(n, block, density, rng):
     # j >= i, and keeps the columns whose draw is below density; the leading
     # block-by-block corner is always observed. One draw of several rows'
     # uniforms gives the same values as drawing them row by row, so the
-    # mask and the generator's state are those of a row-by-row loop. starts
-    # holds the offset of each row's first draw in the whole sequence
+    # mask and the generator's state are those of a row-by-row loop. The
+    # mask comes back in CSR form: each row's count of kept draws (intp)
+    # and the int32 column of every kept draw, in row order. starts holds
+    # the offset of each row's first draw in the whole sequence
     starts = np.arange(n + 1, dtype=np.int64)
     starts = starts * n - starts * (starts - 1) // 2
-    rows_i = []
-    rows_j = []
+    row_counts = []
+    cols = []
     i = 0
     while i < n:
         end = int(np.searchsorted(starts, starts[i] + _MASK_DRAWS, side="right")) - 1
@@ -229,10 +229,10 @@ def _matcomp_mask(n, block, density, rng):
         flat = np.flatnonzero(keep)
         counts = np.diff(np.searchsorted(flat, local))
         rows = np.arange(i, end, dtype=np.int32)
-        rows_i.append(np.repeat(rows, counts))
-        rows_j.append((flat - np.repeat(local[:-1] - rows, counts)).astype(np.int32))
+        row_counts.append(counts)
+        cols.append((flat - np.repeat(local[:-1] - rows, counts)).astype(np.int32))
         i = end
-    return np.concatenate(rows_i), np.concatenate(rows_j)
+    return np.concatenate(row_counts), np.concatenate(cols)
 
 
 def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
@@ -259,19 +259,17 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     _check_real("density", density, "(0, 1]")
     rng = np.random.default_rng(seed)
     v_true = rng.standard_normal((n, rank))
-    row_idx, col_idx = _matcomp_mask(n, block, density, rng)
-    d = row_idx.size
-    # The bundle keeps the mask as row counts and col_idx, and drops the row
-    # indices. The counts are intp, which np.repeat reads without a
+    # The mask is drawn straight into row counts and col_idx; no row index
+    # is built. The counts are intp, which np.repeat reads without a
     # conversion. The column indices stay int32, the index type of the
     # compiled kernels below, which read them beside int32 row pointers
     # with no cast; intp would add 1.6 MB per bundle at n = 2000 (d about
     # 200k)
-    counts = np.bincount(row_idx, minlength=n)
-    del row_idx
+    counts, col_idx = _matcomp_mask(n, block, density, rng)
+    d = col_idx.size
 
-    # The mask comes in CSR order (row_idx non-decreasing, col_idx rising
-    # within a row), so (p, col_idx, indptr) is an upper-triangular U in CSR
+    # The mask comes in CSR order (rows in order, col_idx rising within a
+    # row), so (p, col_idx, indptr) is an upper-triangular U in CSR
     # form and, read as CSC, its transpose. The compiled kernels of scipy's
     # private _sparsetools module read these int32 arrays where they lie,
     # with no cast to intp per call. The module, and scipy.sparse with it,
@@ -355,18 +353,6 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
 # phase retrieval from signed cosine-transform magnitudes
 
 
-def dct_measurement_apply(signs, v):
-    """All m*n linear measurements of a vector at once, as an (m, n) array.
-
-    Row j holds the orthonormal cosine transform of signs[j] * v, so the
-    squared entries are the intensity measurements of v.
-    """
-    from scipy.fft import dct
-
-    v = np.asarray(v, dtype=float)
-    return dct(signs * v[None, :], axis=1, norm="ortho")
-
-
 @dataclass
 class PhaseRetrieval:
     fv: ConicProgram
@@ -387,10 +373,11 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     each mask is orthogonal, the measurements of one mask sum to ||x||^2, so
     the mean of the observation vector over masks estimates the trace of the
     lifted solution; that estimate is what the pre-scheduled step rule uses.
-    The bundle's gamma, the default trace penalty, is 5e-5. An m that is
-    not an int >= 1, a seed that is not an int >= 0, an n (the signal's
-    length when one is given) that is not an int >= 2, or a signal with a
-    NaN or infinite entry, raises ValueError.
+    The clean b is the operator's own image of x x^T: op.gram of the
+    unit-norm x_true. The bundle's gamma, the default trace penalty, is
+    5e-5. An m that is not an int >= 1, a seed that is not an int >= 0, an
+    n (the signal's length when one is given) that is not an int >= 2, or a
+    signal with a NaN or infinite entry, raises ValueError.
     """
     _check_count("m", m, 1)
     _check_count("seed", seed, 0)
@@ -408,23 +395,16 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     if nrm == 0.0:
         raise DegenerateSignal("signal has zero norm")
     x_true = x_true / nrm
-    amps = dct_measurement_apply(signs, x_true)
-    b = (amps * amps).ravel()
-    if noise_snr is not None:
-        b = add_noise_snr(b, noise_snr, rng)
     d = m * n
-    coeff = 1.0 / d
 
     # The kernels call pocketfft's orthonormal DCT (type 2 forward, type 3
     # inverse) from scipy's private pypocketfft module, with the arguments
     # scipy.fft passes it, but without scipy.fft's dispatch layers, which
-    # cost more than the transform itself at n = 64. The module is imported
-    # here, by the first phase instance of a process (dct_measurement_apply
-    # above has already imported scipy.fft), and the closures hold it, so
-    # no call imports anything and a scipy without the module fails this
-    # builder alone. dct_measurement_apply and the dense mirrors stay on
-    # scipy.fft, which keeps the tests' reference path independent of
-    # these calls.
+    # cost more than the transform itself at n = 64. The module, and
+    # scipy.fft with it, is imported here, by the first phase instance of a
+    # process; the closures hold it, so no call imports anything and a
+    # scipy without the module fails this builder alone. The dense mirrors
+    # stay on scipy.fft, which keeps them independent of these calls.
     from scipy.fft._pocketfft import pypocketfft
 
     def transform(a, kind):
@@ -473,7 +453,12 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
         apply_dense=apply_dense,
         adjoint_dense=adjoint_dense,
     )
-    fv = _scaled_sq_norm_program(b, coeff)
+    # the noise, if any, is the generator's last draw, after the masks and
+    # the signal
+    b = op.gram(x_true)
+    if noise_snr is not None:
+        b = add_noise_snr(b, noise_snr, rng)
+    fv = _scaled_sq_norm_program(b, 1.0 / d)
     return PhaseRetrieval(
         fv=fv,
         op=op,

@@ -8,6 +8,8 @@ reports, by a route the solver does not take:
   on the optimal value;
 - finite-difference gradient and smoothness-gap probes of an objective;
 - a brute-force grid LMO for small cones, and dense matrix norms;
+- the signed cosine-transform measurements of phase retrieval through
+  public scipy.fft, beside the private kernels the bundled operator calls;
 - cone membership and the distance to the dual cone, which the solvers
   never compute: the tests check the identity -<g, lmo(g)> = dist_dual(g, K*)
   against these;
@@ -270,6 +272,18 @@ def brute_lmo(cone, g, grid_n=10000):
     if vals[i] >= 0.0:
         return np.zeros_like(g)
     return pts[i]
+
+
+def dct_measurement_apply(signs, v):
+    """All m*n linear measurements of a vector at once, as an (m, n) array.
+
+    Row j holds the orthonormal cosine transform of signs[j] * v, so the
+    squared entries are the intensity measurements of v.
+    """
+    from scipy.fft import dct
+
+    v = np.asarray(v, dtype=float)
+    return dct(signs * v[None, :], axis=1, norm="ortho")
 
 
 def log_calls(monkeypatch, module, name):

@@ -22,8 +22,8 @@ def test_builders_and_solver_steps_live_in_their_modules():
     homes = {
         cdkit.problems: (
             "add_noise_snr", "build_matcomp", "build_orthant_quadratic",
-            "build_phase_retrieval", "build_trace_toy", "dct_measurement_apply",
-            "read_pgm", "recovery_error",
+            "build_phase_retrieval", "build_trace_toy", "read_pgm",
+            "recovery_error",
         ),
         cdkit.core: ("line_search_step", "ray_minimize"),
         cdkit.sdp: ("greedy_step",),

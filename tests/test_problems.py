@@ -23,11 +23,11 @@ from cdkit.problems import (
     build_orthant_quadratic,
     build_phase_retrieval,
     build_trace_toy,
-    dct_measurement_apply,
     read_pgm,
     recovery_error,
 )
 from cdkit.sdp import _adjoint_cols, _gram_cols
+from oracles import dct_measurement_apply
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +185,20 @@ def test_matcomp_noiseless_measurements_match_truth():
     [(1, 1, 0.5, None), (12, 0, 0.3, 20.0), (30, 5, 0.2, None), (40, 40, 1.0, None)],
 )
 def test_matcomp_derived_rows_are_the_built_mask(n, block, density, noise_snr):
-    # the bundle keeps the mask as row counts and col_idx; row_idx, derived
-    # on access, is the row half of the mask the builder drew
+    # the bundle keeps the mask as the row counts and col_idx the builder
+    # drew; row_idx, derived on access, is the row loop's row index
     for seed in range(3):
         mc = build_matcomp(n=n, rank=2, seed=seed, block=block, density=density,
                            noise_snr=noise_snr)
-        rng = np.random.default_rng(seed)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         rng.standard_normal((n, 2))
-        i, j = _matcomp_mask(n, block, density, rng)
+        ref.standard_normal((n, 2))
+        counts, j = _matcomp_mask(n, block, density, rng)
+        rows, _ = _matcomp_mask_loop(n, block, density, ref)
+        np.testing.assert_array_equal(problems._mask_rows(counts), rows)
+        np.testing.assert_array_equal(mc.row_counts, counts)
         assert mc.row_idx.dtype == np.int32
-        np.testing.assert_array_equal(mc.row_idx, i)
+        np.testing.assert_array_equal(mc.row_idx, rows)
         np.testing.assert_array_equal(mc.col_idx, j)
         assert mc.row_counts.shape == (n,) and mc.row_counts.sum() == mc.op.d
 
@@ -334,7 +338,11 @@ def test_matcomp_mask_is_in_csr_order(n, block, density):
     # which is only the upper triangle if rows come in order and columns
     # rise strictly within a row
     for seed in range(3):
-        i, j = _matcomp_mask(n, block, density, np.random.default_rng(seed))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts, j = _matcomp_mask(n, block, density, rng)
+        assert counts.dtype == np.intp and counts.shape == (n,)
+        i = problems._mask_rows(counts)
+        np.testing.assert_array_equal(i, _matcomp_mask_loop(n, block, density, ref)[0])
         assert i.dtype == j.dtype == np.int32
         assert np.all(np.diff(i) >= 0)
         same_row = i[1:] == i[:-1]
@@ -361,10 +369,13 @@ def _matcomp_mask_loop(n, block, density, rng):
 
 
 def _assert_mask_is_the_loops(n, block, density, seed):
+    # the mask comes as intp row counts and int32 columns; the rows the
+    # counts give are the loop's rows
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _matcomp_mask(n, block, density, rng)
+    counts, cols = _matcomp_mask(n, block, density, rng)
+    assert counts.dtype == np.intp and counts.shape == (n,)
     want = _matcomp_mask_loop(n, block, density, ref)
-    for g, w in zip(got, want):
+    for g, w in zip((problems._mask_rows(counts), cols), want):
         assert g.dtype == w.dtype == np.int32
         np.testing.assert_array_equal(g, w)
     # the same uniforms were drawn, no more and no fewer
@@ -392,18 +403,20 @@ def test_matcomp_mask_chunks_split_anywhere(monkeypatch, draws):
 
 def test_matcomp_mask_peak_is_the_mask_not_its_draws():
     # at n = 2000 the upper triangle has 2001000 entries: drawing their
-    # uniforms at once would take 16 MB. The mask's int32 pieces and their
-    # concatenation take four int32 d-vectors, and a chunk's draws about 1 MB
+    # uniforms at once would take 16 MB. The mask's int32 column pieces and
+    # their concatenation take two int32 d-vectors, the row counts with
+    # their pieces two intp n-vectors, and a chunk's draws about 1 MB. No
+    # int32 row index is built
     n = 2000
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        i, _ = _matcomp_mask(n, 10, 0.1, np.random.default_rng(0))
+        _, cols = _matcomp_mask(n, 10, 0.1, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    budget = 4 * 4 * i.size + 2**20
+    budget = 2 * 4 * cols.size + 8 * n + 2**20
     assert peak <= budget, (peak, budget)
 
 
@@ -633,6 +646,7 @@ def test_adjoint_matvec_is_adjoint_of_gram(kind, seed, rank):
 
 
 def test_dct_measurement_energy_identity():
+    # the tests' public scipy.fft reference for the phase kernels
     rng = np.random.default_rng(4)
     signs = np.where(rng.standard_normal((6, 32)) > 0, 1.0, -1.0)
     v = rng.standard_normal(32)
@@ -648,6 +662,19 @@ def test_phase_retrieval_noiseless_energy_estimate():
     assert ph.m_estimate == pytest.approx(1.0, rel=1e-12)
     assert ph.b.shape == (4 * 32,)
     assert ph.b.min() >= 0.0
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["drawn", "given"])
+def test_phase_retrieval_b_is_the_operators_image_of_the_truth(given):
+    # the clean data is the image of x x^T under the operator the solver
+    # runs, to the bit, and under its dense mirror to roundoff relative to
+    # the whole image: the mirror's two-sided transform loses more relative
+    # accuracy on a small entry than on b as a whole
+    signal = np.cos(0.3 * np.arange(24)) if given else None
+    ph = build_phase_retrieval(n=24, m=5, seed=6, signal=signal)
+    np.testing.assert_array_equal(ph.b, ph.op.gram(ph.x_true))
+    dense = ph.op.apply_dense(np.outer(ph.x_true, ph.x_true))
+    assert np.linalg.norm(ph.b - dense) <= 1e-12 * np.linalg.norm(ph.b)
 
 
 def test_phase_retrieval_truth_is_a_zero_of_the_objective():

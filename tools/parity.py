@@ -15,11 +15,12 @@ built instances and four command-line runs, and write what they return to
 a temporary directory: per solve the trace (every column but wall_ms),
 stats (greedy events included), status, the final point or final_y and
 final_tr, the sketch's s, certified_dual_cert and final_lambda; per
-instance its data arrays (matcomp's b, row_idx and col_idx, phase's b,
-signs and x_true, for drawn and given signals) and the objective's
-gradient at 0, which reads the data the objective holds; per command-line
-run the trace CSV without wall_ms, the summary JSON without wall_ms_total
-and build, the phase run's factor.npz and the matcomp --dump-to file.
+instance its data (the orthant toy's quad, lin, x_star, f_star and
+lipschitz, matcomp's b, row_idx and col_idx, phase's b, signs and x_true,
+for drawn and given signals) and the objective's gradient at 0, which reads
+the data the objective holds; per command-line run the trace CSV without
+wall_ms, the summary JSON without wall_ms_total and build, the phase run's
+factor.npz and the matcomp --dump-to file.
 --smoke runs 3 small solves and nothing else.
 
 For each solve, instance and field this prints "identical", the largest
@@ -131,18 +132,33 @@ def solve_set(smoke):
 
 def instance_set():
     """name -> zero-argument call returning the arrays of a built instance."""
-    from cdkit.problems import build_matcomp, build_phase_retrieval, build_trace_toy
+    from cdkit.problems import (
+        build_matcomp,
+        build_orthant_quadratic,
+        build_phase_retrieval,
+        build_trace_toy,
+    )
 
     def arrays(build, names, **kwargs):
+        # the orthant bundle holds its objective as program, the
+        # measurement bundles as fv
         def call():
             bundle = build(**kwargs)
             out = {name: getattr(bundle, name) for name in names}
-            out["fv.gradient(0)"] = bundle.fv.gradient(np.zeros(bundle.op.d))
+            key = "program" if hasattr(bundle, "program") else "fv"
+            program = getattr(bundle, key)
+            out[f"{key}.gradient(0)"] = program.gradient(np.zeros(program.dim))
             return out
 
         return call
 
     calls = {}
+    for dim in (20, 50):
+        for seed in (0, 1):
+            calls[f"orthant{dim}-s{seed}"] = arrays(
+                build_orthant_quadratic, ("quad", "lin", "x_star", "f_star", "lipschitz"),
+                dim=dim, seed=seed,
+            )
     for n in (40, 600):
         for rank in (1, 3):
             for block in (0, 10):
