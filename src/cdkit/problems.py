@@ -7,6 +7,7 @@ can be checked against independent quantities instead of solver output.
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -526,19 +527,15 @@ def add_noise_snr(clean, snr_db, rng):
     return noisy
 
 
+# the whitespace and comments before a graymap header field, and the field;
+# a bytes pattern's \s is the set bytes.isspace() accepts
+_PGM_GAP = re.compile(rb"(?:\s|#[^\n]*)*")
+_PGM_FIELD = re.compile(rb"\S*")
+
+
 def _pgm_token(buf, pos):
-    while pos < len(buf):
-        c = buf[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < len(buf) and buf[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(buf) and not buf[pos : pos + 1].isspace():
-        pos += 1
+    start = _PGM_GAP.match(buf, pos).end()
+    pos = _PGM_FIELD.match(buf, start).end()
     if start == pos:
         raise ValueError("truncated image header")
     return buf[start:pos], pos

@@ -277,7 +277,9 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
     first Ritz solve of the process, or earlier, when a semidefinite solve
     builds its iterate. An n that is not an int >= 1, a seed that is not an
     int >= 0, or a start that is not a finite array of shape (n,), raises
-    ValueError before any matvec.
+    ValueError before any matvec. A matvec that returns anything but an
+    array of shape (n,), a column (n, 1) or a scalar included, raises
+    ValueError naming the shape it returned; the retry does not catch it.
     """
     _check_count("operator size n", n, 1)
     _check_count("seed", seed, 0)
@@ -329,6 +331,15 @@ def _tridiagonal_min_eig(d, e):
     raise EigFailure(f"tridiagonal eigensolver failed (info {info}) at size {d.size}")
 
 
+def _image(matvec, v):
+    # what matvec returns for v as a float array; any shape but v's (n,)
+    # raises ValueError, which the EigFailure retry does not catch
+    w = np.asarray(matvec(v), dtype=float)
+    if w.shape != v.shape:
+        raise ValueError(f"matvec must return an array of shape {v.shape}, got {w.shape}")
+    return w
+
+
 def _lanczos_once(matvec, n, seed, start=None):
     rng = np.random.default_rng(seed)
     m = min(n, _LANCZOS_MAX_STEPS)
@@ -353,7 +364,7 @@ def _lanczos_once(matvec, n, seed, start=None):
     next_check, last_check, last_est = _RITZ_CHECK_EVERY - 1, -1, 0.0
     for j in range(m):
         basis[j] = v
-        w = np.asarray(matvec(v), dtype=float)
+        w = _image(matvec, v)
         # full reorthogonalization: two classical Gram-Schmidt passes against
         # the whole basis, which keep it usable long past the point where
         # plain Lanczos loses orthogonality. The first pass also takes out
@@ -401,7 +412,7 @@ def _lanczos_once(matvec, n, seed, start=None):
     # the loop ends at a Ritz solve: a break, or the last step, which solves
     q = ritz_vec @ basis[: j + 1]
     q /= np.linalg.norm(q)
-    resid = float(np.linalg.norm(np.asarray(matvec(q), dtype=float) - lam * q))
+    resid = float(np.linalg.norm(_image(matvec, q) - lam * q))
     if resid > 10.0 * _LANCZOS_TOL * scale:
         raise EigFailure(
             f"eigenpair residual {resid:.3e} above tolerance after {j + 1} steps"
@@ -671,15 +682,12 @@ class _MeasurementIterate:
     def lmo(self, p, confirm):
         # smallest eigenpair of the adjoint image of p plus gamma I, from a
         # cold start when confirming; every matvec counts, the verification
-        # and a retry's included. At gamma 0 the adjoint's own array is
-        # returned: adding 0 u would change at most the sign of a zero
-        adjoint, gamma = self.op.adjoint_matvec, self.gamma
-
+        # and a retry's included. A shift leaves the Krylov space and the
+        # eigenvector as they are, so Lanczos runs on the adjoint image
+        # alone and gamma is added to its smallest eigenvalue once
         def matvec(u):
             self.lmo_matvecs += 1
-            if gamma:
-                return adjoint(p, u) + gamma * u
-            return adjoint(p, u)
+            return self.op.adjoint_matvec(p, u)
 
         start = None if confirm else self.lanczos_start
         lam, q = min_eig_lanczos(
@@ -691,7 +699,7 @@ class _MeasurementIterate:
         self.lanczos_start = q
         # a run from no start is cold, hence confirmed: a confirming run, or
         # visit 0's, which has no warm start to take
-        return lam, q, start is None
+        return lam + float(self.gamma), q, start is None
 
     def payload(self, record):
         s = self.state
@@ -777,7 +785,10 @@ def sdp_solve(
     and a gamma that is not a number in [0, inf) raises ValueError.
     The dual certificate of a visit is max(0, -lambda) for the smallest
     eigenvalue lambda of the adjoint image of the momentum vector plus
-    gamma I, and the run stops once it reaches sqrt(tol_eps).
+    gamma I, and the run stops once it reaches sqrt(tol_eps). Lanczos runs
+    on the adjoint image alone, and lambda is its smallest eigenvalue plus
+    gamma: the shift moves every eigenvalue by gamma and keeps the
+    eigenvectors.
 
     Each visit's Lanczos run after the first starts warm, from the previous
     visit's eigenvector plus a little random noise; visit 0 has no earlier

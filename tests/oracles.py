@@ -15,7 +15,9 @@ reports, by a route the solver does not take:
   against these;
 - the complementary-slackness and dual-distance residuals at a point;
 - a call log (log_calls) that wraps a solver module's function, so a test
-  counts its calls itself instead of reading the solver's own counters.
+  counts its calls itself instead of reading the solver's own counters;
+- a byte-at-a-time scanner of graymap header fields (pgm_token_scan), beside
+  the compiled patterns read_pgm uses.
 """
 
 import math
@@ -298,3 +300,25 @@ def log_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def pgm_token_scan(buf, pos):
+    """(field, end) of the next graymap header field at or after pos, read
+    one byte at a time: whitespace and "#" comments up to a newline are
+    skipped, and the field runs to the next whitespace byte or the end of
+    buf. No field left raises ValueError("truncated image header")."""
+    while pos < len(buf):
+        c = buf[pos : pos + 1]
+        if c.isspace():
+            pos += 1
+        elif c == b"#":
+            while pos < len(buf) and buf[pos : pos + 1] != b"\n":
+                pos += 1
+        else:
+            break
+    start = pos
+    while pos < len(buf) and not buf[pos : pos + 1].isspace():
+        pos += 1
+    if start == pos:
+        raise ValueError("truncated image header")
+    return buf[start:pos], pos

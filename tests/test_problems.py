@@ -27,7 +27,7 @@ from cdkit.problems import (
     recovery_error,
 )
 from cdkit.sdp import _adjoint_cols, _gram_cols
-from oracles import dct_measurement_apply
+from oracles import dct_measurement_apply, pgm_token_scan
 
 
 # ---------------------------------------------------------------------------
@@ -843,6 +843,38 @@ def test_read_pgm_names_a_field_too_long_for_int(tmp_path, payload, field):
     path.write_bytes(payload)
     with pytest.raises(ValueError, match=f"^bad graymap {field}: 5000 digits is too long$"):
         read_pgm(path)
+
+
+# the pieces of a graymap header: whitespace runs, "#" comments that end at
+# a newline or at the end of the buffer, and fields, "#" inside one included
+_PGM_SPACE = st.binary(min_size=1, max_size=3).map(
+    lambda raw: bytes(b" \t\n\r\x0b\x0c"[c % 6] for c in raw)
+)
+_PGM_COMMENT = st.builds(
+    lambda body, end: b"#" + body.replace(b"\n", b"") + end,
+    st.binary(max_size=6),
+    st.sampled_from([b"\n", b""]),
+)
+_PGM_FIELD = st.lists(
+    st.sampled_from([b"P2", b"P5", b"#", b"12", b"x", b"\x00", b"\xff"]), min_size=1, max_size=3
+).map(b"".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces=st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT, _PGM_FIELD), max_size=8))
+def test_pgm_token_matches_the_byte_scanner(pieces):
+    # read_pgm's two compiled patterns return the field and end position of
+    # the byte-at-a-time reference from every start, and the same error
+    # where the header runs out, inside a comment included
+    buf = b"".join(pieces)
+    for pos in range(len(buf) + 1):
+        try:
+            want = pgm_token_scan(buf, pos)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{err}$"):
+                problems._pgm_token(buf, pos)
+        else:
+            assert problems._pgm_token(buf, pos) == want
 
 
 def _write_pgm(path, pixels, maxval, binary):

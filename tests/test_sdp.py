@@ -118,6 +118,32 @@ def test_lanczos_rejects_a_bad_start_before_any_matvec(start):
     assert matvecs == []
 
 
+@pytest.mark.parametrize(
+    "image, shape",
+    [
+        (lambda v: v[:, None], "(5, 1)"),
+        (lambda v: float(v[0]), "()"),
+        (lambda v: np.append(v, 0.0), "(6,)"),
+    ],
+    ids=["column", "scalar", "length-6"],
+)
+def test_lanczos_names_a_matvec_of_the_wrong_shape(image, shape):
+    # unchecked, a column or a scalar fails inside np.dot's out= check and a
+    # length-6 array in its shape alignment, with numpy's messages; each
+    # raises a ValueError naming (n,) and the shape returned, at the first
+    # matvec and without a retry
+    matvecs = []
+
+    def matvec(v):
+        matvecs.append(v)
+        return image(v)
+
+    with pytest.raises(ValueError) as err:
+        min_eig_lanczos(matvec, 5)
+    assert str(err.value) == f"matvec must return an array of shape (5,), got {shape}"
+    assert len(matvecs) == 1
+
+
 def test_lanczos_overflowing_residual_raises_eig_failure():
     # every matvec is finite, but the residual norm squared overflows; the
     # tridiagonal step must not see the infinite beta
@@ -538,26 +564,29 @@ def test_each_visit_starts_lanczos_afresh(monkeypatch):
     ],
     ids=["matcomp-gamma-0", "matcomp-gamma-0.5", "phase"],
 )
-def test_lmo_matvec_is_the_shifted_adjoint(monkeypatch, build, gamma):
-    # every matvec an LMO hands the eigensolver applies adjoint(p) + gamma I
-    # for the p of that LMO, at gamma 0 as well as above it
+def test_lmo_matvec_is_the_adjoint_and_gamma_shifts_lambda(monkeypatch, build, gamma):
+    # every matvec an LMO hands the eigensolver is adjoint(p) for the p of
+    # that LMO, gamma I left out, and the LMO returns the smallest eigenpair
+    # of the dense adjoint(p) + gamma I
     bundle = build()
     op = bundle.op
     gamma = bundle.gamma if gamma is None else gamma
-    grads = []
+    grads, pairs = [], []
     checked = [0]
     lmo = sdp._MeasurementIterate.lmo
 
     def recording_lmo(self, p, confirm):
         grads.append(p)
-        return lmo(self, p, confirm)
+        lam, q, confirmed = lmo(self, p, confirm)
+        pairs.append((lam, q))
+        return lam, q, confirmed
 
     def checking(matvec, n, seed=0, start=None):
         p = grads[-1]
 
         def compared(u):
             got = matvec(u)
-            np.testing.assert_array_equal(got, op.adjoint_matvec(p, u) + gamma * u)
+            np.testing.assert_array_equal(got, op.adjoint_matvec(p, u))
             checked[0] += 1
             return got
 
@@ -569,6 +598,12 @@ def test_lmo_matvec_is_the_shifted_adjoint(monkeypatch, build, gamma):
     res = sdp_solve(bundle.fv, op, gamma=gamma, config=cfg)
     assert len(grads) >= 21
     assert checked[0] == res.stats["lmo_matvecs"] > 0
+    for p, (lam, q) in zip(grads, pairs):
+        dense = op.adjoint_dense(p) + gamma * np.eye(op.n)
+        assert type(lam) is float
+        assert abs(lam - float(np.linalg.eigvalsh(dense)[0])) <= 1e-6
+        resid = np.linalg.norm(dense @ q - lam * q)
+        assert resid <= 1e-6 * max(1.0, np.linalg.norm(dense, 2))
 
 
 @pytest.mark.parametrize("solver", ["sdp_solve", "fw_solve"])

@@ -11,16 +11,17 @@ the commit before HEAD:
 Each side runs in its own subprocess, with that side's src/ first on
 sys.path; the subprocess checks that cdkit was imported from there. Both
 sides run this file's fixed set of solves and, without --smoke, its set of
-built instances and four command-line runs, and write what they return to
-a temporary directory: per solve the trace (every column but wall_ms),
-stats (greedy events included), status, the final point or final_y and
-final_tr, the sketch's s, certified_dual_cert and final_lambda; per
-instance its data (the orthant toy's quad, lin, x_star, f_star and
-lipschitz, matcomp's b, row_idx and col_idx, phase's b, signs and x_true,
-for drawn and given signals) and the objective's gradient at 0, which reads
-the data the objective holds; per command-line run the trace CSV without
-wall_ms, the summary JSON without wall_ms_total and build, the phase run's
-factor.npz and the matcomp --dump-to file.
+built instances and five command-line runs, one of them a phase run on a
+small graymap with a header comment that the side writes first, and write
+what they return to a temporary directory: per solve the trace (every
+column but wall_ms), stats (greedy events included), status, the final
+point or final_y and final_tr, the sketch's s, certified_dual_cert and
+final_lambda; per instance its data (the orthant toy's quad, lin, x_star,
+f_star and lipschitz, matcomp's b, row_idx and col_idx, phase's b, signs
+and x_true, for drawn and given signals) and the objective's gradient at
+0, which reads the data the objective holds; per command-line run the
+trace CSV without wall_ms, the summary JSON without wall_ms_total and
+build, the phase runs' factor.npz and the matcomp --dump-to file.
 --smoke runs 3 small solves and nothing else.
 
 For each solve, instance and field this prints "identical", the largest
@@ -197,7 +198,14 @@ CLI_RUNS = {
     "phase-mocog": ["phase", "--algo", "mocog"],
     "matcomp-fw": ["matcomp", "--algo", "fw", "--n", "40", "--trace-bound", "50", "--iters", "100"],
     "matcomp-dump": ["matcomp", "--n", "40", "--iters", "20", "--dump-to", "matcomp-dump.dump.npz"],
+    "phase-image": ["phase", "--image", "img.pgm", "--iters", "20"],
 }
+# the 6 x 4 ASCII graymap the phase-image run reads
+IMAGE_PGM = (
+    b"P2\n# a fixed test image\n6 4\n255\n"
+    b"0 40 80 120 160 200\n30 70 110 150 190 230\n"
+    b"60 100 140 180 220 255\n90 130 170 210 250 10\n"
+)
 
 
 def fields(res):
@@ -231,8 +239,10 @@ def run_side(src, out_dir, smoke):
         results.update({f"instance:{k}": call() for k, call in instance_set().items()})
         from cdkit.cli import console_main
 
-        # the side runs in out_dir: relative prefixes write there, and each
-        # summary echoes the same prefix
+        # the side runs in out_dir: relative prefixes and the image are
+        # written there, and each summary echoes the same prefix
+        with open("img.pgm", "wb") as fh:
+            fh.write(IMAGE_PGM)
         for name, argv in CLI_RUNS.items():
             if console_main(argv + ["--prefix", name]) != 0:
                 print(f"error: command-line run {name} failed", file=sys.stderr)
