@@ -11,7 +11,7 @@ sqrt(tol_eps).
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -261,7 +261,8 @@ def line_search_step(problem, base, direction, linear=0.0):
 
 
 def _check_config(config, allow_greedy):
-    # returns the config to run: the one given, checked, or the defaults
+    # returns the config to run: the one given, checked, or the defaults,
+    # with each real setting the Python float its check returns
     if config is None:
         config = SolverConfig()
     floors = {"max_iters": 1, "greedy_period": 0, "rng_seed": 0}
@@ -269,11 +270,12 @@ def _check_config(config, allow_greedy):
         _check_count(name, getattr(config, name), low)
     # NaN would never stop a run or make every scheduled step NaN, and
     # infinity would stop every run at once or make the first step infinite
-    _check_real("tol_eps", config.tol_eps, "[0, inf)")
+    config = replace(config, tol_eps=_check_real("tol_eps", config.tol_eps, "[0, inf)"))
     if config.momentum_mode not in ("cd", "moco"):
         raise ValueError(f"unknown momentum mode {config.momentum_mode!r}")
     if config.heuristic_m is not None:
-        _check_real("heuristic_m", config.heuristic_m, "(0, inf)")
+        m = _check_real("heuristic_m", config.heuristic_m, "(0, inf)")
+        config = replace(config, heuristic_m=m)
     if config.greedy_period and not allow_greedy:
         raise ValueError("greedy steps apply to sdp_solve only")
     return config

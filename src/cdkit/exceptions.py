@@ -14,13 +14,16 @@ def _check_count(what, value, low):
 def _check_real(what, value, interval):
     # a real setting: an int or float (numpy reals included; bools, NaN and
     # arrays not) in interval, written as "(0, 1]": a bracket closes an end,
-    # a parenthesis opens it, and an end may be inf or -inf
+    # a parenthesis opens it, and an end may be inf or -inf. Returns it as a
+    # Python float, the value its caller computes with, so a numpy float32
+    # setting runs in float64
     low, high = (float(end) for end in interval[1:-1].split(","))
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
         (low <= value if interval[0] == "[" else low < value)
         and (value <= high if interval[-1] == "]" else value < high)
     ):
         raise ValueError(f"{what} must be a number in {interval}, got {value!r}")
+    return float(value)
 
 
 class SolverError(Exception):

@@ -289,7 +289,7 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
     # which is sound because the operator hands every kernel a C-contiguous
     # float64 vector of the checked shape
     def gram(q):
-        image = np.repeat(q, counts)
+        image = q.repeat(counts)
         _sparsetools.csr_scale_columns(n, n, indptr, col_idx, image, q)
         return image
 
@@ -507,7 +507,7 @@ def add_noise_snr(clean, snr_db, rng):
     that the ratio or the noisy data leave the float range.
     """
     clean = np.asarray(clean, dtype=float)
-    _check_real("noise SNR", snr_db, "(-inf, inf]")
+    snr_db = _check_real("noise SNR", snr_db, "(-inf, inf]")
     if snr_db == math.inf:
         return clean.copy()
     nrm = float(np.linalg.norm(clean))

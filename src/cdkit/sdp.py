@@ -442,8 +442,12 @@ def _gram_cols(op, u):
 
 
 def _adjoint_cols(op, p, u):
-    # the adjoint image of p applied to each column of u, stacked as columns
-    return np.stack([op.adjoint_matvec(p, u[:, c]) for c in range(u.shape[1])], axis=1)
+    # the adjoint image of p applied to each column of u, written into the
+    # matching column of one new array of u's shape
+    out = np.empty(u.shape)
+    for c in range(u.shape[1]):
+        out[:, c] = op.adjoint_matvec(p, u[:, c])
+    return out
 
 
 def _factor_quartic(fv, gamma, y_cur, u, big_c, big_d, d):
@@ -482,19 +486,65 @@ def _factor_slope(fv, gamma, y_cur, u, big_c, big_d, d):
     return slope
 
 
+def _cubic_roots(k3, k2, k1, k0):
+    """Real roots of k3 x^3 + k2 x^2 + k1 x + k0, in Python floats.
+
+    A zero leading coefficient drops the degree. A quadratic's roots come
+    from the cancellation-free formula q = -(k1 + sign(k1) sqrt(disc)) / 2,
+    x = q / k2 and k0 / q. A cubic's root of largest magnitude comes from
+    Cardano's formula when it has one real root, or from the trigonometric
+    form when it has three, and two Newton steps on the cubic polish it.
+    Dividing it out leaves a quadratic for the other two roots, built by
+    Vieta's formulas: from their product -(k0 / k3) / x when x is large
+    (|x|^3 > |k0 / k3|, so x^2 exceeds that product), where their sum
+    k2 / k3 + x would cancel, and from their sum otherwise, where dividing
+    by a small x would lose digits. Two Newton steps on the cubic polish
+    each of the two as well.
+    """
+    if k3 == 0.0:
+        if k2 == 0.0:
+            return [-k0 / k1] if k1 else []
+        disc = k1 * k1 - 4.0 * k2 * k0
+        q = -0.5 * (k1 + math.copysign(math.sqrt(disc), k1)) if disc >= 0.0 else 0.0
+        # q = 0 leaves no root or the double root 0, which no caller needs
+        return [q / k2, k0 / q] if q else []
+
+    def polish(x):
+        for _ in range(2):
+            slope = (3.0 * k3 * x + 2.0 * k2) * x + k1
+            x -= (((k3 * x + k2) * x + k1) * x + k0) / slope if slope else 0.0
+        return x
+
+    a, b, c = k2 / k3, k1 / k3, k0 / k3
+    qq, r = (a * a - 3.0 * b) / 9.0, (a * (2.0 * a * a - 9.0 * b) + 27.0 * c) / 54.0
+    qq3 = qq * qq * qq
+    if r * r < qq3:
+        # three real roots; the two extreme ones sit at angles t and
+        # t + 2 pi / 3, and one of them has the largest magnitude
+        t, m = math.acos(max(-1.0, min(1.0, r / math.sqrt(qq3)))) / 3.0, -2.0 * math.sqrt(qq)
+        x = max(m * math.cos(t) - a / 3.0, m * math.cos(t + math.tau / 3.0) - a / 3.0, key=abs)
+    else:
+        s = -math.copysign(math.cbrt(abs(r) + math.sqrt(r * r - qq3)), r)
+        x = s + (qq / s if s else 0.0) - a / 3.0
+    x = polish(x)
+    large = abs(x) ** 3 > abs(c)
+    q0 = -c / x if large else b + x * (a + x)
+    q1 = (q0 - b) / x if large else a + x
+    return [x] + [polish(y) for y in _cubic_roots(0.0, 1.0, q1, q0)]
+
+
 def _quartic_argmin(c1, c2, c3, c4):
     """The a >= 0 minimizing p(a) = c1 a + c2 a^2 + c3 a^3 + c4 a^4.
 
     The minimum sits at 0 or at a positive stationary point, so it is the
-    best of 0 and the roots of the cubic p'. Every candidate is a feasible
-    point, so taking the real part of a root with roundoff in its imaginary
-    part costs nothing; without a bounded minimum the best candidate is
-    still a point of descent.
+    best of 0 and the real roots of the cubic p', which _cubic_roots finds
+    in closed form. Every candidate is a feasible point, so a root's
+    roundoff costs at most its effect on p; without a bounded minimum the
+    best candidate is still a point of descent.
     """
     best_a, best_p = 0.0, 0.0
-    for root in np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1]):
-        a = float(root.real)
-        if a > 0.0:
+    for a in _cubic_roots(4.0 * c4, 3.0 * c3, 2.0 * c2, c1):
+        if 0.0 < a < math.inf:
             p = a * (c1 + a * (c2 + a * (c3 + a * c4)))
             if p < best_p:
                 best_a, best_p = a, p
@@ -521,11 +571,12 @@ def greedy_step(fv, op, gamma, state, u):
     two images C and D that each inner iteration builds with two factor
     images. With a restriction oracle the objective along the step is then
     a quartic in the step length, minimized exactly over its stationary
-    points. Without one, a bisection on the sign of its derivative stands
-    in; it stops at a local minimum, which need not be the quartic's global
-    one. Either search only proposes a step length, and the factor moves
-    there only when one factor image and one objective call find a value
-    strictly below the current one. The descent starts at
+    points, the real roots of its cubic derivative in closed form
+    (_cubic_roots). Without one, a bisection on the sign of its derivative
+    stands in; it stops at a local minimum, which need not be the quartic's
+    global one. Either search only proposes a step length, and the factor
+    moves there only when one factor image and one objective call find a
+    value strictly below the current one. The descent starts at
     s = 1 from the factor u it is given, of shape (n, r); u = 0 would be
     stationary in u. On a zero state the scale multiplies nothing, the scale
     search makes no oracle call, and the refit descends on the factor alone.
@@ -533,8 +584,11 @@ def greedy_step(fv, op, gamma, state, u):
     state.move, only when its value is strictly below the incumbent value,
     so the outer objective never increases here. A committed step's info
     dict carries the scale t_sq and the factor u, so X_new = t_sq X + u u^T
-    can be replayed. A u that is not 2-D with op.n rows and at least one
-    column raises ValueError.
+    can be replayed. Every info dict counts the refit's operator calls:
+    gram_calls, r per factor image mapped (the start's, two per factor
+    search and one per proposed step), and adjoint_calls, r per inner
+    iteration's gradient. A u that is not 2-D with op.n rows and at least
+    one column raises ValueError.
     """
     if np.ndim(u) != 2 or np.shape(u)[0] != op.n or np.shape(u)[1] < 1:
         raise ValueError(f"u must have shape (n, r) = ({op.n}, r >= 1), got {np.shape(u)}")
@@ -550,6 +604,9 @@ def greedy_step(fv, op, gamma, state, u):
     gram_u = _gram_cols(op, u)
     tr_u = float(np.vdot(u, u))
     h_cur, y_cur = assemble(s, gram_u, tr_u)
+    # factor images mapped, r gram calls each: the start's, then two per
+    # search and one per proposed step
+    images = 1
     # the gradient of the last factor step taken; None restarts the next
     # search along the gradient
     grad_prev = None
@@ -566,7 +623,7 @@ def greedy_step(fv, op, gamma, state, u):
         # line-searched conjugate step on the factor (Polak-Ribiere+)
         p = fv.gradient(y_cur)
         grad_u = 2.0 * (_adjoint_cols(op, p, u) + gamma * u)
-        gn = float(np.linalg.norm(grad_u))
+        gn = math.sqrt(np.dot(grad_u.ravel(), grad_u.ravel()))  # what np.linalg.norm computes
         if gn <= 1e-14 * max(1.0, abs(h_cur)):
             break
         if grad_prev is None:
@@ -577,9 +634,10 @@ def greedy_step(fv, op, gamma, state, u):
             search = grad_u + max(0.0, rise / float(np.vdot(grad_prev, grad_prev))) * search
             if float(np.vdot(search, grad_u)) <= 0.0:
                 search = grad_u
-        direction = search / float(np.linalg.norm(search))
+        direction = search / math.sqrt(np.dot(search.ravel(), search.ravel()))
         big_d = _gram_cols(op, direction)
         big_c = _gram_cols(op, u + direction) - gram_u - big_d
+        images += 2
         factor = (fv, gamma, y_cur, u, big_c, big_d, direction)
         if fv.restriction_oracle is not None:
             alpha = _quartic_argmin(*_factor_quartic(*factor))
@@ -587,6 +645,7 @@ def greedy_step(fv, op, gamma, state, u):
             alpha = minimize_convex_1d(_factor_slope(*factor))
         grad_prev = None
         if alpha != 0.0:
+            images += 1
             u_alpha = u - alpha * direction
             gram_alpha = _gram_cols(op, u_alpha)
             tr_alpha = float(np.vdot(u_alpha, u_alpha))
@@ -603,6 +662,9 @@ def greedy_step(fv, op, gamma, state, u):
         "f_before": f0,
         "f_after": h_cur if committed else f0,
         "inner_iters": inner + 1,
+        # one gradient, r adjoint_matvec calls, per inner iteration
+        "gram_calls": u.shape[1] * images,
+        "adjoint_calls": u.shape[1] * (inner + 1),
     }
     if committed:
         state.move(s, 1.0, u, gram_u, tr_u)
@@ -654,7 +716,7 @@ class _MeasurementIterate:
     def __init__(self, fv, op, gamma, config, sketch_size):
         if fv.dim != op.d:
             raise ValueError("objective dimension does not match the measurement count")
-        _check_real("gamma", gamma, "[0, inf)")
+        gamma = _check_real("gamma", gamma, "[0, inf)")
         # load the LMO's LAPACK routines now, so the first visit's clock,
         # which _descend starts after this set-up, does not count the import
         _lapack()
@@ -699,7 +761,7 @@ class _MeasurementIterate:
         self.lanczos_start = q
         # a run from no start is cold, hence confirmed: a confirming run, or
         # visit 0's, which has no warm start to take
-        return lam + float(self.gamma), q, start is None
+        return lam + self.gamma, q, start is None
 
     def payload(self, record):
         s = self.state
@@ -873,7 +935,7 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=8, callback=None):
     callback(info) gets sdp_solve's keys, and its "g_avg" is the gradient;
     q is None when the atom is X = 0.
     """
-    _check_real("tau", tau, "(0, inf)")
+    tau = _check_real("tau", tau, "(0, inf)")
     # under "cd" the loop's average is the gradient itself
     config = replace(_check_config(config, allow_greedy=False), momentum_mode="cd")
     if config.heuristic_m is not None:

@@ -16,6 +16,9 @@ reports, by a route the solver does not take:
 - the complementary-slackness and dual-distance residuals at a point;
 - a call log (log_calls) that wraps a solver module's function, so a test
   counts its calls itself instead of reading the solver's own counters;
+- the greedy factor search's step length from numpy's companion-matrix
+  polynomial roots (quartic_argmin_roots), beside the closed-form cubic
+  the solver solves;
 - a byte-at-a-time scanner of graymap header fields (pgm_token_scan), beside
   the compiled patterns read_pgm uses.
 """
@@ -286,6 +289,20 @@ def dct_measurement_apply(signs, v):
 
     v = np.asarray(v, dtype=float)
     return dct(signs * v[None, :], axis=1, norm="ortho")
+
+
+def quartic_argmin_roots(c1, c2, c3, c4):
+    """The a >= 0 minimizing c1 a + c2 a^2 + c3 a^3 + c4 a^4, as the best of
+    0 and the real parts of the roots np.roots gives for its derivative (the
+    eigenvalues of the cubic's companion matrix)."""
+    best_a, best_p = 0.0, 0.0
+    for root in np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1]):
+        a = float(root.real)
+        if a > 0.0:
+            p = a * (c1 + a * (c2 + a * (c3 + a * c4)))
+            if p < best_p:
+                best_a, best_p = a, p
+    return best_a
 
 
 def log_calls(monkeypatch, module, name):

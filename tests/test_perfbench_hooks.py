@@ -27,9 +27,10 @@ def test_tracer_installs_and_restores_its_hooks():
 
 
 def test_tracer_counts_match_solver_stats():
-    # the tracer counts LMO matvecs through min_eig_lanczos's first argument
-    # and greedy refits through greedy_step's result; both must agree with
-    # what sdp_solve reports itself
+    # the tracer counts LMO matvecs through min_eig_lanczos's first argument,
+    # greedy refits through greedy_step's result and refit gram calls through
+    # the bundle's operator; each must agree with what sdp_solve reports
+    # itself
     tracer = Tracer()
     try:
         tracer.install()
@@ -39,4 +40,6 @@ def test_tracer_counts_match_solver_stats():
     finally:
         tracer.uninstall()
     assert tracer.counts["sdp.lmo.matvecs"] == res.stats["lmo_matvecs"] > 0
-    assert tracer.counts["sdp.greedy.refits"] == len(res.stats["greedy_events"]) > 0
+    events = res.stats["greedy_events"]
+    assert tracer.counts["sdp.greedy.refits"] == len(events) > 0
+    assert tracer.counts["sdp.greedy.gram"] == sum(ev["gram_calls"] for ev in events) > 0

@@ -44,7 +44,7 @@ from cdkit.problems import (
     build_phase_retrieval,
     build_trace_toy,
 )
-from oracles import log_calls
+from oracles import log_calls, quartic_argmin_roots
 
 
 # ---------------------------------------------------------------------------
@@ -1446,6 +1446,112 @@ def test_quartic_search_finds_minimum_slope_bisection_misses():
     a_quartic = _quartic_argmin(*coeffs)
     assert a_quartic == pytest.approx(19.0 / 3.0, rel=1e-9)
     assert h(a_quartic) <= 1e-15
+
+
+def _quartic(a, c1, c2, c3, c4):
+    return a * (c1 + a * (c2 + a * (c3 + a * c4)))
+
+
+# hand cases (c1, c2, c3, c4) of the factor search's quartic, with the step
+# each must find: a dropped degree or two, a stationary point at 0, a double
+# root of the derivative p'(a) = 4 (a - 1)^2 (a - 4), three positive
+# stationary points of p'(a) = 4 (a - 1)(a - 2)(a - 6), and no quartic
+_QUARTIC_CASES = {
+    "c4=0": ((-3.0, -1.0, 0.5, 0.0), (2.0 + math.sqrt(22.0)) / 3.0),
+    "c3=c4=0": ((-3.0, 2.0, 0.0, 0.0), 0.75),
+    "c1=0": ((0.0, -2.0, 0.5, 1.0), (math.sqrt(66.25) - 1.5) / 8.0),
+    "double root": ((-16.0, 18.0, -8.0, 1.0), 4.0),
+    "three positive": ((-48.0, 40.0, -12.0, 1.0), 6.0),
+    "all zero": ((0.0, 0.0, 0.0, 0.0), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_QUARTIC_CASES))
+def test_quartic_argmin_hand_cases(name):
+    coeffs, best = _QUARTIC_CASES[name]
+    a = _quartic_argmin(*coeffs)
+    assert type(a) is float
+    assert a == pytest.approx(best, rel=1e-12, abs=1e-300)
+
+
+def test_quartic_argmin_no_worse_than_companion_roots():
+    # the closed-form cubic's step reaches the quartic value at the best
+    # root numpy's companion eigenvalues give, to 1e-12 of that value, on
+    # the hand cases and on 10^4 coefficient sets whose magnitudes spread
+    # from 1e-4 to 1e4 independently, with random signs but c4 >= 0: c4 is
+    # the restriction's quadratic coefficient along D, never negative for a
+    # convex objective. Small stationary points of such sets, whose descent
+    # is small too, are the ones a root solve without deflation or without
+    # Newton polishing misses
+    rng = np.random.default_rng(45)
+    mags = 10.0 ** rng.uniform(-4.0, 4.0, size=(10_000, 4))
+    signs = rng.choice([-1.0, 1.0], size=(10_000, 4))
+    signs[:, 3] = 1.0
+    draws = (mags * signs).tolist()
+    for coeffs in [case for case, _ in _QUARTIC_CASES.values()] + draws:
+        a = _quartic_argmin(*coeffs)
+        assert math.isfinite(a) and a >= 0.0
+        p_ref = _quartic(quartic_argmin_roots(*coeffs), *coeffs)
+        assert _quartic(a, *coeffs) <= p_ref + 1e-12 * abs(p_ref), coeffs
+
+
+@pytest.mark.parametrize("name", ["matcomp", "phase"])
+def test_refit_events_count_their_operator_calls(name):
+    # a refit's info dict holds the gram and adjoint_matvec calls it made,
+    # which an operator that counts its own calls confirms: r gram calls per
+    # factor image (the start's, two per factor search and one per proposed
+    # step) and r adjoint_matvec calls per inner iteration's gradient. The
+    # matcomp refit proposes every factor step and runs to the cap of 60
+    # inner iterations, so at rank 3 it maps 3 (1 + 3 * 60) = 543 columns
+    b = _SEARCH_BUILDS[name]()
+    res = sdp_solve(b.fv, b.op, config=SolverConfig(max_iters=20))
+    calls = {"gram": 0, "adjoint": 0}
+
+    def gram(q):
+        calls["gram"] += 1
+        return b.op.gram(q)
+
+    def adjoint_matvec(p, u):
+        calls["adjoint"] += 1
+        return b.op.adjoint_matvec(p, u)
+
+    op = dataclasses.replace(b.op, gram=gram, adjoint_matvec=adjoint_matvec)
+    state = SdpState(res.final_y.copy(), res.final_tr, res.sketch)
+    info = greedy_step(b.fv, op, 0.0, state, _refit_start(op.n, res.final_tr, 0))
+    inner = info["inner_iters"]
+    assert info["gram_calls"] == calls["gram"]
+    assert info["adjoint_calls"] == calls["adjoint"] == 3 * inner
+    assert 3 * (1 + 2 * inner) <= info["gram_calls"] <= 3 * (1 + 3 * inner)
+    if name == "matcomp":
+        assert (inner, info["gram_calls"], info["adjoint_calls"]) == (60, 543, 180)
+
+
+@pytest.mark.parametrize("solver", ["solve", "sdp_solve", "fw_solve"])
+def test_float32_settings_run_as_python_floats(solver):
+    # numpy float32 settings that are exact in float64 (gamma 0.5, tau 10,
+    # heuristic_m 2, and a noise SNR of 20 dB for the data) give each solver
+    # the run the Python floats give, bit for bit, and its record fields and
+    # final trace stay Python floats
+    def run(real):
+        if solver == "solve":
+            toy = build_orthant_quadratic(dim=20, seed=0)
+            return solve(toy.program, SolverConfig(max_iters=20, heuristic_m=real(2.0)))
+        mc = build_matcomp(n=20, rank=2, seed=0, block=4, density=0.2, noise_snr=real(20.0))
+        if solver == "sdp_solve":
+            cfg = SolverConfig(max_iters=20, heuristic_m=real(2.0), greedy_period=10)
+            return sdp_solve(mc.fv, mc.op, real(0.5), cfg)
+        return fw_solve(mc.fv, mc.op, real(10.0), real(0.5), SolverConfig(max_iters=20))
+
+    ref, res = run(float), run(np.float32)
+    fields = ("f_value", "dual_cert", "cs_residual", "eta", "theta", "lambda_min")
+    for rec_ref, rec in zip(ref.trace, res.trace, strict=True):
+        for name in fields:
+            value = getattr(rec, name)
+            assert value == getattr(rec_ref, name)
+            assert value is None or type(value) is float, (name, type(value))
+    if solver != "solve":
+        assert type(res.final_tr) is float and res.final_tr == ref.final_tr
+        assert np.array_equal(res.final_y, ref.final_y)
 
 
 # ---------------------------------------------------------------------------
