@@ -16,14 +16,19 @@ def _check_real(what, value, interval):
     # arrays not) in interval, written as "(0, 1]": a bracket closes an end,
     # a parenthesis opens it, and an end may be inf or -inf. Returns it as a
     # Python float, the value its caller computes with, so a numpy float32
-    # setting runs in float64
+    # setting runs in float64; an int beyond the float range has none, and
+    # fails the check like any other value it cannot take
     low, high = (float(end) for end in interval[1:-1].split(","))
+    message = f"{what} must be a number in {interval}, got {value!r}"
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
         (low <= value if interval[0] == "[" else low < value)
         and (value <= high if interval[-1] == "]" else value < high)
     ):
-        raise ValueError(f"{what} must be a number in {interval}, got {value!r}")
-    return float(value)
+        raise ValueError(message)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(message) from None
 
 
 class SolverError(Exception):

@@ -151,20 +151,7 @@ def build_trace_toy(n=2, target=1.0):
     def adjoint_matvec(p, u):
         return float(p[0]) * u
 
-    def apply_dense(x_mat):
-        return np.array([float(np.trace(x_mat))])
-
-    def adjoint_dense(p):
-        return float(p[0]) * np.eye(n)
-
-    op = MeasurementOperator(
-        n=n,
-        d=1,
-        gram=gram,
-        adjoint_matvec=adjoint_matvec,
-        apply_dense=apply_dense,
-        adjoint_dense=adjoint_dense,
-    )
+    op = MeasurementOperator(n=n, d=1, gram=gram, adjoint_matvec=adjoint_matvec)
     fv = _scaled_sq_norm_program([target], 0.5)
     return TraceToy(fv=fv, op=op, target=float(target), f_star=0.0)
 
@@ -316,10 +303,7 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
         upper *= 0.5
         return upper
 
-    def apply_dense(x_mat):
-        rows = _mask_rows(counts)
-        return 0.5 * (x_mat[rows, col_idx] + x_mat[col_idx, rows])
-
+    # the benchmark's dense certificate check reads G^*(p) as a matrix
     def adjoint_dense(p):
         rows = _mask_rows(counts)
         mat = np.zeros((n, n))
@@ -328,12 +312,7 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
         return mat
 
     op = MeasurementOperator(
-        n=n,
-        d=d,
-        gram=gram,
-        adjoint_matvec=adjoint_matvec,
-        apply_dense=apply_dense,
-        adjoint_dense=adjoint_dense,
+        n=n, d=d, gram=gram, adjoint_matvec=adjoint_matvec, adjoint_dense=adjoint_dense
     )
     b = _gram_cols(op, v_true)
     if noise_snr is not None:
@@ -404,8 +383,8 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     # cost more than the transform itself at n = 64. The module, and
     # scipy.fft with it, is imported here, by the first phase instance of a
     # process; the closures hold it, so no call imports anything and a
-    # scipy without the module fails this builder alone. The dense mirrors
-    # stay on scipy.fft, which keeps them independent of these calls.
+    # scipy without the module fails this builder alone. The dense adjoint
+    # below, read only by the benchmark, calls the public scipy.fft.
     from scipy.fft._pocketfft import pypocketfft
 
     def transform(a, kind):
@@ -424,16 +403,6 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
         t *= p.reshape(m, n)
         return (signs * transform(t, 3)).sum(axis=0)
 
-    def apply_dense(x_mat):
-        from scipy.fft import dct
-
-        blocks = []
-        for j in range(m):
-            xs = x_mat * np.outer(signs[j], signs[j])
-            t = dct(dct(xs, axis=0, norm="ortho"), axis=1, norm="ortho")
-            blocks.append(np.diag(t).copy())
-        return np.concatenate(blocks)
-
     def adjoint_dense(p):
         from scipy.fft import idct
 
@@ -447,12 +416,7 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
         return mat
 
     op = MeasurementOperator(
-        n=n,
-        d=d,
-        gram=gram,
-        adjoint_matvec=adjoint_matvec,
-        apply_dense=apply_dense,
-        adjoint_dense=adjoint_dense,
+        n=n, d=d, gram=gram, adjoint_matvec=adjoint_matvec, adjoint_dense=adjoint_dense
     )
     # the noise, if any, is the generator's last draw, after the masks and
     # the signal

@@ -55,17 +55,15 @@ class MeasurementOperator:
     float64 vectors of the checked shapes, so a kernel holds only its
     arithmetic. A copy made by dataclasses.replace wraps the checked maps
     it is given once more, and maps every vector to the same bits.
-    apply_dense / adjoint_dense materialize the map on explicit matrices for
-    verification at small n. Every bundled builder sets both, and they
-    allocate n x n only when called; an operator built by hand may leave
-    them as None.
+    adjoint_dense(p), the n x n matrix sum_i p_i G_i, is set only by the
+    completion and phase builders, for the benchmark's dense certificate
+    check at small n; no solver reads it, and it is None otherwise.
     """
 
     n: int
     d: int
     gram: Callable
     adjoint_matvec: Callable
-    apply_dense: Callable | None = None
     adjoint_dense: Callable | None = None
 
     def __post_init__(self):
@@ -173,7 +171,8 @@ class SketchState:
         self.s += theta * (q2 @ (q2.T @ self.omega))
 
     def replace(self, t_sq, u):
-        # mirrors X <- t_sq * X + u u^T
+        # mirrors X <- t_sq * X + u u^T. No package code calls it; it stays
+        # only because the benchmark's tracer hooks it by name
         u = np.asarray(u, dtype=float)
         self.s = t_sq * self.s + u @ (u.T @ self.omega)
 

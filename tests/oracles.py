@@ -10,6 +10,10 @@ reports, by a route the solver does not take:
 - a brute-force grid LMO for small cones, and dense matrix norms;
 - the signed cosine-transform measurements of phase retrieval through
   public scipy.fft, beside the private kernels the bundled operator calls;
+- each bundled operator on explicit n x n matrices (apply_dense,
+  adjoint_dense), written from the bundle's public data rather than from
+  the builder's kernels, and the semidefinite program written out over
+  dense matrices (dense_program) for the conic solver over PsdCone;
 - cone membership and the distance to the dual cone, which the solvers
   never compute: the tests check the identity -<g, lmo(g)> = dist_dual(g, K*)
   against these;
@@ -28,7 +32,9 @@ import math
 import numpy as np
 
 from cdkit.cones import NonnegativeOrthant, PsdCone, SecondOrderCone
+from cdkit.core import ConicProgram
 from cdkit.exceptions import UnsupportedCone
+from cdkit.problems import MatrixCompletion, PhaseRetrieval, TraceToy
 
 
 class PhiTracker:
@@ -289,6 +295,82 @@ def dct_measurement_apply(signs, v):
 
     v = np.asarray(v, dtype=float)
     return dct(signs * v[None, :], axis=1, norm="ortho")
+
+
+def _mask_entries(bundle):
+    # the (row, column) of every observed entry of a completion mask, from
+    # its row counts and columns
+    rows = np.repeat(np.arange(bundle.op.n), bundle.row_counts)
+    return rows, bundle.col_idx
+
+
+def _phase_masks(bundle):
+    # the (m, n, n) stack of sign patterns s_j s_j^T
+    return bundle.signs[:, :, None] * bundle.signs[:, None, :]
+
+
+def apply_dense(bundle, x):
+    """The measurement image (tr(G_1 X), ..., tr(G_d X)) of an n x n matrix
+    X under a bundled builder's operator, from the bundle's public data:
+    the trace for the trace toy, (X_ij + X_ji) / 2 at the entries that
+    row_counts and col_idx list for completion, and for phase retrieval the
+    diagonal of the 2-D orthonormal cosine transform of S_j X S_j for each
+    mask's S_j = diag(signs[j])."""
+    from scipy.fft import dctn
+
+    x = np.asarray(x, dtype=float)
+    if isinstance(bundle, TraceToy):
+        return np.array([np.trace(x)])
+    if isinstance(bundle, MatrixCompletion):
+        rows, cols = _mask_entries(bundle)
+        return 0.5 * (x[rows, cols] + x[cols, rows])
+    if isinstance(bundle, PhaseRetrieval):
+        t = dctn(_phase_masks(bundle) * x, axes=(1, 2), norm="ortho")
+        return np.diagonal(t, axis1=1, axis2=2).ravel()
+    raise TypeError(f"no dense operator for {type(bundle).__name__}")
+
+
+def adjoint_dense(bundle, p):
+    """The n x n matrix sum_i p_i G_i of a bundled builder's operator, the
+    adjoint of apply_dense, from the same public data: p_0 I for the trace
+    toy, the symmetric part of the matrix holding p at the observed entries
+    for completion, and for phase retrieval the sum over masks of
+    S_j C^T diag(p_j) C S_j, with C^T . C the 2-D inverse transform."""
+    from scipy.fft import idctn
+
+    p = np.asarray(p, dtype=float)
+    n = bundle.op.n
+    if isinstance(bundle, TraceToy):
+        return p[0] * np.eye(n)
+    if isinstance(bundle, MatrixCompletion):
+        rows, cols = _mask_entries(bundle)
+        mat = np.bincount(rows * n + cols, weights=p, minlength=n * n).reshape(n, n)
+        return 0.5 * (mat + mat.T)
+    if isinstance(bundle, PhaseRetrieval):
+        diag = np.zeros((p.size // n, n, n))
+        diag[:, np.arange(n), np.arange(n)] = p.reshape(-1, n)
+        return (_phase_masks(bundle) * idctn(diag, axes=(1, 2), norm="ortho")).sum(axis=0)
+    raise TypeError(f"no dense operator for {type(bundle).__name__}")
+
+
+def dense_program(fv, n, gamma, apply, adjoint):
+    """The semidefinite program min f(apply(X)) + gamma tr X written out
+    over dense n x n matrices, for the conic solver over PsdCone: its own
+    gradient adjoint(grad f) + gamma I, its exact restriction and the
+    cone's eigh LMO, none of the matrix-free path. apply maps a matrix to
+    its measurement image and adjoint a measurement vector to a matrix."""
+
+    def value(x):
+        return fv.value(apply(x)) + gamma * float(np.trace(x))
+
+    def gradient(x):
+        return adjoint(fv.gradient(apply(x))) + gamma * np.eye(n)
+
+    def restriction(base, direction):
+        a, b = fv.restriction(apply(base), apply(direction))
+        return a, b + gamma * float(np.trace(direction))
+
+    return ConicProgram(n * n, value, gradient, cone=PsdCone(n), restriction_oracle=restriction)
 
 
 def quartic_argmin_roots(c1, c2, c3, c4):

@@ -33,7 +33,15 @@ from cdkit.problems import (
     build_phase_retrieval,
     build_trace_toy,
 )
-from oracles import brute_lmo, log_calls, operator_norm, smoothness_gap_check
+from oracles import (
+    adjoint_dense,
+    apply_dense,
+    brute_lmo,
+    dense_program,
+    log_calls,
+    operator_norm,
+    smoothness_gap_check,
+)
 
 
 def toy_program():
@@ -189,9 +197,9 @@ def test_criterion_05_certificate_identity():
     # semidefinite side: lanczos certificate vs a dense eigendecomposition
     worst_sdp = 0.0
 
-    def make_cb(op, gamma):
+    def make_cb(bundle, gamma):
         def cb(info):
-            dense = op.adjoint_dense(info["g_avg"]) + gamma * np.eye(op.n)
+            dense = adjoint_dense(bundle, info["g_avg"]) + gamma * np.eye(bundle.op.n)
             lam_dense = float(np.linalg.eigvalsh(dense)[0])
             cert = max(0.0, -info["record"].lambda_min)
             nonlocal worst_sdp
@@ -199,12 +207,12 @@ def test_criterion_05_certificate_identity():
         return cb
 
     mc = build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=20.0)
-    sdp_solve(mc.fv, mc.op, config=SolverConfig(max_iters=60), callback=make_cb(mc.op, 0.0))
+    sdp_solve(mc.fv, mc.op, config=SolverConfig(max_iters=60), callback=make_cb(mc, 0.0))
     ph = build_phase_retrieval(n=64, m=10, seed=0, noise_snr=20.0)
     sdp_solve(
         ph.fv, ph.op, gamma=ph.gamma,
         config=SolverConfig(max_iters=60, greedy_period=20, rng_seed=0), sketch_size=8,
-        callback=make_cb(ph.op, ph.gamma),
+        callback=make_cb(ph, ph.gamma),
     )
     assert worst_sdp <= 1e-6, worst_sdp
     print(
@@ -497,25 +505,6 @@ def test_criterion_13_measurement_arrays_held_once():
     )
 
 
-def _dense_program(fv, op, gamma):
-    # the semidefinite program min f(apply(X)) + gamma tr X written out over
-    # dense n x n matrices, for the conic solver over PsdCone: its own
-    # gradient, restriction and eigh LMO, none of the matrix-free path
-    n = op.n
-
-    def value(x):
-        return fv.value(op.apply_dense(x)) + gamma * float(np.trace(x))
-
-    def gradient(x):
-        return op.adjoint_dense(fv.gradient(op.apply_dense(x))) + gamma * np.eye(n)
-
-    def restriction(base, direction):
-        a, b = fv.restriction(op.apply_dense(base), op.apply_dense(direction))
-        return a, b + gamma * float(np.trace(direction))
-
-    return ConicProgram(n * n, value, gradient, cone=PsdCone(n), restriction_oracle=restriction)
-
-
 def test_criterion_14_dense_engine_agrees():
     # sdp_solve without refits against solve over PsdCone on the dense
     # program, both from X = 0, 200 visits, under both momentum modes. The
@@ -532,7 +521,13 @@ def test_criterion_14_dense_engine_agrees():
     matcomp = build_matcomp(n=12, rank=2, seed=0, block=4, density=0.3)
     worst = {}
     for name, bundle in (("phase", phase), ("matcomp", matcomp)):
-        dense = _dense_program(bundle.fv, bundle.op, bundle.gamma)
+        dense = dense_program(
+            bundle.fv,
+            bundle.op.n,
+            bundle.gamma,
+            functools.partial(apply_dense, bundle),
+            functools.partial(adjoint_dense, bundle),
+        )
         x0 = np.zeros((bundle.op.n, bundle.op.n))
         for mode in ("moco", "cd"):
             config = SolverConfig(max_iters=200, momentum_mode=mode)

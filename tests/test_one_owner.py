@@ -269,12 +269,13 @@ _NONE_UNSETS = {"heuristic_m", "cli-heuristic-m", "cli-trace-bound"}
 
 @pytest.mark.parametrize("site", list(_REAL_SITES))
 def test_every_real_setting_takes_numbers_in_its_interval(site):
-    # a str, None, a bool, NaN and the nearest value beyond each end each
-    # raise ValueError naming the setting, and a numpy float inside is
-    # accepted. Where None means unset it is accepted, and the CLI's field
-    # type check turns a str away before the range check sees it
+    # a str, None, a bool, NaN, an int beyond the float range either way
+    # and the nearest value beyond each end each raise ValueError naming the
+    # setting, and a numpy float inside is accepted. Where None means unset
+    # it is accepted, and the CLI's field type check turns a str away before
+    # the range check sees it
     what, interval, outside, call = _REAL_SITES[site]
-    for bad in ("0.5", None, True, math.nan, *outside):
+    for bad in ("0.5", None, True, math.nan, 10**400, -(10**400), *outside):
         message = f"^{what} must be a number in {re.escape(interval)}, got {re.escape(repr(bad))}$"
         if bad is None and site in _NONE_UNSETS:
             call(bad)

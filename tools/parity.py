@@ -18,11 +18,12 @@ column but wall_ms), stats (greedy events included), status, the final
 point or final_y and final_tr, the sketch's s, certified_dual_cert and
 final_lambda; per instance its data (the orthant toy's quad, lin, x_star,
 f_star and lipschitz, matcomp's b, row_idx and col_idx, phase's b, signs
-and x_true, for drawn and given signals) and the objective's gradient at
-0, which reads the data the objective holds; per command-line run the
-trace CSV without wall_ms, the summary JSON without wall_ms_total and
-build, the phase runs' factor.npz and the matcomp --dump-to file.
---smoke runs 3 small solves and nothing else.
+and x_true, for drawn and given signals), the objective's gradient at 0,
+which reads the data the objective holds, and for matcomp and phase the
+operator's adjoint_dense at a fixed p, the benchmark's dense reference; per
+command-line run the trace CSV without wall_ms, the summary JSON without
+wall_ms_total and build, the phase runs' factor.npz and the matcomp
+--dump-to file. --smoke runs 3 small solves and nothing else.
 
 For each solve, instance and field this prints "identical", the largest
 relative change, or the keys one side has and the other lacks. Identical
@@ -142,13 +143,16 @@ def instance_set():
 
     def arrays(build, names, **kwargs):
         # the orthant bundle holds its objective as program, the
-        # measurement bundles as fv
+        # measurement bundles as fv; matcomp and phase keep a dense adjoint
         def call():
             bundle = build(**kwargs)
             out = {name: getattr(bundle, name) for name in names}
             key = "program" if hasattr(bundle, "program") else "fv"
             program = getattr(bundle, key)
             out[f"{key}.gradient(0)"] = program.gradient(np.zeros(program.dim))
+            if build in (build_matcomp, build_phase_retrieval):
+                op = bundle.op
+                out["op.adjoint_dense(p)"] = op.adjoint_dense(np.linspace(-1.0, 1.0, op.d))
             return out
 
         return call
