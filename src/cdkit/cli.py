@@ -10,8 +10,9 @@ Usage sketches:
 Every run writes <prefix>.trace.csv (one row per visit) and
 <prefix>.summary.json (the command and the resolved value of each flag it
 has, final values, and the solve's stats as they are: oracle call counts,
-LMO confirmations and, for the semidefinite algos, LMO matvecs and each
-greedy refit's event). Phase runs additionally write
+LMO confirmations and, for the semidefinite algos, LMO matvecs, the
+operator's gram and adjoint_matvec call totals and each greedy refit's
+event). Phase runs additionally write
 <prefix>.factor.npz with the factored reconstruction read out of the
 sketch (arrays u and lam); once the instance is built, and before the
 solve, --sketch and --recon-rank go through the readout's own checks on an

@@ -236,10 +236,16 @@ def min_eig_lanczos(matvec, n, seed=0, start=None):
     Runs at most 200 Lanczos steps from a random start drawn from seed, and
     verifies the returned pair against an explicit residual. The basis is
     kept one vector per row. Each step reorthogonalizes the new vector
-    against the whole basis with two classical Gram-Schmidt passes; the
-    first pass also removes the parts along the current and previous basis
-    vectors that the three-term recurrence would subtract, and alpha is the
-    current vector's coefficient of the two passes added. The passes write
+    against the whole basis with one classical Gram-Schmidt pass, which
+    also removes the parts along the current and previous basis vectors
+    that the three-term recurrence would subtract; alpha is the current
+    vector's coefficient. A second pass runs only when the new vector's
+    loss of orthogonality, estimated from the pass's coefficients along
+    the current and previous vectors, the norm it leaves and the estimates
+    of the two earlier steps (a max-norm form of Simon's omega recurrence,
+    Math. Comp. 1984), reaches sqrt(eps), the semi-orthogonality level
+    that keeps the Ritz values accurate to working precision. The second
+    pass's current-vector coefficient is added to alpha. The passes write
     into two buffers allocated once per run and subtract in place from the
     array matvec returned, so matvec may return one buffer that it
     overwrites on every call, but not an array it reads again. A unit warm
@@ -315,6 +321,12 @@ _RITZ_MAX_GAP = 12
 _LANCZOS_MAX_STEPS = 200
 _LANCZOS_TOL = 1e-8
 
+# a Lanczos step takes a second Gram-Schmidt pass once the loss of
+# orthogonality estimated for its new vector reaches sqrt(eps), the level
+# that keeps the basis semi-orthogonal; a second pass leaves it at eps
+_EPS = float(np.finfo(float).eps)
+_SEMI_ORTHO = math.sqrt(_EPS)
+
 
 def _tridiagonal_min_eig(d, e):
     # eigh_tridiagonal(d, e, select="i", select_range=(0, 0)) without the
@@ -356,20 +368,22 @@ def _lanczos_once(matvec, n, seed, start=None):
     if start is not None:
         v = start + _WARM_START_MIX * v
         v /= np.linalg.norm(v)
-    # running max |alpha| and max |beta| for the residual scale
+    # running max |alpha| and max |beta| for the residual scale, and the
+    # estimated loss of orthogonality of v_j and of v_{j-1}
     alpha_max = beta_max = 0.0
+    omega = omega_prev = _EPS
     # the next step to check, and the step and estimate of the last check;
     # the first check has no earlier estimate to measure a decay from
     next_check, last_check, last_est = _RITZ_CHECK_EVERY - 1, -1, 0.0
     for j in range(m):
         basis[j] = v
         w = _image(matvec, v)
-        # full reorthogonalization: two classical Gram-Schmidt passes against
-        # the whole basis, which keep it usable long past the point where
-        # plain Lanczos loses orthogonality. The first pass also takes out
-        # the v_j and v_{j-1} parts of the three-term recurrence, and alpha
-        # is the v_j coefficient of both passes together. np.dot with out=
-        # makes the same BLAS calls as span @ w and h @ span
+        # full reorthogonalization: a classical Gram-Schmidt pass against
+        # the whole basis, which keeps it usable long past the point where
+        # plain Lanczos loses orthogonality. The pass also takes out the v_j
+        # and v_{j-1} parts of the three-term recurrence, and alpha is its
+        # v_j coefficient. np.dot with out= makes the same BLAS calls as
+        # span @ w and h @ span
         span = basis[: j + 1]
         h = coef[: j + 1]
         np.dot(span, w, out=h)
@@ -379,13 +393,29 @@ def _lanczos_once(matvec, n, seed, start=None):
         if not math.isfinite(alpha):
             raise EigFailure("operator returned non-finite values")
         w -= np.dot(h, span, out=proj)
-        np.dot(span, w, out=h)
-        w -= np.dot(h, span, out=proj)
-        alpha += float(h[j])
+        beta = math.sqrt(np.dot(w, w))  # what np.linalg.norm(w) computes
+        # after the pass V^T w is (V^T V - I) h plus roundoff, and the
+        # entries of h that count are alpha and h_{j-1}: so the new vector's
+        # loss of orthogonality is about drift / beta, where omega and
+        # omega_prev are those of v_j and v_{j-1} (a max-norm form of
+        # Simon's omega recurrence). A second pass, which leaves the loss at
+        # eps, runs once the estimate reaches _SEMI_ORTHO; its v_j
+        # coefficient is added to alpha
+        near = float(h[j - 1]) if j else 0.0
+        drift = abs(alpha) * omega + abs(near) * omega_prev
+        drift += _EPS * math.hypot(alpha, near, beta)
+        omega_prev = omega
+        if drift >= _SEMI_ORTHO * beta:
+            np.dot(span, w, out=h)
+            w -= np.dot(h, span, out=proj)
+            alpha += float(h[j])
+            beta = math.sqrt(np.dot(w, w))
+            omega = _EPS
+        else:
+            omega = drift / beta
         alphas[j] = alpha
         if abs(alpha) > alpha_max:
             alpha_max = abs(alpha)
-        beta = math.sqrt(np.dot(w, w))  # what np.linalg.norm(w) computes
         if not math.isfinite(beta):
             raise EigFailure("Lanczos residual overflowed")
         scale = max(1.0, alpha_max + 2.0 * beta_max)
@@ -728,7 +758,9 @@ class _MeasurementIterate:
         # vector alone
         self.lanczos_rng = np.random.default_rng(config.rng_seed).spawn(1)[0]
         self.lanczos_start = None
+        # operator calls made here; the refits count their own in their events
         self.lmo_matvecs = 0
+        self.gram_calls = 0
         sketch = SketchState.create(op.n, sketch_size, seed=config.rng_seed + 1)
         self.state = SdpState(np.zeros(op.d), 0.0, sketch)
         self.greedy_events = []
@@ -774,8 +806,11 @@ class _MeasurementIterate:
         }
 
     def result(self, status, trace, stats):
-        stats["greedy_events"] = self.greedy_events
+        events = self.greedy_events
+        stats["greedy_events"] = events
         stats["lmo_matvecs"] = self.lmo_matvecs
+        stats["gram_calls"] = self.gram_calls + sum(ev["gram_calls"] for ev in events)
+        stats["adjoint_calls"] = self.lmo_matvecs + sum(ev["adjoint_calls"] for ev in events)
         return SdpResult(
             final_y=self.state.y,
             final_tr=self.state.tr,
@@ -808,6 +843,7 @@ class _SdpIterate(_MeasurementIterate):
     def step(self, k, theta):
         s = self.state
         g_atom = self.op.gram(self.q)
+        self.gram_calls += 1
         if theta is None:
             theta = line_search_step(self.fv, s.y, g_atom, self.gamma)
         s.move(1.0, theta, self.q, g_atom)
@@ -822,6 +858,7 @@ class _SdpIterate(_MeasurementIterate):
             t = line_search_step(
                 self.fv, s.y, _gram_cols(self.op, u), self.gamma * float(np.vdot(u, u))
             )
+            self.gram_calls += _GREEDY_RANK
             u = math.sqrt(max(1.0, t)) * u
             self.greedy = greedy_step(self.fv, self.op, self.gamma, s, u)
             self.greedy["k"] = k
@@ -872,6 +909,10 @@ def sdp_solve(
     stats["greedy_events"] holds each refit's info dict, with its visit k,
     less the factor u, which only the callback's "greedy" carries; the
     events marked "committed" are the refits that moved the iterate.
+    stats["gram_calls"] and stats["adjoint_calls"] count every call of the
+    operator's gram and adjoint_matvec over the run: each step's atom, each
+    refit's start search and the refits' own counts for gram, the Lanczos
+    matvecs and the refits' gradients for adjoint_matvec.
 
     callback(info) runs once per visit, after the step, with "record" (the
     TraceRecord), "q", "greedy", "y", "tr", "sketch" and "g_avg" in info.
@@ -896,6 +937,7 @@ class _FwIterate(_MeasurementIterate):
         lam, q, confirmed = self.lmo(p, confirm)
         if lam < 0.0:
             self.q, self.gram_q, self.tr_atom = q, self.op.gram(q), self.tau
+            self.gram_calls += 1
         else:
             self.q, self.gram_q, self.tr_atom = None, 0.0, 0.0
         s = self.state
@@ -923,9 +965,10 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=8, callback=None):
     comparison, not a defect. A warm gap that would stop the run is
     confirmed from a cold Lanczos start as in sdp_solve, and the first and
     last visits' runs are cold, so certified_dual_cert, final_lambda and a
-    "converged" status rest on a cold start. stats["lmo_matvecs"] and
-    stats["lmo_confirmations"] are as in sdp_solve; every visit but the
-    last searches its segment, trace[-1].k searches in all. The sketch is
+    "converged" status rest on a cold start. stats["lmo_matvecs"],
+    stats["lmo_confirmations"], stats["gram_calls"] (one per atom
+    tau q q^T) and stats["adjoint_calls"] are as in sdp_solve; every visit
+    but the last searches its segment, trace[-1].k searches in all. The sketch is
     kept and returned as in sdp_solve, with sketch_size at least 3. A tau
     that is not a number in (0, inf) raises ValueError, and so does a
     config with heuristic_m set, since every step here is an exact search

@@ -195,7 +195,7 @@ def test_lanczos_clustered_bottom_at_the_step_cap(seed):
     # n = 100 with the bottom 4 eigenvalues within 1e-9 of each other and the
     # rest close above them: the residual estimate never meets the tolerance
     # early, so the run makes all 100 steps (one matvec each) plus the
-    # verification, and the two projection passes must keep the basis
+    # verification, and the projection passes must keep the basis
     # orthogonal that long
     rng = np.random.default_rng(seed)
     w = np.concatenate(
@@ -218,6 +218,37 @@ def test_lanczos_clustered_bottom_at_the_step_cap(seed):
     assert abs(lam - w[0]) <= 1e-9 * scale
     # the solver's scale max|alpha| + 2 max|beta| is at most 3 ||A||
     assert np.linalg.norm(a @ q - lam * q) <= 10.0 * sdp._LANCZOS_TOL * 3.0 * scale
+
+
+def _hard_spectrum_matrix(kind, seed):
+    # n = 100 in a random orthonormal basis: the step-cap test's clustered
+    # bottom, or the log spectrum 1e-4 .. 1, whose bottom converges only
+    # near step 100
+    rng = np.random.default_rng(seed)
+    if kind == "clustered":
+        w = np.concatenate(
+            [-1.0 + 1e-9 * np.array([0.0, 0.25, 0.5, 1.0]),
+             -1.0 + 1e-3 + 10.0 * np.linspace(0.0, 1.0, 97)[1:] ** 2]
+        )
+    else:
+        w = np.logspace(-4.0, 0.0, 100)
+    basis, _ = np.linalg.qr(rng.standard_normal((100, 100)))
+    a = (basis * w) @ basis.T
+    return (a + a.T) / 2.0
+
+
+@pytest.mark.parametrize("kind", ["clustered", "log"])
+@pytest.mark.parametrize("seed", range(4))
+def test_lanczos_second_passes_keep_full_length_runs_exact(kind, seed):
+    # one Gram-Schmidt pass per step loses orthogonality over a run this
+    # long although no single step cancels: then the clustered runs err by
+    # 1e-11 and the log runs fail their residual check. The second passes
+    # that the loss estimate schedules keep both within 1e-12 of the dense
+    # smallest eigenvalue, as a second pass on every step does
+    a = _hard_spectrum_matrix(kind, seed)
+    lam, _ = min_eig_lanczos(lambda v: a @ v, 100, seed=seed)
+    w = np.linalg.eigvalsh(a)
+    assert abs(lam - w[0]) <= 1e-12 * max(1.0, float(np.abs(w).max()))
 
 
 def _tridiagonal_cases():
@@ -277,19 +308,34 @@ def _reference_lanczos_once(matvec, n, seed, max_steps):
     # tolerance, clamped to [1, 12]
     next_check = 3
     checks = []
+    # the estimated loss of orthogonality of each basis vector; a second
+    # Gram-Schmidt pass leaves it at eps
+    eps = float(np.finfo(float).eps)
+    loss = [eps]
     for j in range(m):
         basis[j] = v
         w = np.asarray(matvec(v), dtype=float)
         if not np.all(np.isfinite(w)):
             raise EigFailure("operator returned non-finite values")
-        # two classical Gram-Schmidt passes over the row basis; alpha is the
-        # v_j coefficient of both
-        h = []
-        for _ in range(2):
-            h.append(basis[: j + 1] @ w)
-            w -= h[-1] @ basis[: j + 1]
-        alphas[j] = float(h[0][j]) + float(h[1][j])
+        # one classical Gram-Schmidt pass over the row basis, and a second
+        # when the new vector's estimated loss (|alpha| loss_j + |h_{j-1}|
+        # loss_{j-1} + eps |(alpha, h_{j-1}, beta)|) / beta reaches
+        # sqrt(eps); alpha is the v_j coefficient of the passes made
+        h = basis[: j + 1] @ w
+        w -= h @ basis[: j + 1]
+        alphas[j] = float(h[j])
         beta = float(np.linalg.norm(w))
+        near = float(h[j - 1]) if j > 0 else 0.0
+        drift = abs(alphas[j]) * loss[j] + abs(near) * loss[j - 1]
+        drift += eps * math.hypot(alphas[j], near, beta)
+        if drift >= math.sqrt(eps) * beta:
+            h = basis[: j + 1] @ w
+            w -= h @ basis[: j + 1]
+            alphas[j] += float(h[j])
+            beta = float(np.linalg.norm(w))
+            loss.append(eps)
+        else:
+            loss.append(drift / beta)
         scale = max(
             1.0,
             float(np.abs(alphas[: j + 1]).max())
@@ -1140,8 +1186,8 @@ def test_sdp_solve_dense_mirror_consistency():
 def _random_operator_instance(seed):
     # a hand-built operator over its own dense symmetric G_i (n 3-9, d from
     # n to 3n), with b = A(Z Z^T) for a rank-2 Z and gamma 0 or 0.05 by
-    # seed parity. It returns the objective, the operator, gamma and the
-    # dense maps through G, which touch no package code
+    # seed parity. It returns the objective, the operator, gamma, the dense
+    # maps through G, which touch no package code, and tr(Z Z^T)
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 10))
     d = int(rng.integers(n, 3 * n + 1))
@@ -1159,32 +1205,53 @@ def _random_operator_instance(seed):
         n, d, lambda q: g @ q @ q, lambda p, u: np.einsum("k,kij,j->i", p, g, u)
     )
     gamma = 0.05 * (seed % 2)
-    return _scaled_sq_norm_program(apply(z @ z.T), 0.5), op, gamma, apply, adjoint
+    fv = _scaled_sq_norm_program(apply(z @ z.T), 0.5)
+    return fv, op, gamma, apply, adjoint, float(np.vdot(z, z))
 
 
-@pytest.mark.parametrize("mode", ["moco", "cd"])
-def test_sdp_solve_agrees_with_the_dense_engine_on_random_operators(mode):
+def _assert_agrees_with_the_dense_engine(mode, heuristic, visits):
     # sdp_solve without refits against solve over PsdCone on the program
-    # written out densely through each operator's own G, both from X = 0:
-    # f to 1e-6 relative and the certificate to 1e-6 at each of 51 visits.
-    # The dense side shares _descend, so this guards what the matrix-free
-    # path adds: the measurement-space iterate, the trace penalty in the ray
-    # rescale and the line search, the Lanczos LMO and its gamma shift. The
-    # largest gaps are 7.8e-8 in f and 5.1e-7 in the certificate, both cd
-    # runs of seed 0 drifting apart late (its last visit's certificate 1.29)
-    config = SolverConfig(max_iters=50, momentum_mode=mode)
+    # written out densely through each operator's own G, both from X = 0,
+    # over 20 operators: f to 1e-6 relative and the certificate to 1e-6 at
+    # every visit. heuristic takes the step schedule with heuristic_m set to
+    # the planted trace tr(Z Z^T) in place of the line search
     for seed in range(20):
-        fv, op, gamma, apply, adjoint = _random_operator_instance(seed)
+        fv, op, gamma, apply, adjoint, m = _random_operator_instance(seed)
+        config = SolverConfig(
+            max_iters=visits, momentum_mode=mode, heuristic_m=m if heuristic else None
+        )
         dense = dense_program(fv, op.n, gamma, apply, adjoint)
         fast = sdp_solve(fv, op, gamma, config=config)
         slow = solve(dense, config, x0=np.zeros((op.n, op.n)))
         f_fast = np.array(fast.trace.f_values())
         f_slow = np.array(slow.trace.f_values())
-        assert f_fast.shape == f_slow.shape == (51,), seed
+        assert f_fast.shape == f_slow.shape == (visits + 1,), seed
         rel = np.abs(f_fast - f_slow) / np.abs(f_slow)
         certs = np.abs(np.subtract(fast.trace.dual_certs(), slow.trace.dual_certs()))
         assert rel.max() <= 1e-6, (seed, int(rel.argmax()), rel.max())
         assert certs.max() <= 1e-6, (seed, int(certs.argmax()), certs.max())
+
+
+@pytest.mark.parametrize("mode", ["moco", "cd"])
+def test_sdp_solve_agrees_with_the_dense_engine_on_random_operators(mode):
+    # 51 visits with the line search. The dense side shares _descend, so
+    # this guards what the matrix-free path adds: the measurement-space
+    # iterate, the trace penalty in the ray rescale and the line search, the
+    # Lanczos LMO and its gamma shift. The largest gaps are 4.5e-8 in f and
+    # 3.0e-7 in the certificate, both in cd runs drifting apart late
+    _assert_agrees_with_the_dense_engine(mode, False, 50)
+
+
+@pytest.mark.parametrize("mode", ["moco", "cd"])
+def test_sdp_solve_agrees_with_the_dense_engine_under_heuristic_m(mode):
+    # 41 visits on the step schedule theta_k = 2 M / (k + 2), where both
+    # engines take the same steps without a search. The schedule amplifies
+    # roundoff about tenfold every 5 visits: the dense engine against itself
+    # with its gradient perturbed by 1e-15 relative drifts by up to 1.6e-6 in
+    # the certificate at visit 50 but 2.2e-7 at visit 40, so the runs stop
+    # at 40. The largest gaps between the engines there are 1.0e-8 in f and
+    # 4.9e-8 in the certificate (cd)
+    _assert_agrees_with_the_dense_engine(mode, True, 40)
 
 
 def test_refit_events_in_stats_hold_no_array():
