@@ -163,6 +163,10 @@ class SolveResult:
 def _quad_argmin_nonneg(a, b, hi=math.inf):
     # Minimize a t^2 + b t over [0, hi] for a convex restriction. Returns None
     # for a constant restriction so callers can apply their own convention.
+    # A non-finite coefficient raises, as a non-finite slope does in the
+    # bisection, rather than deciding the step by a NaN comparison.
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteValue(f"non-finite restriction coefficients ({a!r}, {b!r})")
     if a < 0.0:
         raise LineSearchDivergence("restriction is concave along the search line")
     if a > 0.0:
@@ -265,6 +269,8 @@ def _check_config(config, allow_greedy):
     # with each real setting the Python float its check returns
     if config is None:
         config = SolverConfig()
+    if not isinstance(config, SolverConfig):
+        raise TypeError(f"config must be a SolverConfig, got {type(config).__name__}")
     floors = {"max_iters": 1, "greedy_period": 0, "rng_seed": 0}
     for name, low in floors.items():
         _check_count(name, getattr(config, name), low)
@@ -281,7 +287,12 @@ def _check_config(config, allow_greedy):
     return config
 
 
-def _descend(problem, config, it, callback, stop_at):
+def _counts(counted):
+    # the calls the counted objects have passed so far, in one dict
+    return {key: n for obj in counted for key, n in obj.eval_counts().items()}
+
+
+def _descend(counted, config, it, callback, stop_at):
     """The visit loop shared by solve, sdp_solve and fw_solve.
 
     The loop owns the momentum average, the stop test, the trace (one
@@ -316,15 +327,24 @@ def _descend(problem, config, it, callback, stop_at):
     when heuristic_m is set. Callers run _check_config before they build
     `it`, whose set-up already reads rng_seed.
 
-    stats holds the oracle calls of the run and "lmo_confirmations": one
-    per visit whose stop test ends on a confirmed value, the visit the run
-    ends on and each rejected stop. Every visit but the last steps, so a run
-    without heuristic_m searches trace[-1].k steps. Returns it.result of the
-    status, the trace and stats.
+    The loop builds every count in stats as a difference over the run of
+    the eval_counts() of the objects in `counted`: the program's oracle
+    calls for solve, and for the semidefinite solvers the objective's
+    oracle calls and the operator's "gram_calls" and "adjoint_calls". So a
+    total includes the calls a callback makes during the run. When the
+    objects count adjoint calls, "lmo_matvecs" holds those made inside
+    certify, where the Lanczos runs are the only caller: every matvec of
+    every run, verification and retries included, and none of a refit's or
+    a callback's. "lmo_confirmations" counts one per visit whose stop test
+    ends on a confirmed value, the visit the run ends on and each rejected
+    stop. Every visit but the last steps, so a run without heuristic_m
+    searches trace[-1].k steps. Returns it.result of the status, the trace
+    and stats.
     """
     trace = SolveTrace()
-    counts0 = problem.eval_counts()
-    confirmations = 0
+    counts0 = _counts(counted)
+    lanczos = "adjoint_calls" in counts0
+    lmo_matvecs = confirmations = 0
     g_avg = 0.0
     t_start = time.perf_counter()
 
@@ -340,6 +360,8 @@ def _descend(problem, config, it, callback, stop_at):
         g_avg += delta * grad
         del grad  # folded into g_avg: one fewer d-vector through the LMO
         last = k == config.max_iters
+        # the adjoint calls certify makes are the Lanczos runs' matvecs
+        before = lanczos and _counts(counted)["adjoint_calls"]
         cert, lam, confirmed = it.certify(g_avg, last)
         stop = cert <= stop_at
         confirmations += stop or last
@@ -347,6 +369,7 @@ def _descend(problem, config, it, callback, stop_at):
             # stop only on a confirmed certificate
             cert, lam, confirmed = it.certify(g_avg, True)
             stop = cert <= stop_at
+        lmo_matvecs += lanczos and _counts(counted)["adjoint_calls"] - before
         theta = 0.0
         if not (stop or last):
             m = config.heuristic_m
@@ -361,9 +384,10 @@ def _descend(problem, config, it, callback, stop_at):
         if stop or last:
             break
 
-    counts1 = problem.eval_counts()
-    stats = {key: counts1[key] - counts0[key] for key in counts1}
+    stats = {key: n - counts0[key] for key, n in _counts(counted).items()}
     stats["lmo_confirmations"] = confirmations
+    if lanczos:
+        stats["lmo_matvecs"] = lmo_matvecs
     return it.result("converged" if stop else "max_iters", trace, stats)
 
 
@@ -442,4 +466,4 @@ def solve(problem, config=None, x0=None, callback=None):
             raise ValueError(f"x0 must be a point of the cone of shape {x.shape}")
         x = x0
     it = _VectorIterate(problem, x)
-    return _descend(problem, config, it, callback, math.sqrt(config.tol_eps))
+    return _descend((problem,), config, it, callback, math.sqrt(config.tol_eps))

@@ -31,7 +31,7 @@ from .core import (
     minimize_convex_1d,
     ray_minimize,
 )
-from .exceptions import EigFailure, RankTooLarge, _check_count, _check_real
+from .exceptions import EigFailure, NonFiniteValue, RankTooLarge, _check_count, _check_real
 
 
 @dataclass
@@ -53,8 +53,13 @@ class MeasurementOperator:
     rebinds gram and adjoint_matvec to maps that raise ValueError for a
     vector of any other shape and hand the given kernels C-contiguous
     float64 vectors of the checked shapes, so a kernel holds only its
-    arithmetic. A copy made by dataclasses.replace wraps the checked maps
-    it is given once more, and maps every vector to the same bits.
+    arithmetic. Each call of a checked map adds one to a count on the
+    instance, as ConicProgram counts its oracle calls: eval_counts()
+    returns {"gram_calls", "adjoint_calls"}, and the solvers and the
+    greedy refit read their calls as differences of it. A copy made by
+    dataclasses.replace wraps the checked maps it is given once more, maps
+    every vector to the same bits and counts its own calls from zero; a
+    call through it counts on the original as well.
     adjoint_dense(p), the n x n matrix sum_i p_i G_i, is set only by the
     completion and phase builders, for the benchmark's dense certificate
     check at small n; no solver reads it, and it is None otherwise.
@@ -70,6 +75,7 @@ class MeasurementOperator:
         _check_count("matrix side n", self.n, 1)
         _check_count("measurement count d", self.d, 1)
         n, d, gram, adjoint_matvec = self.n, self.d, self.gram, self.adjoint_matvec
+        counts = self._counts = {"gram_calls": 0, "adjoint_calls": 0}
 
         # a kernel given a q of another shape would read it flat, broadcast
         # it or index past it, so no kernel sees one. asarray with order="C"
@@ -78,6 +84,7 @@ class MeasurementOperator:
             q = np.asarray(q, dtype=float, order="C")
             if q.shape != (n,):
                 raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
+            counts["gram_calls"] += 1
             return gram(q)
 
         def checked_adjoint_matvec(p, u):
@@ -88,10 +95,14 @@ class MeasurementOperator:
                     f"adjoint_matvec needs p of shape ({d},) and u of shape ({n},), "
                     f"got {p.shape} and {u.shape}"
                 )
+            counts["adjoint_calls"] += 1
             return adjoint_matvec(p, u)
 
         self.gram = checked_gram
         self.adjoint_matvec = checked_adjoint_matvec
+
+    def eval_counts(self):
+        return dict(self._counts)
 
 
 @dataclass
@@ -569,8 +580,11 @@ def _quartic_argmin(c1, c2, c3, c4):
     best of 0 and the real roots of the cubic p', which _cubic_roots finds
     in closed form. Every candidate is a feasible point, so a root's
     roundoff costs at most its effect on p; without a bounded minimum the
-    best candidate is still a point of descent.
+    best candidate is still a point of descent. A non-finite coefficient
+    raises NonFiniteValue, as a non-finite slope does in the bisection.
     """
+    if not all(map(math.isfinite, (c1, c2, c3, c4))):
+        raise NonFiniteValue(f"non-finite factor search coefficients {(c1, c2, c3, c4)!r}")
     best_a, best_p = 0.0, 0.0
     for a in _cubic_roots(4.0 * c4, 3.0 * c3, 2.0 * c2, c1):
         if 0.0 < a < math.inf:
@@ -613,14 +627,18 @@ def greedy_step(fv, op, gamma, state, u):
     state.move, only when its value is strictly below the incumbent value,
     so the outer objective never increases here. A committed step's info
     dict carries the scale t_sq and the factor u, so X_new = t_sq X + u u^T
-    can be replayed. Every info dict counts the refit's operator calls:
-    gram_calls, r per factor image mapped (the start's, two per factor
-    search and one per proposed step), and adjoint_calls, r per inner
-    iteration's gradient. A u that is not 2-D with op.n rows and at least
-    one column raises ValueError.
+    can be replayed. Every info dict holds the refit's operator calls,
+    read as differences of op.eval_counts() across the refit: gram_calls,
+    r per factor image mapped (the start's, two per factor search and one
+    per proposed step), and adjoint_calls, r per inner iteration's
+    gradient. A gamma that is not a number in [0, inf) raises ValueError,
+    and so does a u that is not 2-D with op.n rows and at least one column;
+    either leaves the state as it was and calls no oracle.
     """
+    gamma = _check_real("gamma", gamma, "[0, inf)")
     if np.ndim(u) != 2 or np.shape(u)[0] != op.n or np.shape(u)[1] < 1:
         raise ValueError(f"u must have shape (n, r) = ({op.n}, r >= 1), got {np.shape(u)}")
+    calls0 = op.eval_counts()
     y0 = state.y
     tr0 = state.tr
     f0 = fv.value(y0) + gamma * tr0
@@ -633,9 +651,6 @@ def greedy_step(fv, op, gamma, state, u):
     gram_u = _gram_cols(op, u)
     tr_u = float(np.vdot(u, u))
     h_cur, y_cur = assemble(s, gram_u, tr_u)
-    # factor images mapped, r gram calls each: the start's, then two per
-    # search and one per proposed step
-    images = 1
     # the gradient of the last factor step taken; None restarts the next
     # search along the gradient
     grad_prev = None
@@ -666,7 +681,6 @@ def greedy_step(fv, op, gamma, state, u):
         direction = search / math.sqrt(np.dot(search.ravel(), search.ravel()))
         big_d = _gram_cols(op, direction)
         big_c = _gram_cols(op, u + direction) - gram_u - big_d
-        images += 2
         factor = (fv, gamma, y_cur, u, big_c, big_d, direction)
         if fv.restriction_oracle is not None:
             alpha = _quartic_argmin(*_factor_quartic(*factor))
@@ -674,7 +688,6 @@ def greedy_step(fv, op, gamma, state, u):
             alpha = minimize_convex_1d(_factor_slope(*factor))
         grad_prev = None
         if alpha != 0.0:
-            images += 1
             u_alpha = u - alpha * direction
             gram_alpha = _gram_cols(op, u_alpha)
             tr_alpha = float(np.vdot(u_alpha, u_alpha))
@@ -691,10 +704,8 @@ def greedy_step(fv, op, gamma, state, u):
         "f_before": f0,
         "f_after": h_cur if committed else f0,
         "inner_iters": inner + 1,
-        # one gradient, r adjoint_matvec calls, per inner iteration
-        "gram_calls": u.shape[1] * images,
-        "adjoint_calls": u.shape[1] * (inner + 1),
     }
+    info.update((key, n - calls0[key]) for key, n in op.eval_counts().items())
     if committed:
         state.move(s, 1.0, u, gram_u, tr_u)
         info.update(t_sq=s, u=u)
@@ -758,9 +769,6 @@ class _MeasurementIterate:
         # vector alone
         self.lanczos_rng = np.random.default_rng(config.rng_seed).spawn(1)[0]
         self.lanczos_start = None
-        # operator calls made here; the refits count their own in their events
-        self.lmo_matvecs = 0
-        self.gram_calls = 0
         sketch = SketchState.create(op.n, sketch_size, seed=config.rng_seed + 1)
         self.state = SdpState(np.zeros(op.d), 0.0, sketch)
         self.greedy_events = []
@@ -774,17 +782,12 @@ class _MeasurementIterate:
 
     def lmo(self, p, confirm):
         # smallest eigenpair of the adjoint image of p plus gamma I, from a
-        # cold start when confirming; every matvec counts, the verification
-        # and a retry's included. A shift leaves the Krylov space and the
+        # cold start when confirming. A shift leaves the Krylov space and the
         # eigenvector as they are, so Lanczos runs on the adjoint image
         # alone and gamma is added to its smallest eigenvalue once
-        def matvec(u):
-            self.lmo_matvecs += 1
-            return self.op.adjoint_matvec(p, u)
-
         start = None if confirm else self.lanczos_start
         lam, q = min_eig_lanczos(
-            matvec,
+            functools.partial(self.op.adjoint_matvec, p),
             self.op.n,
             seed=int(self.lanczos_rng.integers(2**32)),
             start=start,
@@ -806,19 +809,9 @@ class _MeasurementIterate:
         }
 
     def result(self, status, trace, stats):
-        events = self.greedy_events
-        stats["greedy_events"] = events
-        stats["lmo_matvecs"] = self.lmo_matvecs
-        stats["gram_calls"] = self.gram_calls + sum(ev["gram_calls"] for ev in events)
-        stats["adjoint_calls"] = self.lmo_matvecs + sum(ev["adjoint_calls"] for ev in events)
-        return SdpResult(
-            final_y=self.state.y,
-            final_tr=self.state.tr,
-            sketch=self.state.sketch,
-            status=status,
-            trace=trace,
-            stats=stats,
-        )
+        stats["greedy_events"] = self.greedy_events
+        s = self.state
+        return SdpResult(s.y, s.tr, s.sketch, status, trace, stats)
 
 
 class _SdpIterate(_MeasurementIterate):
@@ -843,7 +836,6 @@ class _SdpIterate(_MeasurementIterate):
     def step(self, k, theta):
         s = self.state
         g_atom = self.op.gram(self.q)
-        self.gram_calls += 1
         if theta is None:
             theta = line_search_step(self.fv, s.y, g_atom, self.gamma)
         s.move(1.0, theta, self.q, g_atom)
@@ -858,7 +850,6 @@ class _SdpIterate(_MeasurementIterate):
             t = line_search_step(
                 self.fv, s.y, _gram_cols(self.op, u), self.gamma * float(np.vdot(u, u))
             )
-            self.gram_calls += _GREEDY_RANK
             u = math.sqrt(max(1.0, t)) * u
             self.greedy = greedy_step(self.fv, self.op, self.gamma, s, u)
             self.greedy["k"] = k
@@ -902,24 +893,27 @@ def sdp_solve(
     The returned state is the ray-rescaled iterate of the final visit. A
     range sketch of X with sketch_size columns (8 unless given; an int of
     at least 3, or ValueError) is kept through every move and returned for
-    factorized readout. stats["lmo_matvecs"] counts the operator matvecs of every
-    Lanczos run, verification, retries and cold confirmations included;
-    stats["lmo_confirmations"] counts the cold runs that decided a stop
-    test: one for the visit the run ends on plus one per rejected stop.
-    stats["greedy_events"] holds each refit's info dict, with its visit k,
-    less the factor u, which only the callback's "greedy" carries; the
-    events marked "committed" are the refits that moved the iterate.
+    factorized readout. Every count in stats is the change over the run
+    of what the objective and the operator count (see _descend).
     stats["gram_calls"] and stats["adjoint_calls"] count every call of the
-    operator's gram and adjoint_matvec over the run: each step's atom, each
-    refit's start search and the refits' own counts for gram, the Lanczos
-    matvecs and the refits' gradients for adjoint_matvec.
+    operator's gram and adjoint_matvec during the run, a callback's
+    included: each step's atom, each refit's start search and the refits'
+    own calls for gram, the Lanczos matvecs and the refits' gradients for
+    adjoint_matvec. stats["lmo_matvecs"] counts the operator matvecs of
+    every Lanczos run alone, verification, retries and cold confirmations
+    included; stats["lmo_confirmations"] counts the cold runs that decided
+    a stop test: one for the visit the run ends on plus one per rejected
+    stop. stats["greedy_events"] holds each refit's info dict, with its
+    visit k, less the factor u, which only the callback's "greedy"
+    carries; the events marked "committed" are the refits that moved the
+    iterate.
 
     callback(info) runs once per visit, after the step, with "record" (the
     TraceRecord), "q", "greedy", "y", "tr", "sketch" and "g_avg" in info.
     """
     config = _check_config(config, allow_greedy=True)
     it = _SdpIterate(fv, op, gamma, config, sketch_size)
-    return _descend(fv, config, it, callback, math.sqrt(config.tol_eps))
+    return _descend((fv, op), config, it, callback, math.sqrt(config.tol_eps))
 
 
 class _FwIterate(_MeasurementIterate):
@@ -937,7 +931,6 @@ class _FwIterate(_MeasurementIterate):
         lam, q, confirmed = self.lmo(p, confirm)
         if lam < 0.0:
             self.q, self.gram_q, self.tr_atom = q, self.op.gram(q), self.tau
-            self.gram_calls += 1
         else:
             self.q, self.gram_q, self.tr_atom = None, 0.0, 0.0
         s = self.state
@@ -967,9 +960,11 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=8, callback=None):
     last visits' runs are cold, so certified_dual_cert, final_lambda and a
     "converged" status rest on a cold start. stats["lmo_matvecs"],
     stats["lmo_confirmations"], stats["gram_calls"] (one per atom
-    tau q q^T) and stats["adjoint_calls"] are as in sdp_solve; every visit
-    but the last searches its segment, trace[-1].k searches in all. The sketch is
-    kept and returned as in sdp_solve, with sketch_size at least 3. A tau
+    tau q q^T) and stats["adjoint_calls"] are as in sdp_solve, read as
+    run differences of the objective's and the operator's counts, a
+    callback's calls included in the two totals; every visit but the last
+    searches its segment, trace[-1].k searches in all. The sketch is kept
+    and returned as in sdp_solve, with sketch_size at least 3. A tau
     that is not a number in (0, inf) raises ValueError, and so does a
     config with heuristic_m set, since every step here is an exact search
     on the segment to the atom.
@@ -983,4 +978,4 @@ def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=8, callback=None):
     if config.heuristic_m is not None:
         raise ValueError("fw_solve takes no heuristic_m: its steps are segment searches")
     it = _FwIterate(fv, op, gamma, config, sketch_size, tau)
-    return _descend(fv, config, it, callback, config.tol_eps)
+    return _descend((fv, op), config, it, callback, config.tol_eps)

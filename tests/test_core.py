@@ -122,6 +122,30 @@ def test_minimize_convex_1d_rejects_non_finite_slope(bad):
         minimize_convex_1d(lambda t: -1.0 if t < 4.0 else bad)
 
 
+@pytest.mark.parametrize("oracle", [True, False], ids=["restriction", "bisection"])
+def test_searches_reject_non_finite_data_with_or_without_the_restriction(oracle):
+    # the closed-form search used to return 0 for a non-finite linear term
+    # or slope coefficient, and to call a NaN curvature linear and
+    # unbounded; it now raises NonFiniteValue as the bisection does, on
+    # the same inputs
+    def program(quad, lin):
+        prog = quad_program(2, np.array(quad), np.array(lin))
+        return prog if oracle else ConicProgram(2, prog.value_oracle, prog.gradient_oracle)
+
+    x, d = np.zeros(2), np.array([1.0, 0.0])
+    good = program([[1.0, 0.0], [0.0, 1.0]], [-1.0, 0.0])
+    for linear in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteValue):
+            line_search_step(good, x, d, linear)
+        with pytest.raises(NonFiniteValue):
+            ray_minimize(good, d, linear=linear)
+    # a NaN slope coefficient b, then a NaN curvature a with b = -1
+    for quad, lin in (([[1.0, 0.0], [0.0, 1.0]], [math.nan, 0.0]),
+                      ([[math.nan, 0.0], [0.0, 1.0]], [-1.0, 0.0])):
+        with pytest.raises(NonFiniteValue):
+            line_search_step(program(quad, lin), x, d)
+
+
 # ---------------------------------------------------------------------------
 # ray and step searches agree with closed forms when a restriction exists
 
@@ -470,6 +494,21 @@ def test_config_validation_errors():
             add_noise_snr(np.ones(3), snr, np.random.default_rng(0))
     with pytest.raises(ValueError):
         fw_solve(quad_program(2, np.eye(2), np.zeros(2)), toy.op, tau=1.0)
+
+
+@pytest.mark.parametrize("solver", ["solve", "sdp_solve", "fw_solve"])
+def test_config_of_another_type_raises_type_error(solver):
+    # a dict, an int or a str used to fail with AttributeError on max_iters
+    toy = build_trace_toy()
+    run = {
+        "solve": lambda c: solve(build_orthant_quadratic(dim=3).program, c),
+        "sdp_solve": lambda c: sdp_solve(toy.fv, toy.op, config=c),
+        "fw_solve": lambda c: fw_solve(toy.fv, toy.op, tau=1.0, config=c),
+    }[solver]
+    for bad in ({"max_iters": 3}, 3, "moco"):
+        name = type(bad).__name__
+        with pytest.raises(TypeError, match=f"^config must be a SolverConfig, got {name}$"):
+            run(bad)
 
 
 def test_no_setting_thins_the_trace():

@@ -30,6 +30,7 @@ from cdkit import (
     solve,
 )
 from cdkit.cli import RunSpec, validate
+from cdkit.sdp import SdpState, greedy_step
 from cdkit.problems import (
     add_noise_snr,
     build_matcomp,
@@ -42,35 +43,38 @@ _STATE_ATTRS = {"y", "tr"}
 _SKETCH_WRITES = {"scale", "add_rank_one", "replace"}
 
 
+def _owned(node, owner=""):
+    # every node below node, with the class-qualified name of the function
+    # or class that encloses it
+    for child in ast.iter_child_nodes(node):
+        yield owner, child
+        name = owner
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            name = f"{owner}.{child.name}" if owner else child.name
+        yield from _owned(child, name)
+
+
 def _state_writes(tree):
     # (function, line) of every assignment to an attribute y or tr and every
     # call of a method that writes the sketch, tagged with the enclosing
     # class-qualified function name
     found = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            name = owner
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                name = f"{owner}.{child.name}" if owner else child.name
-            targets = []
-            if isinstance(child, ast.Assign):
-                targets = child.targets
-            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
-                targets = [child.target]
-            for target in targets:
-                for sub in ast.walk(target):
-                    if isinstance(sub, ast.Attribute) and sub.attr in _STATE_ATTRS:
-                        found.append((owner, child.lineno))
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr in _SKETCH_WRITES
-            ):
-                found.append((owner, child.lineno))
-            visit(child, name)
-
-    visit(tree, "")
+    for owner, child in _owned(tree):
+        targets = []
+        if isinstance(child, ast.Assign):
+            targets = child.targets
+        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+            targets = [child.target]
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) and sub.attr in _STATE_ATTRS:
+                    found.append((owner, child.lineno))
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Attribute)
+            and child.func.attr in _SKETCH_WRITES
+        ):
+            found.append((owner, child.lineno))
     return found
 
 
@@ -93,6 +97,69 @@ def test_state_check_sees_a_direct_write():
     )
     owners = [owner for owner, _ in _state_writes(ast.parse(source))]
     assert owners == ["greedy_step"] * 3
+
+
+# a name, attribute or string key that names an operator-call count
+_TALLY = re.compile(r"gram|adjoint|matvec|image|calls")
+_COUNT_READS = {"eval_counts", "_counts"}
+
+
+def _tallies(tree):
+    # (function, line) of every += on a target that names an operator-call
+    # count, unless the added value reads the counts (a difference of
+    # eval_counts is a reading, not a tally), tagged with the enclosing
+    # class-qualified function name
+    found = []
+    for owner, child in _owned(tree):
+        if not (isinstance(child, ast.AugAssign) and isinstance(child.op, ast.Add)):
+            continue
+        words = [
+            getattr(sub, "id", None) or getattr(sub, "attr", None) or sub.value
+            for sub in ast.walk(child.target)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+            or (isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+        ]
+        reads = {
+            getattr(sub.func, "id", getattr(sub.func, "attr", None))
+            for sub in ast.walk(child.value)
+            if isinstance(sub, ast.Call)
+        }
+        if any(_TALLY.search(w) for w in words) and not reads & _COUNT_READS:
+            found.append((owner, child.lineno))
+    return found
+
+
+def test_only_the_checked_maps_count_operator_calls():
+    # every operator call passes one of the two checked maps, which count
+    # it; a tally kept by hand elsewhere under-counts, without any error,
+    # the first call site that forgets it
+    package = pathlib.Path(cdkit.sdp.__file__).parent
+    owners = {
+        owner
+        for path in package.glob("*.py")
+        for owner, _ in _tallies(ast.parse(path.read_text()))
+    }
+    checked = "MeasurementOperator.__post_init__.checked_"
+    assert owners == {checked + "gram", checked + "adjoint_matvec"}
+
+
+def test_tally_check_sees_a_hand_count():
+    # the check itself: the iterate's and the refit's former tallies are
+    # caught, and a difference of the counts is not
+    source = (
+        "class _It:\n"
+        "    def lmo(self, p):\n"
+        "        def matvec(u):\n"
+        "            self.lmo_matvecs += 1\n"
+        "    def step(self):\n"
+        "        self.gram_calls += _GREEDY_RANK\n"
+        "def greedy_step(op, stats, n):\n"
+        "    images += 2\n"
+        "    stats['adjoint_calls'] += n\n"
+        "    lmo_matvecs += op.eval_counts()['adjoint_calls'] - n\n"
+    )
+    owners = [owner for owner, _ in _tallies(ast.parse(source))]
+    assert owners == ["_It.lmo.matvec", "_It.step", "greedy_step", "greedy_step"]
 
 
 def test_measurement_operator_holds_the_only_vector_map_check():
@@ -242,6 +309,12 @@ def _toy_sdp(solver, **kwargs):
     return solver(toy.fv, toy.op, config=SolverConfig(max_iters=3), **kwargs)
 
 
+def _toy_refit(gamma):
+    toy = build_trace_toy()
+    state = SdpState(np.zeros(1), 0.0, SketchState.create(2, 3))
+    return greedy_step(toy.fv, toy.op, gamma, state, np.ones((2, 1)))
+
+
 # every real-valued setting: the name its error gives, its interval, the
 # nearest values beyond its ends (an open end itself; a closed infinite end
 # has none), and a call that passes the value to it
@@ -252,6 +325,7 @@ _REAL_SITES = {
                     lambda v: _toy_solve(max_iters=3, heuristic_m=v)),
     "gamma": ("gamma", "[0, inf)", (-5e-324, math.inf), lambda v: _toy_sdp(sdp_solve, gamma=v)),
     "tau": ("tau", "(0, inf)", (0.0, math.inf), lambda v: _toy_sdp(fw_solve, tau=v)),
+    "greedy-gamma": ("gamma", "[0, inf)", (-5e-324, math.inf), _toy_refit),
     "trace-toy-target": ("target", "(0, inf)", (0.0, math.inf),
                          lambda v: build_trace_toy(target=v)),
     "matcomp-density": ("density", "(0, 1]", (0.0, np.nextafter(1.0, 2.0)),
@@ -331,7 +405,7 @@ def test_descend_takes_its_stop_threshold_and_no_solver_switch():
     # each solver passes the threshold in its certificate's units, so the
     # shared loop has one path and never asks which solver called it
     params = list(inspect.signature(cdkit.core._descend).parameters)
-    assert params == ["problem", "config", "it", "callback", "stop_at"]
+    assert params == ["counted", "config", "it", "callback", "stop_at"]
 
 
 # each solver on a small problem, with the tol_eps that stops it (orthant

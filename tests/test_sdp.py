@@ -18,6 +18,7 @@ from cdkit import (
     EigFailure,
     LineSearchDivergence,
     MeasurementOperator,
+    NonFiniteValue,
     RankTooLarge,
     SketchState,
     SolverConfig,
@@ -614,9 +615,11 @@ def test_each_visit_starts_lanczos_afresh(monkeypatch):
 def test_lmo_matvec_is_the_adjoint_and_gamma_shifts_lambda(monkeypatch, build, gamma):
     # every matvec an LMO hands the eigensolver is adjoint(p) for the p of
     # that LMO, gamma I left out, and the LMO returns the smallest eigenpair
-    # of the dense adjoint(p) + gamma I
+    # of the dense adjoint(p) + gamma I. The reference matvec comes from a
+    # second bundle built alike, so the solve's operator counts only the
+    # LMO's own calls
     bundle = build()
-    op = bundle.op
+    op, ref = bundle.op, build().op
     gamma = bundle.gamma if gamma is None else gamma
     grads, pairs = [], []
     checked = [0]
@@ -633,7 +636,7 @@ def test_lmo_matvec_is_the_adjoint_and_gamma_shifts_lambda(monkeypatch, build, g
 
         def compared(u):
             got = matvec(u)
-            np.testing.assert_array_equal(got, op.adjoint_matvec(p, u))
+            np.testing.assert_array_equal(got, ref.adjoint_matvec(p, u))
             checked[0] += 1
             return got
 
@@ -774,6 +777,34 @@ def test_lmo_matvecs_counts_every_lanczos_matvec(monkeypatch, solver):
         counts.append(res.stats["lmo_matvecs"])
     assert calls[0] > 5
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("solver", ["sdp_solve", "fw_solve"])
+def test_callback_operator_calls_count_in_the_run_totals_only(solver):
+    # the run totals are the operator's own counts over the run, so a
+    # callback that calls gram and adjoint_matvec once per visit raises
+    # stats["gram_calls"] and stats["adjoint_calls"] by the number of
+    # visits. The Lanczos matvecs and each refit's counts are read across
+    # their own calls, and no other stat moves
+    fv, op, gamma, *_ = _random_operator_instance(3)
+
+    def run(callback):
+        if solver == "sdp_solve":
+            config = SolverConfig(max_iters=20, greedy_period=5)
+            return sdp_solve(fv, op, gamma, config=config, callback=callback)
+        return fw_solve(fv, op, 5.0, gamma, config=SolverConfig(max_iters=20), callback=callback)
+
+    def callback(info):
+        op.gram(np.ones(op.n))
+        op.adjoint_matvec(np.ones(op.d), np.ones(op.n))
+
+    quiet, loud = run(None), run(callback)
+    for key in ("gram_calls", "adjoint_calls"):
+        extra = loud.stats.pop(key) - quiet.stats.pop(key)
+        assert extra == len(loud.trace)
+    assert loud.stats == quiet.stats
+    assert loud.stats["lmo_matvecs"] > 0
+    assert len(loud.stats["greedy_events"]) == (4 if solver == "sdp_solve" else 0)
 
 
 def test_lanczos_gives_up_after_two_lapack_failures(monkeypatch):
@@ -1352,6 +1383,24 @@ def test_greedy_step_rejects_a_factor_of_the_wrong_shape(shape):
     assert sum(toy.fv.eval_counts().values()) == 0
 
 
+@pytest.mark.parametrize("gamma", [-1.0, math.nan, "0.5"], ids=["negative", "nan", "str"])
+def test_greedy_step_rejects_a_bad_gamma(gamma):
+    # gamma -1 used to refit a different, unbounded problem (f_after -36803
+    # from f_before -20.9 here), NaN ran and a str raised TypeError; each now
+    # raises the ValueError naming gamma before any oracle call and leaves
+    # the state as it was
+    mc = build_matcomp(n=20, rank=2, seed=0, block=4, density=0.3)
+    res = sdp_solve(mc.fv, mc.op, config=SolverConfig(max_iters=5))
+    state = SdpState(res.final_y.copy(), res.final_tr, res.sketch)
+    y, tr, sketch = state.y.copy(), state.tr, state.sketch.s.copy()
+    calls = mc.fv.eval_counts(), mc.op.eval_counts()
+    with pytest.raises(ValueError, match=r"^gamma must be a number in \[0, inf\), got "):
+        greedy_step(mc.fv, mc.op, gamma, state, _refit_start(mc.op.n, tr, 0))
+    assert np.array_equal(state.y, y) and state.tr == tr
+    assert np.array_equal(state.sketch.s, sketch)
+    assert (mc.fv.eval_counts(), mc.op.eval_counts()) == calls
+
+
 @pytest.mark.parametrize("oracle", [True, False], ids=["restriction", "slope"])
 def test_greedy_commit_stores_the_point_it_reports(oracle):
     # a committed refit stores the image and trace of the point it ends at:
@@ -1590,6 +1639,17 @@ def test_quartic_argmin_hand_cases(name):
     a = _quartic_argmin(*coeffs)
     assert type(a) is float
     assert a == pytest.approx(best, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", range(4))
+def test_quartic_argmin_rejects_a_non_finite_coefficient(at, bad):
+    # the refit's closed-form search fails on non-finite data as its slope
+    # bisection does, rather than deciding the step by a NaN comparison
+    coeffs = [-1.0, 1.0, 0.0, 1.0]
+    coeffs[at] = bad
+    with pytest.raises(NonFiniteValue, match="non-finite factor search coefficients"):
+        _quartic_argmin(*coeffs)
 
 
 def test_quartic_argmin_no_worse_than_companion_roots():
