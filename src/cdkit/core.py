@@ -190,8 +190,11 @@ def minimize_convex_1d(slope, hi=math.inf):
     the function there is no higher than at 0, or a point where the slope is
     exactly 0. A nonconvex function gets a local minimizer. Raises
     LineSearchDivergence when the bracket grows past BRACKET_LIMIT with the
-    slope still negative, and NonFiniteValue on a non-finite slope.
+    slope still negative, and NonFiniteValue on a non-finite slope. A hi
+    that is not a number in [0, inf] raises ValueError before any slope
+    call.
     """
+    hi = _check_real("hi", hi, "[0, inf]")
 
     def check(t):
         s = float(slope(t))

@@ -303,17 +303,7 @@ def build_matcomp(n=100, rank=3, seed=0, block=10, density=0.1, noise_snr=None):
         upper *= 0.5
         return upper
 
-    # the benchmark's dense certificate check reads G^*(p) as a matrix
-    def adjoint_dense(p):
-        rows = _mask_rows(counts)
-        mat = np.zeros((n, n))
-        np.add.at(mat, (rows, col_idx), 0.5 * np.asarray(p, dtype=float))
-        np.add.at(mat, (col_idx, rows), 0.5 * np.asarray(p, dtype=float))
-        return mat
-
-    op = MeasurementOperator(
-        n=n, d=d, gram=gram, adjoint_matvec=adjoint_matvec, adjoint_dense=adjoint_dense
-    )
+    op = MeasurementOperator(n=n, d=d, gram=gram, adjoint_matvec=adjoint_matvec)
     b = _gram_cols(op, v_true)
     if noise_snr is not None:
         b = add_noise_snr(b, noise_snr, rng)
@@ -383,8 +373,7 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
     # cost more than the transform itself at n = 64. The module, and
     # scipy.fft with it, is imported here, by the first phase instance of a
     # process; the closures hold it, so no call imports anything and a
-    # scipy without the module fails this builder alone. The dense adjoint
-    # below, read only by the benchmark, calls the public scipy.fft.
+    # scipy without the module fails this builder alone
     from scipy.fft._pocketfft import pypocketfft
 
     def transform(a, kind):
@@ -403,21 +392,7 @@ def build_phase_retrieval(n=64, m=10, seed=0, noise_snr=None, signal=None):
         t *= p.reshape(m, n)
         return (signs * transform(t, 3)).sum(axis=0)
 
-    def adjoint_dense(p):
-        from scipy.fft import idct
-
-        pb = np.asarray(p, dtype=float).reshape(m, n)
-        mat = np.zeros((n, n))
-        for j in range(m):
-            core = idct(
-                idct(np.diag(pb[j]), axis=0, norm="ortho"), axis=1, norm="ortho"
-            )
-            mat += np.outer(signs[j], signs[j]) * core
-        return mat
-
-    op = MeasurementOperator(
-        n=n, d=d, gram=gram, adjoint_matvec=adjoint_matvec, adjoint_dense=adjoint_dense
-    )
+    op = MeasurementOperator(n=n, d=d, gram=gram, adjoint_matvec=adjoint_matvec)
     # the noise, if any, is the generator's last draw, after the masks and
     # the signal
     b = op.gram(x_true)

@@ -60,22 +60,29 @@ class MeasurementOperator:
     dataclasses.replace wraps the checked maps it is given once more, maps
     every vector to the same bits and counts its own calls from zero; a
     call through it counts on the original as well.
-    adjoint_dense(p), the n x n matrix sum_i p_i G_i, is set only by the
-    completion and phase builders, for the benchmark's dense certificate
-    check at small n; no solver reads it, and it is None otherwise.
+
+    adjoint_dense(p) returns the n x n matrix sum_i p_i G_i, for dense
+    checks at small n such as the benchmark's certificate check; no solver
+    calls it. It raises ValueError for a p of a shape other than (d,), and
+    otherwise applies the adjoint kernel given at construction, unchecked,
+    to each column of the n x n identity, so every operator has the view
+    and it is built from the kernel Lanczos runs on. It costs n kernel
+    calls but adds nothing to eval_counts(); on a copy made by
+    dataclasses.replace the kernel it was given is the original's checked
+    map, so there the calls count on the original.
     """
 
     n: int
     d: int
     gram: Callable
     adjoint_matvec: Callable
-    adjoint_dense: Callable | None = None
 
     def __post_init__(self):
         _check_count("matrix side n", self.n, 1)
         _check_count("measurement count d", self.d, 1)
         n, d, gram, adjoint_matvec = self.n, self.d, self.gram, self.adjoint_matvec
         counts = self._counts = {"gram_calls": 0, "adjoint_calls": 0}
+        self._adjoint_kernel = adjoint_matvec
 
         # a kernel given a q of another shape would read it flat, broadcast
         # it or index past it, so no kernel sees one. asarray with order="C"
@@ -103,6 +110,13 @@ class MeasurementOperator:
 
     def eval_counts(self):
         return dict(self._counts)
+
+    def adjoint_dense(self, p):
+        p = np.asarray(p, dtype=float, order="C")
+        if p.shape != (self.d,):
+            raise ValueError(f"adjoint_dense needs p of shape ({self.d},), got {p.shape}")
+        # each row of the identity is a C-contiguous float64 unit vector
+        return np.stack([self._adjoint_kernel(p, e) for e in np.eye(self.n)], axis=1)
 
 
 @dataclass

@@ -12,8 +12,10 @@ reports, by a route the solver does not take:
   public scipy.fft, beside the private kernels the bundled operator calls;
 - each bundled operator on explicit n x n matrices (apply_dense,
   adjoint_dense), written from the bundle's public data rather than from
-  the builder's kernels, and the semidefinite program written out over
-  dense matrices (dense_program) for the conic solver over PsdCone;
+  the builder's kernels, the semidefinite program written out over dense
+  matrices (dense_program) for the conic solver over PsdCone, and
+  Frank-Wolfe on {X psd, tr X <= tau} over dense matrices
+  (dense_frank_wolfe), the reference for fw_solve;
 - cone membership and the distance to the dual cone, which the solvers
   never compute: the tests check the identity -<g, lmo(g)> = dist_dual(g, K*)
   against these;
@@ -371,6 +373,31 @@ def dense_program(fv, n, gamma, apply, adjoint):
         return a, b + gamma * float(np.trace(direction))
 
     return ConicProgram(n * n, value, gradient, cone=PsdCone(n), restriction_oracle=restriction)
+
+
+def dense_frank_wolfe(fv, n, gamma, apply, adjoint, tau, visits):
+    """The (f, gap) of each visit of Frank-Wolfe on min f(apply(X)) +
+    gamma tr X over {X psd, tr X <= tau}, from X = 0, written out over
+    dense n x n matrices. Each visit takes the gradient adjoint(grad f) +
+    gamma I, an eigh LMO whose atom is tau q q^T for the bottom eigenpair
+    (lam, q) when lam < 0 and X = 0 otherwise, the gap <gradient, X - atom>,
+    and the exact minimizer over [0, 1] of the objective along the segment
+    to the atom, a quadratic read off fv.restriction. The run stops after
+    visit `visits`, or on a gap <= 0, as a run with tol_eps 0 does."""
+    x = np.zeros((n, n))
+    out = []
+    for k in range(visits + 1):
+        y = apply(x)
+        grad = adjoint(fv.gradient(y)) + gamma * np.eye(n)
+        lam, vecs = np.linalg.eigh(grad)
+        atom = tau * np.outer(vecs[:, 0], vecs[:, 0]) if lam[0] < 0.0 else np.zeros((n, n))
+        out.append((fv.value(y) + gamma * float(np.trace(x)), float(np.vdot(grad, x - atom))))
+        if out[-1][1] <= 0.0 or k == visits:
+            return np.array(out)
+        a, b = fv.restriction(y, apply(atom - x))
+        b += gamma * float(np.trace(atom - x))
+        theta = min(1.0, max(0.0, -b / (2.0 * a))) if a > 0.0 else float(b < 0.0)
+        x = x + theta * (atom - x)
 
 
 def quartic_argmin_roots(c1, c2, c3, c4):

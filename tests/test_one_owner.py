@@ -326,6 +326,8 @@ _REAL_SITES = {
     "gamma": ("gamma", "[0, inf)", (-5e-324, math.inf), lambda v: _toy_sdp(sdp_solve, gamma=v)),
     "tau": ("tau", "(0, inf)", (0.0, math.inf), lambda v: _toy_sdp(fw_solve, tau=v)),
     "greedy-gamma": ("gamma", "[0, inf)", (-5e-324, math.inf), _toy_refit),
+    "minimize-convex-1d-hi": ("hi", "[0, inf]", (-5e-324,),
+                              lambda v: cdkit.core.minimize_convex_1d(lambda t: t - 5.0, v)),
     "trace-toy-target": ("target", "(0, inf)", (0.0, math.inf),
                          lambda v: build_trace_toy(target=v)),
     "matcomp-density": ("density", "(0, 1]", (0.0, np.nextafter(1.0, 2.0)),

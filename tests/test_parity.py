@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -31,5 +33,19 @@ def test_parity_compare_reports_what_differs():
         sys.path.pop(0)
     assert parity.compare({"a": 1.0, "b": [2, "x"]}, {"a": 1.0, "b": [2, "x"]}) == "identical"
     assert parity.compare({"a": 0.5}, {"a": 0.5, "c": 1}) == "keys added: c"
-    assert parity.compare({"a": 4.0}, {"a": 5.0}) == "largest relative change 0.2 at a"
-    assert parity.compare({"a": "x"}, {"a": "y"}) == "largest relative change inf at a"
+    both = "largest relative change 0.2 at a; largest scaled absolute change 0.2 at a"
+    assert parity.compare({"a": 4.0}, {"a": 5.0}) == both
+    text = "largest relative change inf at a; largest scaled absolute change inf at a"
+    assert parity.compare({"a": "x"}, {"a": "y"}) == text
+    # a roundoff flip of an entry near zero reads 2 relative, but its
+    # absolute change over the leaf's largest magnitude reads it as roundoff
+    near_zero = parity.compare(
+        {"a": np.array([-2.0, 1e-17]), "b": 1.0},
+        {"a": np.array([-2.0, -1e-17]), "b": 1.0 + 2**-52},
+    )
+    assert near_zero == (
+        "largest relative change 2 at a; largest scaled absolute change 2.22e-16 at b"
+    )
+    # NaN against a number, and inf against another value, read inf both ways
+    assert parity.leaf_change(np.array([np.nan, 1.0]), np.array([0.0, 1.0])) == (np.inf, np.inf)
+    assert parity.leaf_change(np.array([np.inf, 3.0]), np.array([1.0, 3.0])) == (np.inf, np.inf)

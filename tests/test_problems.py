@@ -716,26 +716,56 @@ def test_phase_dense_and_factored_paths_agree():
     np.testing.assert_allclose(dense @ q, ph.op.adjoint_matvec(p, q), atol=1e-10)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: build_matcomp(n=100, rank=3, block=10, density=0.1, noise_snr=20.0),
-        lambda: build_phase_retrieval(n=64, m=10, noise_snr=20.0),
-    ],
-    ids=["matcomp", "phase"],
-)
-def test_builder_adjoint_dense_matches_the_oracle(build):
-    # the two builders that keep adjoint_dense keep it for the benchmark's
-    # dense certificate check, here at the benchmark's sizes; the oracle
-    # is written from the bundle's data, not beside the kernels. The trace
-    # toy has no dense map
-    bundle = build()
-    assert build_trace_toy().op.adjoint_dense is None
+def _bundled_dense_case(bundle):
+    return bundle.op, functools.partial(adjoint_dense, bundle)
+
+
+def _hand_built_dense_case():
+    # an operator built by hand over explicit dense symmetric G_i, whose
+    # dense view is the explicit sum
+    g = np.random.default_rng(3).standard_normal((7, 5, 5))
+    g = 0.5 * (g + g.transpose(0, 2, 1))
+    op = MeasurementOperator(
+        5, 7, lambda q: g @ q @ q, lambda p, u: np.einsum("k,kij,j->i", p, g, u)
+    )
+    return op, lambda p: np.einsum("k,kij->ij", p, g)
+
+
+_DENSE_CASES = {
+    "matcomp": lambda: _bundled_dense_case(
+        build_matcomp(n=100, rank=3, block=10, density=0.1, noise_snr=20.0)
+    ),
+    "phase": lambda: _bundled_dense_case(build_phase_retrieval(n=64, m=10, noise_snr=20.0)),
+    "trace": lambda: _bundled_dense_case(build_trace_toy(n=5)),
+    "hand-built": _hand_built_dense_case,
+}
+
+
+@pytest.mark.parametrize("kind", list(_DENSE_CASES))
+def test_builder_adjoint_dense_matches_the_oracle(kind):
+    # every operator reads its dense view off its adjoint kernel: the
+    # bundled ones, matcomp and phase at the benchmark's sizes, against the
+    # oracle written from the bundle's data, the hand-built one against the
+    # explicit sum of its G_i. The view runs the kernel unchecked, so it
+    # adds nothing to the counts, and it hands the kernel a contiguous copy
+    # of a strided p. The builders pass no dense map, and the keyword that
+    # took one is gone
+    op, want = _DENSE_CASES[kind]()
     rng = np.random.default_rng(8)
     for _ in range(3):
-        p = rng.standard_normal(bundle.op.d)
-        want = adjoint_dense(bundle, p)
-        np.testing.assert_allclose(bundle.op.adjoint_dense(p), want, rtol=0, atol=1e-13)
+        p = rng.standard_normal(op.d)
+        before = op.eval_counts()
+        got = op.adjoint_dense(p)
+        assert op.eval_counts() == before
+        assert got.shape == (op.n, op.n)
+        np.testing.assert_allclose(got, want(p), rtol=0, atol=1e-13)
+    strided = np.repeat(p, 2)[::2]
+    assert op.adjoint_dense(strided).tobytes() == got.tobytes()
+    for bad in (np.ones(op.d + 1), np.ones((op.d, 1)), np.ones(())):
+        with pytest.raises(ValueError, match=rf"adjoint_dense needs p of shape \({op.d},\)"):
+            op.adjoint_dense(bad)
+    with pytest.raises(TypeError, match="adjoint_dense"):
+        MeasurementOperator(op.n, op.d, op.gram, op.adjoint_matvec, adjoint_dense=want)
 
 
 def test_recovery_error_sign_invariant():

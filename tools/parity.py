@@ -25,9 +25,12 @@ command-line run the trace CSV without wall_ms, the summary JSON without
 wall_ms_total and build, the phase runs' factor.npz and the matcomp
 --dump-to file. --smoke runs 3 small solves and nothing else.
 
-For each solve, instance and field this prints "identical", the largest
-relative change, or the keys one side has and the other lacks. Identical
-means equal to the bit, NaN included. The exit code is 0 when every field
+For each solve, instance and field this prints "identical", or what
+differs: the keys one side has and the other lacks, the largest relative
+change, and the largest absolute change scaled by the largest finite
+magnitude of its leaf (an array or a number). A roundoff change to an
+entry near zero reads a relative change of up to 2, but a scaled change
+near machine epsilon. Identical means equal to the bit, NaN included. The exit code is 0 when every field
 is identical, 1 when any differs, and 2 when a side could not run.
 """
 
@@ -143,7 +146,8 @@ def instance_set():
 
     def arrays(build, names, **kwargs):
         # the orthant bundle holds its objective as program, the
-        # measurement bundles as fv; matcomp and phase keep a dense adjoint
+        # measurement bundles as fv. The benchmark reads the dense adjoint
+        # of matcomp and phase; only those two have one in older checkouts
         def call():
             bundle = build(**kwargs)
             out = {name: getattr(bundle, name) for name in names}
@@ -274,23 +278,31 @@ def flatten(value, path, out):
 
 
 def leaf_change(a, b):
-    """0.0 for leaves equal to the bit, else the largest relative change (inf
-    for a change of kind, shape or text)."""
+    """(0.0, 0.0) for leaves equal to the bit, else the largest relative
+    change and the largest absolute change over the largest finite
+    magnitude of either leaf (both inf for a change of kind, shape or
+    text)."""
     numeric = (int, float, np.number, np.ndarray)
     if not (isinstance(a, numeric) and isinstance(b, numeric)) or isinstance(a, bool):
-        return 0.0 if type(a) is type(b) and a == b else float("inf")
+        same = type(a) is type(b) and a == b
+        return (0.0, 0.0) if same else (float("inf"), float("inf"))
     a, b = np.asarray(a), np.asarray(b)
     if a.dtype != b.dtype or a.shape != b.shape:
-        return float("inf")
+        return float("inf"), float("inf")
     if a.tobytes() == b.tobytes():
-        return 0.0
+        return 0.0, 0.0
     a, b = a.astype(float), b.astype(float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
-    # a change from 0 reads 1; NaN against a number or inf against another
-    # value reads inf
-    rel = np.where(a == b, 0.0, np.where(np.isnan(rel), np.inf, rel))
-    return float(rel.max())
+    both = np.concatenate([a.ravel(), b.ravel()])
+    scale = float(np.abs(both[np.isfinite(both)]).max(initial=0.0))
+    changes = []
+    for ref in (np.maximum(np.abs(a), np.abs(b)), scale):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            change = np.abs(a - b) / ref
+        # a change from 0 reads 1 relative; NaN against a number or inf
+        # against another value reads inf
+        change = np.where(a == b, 0.0, np.where(np.isnan(change), np.inf, change))
+        changes.append(float(change.max()))
+    return tuple(changes)
 
 
 def compare(a, b):
@@ -304,9 +316,10 @@ def compare(a, b):
         parts.append("keys added: " + ", ".join(added))
     if removed:
         parts.append("keys removed: " + ", ".join(removed))
-    worst, where = max(changes, default=(0.0, ""))
-    if worst > 0.0:
-        parts.append(f"largest relative change {worst:.3g}" + (f" at {where}" if where else ""))
+    for i, kind in enumerate(("relative", "scaled absolute")):
+        worst, where = max(((c[i], k) for c, k in changes), default=(0.0, ""))
+        if worst > 0.0:
+            parts.append(f"largest {kind} change {worst:.3g}" + (f" at {where}" if where else ""))
     return "; ".join(parts) or "identical"
 
 
