@@ -261,20 +261,19 @@ def _solver_config(spec, m_estimate):
 
 @functools.cache
 def _build_stamp():
-    # one stamp per process: the modules it describes are loaded only once
+    # one stamp per process: the modules it describes are loaded only once.
+    # A copy of the package that an enclosing repository does not track (a
+    # virtualenv or a vendored copy in a user's project) is not described by
+    # that repository's commit, so only tracked files get one
     here = os.path.dirname(os.path.abspath(__file__))
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=here,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    if out.returncode != 0:
-        return "unknown"
+    tracked = ["git", "ls-files", "--error-unmatch", "__init__.py"]
+    for argv in (tracked, ["git", "describe", "--always", "--dirty"]):
+        try:
+            out = subprocess.run(argv, cwd=here, capture_output=True, text=True, timeout=10)
+        except (OSError, subprocess.SubprocessError):
+            return "unknown"
+        if out.returncode != 0:
+            return "unknown"
     return out.stdout.strip()
 
 
@@ -287,20 +286,35 @@ def _own_fields(command):
     return [f.name for f in dataclasses.fields(RunSpec) if f.name in given]
 
 
-def _base_summary(spec, result):
-    # the trace file and the summary keys every command shares
-    result.trace.write_csv(f"{spec.prefix}.trace.csv")
-    last = result.trace[-1]
-    return {
-        "config": {name: getattr(spec, name) for name in _own_fields(spec.command)},
-        "build": _build_stamp(),
-        "status": result.status,
-        "iters_run": int(last.k),
-        "final_f": float(last.f_value),
-        "final_dual_cert": float(result.certified_dual_cert),
-        "wall_ms_total": float(last.wall_ms),
-        "stats": result.stats,
-    }
+def _build(spec):
+    # the spec as the run echoes it, the instance, and the command's own
+    # estimate of M. matcomp has none: validate demands --heuristic-m for
+    # mocoh and --trace-bound for fw there
+    if spec.command == "toy":
+        bundle = build_orthant_quadratic(dim=spec.dim, seed=spec.seed)
+        return spec, bundle, float(np.linalg.norm(bundle.x_star))
+    if spec.command == "matcomp":
+        bundle = build_matcomp(
+            n=spec.n,
+            rank=spec.rank,
+            seed=spec.seed,
+            block=spec.block,
+            density=spec.density,
+            noise_snr=spec.noise_snr,
+        )
+        return spec, bundle, None
+    if spec.command != "phase":
+        raise UsageError(f"unknown command {spec.command!r}")
+    signal = None if spec.image is None else read_pgm(spec.image).ravel()
+    bundle = build_phase_retrieval(
+        n=spec.n, m=spec.m, seed=spec.seed, noise_snr=spec.noise_snr, signal=signal
+    )
+    # an image sets the signal length; the summary echoes it as n
+    spec = dataclasses.replace(spec, n=bundle.op.n)
+    # the readout's own checks, on an empty sketch of the run's width: a
+    # width or rank it rejects fails here, before the solve
+    sketch_reconstruct(SketchState.create(bundle.op.n, spec.sketch), spec.recon_rank)
+    return spec, bundle, bundle.m_estimate
 
 
 def run_experiment(spec):
@@ -313,12 +327,45 @@ def run_experiment(spec):
     the library applies them.
     """
     validate(spec)
+    spec, bundle, m_estimate = _build(spec)
+    config = _solver_config(spec, m_estimate)
     if spec.command == "toy":
-        bundle, summary = _run_toy(spec)
-    elif spec.command in ("matcomp", "phase"):
-        bundle, summary = _run_sdp(spec)
+        result = solve(bundle.program, config)
     else:
-        raise UsageError(f"unknown command {spec.command!r}")
+        gamma = spec.gamma if spec.gamma is not None else bundle.gamma
+        solver = sdp_solve
+        if spec.algo == "fw":
+            tau = spec.trace_bound if spec.trace_bound is not None else 2.0 * m_estimate
+            solver = functools.partial(fw_solve, tau=tau)
+        result = solver(bundle.fv, bundle.op, gamma=gamma, config=config, sketch_size=spec.sketch)
+    if spec.command == "phase":
+        u, lam = sketch_reconstruct(result.sketch, spec.recon_rank)
+    result.trace.write_csv(f"{spec.prefix}.trace.csv")
+    last = result.trace[-1]
+    summary = {
+        "config": {name: getattr(spec, name) for name in _own_fields(spec.command)},
+        "build": _build_stamp(),
+        "status": result.status,
+        "iters_run": int(last.k),
+        "final_f": float(last.f_value),
+        "final_dual_cert": float(result.certified_dual_cert),
+        "wall_ms_total": float(last.wall_ms),
+        "stats": result.stats,
+    }
+    if spec.command == "toy":
+        summary["f_star_known"] = float(bundle.f_star)
+        summary["gap_to_known"] = float(last.f_value - bundle.f_star)
+    else:
+        summary["final_trace"] = float(result.final_tr)
+        summary["final_lambda_min"] = float(result.final_lambda)
+    if spec.command == "matcomp":
+        summary["n_observed"] = int(bundle.op.d)
+    if spec.command == "phase":
+        summary["factor_file"] = f"{spec.prefix}.factor.npz"
+        _write_npz(summary["factor_file"], u=u, lam=lam)
+        x_hat = u[:, 0] * math.sqrt(max(float(lam[0]), 0.0))
+        summary["m_estimate"] = float(m_estimate)
+        summary["recovery_error"] = float(recovery_error(x_hat, bundle.x_true))
     if spec.dump_to is not None:
         kind, names = _DUMPS[spec.command]
         arrays = {name: getattr(bundle, name) for name in names}
@@ -334,74 +381,6 @@ def _write_npz(path, **arrays):
     # written where it is
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
-
-
-def _run_toy(spec):
-    bundle = build_orthant_quadratic(dim=spec.dim, seed=spec.seed)
-    m_estimate = float(np.linalg.norm(bundle.x_star))
-    result = solve(bundle.program, _solver_config(spec, m_estimate))
-    summary = _base_summary(spec, result)
-    summary["f_star_known"] = float(bundle.f_star)
-    summary["gap_to_known"] = float(result.trace[-1].f_value - bundle.f_star)
-    return bundle, summary
-
-
-def _run_sdp(spec):
-    # matcomp has no scale estimate: validate demands --heuristic-m for mocoh
-    # and --trace-bound for fw there
-    phase = spec.command == "phase"
-    if phase:
-        signal = None if spec.image is None else read_pgm(spec.image).ravel()
-        bundle = build_phase_retrieval(
-            n=spec.n,
-            m=spec.m,
-            seed=spec.seed,
-            noise_snr=spec.noise_snr,
-            signal=signal,
-        )
-        # an image sets the signal length; the summary echoes it as n
-        spec = dataclasses.replace(spec, n=bundle.op.n)
-        # the readout's own checks, on an empty sketch of the run's width: a
-        # width or rank it rejects fails here, before the solve
-        sketch_reconstruct(SketchState.create(bundle.op.n, spec.sketch), spec.recon_rank)
-        m_estimate = bundle.m_estimate
-    else:
-        bundle = build_matcomp(
-            n=spec.n,
-            rank=spec.rank,
-            seed=spec.seed,
-            block=spec.block,
-            density=spec.density,
-            noise_snr=spec.noise_snr,
-        )
-        m_estimate = None
-    gamma = spec.gamma if spec.gamma is not None else bundle.gamma
-    solver = sdp_solve
-    if spec.algo == "fw":
-        tau = spec.trace_bound if spec.trace_bound is not None else 2.0 * m_estimate
-        solver = functools.partial(fw_solve, tau=tau)
-    result = solver(
-        bundle.fv,
-        bundle.op,
-        gamma=gamma,
-        config=_solver_config(spec, m_estimate),
-        sketch_size=spec.sketch,
-    )
-    if phase:
-        u, lam = sketch_reconstruct(result.sketch, spec.recon_rank)
-    summary = _base_summary(spec, result)
-    summary["final_trace"] = float(result.final_tr)
-    summary["final_lambda_min"] = float(result.final_lambda)
-    if not phase:
-        summary["n_observed"] = int(bundle.op.d)
-        return bundle, summary
-    x_hat = u[:, 0] * math.sqrt(max(float(lam[0]), 0.0))
-    factor_path = f"{spec.prefix}.factor.npz"
-    _write_npz(factor_path, u=u, lam=lam)
-    summary["m_estimate"] = float(m_estimate)
-    summary["recovery_error"] = float(recovery_error(x_hat, bundle.x_true))
-    summary["factor_file"] = factor_path
-    return bundle, summary
 
 
 def _spec_worker(spec):

@@ -6,6 +6,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -237,6 +241,77 @@ def test_summary_echoes_only_the_commands_settings(tmp_path, argv):
         echo = json.load(fh)["config"]
     assert set(echo) == _COMMAND_FIELDS[command] | {"command"}
     assert echo["command"] == command and echo["iters"] == 3
+
+
+_SHARED_KEYS = {
+    "build", "config", "final_dual_cert", "final_f", "iters_run", "stats", "status",
+    "wall_ms_total",
+}
+_SDP_KEYS = {"final_trace", "final_lambda_min"}
+
+
+@pytest.mark.parametrize(
+    "argv, own_keys",
+    [
+        (["toy"], {"f_star_known", "gap_to_known"}),
+        (["matcomp", "--n", "20"], _SDP_KEYS | {"n_observed"}),
+        (
+            ["matcomp", "--n", "20", "--algo", "fw", "--trace-bound", "30"],
+            _SDP_KEYS | {"n_observed"},
+        ),
+        (
+            ["phase", "--n", "16", "--m", "4"],
+            _SDP_KEYS | {"m_estimate", "recovery_error", "factor_file"},
+        ),
+        (
+            ["phase", "--n", "16", "--m", "4", "--algo", "fw"],
+            _SDP_KEYS | {"m_estimate", "recovery_error", "factor_file"},
+        ),
+    ],
+    ids=["toy", "matcomp", "matcomp-fw", "phase", "phase-fw"],
+)
+def test_each_command_writes_its_files_and_summary_keys(tmp_path, argv, own_keys):
+    # every run writes the trace, the summary and the --dump-to file, and
+    # phase its factor file; the summary holds the shared keys and the
+    # command's own
+    prefix = tmp_path / "run"
+    extra = ["--iters", "5", "--prefix", str(prefix), "--dump-to", str(tmp_path / "inst.npz")]
+    assert console_main(argv + extra) == 0
+    written = {"run.trace.csv", "run.summary.json", "inst.npz"}
+    if argv[0] == "phase":
+        written.add("run.factor.npz")
+    assert {p.name for p in tmp_path.iterdir()} == written
+    with open(f"{prefix}.summary.json") as fh:
+        summary = json.load(fh)
+    assert set(summary) == _SHARED_KEYS | own_keys
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git on PATH")
+def test_build_stamp_of_an_untracked_copy_is_unknown(tmp_path):
+    # a copy of the package that sits untracked inside another repository
+    # does not stamp that repository's commit
+    outer = tmp_path / "project"
+    outer.mkdir()
+    env = {key: val for key, val in os.environ.items() if not key.startswith("GIT_")}
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "one"]):
+        subprocess.run(git + args, cwd=outer, env=env, check=True, capture_output=True)
+    vendor = outer / "vendor"
+    shutil.copytree(
+        os.path.dirname(cli.__file__), vendor / "cdkit",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    script = (
+        f"import sys; sys.path.insert(0, {str(vendor)!r}); import cdkit.cli; "
+        f"assert cdkit.cli.__file__.startswith({str(vendor)!r}); "
+        "print(cdkit.cli._build_stamp())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "unknown\n"
 
 
 def test_removed_trace_every_flag_exits_two(capsys):

@@ -46,6 +46,17 @@ def test_parity_compare_reports_what_differs():
     assert near_zero == (
         "largest relative change 2 at a; largest scaled absolute change 2.22e-16 at b"
     )
+    # a zero whose sign flipped differs in its bytes, so it never reads
+    # identical, whether a number or an entry of an array
+    assert parity.compare({"a": 0.0}, {"a": -0.0}) == "sign of zero at a"
+    flipped = parity.compare(
+        {"a": np.array([1.0, 0.0]), "b": 2.0}, {"a": np.array([1.0, -0.0]), "b": 2.5}
+    )
+    assert flipped == (
+        "sign of zero at a; largest relative change 0.2 at b; "
+        "largest scaled absolute change 0.2 at b"
+    )
+    assert parity.compare(np.array([0.0, 1.0]), np.array([-0.0, 1.0])) == "sign of zero"
     # NaN against a number, and inf against another value, read inf both ways
     assert parity.leaf_change(np.array([np.nan, 1.0]), np.array([0.0, 1.0])) == (np.inf, np.inf)
     assert parity.leaf_change(np.array([np.inf, 3.0]), np.array([1.0, 3.0])) == (np.inf, np.inf)

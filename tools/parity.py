@@ -11,7 +11,7 @@ the commit before HEAD:
 Each side runs in its own subprocess, with that side's src/ first on
 sys.path; the subprocess checks that cdkit was imported from there. Both
 sides run this file's fixed set of solves and, without --smoke, its set of
-built instances and five command-line runs, one of them a phase run on a
+built instances and eight command-line runs, one of them a phase run on a
 small graymap with a header comment that the side writes first, and write
 what they return to a temporary directory: per solve the trace (every
 column but wall_ms), stats (greedy events included), status, the final
@@ -22,16 +22,19 @@ and x_true, for drawn and given signals), the objective's gradient at 0,
 which reads the data the objective holds, and for matcomp and phase the
 operator's adjoint_dense at a fixed p, the benchmark's dense reference; per
 command-line run the trace CSV without wall_ms, the summary JSON without
-wall_ms_total and build, the phase runs' factor.npz and the matcomp
---dump-to file. --smoke runs 3 small solves and nothing else.
+wall_ms_total and build, the phase runs' factor.npz and the --dump-to
+files of toy, matcomp and phase. --smoke runs 3 small solves and nothing
+else.
 
 For each solve, instance and field this prints "identical", or what
 differs: the keys one side has and the other lacks, the largest relative
 change, and the largest absolute change scaled by the largest finite
 magnitude of its leaf (an array or a number). A roundoff change to an
 entry near zero reads a relative change of up to 2, but a scaled change
-near machine epsilon. Identical means equal to the bit, NaN included. The exit code is 0 when every field
-is identical, 1 when any differs, and 2 when a side could not run.
+near machine epsilon. A zero whose sign flipped changes neither, so it
+is named apart, as "sign of zero at <leaf>". Identical means equal to the
+bit, NaN included. The exit code is 0 when every field is identical, 1
+when any differs, and 2 when a side could not run.
 """
 
 import argparse
@@ -207,6 +210,12 @@ CLI_RUNS = {
     "matcomp-fw": ["matcomp", "--algo", "fw", "--n", "40", "--trace-bound", "50", "--iters", "100"],
     "matcomp-dump": ["matcomp", "--n", "40", "--iters", "20", "--dump-to", "matcomp-dump.dump.npz"],
     "phase-image": ["phase", "--image", "img.pgm", "--iters", "20"],
+    # M from the toy's |x*|, tau = 2 M on phase, and matcomp's given M
+    "toy-mocoh": ["toy", "--algo", "mocoh", "--dump-to", "toy-mocoh.dump.npz"],
+    "phase-fw": ["phase", "--algo", "fw", "--iters", "100", "--dump-to", "phase-fw.dump.npz"],
+    "matcomp-mocoh": [
+        "matcomp", "--algo", "mocoh", "--n", "40", "--heuristic-m", "30", "--iters", "100"
+    ],
 }
 # the 6 x 4 ASCII graymap the phase-image run reads
 IMAGE_PGM = (
@@ -278,10 +287,10 @@ def flatten(value, path, out):
 
 
 def leaf_change(a, b):
-    """(0.0, 0.0) for leaves equal to the bit, else the largest relative
-    change and the largest absolute change over the largest finite
-    magnitude of either leaf (both inf for a change of kind, shape or
-    text)."""
+    """(0.0, 0.0) for leaves equal to the bit or apart only in the sign of
+    zeros (zero_sign_flip names those), else the largest relative change
+    and the largest absolute change over the largest finite magnitude of
+    either leaf (both inf for a change of kind, shape or text)."""
     numeric = (int, float, np.number, np.ndarray)
     if not (isinstance(a, numeric) and isinstance(b, numeric)) or isinstance(a, bool):
         same = type(a) is type(b) and a == b
@@ -305,17 +314,32 @@ def leaf_change(a, b):
     return tuple(changes)
 
 
+def zero_sign_flip(a, b):
+    """Whether two float leaves of one dtype and shape hold zeros of
+    opposite sign at some entry, a change leaf_change reads as none."""
+    floats = (float, np.floating, np.ndarray)
+    if not (isinstance(a, floats) and isinstance(b, floats)):
+        return False
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape or a.dtype.kind != "f":
+        return False
+    return bool(np.any((a == b) & (np.signbit(a) != np.signbit(b))))
+
+
 def compare(a, b):
     """"identical", or what differs between two values of one field."""
     fa, fb = flatten(a, "", {}), flatten(b, "", {})
     added = [k.lstrip(".") for k in fb if k not in fa]
     removed = [k.lstrip(".") for k in fa if k not in fb]
     changes = [(leaf_change(fa[k], fb[k]), k.lstrip(".")) for k in fa if k in fb]
+    flips = [k.lstrip(".") for k in fa if k in fb and zero_sign_flip(fa[k], fb[k])]
     parts = []
     if added:
         parts.append("keys added: " + ", ".join(added))
     if removed:
         parts.append("keys removed: " + ", ".join(removed))
+    if flips:
+        parts.append("sign of zero" + (" at " + ", ".join(flips) if any(flips) else ""))
     for i, kind in enumerate(("relative", "scaled absolute")):
         worst, where = max(((c[i], k) for c, k in changes), default=(0.0, ""))
         if worst > 0.0:
