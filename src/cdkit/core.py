@@ -83,8 +83,10 @@ class ConicProgram:
 class SolverConfig:
     """Run parameters shared by the conic and semidefinite solvers.
 
-    momentum_mode "moco" averages gradients with weight 2/(k+2); "cd" uses the
-    raw current gradient. fw_solve runs as "cd" in either mode. With
+    momentum_mode "moco" averages gradients with weight 2/(j+2), where j
+    counts the visits since the average last restarted: visit 0, or the
+    visit after a greedy refit that restarted it (see sdp_solve). "cd" uses
+    the raw current gradient. fw_solve runs as "cd" in either mode. With
     heuristic_m None every step searches along the atom; a positive finite
     heuristic_m M takes theta_k = 2 M / (k + 2) instead and performs no
     search (monotone descent is then not guaranteed); fw_solve rejects it.
@@ -93,7 +95,11 @@ class SolverConfig:
     gradient perturbation moved the certificate by 1.6e-6 at visit 50.
     Reruns on one machine stay bit-identical, but a run on another BLAS can
     part from them within a few dozen visits, which is why those tests
-    stop at visit 40.
+    stop at visit 40. A greedy run whose average restarts parts across
+    BLAS builds sooner too: a fresh average weighs its few newest gradients
+    heavily, so it reads sooner a roundoff difference that two runs' refits
+    leave along a flat valley (see the restriction-free agreement case in
+    the tests).
     tol_eps must be a number in [0, inf). greedy_period > 0 enables the
     periodic factored descent step and applies to sdp_solve only.
     max_iters must be an int >= 1, and greedy_period and rng_seed ints >= 0
@@ -307,8 +313,11 @@ def _descend(counted, config, it, callback, stop_at):
     The loop owns the momentum average, the stop test, the trace (one
     record per visit, so trace[k].k == k), the counters and the result:
     g_avg starts at zero and each visit sets
-    g_avg = (1 - delta) g_avg + delta grad, with delta = 2 / (k + 2) under
-    momentum_mode "moco" and 1 under "cd". `it` carries one solver's
+    g_avg = (1 - delta) g_avg + delta grad, with delta = 2 / (j + 2) under
+    momentum_mode "moco" and 1 under "cd". j counts the visits since the
+    average last restarted: it is k until a step reports a restart at visit
+    k', and k - k' - 1 after, so visit k' + 1's average is its own gradient.
+    `it` carries one solver's
     iterate and per-visit math, and reports each visit's facts only by
     return value:
       evaluate() -> (f, gradient, cs, eta) at the visited point, after any
@@ -323,8 +332,10 @@ def _descend(counted, config, it, callback, stop_at):
         stop the run certifies again with confirm and stops only if that
         value still meets the bar; if not, it records that value and steps
         along the confirming atom;
-      step(k, theta) moves by theta, or by a searched length when theta is
-        None, and returns the length used;
+      step(k, theta) -> (theta, restart): moves by theta, or by a searched
+        length when theta is None, and returns the length used and whether
+        the momentum average restarts after this visit. The scheduled
+        theta keeps counting from visit 0;
       payload(record) -> the dict passed to callback: the visit's trace
         record under "record" plus the iterate's own state; the loop adds
         "g_avg";
@@ -355,13 +366,14 @@ def _descend(counted, config, it, callback, stop_at):
     lanczos = "adjoint_calls" in counts0
     lmo_matvecs = confirmations = 0
     g_avg = 0.0
+    k_restart = 0  # the visit the momentum average starts from
     t_start = time.perf_counter()
 
     for k in range(config.max_iters + 1):
         fval, grad, cs, eta = it.evaluate()
         if not math.isfinite(fval) or not np.isfinite(grad).all():
             raise NonFiniteValue(f"non-finite objective data at iteration {k}")
-        delta = 2.0 / (k + 2.0) if config.momentum_mode == "moco" else 1.0
+        delta = 2.0 / (k - k_restart + 2.0) if config.momentum_mode == "moco" else 1.0
         # the average (1 - delta) g_avg + delta grad, summed into the first
         # product's new array: the same bits as the written-out sum, with one
         # fewer d-vector at the visit's peak, and still a new array per visit
@@ -382,7 +394,9 @@ def _descend(counted, config, it, callback, stop_at):
         theta = 0.0
         if not (stop or last):
             m = config.heuristic_m
-            theta = it.step(k, None if m is None else 2.0 * m / (k + 2.0))
+            theta, restart = it.step(k, None if m is None else 2.0 * m / (k + 2.0))
+            if restart:
+                k_restart = k + 1
         wall_ms = (time.perf_counter() - t_start) * 1e3
         record = TraceRecord(k, fval, cert, cs, eta, theta, wall_ms, lam)
         trace.append(record)
@@ -427,7 +441,7 @@ class _VectorIterate:
             theta = line_search_step(self.problem, self.xe, self.v)
         # taken at the next visit: the callback still sees x_k
         self.x_next = self.xe + theta * self.v
-        return theta
+        return theta, False
 
     def payload(self, record):
         return {"record": record, "x": self.x, "v": self.v}

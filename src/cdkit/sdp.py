@@ -834,14 +834,20 @@ class _SdpIterate(_MeasurementIterate):
     def __init__(self, fv, op, gamma, config, sketch_size):
         super().__init__(fv, op, gamma, config, sketch_size)
         self.greedy_period = config.greedy_period
+        self.max_iters = config.max_iters
         self.rng = np.random.default_rng(config.rng_seed)
+        # f after the last committed refit, or visit 0's f before the first
+        self.f_mark = None
 
     def evaluate(self):
         s = self.state
         eta = ray_minimize(self.fv, s.y, linear=self.gamma * s.tr)
         s.move(eta)
         self.greedy = None
-        return super().evaluate(eta)
+        visit = super().evaluate(eta)
+        if self.f_mark is None:
+            self.f_mark = visit[0]
+        return visit
 
     def certify(self, g, confirm):
         lam, self.q, confirmed = self.lmo(g, confirm)
@@ -853,6 +859,7 @@ class _SdpIterate(_MeasurementIterate):
         if theta is None:
             theta = line_search_step(self.fv, s.y, g_atom, self.gamma)
         s.move(1.0, theta, self.q, g_atom)
+        restart = False
         if self.greedy_period and (k + 1) % self.greedy_period == 0:
             # u = 0 is stationary, so the refit starts from a small random
             # factor sized to the trace, grown to its best amplitude: the
@@ -865,12 +872,25 @@ class _SdpIterate(_MeasurementIterate):
                 self.fv, s.y, _gram_cols(self.op, u), self.gamma * float(np.vdot(u, u))
             )
             u = math.sqrt(max(1.0, t)) * u
-            self.greedy = greedy_step(self.fv, self.op, self.gamma, s, u)
-            self.greedy["k"] = k
+            refit = self.greedy = greedy_step(self.fv, self.op, self.gamma, s, u)
+            refit["k"] = k
+            if refit["committed"]:
+                # restart the momentum average when the refit dropped f
+                # further than the visits since the last commit did: the
+                # gradients from before its jump no longer describe the
+                # iterate. Never at the run's last refit, which would leave
+                # the final certificates on a handful of gradients
+                drop = refit["f_before"] - refit["f_after"]
+                restart = (
+                    drop > self.f_mark - refit["f_before"]
+                    and k + self.greedy_period < self.max_iters
+                )
+                self.f_mark = refit["f_after"]
+            refit["restart"] = restart
             # the run keeps each event's scalars; the factor goes only to
             # the callback, so a run holds no factor per refit
-            self.greedy_events.append({key: v for key, v in self.greedy.items() if key != "u"})
-        return theta
+            self.greedy_events.append({key: v for key, v in refit.items() if key != "u"})
+        return theta, restart
 
 
 def sdp_solve(
@@ -920,7 +940,18 @@ def sdp_solve(
     stop. stats["greedy_events"] holds each refit's info dict, with its
     visit k, less the factor u, which only the callback's "greedy"
     carries; the events marked "committed" are the refits that moved the
-    iterate.
+    iterate, and those marked "restart" the refits that restarted the
+    momentum average.
+
+    A committed refit at visit k restarts the average when its drop
+    f_before - f_after exceeds the drop of the visits since the previous
+    committed refit (before the first, since visit 0's f), and another
+    refit still falls inside the run (k + greedy_period < max_iters). The
+    average's weight then counts from visit k + 1 (see SolverConfig), so
+    it holds no gradient from before the refit's jump; a restart at the
+    run's last refit would leave the final certificates on a few
+    gradients. The average stays a convex combination of gradients, so
+    each certificate is still the exact distance of a dual point.
 
     callback(info) runs once per visit, after the step, with "record" (the
     TraceRecord), "q", "greedy", "y", "tr", "sketch" and "g_avg" in info.
@@ -958,7 +989,7 @@ class _FwIterate(_MeasurementIterate):
         direction = tr_atom * self.gram_q - s.y
         theta = _search(self.fv, s.y, direction, self.gamma * (tr_atom - s.tr), 0.0, 1.0)
         s.move(1.0 - theta, theta * tr_atom, self.q, self.gram_q)
-        return theta
+        return theta, False
 
 
 def fw_solve(fv, op, tau, gamma=0.0, config=None, sketch_size=8, callback=None):

@@ -43,10 +43,12 @@ class PhiTracker:
     """Running affine minorant of the objective.
 
     update(delta, f_value, grad, point) must be called once per solver
-    visit with the weight delta the solver used: 2 / (k + 2) under "moco",
-    1 under "cd". The linear coefficient is the same convex combination
-    (1 - delta) * linear + delta * grad that the solver's loop forms, so it
-    matches the solver's momentum vector bitwise when fed the same gradients.
+    visit with the weight delta the solver used: 2 / (j + 2) under "moco",
+    where j counts the visits since the average last restarted (k on a run
+    that never restarts), 1 under "cd". The linear coefficient is the same
+    convex combination (1 - delta) * linear + delta * grad that the solver's
+    loop forms, so it matches the solver's momentum vector bitwise when fed
+    the same gradients.
     """
 
     def __init__(self, dim):

@@ -365,6 +365,8 @@ def test_runs_are_deterministic_modulo_walltime(tmp_path):
         assert summary(a) == summary(b)
     events = summary(tmp_path / "phase-a")["stats"]["greedy_events"]
     assert [e["k"] for e in events] == [4, 9, 14, 19]
+    # each event says whether its refit restarted the momentum average
+    assert [e["restart"] for e in events] == [False, True, False, False]
 
 
 def test_phase_run_writes_factor(tmp_path):

@@ -4,8 +4,8 @@ gradient validation, and smoothness gap probing."""
 import numpy as np
 import pytest
 
-from cdkit import ConicProgram, SolverConfig, solve
-from cdkit.problems import build_orthant_quadratic
+from cdkit import ConicProgram, SolverConfig, sdp_solve, solve
+from cdkit.problems import build_matcomp, build_orthant_quadratic
 from oracles import (
     PhiTracker,
     fd_gradient_check,
@@ -71,6 +71,49 @@ def test_phi_lower_bound_below_true_optimum():
     assert lb <= built.f_star + 1e-9
     # and not vacuously loose on a well-conditioned instance
     assert lb > built.f_star - 10.0
+
+
+def test_phi_minorant_with_restarted_weights_stays_below_a_long_matcomp_run():
+    # a 300-visit mocog run on matcomp n = 30 at gamma 0.5, whose average
+    # restarts. The tracker takes each visit's tangent of f(A(X)) + gamma tr
+    # X in measurement space, weighted 2 / (j + 2) with j counted from the
+    # visit after the last restart the refit events report, and its linear
+    # part is the loop's g_avg to the bit. A convex combination of tangents
+    # minorizes the objective, so its minimum over {X psd, tr X <= R}, for R
+    # the largest visited trace, alpha + R min(0, lambda_min(A*(linear) +
+    # gamma I)), is below every visited f, the best one included
+    mc = build_matcomp(n=30, rank=2, seed=0, block=5, density=0.15)
+    gamma = 0.5
+    tracker = PhiTracker(mc.op.d)
+    visited = {"y": np.zeros(mc.op.d), "tr": 0.0, "since": 0, "traces": [], "restarts": []}
+    mism = []
+
+    def cb(info):
+        record = info["record"]
+        # the visited point: the previous visit's state after the ray rescale
+        y, tr = record.eta * visited["y"], record.eta * visited["tr"]
+        grad = mc.fv.gradient_oracle(y)
+        delta = 2.0 / (record.k - visited["since"] + 2.0)
+        tracker.update(delta, record.f_value - gamma * tr, grad, y)
+        if not np.array_equal(tracker.linear, info["g_avg"]):
+            mism.append(record.k)
+        visited["traces"].append(tr)
+        visited["y"], visited["tr"] = info["y"], info["tr"]
+        if info["greedy"] is not None and info["greedy"]["restart"]:
+            visited["since"] = record.k + 1
+            visited["restarts"].append(record.k)
+
+    cfg = SolverConfig(max_iters=300, greedy_period=20)
+    res = sdp_solve(mc.fv, mc.op, gamma, config=cfg, callback=cb)
+    assert mism == []
+    assert visited["restarts"], "the run never restarts its average"
+    radius = max(visited["traces"])
+    adjoint = mc.op.adjoint_dense(tracker.linear) + gamma * np.eye(mc.op.n)
+    bound = tracker.alpha + radius * min(0.0, float(np.linalg.eigvalsh(adjoint)[0]))
+    best = float(res.trace.f_values().min())
+    assert bound <= best
+    # and not vacuous: 16.749 against 16.838, after 12 restarts
+    assert bound > 0.99 * best
 
 
 def test_fd_gradient_check_accepts_correct_gradient():
