@@ -85,17 +85,18 @@ class SolverConfig:
 
     momentum_mode "moco" averages gradients with weight 2/(j+2), where j
     counts the visits since the average last restarted: visit 0, or the
-    visit after a greedy refit that restarted it (see sdp_solve). "cd" uses
-    the raw current gradient. fw_solve runs as "cd" in either mode. With
-    heuristic_m None every step searches along the atom; a positive finite
-    heuristic_m M takes theta_k = 2 M / (k + 2) instead and performs no
-    search (monotone descent is then not guaranteed); fw_solve rejects it.
+    visit after the last committed greedy refit outside the run's last
+    three refits (see sdp_solve). "cd" uses the raw current gradient.
+    fw_solve runs as "cd" in either mode. With heuristic_m None every step
+    searches along the atom; a positive finite heuristic_m M takes
+    theta_k = 2 M / (k + 2) instead and performs no search (monotone
+    descent is then not guaranteed); fw_solve rejects it.
     The scheduled steps amplify roundoff about tenfold every 5 visits: on
     the 20 random operators of the differential tests, a 1e-15 relative
     gradient perturbation moved the certificate by 1.6e-6 at visit 50.
     Reruns on one machine stay bit-identical, but a run on another BLAS can
     part from them within a few dozen visits, which is why those tests
-    stop at visit 40. A greedy run whose average restarts parts across
+    stop at visit 40. A greedy run whose average restarts late parts across
     BLAS builds sooner too: a fresh average weighs its few newest gradients
     heavily, so it reads sooner a roundoff difference that two runs' refits
     leave along a flat valley (see the restriction-free agreement case in

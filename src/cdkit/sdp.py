@@ -836,18 +836,13 @@ class _SdpIterate(_MeasurementIterate):
         self.greedy_period = config.greedy_period
         self.max_iters = config.max_iters
         self.rng = np.random.default_rng(config.rng_seed)
-        # f after the last committed refit, or visit 0's f before the first
-        self.f_mark = None
 
     def evaluate(self):
         s = self.state
         eta = ray_minimize(self.fv, s.y, linear=self.gamma * s.tr)
         s.move(eta)
         self.greedy = None
-        visit = super().evaluate(eta)
-        if self.f_mark is None:
-            self.f_mark = visit[0]
-        return visit
+        return super().evaluate(eta)
 
     def certify(self, g, confirm):
         lam, self.q, confirmed = self.lmo(g, confirm)
@@ -874,18 +869,11 @@ class _SdpIterate(_MeasurementIterate):
             u = math.sqrt(max(1.0, t)) * u
             refit = self.greedy = greedy_step(self.fv, self.op, self.gamma, s, u)
             refit["k"] = k
-            if refit["committed"]:
-                # restart the momentum average when the refit dropped f
-                # further than the visits since the last commit did: the
-                # gradients from before its jump no longer describe the
-                # iterate. Never at the run's last refit, which would leave
-                # the final certificates on a handful of gradients
-                drop = refit["f_before"] - refit["f_after"]
-                restart = (
-                    drop > self.f_mark - refit["f_before"]
-                    and k + self.greedy_period < self.max_iters
-                )
-                self.f_mark = refit["f_after"]
+            # a committed refit jumps the iterate, so the gradients from
+            # before it no longer describe it: restart the momentum average,
+            # but never inside the run's last three refits, so the final
+            # certificates read an average over at least three refit periods
+            restart = refit["committed"] and k + 3 * self.greedy_period < self.max_iters
             refit["restart"] = restart
             # the run keeps each event's scalars; the factor goes only to
             # the callback, so a run holds no factor per refit
@@ -943,15 +931,14 @@ def sdp_solve(
     iterate, and those marked "restart" the refits that restarted the
     momentum average.
 
-    A committed refit at visit k restarts the average when its drop
-    f_before - f_after exceeds the drop of the visits since the previous
-    committed refit (before the first, since visit 0's f), and another
-    refit still falls inside the run (k + greedy_period < max_iters). The
+    A committed refit at visit k restarts the average when at least three
+    more refits follow in the run (k + 3 greedy_period < max_iters). The
     average's weight then counts from visit k + 1 (see SolverConfig), so
-    it holds no gradient from before the refit's jump; a restart at the
-    run's last refit would leave the final certificates on a few
-    gradients. The average stays a convex combination of gradients, so
-    each certificate is still the exact distance of a dual point.
+    it holds no gradient from before the refit's jump, and the final
+    certificates read an average over at least three refit periods; a
+    refit that commits nothing restarts nothing. The average stays a
+    convex combination of gradients, so each certificate is still the
+    exact distance of a dual point.
 
     callback(info) runs once per visit, after the step, with "record" (the
     TraceRecord), "q", "greedy", "y", "tr", "sketch" and "g_avg" in info.

@@ -366,7 +366,7 @@ def test_runs_are_deterministic_modulo_walltime(tmp_path):
     events = summary(tmp_path / "phase-a")["stats"]["greedy_events"]
     assert [e["k"] for e in events] == [4, 9, 14, 19]
     # each event says whether its refit restarted the momentum average
-    assert [e["restart"] for e in events] == [False, True, False, False]
+    assert [e["restart"] for e in events] == [True, False, False, False]
 
 
 def test_phase_run_writes_factor(tmp_path):
