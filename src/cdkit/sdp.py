@@ -49,17 +49,19 @@ class MeasurementOperator:
     of shape (n,), for p of shape (d,) and u of shape (n,). Neither is
     called with a matrix; the greedy refit maps its rank-r factor one
     column at a time. The Lanczos LMO writes into the array adjoint_matvec
-    returns. The operator checks every vector its two maps receive: it
-    rebinds gram and adjoint_matvec to maps that raise ValueError for a
-    vector of any other shape and hand the given kernels C-contiguous
+    returns. The operator checks every vector its two maps receive and
+    return: it rebinds gram and adjoint_matvec to maps that raise ValueError
+    for a vector of any other shape and hand the given kernels C-contiguous
     float64 vectors of the checked shapes, so a kernel holds only its
-    arithmetic. Each call of a checked map adds one to a count on the
-    instance, as ConicProgram counts its oracle calls: eval_counts()
-    returns {"gram_calls", "adjoint_calls"}, and the solvers and the
-    greedy refit read their calls as differences of it. A copy made by
-    dataclasses.replace wraps the checked maps it is given once more, maps
-    every vector to the same bits and counts its own calls from zero; a
-    call through it counts on the original as well.
+    arithmetic. The maps also raise ValueError, naming the map and the
+    shape it got, when a kernel returns anything but shape (d,) from gram
+    or (n,) from adjoint_matvec, a scalar included. Each call of a checked
+    map adds one to a count on the instance, as ConicProgram counts its
+    oracle calls: eval_counts() returns {"gram_calls", "adjoint_calls"},
+    and the solvers and the greedy refit read their calls as differences
+    of it. A copy made by dataclasses.replace wraps the checked maps it is
+    given once more, maps every vector to the same bits and counts its own
+    calls from zero; a call through it counts on the original as well.
 
     adjoint_dense(p) returns the n x n matrix sum_i p_i G_i, for dense
     checks at small n such as the benchmark's certificate check; no solver
@@ -84,6 +86,13 @@ class MeasurementOperator:
         counts = self._counts = {"gram_calls": 0, "adjoint_calls": 0}
         self._adjoint_kernel = adjoint_matvec
 
+        # a scalar or a (d, 1) image would broadcast into the objective's
+        # arithmetic, so a kernel's output is checked as its inputs are
+        def returned(name, out, size):
+            if np.shape(out) != (size,):
+                raise ValueError(f"{name} must return shape ({size},), got {np.shape(out)}")
+            return out
+
         # a kernel given a q of another shape would read it flat, broadcast
         # it or index past it, so no kernel sees one. asarray with order="C"
         # keeps a 0-d array 0-d, where ascontiguousarray makes it (1,)
@@ -92,7 +101,7 @@ class MeasurementOperator:
             if q.shape != (n,):
                 raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
             counts["gram_calls"] += 1
-            return gram(q)
+            return returned("gram", gram(q), d)
 
         def checked_adjoint_matvec(p, u):
             p = np.asarray(p, dtype=float, order="C")
@@ -103,7 +112,7 @@ class MeasurementOperator:
                     f"got {p.shape} and {u.shape}"
                 )
             counts["adjoint_calls"] += 1
-            return adjoint_matvec(p, u)
+            return returned("adjoint_matvec", adjoint_matvec(p, u), n)
 
         self.gram = checked_gram
         self.adjoint_matvec = checked_adjoint_matvec
@@ -129,10 +138,11 @@ class SdpState:
     image of q q^T, the trace scale tr + weight tr_q, where tr_q is the trace
     of q q^T (1 for a unit vector, the default), and the sketch is scaled
     and gets the term of q q^T. A scale of 1 skips the multiply, and a q of
-    None adds no term. This is the one writer of the state: the solvers'
-    steps, the ray rescale and the greedy refit's commit all go through it.
-    y is rebound to a new array, never updated in place, so a callback may
-    keep the previous one.
+    None adds no term. A q of any other shape raises ValueError before the
+    first write, so a rejected move leaves y, tr and the sketch as they were.
+    This is the one writer of the state: the solvers' steps, the ray rescale
+    and the greedy refit's commit all go through it. y is rebound to a new
+    array, never updated in place, so a callback may keep the previous one.
     """
 
     y: np.ndarray
@@ -140,6 +150,7 @@ class SdpState:
     sketch: "SketchState"
 
     def move(self, scale=1.0, weight=0.0, q=None, gram_q=None, tr_q=1.0):
+        q = None if q is None else _as_factor(q, len(self.sketch.s))
         if scale != 1.0:
             self.y = scale * self.y
             self.sketch.scale(scale)
@@ -187,12 +198,7 @@ class SketchState:
         A q of any other shape, r = 0 included, raises ValueError and leaves
         the sketch as it was.
         """
-        q = np.asarray(q, dtype=float)
-        n = self.s.shape[0]
-        if q.shape != (n,) and (q.ndim != 2 or q.shape[0] != n or q.shape[1] < 1):
-            raise ValueError(f"q must have shape ({n},) or ({n}, r >= 1), got {q.shape}")
-        # for a vector each entry of the term is one product, as np.outer's
-        q2 = q.reshape(n, -1)
+        q2 = _as_factor(q, len(self.s))
         self.s += theta * (q2 @ (q2.T @ self.omega))
 
     def replace(self, t_sq, u):
@@ -202,43 +208,42 @@ class SketchState:
         self.s = t_sq * self.s + u @ (u.T @ self.omega)
 
 
+def _as_factor(q, n):
+    # q as an (n, r) factor, r >= 1: a vector is one column, so each entry
+    # of its term is one product, as np.outer's
+    q = np.asarray(q, dtype=float)
+    if q.shape != (n,) and (q.ndim != 2 or q.shape[0] != n or q.shape[1] < 1):
+        raise ValueError(f"q must have shape ({n},) or ({n}, r >= 1), got {q.shape}")
+    return q.reshape(n, -1)
+
+
 def sketch_reconstruct(sketch, rank):
     """Rank-`rank` eigenvalue factorization read out of a sketch.
 
-    Returns (u, lam) with u of shape (n, rank), orthonormal columns, and
-    nonnegative eigenvalues lam, approximating X ~ u diag(lam) u^T. The
-    stabilizing shift follows the usual single-pass recipe: S is perturbed by
-    nu * omega with nu at the noise floor of S, the small Gram matrix
-    omega^T (S + nu omega) is inverted through an eigenvalue square root, and
-    nu is subtracted back off the squared singular values. Directions below
-    1e-14 of the largest eigenvalue, where roundoff leaves them when X has
-    low rank, are zeroed, so the factor keeps its `rank` columns. A rank
-    that is not an integer >= 1 raises ValueError, and one that the sketch
-    cannot resolve (size - 1 or more) or that is above the matrix side n
-    raises RankTooLarge.
+    Returns (u, lam), approximating X ~ u diag(lam) u^T: u of shape (n, rank)
+    always has orthonormal columns, a zero sketch included, and lam holds
+    the squared singular values of S (omega^T S)^(-1/2), so it is
+    nonnegative. The small Gram matrix omega^T S is inverted through an
+    eigenvalue square root; directions below 1e-14 of its largest
+    eigenvalue, where roundoff leaves them when X has low rank, are zeroed,
+    so the factor keeps its `rank` columns. A rank that is not an integer
+    >= 1 raises ValueError, and one that the sketch cannot resolve (size - 1
+    or more) or that is above the matrix side n raises RankTooLarge.
     """
     omega, s = sketch.omega, sketch.s
     n, size = s.shape
     _check_count("reconstruction rank", rank, 1)
     if rank >= size - 1:
-        raise RankTooLarge(
-            f"rank {rank} needs a sketch larger than {size} columns"
-        )
+        raise RankTooLarge(f"rank {rank} needs a sketch larger than {size} columns")
     if rank > n:
         raise RankTooLarge(f"rank {rank} is above the matrix side n = {n}")
-    fro = float(np.linalg.norm(s))
-    if fro == 0.0:
-        return np.zeros((n, rank)), np.zeros(rank)
-    nu = math.sqrt(n) * np.finfo(float).eps * fro
-    s_nu = s + nu * omega
-    b = omega.T @ s_nu
+    b = omega.T @ s
     w, q = np.linalg.eigh(0.5 * (b + b.T))
     keep = w > w.max() * 1e-14
     e = np.zeros_like(s)
-    e[:, keep] = s_nu @ (q[:, keep] / np.sqrt(w[keep]))
+    e[:, keep] = s @ (q[:, keep] / np.sqrt(w[keep]))
     u, sig, _ = np.linalg.svd(e, full_matrices=False)
-    lam = np.maximum(sig**2 - nu, 0.0)
-    return u[:, :rank], lam[:rank]
+    return u[:, :rank], sig[:rank] ** 2
 
 
 def factor_to_dense(u, lam):

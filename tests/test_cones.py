@@ -48,6 +48,14 @@ def test_soc_lmo_three_regimes():
     assert abs(-np.vdot(g, v) - np.sqrt(10.0)) < 1e-13
 
 
+def test_soc_lmo_on_the_dual_cone_boundary_returns_zero():
+    # ||g_x|| = g_t exactly (3-4-5): g lies on the dual cone's boundary, so
+    # by the documented case split the LMO returns the zero atom, not the
+    # boundary ray that also gives <g, v> = 0
+    v = SecondOrderCone(3).lmo(np.array([3.0, 4.0, 5.0]))
+    np.testing.assert_array_equal(v, np.zeros(3))
+
+
 def test_psd_lmo_diag_example():
     g = np.diag([1.0, -2.0])
     v = PsdCone(2).lmo(g)

@@ -11,7 +11,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_parity_smoke_against_itself():
     # both sides import this checkout's src/, so every field of the 3 smoke
-    # solves must be identical to the bit and the check must exit 0
+    # solves, the two semidefinite ones' readouts included, must be
+    # identical to the bit and the check must exit 0
     script = os.path.join(ROOT, "tools", "parity.py")
     out = subprocess.run(
         [sys.executable, script, "--against", ROOT, "--smoke"],
@@ -22,7 +23,7 @@ def test_parity_smoke_against_itself():
     assert out.returncode == 0, out.stdout + out.stderr
     lines = out.stdout.splitlines()
     assert lines[-1] == "every field identical"
-    assert len(lines) == 22 and all(line.endswith(" identical") for line in lines)
+    assert len(lines) == 24 and all(line.endswith(" identical") for line in lines)
 
 
 def test_parity_compare_reports_what_differs():

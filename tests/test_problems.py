@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import gc
 import math
+import re
 import tracemalloc
 import types
 
@@ -502,6 +503,30 @@ def test_vector_maps_reject_other_shapes(shape):
         message = rf"adjoint_matvec needs p of shape \({op.d},\) and u of shape \(12,\)"
         with pytest.raises(ValueError, match=message):
             op.adjoint_matvec(np.ones(op.d), q)
+
+
+@pytest.mark.parametrize(
+    "name, kernel, got",
+    [
+        ("gram", lambda q: float(np.sum(q * q)), "()"),
+        ("gram", lambda q: (q * q)[:, None], "(12, 1)"),
+        ("gram", lambda q: np.ones(11), "(11,)"),
+        ("adjoint_matvec", lambda p, u: float(p @ u), "()"),
+        ("adjoint_matvec", lambda p, u: (p * u)[:, None], "(12, 1)"),
+        ("adjoint_matvec", lambda p, u: np.ones(13), "(13,)"),
+    ],
+    ids=["gram-scalar", "gram-column", "gram-short", "adjoint-scalar", "adjoint-column",
+         "adjoint-long"],
+)
+def test_vector_maps_reject_kernel_outputs_of_other_shapes(name, kernel, got):
+    # a scalar gram broadcast into the objective and solved a different
+    # problem, and a (d, 1) one died inside numpy without naming the map; the
+    # operator checks what each kernel returns as it checks what it receives
+    maps = {"gram": lambda q: q * q, "adjoint_matvec": lambda p, u: p * u, name: kernel}
+    op = MeasurementOperator(12, 12, **maps)
+    message = rf"^{name} must return shape \(12,\), got {re.escape(got)}$"
+    with pytest.raises(ValueError, match=message):
+        op.gram(np.ones(12)) if name == "gram" else op.adjoint_matvec(np.ones(12), np.ones(12))
 
 
 def test_replaced_operator_maps_to_the_same_bits():

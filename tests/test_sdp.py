@@ -910,6 +910,20 @@ def test_sketch_add_rank_one_rejects_a_term_of_the_wrong_shape(q):
     assert np.array_equal(sk.s, before)
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.5], ids=["no-scale", "scale"])
+def test_rejected_move_writes_nothing(scale):
+    # a q whose length is neither the sketch's n used to raise only inside
+    # the sketch update, after y had taken the new term (and, under a scale,
+    # after y and the sketch had been scaled); the check now comes first
+    sk = SketchState.create(4, 4)
+    sk.add_rank_one(1.0, np.arange(4.0))
+    state = SdpState(np.array([0.5, -1.0, 2.0]), 3.0, sk)
+    before = (state.y.tobytes(), state.tr, state.sketch.s.tobytes())
+    with pytest.raises(ValueError, match=r"^q must have shape \(4,\) or \(4, r >= 1\)"):
+        state.move(scale, 1.0, np.ones(5), np.ones(3))
+    assert (state.y.tobytes(), state.tr, state.sketch.s.tobytes()) == before
+
+
 def test_sketch_size_floor():
     with pytest.raises(ValueError):
         SketchState.create(5, 1)
@@ -982,10 +996,34 @@ def test_reconstruct_drops_roundoff_directions(monkeypatch):
 
 
 def test_reconstruct_zero_sketch_gives_zeros():
+    # the zero sketch takes the readout's one path: every direction falls
+    # below the cut-off, and u still has the orthonormal columns it promises
     sk = SketchState.create(10, 4, seed=0)
     u, lam = sketch_reconstruct(sk, 2)
     np.testing.assert_array_equal(lam, np.zeros(2))
     np.testing.assert_array_equal(u @ np.diag(lam) @ u.T, np.zeros((10, 10)))
+    np.testing.assert_allclose(u.T @ u, np.eye(2), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_reconstruct_recovers_exact_low_rank_at_every_scale(scale):
+    # X of exact rank r up to width - 2, the widest the readout resolves,
+    # through sketches of width 3 to 10: the readout at rank r recovers X,
+    # and at every rank u is orthonormal and lam nonnegative; the 1e-14
+    # eigenvalue cut-off alone guards the pseudo-inverse
+    rng = np.random.default_rng(11)
+    for n, width in itertools.product((12, 60), range(3, 11)):
+        for r in range(1, min(width - 2, n) + 1):
+            f = rng.standard_normal((n, r))
+            x = scale * (f @ f.T)
+            sk = SketchState.create(n, width, seed=n + width + r)
+            sk.add_rank_one(scale, f)
+            for rank in range(1, r + 1):
+                u, lam = sketch_reconstruct(sk, rank)
+                np.testing.assert_allclose(u.T @ u, np.eye(rank), rtol=0, atol=1e-12)
+                assert np.all(lam >= 0.0)
+            err = np.linalg.norm(factor_to_dense(u, lam) - x) / np.linalg.norm(x)
+            assert err <= 1e-8, (n, width, r, err)
 
 
 @pytest.mark.parametrize("solver", ["sdp", "fw"])

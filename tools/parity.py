@@ -15,16 +15,18 @@ built instances and eight command-line runs, one of them a phase run on a
 small graymap with a header comment that the side writes first, and write
 what they return to a temporary directory: per solve the trace (every
 column but wall_ms), stats (greedy events included), status, the final
-point or final_y and final_tr, the sketch's s, certified_dual_cert and
-final_lambda; per instance its data (the orthant toy's quad, lin, x_star,
-f_star and lipschitz, matcomp's b, row_idx and col_idx, phase's b, signs
-and x_true, for drawn and given signals), the objective's gradient at 0,
-which reads the data the objective holds, and for matcomp and phase the
-operator's adjoint_dense at a fixed p, the benchmark's dense reference; per
-command-line run the trace CSV without wall_ms, the summary JSON without
-wall_ms_total and build, the phase runs' factor.npz and the --dump-to
-files of toy, matcomp and phase. --smoke runs 3 small solves and nothing
-else.
+point or final_y and final_tr, the sketch's s, certified_dual_cert,
+final_lambda and, for a semidefinite solve, the dense rank-1 readout
+factor_to_dense(*sketch_reconstruct(sketch, 1)), so a readout change
+shows on every semidefinite solve; per instance its data (the orthant
+toy's quad, lin, x_star, f_star and lipschitz, matcomp's b, row_idx and
+col_idx, phase's b, signs and x_true, for drawn and given signals), the
+objective's gradient at 0, which reads the data the objective holds, and
+for matcomp and phase the operator's adjoint_dense at a fixed p, the
+benchmark's dense reference; per command-line run the trace CSV without
+wall_ms, the summary JSON without wall_ms_total and build, the phase
+runs' factor.npz and the --dump-to files of toy, matcomp and phase.
+--smoke runs 3 small solves and nothing else.
 
 For each solve, instance and field this prints "identical", or what
 differs: the keys one side has and the other lacks, the largest relative
@@ -226,7 +228,9 @@ IMAGE_PGM = (
 
 
 def fields(res):
-    # what a solve returns, but wall time
+    # what a solve returns, but wall time, and its sketch's dense rank-1 readout
+    from cdkit import factor_to_dense, sketch_reconstruct
+
     trace = [[getattr(r, c) for c in TRACE_COLUMNS] for r in res.trace]
     out = {
         "trace": np.array([[np.nan if v is None else v for v in row] for row in trace], float),
@@ -241,6 +245,7 @@ def fields(res):
         out["final_tr"] = res.final_tr
         out["sketch.s"] = res.sketch.s
         out["final_lambda"] = res.final_lambda
+        out["readout"] = factor_to_dense(*sketch_reconstruct(res.sketch, 1))
     return out
 
 
