@@ -47,7 +47,7 @@ class NonnegativeOrthant(Cone):
         """
         g = np.asarray(g, dtype=float)
         neg = np.maximum(-g, 0.0)
-        nrm = math.sqrt(np.dot(neg, neg))  # what np.linalg.norm(neg) computes
+        nrm = math.sqrt(neg.dot(neg))  # what np.linalg.norm(neg) computes
         if nrm == 0.0:
             return np.zeros_like(g)
         return neg / nrm

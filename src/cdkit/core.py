@@ -147,15 +147,15 @@ class SolveTrace(list):
     def write_csv(self, path):
         # repr() of python floats round-trips exactly, which keeps identical
         # runs byte-identical (wall_ms is excluded from that guarantee).
-        include_lambda = any(r.lambda_min is not None for r in self)
+        lam = ",lambda_min" if any(r.lambda_min is not None for r in self) else ""
+        rows = [f"k,f,dual_cert,cs,eta,theta,wall_ms{lam}\n"] + [
+            f"{r.k},{float(r.f_value)!r},{float(r.dual_cert)!r},{float(r.cs_residual)!r},"
+            f"{float(r.eta)!r},{float(r.theta)!r},{float(r.wall_ms)!r}"
+            + (f",{float(r.lambda_min)!r}\n" if lam else "\n")
+            for r in self
+        ]
         with open(path, "w") as fh:
-            fh.write("k,f,dual_cert,cs,eta,theta,wall_ms")
-            fh.write(",lambda_min\n" if include_lambda else "\n")
-            for r in self:
-                vals = [r.f_value, r.dual_cert, r.cs_residual, r.eta, r.theta, r.wall_ms]
-                if include_lambda:
-                    vals.append(r.lambda_min)
-                fh.write(",".join([str(r.k)] + [repr(float(v)) for v in vals]) + "\n")
+            fh.write("".join(rows))
 
 
 @dataclass
@@ -266,7 +266,7 @@ def ray_minimize(problem, x, base=None, linear=0.0):
     # the dot product np.linalg.norm takes, so an x whose squares underflow
     # is a zero point too
     xr = x.ravel()
-    if linear == 0.0 and float(np.dot(xr, xr)) == 0.0:
+    if linear == 0.0 and float(xr.dot(xr)) == 0.0:
         return 1.0
     return _search(problem, np.zeros(x.shape) if base is None else base, x, linear, 1.0)
 

@@ -92,16 +92,14 @@ def build_orthant_quadratic(dim=20, seed=0):
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ quad @ x) - float(lin @ x)
+        return 0.5 * float(x.dot(quad).dot(x)) - float(lin.dot(x))
 
     def gradient(x):
-        return quad @ np.asarray(x, dtype=float) - lin
+        return quad.dot(np.asarray(x, dtype=float)) - lin
 
     def restriction(base, direction):
-        base = np.asarray(base, dtype=float)
-        direction = np.asarray(direction, dtype=float)
-        qd = quad @ direction
-        return 0.5 * float(direction @ qd), float(base @ qd) - float(lin @ direction)
+        qd = quad.dot(direction)
+        return 0.5 * float(qd.dot(direction)), float(qd.dot(base)) - float(lin.dot(direction))
 
     program = ConicProgram(
         dim=dim,

@@ -138,8 +138,9 @@ class SdpState:
     image of q q^T, the trace scale tr + weight tr_q, where tr_q is the trace
     of q q^T (1 for a unit vector, the default), and the sketch is scaled
     and gets the term of q q^T. A scale of 1 skips the multiply, and a q of
-    None adds no term. A q of any other shape raises ValueError before the
-    first write, so a rejected move leaves y, tr and the sketch as they were.
+    None adds no term. A q of any other shape, or a gram_q of a shape other
+    than y's, raises ValueError before the first write, so a rejected move
+    leaves y, tr and the sketch as they were.
     This is the one writer of the state: the solvers' steps, the ray rescale
     and the greedy refit's commit all go through it. y is rebound to a new
     array, never updated in place, so a callback may keep the previous one.
@@ -151,6 +152,8 @@ class SdpState:
 
     def move(self, scale=1.0, weight=0.0, q=None, gram_q=None, tr_q=1.0):
         q = None if q is None else _as_factor(q, len(self.sketch.s))
+        if q is not None and np.shape(gram_q) != self.y.shape:
+            raise ValueError(f"gram_q must have shape {self.y.shape}, got {np.shape(gram_q)}")
         if scale != 1.0:
             self.y = scale * self.y
             self.sketch.scale(scale)

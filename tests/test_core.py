@@ -603,6 +603,35 @@ def test_trace_csv_row_includes_lambda_when_asked(tmp_path):
     assert row.endswith(",-0.25")
 
 
+@pytest.mark.parametrize("lam", [False, True], ids=["no-lambda", "lambda"])
+def test_trace_csv_bytes(tmp_path, lam):
+    # the exact bytes, so a change of format (2.0 written as 2, a lost -0.0
+    # sign, a line ending) fails here although every parsed value survives
+    from cdkit.core import SolveTrace, TraceRecord
+
+    recs = [
+        TraceRecord(0, 2.0, -0.0, 1e-300, float("inf"), 0.0, 0.125),
+        TraceRecord(1, -1.5, 0.1, 0.0, 1.0, 1 / 3, 7.0),
+    ]
+    if lam:
+        recs[0].lambda_min, recs[1].lambda_min = -0.0, 3.0
+    path = tmp_path / "trace.csv"
+    SolveTrace(recs).write_csv(path)
+    if lam:
+        expected = (
+            b"k,f,dual_cert,cs,eta,theta,wall_ms,lambda_min\n"
+            b"0,2.0,-0.0,1e-300,inf,0.0,0.125,-0.0\n"
+            b"1,-1.5,0.1,0.0,1.0,0.3333333333333333,7.0,3.0\n"
+        )
+    else:
+        expected = (
+            b"k,f,dual_cert,cs,eta,theta,wall_ms\n"
+            b"0,2.0,-0.0,1e-300,inf,0.0,0.125\n"
+            b"1,-1.5,0.1,0.0,1.0,0.3333333333333333,7.0\n"
+        )
+    assert path.read_bytes() == expected
+
+
 def test_kkt_residuals_vanish_at_planted_optimum():
     built = build_orthant_quadratic(dim=15, seed=8)
     cs, dist_sq = kkt_residuals(built.program, built.x_star)

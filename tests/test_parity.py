@@ -9,6 +9,15 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def import_parity():
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    try:
+        import parity
+    finally:
+        sys.path.pop(0)
+    return parity
+
+
 def test_parity_smoke_against_itself():
     # both sides import this checkout's src/, so every field of the 3 smoke
     # solves, the two semidefinite ones' readouts included, must be
@@ -27,11 +36,7 @@ def test_parity_smoke_against_itself():
 
 
 def test_parity_compare_reports_what_differs():
-    sys.path.insert(0, os.path.join(ROOT, "tools"))
-    try:
-        import parity
-    finally:
-        sys.path.pop(0)
+    parity = import_parity()
     assert parity.compare({"a": 1.0, "b": [2, "x"]}, {"a": 1.0, "b": [2, "x"]}) == "identical"
     assert parity.compare({"a": 0.5}, {"a": 0.5, "c": 1}) == "keys added: c"
     both = "largest relative change 0.2 at a; largest scaled absolute change 0.2 at a"
@@ -61,3 +66,27 @@ def test_parity_compare_reports_what_differs():
     # NaN against a number, and inf against another value, read inf both ways
     assert parity.leaf_change(np.array([np.nan, 1.0]), np.array([0.0, 1.0])) == (np.inf, np.inf)
     assert parity.leaf_change(np.array([np.inf, 3.0]), np.array([1.0, 3.0])) == (np.inf, np.inf)
+
+
+def test_parity_reads_trace_csv_text_as_well_as_values(tmp_path):
+    # a number written another way keeps its parsed value but not its text;
+    # a wall_ms change alone changes neither
+    parity = import_parity()
+    texts = {
+        "before": "k,f,wall_ms\n0,1.0,0.5\n1,0.25,0.75\n",
+        "wall": "k,f,wall_ms\n0,1.0,9.5\n1,0.25,0.125\n",
+        "format": "k,f,wall_ms\n0,1,0.5\n1,0.25,0.75\n",
+    }
+    read = {}
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.trace.csv"
+        path.write_text(text)
+        read[name] = parity.read_trace_csv(str(path))
+    (parsed, text), (wall_parsed, wall_text) = read["before"], read["wall"]
+    assert parity.compare(parsed, wall_parsed) == "identical"
+    assert parity.compare(text, wall_text) == "identical"
+    format_parsed, format_text = read["format"]
+    assert parity.compare(parsed, format_parsed) == "identical"
+    assert parity.compare(text, format_text) == (
+        "largest relative change inf; largest scaled absolute change inf"
+    )

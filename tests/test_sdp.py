@@ -912,16 +912,20 @@ def test_sketch_add_rank_one_rejects_a_term_of_the_wrong_shape(q):
 
 @pytest.mark.parametrize("scale", [1.0, 0.5], ids=["no-scale", "scale"])
 def test_rejected_move_writes_nothing(scale):
-    # a q whose length is neither the sketch's n used to raise only inside
-    # the sketch update, after y had taken the new term (and, under a scale,
-    # after y and the sketch had been scaled); the check now comes first
+    # a q whose length is not the sketch's n, or a gram_q whose length is
+    # not y's, raises before the first write: without the checks numpy
+    # raises later, after y (and, under a scale, the sketch) was written
     sk = SketchState.create(4, 4)
     sk.add_rank_one(1.0, np.arange(4.0))
     state = SdpState(np.array([0.5, -1.0, 2.0]), 3.0, sk)
     before = (state.y.tobytes(), state.tr, state.sketch.s.tobytes())
-    with pytest.raises(ValueError, match=r"^q must have shape \(4,\) or \(4, r >= 1\)"):
-        state.move(scale, 1.0, np.ones(5), np.ones(3))
-    assert (state.y.tobytes(), state.tr, state.sketch.s.tobytes()) == before
+    for q, gram_q, message in [
+        (np.ones(5), np.ones(3), r"^q must have shape \(4,\) or \(4, r >= 1\)"),
+        (np.ones(4), np.ones(5), r"^gram_q must have shape \(3,\), got \(5,\)$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            state.move(scale, 1.0, q, gram_q)
+        assert (state.y.tobytes(), state.tr, state.sketch.s.tobytes()) == before
 
 
 def test_sketch_size_floor():

@@ -24,8 +24,10 @@ col_idx, phase's b, signs and x_true, for drawn and given signals), the
 objective's gradient at 0, which reads the data the objective holds, and
 for matcomp and phase the operator's adjoint_dense at a fixed p, the
 benchmark's dense reference; per command-line run the trace CSV without
-wall_ms, the summary JSON without wall_ms_total and build, the phase
-runs' factor.npz and the --dump-to files of toy, matcomp and phase.
+wall_ms, both parsed and as the text of its cells, so a number written
+another way (1.0 against 1) differs too, the summary JSON without
+wall_ms_total and build, the phase runs' factor.npz and the --dump-to
+files of toy, matcomp and phase.
 --smoke runs 3 small solves and nothing else.
 
 For each solve, instance and field this prints "identical", or what
@@ -352,18 +354,27 @@ def compare(a, b):
     return "; ".join(parts) or "identical"
 
 
+def read_trace_csv(path):
+    """A command-line trace CSV without its wall_ms column, twice: its
+    header and rows parsed, which say how far a number moved, and the text
+    of its cells, which also differs when a number keeps its value but is
+    written another way (1.0 against 1)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, column in enumerate(rows[0]) if column != "wall_ms"]
+    cells = [[row[i] for i in keep] for row in rows]
+    parsed = {"header": cells[0], "rows": np.array([[float(c) for c in row] for row in cells[1:]])}
+    return parsed, "\n".join(",".join(row) for row in cells)
+
+
 def read_cli_outputs(out_dir):
     """run -> {file: value} of the command-line outputs, wall time dropped."""
     found = {}
     for name in CLI_RUNS:
         files = {}
-        with open(os.path.join(out_dir, f"{name}.trace.csv")) as fh:
-            rows = list(csv.reader(fh))
-        keep = [i for i, column in enumerate(rows[0]) if column != "wall_ms"]
-        files["trace.csv"] = {
-            "header": [rows[0][i] for i in keep],
-            "rows": np.array([[float(row[i]) for i in keep] for row in rows[1:]]),
-        }
+        files["trace.csv"], files["trace.csv text"] = read_trace_csv(
+            os.path.join(out_dir, f"{name}.trace.csv")
+        )
         with open(os.path.join(out_dir, f"{name}.summary.json")) as fh:
             summary = json.load(fh)
         summary.pop("wall_ms_total")
