@@ -27,7 +27,7 @@ def main():
     print(f"status: {res.status}, final f = {res.trace.f_values()[-1]:.3e}")
 
     u, lam = sketch_reconstruct(res.sketch, 1)
-    x_hat = u[:, 0] * np.sqrt(max(lam[0], 0.0))
+    x_hat = u[:, 0] * np.sqrt(lam[0])
 
     lifted_err = np.linalg.norm(
         factor_to_dense(u, lam) - np.outer(ph.x_true, ph.x_true)

@@ -5,7 +5,11 @@ Usage sketches:
     cdkit toy --algo moco --iters 200 --prefix out/toy
     cdkit matcomp --n 100 --algo mocog --greedy-every 20 --prefix out/mc
     cdkit phase --n 64 --m 10 --algo mocoh --prefix out/ph
-    cdkit phase --seeds 0,1,2,3 --jobs 4 --prefix out/sweep
+    cdkit phase --seeds 0,1,2,3 --prefix out/sweep
+
+A --seeds list runs its seeds in order, in this process, each under
+<prefix>.s<seed>; a parallel sweep starts one cdkit per seed, pinned by
+CDK_SEED or --seed.
 
 Every run writes <prefix>.trace.csv (one row per visit) and
 <prefix>.summary.json (the command and the resolved value of each flag it
@@ -42,8 +46,7 @@ so each run puts them through the same checks under their flag names.
 Each run prints one "<prefix>: <message>" line on stderr, so under --seeds
 a bad setting prints one such line per run. A run keeps numpy's
 floating-point warnings silent, so one that trips the library's non-finite
-guard prints that line alone. A bad --jobs fails the same count check
-before any run starts, with one "error: <message>" line.
+guard prints that line alone.
 """
 
 import argparse
@@ -167,11 +170,8 @@ def _parse_seed_list(text):
 
 
 def resolve(args, env=None):
-    """Merge defaults, config file, flags, and CDK_SEED into run specs.
-
-    Returns (specs, jobs): one spec per requested seed, and the worker
-    count, --jobs capped at one worker per spec.
-    """
+    """Merge defaults, config file, flags, and CDK_SEED into run specs,
+    one per requested seed."""
     env = os.environ if env is None else env
     given = vars(args)
     config_pairs = {}
@@ -186,7 +186,7 @@ def resolve(args, env=None):
     cli_pairs = {
         key: val
         for key, val in given.items()
-        if key not in ("command", "config", "seeds", "jobs") and val is not None
+        if key not in ("command", "config", "seeds") and val is not None
     }
     spec = RunSpec(command=args.command, **{**config_pairs, **cli_pairs})
     if args.seeds is not None:
@@ -201,15 +201,13 @@ def resolve(args, env=None):
     if spec.dump_to is not None and len(seeds) > 1:
         # every run would write its instance to the one path
         raise UsageError(f"dump-to writes one file, so it takes one seed, got {len(seeds)} seeds")
-    jobs = args.jobs if args.jobs is not None else 1
-    _check_count("--jobs", jobs, 1)
     specs = []
     for seed in seeds:
         one = dataclasses.replace(spec, seed=seed)
         if len(seeds) > 1:
             one.prefix = f"{spec.prefix}.s{seed}"
         specs.append(one)
-    return specs, min(jobs, len(specs))
+    return specs
 
 
 def validate(spec):
@@ -363,7 +361,7 @@ def run_experiment(spec):
     if spec.command == "phase":
         summary["factor_file"] = f"{spec.prefix}.factor.npz"
         _write_npz(summary["factor_file"], u=u, lam=lam)
-        x_hat = u[:, 0] * math.sqrt(max(float(lam[0]), 0.0))
+        x_hat = u[:, 0] * math.sqrt(lam[0])
         summary["m_estimate"] = float(m_estimate)
         summary["recovery_error"] = float(recovery_error(x_hat, bundle.x_true))
     if spec.dump_to is not None:
@@ -384,7 +382,7 @@ def _write_npz(path, **arrays):
 
 
 def _spec_worker(spec):
-    # runs inside a pool process; returns printable outcome, never raises.
+    # runs one spec and returns its printable outcome; never raises.
     # numpy's floating-point warnings stay silent: a run that trips the
     # library's non-finite guard reports it on its one stderr line
     try:
@@ -421,7 +419,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--algo", choices=_SDP_ALGOS, help="solver variant")
     common.add_argument("--seeds", help="comma separated seed list; fans out one run per seed")
-    common.add_argument("--jobs", type=int, help="worker processes for --seeds (default 1)")
     common.add_argument("--config", help="key=value file applied below explicit flags")
     _add_flags(
         common,
@@ -461,24 +458,15 @@ def console_main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        specs, jobs = resolve(args)
+        specs = resolve(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
-
-    if jobs == 1:
-        outcomes = [_spec_worker(spec) for spec in specs]
-    else:
-        # the pool's module is imported only by a command that starts one
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_spec_worker, specs))
     worst = 0
-    for prefix, code, msg in outcomes:
+    for prefix, code, msg in map(_spec_worker, specs):
         stream = sys.stdout if code == 0 else sys.stderr
         print(f"{prefix}: {msg}", file=stream)
         worst = max(worst, code)

@@ -55,13 +55,18 @@ class MeasurementOperator:
     float64 vectors of the checked shapes, so a kernel holds only its
     arithmetic. The maps also raise ValueError, naming the map and the
     shape it got, when a kernel returns anything but shape (d,) from gram
-    or (n,) from adjoint_matvec, a scalar included. Each call of a checked
-    map adds one to a count on the instance, as ConicProgram counts its
-    oracle calls: eval_counts() returns {"gram_calls", "adjoint_calls"},
-    and the solvers and the greedy refit read their calls as differences
-    of it. A copy made by dataclasses.replace wraps the checked maps it is
-    given once more, maps every vector to the same bits and counts its own
-    calls from zero; a call through it counts on the original as well.
+    or (n,) from adjoint_matvec, a scalar included. The checked gram
+    returns a float64 array, the kernel's own when it returns one, else its
+    output converted (a list, a float32 array), so the iterate stays
+    float64; the checked adjoint_matvec returns what the kernel returns,
+    which the Lanczos LMO and the refit convert as they read it. Each call
+    of a checked map adds one to a count on the instance, as ConicProgram
+    counts its oracle calls: eval_counts() returns {"gram_calls",
+    "adjoint_calls"}, and the solvers and the greedy refit read their calls
+    as differences of it. A copy made by dataclasses.replace wraps the
+    checked maps it is given once more, maps every vector to the same bits
+    and counts its own calls from zero; a call through it counts on the
+    original as well.
 
     adjoint_dense(p) returns the n x n matrix sum_i p_i G_i, for dense
     checks at small n such as the benchmark's certificate check; no solver
@@ -101,7 +106,7 @@ class MeasurementOperator:
             if q.shape != (n,):
                 raise ValueError(f"gram needs q of shape ({n},), got {q.shape}")
             counts["gram_calls"] += 1
-            return returned("gram", gram(q), d)
+            return returned("gram", np.asarray(gram(q), dtype=float), d)
 
         def checked_adjoint_matvec(p, u):
             p = np.asarray(p, dtype=float, order="C")

@@ -1,7 +1,6 @@
 """Command-line harness: option precedence, validation, output files, exit
 codes, and multi-seed fan-out."""
 
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -32,8 +31,7 @@ def parse(argv):
 
 
 def test_resolve_defaults():
-    specs, jobs = resolve(parse(["toy"]), env={})
-    assert jobs == 1
+    specs = resolve(parse(["toy"]), env={})
     assert len(specs) == 1
     assert specs[0].seed == 0
     assert specs[0].algo == "moco"
@@ -43,7 +41,7 @@ def test_resolve_defaults():
 def test_resolve_config_file_overrides_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\niters = 42\nalgo = cd\ndim = 7\n")
-    specs, _ = resolve(parse(["toy", "--config", str(cfg)]), env={})
+    specs = resolve(parse(["toy", "--config", str(cfg)]), env={})
     assert specs[0].iters == 42
     assert specs[0].algo == "cd"
     assert specs[0].dim == 7
@@ -52,16 +50,16 @@ def test_resolve_config_file_overrides_defaults(tmp_path):
 def test_resolve_flags_override_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("iters = 42\nalgo = cd\n")
-    specs, _ = resolve(parse(["toy", "--config", str(cfg), "--iters", "9"]), env={})
+    specs = resolve(parse(["toy", "--config", str(cfg), "--iters", "9"]), env={})
     assert specs[0].iters == 9
     assert specs[0].algo == "cd"
 
 
 def test_resolve_env_seed_replaces_seed_list(tmp_path):
-    specs, _ = resolve(parse(["toy", "--seeds", "1,2,3"]), env={"CDK_SEED": "7"})
+    specs = resolve(parse(["toy", "--seeds", "1,2,3"]), env={"CDK_SEED": "7"})
     assert [s.seed for s in specs] == [7]
     # and without the env override the full list survives
-    specs, _ = resolve(parse(["toy", "--seeds", "1,2,3"]), env={})
+    specs = resolve(parse(["toy", "--seeds", "1,2,3"]), env={})
     assert [s.seed for s in specs] == [1, 2, 3]
     assert [s.prefix for s in specs] == ["run.s1", "run.s2", "run.s3"]
 
@@ -69,7 +67,7 @@ def test_resolve_env_seed_replaces_seed_list(tmp_path):
 def test_resolve_seeds_from_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seeds = 4, 5\n")
-    specs, _ = resolve(parse(["toy", "--config", str(cfg)]), env={})
+    specs = resolve(parse(["toy", "--config", str(cfg)]), env={})
     assert [s.seed for s in specs] == [4, 5]
 
 
@@ -141,8 +139,8 @@ def test_config_file_roundtrip(tmp_path_factory, entries, data):
     }
 
 
-# the flags of each command: its RunSpec fields, beside command, seeds, jobs
-# and config, which are not RunSpec fields or not flags
+# the flags of each command: its RunSpec fields, beside command, seeds and
+# config, which are not RunSpec fields or not flags
 _COMMON_FIELDS = {
     "algo", "seed", "iters", "tol", "prefix", "heuristic_m", "dump_to",
 }
@@ -184,18 +182,18 @@ def test_each_command_has_exactly_its_flags():
     assert set().union(*_COMMAND_FIELDS.values()) == runspec_fields
     for command, fields in _COMMAND_FIELDS.items():
         given = vars(parse([command]))
-        assert set(given) == fields | {"command", "seeds", "jobs", "config"}
+        assert set(given) == fields | {"command", "seeds", "config"}
         assert given["command"] == command
         assert all(given[key] is None for key in given if key != "command")
         argv = [command]
         for name in sorted(fields):
             argv += ["--" + name.replace("_", "-"), _FLAG_SAMPLES[name][0]]
-        parsed = vars(parse(argv + ["--seeds", "1,2", "--jobs", "2", "--config", "c.cfg"]))
+        parsed = vars(parse(argv + ["--seeds", "1,2", "--config", "c.cfg"]))
         for name in fields:
             expected = _FLAG_SAMPLES[name][1]
             assert parsed[name] == expected, name
             assert type(parsed[name]) is type(expected), name
-        assert (parsed["seeds"], parsed["jobs"], parsed["config"]) == ("1,2", 2, "c.cfg")
+        assert (parsed["seeds"], parsed["config"]) == ("1,2", "c.cfg")
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +313,12 @@ def test_build_stamp_of_an_untracked_copy_is_unknown(tmp_path):
 
 
 def test_removed_trace_every_flag_exits_two(capsys):
-    with pytest.raises(SystemExit) as info:
-        console_main(["toy", "--trace-every", "3"])
-    assert info.value.code == 2
-    assert "--trace-every" in capsys.readouterr().err
+    # argparse rejects each removed flag and names it
+    for flag in ("--trace-every", "--jobs"):
+        with pytest.raises(SystemExit) as info:
+            console_main(["toy", flag, "3"])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_toy_run_writes_trace_and_summary(tmp_path):
@@ -608,7 +608,7 @@ _LIBRARY_RANGES = {
         lambda: build_phase_retrieval(n=16, m=4, noise_snr=-math.inf),
     ),
     "toy-iters-jobs2": (
-        ["toy", "--iters", "0", "--seeds", "0,1", "--jobs", "2"],
+        ["toy", "--iters", "0", "--seeds", "0,1"],
         lambda: _toy_solve(max_iters=0),
     ),
     # SNRs so far from 0 dB that the ratio or the noise leaves the float range
@@ -787,7 +787,7 @@ def test_solver_error_exits_three(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fanout", [[], ["--seeds", "0,1", "--jobs", "2"]], ids=["single", "jobs2"]
+    "fanout", [[], ["--seeds", "0,1"]], ids=["single", "jobs2"]
 )
 def test_value_error_in_solve_exits_two(tmp_path, monkeypatch, capsys, fanout):
     def bad_input(*args, **kwargs):
@@ -817,47 +817,16 @@ def test_solver_error_exits_three_under_jobs(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "sdp_solve", boom)
     code = console_main(
         ["matcomp", "--n", "20", "--rank", "2", "--iters", "5",
-         "--prefix", str(tmp_path / "x"), "--seeds", "0,1", "--jobs", "2"]
+         "--prefix", str(tmp_path / "x"), "--seeds", "0,1"]
     )
     assert code == 3
     assert capsys.readouterr().err.count("synthetic failure") == 2
 
 
-def test_jobs_start_at_most_one_worker_per_run(tmp_path, monkeypatch, capsys):
-    # a fake pool that records its size and maps in this process: a real
-    # one would fork every worker it is asked for at the first submit
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # console_main imports the pool class when it starts a pool, so the fake
-    # replaces it where that import reads it
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    printed = []
-    for jobs in ("64", "2"):
-        argv = ["toy", "--iters", "5", "--seeds", "0,1", "--jobs", jobs]
-        assert console_main(argv + ["--prefix", str(tmp_path / "x")]) == 0
-        printed.append(capsys.readouterr().out)
-    assert sizes == [2, 2]
-    assert printed[0] == printed[1] and printed[0].count("status=") == 2
-
-
 def test_io_error_exits_four_under_jobs(tmp_path):
     missing_dir = tmp_path / "nope" / "deeper" / "out"
     code = console_main(
-        ["toy", "--iters", "5", "--prefix", str(missing_dir), "--seeds", "0,1",
-         "--jobs", "2"]
+        ["toy", "--iters", "5", "--prefix", str(missing_dir), "--seeds", "0,1"]
     )
     assert code == 4
 
@@ -875,21 +844,20 @@ def test_io_error_exits_four_under_jobs(tmp_path):
         ("iters = many\n", [], {}),
         (None, ["--seeds", "1,x"], {}),
         (None, ["--seeds", ","], {}),
-        (None, ["--jobs", "0"], {}),
         (None, [], {"CDK_SEED": "x"}),
         # two runs of one seed would write the same files
         (None, ["--seeds", "1,1"], {}),
-        (None, ["--seeds", "1,2,01", "--jobs", "2"], {}),
+        (None, ["--seeds", "1,2,01"], {}),
         ("seeds = 2, 3, 2\n", [], {}),
         # every run would write its instance to the one --dump-to path
         (None, ["--seeds", "0,1", "--dump-to", "d.npz"], {}),
-        (None, ["--seeds", "0,1", "--jobs", "2", "--dump-to", "d.npz"], {}),
+        (None, ["--seeds", "0,1", "--dump-to", "d.npz"], {}),
         ("seeds = 0, 1\ndump_to = d.npz\n", [], {}),
         ("dump_to = d.npz\n", ["--seeds", "0,1"], {}),
     ],
     ids=[
         "unknown-key", "trace-every-key", "no-equals", "bad-value", "seeds-bad",
-        "seeds-empty", "jobs-0", "env-seed", "seeds-repeated", "seeds-repeated-jobs2",
+        "seeds-empty", "env-seed", "seeds-repeated", "seeds-repeated-jobs2",
         "seeds-repeated-config", "dump-to-seeds", "dump-to-seeds-jobs2", "dump-to-config",
         "dump-to-config-seeds-flag",
     ],
@@ -931,15 +899,6 @@ def test_greedy_every_zero_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"{prefix}: greedy-every must be an int >= 1, got 0"
     ]
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_jobs_zero_exits_two(tmp_path, capsys):
-    # --jobs goes through the library's count check, whose ValueError is a
-    # usage error before any run starts
-    argv = ["toy", "--jobs", "0", "--prefix", str(tmp_path / "x")]
-    assert console_main(argv) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: --jobs must be an int >= 1, got 0"]
     assert list(tmp_path.iterdir()) == []
 
 

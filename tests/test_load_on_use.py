@@ -3,8 +3,10 @@
 The package root and the command line import numpy only. The LAPACK
 routines load when the first semidefinite solve builds its iterate, the
 completion kernels with the first build_matcomp and the cosine transforms
-with the first build_phase_retrieval. The suite itself imports scipy, so the
-load order is read from sys.modules in a fresh interpreter.
+with the first build_phase_retrieval. A --seeds run of the command line
+runs its seeds in this process, so it loads no process pool either. The
+suite itself imports scipy, so the load order is read from sys.modules in a
+fresh interpreter.
 """
 
 import json
@@ -39,7 +41,7 @@ import cdkit
 stage("import cdkit")
 import cdkit.cli
 stage("import cdkit.cli")
-code = cdkit.cli.console_main(["toy", "--iters", "20", "--prefix", sys.argv[1]])
+code = cdkit.cli.console_main(["toy", "--iters", "20", "--seeds", "0,1", "--prefix", sys.argv[1]])
 assert code == 0, code
 stage("cdkit toy")
 from cdkit.problems import build_matcomp, build_phase_retrieval

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.fft import dct, idct
 
-from cdkit import DegenerateSignal, MeasurementOperator, problems
+from cdkit import DegenerateSignal, MeasurementOperator, SolverConfig, problems, sdp_solve
 from cdkit.problems import (
     _matcomp_mask,
     add_noise_snr,
@@ -527,6 +527,30 @@ def test_vector_maps_reject_kernel_outputs_of_other_shapes(name, kernel, got):
     message = rf"^{name} must return shape \(12,\), got {re.escape(got)}$"
     with pytest.raises(ValueError, match=message):
         op.gram(np.ones(12)) if name == "gram" else op.adjoint_matvec(np.ones(12), np.ones(12))
+
+
+@pytest.mark.parametrize("period", [0, 4], ids=["no-refit", "refit"])
+def test_gram_output_reaches_the_solve_as_float64(period):
+    # a gram kernel that returns a list died in SdpState.move, and a float32
+    # one made the whole iterate float32; the checked gram hands the solver
+    # float64, so a list kernel solves to the bundle's own bits
+    mc = build_matcomp(n=20, rank=2, seed=0, block=4, density=0.3)
+    config = SolverConfig(max_iters=12, greedy_period=period, rng_seed=0)
+    bundle = sdp_solve(mc.fv, mc.op, mc.gamma, config=config)
+    kernels = {
+        "list": lambda q: list(mc.op.gram(q)),
+        "float32": lambda q: mc.op.gram(q).astype(np.float32),
+    }
+    results = {}
+    for name, gram in kernels.items():
+        op = MeasurementOperator(mc.op.n, mc.op.d, gram, mc.op.adjoint_matvec)
+        results[name] = sdp_solve(mc.fv, op, mc.gamma, config=config)
+        assert results[name].final_y.dtype == np.float64, name
+    listed = results["list"]
+    assert listed.final_y.tobytes() == bundle.final_y.tobytes()
+    assert listed.sketch.s.tobytes() == bundle.sketch.s.tobytes()
+    assert listed.trace.f_values().tobytes() == bundle.trace.f_values().tobytes()
+    assert listed.final_tr == bundle.final_tr
 
 
 def test_replaced_operator_maps_to_the_same_bits():

@@ -11,8 +11,9 @@ the commit before HEAD:
 Each side runs in its own subprocess, with that side's src/ first on
 sys.path; the subprocess checks that cdkit was imported from there. Both
 sides run this file's fixed set of solves and, without --smoke, its set of
-built instances and eight command-line runs, one of them a phase run on a
-small graymap with a header comment that the side writes first, and write
+built instances and nine command-line runs, one of them a phase run on a
+small graymap with a header comment that the side writes first and one a
+toy run over two seeds, read from both seeds' files, and write
 what they return to a temporary directory: per solve the trace (every
 column but wall_ms), stats (greedy events included), status, the final
 point or final_y and final_tr, the sketch's s, certified_dual_cert,
@@ -220,6 +221,8 @@ CLI_RUNS = {
     "matcomp-mocoh": [
         "matcomp", "--algo", "mocoh", "--n", "40", "--heuristic-m", "30", "--iters", "100"
     ],
+    # one run per seed, each written under <name>.s<seed>
+    "toy-seeds": ["toy", "--seeds", "0,1", "--iters", "50"],
 }
 # the 6 x 4 ASCII graymap the phase-image run reads
 IMAGE_PGM = (
@@ -367,10 +370,19 @@ def read_trace_csv(path):
     return parsed, "\n".join(",".join(row) for row in cells)
 
 
+def cli_prefixes(name, argv):
+    # the prefix of each run a command line makes: one per --seeds entry
+    if "--seeds" not in argv:
+        return [name]
+    seeds = argv[argv.index("--seeds") + 1].split(",")
+    return [f"{name}.s{seed}" for seed in seeds]
+
+
 def read_cli_outputs(out_dir):
-    """run -> {file: value} of the command-line outputs, wall time dropped."""
+    """run prefix -> {file: value} of the command-line outputs, wall time
+    dropped."""
     found = {}
-    for name in CLI_RUNS:
+    for name in (p for run, argv in CLI_RUNS.items() for p in cli_prefixes(run, argv)):
         files = {}
         files["trace.csv"], files["trace.csv text"] = read_trace_csv(
             os.path.join(out_dir, f"{name}.trace.csv")
